@@ -43,6 +43,7 @@ from .ideals import (
 from .serialize import (
     certificate_report,
     dump_text,
+    stage_report,
     zero_set_report,
     zinfty_report_dict,
 )
@@ -155,8 +156,9 @@ def _cmd_synth_outer(args) -> int:
         "value_at_zero": outer.value_at_zero(),
         "boundary_sup": float(np.max(np.abs(outer.boundary.values))),
     }
-    _write(args.out, "boundary.csv", signal_to_csv(outer.boundary))
-    _write(args.out, "log_modulus.csv", signal_to_csv(outer.log_modulus))
+    if args.out is not None:
+        _write(args.out, "boundary.csv", signal_to_csv(outer.boundary))
+        _write(args.out, "log_modulus.csv", signal_to_csv(outer.log_modulus))
     _emit(report, args.out)
     return 0
 
@@ -171,8 +173,9 @@ def _cmd_factorize(args) -> int:
         "is_outer_input": is_outer(f),
         "outer_value_at_zero": result.outer.value_at_zero(),
     }
-    _write(args.out, "inner.csv", signal_to_csv(result.inner))
-    _write(args.out, "outer.csv", signal_to_csv(result.outer.boundary))
+    if args.out is not None:
+        _write(args.out, "inner.csv", signal_to_csv(result.inner))
+        _write(args.out, "outer.csv", signal_to_csv(result.outer.boundary))
     _emit(report, args.out)
     return 0
 
@@ -241,38 +244,15 @@ def _cmd_approx_unit(args) -> int:
             spec,
             schedule=_parse_ints(args.schedule) if args.schedule else DEFAULT_PEAK_SCHEDULE,
         )
-        report = {
-            "strategy": "peak",
-            "alpha": prep.alpha,
-            "rescaled": prep.rescaled,
-            "stages": [
-                {"power": s.index, "error": s.error, "sup_norm": s.sup_norm}
-                for s in stages
-            ],
-        }
-        for s in stages:
-            _write(args.out, f"unit-{s.index:04d}.csv", signal_to_csv(s.unit))
+        report = {"strategy": "peak", "alpha": prep.alpha, "rescaled": prep.rescaled}
     else:
         stages = approx_unit_sublevel(
             spec,
             stages=_parse_ints(args.stages) if args.stages else DEFAULT_MAIN_STAGES,
         )
-        report = {
-            "strategy": "sublevel",
-            "stages": [
-                {
-                    "stage": s.index,
-                    "eps": s.eps,
-                    "support_measure": s.support_measure,
-                    "degenerate": s.degenerate,
-                    "off_support_deviation": s.off_support_deviation,
-                    "on_support_max": s.on_support_max,
-                    "error": s.error,
-                    "sup_norm": s.sup_norm,
-                }
-                for s in stages
-            ],
-        }
+        report = {"strategy": "sublevel"}
+    report["stages"] = [stage_report(s) for s in stages]
+    if args.out is not None:
         for s in stages:
             _write(args.out, f"unit-{s.index:04d}.csv", signal_to_csv(s.unit))
     _emit(report, args.out)
@@ -290,7 +270,7 @@ def _cmd_certify(args) -> int:
         schedule=_parse_ints(args.schedule) if args.schedule else None,
     )
     _emit(certificate_report(cert), args.out)
-    if cert.final_unit is not None:
+    if args.out is not None and cert.final_unit is not None:
         _write(args.out, "final-unit.csv", signal_to_csv(cert.final_unit))
     if not cert.passed:
         sys.stderr.write(
@@ -450,14 +430,25 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     if not isinstance(values, dict):
         raise ValueError("config file must hold a JSON object")
     # Flags given on the command line override config values; a config value
-    # only lands when the option still carries its parser default.
-    defaults = {a.dest: a.default for a in parser._actions}
+    # only lands when the option still carries its parser default, and it is
+    # parsed as if it had been given on the command line.
+    actions = {a.dest: a for a in parser._actions}
     for key, value in values.items():
         dest = key.replace("-", "_")
-        if not hasattr(args, dest):
+        action = actions.get(dest)
+        if action is None or not hasattr(args, dest):
             raise ValueError(f"config key {key!r} is not an option of this command")
-        if getattr(args, dest) == defaults.get(dest):
-            setattr(args, dest, value)
+        if getattr(args, dest) != action.default:
+            continue
+        try:
+            value = (action.type or str)(str(value))
+        except ValueError:
+            raise ValueError(f"config key {key!r}: invalid value {value!r}") from None
+        if action.choices is not None and value not in action.choices:
+            raise ValueError(
+                f"config key {key!r}: {value!r} is not one of {list(action.choices)}"
+            )
+        setattr(args, dest, value)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -101,6 +101,31 @@ def constant_signal(grid: CircleGrid, c: complex) -> BoundarySignal:
 # Arc sets
 # ---------------------------------------------------------------------------
 
+def circular_distance(theta, center: float):
+    """Shortest angular distance from ``theta`` (array or scalar) to ``center``."""
+    d = np.abs((theta - center) % TWO_PI)
+    return np.minimum(d, TWO_PI - d)
+
+
+def circular_runs(mask: np.ndarray) -> list[tuple[int, int]]:
+    """Maximal circular runs of True as (start index, length)."""
+    n = mask.size
+    if mask.all():
+        return [(0, n)]
+    if not mask.any():
+        return []
+    start = int(np.argmin(mask))  # an unmasked index, so no run wraps
+    rolled = np.roll(mask, -start)
+    edges = np.flatnonzero(np.diff(rolled.astype(np.int8)))
+    starts = edges[::2] + 1
+    ends = (
+        edges[1::2] + 1
+        if len(edges) % 2 == 0
+        else np.append(edges[1::2] + 1, n)
+    )
+    return [(int((s + start) % n), int(e - s)) for s, e in zip(starts, ends)]
+
+
 def _normalize_arcs(raw) -> tuple[tuple[float, float], ...]:
     """Split wrapped arcs, drop empties, sort, and merge overlaps/abutments."""
     flat: list[tuple[float, float]] = []
@@ -155,24 +180,13 @@ class ArcSet:
     def from_node_mask(grid: CircleGrid, mask: np.ndarray) -> "ArcSet":
         """Cover each maximal circular run of masked nodes by its cells."""
         mask = np.asarray(mask, dtype=bool)
-        if mask.all():
-            return ArcSet.full()
-        if not mask.any():
-            return ArcSet.empty()
         h = grid.spacing
         nodes = grid.nodes
-        # rotate so index 0 is unmasked, making runs non-circular
-        start = int(np.argmin(mask))
-        rolled = np.roll(mask, -start)
-        edges = np.flatnonzero(np.diff(rolled.astype(np.int8)))
-        starts = edges[::2] + 1
-        ends = edges[1::2] + 1 if len(edges) % 2 == 0 else np.append(edges[1::2] + 1, len(mask))
-        arcs = []
-        for s, e in zip(starts, ends):
-            i = (s + start) % len(mask)
-            j = (e - 1 + start) % len(mask)
-            arcs.append((nodes[i] - h / 2.0, nodes[j] + h / 2.0))
-        return ArcSet(tuple(arcs))
+        n = len(mask)
+        return ArcSet(tuple(
+            (nodes[s] - h / 2.0, nodes[(s + length - 1) % n] + h / 2.0)
+            for s, length in circular_runs(mask)
+        ))
 
     def is_empty(self) -> bool:
         return not self.arcs

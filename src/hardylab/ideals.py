@@ -36,18 +36,13 @@ from .grid import (
     ArcSet,
     BoundarySignal,
     CircleGrid,
+    circular_distance,
     constant_signal,
     dilate,
     measure,
     signal_from_values,
-    sublevel_set,
 )
-from .zerosets import (
-    ZeroSetEstimate,
-    continuous_extension,
-    essential_zero_set,
-    in_zinfty,
-)
+from .zerosets import ZeroSetEstimate, continuous_extension, essential_zero_set
 
 DEFAULT_TOL = 0.05
 DEFAULT_RANGE_TOL = 0.05
@@ -149,15 +144,13 @@ def approx_unit_sublevel(
         base = synth_outer(signal_from_values(grid, k_c.astype(complex))).boundary
 
     gen_values = [g.values for g in spec.generators]
+    joint_mod = np.exp(k_c)
     out: list[UnitStage] = []
     for m in stages:
         eps = float(np.exp(-m))
-        raw = sublevel_set(
-            signal_from_values(grid, np.exp(k_c).astype(complex)), eps
-        )
-        support = dilate(raw, dilation_width(m, grid.spacing))
-        support_measure = measure(support)
-        mask = support.node_mask(grid)
+        # The dilation stays under half a cell, so it adds no node: the
+        # support's nodes are exactly the sublevel nodes.
+        mask = joint_mod < eps
         if not mask.any():
             unit = constant_signal(grid, 1.0)
             out.append(
@@ -178,6 +171,7 @@ def approx_unit_sublevel(
             )
             continue
 
+        support = dilate(ArcSet.from_node_mask(grid, mask), dilation_width(m, grid.spacing))
         k_m = np.where(mask, 0.0, -k_c)
         cofactor = synth_outer(signal_from_values(grid, k_m.astype(complex))).boundary
         u_vals = base.values * cofactor.values
@@ -191,7 +185,7 @@ def approx_unit_sublevel(
                 index=m,
                 eps=eps,
                 support=support,
-                support_measure=support_measure,
+                support_measure=measure(support),
                 degenerate=False,
                 off_support_deviation=off_dev,
                 on_support_max=on_max,
@@ -203,20 +197,6 @@ def approx_unit_sublevel(
             )
         )
     return tuple(out)
-
-
-def stage_cover(spec: IdealSpec, stage: int) -> ArcSet:
-    """Dilation of the *next* stage's sublevel set by this stage's width.
-
-    Sits between consecutive supports: A_{m+1} subset cover(m) subset A_m.
-    """
-    grid = spec.grid
-    k_c = _joint_clipped_log(spec)
-    raw = sublevel_set(
-        signal_from_values(grid, np.exp(k_c).astype(complex)),
-        float(np.exp(-(stage + 1))),
-    )
-    return dilate(raw, dilation_width(stage, grid.spacing))
 
 
 # ---------------------------------------------------------------------------
@@ -446,11 +426,6 @@ def _failed(
     )
 
 
-def _circular_gap(a: float, b: float) -> float:
-    d = abs(a - b) % (2.0 * np.pi)
-    return min(d, 2.0 * np.pi - d)
-
-
 def certify_mideal(
     spec: IdealSpec,
     strategy: str = "auto",
@@ -498,19 +473,22 @@ def certify_mideal(
         )
 
     notes: list[str] = []
-    if strategy == "auto":
-        strategy = "sublevel" if in_zinfty(f) else "peak"
-        notes.append(f"auto strategy resolved to {strategy}")
-    elif strategy == "sublevel" and not in_zinfty(f):
-        return _failed(
-            spec,
-            strategy,
-            tol,
-            "NotInZinfty",
-            (zset,),
-            "generator has no continuous extension to its essential zero "
-            "set; the sublevel construction does not apply",
-        )
+    if strategy != "peak":
+        # Z-infinity membership: a continuous extension at every zero.
+        in_zinfty = all(continuous_extension(f, a).ok for a in zset.angles)
+        if strategy == "auto":
+            strategy = "sublevel" if in_zinfty else "peak"
+            notes.append(f"auto strategy resolved to {strategy}")
+        elif not in_zinfty:
+            return _failed(
+                spec,
+                strategy,
+                tol,
+                "NotInZinfty",
+                (zset,),
+                "generator has no continuous extension to its essential zero "
+                "set; the sublevel construction does not apply",
+            )
 
     if strategy == "sublevel":
         unit_stages: tuple = approx_unit_sublevel(spec, stages or DEFAULT_MAIN_STAGES)
@@ -609,7 +587,7 @@ def _certify_combined(
     zb = subs[1].zero_angles
     threshold = subs[0].resolution + subs[1].resolution
     common = tuple(
-        a for a in za if zb and min(_circular_gap(a, b) for b in zb) <= threshold
+        a for a in za if zb and min(circular_distance(a, b) for b in zb) <= threshold
     )
     disjoint = not common
 
@@ -684,7 +662,7 @@ def membership(h: BoundarySignal, cert: Certificate) -> bool:
     for angle in cert.zero_angles:
         if not hz.angles:
             return False
-        if min(_circular_gap(angle, b) for b in hz.angles) > slack:
+        if min(circular_distance(angle, b) for b in hz.angles) > slack:
             return False
         ext = continuous_extension(h, angle)
         if not ext.ok or abs(ext.value) > ext.tolerance:

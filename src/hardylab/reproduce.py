@@ -17,7 +17,7 @@ import numpy as np
 from .catalog import get_example
 from .errors import RangeMiss, UnknownExample
 from .factorization import is_inner
-from .grid import CircleGrid, signal_from_values, signal_to_csv
+from .grid import CircleGrid, circular_distance, signal_from_values, signal_to_csv
 from .ideals import (
     approx_unit_peak,
     approx_unit_sublevel,
@@ -45,11 +45,6 @@ MEMBERSHIP_PROBES = (
 
 def _boundary(name: str, grid_size: int):
     return get_example(name).boundary(CircleGrid(grid_size))
-
-
-def _gap(a: float, b: float) -> float:
-    d = abs(a - b) % (2.0 * math.pi)
-    return min(d, 2.0 * math.pi - d)
 
 
 class _Bundle:
@@ -116,7 +111,7 @@ def _zeroset_banded(b: _Bundle) -> dict:
     b.add_output("zeroset.json", dump_text(zero_set_report(est)))
     b.check(
         "single essential zero at angle 0",
-        len(est.angles) == 1 and _gap(est.angles[0], 0.0) <= est.resolution,
+        len(est.angles) == 1 and circular_distance(est.angles[0], 0.0) <= est.resolution,
         f"angles={list(est.angles)}, resolution={est.resolution:.3e}",
     )
     return b.finish()
@@ -132,7 +127,7 @@ def _zeroset_two_point(b: _Bundle) -> dict:
     b.add_output("zinfty.json", dump_text(zinfty_report_dict(rep)))
     targets = (0.0, 3.0 * math.pi / 2.0)
     hit = len(est.angles) == 2 and all(
-        min(_gap(a, t) for a in est.angles) <= est.resolution for t in targets
+        min(circular_distance(a, t) for a in est.angles) <= est.resolution for t in targets
     )
     b.check(
         "essential zeros at angles 0 and 3*pi/2",

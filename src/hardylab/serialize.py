@@ -115,7 +115,7 @@ def zinfty_report_dict(rep: ZinftyReport) -> dict:
     }
 
 
-def _stage_report(stage) -> dict:
+def stage_report(stage) -> dict:
     if isinstance(stage, UnitStage):
         return {
             "kind": "sublevel",
@@ -156,7 +156,7 @@ def certificate_report(cert: Certificate) -> dict:
         "failure_reason": cert.failure_reason,
         "final_error": cert.final_error,
         "sup_bound": cert.sup_bound,
-        "stages": [_stage_report(s) for s in cert.stages],
+        "stages": [stage_report(s) for s in cert.stages],
         "zero_angles": [float(a) for a in cert.zero_angles],
         "resolution": cert.resolution,
         "conclusion": cert.conclusion,

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .factorization import clipped_log_modulus
-from .grid import TWO_PI, BoundarySignal, sublevel_set
+from .grid import TWO_PI, BoundarySignal, circular_distance, circular_runs
 
 #: Sublevel thresholds e^{-1} .. e^{-8}, finest last.
 EPS_SCHEDULE = tuple(float(np.exp(-m)) for m in range(1, 9))
@@ -35,15 +35,10 @@ WIDTH_SCHEDULE = tuple(2.0 ** (-j) for j in range(1, 9))
 MIN_WINDOW_CELLS = 8
 
 
-def _circular_distance(theta: np.ndarray, center: float) -> np.ndarray:
-    d = np.abs((theta - center) % TWO_PI)
-    return np.minimum(d, TWO_PI - d)
-
-
 def window_mask(f: BoundarySignal, center: float, full_width: float) -> np.ndarray:
     """Nodes within the (floored) window centered at ``center``."""
     half = max(full_width / 2.0, MIN_WINDOW_CELLS * f.grid.spacing / 2.0)
-    return _circular_distance(f.grid.nodes, center) <= half
+    return circular_distance(f.grid.nodes, center) <= half
 
 
 def value_diameter(values: np.ndarray) -> float:
@@ -89,9 +84,9 @@ def continuous_extension(
     """
     if tol is None:
         tol = extension_tolerance(f)
-    oscs = tuple(oscillation(f, center, w) for w in widths)
-    finest = f.values[window_mask(f, center, widths[-1])]
-    value = complex(np.mean(finest))
+    windows = [f.values[window_mask(f, center, w)] for w in widths]
+    oscs = tuple(value_diameter(v) for v in windows)
+    value = complex(np.mean(windows[-1]))
     worst = max(oscs)
     # A flat profile (constant data up to roundoff) is continuous outright;
     # otherwise require genuine decay, not just a small final window.
@@ -122,28 +117,7 @@ class ZeroSetEstimate:
 
     def covers_angle(self, theta: float, slack: float | None = None) -> bool:
         s = self.resolution if slack is None else slack
-        return any(
-            _circular_distance(np.array([theta]), a)[0] <= s for a in self.angles
-        )
-
-
-def _circular_runs(mask: np.ndarray) -> list[tuple[int, int]]:
-    """Maximal circular runs of True as (start index, length)."""
-    n = mask.size
-    if mask.all():
-        return [(0, n)]
-    if not mask.any():
-        return []
-    start = int(np.argmin(mask))  # an unmasked index
-    rolled = np.roll(mask, -start)
-    edges = np.flatnonzero(np.diff(rolled.astype(np.int8)))
-    starts = edges[::2] + 1
-    ends = (
-        edges[1::2] + 1
-        if len(edges) % 2 == 0
-        else np.append(edges[1::2] + 1, n)
-    )
-    return [(int((s + start) % n), int(e - s)) for s, e in zip(starts, ends)]
+        return any(circular_distance(theta, a) <= s for a in self.angles)
 
 
 def _merge_runs(runs: list[tuple[int, int]], n: int, gap: int) -> list[tuple[int, int]]:
@@ -182,32 +156,26 @@ def essential_zero_set(
     grid = f.grid
     n = grid.size
     h = grid.spacing
-    outer_mod = BoundarySignal(grid, np.exp(clipped_log_modulus(f).values.real) + 0j)
+    outer_mod = np.exp(clipped_log_modulus(f).values.real)
 
-    masks = [np.abs(outer_mod.values) < eps for eps in eps_schedule]
-    finest = masks[-1]
-    runs = _merge_runs(_circular_runs(finest), n, MIN_WINDOW_CELLS)
+    masks = [outer_mod < eps for eps in eps_schedule]
+    runs = _merge_runs(circular_runs(masks[-1]), n, MIN_WINDOW_CELLS)
 
     theta = grid.nodes
     candidates = []
     accepted_angles = []
     for start, length in runs:
         center = float((theta[start] + (length - 1) * h / 2.0) % TWO_PI)
-        rows = []
-        ok = True
-        for mask in masks:
-            row = []
-            for w in widths:
-                inside = mask & window_mask(f, center, w)
-                m = float(np.count_nonzero(inside)) / n
-                row.append(m)
-                if m <= 0.0:
-                    ok = False
-            rows.append(tuple(row))
+        windows = [window_mask(f, center, w) for w in widths]
+        rows = tuple(
+            tuple(float(np.count_nonzero(mask & win)) / n for win in windows)
+            for mask in masks
+        )
+        ok = all(m > 0.0 for row in rows for m in row)
         cand = ZeroCandidate(
             angle=center,
             point=complex(np.exp(1j * center)),
-            evidence=tuple(rows),
+            evidence=rows,
             accepted=ok,
         )
         candidates.append(cand)

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from hardylab import CircleGrid, example_boundary, signal_to_csv
+from hardylab import cli
 from hardylab.cli import main
 
 
@@ -108,6 +109,15 @@ def test_certify_pass_exit_zero(capsys):
     assert report["zero_angles"] == []
 
 
+def test_certify_without_out_formats_no_csv(capsys, monkeypatch):
+    def refuse(_):
+        raise AssertionError("CSV formatted without --out")
+
+    monkeypatch.setattr(cli, "signal_to_csv", refuse)
+    code, _, err = run(capsys, "certify", "--generators", "one-minus-z", "--grid-size", "4096")
+    assert code == 0, err
+
+
 def test_certify_failure_exit_two(capsys):
     code, out, err = run(capsys, "certify", "--generators", "shift", "--grid-size", "1024")
     assert code == 2
@@ -200,6 +210,18 @@ def test_config_rejects_unknown_keys_and_bad_files(capsys, tmp_path):
     not_object.write_text("[1, 2]")
     code, _, _ = run(capsys, "zeroset", "--f", "one-minus-z", "--config", str(not_object))
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "config", [{"tol": "abc"}, {"grid_size": 4096.5}, {"strategy": "bogus"}]
+)
+def test_config_values_parse_like_flags(capsys, tmp_path, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run(capsys, "certify", "--generators", "two-plus-z", "--config", str(cfg))
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "io-format"
 
 
 def test_reproduce_bundle(capsys, tmp_path):

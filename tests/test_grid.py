@@ -24,6 +24,7 @@ from hardylab import (
     sublevel_set,
     union,
 )
+from hardylab.grid import circular_runs
 
 G64 = CircleGrid(64)
 
@@ -79,6 +80,10 @@ def test_mask_roundtrip_is_exact(s):
     # mask must be the identity
     m = s.node_mask(G64)
     assert np.array_equal(ArcSet.from_node_mask(G64, m).node_mask(G64), m)
+    rebuilt = np.zeros_like(m)
+    for start, length in circular_runs(m):
+        rebuilt[(start + np.arange(length)) % m.size] = True
+    assert np.array_equal(rebuilt, m)
 
 
 @given(arc_sets)

@@ -6,6 +6,8 @@ The frozen decimals in this module were measured once on the reference
 independently of them.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -33,7 +35,9 @@ from hardylab import (
     prepare_peak,
     signal_from_values,
 )
-from hardylab.ideals import DEFAULT_PEAK_SCHEDULE, dilation_width, stage_cover
+import hardylab.ideals
+import hardylab.zerosets
+from hardylab.ideals import DEFAULT_PEAK_SCHEDULE, dilation_width
 
 
 def peak_error_closed_form(n: int) -> float:
@@ -127,15 +131,11 @@ def test_sublevel_staircase_frozen_errors(one_minus_z_spec):
 
 
 def test_sublevel_supports_nest(small_grid):
-    """A_(m+1) sits inside the stage-m cover which sits inside A_m."""
+    """A_(m+1) sits inside A_m."""
     spec = ideal([example_boundary("one-minus-z", small_grid)], ["one-minus-z"])
     stages = approx_unit_sublevel(spec, range(1, 10))
-    for m in range(1, 9):
-        cover = stage_cover(spec, m)
-        inner = stages[m].support
-        outer = stages[m - 1].support
-        assert measure(intersect(inner, complement(cover))) == 0.0
-        assert measure(intersect(cover, complement(outer))) == 0.0
+    for outer, inner in zip(stages, stages[1:]):
+        assert measure(intersect(inner.support, complement(outer.support))) == 0.0
 
 
 def test_dilation_width_caps_at_half_cell():
@@ -339,6 +339,22 @@ def test_certify_offset_ramp_auto_picks_peak(grid):
     for s, e in zip(cert.stages, expected):
         assert s.error == pytest.approx(e, rel=1e-6)
     assert cert.sup_bound == pytest.approx(1.2055684562498414, rel=1e-6)
+
+
+@pytest.mark.parametrize("strategy, extensions", [("auto", 1), ("peak", 0)])
+def test_certify_analyses_the_generator_once(one_minus_z_spec, monkeypatch, strategy, extensions):
+    """One zero-set estimate per generator; the peak route tests no extension."""
+    calls = Counter()
+    for name in ("essential_zero_set", "continuous_extension"):
+        def counted(*args, _orig=getattr(hardylab.zerosets, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
+
+        for module in (hardylab.ideals, hardylab.zerosets):
+            monkeypatch.setattr(module, name, counted)
+    assert certify_mideal(one_minus_z_spec, strategy=strategy).passed
+    assert calls["essential_zero_set"] == 1
+    assert calls["continuous_extension"] == extensions
 
 
 def test_certify_norm_bound_enforced(one_minus_z_spec):
