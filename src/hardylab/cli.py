@@ -54,7 +54,7 @@ from .toeplitz import (
     density_profile_csv,
     szego_distance,
 )
-from .zerosets import essential_zero_set, in_disc_algebra, zinfty_report
+from .zerosets import in_disc_algebra, zinfty_report
 
 DEFAULT_GRID_SIZE = 16384
 
@@ -212,7 +212,8 @@ def _cmd_density(args) -> int:
         "f": args.f,
         "profile": [{"M": m, "distance": d} for m, d in profile],
     }
-    _write(args.out, "density.csv", density_profile_csv(profile))
+    if args.out is not None:
+        _write(args.out, "density.csv", density_profile_csv(profile))
     _emit(report, args.out)
     return 0
 
@@ -438,9 +439,12 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         action = actions.get(dest)
         if action is None or not hasattr(args, dest):
             raise ValueError(f"config key {key!r} is not an option of this command")
-        if getattr(args, dest) != action.default:
+        # JSON null leaves the option unset, as if the key were absent.
+        if value is None or getattr(args, dest) != action.default:
             continue
         try:
+            if isinstance(value, (list, dict)):
+                raise ValueError
             value = (action.type or str)(str(value))
         except ValueError:
             raise ValueError(f"config key {key!r}: invalid value {value!r}") from None

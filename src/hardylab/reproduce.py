@@ -12,8 +12,6 @@ import math
 from pathlib import Path
 from typing import Callable
 
-import numpy as np
-
 from .catalog import get_example
 from .errors import RangeMiss, UnknownExample
 from .factorization import is_inner

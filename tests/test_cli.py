@@ -179,14 +179,16 @@ def test_stdin_signal(capsys, monkeypatch):
     assert json.loads(out)["grid_size"] == 1024
 
 
-def test_config_supplies_defaults_but_flags_win(capsys, tmp_path):
+def test_config_supplies_defaults_but_flags_win(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"grid_size": 1024}')
+    cfg.write_text('{"grid_size": 1024, "out": null}')
     code, out, _ = run(
         capsys, "zeroset", "--f", "one-minus-z", "--config", str(cfg)
     )
     assert code == 0
     assert json.loads(out)["grid_size"] == 1024
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]  # null is no --out
 
     code, out, _ = run(
         capsys, "zeroset", "--f", "one-minus-z", "--config", str(cfg),
@@ -213,9 +215,11 @@ def test_config_rejects_unknown_keys_and_bad_files(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "config", [{"tol": "abc"}, {"grid_size": 4096.5}, {"strategy": "bogus"}]
+    "config",
+    [{"tol": "abc"}, {"grid_size": 4096.5}, {"strategy": "bogus"}, {"out": ["d"]}],
 )
-def test_config_values_parse_like_flags(capsys, tmp_path, config):
+def test_config_values_parse_like_flags(capsys, tmp_path, monkeypatch, config):
+    monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     code, out, err = run(capsys, "certify", "--generators", "two-plus-z", "--config", str(cfg))
