@@ -24,7 +24,13 @@ from .ideals import (
     membership,
     prepare_peak,
 )
-from .serialize import certificate_report, dump_text, zero_set_report, zinfty_report_dict
+from .serialize import (
+    certificate_report,
+    dump_text,
+    stage_report,
+    zero_set_report,
+    zinfty_report_dict,
+)
 from .toeplitz import density_profile, density_profile_csv, szego_distance
 from .zerosets import essential_zero_set, in_disc_algebra, zinfty_report
 
@@ -182,19 +188,7 @@ def _unit_staircase(b: _Bundle) -> dict:
     b.criteria.append(5)
     f = _boundary("one-minus-z", b.grid_size)
     stages = approx_unit_sublevel(ideal([f], ["one-minus-z"]))
-    table = [
-        {
-            "stage": s.index,
-            "eps": s.eps,
-            "support_measure": s.support_measure,
-            "off_support_deviation": s.off_support_deviation,
-            "on_support_max": s.on_support_max,
-            "value_at_zero": s.value_at_zero,
-            "error": s.error,
-        }
-        for s in stages
-    ]
-    b.add_output("staircase.json", dump_text({"stages": table}))
+    b.add_output("staircase.json", dump_text({"stages": [stage_report(s) for s in stages]}))
     b.add_output("final-unit.csv", signal_to_csv(stages[-1].unit))
     dichotomy = all(
         s.off_support_deviation <= 1e-6 and s.on_support_max <= s.eps + 1e-6
@@ -326,15 +320,13 @@ def _szego_dichotomy(b: _Bundle) -> dict:
 
     rows = []
     law_ok = True
-    for m in (15, 63, 255):
-        d = szego_distance(one_minus_z, m)
+    for m, d in density_profile(one_minus_z, (15, 63, 255)):
         rows.append({"f": "one-minus-z", "M": m, "distance": d})
         law_ok &= abs(d * d - 1.0 / (m + 1)) <= 1e-9
     b.check("distance^2 for 1 - z follows the 1/(M+1) law", law_ok, "")
 
     shift_ok = True
-    for m in (4, 64, 256):
-        d = szego_distance(shift, m)
+    for m, d in density_profile(shift, (4, 64, 256)):
         rows.append({"f": "shift", "M": m, "distance": d})
         shift_ok &= abs(d - 1.0) <= 1e-12
     b.check("the shift keeps distance exactly 1", shift_ok, "")

@@ -15,8 +15,6 @@ nearly-inner symbols. Closed forms used in the tests: dist(1-z, M)^2 =
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.linalg
 
@@ -29,24 +27,29 @@ KERNEL_TOL = 1e-10
 #: Default truncation-order schedule for density profiles.
 DENSITY_SCHEDULE = (16, 32, 64, 128, 256, 512, 1024)
 
-
-@dataclass(frozen=True)
-class ToeplitzTruncation:
-    symbol: AnalyticRep
-    order: int
-    matrix: np.ndarray
+#: Largest truncation order; one dense complex matrix at it takes ~270 MB.
+MAX_ORDER = 4096
 
 
-def toeplitz_matrix(symbol: AnalyticRep, order: int) -> ToeplitzTruncation:
-    """Compression of multiplication by the symbol to degrees < order."""
+def _check_order(order: int) -> None:
     if order < 1:
         raise ValueError("order must be at least 1")
-    a = symbol.coefficients
-    col = np.zeros(order, dtype=complex)
-    take = min(order, a.size)
+    if order > MAX_ORDER:
+        raise ValueError(f"order must be at most {MAX_ORDER}")
+
+
+def _lower_toeplitz(a: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """rows x cols matrix of multiplication by sum a_k z^k on degrees < cols."""
+    col = np.zeros(rows, dtype=complex)
+    take = min(rows, a.size)
     col[:take] = a[:take]
-    mat = scipy.linalg.toeplitz(col, np.zeros(order, dtype=complex))
-    return ToeplitzTruncation(symbol=symbol, order=order, matrix=mat)
+    return scipy.linalg.toeplitz(col, np.zeros(cols, dtype=complex))
+
+
+def toeplitz_matrix(symbol: AnalyticRep, order: int) -> np.ndarray:
+    """Compression of multiplication by the symbol to degrees < order."""
+    _check_order(order)
+    return _lower_toeplitz(symbol.coefficients, order, order)
 
 
 def adjoint_kernel_dim(symbol: AnalyticRep, order: int, tol: float = KERNEL_TOL) -> int:
@@ -56,34 +59,34 @@ def adjoint_kernel_dim(symbol: AnalyticRep, order: int, tol: float = KERNEL_TOL)
     so a rank-revealing factorization of the truncation answers both. An
     identically-zero truncation kills everything: dimension = order.
     """
-    trunc = toeplitz_matrix(symbol, order)
-    sv = np.linalg.svd(trunc.matrix, compute_uv=False)
+    sv = np.linalg.svd(toeplitz_matrix(symbol, order), compute_uv=False)
     top = float(sv[0])
     if top == 0.0:
         return order
     return int(np.count_nonzero(sv < tol * top))
 
 
-def _require_nonzero(f: AnalyticRep) -> None:
+def _distances(f: AnalyticRep, order: int) -> np.ndarray:
+    """dist(f, m) for m = 1..order from one R-only QR of [T | e_0].
+
+    T is the convolution matrix on degrees < order, with one extra zero row so
+    a constant symbol still gives order+1 rows. t = R[:, order] = Q^H e_0, and
+    QR is column-nested, so dist(f, m)^2 = sum_{j >= m} |t_j|^2: no cancellation.
+    """
     if float(np.max(np.abs(f.coefficients))) == 0.0:
         raise ZeroFunction("symbol is identically zero")
+    _check_order(order)
+    a = f.coefficients
+    aug = _lower_toeplitz(a, a.size + order, order + 1)
+    aug[:, order] = 0.0
+    aug[0, order] = 1.0
+    t = np.abs(np.linalg.qr(aug, mode="r")[:, order]) ** 2
+    return np.sqrt(np.cumsum(t[::-1])[::-1][1:])
 
 
 def szego_distance(f: AnalyticRep, order: int) -> float:
     """H^2 distance from 1 to {p*f : deg p < order}, via QR."""
-    _require_nonzero(f)
-    if order < 1:
-        raise ValueError("order must be at least 1")
-    a = f.coefficients
-    rows = a.size + order - 1
-    conv = np.zeros((rows, order), dtype=complex)
-    for k in range(order):
-        conv[k : k + a.size, k] = a
-    target = np.zeros(rows, dtype=complex)
-    target[0] = 1.0
-    q, _ = np.linalg.qr(conv, mode="reduced")
-    residual = target - q @ (q.conj().T @ target)
-    return float(np.linalg.norm(residual))
+    return float(_distances(f, order)[-1])
 
 
 def density_profile(f: AnalyticRep, schedule=DENSITY_SCHEDULE) -> tuple[tuple[int, float], ...]:
@@ -91,7 +94,10 @@ def density_profile(f: AnalyticRep, schedule=DENSITY_SCHEDULE) -> tuple[tuple[in
     orders = [int(m) for m in schedule]
     if any(m < 1 for m in orders) or any(b <= a for a, b in zip(orders, orders[1:])):
         raise ValueError("schedule must be increasing positive integers")
-    return tuple((m, szego_distance(f, m)) for m in orders)
+    if not orders:
+        return ()
+    dist = _distances(f, orders[-1])
+    return tuple((m, float(dist[m - 1])) for m in orders)
 
 
 def density_profile_csv(profile) -> str:

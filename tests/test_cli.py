@@ -2,12 +2,14 @@
 
 import io
 import json
+import tracemalloc
 
 import pytest
 
 from hardylab import CircleGrid, example_boundary, signal_to_csv
 from hardylab import cli
 from hardylab.cli import main
+from hardylab.toeplitz import MAX_ORDER
 
 
 def run(capsys, *argv):
@@ -83,6 +85,22 @@ def test_toeplitz_kernel(capsys):
     code, out, _ = run(capsys, "toeplitz-kernel", "--f", "shift-squared", "--M", "5")
     assert code == 0
     assert json.loads(out)["kernel_dim"] == 2
+
+
+@pytest.mark.parametrize("command", ["density", "toeplitz-kernel"])
+def test_orders_above_the_cap_exit_one_before_allocating(capsys, command):
+    tracemalloc.start()
+    try:
+        for order in (100_000_000, MAX_ORDER + 1):
+            code, out, err = run(capsys, command, "--f", "one-minus-z", "--M", str(order))
+            assert code == 1
+            assert out == ""
+            assert str(MAX_ORDER) in json.loads(err)["message"]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # an order-(MAX_ORDER+1) matrix alone would take about 270 MB
+    assert peak < 4 << 20
 
 
 def test_approx_unit_peak_schedule(capsys, tmp_path):

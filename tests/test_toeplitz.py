@@ -11,12 +11,31 @@ from hardylab import (
     AnalyticRep,
     ZeroFunction,
     adjoint_kernel_dim,
+    catalog_names,
     density_profile,
     density_profile_csv,
     get_example,
     szego_distance,
     toeplitz_matrix,
 )
+from hardylab.toeplitz import DENSITY_SCHEDULE
+
+#: Absolute agreement required between the single-QR profile and the oracle.
+ORACLE_TOL = 1e-13
+
+
+def qr_oracle_distance(f: AnalyticRep, order: int) -> float:
+    """Reference: one reduced QR per order, Q formed, residual projected off."""
+    a = f.coefficients
+    rows = a.size + order - 1
+    conv = np.zeros((rows, order), dtype=complex)
+    for k in range(order):
+        conv[k : k + a.size, k] = a
+    target = np.zeros(rows, dtype=complex)
+    target[0] = 1.0
+    q, _ = np.linalg.qr(conv, mode="reduced")
+    residual = target - q @ (q.conj().T @ target)
+    return float(np.linalg.norm(residual))
 
 
 def test_truncation_is_lower_triangular_with_taylor_diagonals():
@@ -30,7 +49,7 @@ def test_truncation_is_lower_triangular_with_taylor_diagonals():
         ],
         dtype=complex,
     )
-    assert np.array_equal(t.matrix, expect)
+    assert np.array_equal(t, expect)
     with pytest.raises(ValueError):
         toeplitz_matrix(AnalyticRep(np.array([1.0])), 0)
 
@@ -54,6 +73,10 @@ def test_shift_distance_is_one():
 def test_invertible_symbol_distance_vanishes():
     d = szego_distance(get_example("two-plus-z").taylor(), 64)
     assert d < 1e-9
+    # a constant symbol hits 1 exactly at every order; its convolution
+    # matrix has a zero last row, so it stays taller than it is wide
+    prof = density_profile(AnalyticRep(np.array([2.0])), (1, 2, 64))
+    assert prof == ((1, 0.0), (2, 0.0), (64, 0.0))
 
 
 def test_inner_symbol_distance_levels_off(grid):
@@ -88,14 +111,31 @@ def test_density_profile_shape_and_csv():
         density_profile(get_example("one-minus-z").taylor(), (8, 8))
 
 
-@given(
-    st.lists(
-        st.floats(min_value=-2, max_value=2).filter(lambda x: abs(x) > 1e-6),
-        min_size=1,
-        max_size=6,
-    ),
-    st.integers(min_value=1, max_value=5),
+_COEFFS = st.lists(
+    st.floats(min_value=-2, max_value=2).filter(lambda x: abs(x) > 1e-6),
+    min_size=1,
+    max_size=6,
 )
+
+
+@pytest.mark.parametrize(
+    "name", [n for n in catalog_names() if get_example(n).has_taylor]
+)
+def test_density_profile_matches_qr_oracle_on_catalog(name):
+    f = get_example(name).taylor()
+    for m, d in density_profile(f, DENSITY_SCHEDULE):
+        assert abs(d - qr_oracle_distance(f, m)) <= ORACLE_TOL, m
+
+
+@given(_COEFFS, st.sets(st.integers(min_value=1, max_value=40), min_size=1, max_size=4))
+@settings(max_examples=40, deadline=None)
+def test_density_profile_matches_qr_oracle(coeffs, orders):
+    f = AnalyticRep(np.array(coeffs, dtype=complex))
+    for m, d in density_profile(f, sorted(orders)):
+        assert abs(d - qr_oracle_distance(f, m)) <= ORACLE_TOL
+
+
+@given(_COEFFS, st.integers(min_value=1, max_value=5))
 @settings(max_examples=40, deadline=None)
 def test_distance_is_nonincreasing_in_order(coeffs, step):
     """Growing the polynomial space can only move the projection closer."""
