@@ -26,6 +26,9 @@ TWO_PI = 2.0 * np.pi
 # never rely on it because cell edges sit half a spacing away from any node.
 _MERGE_EPS = 1e-12
 
+#: Largest grid size; one complex signal on it takes 256 MB.
+MAX_GRID_SIZE = 2**24
+
 
 @lru_cache(maxsize=8)
 def _cached_nodes(size: int) -> np.ndarray:
@@ -36,7 +39,8 @@ def _cached_nodes(size: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CircleGrid:
-    """Equispaced nodes on the unit circle; ``size`` must be a power of two >= 8."""
+    """Equispaced nodes on the unit circle; ``size`` must be a power of two
+    between 8 and ``MAX_GRID_SIZE``."""
 
     size: int
 
@@ -44,6 +48,8 @@ class CircleGrid:
         n = self.size
         if n < 8 or (n & (n - 1)) != 0:
             raise ValueError(f"grid size must be a power of two >= 8, got {n}")
+        if n > MAX_GRID_SIZE:
+            raise ValueError(f"grid size must be at most {MAX_GRID_SIZE}, got {n}")
 
     @property
     def nodes(self) -> np.ndarray:

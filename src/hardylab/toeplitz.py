@@ -27,7 +27,8 @@ KERNEL_TOL = 1e-10
 #: Default truncation-order schedule for density profiles.
 DENSITY_SCHEDULE = (16, 32, 64, 128, 256, 512, 1024)
 
-#: Largest truncation order; one dense complex matrix at it takes ~270 MB.
+#: Largest truncation order; one dense complex matrix at it takes ~270 MB,
+#: and no distance computation builds a matrix with more entries than that.
 MAX_ORDER = 4096
 
 
@@ -77,6 +78,11 @@ def _distances(f: AnalyticRep, order: int) -> np.ndarray:
         raise ZeroFunction("symbol is identically zero")
     _check_order(order)
     a = f.coefficients
+    if (a.size + order + 1) * (order + 1) > MAX_ORDER**2:
+        raise ValueError(
+            f"{a.size} coefficients at order {order} exceed the "
+            f"{MAX_ORDER}x{MAX_ORDER}-entry matrix budget"
+        )
     aug = _lower_toeplitz(a, a.size + order, order + 1)
     aug[:, order] = 0.0
     aug[0, order] = 1.0

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .factorization import clipped_log_modulus
-from .grid import TWO_PI, BoundarySignal, circular_distance, circular_runs
+from .grid import TWO_PI, BoundarySignal, CircleGrid, circular_distance, circular_runs
 
 #: Sublevel thresholds e^{-1} .. e^{-8}, finest last.
 EPS_SCHEDULE = tuple(float(np.exp(-m)) for m in range(1, 9))
@@ -35,24 +35,95 @@ WIDTH_SCHEDULE = tuple(2.0 ** (-j) for j in range(1, 9))
 MIN_WINDOW_CELLS = 8
 
 
-def window_mask(f: BoundarySignal, center: float, full_width: float) -> np.ndarray:
-    """Nodes within the (floored) window centered at ``center``."""
-    half = max(full_width / 2.0, MIN_WINDOW_CELLS * f.grid.spacing / 2.0)
-    return circular_distance(f.grid.nodes, center) <= half
+def window_nodes(grid: CircleGrid, center: float, full_width: float) -> np.ndarray:
+    """Ascending indices of the nodes within the (floored) window at ``center``.
+
+    Only the index range ``round(center/h) +- (half/h + 2)`` (mod N) is tested,
+    so a window costs O(its width) rather than a pass over all N nodes.
+    """
+    n, h = grid.size, grid.spacing
+    half = max(full_width / 2.0, MIN_WINDOW_CELLS * h / 2.0)
+    reach = int(half / h) + 2
+    if 2 * reach + 1 >= n:
+        idx = np.arange(n)
+    else:
+        k = int(round(center / h))
+        idx = np.sort(np.arange(k - reach, k + reach + 1) % n)
+    return idx[circular_distance(grid.nodes[idx], center) <= half]
+
+
+def _turn(x: np.ndarray, y: np.ndarray, i, j, k) -> np.ndarray:
+    """Cross product of (p_j - p_i) and (p_k - p_i): > 0 for a left turn."""
+    return (x[j] - x[i]) * (y[k] - y[i]) - (y[j] - y[i]) * (x[k] - x[i])
+
+
+def _lower_chain(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Positions of the strictly convex lower hull of distinct points sorted by
+    (x, y), first and last point included.
+
+    Quickhull over all hull edges at once. Each round drops the points on or
+    above their edge, judged against its two end vertices, which stay. An edge
+    whose remaining points all turn left between its ends is finished: they
+    are all vertices. Every other edge is split at its farthest point below.
+    """
+    hull = np.array([0, x.size - 1])
+    cand = np.arange(1, x.size - 1)
+    while cand.size:
+        edge = np.searchsorted(hull, cand) - 1
+        depth = _turn(x, y, hull[edge], hull[edge + 1], cand)
+        below = depth < 0.0
+        cand, edge, depth = cand[below], edge[below], depth[below]
+        chain = np.sort(np.concatenate((hull, cand)))
+        left = _turn(x, y, chain[:-2], chain[1:-1], chain[2:]) > 0.0
+        bent = np.zeros(hull.size, dtype=bool)
+        bent[edge[~left[np.searchsorted(chain, cand) - 1]]] = True
+        take = ~bent[edge]  # finished edges: all their points are vertices
+        split = np.flatnonzero(bent[edge])
+        order = split[np.lexsort((depth[split], edge[split]))]
+        take[order[np.diff(edge[order], prepend=-1) != 0]] = True  # deepest
+        hull = np.sort(np.concatenate((hull, cand[take])))
+        cand = cand[~take]
+    return hull
 
 
 def value_diameter(values: np.ndarray) -> float:
-    """Exact max pairwise distance of a finite complex value set."""
+    """Exact max pairwise distance of a finite complex value set.
+
+    The diameter is attained by an antipodal pair of convex-hull vertices
+    (Shamos 1978; Preparata & Shamos 1985). The hull is a lower and an upper
+    monotone chain; for each hull edge the antipodal vertex is found by
+    ``searchsorted`` on the unwrapped edge angles, and its neighbours are
+    tried too. Typical cost O(w log w) time and O(w) memory for w values.
+    """
     if values.size <= 1:
         return 0.0
-    # Pairwise in one shot; window sizes stay in the hundreds of nodes.
-    d = np.abs(values[:, None] - values[None, :])
-    return float(d.max())
+    v = np.unique(values)  # sorted by (real, imag), repeats dropped
+    # Exact power-of-two rescaling to |coordinates| < 1, so that the turn
+    # tests neither overflow nor underflow.
+    e = np.frexp(max(np.abs(v.real).max(), np.abs(v.imag).max()))[1]
+    x, y = np.ldexp(v.real, -e), np.ldexp(v.imag, -e)
+    lower = _lower_chain(x, y)
+    upper = x.size - 1 - _lower_chain(x[::-1], y[::-1])
+    hull = v[np.concatenate((lower[:-1], upper[:-1]))]  # counter-clockwise
+    m = hull.size
+    if m < 3:  # collinear or coincident values
+        return float(abs(v[-1] - v[0]))
+    edges = np.roll(hull, -1) - hull
+    ang = np.unwrap(np.arctan2(edges.imag, edges.real))
+    j = np.searchsorted(np.concatenate((ang, ang + TWO_PI)), ang + np.pi)
+    i = np.arange(m)
+    return float(
+        max(
+            np.abs(hull[(i + di) % m] - hull[(j + dj) % m]).max()
+            for di in (0, 1)
+            for dj in (-1, 0, 1)
+        )
+    )
 
 
 def oscillation(f: BoundarySignal, center: float, full_width: float) -> float:
     """Diameter of the boundary values over the window at ``center``."""
-    return value_diameter(f.values[window_mask(f, center, full_width)])
+    return value_diameter(f.values[window_nodes(f.grid, center, full_width)])
 
 
 def extension_tolerance(f: BoundarySignal) -> float:
@@ -84,7 +155,7 @@ def continuous_extension(
     """
     if tol is None:
         tol = extension_tolerance(f)
-    windows = [f.values[window_mask(f, center, w)] for w in widths]
+    windows = [f.values[window_nodes(f.grid, center, w)] for w in widths]
     oscs = tuple(value_diameter(v) for v in windows)
     value = complex(np.mean(windows[-1]))
     worst = max(oscs)
@@ -166,9 +237,9 @@ def essential_zero_set(
     accepted_angles = []
     for start, length in runs:
         center = float((theta[start] + (length - 1) * h / 2.0) % TWO_PI)
-        windows = [window_mask(f, center, w) for w in widths]
+        windows = [window_nodes(grid, center, w) for w in widths]
         rows = tuple(
-            tuple(float(np.count_nonzero(mask & win)) / n for win in windows)
+            tuple(float(np.count_nonzero(mask[win])) / n for win in windows)
             for mask in masks
         )
         ok = all(m > 0.0 for row in rows for m in row)

@@ -4,11 +4,13 @@ import io
 import json
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from hardylab import CircleGrid, example_boundary, signal_to_csv
+from hardylab import AnalyticRep, CircleGrid, example_boundary, signal_to_csv
 from hardylab import cli
 from hardylab.cli import main
+from hardylab.grid import MAX_GRID_SIZE
 from hardylab.toeplitz import MAX_ORDER
 
 
@@ -100,6 +102,37 @@ def test_orders_above_the_cap_exit_one_before_allocating(capsys, command):
     finally:
         tracemalloc.stop()
     # an order-(MAX_ORDER+1) matrix alone would take about 270 MB
+    assert peak < 4 << 20
+
+
+def test_long_symbol_exits_one_before_allocating(capsys, tmp_path):
+    path = tmp_path / "long.json"
+    path.write_text(AnalyticRep(np.ones(100_000)).to_json())
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "density", "--f", str(path), "--M", str(MAX_ORDER))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert out == ""
+    assert "100000 coefficients" in json.loads(err)["message"]
+    # the [T | e0] matrix would take about 6.8 GB; parsing the JSON takes about 20 MB
+    assert peak < 64 << 20
+
+
+def test_grid_size_above_the_cap_exits_one_before_allocating(capsys):
+    tracemalloc.start()
+    try:
+        code, out, err = run(
+            capsys, "certify", "--generators", "one-minus-z", "--grid-size", str(2**40)
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert out == ""
+    assert str(MAX_GRID_SIZE) in json.loads(err)["message"]
     assert peak < 4 << 20
 
 

@@ -24,7 +24,7 @@ from hardylab import (
     sublevel_set,
     union,
 )
-from hardylab.grid import circular_runs
+from hardylab.grid import MAX_GRID_SIZE, circular_runs
 
 G64 = CircleGrid(64)
 
@@ -43,6 +43,9 @@ def test_grid_rejects_bad_sizes():
         CircleGrid(100)
     with pytest.raises(ValueError):
         CircleGrid(4)
+    with pytest.raises(ValueError):
+        CircleGrid(2 * MAX_GRID_SIZE)
+    assert CircleGrid(MAX_GRID_SIZE).size == MAX_GRID_SIZE
 
 
 def test_nodes_and_spacing():

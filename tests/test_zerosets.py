@@ -1,6 +1,7 @@
 """Essential zero sets, oscillation, and continuous extendability."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,9 +11,11 @@ from hypothesis import strategies as st
 from hardylab import (
     CircleGrid,
     blaschke,
+    catalog_names,
     constant_signal,
     continuous_extension,
     essential_zero_set,
+    example_boundary,
     get_example,
     in_disc_algebra,
     in_zinfty,
@@ -21,12 +24,106 @@ from hardylab import (
     zinfty_report,
 )
 from hardylab.factorization import singular_inner_boundary
-from hardylab.zerosets import EPS_SCHEDULE, WIDTH_SCHEDULE
+from hardylab.grid import circular_distance
+from hardylab.zerosets import (
+    EPS_SCHEDULE,
+    MIN_WINDOW_CELLS,
+    WIDTH_SCHEDULE,
+    value_diameter,
+    window_nodes,
+)
 
 
 def circ_gap(a: float, b: float) -> float:
     d = abs(a - b) % (2 * math.pi)
     return min(d, 2 * math.pi - d)
+
+
+def pairwise_oracle_diameter(values: np.ndarray) -> float:
+    """Reference: the max over the full w x w matrix of pairwise distances."""
+    if values.size <= 1:
+        return 0.0
+    return float(np.abs(values[:, None] - values[None, :]).max())
+
+
+#: 16 equispaced window centres plus the catalog's zero angles 0 and 3*pi/2.
+ORACLE_CENTRES = tuple(2 * math.pi * k / 16 for k in range(16)) + (0.0, 1.5 * math.pi)
+
+
+@pytest.mark.parametrize("size", [512, 4096])
+@pytest.mark.parametrize("name", catalog_names())
+def test_value_diameter_matches_pairwise_oracle_on_catalog(name, size):
+    g = CircleGrid(size)
+    f = example_boundary(name, g)
+    for c in ORACLE_CENTRES:
+        for w in WIDTH_SCHEDULE:
+            v = f.values[window_nodes(g, c, w)]
+            assert value_diameter(v) == pairwise_oracle_diameter(v), (c, w)
+
+
+_coord = st.floats(min_value=-1e300, max_value=1e300)
+
+
+@st.composite
+def value_sets(draw) -> np.ndarray:
+    """Scattered points, (near-)duplicates, exactly collinear points, arcs."""
+    kind = draw(st.sampled_from(["scatter", "duplicates", "collinear", "arc"]))
+    n = draw(st.integers(min_value=1, max_value=60))
+    if kind == "scatter":
+        return np.array([complex(draw(_coord), draw(_coord)) for _ in range(n)])
+    if kind == "duplicates":
+        # repeated points, some nudged by far less than their spread
+        base = [complex(draw(_coord), draw(_coord)) for _ in range(draw(st.integers(1, 4)))]
+        nudge = st.sampled_from([0.0, 1e-300, 1e-20j, 1e-14, -1e-14j])
+        return np.array(
+            [base[draw(st.integers(0, len(base) - 1))] + draw(nudge) for _ in range(n)]
+        )
+    if kind == "collinear":
+        small = st.integers(min_value=-50, max_value=50)
+        origin = complex(draw(small), draw(small))
+        step = complex(draw(small), draw(small))
+        return np.array([origin + draw(small) * step for _ in range(n)])
+    centre = complex(draw(_coord), draw(_coord))
+    radius = draw(st.floats(min_value=1e-300, max_value=1e300))
+    start = draw(st.floats(min_value=0.0, max_value=2 * math.pi))
+    span = draw(st.floats(min_value=0.0, max_value=2 * math.pi))
+    t = start + span * np.array([draw(st.floats(0.0, 1.0)) for _ in range(n)])
+    return centre + radius * np.exp(1j * t)
+
+
+@given(value_sets())
+@settings(max_examples=300, deadline=None)
+def test_value_diameter_matches_pairwise_oracle(values):
+    want = pairwise_oracle_diameter(values)
+    assert abs(value_diameter(values) - want) <= 1e-15 * want
+
+
+@pytest.mark.parametrize("size", [8, 16, 512, 4096])
+def test_window_nodes_match_the_full_distance_mask(size):
+    g = CircleGrid(size)
+    h = g.spacing
+    floor = MIN_WINDOW_CELLS * h
+    centres = (0.0, 1e-12, h / 2, 3 * h, 2 * math.pi - h / 2, 2 * math.pi - 1e-12,
+               np.nextafter(2 * math.pi, 0.0), 2 * math.pi, -h / 3, 1.0)
+    widths = (0.0, floor / 2, np.nextafter(floor, 0.0), floor, np.nextafter(floor, 1.0),
+              floor + h / 2, *WIDTH_SCHEDULE)
+    for c in centres:
+        for w in widths:
+            half = max(w / 2.0, floor / 2.0)
+            want = np.flatnonzero(circular_distance(g.nodes, c) <= half)
+            assert np.array_equal(window_nodes(g, c, w), want), (c, w)
+
+
+def test_extension_at_full_resolution_allocates_no_pairwise_matrix():
+    f = example_boundary("one-minus-z", CircleGrid(65536))
+    tracemalloc.start()
+    try:
+        continuous_extension(f, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the pairwise matrix of its widest (5215-node) window alone took ~650 MB
+    assert peak < 16 << 20
 
 
 def test_oscillation_of_constant_is_zero(small_grid):
