@@ -117,7 +117,9 @@ def _resolve_log_modulus(token: str, grid_size: int):
         sig = signal_from_csv(path.read_text())
     if not sig.is_real(1e-9):
         raise ValueError("log-modulus input must be real-valued")
-    return signal_from_values(sig.grid, sig.values.real.astype(complex))
+    # synth_outer reads only the real part; imaginary noise below 1e-9 is
+    # dropped here so its stricter realness guard still accepts the input
+    return sig if sig.is_real(0.0) else signal_from_values(sig.grid, sig.values.real)
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
@@ -327,7 +329,13 @@ def _cmd_reproduce(args) -> int:
     out_dir = Path(args.out) if args.out else Path.cwd()
     summary = reproduce_mod.run_bundle(args.name, out_dir, grid_size=args.grid_size)
     sys.stdout.write(dump_text(summary))
-    return 0 if summary["passed"] else 2
+    if not summary["passed"]:
+        failed = [c["name"] for c in summary["checks"] if not c["passed"]]
+        sys.stderr.write(
+            dump_text({"error": "BundleFailed", "message": "failed checks: " + "; ".join(failed)})
+        )
+        return 2
+    return 0
 
 
 # ---------------------------------------------------------------------------

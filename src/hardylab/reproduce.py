@@ -224,7 +224,8 @@ def _peak_decay(b: _Bundle) -> dict:
     b.check(
         "certification passes by power 200",
         cert.passed and cert.stages[-1].index <= 200,
-        f"final power {cert.stages[-1].index}, error {cert.final_error:.4f}",
+        f"final power {cert.stages[-1].index if cert.stages else 'n/a'}, "
+        f"error {cert.final_error:.4f}",
     )
     return b.finish()
 

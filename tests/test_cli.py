@@ -230,6 +230,36 @@ def test_stdin_signal(capsys, monkeypatch):
     assert json.loads(out)["grid_size"] == 1024
 
 
+G8_CSV = signal_to_csv(example_boundary("one-minus-z", CircleGrid(8)))
+G8_ROW = G8_CSV.splitlines()[2]
+
+
+@pytest.mark.parametrize("text", [
+    G8_CSV.replace(G8_ROW, G8_ROW.rsplit(",", 1)[0]),
+    G8_CSV.replace(G8_ROW, G8_ROW.rsplit(",", 1)[0] + ",x"),
+    "theta,re,im\n",
+    "theta,re,im\n" + "0,0,0\n" * 12,
+    G8_CSV.replace(G8_ROW, G8_ROW + ",0"),
+    G8_CSV.replace(G8_ROW, '{},"{}"'.format(*G8_ROW.rsplit(",", 1))),
+], ids=["short-row", "non-numeric", "empty-body", "non-power-of-two",
+        "extra-column", "quoted-number"])
+def test_malformed_csv_exits_one_with_json(capsys, monkeypatch, text):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run(capsys, "factorize", "--f", "-")
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "io-format"
+
+
+def test_csv_above_the_grid_cap_exits_one(capsys, monkeypatch):
+    monkeypatch.setattr("hardylab.grid.MAX_GRID_SIZE", 8)
+    monkeypatch.setattr("sys.stdin", io.StringIO("theta,re,im\n" + "0,0,0\n" * 16))
+    code, out, err = run(capsys, "factorize", "--f", "-")
+    assert code == 1
+    assert out == ""
+    assert "at most 8" in json.loads(err)["message"]
+
+
 def test_config_supplies_defaults_but_flags_win(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "cfg.json"
@@ -289,6 +319,18 @@ def test_reproduce_bundle(capsys, tmp_path):
     assert (bundle_dir / "config.json").exists()
     assert (bundle_dir / "inputs").is_dir()
     assert (bundle_dir / "outputs").is_dir()
+
+
+def test_reproduce_failed_bundle_exits_two_with_json(capsys, tmp_path):
+    # at N=512 the peak certificate fails before building any stage
+    code, out, err = run(
+        capsys, "reproduce", "peak-decay", "--grid-size", "512", "--out", str(tmp_path)
+    )
+    assert code == 2
+    assert json.loads(out)["passed"] is False
+    error = json.loads(err)
+    assert error["error"] == "BundleFailed"
+    assert "certification passes by power 200" in error["message"]
 
 
 def test_reproduce_unknown_bundle(capsys, tmp_path):

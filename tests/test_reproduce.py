@@ -43,3 +43,12 @@ def test_bundle_output_is_deterministic(tmp_path):
     first = (tmp_path / "a" / "szego-dichotomy" / "summary.json").read_bytes()
     second = (tmp_path / "b" / "szego-dichotomy" / "summary.json").read_bytes()
     assert first == second
+
+
+def test_peak_decay_without_stages_reports_a_failed_check(tmp_path):
+    # at N=512 the peak certificate fails before building any stage
+    summary = run_bundle("peak-decay", tmp_path, grid_size=512)
+    assert summary["passed"] is False
+    failed = [c for c in summary["checks"] if not c["passed"]]
+    assert [c["name"] for c in failed] == ["certification passes by power 200"]
+    assert failed[0]["detail"].startswith("final power n/a")
