@@ -5,11 +5,13 @@ package synthesizes outer functions from log-modulus data, splits bounded
 functions into inner and outer factors, estimates essential zero sets,
 measures Toeplitz/Szego density profiles, and builds certified bounded
 approximate units for the closed ideals those zero sets cut out.
+
+The names below are the documented API (README, "Python API"); every other
+helper stays importable from its own module.
 """
 
-from .catalog import CatalogEntry, catalog_names, example_boundary, get_example, oracle_corpus
+from .catalog import catalog_names, example_boundary, get_example
 from .errors import (
-    EmptyRegion,
     HardyLabError,
     HypothesisFailed,
     NormExceeded,
@@ -26,186 +28,115 @@ from .errors import (
     ZeroFunction,
 )
 from .factorization import (
-    CLIP_FLOOR,
     FactorizationResult,
     OuterFn,
     blaschke,
-    clipped_log_modulus,
     inner_outer,
     is_inner,
     is_outer,
     singular_inner,
-    singular_inner_boundary,
     synth_outer,
 )
 from .grid import (
-    ArcSet,
     BoundarySignal,
     CircleGrid,
-    complement,
     constant_signal,
-    dilate,
-    ess_inf_on,
-    ess_sup_on,
-    intersect,
-    measure,
     signal_from_csv,
     signal_from_values,
     signal_to_csv,
-    sublevel_set,
-    union,
 )
-from .hardy import (
-    AnalyticRep,
-    analytic_projection,
-    conjugate_function,
-    evaluate,
-    h2_norm,
-    herglotz_integral,
-    poisson_integral,
-    radial_trace,
-    sup_norm,
-)
+from .hardy import AnalyticRep
 from .ideals import (
     Certificate,
     CombinedUnit,
     IdealSpec,
-    PeakPreparation,
     PeakStage,
     UnitStage,
     analytic_prime_check,
     approx_unit_peak,
     approx_unit_sublevel,
     certify_mideal,
-    combine_units,
-    ess_inf,
     ideal,
     membership,
-    prepare_peak,
 )
 from .reproduce import bundle_names, run_bundle
-from .serialize import (
-    certificate_report,
-    dump_text,
-    dumps,
-    extension_report,
-    zero_set_report,
-    zinfty_report_dict,
-)
-from .toeplitz import (
-    adjoint_kernel_dim,
-    density_profile,
-    density_profile_csv,
-    szego_distance,
-    toeplitz_matrix,
-)
+from .serialize import certificate_report, dumps
+from .toeplitz import adjoint_kernel_dim, density_profile, szego_distance
 from .zerosets import (
     ExtensionResult,
-    ZeroCandidate,
     ZeroSetEstimate,
     ZinftyReport,
     continuous_extension,
     essential_zero_set,
     in_disc_algebra,
-    in_zinfty,
-    oscillation,
     zinfty_report,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalyticRep",
-    "ArcSet",
-    "BoundarySignal",
-    "CLIP_FLOOR",
-    "CatalogEntry",
-    "Certificate",
+    # grids and signals
     "CircleGrid",
-    "CombinedUnit",
-    "EmptyRegion",
-    "ExtensionResult",
+    "BoundarySignal",
+    "signal_from_values",
+    "constant_signal",
+    "signal_from_csv",
+    "signal_to_csv",
+    # function types and factorisation
+    "AnalyticRep",
+    "OuterFn",
     "FactorizationResult",
+    "synth_outer",
+    "inner_outer",
+    "is_outer",
+    "is_inner",
+    "blaschke",
+    "singular_inner",
+    # zero sets
+    "essential_zero_set",
+    "continuous_extension",
+    "zinfty_report",
+    "in_disc_algebra",
+    "ZeroSetEstimate",
+    "ExtensionResult",
+    "ZinftyReport",
+    # ideals and approximate units
+    "ideal",
+    "certify_mideal",
+    "approx_unit_sublevel",
+    "approx_unit_peak",
+    "membership",
+    "analytic_prime_check",
+    "Certificate",
+    "IdealSpec",
+    "UnitStage",
+    "PeakStage",
+    "CombinedUnit",
+    # density, catalog and bundles
+    "density_profile",
+    "szego_distance",
+    "adjoint_kernel_dim",
+    "example_boundary",
+    "get_example",
+    "catalog_names",
+    "run_bundle",
+    "bundle_names",
+    # reports
+    "certificate_report",
+    "dumps",
+    # errors
     "HardyLabError",
     "HypothesisFailed",
-    "IdealSpec",
     "NormExceeded",
     "NotAnalytic",
     "NotCertified",
     "NotInZinfty",
     "NotOuter",
-    "OuterFn",
-    "PeakPreparation",
-    "PeakStage",
     "PointOnBoundary",
     "RangeMiss",
     "SingularPoint",
     "StrategyInapplicable",
     "UnboundedLogData",
-    "UnitStage",
     "UnknownExample",
-    "ZeroCandidate",
     "ZeroFunction",
-    "ZeroSetEstimate",
-    "ZinftyReport",
-    "adjoint_kernel_dim",
-    "analytic_prime_check",
-    "analytic_projection",
-    "approx_unit_peak",
-    "approx_unit_sublevel",
-    "blaschke",
-    "bundle_names",
-    "catalog_names",
-    "certificate_report",
-    "certify_mideal",
-    "clipped_log_modulus",
-    "combine_units",
-    "complement",
-    "conjugate_function",
-    "constant_signal",
-    "continuous_extension",
-    "density_profile",
-    "density_profile_csv",
-    "dilate",
-    "dump_text",
-    "dumps",
-    "ess_inf",
-    "ess_inf_on",
-    "ess_sup_on",
-    "essential_zero_set",
-    "evaluate",
-    "example_boundary",
-    "extension_report",
-    "get_example",
-    "h2_norm",
-    "herglotz_integral",
-    "ideal",
-    "in_disc_algebra",
-    "in_zinfty",
-    "inner_outer",
-    "intersect",
-    "is_inner",
-    "is_outer",
-    "measure",
-    "membership",
-    "oracle_corpus",
-    "oscillation",
-    "poisson_integral",
-    "prepare_peak",
-    "radial_trace",
-    "run_bundle",
-    "signal_from_csv",
-    "signal_from_values",
-    "signal_to_csv",
-    "singular_inner",
-    "singular_inner_boundary",
-    "sublevel_set",
-    "sup_norm",
-    "synth_outer",
-    "szego_distance",
-    "toeplitz_matrix",
-    "union",
-    "zero_set_report",
-    "zinfty_report",
-    "zinfty_report_dict",
 ]

@@ -21,10 +21,6 @@ class PointOnBoundary(HardyLabError):
     """Disc evaluation requested too close to the unit circle."""
 
 
-class EmptyRegion(HardyLabError):
-    """An arc set contains no grid nodes where at least one was required."""
-
-
 class ZeroFunction(HardyLabError):
     """The operation is undefined for (numerically) identically-zero input."""
 

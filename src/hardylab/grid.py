@@ -1,29 +1,22 @@
-"""Uniform circle grids, boundary signals, and arc-set measure arithmetic.
+"""Uniform circle grids, boundary signals, and their CSV interchange format.
 
 The circle is discretized at ``N`` equispaced nodes ``theta_j = 2*pi*j/N``
 (``N`` a power of two so FFTs apply). Almost-everywhere statements are tested
 at grid resolution: each node is treated as a positive-measure atom occupying
 the half-open cell ``[theta_j - h/2, theta_j + h/2)`` of normalized measure
-``1/N``, where ``h = 2*pi/N``. Arc sets are finite unions of half-open arcs
-stored unwrapped in ``[0, 2*pi)``; the half-open convention keeps complement
-and union exact (no double-counted endpoints).
+``1/N``, where ``h = 2*pi/N``. A region of the circle is a boolean mask over
+the nodes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
 
 import numpy as np
 
-from .errors import EmptyRegion
-
 TWO_PI = 2.0 * np.pi
-
-# Endpoint slack used only when merging abutting arcs; node membership tests
-# never rely on it because cell edges sit half a spacing away from any node.
-_MERGE_EPS = 1e-12
 
 #: Largest grid size; one complex signal on it takes 256 MB.
 MAX_GRID_SIZE = 2**24
@@ -82,9 +75,6 @@ class BoundarySignal:
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
-    def map(self, fn) -> "BoundarySignal":
-        return BoundarySignal(self.grid, fn(self.values))
-
     def __mul__(self, other: "BoundarySignal") -> "BoundarySignal":
         if other.grid.size != self.grid.size:
             raise ValueError("signals live on different grids")
@@ -103,7 +93,7 @@ def constant_signal(grid: CircleGrid, c: complex) -> BoundarySignal:
 
 
 # ---------------------------------------------------------------------------
-# Arc sets
+# Node masks
 # ---------------------------------------------------------------------------
 
 def circular_distance(theta, center: float):
@@ -129,138 +119,6 @@ def circular_runs(mask: np.ndarray) -> list[tuple[int, int]]:
         else np.append(edges[1::2] + 1, n)
     )
     return [(int((s + start) % n), int(e - s)) for s, e in zip(starts, ends)]
-
-
-def _normalize_arcs(raw) -> tuple[tuple[float, float], ...]:
-    """Split wrapped arcs, drop empties, sort, and merge overlaps/abutments."""
-    flat: list[tuple[float, float]] = []
-    for a, b in raw:
-        if b - a >= TWO_PI - _MERGE_EPS:
-            return ((0.0, TWO_PI),)
-        a = float(a) % TWO_PI
-        b = float(b) % TWO_PI
-        if abs(a - b) <= _MERGE_EPS and a != b:
-            b = a  # zero-length after wrap
-        if a == b:
-            continue
-        if a < b:
-            flat.append((a, b))
-        else:  # wraps through 0
-            flat.append((a, TWO_PI))
-            if b > 0.0:
-                flat.append((0.0, b))
-    if not flat:
-        return ()
-    flat.sort()
-    merged = [flat[0]]
-    for a, b in flat[1:]:
-        pa, pb = merged[-1]
-        if a <= pb + _MERGE_EPS:
-            merged[-1] = (pa, max(pb, b))
-        else:
-            merged.append((a, b))
-    # A full-circle union may appear as [0, x) + ... + [y, 2*pi); that is fine,
-    # measure and membership handle it without special-casing.
-    return tuple(merged)
-
-
-@dataclass(frozen=True)
-class ArcSet:
-    """Disjoint, sorted, half-open arcs ``[a, b) mod 2*pi``."""
-
-    arcs: tuple[tuple[float, float], ...] = field(default_factory=tuple)
-
-    def __post_init__(self):
-        object.__setattr__(self, "arcs", _normalize_arcs(self.arcs))
-
-    @staticmethod
-    def empty() -> "ArcSet":
-        return ArcSet(())
-
-    @staticmethod
-    def full() -> "ArcSet":
-        return ArcSet(((0.0, TWO_PI),))
-
-    @staticmethod
-    def from_node_mask(grid: CircleGrid, mask: np.ndarray) -> "ArcSet":
-        """Cover each maximal circular run of masked nodes by its cells."""
-        mask = np.asarray(mask, dtype=bool)
-        h = grid.spacing
-        nodes = grid.nodes
-        n = len(mask)
-        return ArcSet(tuple(
-            (nodes[s] - h / 2.0, nodes[(s + length - 1) % n] + h / 2.0)
-            for s, length in circular_runs(mask)
-        ))
-
-    def is_empty(self) -> bool:
-        return not self.arcs
-
-    def node_mask(self, grid: CircleGrid) -> np.ndarray:
-        theta = grid.nodes
-        mask = np.zeros(grid.size, dtype=bool)
-        for a, b in self.arcs:
-            mask |= (theta >= a) & (theta < b)
-        return mask
-
-    def contains_angle(self, theta: float) -> bool:
-        t = float(theta) % TWO_PI
-        return any(a <= t < b for a, b in self.arcs)
-
-
-def measure(s: ArcSet) -> float:
-    """Normalized Lebesgue measure: total arc length / 2*pi."""
-    return sum(b - a for a, b in s.arcs) / TWO_PI
-
-
-def complement(s: ArcSet) -> ArcSet:
-    if not s.arcs:
-        return ArcSet.full()
-    gaps = []
-    prev_end = 0.0
-    for a, b in s.arcs:
-        if a > prev_end:
-            gaps.append((prev_end, a))
-        prev_end = b
-    if prev_end < TWO_PI:
-        gaps.append((prev_end, TWO_PI))
-    return ArcSet(tuple(gaps))
-
-
-def union(s: ArcSet, t: ArcSet) -> ArcSet:
-    return ArcSet(s.arcs + t.arcs)
-
-
-def intersect(s: ArcSet, t: ArcSet) -> ArcSet:
-    return complement(union(complement(s), complement(t)))
-
-
-def dilate(s: ArcSet, w: float) -> ArcSet:
-    """Extend every arc by ``w`` on both sides (then re-normalize)."""
-    if not 0.0 <= w < np.pi:
-        raise ValueError("dilation width must lie in [0, pi)")
-    return ArcSet(tuple((a - w, b + w) for a, b in s.arcs))
-
-
-def sublevel_set(f: BoundarySignal, eps: float) -> ArcSet:
-    """Arcs covering the nodes where ``|f| < eps`` (exact zeros included)."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    return ArcSet.from_node_mask(f.grid, np.abs(f.values) < eps)
-
-
-def ess_sup_on(f: BoundarySignal, s: ArcSet) -> float:
-    mask = s.node_mask(f.grid)
-    if not mask.any():
-        raise EmptyRegion("arc set contains no grid nodes")
-    return float(np.max(np.abs(f.values[mask])))
-
-
-def ess_inf_on(f: BoundarySignal, s: ArcSet) -> float:
-    mask = s.node_mask(f.grid)
-    if not mask.any():
-        raise EmptyRegion("arc set contains no grid nodes")
-    return float(np.min(np.abs(f.values[mask])))
 
 
 # ---------------------------------------------------------------------------

@@ -33,13 +33,12 @@ from .errors import (
 )
 from .factorization import CLIP_FLOOR, is_outer, synth_outer
 from .grid import (
-    ArcSet,
+    TWO_PI,
     BoundarySignal,
     CircleGrid,
     circular_distance,
+    circular_runs,
     constant_signal,
-    dilate,
-    measure,
     signal_from_values,
 )
 from .zerosets import ZeroSetEstimate, continuous_extension, essential_zero_set
@@ -94,11 +93,12 @@ def ess_inf(f: BoundarySignal) -> float:
 
 @dataclass(frozen=True)
 class UnitStage:
-    """One stage of the sublevel construction."""
+    """One stage of the sublevel construction; ``support`` is the node mask
+    of A_m."""
 
     index: int
     eps: float
-    support: ArcSet
+    support: np.ndarray
     support_measure: float
     degenerate: bool
     off_support_deviation: float
@@ -157,7 +157,7 @@ def approx_unit_sublevel(
                 UnitStage(
                     index=m,
                     eps=eps,
-                    support=ArcSet.empty(),
+                    support=mask,
                     support_measure=0.0,
                     degenerate=True,
                     off_support_deviation=0.0,
@@ -171,7 +171,12 @@ def approx_unit_sublevel(
             )
             continue
 
-        support = dilate(ArcSet.from_node_mask(grid, mask), dilation_width(m, grid.spacing))
+        # Each run of masked nodes covers its cells plus the dilation on both
+        # sides; gaps between runs are at least a cell, so runs never merge,
+        # and the cap binds only when every node is masked.
+        w = dilation_width(m, grid.spacing)
+        runs = len(circular_runs(mask))
+        support_measure = min(1.0, (np.count_nonzero(mask) * grid.spacing + 2.0 * w * runs) / TWO_PI)
         k_m = np.where(mask, 0.0, -k_c)
         cofactor = synth_outer(signal_from_values(grid, k_m.astype(complex))).boundary
         u_vals = base.values * cofactor.values
@@ -184,8 +189,8 @@ def approx_unit_sublevel(
             UnitStage(
                 index=m,
                 eps=eps,
-                support=support,
-                support_measure=measure(support),
+                support=mask,
+                support_measure=support_measure,
                 degenerate=False,
                 off_support_deviation=off_dev,
                 on_support_max=on_max,

@@ -259,6 +259,11 @@ def _shared_zero_combined(b: _Bundle) -> dict:
     b.add_output("certificate-pair.json", dump_text(certificate_report(pair)))
     b.add_output("certificate-single.json", dump_text(certificate_report(single)))
     b.check("pair certification passes", pair.passed, pair.conclusion)
+    label = "membership sets coincide with the single-generator ideal"
+    if not (pair.passed and single.passed):
+        # membership is defined only for certified ideals
+        b.check(label, False, "not compared: membership needs both certificates to pass")
+        return b.finish()
     rows = []
     agree = True
     for probe in MEMBERSHIP_PROBES:
@@ -268,11 +273,7 @@ def _shared_zero_combined(b: _Bundle) -> dict:
         rows.append({"h": probe, "pair": m_pair, "single": m_single})
         agree &= m_pair == m_single
     b.add_output("membership.json", dump_text({"probes": rows}))
-    b.check(
-        "membership sets coincide with the single-generator ideal",
-        agree,
-        f"{len(rows)} probes",
-    )
+    b.check(label, agree, f"{len(rows)} probes")
     return b.finish()
 
 

@@ -14,12 +14,10 @@ import pytest
 from hardylab import (
     CircleGrid,
     analytic_prime_check,
-    analytic_projection,
     adjoint_kernel_dim,
     approx_unit_peak,
     approx_unit_sublevel,
     certify_mideal,
-    ess_inf,
     essential_zero_set,
     example_boundary,
     get_example,
@@ -28,11 +26,13 @@ from hardylab import (
     is_inner,
     is_outer,
     membership,
-    oracle_corpus,
     signal_from_values,
     synth_outer,
     szego_distance,
 )
+from hardylab.catalog import oracle_corpus
+from hardylab.hardy import analytic_projection
+from hardylab.ideals import ess_inf
 
 MEMBERSHIP_PROBES = (
     "one-minus-z",

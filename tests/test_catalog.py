@@ -10,13 +10,12 @@ from hardylab import (
     CircleGrid,
     UnknownExample,
     catalog_names,
-    evaluate,
     example_boundary,
     get_example,
-    oracle_corpus,
     singular_inner,
 )
-from hardylab.catalog import banded_log_modulus, ramp_log_modulus
+from hardylab.catalog import banded_log_modulus, oracle_corpus, ramp_log_modulus
+from hardylab.hardy import evaluate
 
 DISC_PROBES = np.array([0.0, 0.3 + 0.4j, -0.55, 0.1 - 0.6j, 0.7j])
 

@@ -333,6 +333,19 @@ def test_reproduce_failed_bundle_exits_two_with_json(capsys, tmp_path):
     assert "certification passes by power 200" in error["message"]
 
 
+def test_reproduce_bundle_with_uncertified_ideal_exits_two_with_json(capsys, tmp_path):
+    # at N=512 shared-zero-combined cannot certify, so it writes a failed summary
+    code, out, err = run(
+        capsys, "reproduce", "shared-zero-combined", "--grid-size", "512", "--out", str(tmp_path)
+    )
+    assert code == 2
+    assert json.loads(out)["passed"] is False
+    error = json.loads(err)
+    assert error["error"] == "BundleFailed"
+    assert "membership sets coincide" in error["message"]
+    assert (tmp_path / "shared-zero-combined" / "summary.json").exists()
+
+
 def test_reproduce_unknown_bundle(capsys, tmp_path):
     code, _, err = run(capsys, "reproduce", "no-such-bundle", "--out", str(tmp_path))
     assert code == 2

@@ -8,13 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hardylab import (
-    CLIP_FLOOR,
     CircleGrid,
     SingularPoint,
     UnboundedLogData,
     ZeroFunction,
     blaschke,
-    clipped_log_modulus,
     constant_signal,
     get_example,
     inner_outer,
@@ -22,9 +20,9 @@ from hardylab import (
     is_outer,
     signal_from_values,
     singular_inner,
-    singular_inner_boundary,
     synth_outer,
 )
+from hardylab.factorization import CLIP_FLOOR, clipped_log_modulus, singular_inner_boundary
 from hardylab.hardy import analytic_projection
 
 

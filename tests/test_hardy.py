@@ -12,6 +12,10 @@ from hardylab import (
     CircleGrid,
     NotAnalytic,
     PointOnBoundary,
+    signal_from_values,
+)
+from hardylab.hardy import (
+    BOUNDARY_MARGIN,
     analytic_projection,
     conjugate_function,
     evaluate,
@@ -19,10 +23,8 @@ from hardylab import (
     herglotz_integral,
     poisson_integral,
     radial_trace,
-    signal_from_values,
     sup_norm,
 )
-from hardylab.hardy import BOUNDARY_MARGIN
 
 
 def test_projection_recovers_polynomial_coefficients():

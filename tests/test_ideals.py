@@ -23,21 +23,21 @@ from hardylab import (
     approx_unit_peak,
     approx_unit_sublevel,
     certify_mideal,
-    combine_units,
-    complement,
     constant_signal,
-    ess_inf,
     example_boundary,
     ideal,
-    intersect,
-    measure,
     membership,
-    prepare_peak,
     signal_from_values,
 )
 import hardylab.ideals
 import hardylab.zerosets
-from hardylab.ideals import DEFAULT_PEAK_SCHEDULE, dilation_width
+from hardylab.ideals import (
+    DEFAULT_PEAK_SCHEDULE,
+    combine_units,
+    dilation_width,
+    ess_inf,
+    prepare_peak,
+)
 
 
 def peak_error_closed_form(n: int) -> float:
@@ -135,7 +135,30 @@ def test_sublevel_supports_nest(small_grid):
     spec = ideal([example_boundary("one-minus-z", small_grid)], ["one-minus-z"])
     stages = approx_unit_sublevel(spec, range(1, 10))
     for outer, inner in zip(stages, stages[1:]):
-        assert measure(intersect(inner.support, complement(outer.support))) == 0.0
+        assert not np.any(inner.support & ~outer.support)
+
+
+@pytest.mark.parametrize(
+    "masked, runs",
+    [([62, 63, 0, 1], 1), ([5, 6, 7, 20], 2), (list(range(64)), 1)],
+    ids=["run-through-node-0", "two-runs", "full-circle"],
+)
+def test_support_measure_counts_cells_and_run_ends(masked, runs):
+    """Each run of support nodes covers its cells plus the dilation at both
+    ends; a run through node 0 is one run, and the full circle measures 1."""
+    g = CircleGrid(64)
+    values = np.ones(64, dtype=complex)
+    values[masked] = 1e-6  # below e^-12, so every stage masks the same nodes
+    spec = ideal([signal_from_values(g, values)], ["g"])
+    stages = approx_unit_sublevel(spec, (1, 6, 12))
+    for stage in stages:
+        assert np.flatnonzero(stage.support).tolist() == sorted(masked)
+        if len(masked) == 64:
+            assert stage.support_measure == 1.0
+            continue
+        w = dilation_width(stage.index, g.spacing)
+        expected = len(masked) / 64 + w * runs / np.pi
+        assert abs(stage.support_measure - expected) <= 2.3e-16
 
 
 def test_dilation_width_caps_at_half_cell():

@@ -52,3 +52,13 @@ def test_peak_decay_without_stages_reports_a_failed_check(tmp_path):
     failed = [c for c in summary["checks"] if not c["passed"]]
     assert [c["name"] for c in failed] == ["certification passes by power 200"]
     assert failed[0]["detail"].startswith("final power n/a")
+
+
+def test_shared_zero_combined_without_certificates_reports_a_failed_check(tmp_path):
+    # at N=512 one-minus-z is refused as not outer, so membership is not asked
+    summary = run_bundle("shared-zero-combined", tmp_path, grid_size=512)
+    assert summary["passed"] is False
+    failed = [c["name"] for c in summary["checks"] if not c["passed"]]
+    assert "membership sets coincide with the single-generator ideal" in failed
+    on_disk = json.loads((tmp_path / "shared-zero-combined" / "summary.json").read_text())
+    assert on_disk == summary

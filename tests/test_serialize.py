@@ -9,16 +9,13 @@ from hardylab import (
     certificate_report,
     certify_mideal,
     continuous_extension,
-    dump_text,
     dumps,
     essential_zero_set,
     example_boundary,
-    extension_report,
     ideal,
-    zero_set_report,
     zinfty_report,
-    zinfty_report_dict,
 )
+from hardylab.serialize import dump_text, extension_report, zero_set_report, zinfty_report_dict
 
 
 def test_scalar_rendering():

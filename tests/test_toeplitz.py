@@ -13,12 +13,10 @@ from hardylab import (
     adjoint_kernel_dim,
     catalog_names,
     density_profile,
-    density_profile_csv,
     get_example,
     szego_distance,
-    toeplitz_matrix,
 )
-from hardylab.toeplitz import DENSITY_SCHEDULE
+from hardylab.toeplitz import DENSITY_SCHEDULE, density_profile_csv, toeplitz_matrix
 
 #: Absolute agreement required between the single-QR profile and the oracle.
 ORACLE_TOL = 1e-13

@@ -18,11 +18,10 @@ from hardylab import (
     example_boundary,
     get_example,
     in_disc_algebra,
-    in_zinfty,
-    oscillation,
     signal_from_values,
     zinfty_report,
 )
+from hardylab.zerosets import in_zinfty, oscillation
 from hardylab.factorization import singular_inner_boundary
 from hardylab.grid import circular_distance
 from hardylab.zerosets import (
