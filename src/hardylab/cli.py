@@ -49,6 +49,7 @@ from .serialize import (
 )
 from .toeplitz import (
     DENSITY_SCHEDULE,
+    KERNEL_TOL,
     adjoint_kernel_dim,
     density_profile,
     density_profile_csv,
@@ -378,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("toeplitz-kernel", help="adjoint kernel dimension of the truncation")
     p.add_argument("--f", required=True)
     p.add_argument("--M", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=KERNEL_TOL)
     _add_common(p)
     p.set_defaults(func=_cmd_toeplitz_kernel)
 

@@ -64,14 +64,13 @@ class BoundarySignal:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex)
+        v = np.array(self.values, dtype=complex)
         if v.shape != (self.grid.size,):
             raise ValueError(
                 f"expected {self.grid.size} values, got shape {v.shape}"
             )
-        if not np.all(np.isfinite(v.view(float))):
+        if not np.all(np.isfinite(v)):
             raise ValueError("boundary values must be finite")
-        v = v.copy()
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 

@@ -35,12 +35,11 @@ class AnalyticRep:
     coefficients: np.ndarray
 
     def __post_init__(self):
-        a = np.atleast_1d(np.asarray(self.coefficients, dtype=complex))
+        a = np.array(self.coefficients, dtype=complex, ndmin=1)
         if a.ndim != 1 or a.size == 0:
             raise ValueError("coefficients must be a nonempty 1-D sequence")
-        if not np.all(np.isfinite(a.view(float))):
+        if not np.all(np.isfinite(a)):
             raise ValueError("coefficients must be finite")
-        a = a.copy()
         a.flags.writeable = False
         object.__setattr__(self, "coefficients", a)
 

@@ -89,6 +89,16 @@ def test_toeplitz_kernel(capsys):
     assert json.loads(out)["kernel_dim"] == 2
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "1.5", "1", "0", "-1"])
+def test_toeplitz_kernel_rejects_tol_outside_the_unit_interval(capsys, tol):
+    code, out, err = run(
+        capsys, "toeplitz-kernel", "--f", "one-minus-z", "--M", "8", "--tol", tol
+    )
+    assert code == 1
+    assert out == ""
+    assert "0 < tol < 1" in json.loads(err)["message"]
+
+
 @pytest.mark.parametrize("command", ["density", "toeplitz-kernel"])
 def test_orders_above_the_cap_exit_one_before_allocating(capsys, command):
     tracemalloc.start()

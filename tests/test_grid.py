@@ -45,6 +45,16 @@ def test_signal_requires_finite_values():
         signal_from_values(g, [np.inf] + [0.0] * 7)
 
 
+def test_signal_accepts_non_contiguous_values():
+    # a strided column: finiteness is checked on the copy, not a float view
+    # of the caller's array
+    column = np.arange(16, dtype=complex).reshape(8, 2)[:, 0]
+    f = signal_from_values(CircleGrid(8), column)
+    assert np.array_equal(f.values, np.arange(0, 16, 2))
+    with pytest.raises(ValueError, match="finite"):
+        signal_from_values(CircleGrid(8), np.full((8, 2), np.nan, complex)[:, 0])
+
+
 def test_signal_values_immutable():
     f = constant_signal(CircleGrid(8), 1.0)
     with pytest.raises(ValueError):

@@ -115,3 +115,11 @@ def test_analytic_rep_json_roundtrip():
     rep = AnalyticRep(np.array([1.0 + 2.0j, -0.5]))
     back = AnalyticRep.from_json(rep.to_json())
     assert np.array_equal(back.coefficients, rep.coefficients)
+
+
+def test_analytic_rep_accepts_non_contiguous_coefficients():
+    rep = AnalyticRep(np.array([1, -2j, 0.5])[::-1])
+    assert np.array_equal(rep.coefficients, [0.5, -2j, 1])
+    assert rep.coefficients.flags.owndata and not rep.coefficients.flags.writeable
+    with pytest.raises(ValueError, match="finite"):
+        AnalyticRep(np.array([1, np.inf * 1j, 0.5])[::-1])

@@ -1,10 +1,12 @@
 """Truncated Toeplitz operators and the least-squares density profile."""
 
+import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hardylab import (
@@ -16,7 +18,14 @@ from hardylab import (
     get_example,
     szego_distance,
 )
-from hardylab.toeplitz import DENSITY_SCHEDULE, density_profile_csv, toeplitz_matrix
+from hardylab.toeplitz import (
+    BANDED_ORDER_RATIO,
+    DENSITY_SCHEDULE,
+    KERNEL_TOL,
+    _banded_singular_values,
+    density_profile_csv,
+    toeplitz_matrix,
+)
 
 #: Absolute agreement required between the single-QR profile and the oracle.
 ORACLE_TOL = 1e-13
@@ -34,6 +43,31 @@ def qr_oracle_distance(f: AnalyticRep, order: int) -> float:
     q, _ = np.linalg.qr(conv, mode="reduced")
     residual = target - q @ (q.conj().T @ target)
     return float(np.linalg.norm(residual))
+
+
+def oracle_singular_values(f: AnalyticRep, order: int) -> np.ndarray:
+    """Reference: dense SVD of the truncation, descending."""
+    return np.linalg.svd(toeplitz_matrix(f, order), compute_uv=False)
+
+
+def count_below_tol(sv: np.ndarray, order: int, tol: float = KERNEL_TOL) -> int:
+    top = float(sv[0])
+    if top == 0.0:
+        return order
+    return int(np.count_nonzero(sv < tol * top))
+
+
+def svd_oracle_kernel_dim(f: AnalyticRep, order: int, tol: float = KERNEL_TOL) -> int:
+    """Reference: the dense-SVD count, for every bandwidth."""
+    return count_below_tol(oracle_singular_values(f, order), order, tol)
+
+
+def polynomial(roots, scale=1.0) -> AnalyticRep:
+    """scale * prod (z - r), lowest coefficient first."""
+    a = np.array([scale], dtype=complex)
+    for r in roots:
+        a = np.convolve(a, [-r, 1.0])
+    return AnalyticRep(a)
 
 
 def test_truncation_is_lower_triangular_with_taylor_diagonals():
@@ -91,6 +125,108 @@ def test_kernel_dimensions():
     assert adjoint_kernel_dim(AnalyticRep(np.array([0.0, 1.0])), 6) == 1
     # zero symbol: the truncation annihilates everything
     assert adjoint_kernel_dim(AnalyticRep(np.array([0.0])), 5) == 5
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 1.5, 1.0, 0.0, -1.0])
+def test_kernel_tol_must_lie_strictly_inside_the_unit_interval(tol):
+    with pytest.raises(ValueError, match="0 < tol < 1"):
+        adjoint_kernel_dim(get_example("one-minus-z").taylor(), 8, tol=tol)
+
+
+@pytest.mark.parametrize(
+    "name", [n for n in catalog_names() if get_example(n).has_taylor]
+)
+def test_kernel_dim_matches_svd_oracle_on_catalog(name):
+    f = get_example(name).taylor()
+    for order in (64, 256):
+        assert adjoint_kernel_dim(f, order) == svd_oracle_kernel_dim(f, order), order
+
+
+# shapes of the density benchmark's symbols (a root on the circle beside one
+# inside or outside it, scale 0.5), the shift, the zero symbol, and the
+# splitting cases with zeros {0.5} and {0.5, -0.3i}: one vanishing singular
+# value per zero inside the disc
+_PINNED_1024 = [
+    (polynomial([cmath.exp(2.1j), 0.55 * cmath.exp(-0.7j)], 0.5), 1),
+    (polynomial([cmath.exp(-2.6j), 1.45 * cmath.exp(1.3j)], 0.5), 0),
+    (AnalyticRep(np.array([0.0, 1.0])), 1),
+    (AnalyticRep(np.array([0.0, 0.0])), 1024),
+    (polynomial([0.5]), 1),
+    (polynomial([0.5, -0.3j]), 2),
+]
+
+
+@pytest.mark.parametrize("f, inside", _PINNED_1024)
+def test_banded_kernel_dim_matches_svd_oracle_at_1024(f, inside):
+    assert BANDED_ORDER_RATIO * (len(f) - 1) <= 1024  # the banded route runs
+    dense = oracle_singular_values(f, 1024)
+    banded = _banded_singular_values(f.coefficients, 1024)
+    assert np.max(np.abs(banded - dense[::-1])) <= 1e-13 * dense[0]
+    assert adjoint_kernel_dim(f, 1024) == count_below_tol(dense, 1024) == inside
+
+
+def _root():
+    """A root inside, exactly on (up to rounding) or outside the circle."""
+    radius = st.one_of(
+        st.floats(min_value=0.0, max_value=0.95),
+        st.just(1.0),
+        st.floats(min_value=1.05, max_value=3.0),
+    )
+    angle = st.floats(min_value=0.0, max_value=2 * math.pi)
+    return st.builds(lambda r, t: r * cmath.exp(1j * t), radius, angle)
+
+
+@given(
+    st.lists(_root(), min_size=1, max_size=3),
+    st.floats(min_value=-3, max_value=3),
+    st.floats(min_value=0.0, max_value=2 * math.pi),
+    st.integers(min_value=0, max_value=120),
+)
+@settings(max_examples=30, deadline=None)
+def test_banded_kernel_dim_matches_svd_oracle(roots, log_scale, phase, extra):
+    """Narrow symbols at orders where the banded route runs.
+
+    Examples with a singular value within 1e-12 sigma_max of the threshold
+    are skipped: there both routes are right to roundoff yet may count apart.
+    """
+    f = polynomial(roots, 10.0**log_scale * cmath.exp(1j * phase))
+    order = BANDED_ORDER_RATIO * len(roots) + extra
+    dense = oracle_singular_values(f, order)
+    top = dense[0]
+    assume(np.min(np.abs(dense - KERNEL_TOL * top)) > 1e-12 * top)
+    banded = _banded_singular_values(f.coefficients, order)
+    assert np.max(np.abs(banded - dense[::-1])) <= 1e-13 * top
+    assert adjoint_kernel_dim(f, order) == svd_oracle_kernel_dim(f, order)
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        [1e-160 * (0.6 + 0.8j), -0.5 + 0.2j],
+        [1e-158 * (0.3 - 0.9j), 1e-80j, 0.7],
+        [1e-321 * (1 - 3j), 0.2 - 0.6j, 1.0],
+    ],
+)
+def test_banded_singular_values_survive_tiny_coefficients(coeffs):
+    # unless entries below eps^2 of the largest are zeroed, squares this close
+    # to underflow cost LAPACK's tridiagonal step up to 1e-5 sigma_max
+    f = AnalyticRep(np.array(coeffs))
+    dense = oracle_singular_values(f, 256)
+    banded = _banded_singular_values(f.coefficients, 256)
+    assert np.max(np.abs(banded - dense[::-1])) <= 1e-13 * dense[0]
+    assert adjoint_kernel_dim(f, 256) == svd_oracle_kernel_dim(f, 256)
+
+
+def test_banded_kernel_dim_memory_at_order_2048():
+    f = polynomial([0.5, 1.3j])
+    tracemalloc.start()
+    try:
+        assert adjoint_kernel_dim(f, 2048) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the dense 2048 x 2048 complex matrix alone takes 64 MB
+    assert peak < 4 << 20
 
 
 def test_zero_symbol_rejected_by_distance():
