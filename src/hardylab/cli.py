@@ -31,8 +31,11 @@ from .factorization import (
 from .grid import CircleGrid, signal_from_csv, signal_to_csv, signal_from_values
 from .hardy import AnalyticRep
 from .ideals import (
+    DEFAULT_BOUND,
     DEFAULT_MAIN_STAGES,
     DEFAULT_PEAK_SCHEDULE,
+    DEFAULT_TOL,
+    STRATEGIES,
     analytic_prime_check,
     approx_unit_peak,
     approx_unit_sublevel,
@@ -393,9 +396,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="certify a bounded approximate unit")
     p.add_argument("--generators", required=True)
-    p.add_argument("--strategy", choices=["auto", "sublevel", "peak", "combined"], default="auto")
-    p.add_argument("--tol", type=float, default=0.05)
-    p.add_argument("--bound", type=float, default=2.0)
+    p.add_argument("--strategy", choices=STRATEGIES, default="auto")
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--bound", type=float, default=DEFAULT_BOUND)
     p.add_argument("--stages", default=None)
     p.add_argument("--schedule", default=None)
     _add_common(p)
@@ -404,8 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("member", help="membership of a function in a certified ideal")
     p.add_argument("--h", required=True)
     p.add_argument("--generators", required=True)
-    p.add_argument("--strategy", choices=["auto", "sublevel", "peak", "combined"], default="auto")
-    p.add_argument("--tol", type=float, default=0.05)
+    p.add_argument("--strategy", choices=STRATEGIES, default="auto")
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     _add_common(p)
     p.set_defaults(func=_cmd_member)
 
@@ -413,8 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", required=True, help="divisor, essentially bounded below")
     p.add_argument("--b", required=True, help="quotient candidate")
     p.add_argument("--generators", required=True)
-    p.add_argument("--strategy", choices=["auto", "sublevel", "peak", "combined"], default="auto")
-    p.add_argument("--tol", type=float, default=0.05)
+    p.add_argument("--strategy", choices=STRATEGIES, default="auto")
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--delta", type=float, default=0.5)
     _add_common(p)
     p.set_defaults(func=_cmd_prime_check)

@@ -26,6 +26,12 @@ CLIP_FLOOR = -30.0
 #: trusted as (numerically) integrable at the current resolution.
 CLIP_FRACTION_LIMIT = 0.20
 
+#: ``is_inner`` accepts boundary moduli within this of 1.
+INNER_TOL = 1e-6
+
+#: ``is_outer`` accepts a Jensen gap up to this fraction of exp(mean log|f|).
+JENSEN_TOL = 1e-2
+
 
 def clipped_log_modulus(f: BoundarySignal) -> BoundarySignal:
     """``max(log|f|, CLIP_FLOOR)`` as a real signal (zeros go to the floor)."""
@@ -56,12 +62,12 @@ class OuterFn:
         return float(np.exp(np.mean(self.log_modulus.values.real)))
 
 
-def synth_outer(k: BoundarySignal, clip_floor: float = CLIP_FLOOR) -> OuterFn:
+def synth_outer(k: BoundarySignal) -> OuterFn:
     """Outer function with boundary log-modulus ``k`` (clipped at the floor)."""
     if not k.is_real():
         raise ValueError("log-modulus data must be real")
-    vals = np.maximum(k.values.real, clip_floor)
-    frac = float(np.mean(vals <= clip_floor))
+    vals = np.maximum(k.values.real, CLIP_FLOOR)
+    frac = float(np.mean(vals <= CLIP_FLOOR))
     if frac > CLIP_FRACTION_LIMIT:
         raise UnboundedLogData(
             f"{100 * frac:.1f}% of log-modulus samples sit at the clip floor"
@@ -151,22 +157,17 @@ def inner_outer(f: BoundarySignal) -> FactorizationResult:
     return FactorizationResult(inner=inner, outer=outer, unimodular_residual=residual)
 
 
-def is_inner(f: BoundarySignal, tol: float = 1e-6) -> bool:
-    """Unimodular boundary values (away from clip-floor nodes) within tol."""
+def is_inner(f: BoundarySignal) -> bool:
+    """Unimodular boundary values (away from clip-floor nodes) within INNER_TOL."""
     _reject_zero(f)
     mod = np.abs(f.values)
     trusted = mod >= np.exp(CLIP_FLOOR)
-    return bool(np.max(np.abs(mod[trusted] - 1.0)) <= tol)
+    return bool(np.max(np.abs(mod[trusted] - 1.0)) <= INNER_TOL)
 
 
-def is_outer(f: BoundarySignal, tol: float = 1e-2) -> bool:
-    """Jensen-equality test: ``|a_0| = exp(mean log|f|)`` within relative tol.
-
-    ``a_0`` is the constant analytic-projection coefficient (the leak gate is
-    disabled here — only the mean is needed, and inner inputs legitimately
-    carry broadband spectra).
-    """
+def is_outer(f: BoundarySignal) -> bool:
+    """Jensen-equality test: ``|f(0)| = exp(mean log|f|)`` within relative
+    JENSEN_TOL, with ``f(0)`` the mean of the boundary values."""
     _reject_zero(f)
-    a0 = hardy.analytic_projection(f, leak_tol=1.0).coefficients[0]
     jensen = float(np.exp(np.mean(clipped_log_modulus(f).values.real)))
-    return bool(abs(abs(a0) - jensen) <= tol * max(jensen, 1e-300))
+    return bool(abs(abs(np.mean(f.values)) - jensen) <= JENSEN_TOL * max(jensen, 1e-300))

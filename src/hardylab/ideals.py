@@ -31,20 +31,22 @@ from .errors import (
     StrategyInapplicable,
     ZeroFunction,
 )
-from .factorization import CLIP_FLOOR, is_outer, synth_outer
+from .factorization import clipped_log_modulus, is_outer, synth_outer
 from .grid import (
     TWO_PI,
     BoundarySignal,
     CircleGrid,
-    circular_distance,
     circular_runs,
     constant_signal,
     signal_from_values,
 )
 from .zerosets import ZeroSetEstimate, continuous_extension, essential_zero_set
 
+STRATEGIES = ("auto", "sublevel", "peak", "combined")
 DEFAULT_TOL = 0.05
-DEFAULT_RANGE_TOL = 0.05
+DEFAULT_BOUND = 2.0
+#: Peak units need the generator modulus to come within this of zero.
+RANGE_TOL = 0.05
 DEFAULT_MAIN_STAGES = tuple(range(1, 13))
 DEFAULT_PEAK_SCHEDULE = (1, 2, 4, 8, 16, 32, 64, 128, 200, 400, 800)
 
@@ -110,14 +112,6 @@ class UnitStage:
     unit: BoundarySignal
 
 
-def _joint_clipped_log(spec: IdealSpec) -> np.ndarray:
-    """Clipped log of the pointwise-largest generator modulus."""
-    joint = np.maximum.reduce([np.abs(g.values) for g in spec.generators])
-    with np.errstate(divide="ignore"):
-        k = np.log(joint)
-    return np.maximum(k, CLIP_FLOOR)
-
-
 def dilation_width(stage: int, spacing: float) -> float:
     """Stage-m dilation: 2^-m, capped below half a grid cell so widening the
     support can neither swallow new nodes nor bridge gaps between clusters."""
@@ -136,8 +130,11 @@ def approx_unit_sublevel(
     unit's modulus is e^{k} there times e^{-k} — exactly one — and equals the
     generator modulus (< eps) on A_m.
     """
+    if any(m < 1 for m in stages):
+        raise ValueError("sublevel stages must be positive")
     grid = spec.grid
-    k_c = _joint_clipped_log(spec)
+    # clipped log of the pointwise-largest generator modulus
+    k_c = np.maximum.reduce([clipped_log_modulus(g).values.real for g in spec.generators])
     if len(spec.generators) == 1:
         base = spec.generators[0]
     else:
@@ -225,23 +222,21 @@ def _alignment_sup(gv: np.ndarray, phi: float) -> float:
     return float(np.max(np.abs(1.0 - np.exp(-1j * phi) * gv)))
 
 
-def prepare_peak(
-    generator: BoundarySignal, range_tol: float = DEFAULT_RANGE_TOL
-) -> PeakPreparation:
+def prepare_peak(generator: BoundarySignal) -> PeakPreparation:
     """Find alpha on the circle so that 1 - conj(alpha) * G has sup at most 1.
 
     The essential range of the rebased function must reach the peak value 1,
     which happens exactly where G vanishes; if |G| never gets within
-    ``range_tol`` of zero the construction cannot apply and RangeMiss is
+    ``RANGE_TOL`` of zero the construction cannot apply and RangeMiss is
     raised. If no rotation brings the sup down to 1, the generator is scaled
     down (the ideal is unchanged); if even scaling cannot help, NormExceeded.
     """
     gv = generator.values
     range_gap = float(np.min(np.abs(gv)))
-    if range_gap > range_tol:
+    if range_gap > RANGE_TOL:
         raise RangeMiss(
             f"generator modulus stays above {range_gap:.6g}; "
-            f"no unimodular value of the rebased function within {range_tol:g}"
+            f"no unimodular value of the rebased function within {RANGE_TOL:g}"
         )
 
     coarse = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
@@ -318,7 +313,6 @@ def approx_unit_peak(
     spec: IdealSpec,
     schedule: Sequence[int] = DEFAULT_PEAK_SCHEDULE,
     tol: Optional[float] = None,
-    range_tol: float = DEFAULT_RANGE_TOL,
 ) -> tuple[PeakPreparation, tuple[PeakStage, ...]]:
     """Powers u_n = 1 - g^n with g the average of 1 and the rebased generator.
 
@@ -328,7 +322,7 @@ def approx_unit_peak(
     """
     if len(spec.generators) != 1:
         raise StrategyInapplicable("peak units need a single generator")
-    prep = prepare_peak(spec.generators[0], range_tol=range_tol)
+    prep = prepare_peak(spec.generators[0])
     g_mid = 0.5 * (1.0 + prep.base.values)
     h = prep.half_generator.values
     stages: list[PeakStage] = []
@@ -382,13 +376,13 @@ class Certificate:
     tol: float
     passed: bool
     failure_reason: Optional[str]
-    stages: tuple
-    final_error: float
-    sup_bound: float
     zero_sets: tuple[ZeroSetEstimate, ...]
     zero_angles: tuple[float, ...]
     resolution: float
     conclusion: str
+    stages: tuple = ()
+    final_error: float = float("inf")
+    sup_bound: float = 0.0
     combined_inf: Optional[float] = None
     peak_prep: Optional[PeakPreparation] = None
     sub_certificates: tuple["Certificate", ...] = ()
@@ -401,44 +395,13 @@ class Certificate:
         return self.stages[-1].unit
 
 
-def _failed(
-    spec: IdealSpec,
-    strategy: str,
-    tol: float,
-    reason: str,
-    zero_sets: tuple[ZeroSetEstimate, ...],
-    conclusion: str,
-    notes: tuple[str, ...] = (),
-    sub: tuple[Certificate, ...] = (),
-) -> Certificate:
-    res = max((z.resolution for z in zero_sets), default=0.0)
-    angles = zero_sets[0].angles if len(zero_sets) == 1 else ()
-    return Certificate(
-        ideal=spec,
-        strategy=strategy,
-        tol=tol,
-        passed=False,
-        failure_reason=reason,
-        stages=(),
-        final_error=float("inf"),
-        sup_bound=0.0,
-        zero_sets=zero_sets,
-        zero_angles=angles,
-        resolution=res,
-        conclusion=conclusion,
-        sub_certificates=sub,
-        notes=notes,
-    )
-
-
 def certify_mideal(
     spec: IdealSpec,
     strategy: str = "auto",
     tol: float = DEFAULT_TOL,
-    bound: float = 2.0,
+    bound: float = DEFAULT_BOUND,
     stages: Sequence[int] | None = None,
     schedule: Sequence[int] | None = None,
-    range_tol: float = DEFAULT_RANGE_TOL,
 ) -> Certificate:
     """Certify a bounded approximate unit for the ideal.
 
@@ -448,16 +411,17 @@ def certify_mideal(
     (two generators; per-generator certification plus the diagonal unit), and
     ``auto`` which picks sublevel/peak for one generator and combined for two.
     A certificate passes when the final stage error is at most ``tol`` and
-    every unit stays inside the sup bound.
+    every unit stays inside the sup bound; both must be finite and positive.
     """
-    if strategy not in {"auto", "sublevel", "peak", "combined"}:
+    if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
+    for name, value in (("tol", tol), ("bound", bound)):
+        if not (np.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
     n_gen = len(spec.generators)
 
     if strategy == "combined" or (strategy == "auto" and n_gen == 2):
-        return _certify_combined(
-            spec, tol=tol, bound=bound, stages=stages, schedule=schedule, range_tol=range_tol
-        )
+        return _certify_combined(spec, tol=tol, bound=bound, stages=stages, schedule=schedule)
     if n_gen != 1:
         raise StrategyInapplicable(
             f"strategy {strategy!r} applies to a single generator; got {n_gen}"
@@ -466,34 +430,38 @@ def certify_mideal(
     f = spec.generators[0]
     zset = essential_zero_set(f)
 
+    notes: list[str] = []
+    gate = None  # (failure reason, conclusion) when a hypothesis fails
     if not is_outer(f):
-        return _failed(
-            spec,
-            strategy,
-            tol,
+        gate = (
             "NotOuter",
-            (zset,),
             "generator has a nontrivial inner factor, so no bounded "
             "approximate unit can exist for its principal ideal",
         )
-
-    notes: list[str] = []
-    if strategy != "peak":
+    elif strategy != "peak":
         # Z-infinity membership: a continuous extension at every zero.
         in_zinfty = all(continuous_extension(f, a).ok for a in zset.angles)
         if strategy == "auto":
             strategy = "sublevel" if in_zinfty else "peak"
             notes.append(f"auto strategy resolved to {strategy}")
         elif not in_zinfty:
-            return _failed(
-                spec,
-                strategy,
-                tol,
+            gate = (
                 "NotInZinfty",
-                (zset,),
                 "generator has no continuous extension to its essential zero "
                 "set; the sublevel construction does not apply",
             )
+    if gate is not None:
+        return Certificate(
+            ideal=spec,
+            strategy=strategy,
+            tol=tol,
+            passed=False,
+            failure_reason=gate[0],
+            zero_sets=(zset,),
+            zero_angles=zset.angles,
+            resolution=zset.resolution,
+            conclusion=gate[1],
+        )
 
     if strategy == "sublevel":
         unit_stages: tuple = approx_unit_sublevel(spec, stages or DEFAULT_MAIN_STAGES)
@@ -504,9 +472,7 @@ def certify_mideal(
                 "(sublevel set vanished at the log-floor)"
             )
     else:
-        prep, unit_stages = approx_unit_peak(
-            spec, schedule or DEFAULT_PEAK_SCHEDULE, tol=tol, range_tol=range_tol
-        )
+        prep, unit_stages = approx_unit_peak(spec, schedule or DEFAULT_PEAK_SCHEDULE, tol=tol)
         if prep.rescaled:
             notes.append(f"generator rescaled by {prep.scale:.6g} during alignment")
 
@@ -552,49 +518,38 @@ def _certify_combined(
     bound: float,
     stages: Sequence[int] | None,
     schedule: Sequence[int] | None,
-    range_tol: float,
 ) -> Certificate:
     if len(spec.generators) != 2:
         raise StrategyInapplicable("combined certification needs exactly two generators")
     subs = tuple(
-        certify_mideal(
-            ideal([g], [name]),
-            strategy="auto",
-            tol=tol,
-            bound=bound,
-            stages=stages,
-            schedule=schedule,
-            range_tol=range_tol,
-        )
+        certify_mideal(ideal([g], [name]), tol=tol, bound=bound, stages=stages, schedule=schedule)
         for g, name in zip(spec.generators, spec.names)
     )
+    zero_sets = tuple(c.zero_sets[0] for c in subs)
+    resolution = max(c.resolution for c in subs)
     failed_sub = next((c for c in subs if not c.passed), None)
     if failed_sub is not None:
-        return _failed(
-            spec,
-            "combined",
-            tol,
-            failed_sub.failure_reason or "tolerance",
-            tuple(c.zero_sets[0] for c in subs),
-            "a generator failed its own certification",
-            sub=subs,
+        return Certificate(
+            ideal=spec,
+            strategy="combined",
+            tol=tol,
+            passed=False,
+            failure_reason=failed_sub.failure_reason or "tolerance",
+            zero_sets=zero_sets,
+            zero_angles=(),
+            resolution=resolution,
+            conclusion="a generator failed its own certification",
+            sub_certificates=subs,
         )
 
-    u = subs[0].final_unit
-    v = subs[1].final_unit
-    zeta = combine_units(u, v)
+    zeta = combine_units(subs[0].final_unit, subs[1].final_unit)
     errors = tuple(
         float(np.max(np.abs(zeta.values * g.values - g.values)))
         for g in spec.generators
     )
     inf_z = ess_inf(zeta)
-    za = subs[0].zero_angles
-    zb = subs[1].zero_angles
     threshold = subs[0].resolution + subs[1].resolution
-    common = tuple(
-        a for a in za if zb and min(circular_distance(a, b) for b in zb) <= threshold
-    )
-    disjoint = not common
+    common = tuple(a for a in subs[0].zero_angles if zero_sets[1].covers_angle(a, threshold))
 
     combined_stage = CombinedUnit(
         errors=errors,
@@ -602,10 +557,8 @@ def _certify_combined(
         sup_norm=float(np.max(np.abs(zeta.values))),
         unit=zeta,
     )
-    zero_sets = tuple(c.zero_sets[0] for c in subs)
-    resolution = max(c.resolution for c in subs)
 
-    if disjoint:
+    if not common:  # disjoint zero sets
         passed = inf_z > 0.9
         conclusion = (
             "generators have disjoint essential zero sets and the combined "
@@ -642,7 +595,6 @@ def _certify_combined(
         conclusion=conclusion,
         combined_inf=inf_z,
         sub_certificates=subs,
-        notes=(),
     )
 
 
@@ -665,9 +617,7 @@ def membership(h: BoundarySignal, cert: Certificate) -> bool:
     hz = essential_zero_set(h)
     slack = cert.resolution + hz.resolution
     for angle in cert.zero_angles:
-        if not hz.angles:
-            return False
-        if min(circular_distance(angle, b) for b in hz.angles) > slack:
+        if not hz.covers_angle(angle, slack):
             return False
         ext = continuous_extension(h, angle)
         if not ext.ok or abs(ext.value) > ext.tolerance:
@@ -686,8 +636,10 @@ def analytic_prime_check(
     Hypotheses: |a| essentially bounded below by delta, and the product a*b in
     the ideal; both are checked and HypothesisFailed raised otherwise. Returns
     whether b itself lands in the ideal — for a certified proper ideal this is
-    the prime-like division conclusion.
+    the prime-like division conclusion. ``delta`` must be finite and positive.
     """
+    if not (np.isfinite(delta) and delta > 0):
+        raise ValueError(f"delta must be finite and positive, got {delta!r}")
     inf_a = ess_inf(a)
     if inf_a <= delta:
         raise HypothesisFailed(

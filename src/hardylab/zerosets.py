@@ -34,6 +34,9 @@ WIDTH_SCHEDULE = tuple(2.0 ** (-j) for j in range(1, 9))
 #: Windows and cluster gaps never shrink below this many grid cells.
 MIN_WINDOW_CELLS = 8
 
+#: An extension needs its finest oscillation at most this times the largest.
+DECAY_RATIO = 0.5
+
 
 def window_nodes(grid: CircleGrid, center: float, full_width: float) -> np.ndarray:
     """Ascending indices of the nodes within the (floored) window at ``center``.
@@ -127,7 +130,7 @@ def oscillation(f: BoundarySignal, center: float, full_width: float) -> float:
 
 
 def extension_tolerance(f: BoundarySignal) -> float:
-    """Default oscillation tolerance 10 * sup|f| * N^{-1/4}."""
+    """Oscillation tolerance 10 * sup|f| * N^{-1/4} of ``continuous_extension``."""
     return 10.0 * float(np.max(np.abs(f.values))) * f.grid.size ** (-0.25)
 
 
@@ -140,30 +143,24 @@ class ExtensionResult:
     decay_ratio: float
 
 
-def continuous_extension(
-    f: BoundarySignal,
-    center: float,
-    tol: float | None = None,
-    widths: tuple[float, ...] = WIDTH_SCHEDULE,
-    decay_ratio: float = 0.5,
-) -> ExtensionResult:
+def continuous_extension(f: BoundarySignal, center: float) -> ExtensionResult:
     """Attempt a continuous extension of ``f`` at angle ``center``.
 
-    Succeeds when the finest-window oscillation is below ``tol`` *and* below
-    ``decay_ratio`` times the largest oscillation seen across the schedule.
-    The extension value is the mean over the finest window.
+    Succeeds when the finest-window oscillation over ``WIDTH_SCHEDULE`` is
+    below ``extension_tolerance(f)`` *and* below ``DECAY_RATIO`` times the
+    largest oscillation seen. The extension value is the mean over the finest
+    window.
     """
-    if tol is None:
-        tol = extension_tolerance(f)
-    windows = [f.values[window_nodes(f.grid, center, w)] for w in widths]
+    tol = extension_tolerance(f)
+    windows = [f.values[window_nodes(f.grid, center, w)] for w in WIDTH_SCHEDULE]
     oscs = tuple(value_diameter(v) for v in windows)
     value = complex(np.mean(windows[-1]))
     worst = max(oscs)
     # A flat profile (constant data up to roundoff) is continuous outright;
     # otherwise require genuine decay, not just a small final window.
     flat = worst <= 1e-12 * max(1.0, float(np.max(np.abs(f.values))))
-    ok = oscs[-1] <= tol and (flat or oscs[-1] <= decay_ratio * worst)
-    return ExtensionResult(ok, value, oscs, float(tol), decay_ratio)
+    ok = oscs[-1] <= tol and (flat or oscs[-1] <= DECAY_RATIO * worst)
+    return ExtensionResult(ok, value, oscs, tol, DECAY_RATIO)
 
 
 # ---------------------------------------------------------------------------
@@ -213,11 +210,7 @@ def _merge_runs(runs: list[tuple[int, int]], n: int, gap: int) -> list[tuple[int
     return merged
 
 
-def essential_zero_set(
-    f: BoundarySignal,
-    eps_schedule: tuple[float, ...] = EPS_SCHEDULE,
-    widths: tuple[float, ...] = WIDTH_SCHEDULE,
-) -> ZeroSetEstimate:
+def essential_zero_set(f: BoundarySignal) -> ZeroSetEstimate:
     """Estimate the essential zero set of the outer part of ``f``.
 
     Candidates are midpoints of the finest sublevel set's node clusters
@@ -229,7 +222,7 @@ def essential_zero_set(
     h = grid.spacing
     outer_mod = np.exp(clipped_log_modulus(f).values.real)
 
-    masks = [outer_mod < eps for eps in eps_schedule]
+    masks = [outer_mod < eps for eps in EPS_SCHEDULE]
     runs = _merge_runs(circular_runs(masks[-1]), n, MIN_WINDOW_CELLS)
 
     theta = grid.nodes
@@ -237,7 +230,7 @@ def essential_zero_set(
     accepted_angles = []
     for start, length in runs:
         center = float((theta[start] + (length - 1) * h / 2.0) % TWO_PI)
-        windows = [window_nodes(grid, center, w) for w in widths]
+        windows = [window_nodes(grid, center, w) for w in WIDTH_SCHEDULE]
         rows = tuple(
             tuple(float(np.count_nonzero(mask[win])) / n for win in windows)
             for mask in masks
@@ -280,9 +273,7 @@ def in_zinfty(f: BoundarySignal) -> bool:
     return zinfty_report(f).in_class
 
 
-def in_disc_algebra(f: BoundarySignal, probes: int = 64) -> bool:
-    """Continuity of the boundary data, probed at ``probes`` equispaced angles."""
-    step = TWO_PI / probes
-    return all(
-        continuous_extension(f, j * step).ok for j in range(probes)
-    )
+def in_disc_algebra(f: BoundarySignal) -> bool:
+    """Continuity of the boundary data, probed at 64 equispaced angles."""
+    step = TWO_PI / 64
+    return all(continuous_extension(f, j * step).ok for j in range(64))

@@ -217,6 +217,29 @@ def test_prime_check_bad_divisor_is_domain_error(capsys):
     assert json.loads(err)["error"] == "HypothesisFailed"
 
 
+@pytest.mark.parametrize("argv", [
+    ["certify", "--generators", "one-minus-z", "--tol", "nan", "--grid-size", "1024"],
+    ["certify", "--generators", "one-minus-z", "--tol", "-1", "--grid-size", "1024"],
+    ["certify", "--generators", "ramp-logmod", "--strategy", "sublevel", "--tol", "inf",
+     "--grid-size", "1024"],
+    ["certify", "--generators", "one-minus-z", "--bound", "nan", "--grid-size", "1024"],
+    ["member", "--h", "one-minus-z", "--generators", "one-minus-z", "--tol", "nan",
+     "--grid-size", "1024"],
+    ["prime-check", "--a", "one-minus-z", "--b", "one-minus-z-squared",
+     "--generators", "one-minus-z", "--delta", "-1", "--grid-size", "4096"],
+    ["prime-check", "--a", "one-minus-z", "--b", "one-minus-z-squared",
+     "--generators", "one-minus-z", "--delta", "nan", "--grid-size", "4096"],
+    ["approx-unit", "--generators", "one-minus-z", "--stages", "0,-2", "--grid-size", "1024"],
+])
+def test_nonpositive_or_nonfinite_parameters_exit_one(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "io-format"
+    assert "positive" in error["message"]
+
+
 def test_unknown_registry_name(capsys):
     code, _, err = run(capsys, "factorize", "--f", "no-such-function")
     assert code == 2

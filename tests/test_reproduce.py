@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import hardylab.ideals
 from hardylab import UnknownExample, bundle_names, run_bundle
 
 
@@ -62,3 +63,17 @@ def test_shared_zero_combined_without_certificates_reports_a_failed_check(tmp_pa
     assert "membership sets coincide with the single-generator ideal" in failed
     on_disk = json.loads((tmp_path / "shared-zero-combined" / "summary.json").read_text())
     assert on_disk == summary
+
+
+def test_shared_zero_combined_builds_each_generators_units_once(tmp_path, monkeypatch):
+    # the single-generator certificate is the pair's first sub-certificate
+    calls = []
+
+    def counted(spec, *args, _orig=hardylab.ideals.approx_unit_sublevel, **kwargs):
+        calls.append(spec.names)
+        return _orig(spec, *args, **kwargs)
+
+    monkeypatch.setattr(hardylab.ideals, "approx_unit_sublevel", counted)
+    summary = run_bundle("shared-zero-combined", tmp_path, grid_size=4096)
+    assert summary["passed"] is True
+    assert calls == [("one-minus-z",), ("one-minus-z-times-exp",)]
