@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import UnknownExample
-from .factorization import singular_inner_boundary, synth_outer
+from .factorization import clipped_log_modulus, singular_inner_boundary, synth_outer
 from .grid import BoundarySignal, CircleGrid, signal_from_values
 from .hardy import AnalyticRep
 
@@ -140,16 +140,13 @@ def _two_point_boundary(grid: CircleGrid) -> BoundarySignal:
     return signal_from_values(grid, (1.0 - z) * (1.0 - s))
 
 
-def _synthesized_boundary(profile) -> Callable[[CircleGrid], BoundarySignal]:
-    def build(grid: CircleGrid) -> BoundarySignal:
-        k = signal_from_values(grid, profile(grid.nodes).astype(complex))
-        return synth_outer(k).boundary
-
-    return build
+def _synthesized_boundary(name: str) -> Callable[[CircleGrid], BoundarySignal]:
+    """Boundary of the outer function with entry ``name``'s log-modulus."""
+    return lambda grid: synth_outer(get_example(name).log_modulus(grid)).boundary
 
 
 def _offset_ramp_boundary(grid: CircleGrid) -> BoundarySignal:
-    ramp = _synthesized_boundary(ramp_log_modulus)(grid)
+    ramp = _synthesized_boundary("ramp-logmod")(grid)
     alpha = ramp.values[0]
     return signal_from_values(grid, alpha - ramp.values)
 
@@ -173,6 +170,13 @@ class CatalogEntry:
 
     def boundary(self, grid: CircleGrid) -> BoundarySignal:
         return self.boundary_fn(grid)
+
+    def log_modulus(self, grid: CircleGrid) -> BoundarySignal:
+        """The defining log-modulus profile on ``grid`` where the entry has
+        one, else the clipped log-modulus of its boundary."""
+        if self.log_modulus_fn is None:
+            return clipped_log_modulus(self.boundary(grid))
+        return signal_from_values(grid, self.log_modulus_fn(grid.nodes).astype(complex))
 
     @property
     def has_taylor(self) -> bool:
@@ -391,7 +395,7 @@ _register(
         name="banded-logmod",
         kind="outer",
         summary="outer function synthesized from the banded log-modulus profile",
-        boundary_fn=_synthesized_boundary(banded_log_modulus),
+        boundary_fn=_synthesized_boundary("banded-logmod"),
         log_modulus_fn=banded_log_modulus,
     )
 )
@@ -401,7 +405,7 @@ _register(
         name="ramp-logmod",
         kind="outer",
         summary="outer function synthesized from the ramp log-modulus profile",
-        boundary_fn=_synthesized_boundary(ramp_log_modulus),
+        boundary_fn=_synthesized_boundary("ramp-logmod"),
         log_modulus_fn=ramp_log_modulus,
     )
 )
@@ -409,7 +413,7 @@ _register(
 _register(
     CatalogEntry(
         name="offset-ramp",
-        kind="mixed",
+        kind="outer",
         summary="alpha - ramp where alpha is the ramp's unimodular value at angle 0",
         boundary_fn=_offset_ramp_boundary,
     )

@@ -22,7 +22,6 @@ from .catalog import catalog_names, get_example
 from .errors import HardyLabError, UnknownExample
 from .factorization import (
     CLIP_FLOOR,
-    clipped_log_modulus,
     inner_outer,
     is_inner,
     is_outer,
@@ -75,50 +74,36 @@ class _Parser(argparse.ArgumentParser):
 # input resolution
 # ---------------------------------------------------------------------------
 
-def _resolve_signal(token: str, grid_size: int):
-    """A boundary signal: '-' for stdin CSV, a registry name, or a CSV path."""
-    if token == "-":
-        return signal_from_csv(sys.stdin.read())
+def _resolve(token: str, from_catalog, parse, file_kind: str):
+    """A registry name (through ``from_catalog``), '-' for stdin, or a file
+    path; stdin and file text go through ``parse``."""
     if token in catalog_names():
-        return get_example(token).boundary(CircleGrid(grid_size))
+        return from_catalog(get_example(token))
+    if token == "-":
+        return parse(sys.stdin.read())
     path = Path(token)
     if path.exists():
-        return signal_from_csv(path.read_text())
+        return parse(path.read_text())
     raise UnknownExample(
-        f"{token!r} is neither a registry name nor a readable CSV file; "
+        f"{token!r} is neither a registry name nor a readable {file_kind} file; "
         f"known names: {', '.join(catalog_names())}"
     )
 
 
-def _resolve_taylor(token: str) -> AnalyticRep:
-    """An analytic (Taylor) representation: registry name or JSON path."""
-    if token in catalog_names():
-        return get_example(token).taylor()
-    path = Path(token)
-    if path.exists():
-        return AnalyticRep.from_json(path.read_text())
-    raise UnknownExample(
-        f"{token!r} is neither a registry name nor a readable JSON file"
+def _resolve_signal(token: str, grid_size: int):
+    """A boundary signal: registry name, CSV path, or '-' for stdin CSV."""
+    return _resolve(
+        token, lambda e: e.boundary(CircleGrid(grid_size)), signal_from_csv, "CSV"
     )
 
 
-def _resolve_log_modulus(token: str, grid_size: int):
-    """A real log-modulus signal for outer synthesis."""
-    grid = CircleGrid(grid_size)
-    if token in catalog_names():
-        entry = get_example(token)
-        if entry.log_modulus_fn is not None:
-            return signal_from_values(grid, entry.log_modulus_fn(grid.nodes).astype(complex))
-        return clipped_log_modulus(entry.boundary(grid))
-    if token == "-":
-        sig = signal_from_csv(sys.stdin.read())
-    else:
-        path = Path(token)
-        if not path.exists():
-            raise UnknownExample(
-                f"{token!r} is neither a registry name nor a readable CSV file"
-            )
-        sig = signal_from_csv(path.read_text())
+def _resolve_taylor(token: str) -> AnalyticRep:
+    """An analytic (Taylor) representation: registry name, JSON path, or '-'."""
+    return _resolve(token, lambda e: e.taylor(), AnalyticRep.from_json, "JSON")
+
+
+def _real_log_modulus(text: str):
+    sig = signal_from_csv(text)
     if not sig.is_real(1e-9):
         raise ValueError("log-modulus input must be real-valued")
     # synth_outer reads only the real part; imaginary noise below 1e-9 is
@@ -126,11 +111,23 @@ def _resolve_log_modulus(token: str, grid_size: int):
     return sig if sig.is_real(0.0) else signal_from_values(sig.grid, sig.values.real)
 
 
-def _parse_ints(text: str) -> tuple[int, ...]:
+def _resolve_log_modulus(token: str, grid_size: int):
+    """A real log-modulus signal for outer synthesis."""
+    grid = CircleGrid(grid_size)
+    return _resolve(token, lambda e: e.log_modulus(grid), _real_log_modulus, "CSV")
+
+
+def _int_list(text: str) -> tuple[int, ...]:
+    """argparse type: a nonempty comma-separated list of integers."""
     try:
-        return tuple(int(p) for p in text.split(",") if p.strip())
+        values = tuple(int(p) for p in text.split(",") if p.strip())
     except ValueError:
-        raise ValueError(f"expected comma-separated integers, got {text!r}") from None
+        values = ()
+    if not values:
+        raise argparse.ArgumentTypeError(
+            f"expected nonempty comma-separated integers, got {text!r}"
+        )
+    return values
 
 
 def _write(out: Optional[str], name: str, text: str) -> None:
@@ -212,8 +209,7 @@ def _cmd_density(args) -> int:
         }
         _emit(report, args.out)
         return 0
-    schedule = _parse_ints(args.schedule) if args.schedule else DENSITY_SCHEDULE
-    profile = density_profile(f, schedule)
+    profile = density_profile(f, args.schedule)
     report = {
         "f": args.f,
         "profile": [{"M": m, "distance": d} for m, d in profile],
@@ -247,16 +243,10 @@ def _build_ideal(args):
 def _cmd_approx_unit(args) -> int:
     spec = _build_ideal(args)
     if args.strategy == "peak":
-        prep, stages = approx_unit_peak(
-            spec,
-            schedule=_parse_ints(args.schedule) if args.schedule else DEFAULT_PEAK_SCHEDULE,
-        )
+        prep, stages = approx_unit_peak(spec, schedule=args.schedule)
         report = {"strategy": "peak", "alpha": prep.alpha, "rescaled": prep.rescaled}
     else:
-        stages = approx_unit_sublevel(
-            spec,
-            stages=_parse_ints(args.stages) if args.stages else DEFAULT_MAIN_STAGES,
-        )
+        stages = approx_unit_sublevel(spec, stages=args.stages)
         report = {"strategy": "sublevel"}
     report["stages"] = [stage_report(s) for s in stages]
     if args.out is not None:
@@ -273,8 +263,8 @@ def _cmd_certify(args) -> int:
         strategy=args.strategy,
         tol=args.tol,
         bound=args.bound,
-        stages=_parse_ints(args.stages) if args.stages else None,
-        schedule=_parse_ints(args.schedule) if args.schedule else None,
+        stages=args.stages,
+        schedule=args.schedule,
     )
     _emit(certificate_report(cert), args.out)
     if args.out is not None and cert.final_unit is not None:
@@ -292,9 +282,13 @@ def _cmd_certify(args) -> int:
     return 0
 
 
-def _cmd_member(args) -> int:
+def _certified_ideal(args):
     spec = _build_ideal(args)
-    cert = certify_mideal(spec, strategy=args.strategy, tol=args.tol)
+    return spec, certify_mideal(spec, strategy=args.strategy, tol=args.tol)
+
+
+def _cmd_member(args) -> int:
+    spec, cert = _certified_ideal(args)
     h = _resolve_signal(args.h, args.grid_size)
     result = membership(h, cert)
     _emit(
@@ -311,8 +305,7 @@ def _cmd_member(args) -> int:
 
 
 def _cmd_prime_check(args) -> int:
-    spec = _build_ideal(args)
-    cert = certify_mideal(spec, strategy=args.strategy, tol=args.tol)
+    spec, cert = _certified_ideal(args)
     a = _resolve_signal(args.a, args.grid_size)
     b = _resolve_signal(args.b, args.grid_size)
     result = analytic_prime_check(cert, a, b, delta=args.delta)
@@ -353,7 +346,14 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default=None, help="JSON file with default options")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_ideal(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--generators", required=True, help="comma-separated signals")
+    p.add_argument("--strategy", choices=STRATEGIES, default="auto")
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+
+
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its subparser for each command name."""
     parser = _Parser(prog="hardylab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -373,9 +373,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_zeroset)
 
     p = sub.add_parser("density", help="least-squares density profile of an analytic symbol")
-    p.add_argument("--f", required=True, help="registry name or AnalyticRep JSON path")
-    p.add_argument("--M", type=int, default=None, help="single truncation order")
-    p.add_argument("--schedule", default=None, help="comma-separated truncation orders")
+    p.add_argument("--f", required=True, help="registry name, AnalyticRep JSON path, or '-'")
+    orders = p.add_mutually_exclusive_group()
+    orders.add_argument("--M", type=int, default=None, help="single truncation order")
+    orders.add_argument("--schedule", type=_int_list, default=DENSITY_SCHEDULE,
+                        help="comma-separated truncation orders")
     _add_common(p)
     p.set_defaults(func=_cmd_density)
 
@@ -389,35 +391,31 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("approx-unit", help="construct approximate-unit stages for an ideal")
     p.add_argument("--generators", required=True, help="comma-separated signals")
     p.add_argument("--strategy", choices=["sublevel", "peak"], default="sublevel")
-    p.add_argument("--stages", default=None, help="sublevel stage indices, comma-separated")
-    p.add_argument("--schedule", default=None, help="peak powers, comma-separated")
+    p.add_argument("--stages", type=_int_list, default=DEFAULT_MAIN_STAGES,
+                   help="sublevel stage indices, comma-separated")
+    p.add_argument("--schedule", type=_int_list, default=DEFAULT_PEAK_SCHEDULE,
+                   help="peak powers, comma-separated")
     _add_common(p)
     p.set_defaults(func=_cmd_approx_unit)
 
     p = sub.add_parser("certify", help="certify a bounded approximate unit")
-    p.add_argument("--generators", required=True)
-    p.add_argument("--strategy", choices=STRATEGIES, default="auto")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    _add_ideal(p)
     p.add_argument("--bound", type=float, default=DEFAULT_BOUND)
-    p.add_argument("--stages", default=None)
-    p.add_argument("--schedule", default=None)
+    p.add_argument("--stages", type=_int_list, default=DEFAULT_MAIN_STAGES)
+    p.add_argument("--schedule", type=_int_list, default=DEFAULT_PEAK_SCHEDULE)
     _add_common(p)
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("member", help="membership of a function in a certified ideal")
     p.add_argument("--h", required=True)
-    p.add_argument("--generators", required=True)
-    p.add_argument("--strategy", choices=STRATEGIES, default="auto")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    _add_ideal(p)
     _add_common(p)
     p.set_defaults(func=_cmd_member)
 
     p = sub.add_parser("prime-check", help="division property of a certified ideal")
     p.add_argument("--a", required=True, help="divisor, essentially bounded below")
     p.add_argument("--b", required=True, help="quotient candidate")
-    p.add_argument("--generators", required=True)
-    p.add_argument("--strategy", choices=STRATEGIES, default="auto")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    _add_ideal(p)
     p.add_argument("--delta", type=float, default=0.5)
     _add_common(p)
     p.set_defaults(func=_cmd_prime_check)
@@ -427,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=_cmd_reproduce)
 
-    return parser
+    return parser, sub.choices
 
 
 def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
@@ -458,7 +456,7 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
             if isinstance(value, (list, dict)):
                 raise ValueError
             value = (action.type or str)(str(value))
-        except ValueError:
+        except (ValueError, argparse.ArgumentTypeError):
             raise ValueError(f"config key {key!r}: invalid value {value!r}") from None
         if action.choices is not None and value not in action.choices:
             raise ValueError(
@@ -468,14 +466,10 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    parser, commands = build_parser()
     args = parser.parse_args(argv)
     try:
-        # find the subparser that owns this command for config defaults
-        sub_actions = [
-            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
-        ]
-        _apply_config(args, sub_actions[0].choices[args.command])
+        _apply_config(args, commands[args.command])
         return args.func(args)
     except HardyLabError as exc:
         sys.stderr.write(dump_text(exc.payload()))

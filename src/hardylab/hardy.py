@@ -65,8 +65,16 @@ class AnalyticRep:
     @staticmethod
     def from_json(text: str) -> "AnalyticRep":
         data = json.loads(text)
-        pairs = data["coefficients"]
+        pairs = data.get("coefficients") if isinstance(data, dict) else None
+        if not isinstance(pairs, list) or not all(map(_is_number_pair, pairs)):
+            raise ValueError('Taylor JSON must be {"coefficients": [[re, im], ...]}')
         return AnalyticRep(np.array([complex(re, im) for re, im in pairs]))
+
+
+def _is_number_pair(p) -> bool:
+    return isinstance(p, list) and len(p) == 2 and all(
+        isinstance(x, (int, float)) and not isinstance(x, bool) for x in p
+    )
 
 
 def _trim_trailing(a: np.ndarray, rel: float = 1e-14) -> np.ndarray:

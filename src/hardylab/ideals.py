@@ -130,6 +130,8 @@ def approx_unit_sublevel(
     unit's modulus is e^{k} there times e^{-k} — exactly one — and equals the
     generator modulus (< eps) on A_m.
     """
+    if not stages:
+        raise ValueError("sublevel stages must not be empty")
     if any(m < 1 for m in stages):
         raise ValueError("sublevel stages must be positive")
     grid = spec.grid
@@ -322,6 +324,8 @@ def approx_unit_peak(
     """
     if len(spec.generators) != 1:
         raise StrategyInapplicable("peak units need a single generator")
+    if not schedule:
+        raise ValueError("peak schedule must not be empty")
     prep = prepare_peak(spec.generators[0])
     g_mid = 0.5 * (1.0 + prep.base.values)
     h = prep.half_generator.values
@@ -400,8 +404,8 @@ def certify_mideal(
     strategy: str = "auto",
     tol: float = DEFAULT_TOL,
     bound: float = DEFAULT_BOUND,
-    stages: Sequence[int] | None = None,
-    schedule: Sequence[int] | None = None,
+    stages: Sequence[int] = DEFAULT_MAIN_STAGES,
+    schedule: Sequence[int] = DEFAULT_PEAK_SCHEDULE,
 ) -> Certificate:
     """Certify a bounded approximate unit for the ideal.
 
@@ -464,7 +468,7 @@ def certify_mideal(
         )
 
     if strategy == "sublevel":
-        unit_stages: tuple = approx_unit_sublevel(spec, stages or DEFAULT_MAIN_STAGES)
+        unit_stages: tuple = approx_unit_sublevel(spec, stages)
         prep = None
         if any(s.degenerate for s in unit_stages):
             notes.append(
@@ -472,7 +476,7 @@ def certify_mideal(
                 "(sublevel set vanished at the log-floor)"
             )
     else:
-        prep, unit_stages = approx_unit_peak(spec, schedule or DEFAULT_PEAK_SCHEDULE, tol=tol)
+        prep, unit_stages = approx_unit_peak(spec, schedule, tol=tol)
         if prep.rescaled:
             notes.append(f"generator rescaled by {prep.scale:.6g} during alignment")
 
@@ -516,8 +520,8 @@ def _certify_combined(
     spec: IdealSpec,
     tol: float,
     bound: float,
-    stages: Sequence[int] | None,
-    schedule: Sequence[int] | None,
+    stages: Sequence[int],
+    schedule: Sequence[int],
 ) -> Certificate:
     if len(spec.generators) != 2:
         raise StrategyInapplicable("combined certification needs exactly two generators")

@@ -12,10 +12,10 @@ import math
 from pathlib import Path
 from typing import Callable
 
-from .catalog import get_example
+from .catalog import example_boundary, get_example
 from .errors import RangeMiss, UnknownExample
 from .factorization import is_inner
-from .grid import CircleGrid, circular_distance, signal_from_values, signal_to_csv
+from .grid import CircleGrid, circular_distance, signal_to_csv
 from .ideals import (
     approx_unit_peak,
     approx_unit_sublevel,
@@ -47,10 +47,6 @@ MEMBERSHIP_PROBES = (
 )
 
 
-def _boundary(name: str, grid_size: int):
-    return get_example(name).boundary(CircleGrid(grid_size))
-
-
 class _Bundle:
     """Collects inputs, outputs, and checks, then writes the directory."""
 
@@ -58,10 +54,13 @@ class _Bundle:
         self.name = name
         self.dir = root / name
         self.grid_size = grid_size
-        self.criteria: list[int] = []
         self.checks: list[dict] = []
         self._inputs: dict[str, str] = {}
         self._outputs: dict[str, str] = {}
+
+    @property
+    def grid(self) -> CircleGrid:
+        return CircleGrid(self.grid_size)
 
     def check(self, label: str, passed: bool, detail: str) -> None:
         self.checks.append({"name": label, "passed": bool(passed), "detail": detail})
@@ -69,23 +68,18 @@ class _Bundle:
     def add_input(self, filename: str, text: str) -> None:
         self._inputs[filename] = text
 
-    def add_input_signal(self, filename: str, name: str) -> None:
-        self._inputs[filename] = signal_to_csv(_boundary(name, self.grid_size))
-
     def add_output(self, filename: str, text: str) -> None:
         self._outputs[filename] = text
 
-    def finish(self, config_extra: dict | None = None) -> dict:
+    def finish(self, criteria: tuple[int, ...]) -> dict:
         summary = {
             "bundle": self.name,
             "grid_size": self.grid_size,
-            "criteria": sorted(set(self.criteria)),
+            "criteria": list(criteria),
             "checks": self.checks,
             "passed": all(c["passed"] for c in self.checks),
         }
         config = {"bundle": self.name, "grid_size": self.grid_size}
-        if config_extra:
-            config.update(config_extra)
         self.dir.mkdir(parents=True, exist_ok=True)
         (self.dir / "config.json").write_text(dump_text(config))
         if self._inputs:
@@ -104,13 +98,10 @@ class _Bundle:
 # bundle bodies
 # ---------------------------------------------------------------------------
 
-def _zeroset_banded(b: _Bundle) -> dict:
-    b.criteria.append(6)
-    grid = CircleGrid(b.grid_size)
+def _zeroset_banded(b: _Bundle) -> None:
     entry = get_example("banded-logmod")
-    k = entry.log_modulus_fn(grid.nodes)
-    b.add_input("log_modulus.csv", signal_to_csv(signal_from_values(grid, k.astype(complex))))
-    f = entry.boundary(grid)
+    b.add_input("log_modulus.csv", signal_to_csv(entry.log_modulus(b.grid)))
+    f = entry.boundary(b.grid)
     est = essential_zero_set(f)
     b.add_output("zeroset.json", dump_text(zero_set_report(est)))
     b.check(
@@ -118,13 +109,11 @@ def _zeroset_banded(b: _Bundle) -> dict:
         len(est.angles) == 1 and circular_distance(est.angles[0], 0.0) <= est.resolution,
         f"angles={list(est.angles)}, resolution={est.resolution:.3e}",
     )
-    return b.finish()
 
 
-def _zeroset_two_point(b: _Bundle) -> dict:
-    b.criteria.append(6)
-    b.add_input_signal("two-point-product.csv", "two-point-product")
-    f = _boundary("two-point-product", b.grid_size)
+def _zeroset_two_point(b: _Bundle) -> None:
+    f = example_boundary("two-point-product", b.grid)
+    b.add_input("two-point-product.csv", signal_to_csv(f))
     rep = zinfty_report(f)
     est = rep.zero_set
     in_da = in_disc_algebra(f)
@@ -144,13 +133,11 @@ def _zeroset_two_point(b: _Bundle) -> dict:
         not in_da,
         "discontinuity at the singular accumulation point",
     )
-    return b.finish()
 
 
-def _inner_generator_rejected(b: _Bundle) -> dict:
-    b.criteria.append(7)
+def _inner_generator_rejected(b: _Bundle) -> None:
     for name in ("shift", "shift-squared", "singular-inner-1"):
-        f = _boundary(name, b.grid_size)
+        f = example_boundary(name, b.grid)
         cert = certify_mideal(ideal([f], [name]))
         b.add_output(f"certificate-{name}.json", dump_text(certificate_report(cert)))
         b.check(
@@ -159,12 +146,10 @@ def _inner_generator_rejected(b: _Bundle) -> dict:
             cert.conclusion,
         )
         b.check(f"{name}: flagged inner", is_inner(f), "")
-    return b.finish()
 
 
-def _polynomial_zero_location(b: _Bundle) -> dict:
-    b.criteria.extend([4, 5, 7])
-    f = _boundary("one-minus-z", b.grid_size)
+def _polynomial_zero_location(b: _Bundle) -> None:
+    f = example_boundary("one-minus-z", b.grid)
     for strategy in ("sublevel", "peak"):
         cert = certify_mideal(ideal([f], ["one-minus-z"]), strategy=strategy)
         b.add_output(f"certificate-{strategy}.json", dump_text(certificate_report(cert)))
@@ -173,7 +158,7 @@ def _polynomial_zero_location(b: _Bundle) -> dict:
             cert.passed,
             f"final error {cert.final_error:.3e}",
         )
-    z = _boundary("shift", b.grid_size)
+    z = example_boundary("shift", b.grid)
     cert = certify_mideal(ideal([z], ["shift"]))
     b.add_output("certificate-shift.json", dump_text(certificate_report(cert)))
     b.check(
@@ -181,12 +166,10 @@ def _polynomial_zero_location(b: _Bundle) -> dict:
         (not cert.passed) and cert.failure_reason == "NotOuter",
         cert.conclusion,
     )
-    return b.finish()
 
 
-def _unit_staircase(b: _Bundle) -> dict:
-    b.criteria.append(5)
-    f = _boundary("one-minus-z", b.grid_size)
+def _unit_staircase(b: _Bundle) -> None:
+    f = example_boundary("one-minus-z", b.grid)
     stages = approx_unit_sublevel(ideal([f], ["one-minus-z"]))
     b.add_output("staircase.json", dump_text({"stages": [stage_report(s) for s in stages]}))
     b.add_output("final-unit.csv", signal_to_csv(stages[-1].unit))
@@ -202,12 +185,10 @@ def _unit_staircase(b: _Bundle) -> dict:
         monotone and errors[-1] < 0.05,
         f"errors={['%.3e' % e for e in errors]}",
     )
-    return b.finish()
 
 
-def _peak_decay(b: _Bundle) -> dict:
-    b.criteria.append(4)
-    f = _boundary("one-minus-z", b.grid_size)
+def _peak_decay(b: _Bundle) -> None:
+    f = example_boundary("one-minus-z", b.grid)
     spec = ideal([f], ["one-minus-z"])
     _, probe = approx_unit_peak(spec, schedule=(3, 8))
     rows = []
@@ -227,12 +208,10 @@ def _peak_decay(b: _Bundle) -> dict:
         f"final power {cert.stages[-1].index if cert.stages else 'n/a'}, "
         f"error {cert.final_error:.4f}",
     )
-    return b.finish()
 
 
-def _disjoint_zeros_combined(b: _Bundle) -> dict:
-    b.criteria.append(11)
-    gens = [_boundary("one-minus-z", b.grid_size), _boundary("one-plus-z", b.grid_size)]
+def _disjoint_zeros_combined(b: _Bundle) -> None:
+    gens = [example_boundary("one-minus-z", b.grid), example_boundary("one-plus-z", b.grid)]
     cert = certify_mideal(ideal(gens, ["one-minus-z", "one-plus-z"]), strategy="combined")
     b.add_output("certificate.json", dump_text(certificate_report(cert)))
     b.check(
@@ -245,13 +224,11 @@ def _disjoint_zeros_combined(b: _Bundle) -> dict:
         cert.passed and "I = I(1)" in cert.conclusion,
         cert.conclusion,
     )
-    return b.finish()
 
 
-def _shared_zero_combined(b: _Bundle) -> dict:
-    b.criteria.append(11)
-    f1 = _boundary("one-minus-z", b.grid_size)
-    f2 = _boundary("one-minus-z-times-exp", b.grid_size)
+def _shared_zero_combined(b: _Bundle) -> None:
+    f1 = example_boundary("one-minus-z", b.grid)
+    f2 = example_boundary("one-minus-z-times-exp", b.grid)
     pair = certify_mideal(
         ideal([f1, f2], ["one-minus-z", "one-minus-z-times-exp"]), strategy="combined"
     )
@@ -263,24 +240,22 @@ def _shared_zero_combined(b: _Bundle) -> dict:
     if not (pair.passed and single.passed):
         # membership is defined only for certified ideals
         b.check(label, False, "not compared: membership needs both certificates to pass")
-        return b.finish()
+        return
     rows = []
     agree = True
     for probe in MEMBERSHIP_PROBES:
-        h = _boundary(probe, b.grid_size)
+        h = example_boundary(probe, b.grid)
         m_pair = membership(h, pair)
         m_single = membership(h, single)
         rows.append({"h": probe, "pair": m_pair, "single": m_single})
         agree &= m_pair == m_single
     b.add_output("membership.json", dump_text({"probes": rows}))
     b.check(label, agree, f"{len(rows)} probes")
-    return b.finish()
 
 
-def _offrange_peak(b: _Bundle) -> dict:
-    b.criteria.append(4)
-    f = _boundary("two-plus-z", b.grid_size)
-    b.add_input_signal("two-plus-z.csv", "two-plus-z")
+def _offrange_peak(b: _Bundle) -> None:
+    f = example_boundary("two-plus-z", b.grid)
+    b.add_input("two-plus-z.csv", signal_to_csv(f))
     try:
         prepare_peak(f)
     except RangeMiss as exc:
@@ -296,13 +271,11 @@ def _offrange_peak(b: _Bundle) -> dict:
             False,
             "RangeMiss was not raised",
         )
-    return b.finish()
 
 
-def _ramp_peak(b: _Bundle) -> dict:
-    b.criteria.append(4)
-    f = _boundary("offset-ramp", b.grid_size)
-    b.add_input_signal("offset-ramp.csv", "offset-ramp")
+def _ramp_peak(b: _Bundle) -> None:
+    f = example_boundary("offset-ramp", b.grid)
+    b.add_input("offset-ramp.csv", signal_to_csv(f))
     cert = certify_mideal(ideal([f], ["offset-ramp"]), strategy="peak")
     b.add_output("certificate.json", dump_text(certificate_report(cert)))
     b.check(
@@ -311,11 +284,9 @@ def _ramp_peak(b: _Bundle) -> dict:
         f"final error {cert.final_error:.4f} at power "
         f"{cert.stages[-1].index if cert.stages else 'n/a'}",
     )
-    return b.finish()
 
 
-def _szego_dichotomy(b: _Bundle) -> dict:
-    b.criteria.extend([3, 9])
+def _szego_dichotomy(b: _Bundle) -> None:
     one_minus_z = get_example("one-minus-z").taylor()
     shift = get_example("shift").taylor()
     blaschke = get_example("blaschke-half").taylor()
@@ -345,21 +316,21 @@ def _szego_dichotomy(b: _Bundle) -> dict:
         "density-one-minus-z.csv",
         density_profile_csv(density_profile(one_minus_z)),
     )
-    return b.finish()
 
 
-_BUNDLES: dict[str, Callable[[_Bundle], dict]] = {
-    "zeroset-banded": _zeroset_banded,
-    "zeroset-two-point": _zeroset_two_point,
-    "inner-generator-rejected": _inner_generator_rejected,
-    "polynomial-zero-location": _polynomial_zero_location,
-    "unit-staircase": _unit_staircase,
-    "peak-decay": _peak_decay,
-    "disjoint-zeros-combined": _disjoint_zeros_combined,
-    "shared-zero-combined": _shared_zero_combined,
-    "offrange-peak": _offrange_peak,
-    "ramp-peak": _ramp_peak,
-    "szego-dichotomy": _szego_dichotomy,
+#: bundle name -> (acceptance criteria it witnesses, body)
+_BUNDLES: dict[str, tuple[tuple[int, ...], Callable[[_Bundle], None]]] = {
+    "zeroset-banded": ((6,), _zeroset_banded),
+    "zeroset-two-point": ((6,), _zeroset_two_point),
+    "inner-generator-rejected": ((7,), _inner_generator_rejected),
+    "polynomial-zero-location": ((4, 5, 7), _polynomial_zero_location),
+    "unit-staircase": ((5,), _unit_staircase),
+    "peak-decay": ((4,), _peak_decay),
+    "disjoint-zeros-combined": ((11,), _disjoint_zeros_combined),
+    "shared-zero-combined": ((11,), _shared_zero_combined),
+    "offrange-peak": ((4,), _offrange_peak),
+    "ramp-peak": ((4,), _ramp_peak),
+    "szego-dichotomy": ((3, 9), _szego_dichotomy),
 }
 
 
@@ -369,8 +340,10 @@ def bundle_names() -> tuple[str, ...]:
 
 def run_bundle(name: str, out_root: Path, grid_size: int = 16384) -> dict:
     try:
-        body = _BUNDLES[name]
+        criteria, body = _BUNDLES[name]
     except KeyError:
         known = ", ".join(bundle_names())
         raise UnknownExample(f"unknown bundle {name!r}; known bundles: {known}") from None
-    return body(_Bundle(name, Path(out_root), grid_size))
+    bundle = _Bundle(name, Path(out_root), grid_size)
+    body(bundle)
+    return bundle.finish(criteria)

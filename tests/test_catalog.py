@@ -12,6 +12,8 @@ from hardylab import (
     catalog_names,
     example_boundary,
     get_example,
+    is_inner,
+    is_outer,
     singular_inner,
 )
 from hardylab.catalog import banded_log_modulus, oracle_corpus, ramp_log_modulus
@@ -32,6 +34,16 @@ def test_unknown_name_reports_known_names():
     with pytest.raises(UnknownExample) as err:
         get_example("no-such-function")
     assert "one-minus-z" in str(err.value)
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_kind_agrees_with_outer_and_inner_tests(name):
+    entry = get_example(name)
+    f = entry.boundary(CircleGrid(4096))
+    expected = {"outer": (True, False), "inner": (False, True), "mixed": (False, False)}
+    # the constant 1 is the one function that is both inner and outer
+    want = (True, True) if name == "constant-one" else expected[entry.kind]
+    assert (is_outer(f), is_inner(f)) == want
 
 
 def test_entries_without_taylor_raise():

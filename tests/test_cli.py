@@ -7,10 +7,19 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hardylab import AnalyticRep, CircleGrid, example_boundary, signal_to_csv
+from hardylab import (
+    AnalyticRep,
+    CircleGrid,
+    example_boundary,
+    signal_from_csv,
+    signal_from_values,
+    signal_to_csv,
+)
 from hardylab import cli
+from hardylab.catalog import ramp_log_modulus
 from hardylab.cli import main
 from hardylab.grid import MAX_GRID_SIZE
+from hardylab.ideals import DEFAULT_MAIN_STAGES
 from hardylab.toeplitz import MAX_ORDER
 
 
@@ -393,3 +402,110 @@ def test_reports_byte_identical_across_runs(capsys, tmp_path):
     assert (tmp_path / "a" / "report.json").read_bytes() == (
         tmp_path / "b" / "report.json"
     ).read_bytes()
+
+
+@pytest.mark.parametrize("command", ["density", "toeplitz-kernel"])
+@pytest.mark.parametrize("text", [
+    "{}",
+    "[1, 2]",
+    '{"coefficients": [1, 2]}',
+    '{"coefficients": [["a", "b"]]}',
+], ids=["no-coefficients", "top-level-array", "bare-numbers", "string-pairs"])
+def test_malformed_taylor_json_exits_one(capsys, tmp_path, command, text):
+    path = tmp_path / "f.json"
+    path.write_text(text)
+    code, out, err = run(capsys, command, "--f", str(path), "--M", "8")
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "io-format"
+
+
+def test_taylor_json_from_file_and_stdin_match_the_registry(capsys, tmp_path, monkeypatch):
+    text = AnalyticRep(np.array([1.0, -1.0])).to_json()
+    path = tmp_path / "f.json"
+    path.write_text(text)
+    _, want, _ = run(capsys, "density", "--f", "one-minus-z", "--schedule", "4,16")
+    code, got, _ = run(capsys, "density", "--f", str(path), "--schedule", "4,16")
+    assert code == 0
+    assert got == want.replace('"one-minus-z"', json.dumps(str(path)))
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, got, _ = run(capsys, "density", "--f", "-", "--schedule", "4,16")
+    assert code == 0
+    assert got == want.replace('"one-minus-z"', '"-"')
+
+
+@pytest.mark.parametrize("argv", [
+    ["density", "--f", "one-minus-z", "--M", "8", "--schedule", "16,32"],
+    ["density", "--f", "one-minus-z", "--schedule", ","],
+    ["certify", "--generators", "one-minus-z", "--stages", ""],
+    ["approx-unit", "--generators", "one-minus-z", "--schedule", "1,x"],
+], ids=["order-and-schedule", "empty-schedule", "empty-stages", "non-integer"])
+def test_bad_order_lists_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "usage"
+
+
+@pytest.mark.parametrize("argv", [["synth-outer", "--k"], ["density", "--f"]])
+def test_unknown_log_modulus_and_taylor_inputs_list_known_names(capsys, argv):
+    code, _, err = run(capsys, *argv, "no-such-function")
+    assert code == 2
+    error = json.loads(err)
+    assert error["error"] == "UnknownExample"
+    assert "one-minus-z" in error["message"]
+
+
+def ramp_log_modulus_signal(noise: complex = 0.0):
+    grid = CircleGrid(1024)
+    return signal_from_values(grid, ramp_log_modulus(grid.nodes) + noise)
+
+
+def test_log_modulus_from_file_and_stdin_match_the_registry(capsys, tmp_path, monkeypatch):
+    _, want, _ = run(capsys, "synth-outer", "--k", "ramp-logmod", "--grid-size", "1024")
+    path = tmp_path / "k.csv"
+    path.write_text(signal_to_csv(ramp_log_modulus_signal()))
+    code, got, _ = run(capsys, "synth-outer", "--k", str(path))
+    assert (code, got) == (0, want)
+    # imaginary noise below 1e-9 is dropped before synthesis
+    monkeypatch.setattr("sys.stdin", io.StringIO(signal_to_csv(ramp_log_modulus_signal(1e-12j))))
+    code, got, _ = run(capsys, "synth-outer", "--k", "-")
+    assert (code, got) == (0, want)
+
+
+def test_complex_log_modulus_exits_one(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(signal_to_csv(ramp_log_modulus_signal(1e-6j))))
+    code, out, err = run(capsys, "synth-outer", "--k", "-")
+    assert code == 1
+    assert out == ""
+    assert "real-valued" in json.loads(err)["message"]
+
+
+def test_factorize_csv_file_matches_registry_and_writes_factors(capsys, tmp_path):
+    _, want, _ = run(capsys, "factorize", "--f", "shift-exp", "--grid-size", "1024")
+    path = tmp_path / "f.csv"
+    path.write_text(signal_to_csv(example_boundary("shift-exp", CircleGrid(1024))))
+    out_dir = tmp_path / "run"
+    code, got, _ = run(capsys, "factorize", "--f", str(path), "--out", str(out_dir))
+    assert (code, got) == (0, want)
+    assert (out_dir / "report.json").read_text() == got
+    inner = signal_from_csv((out_dir / "inner.csv").read_text())
+    outer = signal_from_csv((out_dir / "outer.csv").read_text())
+    assert inner.grid.size == outer.grid.size == 1024
+    assert np.max(np.abs(np.abs(inner.values) - 1.0)) < 1e-6
+    f = example_boundary("shift-exp", CircleGrid(1024))
+    assert np.max(np.abs(inner.values * outer.values - f.values)) < 1e-6
+
+
+def test_approx_unit_defaults_to_the_sublevel_stages(capsys):
+    code, out, _ = run(capsys, "approx-unit", "--generators", "one-minus-z", "--grid-size", "4096")
+    assert code == 0
+    report = json.loads(out)
+    assert report["strategy"] == "sublevel"
+    assert [s["stage"] for s in report["stages"]] == list(DEFAULT_MAIN_STAGES)
+    assert all(s["kind"] == "sublevel" for s in report["stages"])
+    errors = [s["error"] for s in report["stages"]]
+    assert errors == sorted(errors, reverse=True)
+    assert errors[-1] < 0.05

@@ -530,3 +530,22 @@ def test_banded_profile_two_regimes(grid):
     assert extended.passed
     assert extended.final_error == 0.0
     assert [s.index for s in extended.stages if s.degenerate] == [30, 31]
+
+
+def test_sublevel_units_for_two_generators_use_the_joint_outer_base():
+    grid = CircleGrid(4096)
+    gens = [example_boundary("one-minus-z", grid), example_boundary("one-minus-z-squared", grid)]
+    stages = approx_unit_sublevel(ideal(gens, ["one-minus-z", "one-minus-z-squared"]), (2, 5))
+    joint = np.maximum(np.abs(gens[0].values), np.abs(gens[1].values))
+    for s in stages:
+        # on the support the cofactor is unimodular, so |unit| = |base| = max_i |g_i|
+        assert s.on_support_max == pytest.approx(float(np.max(joint[s.support])), rel=1e-9)
+        assert s.off_support_deviation < 1e-9
+    # frozen at N=4096; the single-generator errors are 0.2888 and 0.0286
+    assert [s.error for s in stages] == pytest.approx([0.2948560043644318, 0.05054637578178825], rel=1e-6)
+
+
+@pytest.mark.parametrize("strategy, option", [("sublevel", "stages"), ("peak", "schedule")])
+def test_empty_stage_lists_are_refused(one_minus_z_spec, strategy, option):
+    with pytest.raises(ValueError, match="must not be empty"):
+        certify_mideal(one_minus_z_spec, strategy=strategy, **{option: ()})

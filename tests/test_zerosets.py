@@ -266,3 +266,18 @@ def test_blaschke_prefactor_invariance(r):
     )
     assert len(twisted.angles) == len(plain.angles) == 1
     assert circ_gap(twisted.angles[0], plain.angles[0]) <= plain.resolution
+
+
+@pytest.mark.parametrize("zeros, angles", [
+    ((100, 104), (102,)),   # runs 3 unmasked nodes apart merge into one cluster
+    ((4094, 2), (0,)),      # runs either side of angle 0 merge across the wrap
+    ((100, 120), (100, 120)),  # runs 19 nodes apart stay two clusters
+])
+def test_nearby_zero_clusters_merge_including_across_angle_zero(zeros, angles):
+    grid = CircleGrid(4096)
+    values = np.ones(grid.size, dtype=complex)
+    values[list(zeros)] = 0.0
+    est = essential_zero_set(signal_from_values(grid, values))
+    assert len(est.angles) == len(angles)
+    for got, node in zip(est.angles, angles):
+        assert circ_gap(got, grid.nodes[node]) < 1e-12
