@@ -63,11 +63,11 @@ DEFAULT_GRID_SIZE = 16384
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with usage errors remapped to exit code 1 + JSON stderr."""
+    """argparse that raises its usage errors, so ``main`` can tell a bad
+    command line (usage) from a bad config file (io-format)."""
 
     def error(self, message):
-        sys.stderr.write(dump_text({"error": "usage", "message": message}))
-        raise SystemExit(1)
+        raise argparse.ArgumentError(None, message)
 
 
 # ---------------------------------------------------------------------------
@@ -117,17 +117,25 @@ def _resolve_log_modulus(token: str, grid_size: int):
     return _resolve(token, lambda e: e.log_modulus(grid), _real_log_modulus, "CSV")
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    """argparse type: a nonempty comma-separated list of integers."""
-    try:
-        values = tuple(int(p) for p in text.split(",") if p.strip())
-    except ValueError:
-        values = ()
-    if not values:
-        raise argparse.ArgumentTypeError(
-            f"expected nonempty comma-separated integers, got {text!r}"
-        )
-    return values
+def _comma_list(convert, noun: str):
+    """argparse type: a nonempty comma-separated list of ``convert``ed items."""
+
+    def parse(text: str) -> tuple:
+        try:
+            values = tuple(convert(p.strip()) for p in text.split(",") if p.strip())
+        except ValueError:
+            values = ()
+        if not values:
+            raise argparse.ArgumentTypeError(
+                f"expected nonempty comma-separated {noun}, got {text!r}"
+            )
+        return values
+
+    return parse
+
+
+_int_list = _comma_list(int, "integers")
+_name_list = _comma_list(str, "names")
 
 
 def _write(out: Optional[str], name: str, text: str) -> None:
@@ -227,17 +235,9 @@ def _cmd_toeplitz_kernel(args) -> int:
     return 0
 
 
-def _split_names(text: str) -> list[str]:
-    names = [p.strip() for p in text.split(",") if p.strip()]
-    if not names:
-        raise ValueError("expected at least one generator name")
-    return names
-
-
 def _build_ideal(args):
-    names = _split_names(args.generators)
-    gens = [_resolve_signal(n, args.grid_size) for n in names]
-    return ideal(gens, names)
+    gens = [_resolve_signal(n, args.grid_size) for n in args.generators]
+    return ideal(gens, args.generators)
 
 
 def _cmd_approx_unit(args) -> int:
@@ -347,13 +347,14 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _add_ideal(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--generators", required=True, help="comma-separated signals")
+    p.add_argument("--generators", type=_name_list, required=True,
+                   help="comma-separated signals")
     p.add_argument("--strategy", choices=STRATEGIES, default="auto")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and its subparser for each command name."""
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command; usage errors raise ``argparse.ArgumentError``."""
     parser = _Parser(prog="hardylab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -389,7 +390,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.set_defaults(func=_cmd_toeplitz_kernel)
 
     p = sub.add_parser("approx-unit", help="construct approximate-unit stages for an ideal")
-    p.add_argument("--generators", required=True, help="comma-separated signals")
+    p.add_argument("--generators", type=_name_list, required=True,
+                   help="comma-separated signals")
     p.add_argument("--strategy", choices=["sublevel", "peak"], default="sublevel")
     p.add_argument("--stages", type=_int_list, default=DEFAULT_MAIN_STAGES,
                    help="sublevel stage indices, comma-separated")
@@ -425,51 +427,46 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     _add_common(p)
     p.set_defaults(func=_cmd_reproduce)
 
-    return parser, sub.choices
+    return parser
 
 
-def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    if getattr(args, "config", None) is None:
-        return
-    path = Path(args.config)
+def _with_config(parser: argparse.ArgumentParser, argv: list[str], path_text: str):
+    """Parse ``argv`` again with each config key as a ``--key=value`` token
+    right after the command, so argparse checks config values exactly as it
+    checks flags, and a flag on the command line, coming later, wins."""
+    path = Path(path_text)
     if not path.exists():
-        raise OSError(f"config file not found: {args.config}")
+        raise OSError(f"config file not found: {path_text}")
     try:
         values = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ValueError(f"config file is not valid JSON: {exc}") from None
     if not isinstance(values, dict):
         raise ValueError("config file must hold a JSON object")
-    # Flags given on the command line override config values; a config value
-    # only lands when the option still carries its parser default, and it is
-    # parsed as if it had been given on the command line.
-    actions = {a.dest: a for a in parser._actions}
+    tokens = []
     for key, value in values.items():
-        dest = key.replace("-", "_")
-        action = actions.get(dest)
-        if action is None or not hasattr(args, dest):
-            raise ValueError(f"config key {key!r} is not an option of this command")
-        # JSON null leaves the option unset, as if the key were absent.
-        if value is None or getattr(args, dest) != action.default:
-            continue
-        try:
-            if isinstance(value, (list, dict)):
-                raise ValueError
-            value = (action.type or str)(str(value))
-        except (ValueError, argparse.ArgumentTypeError):
-            raise ValueError(f"config key {key!r}: invalid value {value!r}") from None
-        if action.choices is not None and value not in action.choices:
-            raise ValueError(
-                f"config key {key!r}: {value!r} is not one of {list(action.choices)}"
-            )
-        setattr(args, dest, value)
+        # argparse would take the text of a list or object as a plain value
+        if isinstance(value, (list, dict)):
+            raise ValueError(f"config key {key!r}: invalid value {value!r}")
+        if value is not None:  # JSON null leaves the option unset
+            tokens.append(f"--{key.replace('_', '-')}={value}")
+    try:  # argv parsed once already, so argv[0] is the command
+        return parser.parse_args([argv[0], *tokens, *argv[1:]])
+    except argparse.ArgumentError as exc:
+        raise ValueError(f"config file {path_text}: {exc}") from None
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser, commands = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
     try:
-        _apply_config(args, commands[args.command])
+        args = parser.parse_args(argv)
+    except argparse.ArgumentError as exc:
+        sys.stderr.write(dump_text({"error": "usage", "message": str(exc)}))
+        raise SystemExit(1)
+    try:
+        if args.config is not None:
+            args = _with_config(parser, argv, args.config)
         return args.func(args)
     except HardyLabError as exc:
         sys.stderr.write(dump_text(exc.payload()))

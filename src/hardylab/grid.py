@@ -156,7 +156,7 @@ def signal_from_csv(text: str) -> BoundarySignal:
             table[start:start + _CSV_BLOCK_ROWS] = np.array(tokens, dtype=float).reshape(-1, 3)
     except ValueError as exc:
         raise ValueError(f"malformed boundary-signal CSV: {exc}") from None
-    if np.max(np.abs(table[:, 0] - grid.nodes)) > 1e-9:
+    if not np.all(np.abs(table[:, 0] - grid.nodes) <= 1e-9):  # refuses NaN too
         raise ValueError("theta column must be uniform 2*pi*j/N within 1e-9")
     vals = np.empty(grid.size, dtype=complex)
     vals.real, vals.imag = table[:, 1], table[:, 2]  # keeps signed zeros

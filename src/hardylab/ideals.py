@@ -649,7 +649,6 @@ def analytic_prime_check(
         raise HypothesisFailed(
             f"divisor modulus reaches {inf_a:.6g}, not essentially above {delta:g}"
         )
-    product = signal_from_values(a.grid, a.values * b.values)
-    if not membership(product, cert):
+    if not membership(a * b, cert):
         raise HypothesisFailed("product does not lie in the certified ideal")
     return membership(b, cert)

@@ -226,6 +226,20 @@ def test_prime_check_bad_divisor_is_domain_error(capsys):
     assert json.loads(err)["error"] == "HypothesisFailed"
 
 
+def test_prime_check_refuses_signals_on_different_grids(capsys, tmp_path):
+    divisor = tmp_path / "a.csv"
+    divisor.write_text(signal_to_csv(example_boundary("two-plus-z", CircleGrid(1024))))
+    code, out, err = run(
+        capsys, "prime-check", "--a", str(divisor), "--b", "one-minus-z",
+        "--generators", "one-minus-z", "--grid-size", "4096",
+    )
+    assert code == 1
+    assert out == ""
+    assert json.loads(err) == {
+        "error": "io-format", "message": "signals live on different grids"
+    }
+
+
 @pytest.mark.parametrize("argv", [
     ["certify", "--generators", "one-minus-z", "--tol", "nan", "--grid-size", "1024"],
     ["certify", "--generators", "one-minus-z", "--tol", "-1", "--grid-size", "1024"],
@@ -283,8 +297,9 @@ G8_ROW = G8_CSV.splitlines()[2]
     "theta,re,im\n" + "0,0,0\n" * 12,
     G8_CSV.replace(G8_ROW, G8_ROW + ",0"),
     G8_CSV.replace(G8_ROW, '{},"{}"'.format(*G8_ROW.rsplit(",", 1))),
+    G8_CSV.replace(G8_ROW, "nan," + G8_ROW.split(",", 1)[1]),
 ], ids=["short-row", "non-numeric", "empty-body", "non-power-of-two",
-        "extra-column", "quoted-number"])
+        "extra-column", "quoted-number", "nan-theta"])
 def test_malformed_csv_exits_one_with_json(capsys, monkeypatch, text):
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
     code, out, err = run(capsys, "factorize", "--f", "-")
@@ -349,6 +364,43 @@ def test_config_values_parse_like_flags(capsys, tmp_path, monkeypatch, config):
     assert code == 1
     assert out == ""
     assert json.loads(err)["error"] == "io-format"
+
+
+@pytest.mark.parametrize("config,argv", [
+    ({"M": 8}, ["density", "--f", "one-minus-z", "--schedule", "16,32"]),
+    ({"schedule": "16,32"}, ["density", "--f", "one-minus-z", "--M", "8"]),
+    ({"name": "x"}, ["reproduce", "zeroset-two-point"]),
+], ids=["config-order-and-flag-schedule", "config-schedule-and-flag-order",
+        "positional-key"])
+def test_config_is_refused_where_its_flag_would_be(capsys, tmp_path, monkeypatch,
+                                                   config, argv):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run(capsys, *argv, "--config", str(cfg))
+    assert code == 1
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "io-format"
+    assert str(cfg) in error["message"]
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+@pytest.mark.parametrize("from_sys_argv", [False, True], ids=["argv", "sys-argv"])
+def test_flag_equal_to_its_default_beats_config(capsys, tmp_path, monkeypatch,
+                                                from_sys_argv):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"tol": 0.5}')
+    argv = ["toeplitz-kernel", "--f", "one-minus-z", "--M", "8", "--tol", "1e-10",
+            "--config", str(cfg)]
+    if from_sys_argv:
+        monkeypatch.setattr("sys.argv", ["hardylab", *argv])
+        code = main()
+    else:
+        code = main(argv)
+    out = capsys.readouterr().out
+    assert code == 0
+    assert json.loads(out)["tol"] == 1e-10
 
 
 def test_reproduce_bundle(capsys, tmp_path):

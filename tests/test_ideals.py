@@ -513,6 +513,14 @@ def test_division_property_hypothesis_gates(grid, one_minus_z_cert):
         )
 
 
+def test_division_property_refuses_a_divisor_on_another_grid(grid, one_minus_z_cert):
+    coarse_divisor = example_boundary("two-plus-z", CircleGrid(grid.size // 4))
+    with pytest.raises(ValueError, match="signals live on different grids"):
+        analytic_prime_check(
+            one_minus_z_cert, coarse_divisor, example_boundary("one-minus-z", grid)
+        )
+
+
 def test_banded_profile_two_regimes(grid):
     """The banded log-modulus decays too slowly for the default schedule:
     its stage errors plateau well above tolerance. Pushing the schedule to
