@@ -178,10 +178,6 @@ class CatalogEntry:
             return clipped_log_modulus(self.boundary(grid))
         return signal_from_values(grid, self.log_modulus_fn(grid.nodes).astype(complex))
 
-    @property
-    def has_taylor(self) -> bool:
-        return self.taylor_fn is not None
-
     def taylor(self) -> AnalyticRep:
         if self.taylor_fn is None:
             raise UnknownExample(
@@ -435,20 +431,3 @@ def get_example(name: str) -> CatalogEntry:
 def example_boundary(name: str, grid: CircleGrid) -> BoundarySignal:
     return get_example(name).boundary(grid)
 
-
-def oracle_corpus() -> tuple[str, ...]:
-    """Names used for the outerness-vs-density cross-validation sweep."""
-    return (
-        "one-minus-z",
-        "one-plus-z",
-        "two-plus-z",
-        "one-minus-half-z",
-        "exp-z",
-        "shift",
-        "shift-squared",
-        "shift-times-one-minus-z",
-        "shift-exp",
-        "blaschke-half",
-        "blaschke-half-times-one-minus-z",
-        "singular-inner-1",
-    )

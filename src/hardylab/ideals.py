@@ -231,7 +231,8 @@ def prepare_peak(generator: BoundarySignal) -> PeakPreparation:
     which happens exactly where G vanishes; if |G| never gets within
     ``RANGE_TOL`` of zero the construction cannot apply and RangeMiss is
     raised. If no rotation brings the sup down to 1, the generator is scaled
-    down (the ideal is unchanged); if even scaling cannot help, NormExceeded.
+    down (the ideal is unchanged) by the largest factor that keeps the sup
+    within 1e-12 of 1; if that factor is below 1e-8, NormExceeded.
     """
     gv = generator.values
     range_gap = float(np.min(np.abs(gv)))
@@ -268,24 +269,23 @@ def prepare_peak(generator: BoundarySignal) -> PeakPreparation:
     scale = 1.0
     rescaled = False
     if sup_base > 1.0 + SUP_SLACK:
-        rotated = np.conj(alpha) * gv
-
-        def feasible(c_try: float) -> bool:
-            return float(np.max(np.abs(1.0 - c_try * rotated))) <= 1.0 + 1e-12
-
-        if not feasible(1e-8):
+        # The largest c with |1 - c w_j| <= 1 + 1e-12 at every node, where
+        # w = conj(alpha) G: squared, |w|^2 c^2 - 2 Re(w) c - t <= 0 with
+        # t = (1 + 1e-12)^2 - 1, so c = min_j of the positive root. Its
+        # reciprocal is (root - Re w)/t, rewritten as |w|^2/(Re w + root)
+        # where Re w > 0 to avoid cancellation; w = 0 gives 0.
+        w = np.conj(alpha) * gv
+        t = 2e-12 + 1e-24
+        root = np.hypot(w.real, np.sqrt(t) * np.abs(w))
+        inv = (root - w.real) / t
+        pos = w.real > 0.0
+        inv[pos] = np.abs(w[pos]) ** 2 / (w.real[pos] + root[pos])
+        scale = 1.0 / float(np.max(inv))
+        if scale < 1e-8:
             raise NormExceeded(
                 "no scaling of the generator brings the rebased function "
                 "into the unit ball"
             )
-        lo_c, hi_c = 1e-8, 1.0
-        for _ in range(80):
-            mid = 0.5 * (lo_c + hi_c)
-            if feasible(mid):
-                lo_c = mid
-            else:
-                hi_c = mid
-        scale = lo_c
         rescaled = True
 
     base_vals = 1.0 - scale * np.conj(alpha) * gv
@@ -326,13 +326,13 @@ def approx_unit_peak(
         raise StrategyInapplicable("peak units need a single generator")
     if not schedule:
         raise ValueError("peak schedule must not be empty")
+    if any(n < 1 for n in schedule):
+        raise ValueError("peak powers must be positive")
     prep = prepare_peak(spec.generators[0])
     g_mid = 0.5 * (1.0 + prep.base.values)
     h = prep.half_generator.values
     stages: list[PeakStage] = []
     for n in schedule:
-        if n < 1:
-            raise ValueError("peak powers must be positive")
         u = 1.0 - g_mid ** n
         err = float(np.max(np.abs(u * h - h)))
         stages.append(
@@ -414,8 +414,12 @@ def certify_mideal(
     set), ``peak`` (powers of the averaged rebased generator), ``combined``
     (two generators; per-generator certification plus the diagonal unit), and
     ``auto`` which picks sublevel/peak for one generator and combined for two.
-    A certificate passes when the final stage error is at most ``tol`` and
-    every unit stays inside the sup bound; both must be finite and positive.
+    ``tol`` and ``bound`` must be finite and positive. A single-generator
+    certificate passes when the final stage error is at most ``tol`` and
+    every stage's unit has sup at most ``bound + SUP_SLACK``. A combined
+    certificate gates ``bound`` only through its two sub-certificates: the
+    diagonal unit u + v - uv enters ``sup_bound`` but is not gated, and it can
+    reach 2B + B^2 for B = ``bound + SUP_SLACK``.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")

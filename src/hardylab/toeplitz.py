@@ -56,12 +56,6 @@ def _lower_toeplitz(a: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return scipy.linalg.toeplitz(col, np.zeros(cols, dtype=complex))
 
 
-def toeplitz_matrix(symbol: AnalyticRep, order: int) -> np.ndarray:
-    """Compression of multiplication by the symbol to degrees < order."""
-    _check_order(order)
-    return _lower_toeplitz(symbol.coefficients, order, order)
-
-
 def _banded_singular_values(a: np.ndarray, order: int) -> np.ndarray:
     """Singular values of the truncation, ascending, from the spectrum of the
     Golub–Kahan matrix [[0, T], [T^H, 0]].

@@ -124,11 +124,6 @@ def value_diameter(values: np.ndarray) -> float:
     )
 
 
-def oscillation(f: BoundarySignal, center: float, full_width: float) -> float:
-    """Diameter of the boundary values over the window at ``center``."""
-    return value_diameter(f.values[window_nodes(f.grid, center, full_width)])
-
-
 def extension_tolerance(f: BoundarySignal) -> float:
     """Oscillation tolerance 10 * sup|f| * N^{-1/4} of ``continuous_extension``."""
     return 10.0 * float(np.max(np.abs(f.values))) * f.grid.size ** (-0.25)
@@ -269,6 +264,7 @@ def zinfty_report(f: BoundarySignal) -> ZinftyReport:
     return ZinftyReport(all(e.ok for e in exts), est, exts)
 
 
+# Test-only, but kept: perfbench/tracing.py wraps in_zinfty by name (ROADMAP item 4).
 def in_zinfty(f: BoundarySignal) -> bool:
     return zinfty_report(f).in_class
 

@@ -30,9 +30,9 @@ from hardylab import (
     synth_outer,
     szego_distance,
 )
-from hardylab.catalog import oracle_corpus
 from hardylab.hardy import analytic_projection
 from hardylab.ideals import ess_inf
+from oracles import ORACLE_CORPUS
 
 MEMBERSHIP_PROBES = (
     "one-minus-z",
@@ -168,9 +168,8 @@ def test_criterion_08_adjoint_kernel_triviality():
 def test_criterion_09_outerness_oracles_agree(grid):
     """Jensen equality and least-squares density must classify the whole
     corpus identically; a single disagreement fails the suite."""
-    corpus = oracle_corpus()
-    assert len(corpus) >= 10
-    for name in corpus:
+    assert len(ORACLE_CORPUS) >= 10
+    for name in ORACLE_CORPUS:
         entry = get_example(name)
         jensen_outer = is_outer(entry.boundary(grid))
         density_outer = szego_distance(entry.taylor(), 512) < 0.05

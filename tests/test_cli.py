@@ -170,6 +170,23 @@ def test_approx_unit_peak_schedule(capsys, tmp_path):
         assert (out_dir / f"unit-{n:04d}.csv").exists()
 
 
+@pytest.mark.parametrize("command,generator,schedule", [
+    ("certify", "one-minus-z", "200,0"),
+    ("approx-unit", "one-minus-z", "4,0,-3"),
+    ("approx-unit", "two-plus-z", "4,0,-3"),
+], ids=["certify-after-tol", "approx-unit", "before-range-check"])
+def test_peak_powers_below_one_exit_one(capsys, command, generator, schedule):
+    # every power is checked before any is built: 200 meets tol, and
+    # two-plus-z would miss the peak range
+    code, out, err = run(
+        capsys, command, "--generators", generator, "--strategy", "peak",
+        "--schedule", schedule, "--grid-size", "4096",
+    )
+    assert code == 1
+    assert out == ""
+    assert json.loads(err) == {"error": "io-format", "message": "peak powers must be positive"}
+
+
 def test_certify_pass_exit_zero(capsys):
     code, out, err = run(capsys, "certify", "--generators", "two-plus-z", "--grid-size", "1024")
     assert code == 0

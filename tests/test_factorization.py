@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from hardylab import (
     CircleGrid,
+    PointOnBoundary,
     SingularPoint,
     UnboundedLogData,
     ZeroFunction,
@@ -57,6 +58,18 @@ def test_disc_values_match_boundary_taylor():
     # outer function of log|1 - z/2| is 1 - z/2 itself
     for z in (0.0, 0.3 + 0.4j, -0.8j):
         assert f.at(z) == pytest.approx(1.0 - 0.5 * z, abs=1e-10)
+
+
+def test_disc_values_five_cells_from_the_circle():
+    # |z|^N = exp(-10 pi) ~ 2e-14 five cells in, so aliasing is below
+    # roundoff; one cell in, |z|^N ~ 2e-3 and OuterFn.at refuses instead
+    n = 4096
+    g = CircleGrid(n)
+    f = synth_outer(signal_from_values(g, np.cos(g.nodes).astype(complex)))
+    zs = (1.0 - 5 * 2 * math.pi / n) * np.exp(1j * np.linspace(0.0, 2 * math.pi, 16, endpoint=False))
+    assert np.max(np.abs(f.at(zs) - np.exp(zs))) <= 1e-12
+    with pytest.raises(PointOnBoundary):
+        f.at(1.0 - 2 * math.pi / n)
 
 
 def test_synth_outer_rejects_complex_and_heavy_clipping():

@@ -10,6 +10,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hardylab import (
     CircleGrid,
@@ -33,11 +35,13 @@ import hardylab.ideals
 import hardylab.zerosets
 from hardylab.ideals import (
     DEFAULT_PEAK_SCHEDULE,
+    SUP_SLACK,
     combine_units,
     dilation_width,
     ess_inf,
     prepare_peak,
 )
+from oracles import peak_scale_bisection
 
 
 def peak_error_closed_form(n: int) -> float:
@@ -246,6 +250,38 @@ def test_peak_rescales_oversized_generator(grid):
     assert cert.stages[-1].index == 200
 
 
+def assert_scale_matches_bisection(values: np.ndarray, grid: CircleGrid) -> None:
+    prep = prepare_peak(signal_from_values(grid, values))
+    assert prep.rescaled
+    oracle = peak_scale_bisection(np.conj(prep.alpha) * values)
+    # the bisection's last steps land inside the predicate's roundoff
+    assert prep.scale == pytest.approx(oracle, rel=1e-7)
+
+
+@pytest.mark.parametrize("factor,name,n", [
+    (3.0, "one-minus-z", 4096),
+    (3.0, "one-minus-z", 65536),
+    (1.5, "one-minus-z-times-exp", 4096),
+    (1.5, "one-minus-z-times-exp", 65536),
+    (1.0, "one-minus-singular-i", 65536),
+])
+def test_peak_scale_matches_bisection_oracle(factor, name, n):
+    grid = CircleGrid(n)
+    assert_scale_matches_bisection(factor * example_boundary(name, grid).values, grid)
+
+
+@given(
+    st.sampled_from(["one-minus-z", "one-minus-z-times-exp"]),
+    st.floats(min_value=1.5, max_value=1e6),
+    st.floats(min_value=0.0, max_value=2.0 * np.pi),
+)
+@settings(max_examples=30, deadline=None)
+def test_peak_scale_matches_bisection_when_rotated_and_scaled(name, factor, phase):
+    grid = CircleGrid(4096)
+    values = factor * np.exp(1j * phase) * example_boundary(name, grid).values
+    assert_scale_matches_bisection(values, grid)
+
+
 def test_peak_range_miss(grid):
     f = example_boundary("two-plus-z", grid)
     with pytest.raises(RangeMiss, match="stays above"):
@@ -422,6 +458,22 @@ def test_combined_disjoint_zero_sets(grid):
     assert [c.strategy for c in cert.sub_certificates] == ["sublevel", "sublevel"]
     assert len(cert.stages) == 1
     assert len(cert.stages[0].errors) == 2
+
+
+@pytest.mark.parametrize("bound", [2.0, 1.0])
+def test_combined_gates_the_bound_only_through_its_parts(bound):
+    """Each generator's units are held to the bound; the diagonal unit
+    u + v - uv is reported, not gated, and can reach 2B + B^2."""
+    grid = CircleGrid(4096)
+    names = ["one-minus-z", "one-minus-z-times-exp"]
+    cert = certify_mideal(
+        ideal([example_boundary(n, grid) for n in names], names), bound=bound
+    )
+    assert cert.passed
+    assert all(c.sup_bound <= bound + SUP_SLACK for c in cert.sub_certificates)
+    b = bound + SUP_SLACK
+    assert bound < cert.sup_bound <= 2 * b + b * b
+    assert cert.sup_bound == pytest.approx(2.216, abs=1e-3)
 
 
 MEMBER_PANEL = {

@@ -21,13 +21,13 @@ from hardylab import (
     signal_from_values,
     zinfty_report,
 )
-from hardylab.zerosets import in_zinfty, oscillation
 from hardylab.factorization import singular_inner_boundary
 from hardylab.grid import circular_distance
 from hardylab.zerosets import (
     EPS_SCHEDULE,
     MIN_WINDOW_CELLS,
     WIDTH_SCHEDULE,
+    in_zinfty,
     value_diameter,
     window_nodes,
 )
@@ -126,14 +126,15 @@ def test_extension_at_full_resolution_allocates_no_pairwise_matrix():
 
 
 def test_oscillation_of_constant_is_zero(small_grid):
-    assert oscillation(constant_signal(small_grid, 2.5 + 1j), 1.0, 0.3) == 0.0
+    c = constant_signal(small_grid, 2.5 + 1j)
+    assert value_diameter(c.values[window_nodes(small_grid, 1.0, 0.3)]) == 0.0
 
 
 def test_oscillation_chord_diameter(grid):
     # diameter of the arc {e^{it}: |t| <= 0.1} is the chord 2 sin(0.1); the
     # grid truncates the window at whole cells, costing at most two spacings
     f = signal_from_values(grid, np.exp(1j * grid.nodes))
-    osc = oscillation(f, 0.0, 0.2)
+    osc = value_diameter(f.values[window_nodes(grid, 0.0, 0.2)])
     assert abs(osc - 2 * math.sin(0.1)) <= 2 * grid.spacing
     assert osc <= 2 * math.sin(0.1) + 1e-12  # truncation only shrinks it
 
@@ -142,8 +143,8 @@ def test_oscillation_of_singular_inner_stays_full(grid):
     # (e^{it}+1)/(e^{it}-1) sweeps the imaginary axis near t = 0, so the
     # boundary values wind around the whole circle in every window
     s = singular_inner_boundary(1.0, grid)
-    assert oscillation(s, 0.0, 0.02) > 1.9
-    assert oscillation(s, 0.0, 0.005) > 1.9
+    assert value_diameter(s.values[window_nodes(grid, 0.0, 0.02)]) > 1.9
+    assert value_diameter(s.values[window_nodes(grid, 0.0, 0.005)]) > 1.9
 
 
 def test_extension_of_polynomial_at_its_zero(grid):
