@@ -92,9 +92,8 @@ def _resolve(token: str, from_catalog, parse, file_kind: str):
 
 def _resolve_signal(token: str, grid_size: int):
     """A boundary signal: registry name, CSV path, or '-' for stdin CSV."""
-    return _resolve(
-        token, lambda e: e.boundary(CircleGrid(grid_size)), signal_from_csv, "CSV"
-    )
+    grid = CircleGrid(grid_size)  # refuses an illegal size for file inputs too
+    return _resolve(token, lambda e: e.boundary(grid), signal_from_csv, "CSV")
 
 
 def _resolve_taylor(token: str) -> AnalyticRep:
@@ -340,10 +339,15 @@ def _cmd_reproduce(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--grid-size", type=int, default=DEFAULT_GRID_SIZE,
-                   help="number of circle nodes (power of two)")
     p.add_argument("--out", default=None, help="directory for report + CSV output")
     p.add_argument("--config", default=None, help="JSON file with default options")
+
+
+def _add_grid_common(p: argparse.ArgumentParser) -> None:
+    """The common options plus --grid-size, for the commands that build a grid."""
+    p.add_argument("--grid-size", type=int, default=DEFAULT_GRID_SIZE,
+                   help="number of circle nodes (power of two)")
+    _add_common(p)
 
 
 def _add_ideal(p: argparse.ArgumentParser) -> None:
@@ -360,17 +364,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth-outer", help="synthesize an outer function from log-modulus data")
     p.add_argument("--k", required=True, help="log-modulus: registry name, CSV path, or '-'")
-    _add_common(p)
+    _add_grid_common(p)
     p.set_defaults(func=_cmd_synth_outer)
 
     p = sub.add_parser("factorize", help="inner/outer factorization of boundary data")
     p.add_argument("--f", required=True, help="signal: registry name, CSV path, or '-'")
-    _add_common(p)
+    _add_grid_common(p)
     p.set_defaults(func=_cmd_factorize)
 
     p = sub.add_parser("zeroset", help="essential zero set and continuous extendability")
     p.add_argument("--f", required=True)
-    _add_common(p)
+    _add_grid_common(p)
     p.set_defaults(func=_cmd_zeroset)
 
     p = sub.add_parser("density", help="least-squares density profile of an analytic symbol")
@@ -397,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sublevel stage indices, comma-separated")
     p.add_argument("--schedule", type=_int_list, default=DEFAULT_PEAK_SCHEDULE,
                    help="peak powers, comma-separated")
-    _add_common(p)
+    _add_grid_common(p)
     p.set_defaults(func=_cmd_approx_unit)
 
     p = sub.add_parser("certify", help="certify a bounded approximate unit")
@@ -405,13 +409,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=float, default=DEFAULT_BOUND)
     p.add_argument("--stages", type=_int_list, default=DEFAULT_MAIN_STAGES)
     p.add_argument("--schedule", type=_int_list, default=DEFAULT_PEAK_SCHEDULE)
-    _add_common(p)
+    _add_grid_common(p)
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("member", help="membership of a function in a certified ideal")
     p.add_argument("--h", required=True)
     _add_ideal(p)
-    _add_common(p)
+    _add_grid_common(p)
     p.set_defaults(func=_cmd_member)
 
     p = sub.add_parser("prime-check", help="division property of a certified ideal")
@@ -419,12 +423,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", required=True, help="quotient candidate")
     _add_ideal(p)
     p.add_argument("--delta", type=float, default=0.5)
-    _add_common(p)
+    _add_grid_common(p)
     p.set_defaults(func=_cmd_prime_check)
 
     p = sub.add_parser("reproduce", help="run a named reproduction bundle")
     p.add_argument("name", help="bundle name; see package README for the registry")
-    _add_common(p)
+    _add_grid_common(p)
     p.set_defaults(func=_cmd_reproduce)
 
     return parser

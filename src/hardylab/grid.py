@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
 
 import numpy as np
 
@@ -124,8 +123,8 @@ def circular_runs(mask: np.ndarray) -> list[tuple[int, int]]:
 # CSV interchange: header "theta,re,im", strictly increasing theta
 # ---------------------------------------------------------------------------
 
-# Rows handled per vectorised step; bounds the boxed floats and token strings
-# alive at once without a buffer that grows with the grid size.
+# Rows the writer formats per step; bounds the boxed floats alive at once
+# without a buffer that grows with the grid size.
 _CSV_BLOCK_ROWS = 4096
 
 
@@ -146,16 +145,12 @@ def signal_from_csv(text: str) -> BoundarySignal:
     if not rows:
         raise ValueError("empty boundary-signal CSV")
     grid = CircleGrid(len(rows))  # refuses a bad row count before any float is built
-    if set(map(str.count, rows, repeat(","))) != {2}:
-        bad = next(row for row in rows if row.count(",") != 2)
-        raise ValueError(f"malformed boundary-signal CSV: expected 3 fields, got {bad[:80]!r}")
-    table = np.empty((grid.size, 3))
-    try:
-        for start in range(0, grid.size, _CSV_BLOCK_ROWS):
-            tokens = ",".join(rows[start:start + _CSV_BLOCK_ROWS]).split(",")
-            table[start:start + _CSV_BLOCK_ROWS] = np.array(tokens, dtype=float).reshape(-1, 3)
+    try:  # comments=None: a '#' tail is a malformed field, not a comment
+        table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
     except ValueError as exc:
         raise ValueError(f"malformed boundary-signal CSV: {exc}") from None
+    if table.shape != (grid.size, 3):  # N x 4 when every row has 4 fields
+        raise ValueError(f"malformed boundary-signal CSV: expected 3 fields, got {table.shape[1]}")
     if not np.all(np.abs(table[:, 0] - grid.nodes) <= 1e-9):  # refuses NaN too
         raise ValueError("theta column must be uniform 2*pi*j/N within 1e-9")
     vals = np.empty(grid.size, dtype=complex)

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from hardylab import CircleGrid, signal_from_values
+
+# A failing property prints the @reproduce_failure blob that replays it. The
+# profile builds on the one in force, so examples stay random locally and
+# hypothesis's own "ci" profile (derandomized) still applies on CI.
+settings.register_profile("hardylab", print_blob=True)
+settings.load_profile("hardylab")
 
 FULL_SIZE = 2 ** 14
 

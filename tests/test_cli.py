@@ -315,14 +315,49 @@ G8_ROW = G8_CSV.splitlines()[2]
     G8_CSV.replace(G8_ROW, G8_ROW + ",0"),
     G8_CSV.replace(G8_ROW, '{},"{}"'.format(*G8_ROW.rsplit(",", 1))),
     G8_CSV.replace(G8_ROW, "nan," + G8_ROW.split(",", 1)[1]),
+    G8_CSV.replace(G8_ROW, G8_ROW + " # note"),
+    G8_CSV.replace(G8_ROW, G8_ROW + ","),
+    G8_CSV.replace(G8_ROW, "   "),
+    G8_CSV.replace("\n", ",0\n").replace("theta,re,im,0", "theta,re,im"),
+    G8_CSV.replace(G8_ROW, G8_ROW.split(",", 1)[0] + ",1_0," + G8_ROW.rsplit(",", 1)[1]),
+    G8_CSV.replace(G8_ROW, G8_ROW.split(",", 1)[0] + ",\u0661," + G8_ROW.rsplit(",", 1)[1]),
 ], ids=["short-row", "non-numeric", "empty-body", "non-power-of-two",
-        "extra-column", "quoted-number", "nan-theta"])
+        "extra-column", "quoted-number", "nan-theta", "comment-tail", "trailing-comma",
+        "whitespace-line", "four-fields-every-row", "underscore-digits",
+        "arabic-indic-digit"])
 def test_malformed_csv_exits_one_with_json(capsys, monkeypatch, text):
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
     code, out, err = run(capsys, "factorize", "--f", "-")
     assert code == 1
     assert out == ""
     assert json.loads(err)["error"] == "io-format"
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("factorize", "--f"), ("zeroset", "--f"), ("certify", "--generators"),
+])
+def test_illegal_grid_size_exits_one_for_csv_inputs(capsys, tmp_path, command, flag):
+    path = tmp_path / "f.csv"
+    path.write_text(signal_to_csv(example_boundary("one-minus-z", CircleGrid(1024))))
+    code, out, err = run(capsys, command, flag, str(path), "--grid-size", "7")
+    assert code == 1
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "io-format"
+    assert "power of two" in error["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["density", "--f", "one-minus-z", "--M", "8"],
+    ["toeplitz-kernel", "--f", "one-minus-z", "--M", "8"],
+], ids=["density", "toeplitz-kernel"])
+def test_grid_size_is_a_usage_error_where_no_grid_is_built(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--grid-size", "1024"])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "usage"
 
 
 def test_csv_above_the_grid_cap_exits_one(capsys, monkeypatch):
@@ -387,8 +422,9 @@ def test_config_values_parse_like_flags(capsys, tmp_path, monkeypatch, config):
     ({"M": 8}, ["density", "--f", "one-minus-z", "--schedule", "16,32"]),
     ({"schedule": "16,32"}, ["density", "--f", "one-minus-z", "--M", "8"]),
     ({"name": "x"}, ["reproduce", "zeroset-two-point"]),
+    ({"grid_size": 1024}, ["density", "--f", "one-minus-z", "--M", "8"]),
 ], ids=["config-order-and-flag-schedule", "config-schedule-and-flag-order",
-        "positional-key"])
+        "positional-key", "grid-size-without-a-grid"])
 def test_config_is_refused_where_its_flag_would_be(capsys, tmp_path, monkeypatch,
                                                    config, argv):
     monkeypatch.chdir(tmp_path)

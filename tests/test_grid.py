@@ -187,7 +187,9 @@ G8_TEXT = signal_to_csv(signal_from_values(CircleGrid(8), np.arange(8) - 2.5j))
     G8_TEXT.replace("\n", "\r"),
     G8_TEXT.replace("theta,re,im", "theta, re, im"),
     G8_TEXT.replace(",", ", "),
-], ids=["blank-lines", "trailing-blank-lines", "crlf", "cr", "spaced-header", "spaced-fields"])
+    G8_TEXT.replace(",", ",\t"),
+], ids=["blank-lines", "trailing-blank-lines", "crlf", "cr", "spaced-header", "spaced-fields",
+        "tab-padded-fields"])
 def test_csv_accepted_variants_read_the_same_values(text):
     want = signal_from_csv(G8_TEXT).values
     assert np.array_equal(bits(signal_from_csv(text).values), bits(want))
