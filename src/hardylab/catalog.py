@@ -85,34 +85,32 @@ def _poly(*coeffs) -> AnalyticRep:
     return AnalyticRep(np.asarray(coeffs, dtype=complex))
 
 
-def _exp_z_taylor(terms: int = 48) -> AnalyticRep:
-    coeffs = 1.0 / np.array([float(math.factorial(j)) for j in range(terms)])
+def _exp_z_taylor() -> AnalyticRep:
+    coeffs = 1.0 / np.array([float(math.factorial(j)) for j in range(48)])
     return AnalyticRep(coeffs.astype(complex))
 
 
-def _blaschke_half_taylor(terms: int = 220) -> AnalyticRep:
-    coeffs = np.empty(terms, dtype=complex)
+def _blaschke_half_taylor() -> AnalyticRep:
+    coeffs = np.empty(220, dtype=complex)
     coeffs[0] = 0.5
-    coeffs[1:] = -0.75 * 0.5 ** np.arange(terms - 1)
+    coeffs[1:] = -0.75 * 0.5 ** np.arange(219)
     return AnalyticRep(coeffs)
 
 
-def _singular_one_taylor(terms: int = 320) -> AnalyticRep:
-    g = np.full(terms, -2.0, dtype=complex)
+def _singular_one_taylor() -> AnalyticRep:
+    g = np.full(320, -2.0, dtype=complex)
     g[0] = -1.0
     return AnalyticRep(_exp_of_series(g))
 
 
-def _singular_i_taylor(terms: int = 320) -> AnalyticRep:
-    j = np.arange(terms)
-    g = -2.0 * (-1j) ** j
+def _singular_i_taylor() -> AnalyticRep:
+    g = -2.0 * (-1j) ** np.arange(320)
     g[0] = -1.0
     return AnalyticRep(_exp_of_series(g))
 
 
-def _one_minus_singular_i_taylor(terms: int = 320) -> AnalyticRep:
-    s = _singular_i_taylor(terms).coefficients.copy()
-    s = -s
+def _one_minus_singular_i_taylor() -> AnalyticRep:
+    s = -_singular_i_taylor().coefficients
     s[0] += 1.0
     return AnalyticRep(s)
 
@@ -125,17 +123,13 @@ def _conv(a: AnalyticRep, b: AnalyticRep) -> AnalyticRep:
 # boundary evaluators (closed forms)
 # ---------------------------------------------------------------------------
 
-def _eik(grid: CircleGrid) -> np.ndarray:
-    return np.exp(1j * grid.nodes)
-
-
 def _blaschke_half_boundary(grid: CircleGrid) -> BoundarySignal:
-    z = _eik(grid)
+    z = grid.boundary_points()
     return signal_from_values(grid, (0.5 - z) / (1.0 - 0.5 * z))
 
 
 def _two_point_boundary(grid: CircleGrid) -> BoundarySignal:
-    z = _eik(grid)
+    z = grid.boundary_points()
     s = singular_inner_boundary(1j, grid).values
     return signal_from_values(grid, (1.0 - z) * (1.0 - s))
 
@@ -176,7 +170,7 @@ class CatalogEntry:
         one, else the clipped log-modulus of its boundary."""
         if self.log_modulus_fn is None:
             return clipped_log_modulus(self.boundary(grid))
-        return signal_from_values(grid, self.log_modulus_fn(grid.nodes).astype(complex))
+        return signal_from_values(grid, self.log_modulus_fn(grid.nodes))
 
     def taylor(self) -> AnalyticRep:
         if self.taylor_fn is None:
@@ -211,7 +205,7 @@ _register(
         name="one-minus-z",
         kind="outer",
         summary="1 - z; outer, single boundary zero at angle 0",
-        boundary_fn=lambda grid: signal_from_values(grid, 1.0 - _eik(grid)),
+        boundary_fn=lambda grid: signal_from_values(grid, 1.0 - grid.boundary_points()),
         taylor_fn=lambda: _poly(1.0, -1.0),
     )
 )
@@ -221,7 +215,7 @@ _register(
         name="one-plus-z",
         kind="outer",
         summary="1 + z; outer, single boundary zero at angle pi",
-        boundary_fn=lambda grid: signal_from_values(grid, 1.0 + _eik(grid)),
+        boundary_fn=lambda grid: signal_from_values(grid, 1.0 + grid.boundary_points()),
         taylor_fn=lambda: _poly(1.0, 1.0),
     )
 )
@@ -231,7 +225,7 @@ _register(
         name="two-plus-z",
         kind="outer",
         summary="2 + z; invertible, hence outer with no boundary zeros",
-        boundary_fn=lambda grid: signal_from_values(grid, 2.0 + _eik(grid)),
+        boundary_fn=lambda grid: signal_from_values(grid, 2.0 + grid.boundary_points()),
         taylor_fn=lambda: _poly(2.0, 1.0),
     )
 )
@@ -241,7 +235,7 @@ _register(
         name="one-minus-half-z",
         kind="outer",
         summary="1 - z/2; invertible, hence outer with no boundary zeros",
-        boundary_fn=lambda grid: signal_from_values(grid, 1.0 - 0.5 * _eik(grid)),
+        boundary_fn=lambda grid: signal_from_values(grid, 1.0 - 0.5 * grid.boundary_points()),
         taylor_fn=lambda: _poly(1.0, -0.5),
     )
 )
@@ -251,7 +245,7 @@ _register(
         name="one-minus-z-squared",
         kind="outer",
         summary="(1 - z)^2; outer with a second-order boundary zero",
-        boundary_fn=lambda grid: signal_from_values(grid, (1.0 - _eik(grid)) ** 2),
+        boundary_fn=lambda grid: signal_from_values(grid, (1.0 - grid.boundary_points()) ** 2),
         taylor_fn=lambda: _poly(1.0, -2.0, 1.0),
     )
 )
@@ -261,7 +255,7 @@ _register(
         name="exp-z",
         kind="outer",
         summary="exp(z); invertible, hence outer",
-        boundary_fn=lambda grid: signal_from_values(grid, np.exp(_eik(grid))),
+        boundary_fn=lambda grid: signal_from_values(grid, np.exp(grid.boundary_points())),
         taylor_fn=_exp_z_taylor,
     )
 )
@@ -272,7 +266,7 @@ _register(
         kind="outer",
         summary="(1 - z) exp(z); outer, boundary zero at angle 0",
         boundary_fn=lambda grid: signal_from_values(
-            grid, (1.0 - _eik(grid)) * np.exp(_eik(grid))
+            grid, (1.0 - grid.boundary_points()) * np.exp(grid.boundary_points())
         ),
         taylor_fn=lambda: _conv(_poly(1.0, -1.0), _exp_z_taylor()),
     )
@@ -283,7 +277,7 @@ _register(
         name="shift",
         kind="inner",
         summary="z; the shift, inner with a zero inside the disc",
-        boundary_fn=lambda grid: signal_from_values(grid, _eik(grid)),
+        boundary_fn=lambda grid: signal_from_values(grid, grid.boundary_points()),
         taylor_fn=lambda: _poly(0.0, 1.0),
     )
 )
@@ -293,7 +287,7 @@ _register(
         name="shift-squared",
         kind="inner",
         summary="z^2; inner with a double zero inside the disc",
-        boundary_fn=lambda grid: signal_from_values(grid, _eik(grid) ** 2),
+        boundary_fn=lambda grid: signal_from_values(grid, grid.boundary_points() ** 2),
         taylor_fn=lambda: _poly(0.0, 0.0, 1.0),
     )
 )
@@ -304,7 +298,7 @@ _register(
         kind="mixed",
         summary="z (1 - z); inner factor z times the outer factor 1 - z",
         boundary_fn=lambda grid: signal_from_values(
-            grid, _eik(grid) * (1.0 - _eik(grid))
+            grid, grid.boundary_points() * (1.0 - grid.boundary_points())
         ),
         taylor_fn=lambda: _poly(0.0, 1.0, -1.0),
     )
@@ -316,7 +310,7 @@ _register(
         kind="mixed",
         summary="z exp(z); inner factor z times an invertible outer factor",
         boundary_fn=lambda grid: signal_from_values(
-            grid, _eik(grid) * np.exp(_eik(grid))
+            grid, grid.boundary_points() * np.exp(grid.boundary_points())
         ),
         taylor_fn=lambda: _conv(_poly(0.0, 1.0), _exp_z_taylor()),
     )
@@ -338,7 +332,7 @@ _register(
         kind="mixed",
         summary="Blaschke factor at 1/2 times the outer function 1 - z",
         boundary_fn=lambda grid: signal_from_values(
-            grid, _blaschke_half_boundary(grid).values * (1.0 - _eik(grid))
+            grid, _blaschke_half_boundary(grid).values * (1.0 - grid.boundary_points())
         ),
         taylor_fn=lambda: _conv(_poly(1.0, -1.0), _blaschke_half_taylor()),
     )

@@ -113,14 +113,10 @@ def singular_inner(alpha: complex, z) -> complex | np.ndarray:
 def singular_inner_boundary(alpha: complex, grid: CircleGrid) -> BoundarySignal:
     """Boundary samples of ``singular_inner(alpha, .)``; the node at the
     singular point (if any) carries the radial-limit value 0."""
-    alpha = complex(alpha)
     pts = grid.boundary_points()
-    hit = np.abs(pts - alpha) < 1e-12
-    vals = np.empty(grid.size, dtype=complex)
-    if hit.any():
-        vals[hit] = 0.0
-    ok = ~hit
-    vals[ok] = np.exp((pts[ok] + alpha) / (pts[ok] - alpha))
+    ok = np.abs(pts - complex(alpha)) >= 1e-12
+    vals = np.zeros(grid.size, dtype=complex)
+    vals[ok] = singular_inner(alpha, pts[ok])
     return BoundarySignal(grid, vals)
 
 

@@ -83,7 +83,7 @@ class BoundarySignal:
 
 
 def signal_from_values(grid: CircleGrid, values) -> BoundarySignal:
-    return BoundarySignal(grid, np.asarray(values, dtype=complex))
+    return BoundarySignal(grid, values)
 
 
 def constant_signal(grid: CircleGrid, c: complex) -> BoundarySignal:

@@ -69,8 +69,8 @@ def _is_number_pair(p) -> bool:
     )
 
 
-def _trim_trailing(a: np.ndarray, rel: float = 1e-14) -> np.ndarray:
-    floor = rel * (1.0 + float(np.max(np.abs(a))))
+def _trim_trailing(a: np.ndarray) -> np.ndarray:
+    floor = 1e-14 * (1.0 + float(np.max(np.abs(a))))
     keep = np.flatnonzero(np.abs(a) > floor)
     if keep.size == 0:
         return a[:1]

@@ -140,10 +140,11 @@ def approx_unit_sublevel(
     if len(spec.generators) == 1:
         base = spec.generators[0]
     else:
-        base = synth_outer(signal_from_values(grid, k_c.astype(complex))).boundary
+        base = synth_outer(signal_from_values(grid, k_c)).boundary
 
     gen_values = [g.values for g in spec.generators]
     joint_mod = np.exp(k_c)
+    one = None  # the unit of every degenerate stage, built when first needed
     out: list[UnitStage] = []
     for m in stages:
         eps = float(np.exp(-m))
@@ -151,7 +152,8 @@ def approx_unit_sublevel(
         # support's nodes are exactly the sublevel nodes.
         mask = joint_mod < eps
         if not mask.any():
-            unit = constant_signal(grid, 1.0)
+            if one is None:
+                one = constant_signal(grid, 1.0)
             out.append(
                 UnitStage(
                     index=m,
@@ -165,7 +167,7 @@ def approx_unit_sublevel(
                     cofactor_sup=float(np.exp(-np.min(k_c))),
                     error=0.0,
                     sup_norm=1.0,
-                    unit=unit,
+                    unit=one,
                 )
             )
             continue
@@ -177,7 +179,7 @@ def approx_unit_sublevel(
         runs = len(circular_runs(mask))
         support_measure = min(1.0, (np.count_nonzero(mask) * grid.spacing + 2.0 * w * runs) / TWO_PI)
         k_m = np.where(mask, 0.0, -k_c)
-        cofactor = synth_outer(signal_from_values(grid, k_m.astype(complex))).boundary
+        cofactor = synth_outer(signal_from_values(grid, k_m)).boundary
         u_vals = base.values * cofactor.values
         mod = np.abs(u_vals)
         off = ~mask
@@ -216,8 +218,6 @@ class PeakPreparation:
     rescaled: bool
     sup_base: float
     range_gap: float
-    base: BoundarySignal
-    half_generator: BoundarySignal
 
 
 def _alignment_sup(gv: np.ndarray, phi: float) -> float:
@@ -235,7 +235,7 @@ def prepare_peak(generator: BoundarySignal) -> PeakPreparation:
     within 1e-12 of 1; if that factor is below 1e-8, NormExceeded.
     """
     gv = generator.values
-    range_gap = float(np.min(np.abs(gv)))
+    range_gap = ess_inf(generator)
     if range_gap > RANGE_TOL:
         raise RangeMiss(
             f"generator modulus stays above {range_gap:.6g}; "
@@ -288,16 +288,12 @@ def prepare_peak(generator: BoundarySignal) -> PeakPreparation:
             )
         rescaled = True
 
-    base_vals = 1.0 - scale * np.conj(alpha) * gv
-    half_vals = 0.5 * scale * np.conj(alpha) * gv
     return PeakPreparation(
         alpha=alpha,
         scale=scale,
         rescaled=rescaled,
-        sup_base=float(np.max(np.abs(base_vals))),
+        sup_base=float(np.max(np.abs(1.0 - scale * np.conj(alpha) * gv))),
         range_gap=range_gap,
-        base=signal_from_values(generator.grid, base_vals),
-        half_generator=signal_from_values(generator.grid, half_vals),
     )
 
 
@@ -328,9 +324,10 @@ def approx_unit_peak(
         raise ValueError("peak schedule must not be empty")
     if any(n < 1 for n in schedule):
         raise ValueError("peak powers must be positive")
+    gv = spec.generators[0].values
     prep = prepare_peak(spec.generators[0])
-    g_mid = 0.5 * (1.0 + prep.base.values)
-    h = prep.half_generator.values
+    g_mid = 0.5 * (1.0 + (1.0 - prep.scale * np.conj(prep.alpha) * gv))
+    h = 0.5 * prep.scale * np.conj(prep.alpha) * gv
     stages: list[PeakStage] = []
     for n in schedule:
         u = 1.0 - g_mid ** n
@@ -367,10 +364,6 @@ class CombinedUnit:
     ess_inf: float
     sup_norm: float
     unit: BoundarySignal
-
-    @property
-    def error(self) -> float:
-        return max(self.errors)
 
 
 @dataclass(frozen=True)
@@ -616,10 +609,12 @@ def membership(h: BoundarySignal, cert: Certificate) -> bool:
     h must essentially vanish at every certified common zero (its own
     estimated zero set must cover the point) and extend continuously there
     with a value at the noise floor. An empty certified zero set means the
-    ideal is everything.
+    ideal is everything. h must live on the ideal's grid.
     """
     if not cert.passed:
         raise NotCertified("membership requires a passing certificate")
+    if h.grid.size != cert.ideal.grid.size:
+        raise ValueError("signals live on different grids")
     if not cert.zero_angles:
         return True
     hz = essential_zero_set(h)

@@ -54,13 +54,10 @@ class _Bundle:
         self.name = name
         self.dir = root / name
         self.grid_size = grid_size
+        self.grid = CircleGrid(grid_size)
         self.checks: list[dict] = []
         self._inputs: dict[str, str] = {}
         self._outputs: dict[str, str] = {}
-
-    @property
-    def grid(self) -> CircleGrid:
-        return CircleGrid(self.grid_size)
 
     def check(self, label: str, passed: bool, detail: str) -> None:
         self.checks.append({"name": label, "passed": bool(passed), "detail": detail})

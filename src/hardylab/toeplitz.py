@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ZeroFunction
 from .hardy import AnalyticRep
@@ -50,6 +49,8 @@ def _check_order(order: int) -> None:
 
 def _lower_toeplitz(a: np.ndarray, rows: int, cols: int) -> np.ndarray:
     """rows x cols matrix of multiplication by sum a_k z^k on degrees < cols."""
+    import scipy.linalg  # imported on first use: only Toeplitz work needs it
+
     col = np.zeros(rows, dtype=complex)
     take = min(rows, a.size)
     col[:take] = a[:take]
@@ -72,6 +73,8 @@ def _banded_singular_values(a: np.ndarray, order: int) -> np.ndarray:
     diagonal: a_0 = 1e-160 beside a_1 = 0.54 moved sigma by 2e-5 sigma_max,
     as its square is subnormal.
     """
+    import scipy.linalg
+
     b = min(a.size, order) - 1
     top = float(np.max(np.abs(a[: b + 1])))
     if top == 0.0:

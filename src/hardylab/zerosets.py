@@ -178,9 +178,8 @@ class ZeroSetEstimate:
     resolution: float
     candidates: tuple[ZeroCandidate, ...] = field(repr=False, default=())
 
-    def covers_angle(self, theta: float, slack: float | None = None) -> bool:
-        s = self.resolution if slack is None else slack
-        return any(circular_distance(theta, a) <= s for a in self.angles)
+    def covers_angle(self, theta: float, slack: float) -> bool:
+        return any(circular_distance(theta, a) <= slack for a in self.angles)
 
 
 def _merge_runs(runs: list[tuple[int, int]], n: int, gap: int) -> list[tuple[int, int]]:

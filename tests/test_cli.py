@@ -2,7 +2,11 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from hardylab import (
     signal_from_values,
     signal_to_csv,
 )
+import hardylab
 from hardylab import cli
 from hardylab.catalog import ramp_log_modulus
 from hardylab.cli import main
@@ -257,6 +262,41 @@ def test_prime_check_refuses_signals_on_different_grids(capsys, tmp_path):
     }
 
 
+@pytest.mark.parametrize("flags", [
+    ["member", "--h", "{b}"],
+    ["prime-check", "--a", "{a}", "--b", "{b}"],
+], ids=["member", "prime-check-pair"])
+def test_signals_off_the_ideal_grid_are_refused(capsys, tmp_path, flags):
+    paths = {}
+    for key, name in (("a", "two-plus-z"), ("b", "one-minus-z")):
+        paths[key] = tmp_path / f"{key}512.csv"
+        paths[key].write_text(signal_to_csv(example_boundary(name, CircleGrid(512))))
+    argv = [f.format(**paths) for f in flags]
+    code, out, err = run(capsys, *argv, "--generators", "one-minus-z", "--grid-size", "4096")
+    assert code == 1
+    assert out == ""
+    assert json.loads(err) == {
+        "error": "io-format", "message": "signals live on different grids"
+    }
+
+
+def test_scipy_loads_only_for_toeplitz_work():
+    script = (
+        "import sys\n"
+        "from hardylab.cli import main\n"
+        "assert main(['factorize', '--f', 'one-minus-z', '--grid-size', '64']) == 0\n"
+        "before = 'scipy' in sys.modules\n"
+        "assert main(['density', '--f', 'one-minus-z', '--M', '8']) == 0\n"
+        "print(before, 'scipy' in sys.modules)\n"
+    )
+    src = str(Path(hardylab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    assert done.stdout.splitlines()[-1] == "False True"
+
+
 @pytest.mark.parametrize("argv", [
     ["certify", "--generators", "one-minus-z", "--tol", "nan", "--grid-size", "1024"],
     ["certify", "--generators", "one-minus-z", "--tol", "-1", "--grid-size", "1024"],
@@ -491,6 +531,17 @@ def test_reproduce_bundle_with_uncertified_ideal_exits_two_with_json(capsys, tmp
     assert error["error"] == "BundleFailed"
     assert "membership sets coincide" in error["message"]
     assert (tmp_path / "shared-zero-combined" / "summary.json").exists()
+
+
+def test_reproduce_refuses_an_illegal_grid_size_even_where_no_grid_is_used(capsys, tmp_path):
+    # szego-dichotomy works on Taylor coefficients only, yet records grid_size
+    code, out, err = run(
+        capsys, "reproduce", "szego-dichotomy", "--grid-size", "7", "--out", str(tmp_path)
+    )
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "io-format"
+    assert not (tmp_path / "szego-dichotomy").exists()
 
 
 def test_reproduce_unknown_bundle(capsys, tmp_path):

@@ -6,6 +6,7 @@ The frozen decimals in this module were measured once on the reference
 independently of them.
 """
 
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -189,6 +190,26 @@ def test_degenerate_stages_for_zero_free_generator(grid):
     assert np.all(stage.unit.values == 1.0)
 
 
+@pytest.mark.parametrize("name, strategy, limit_mib", [
+    # every stage degenerate: one shared constant unit (1 MiB) plus the masks
+    ("two-plus-z", "auto", 3),
+    # nine peak stages of 1 MiB each, and no aligned copies of the generator
+    ("one-minus-z", "peak", 10),
+])
+def test_memory_a_certificate_keeps_at_65536_nodes(name, strategy, limit_mib):
+    # numpy imports some submodules on first use; keep that out of the count
+    certify_mideal(ideal([example_boundary(name, CircleGrid(64))]), strategy=strategy)
+    spec = ideal([example_boundary(name, CircleGrid(65536))], [name])
+    tracemalloc.start()
+    try:
+        cert = certify_mideal(spec, strategy=strategy)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert cert.passed
+    assert kept <= limit_mib << 20
+
+
 # ---------------------------------------------------------------------------
 # peak powers
 # ---------------------------------------------------------------------------
@@ -207,8 +228,9 @@ def test_peak_errors_match_closed_form(one_minus_z_spec):
 def test_peak_unit_is_one_minus_power(one_minus_z_spec):
     """u_n literally equals 1 - g^n and its error is sup |h g^n|."""
     prep, stages = approx_unit_peak(one_minus_z_spec, (1, 2, 4), tol=None)
-    g_mid = 0.5 * (1.0 + prep.base.values)
-    h = prep.half_generator.values
+    w = prep.scale * np.conj(prep.alpha) * one_minus_z_spec.generators[0].values
+    g_mid = 0.5 * (1.0 + (1.0 - w))
+    h = 0.5 * w
     for s in stages:
         assert np.max(np.abs(s.unit.values - (1.0 - g_mid ** s.index))) <= 1e-15
         assert s.error == pytest.approx(float(np.max(np.abs(h * g_mid ** s.index))), abs=1e-12)
@@ -562,6 +584,22 @@ def test_division_property_hypothesis_gates(grid, one_minus_z_cert):
             one_minus_z_cert,
             example_boundary("two-plus-z", grid),
             example_boundary("exp-z", grid),
+        )
+
+
+def test_membership_refuses_a_function_on_another_grid(grid, one_minus_z_cert):
+    coarse = example_boundary("one-minus-z", CircleGrid(grid.size // 4))
+    with pytest.raises(ValueError, match="signals live on different grids"):
+        membership(coarse, one_minus_z_cert)
+
+
+def test_division_property_refuses_a_pair_on_another_grid(grid, one_minus_z_cert):
+    coarse = CircleGrid(grid.size // 4)
+    with pytest.raises(ValueError, match="signals live on different grids"):
+        analytic_prime_check(
+            one_minus_z_cert,
+            example_boundary("two-plus-z", coarse),
+            example_boundary("one-minus-z", coarse),
         )
 
 

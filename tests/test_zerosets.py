@@ -171,8 +171,8 @@ def test_zero_set_of_one_minus_z(grid):
     assert len(est.angles) == 1
     assert circ_gap(est.angles[0], 0.0) <= est.resolution
     assert est.resolution == pytest.approx(8 * grid.spacing)
-    assert est.covers_angle(0.0)
-    assert not est.covers_angle(math.pi)
+    assert est.covers_angle(0.0, est.resolution)
+    assert not est.covers_angle(math.pi, est.resolution)
 
 
 def test_zero_set_of_one_plus_z(grid):
