@@ -27,7 +27,7 @@ from .factorization import (
     is_outer,
     synth_outer,
 )
-from .grid import CircleGrid, signal_from_csv, signal_to_csv, signal_from_values
+from .grid import BoundarySignal, CircleGrid, signal_from_csv, signal_to_csv, signal_from_values
 from .hardy import AnalyticRep
 from .ideals import (
     DEFAULT_BOUND,
@@ -35,9 +35,9 @@ from .ideals import (
     DEFAULT_PEAK_SCHEDULE,
     DEFAULT_TOL,
     STRATEGIES,
+    _peak_units,
+    _sublevel_units,
     analytic_prime_check,
-    approx_unit_peak,
-    approx_unit_sublevel,
     certify_mideal,
     ideal,
     membership,
@@ -242,15 +242,17 @@ def _build_ideal(args):
 def _cmd_approx_unit(args) -> int:
     spec = _build_ideal(args)
     if args.strategy == "peak":
-        prep, stages = approx_unit_peak(spec, schedule=args.schedule)
+        prep, units = _peak_units(spec, args.schedule, None)
         report = {"strategy": "peak", "alpha": prep.alpha, "rescaled": prep.rescaled}
     else:
-        stages = approx_unit_sublevel(spec, stages=args.stages)
+        units = _sublevel_units(spec, args.stages)
         report = {"strategy": "sublevel"}
-    report["stages"] = [stage_report(s) for s in stages]
-    if args.out is not None:
-        for s in stages:
-            _write(args.out, f"unit-{s.index:04d}.csv", signal_to_csv(s.unit))
+    rows = []
+    for stage, unit in units:  # each unit is written as soon as it is built
+        rows.append(stage_report(stage))
+        if args.out is not None:
+            _write(args.out, f"unit-{stage.index:04d}.csv", signal_to_csv(BoundarySignal(spec.grid, unit)))
+    report["stages"] = rows
     _emit(report, args.out)
     return 0
 

@@ -62,20 +62,31 @@ class OuterFn:
         return float(np.exp(np.mean(self.log_modulus.values.real)))
 
 
+def outer_boundary(k: np.ndarray) -> np.ndarray:
+    """Boundary values ``exp(kc + i H[kc])`` of the outer function whose
+    log-modulus samples ``k`` (a real array) are clipped to ``kc`` at the floor.
+
+    Raises :class:`UnboundedLogData` when more than ``CLIP_FRACTION_LIMIT`` of
+    the samples sit at the floor.
+    """
+    kc = np.maximum(k, CLIP_FLOOR)
+    frac = float(np.mean(kc <= CLIP_FLOOR))
+    if frac > CLIP_FRACTION_LIMIT:
+        raise UnboundedLogData(
+            f"{100 * frac:.1f}% of log-modulus samples sit at the clip floor"
+        )
+    out = 1j * hardy.conjugate(kc)
+    np.add(kc, out, out=out)
+    return np.exp(out, out=out)
+
+
 def synth_outer(k: BoundarySignal) -> OuterFn:
     """Outer function with boundary log-modulus ``k`` (clipped at the floor)."""
     if not k.is_real():
         raise ValueError("log-modulus data must be real")
     vals = np.maximum(k.values.real, CLIP_FLOOR)
-    frac = float(np.mean(vals <= CLIP_FLOOR))
-    if frac > CLIP_FRACTION_LIMIT:
-        raise UnboundedLogData(
-            f"{100 * frac:.1f}% of log-modulus samples sit at the clip floor"
-        )
-    kc = BoundarySignal(k.grid, vals + 0j)
-    phase = hardy.conjugate_function(kc)
-    boundary = BoundarySignal(k.grid, np.exp(vals + 1j * phase.values.real))
-    return OuterFn(log_modulus=kc, boundary=boundary)
+    boundary = BoundarySignal(k.grid, outer_boundary(vals))
+    return OuterFn(log_modulus=BoundarySignal(k.grid, vals + 0j), boundary=boundary)
 
 
 def blaschke(a: complex, z) -> complex | np.ndarray:

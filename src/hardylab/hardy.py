@@ -97,17 +97,28 @@ def analytic_projection(f: BoundarySignal, leak_tol: float = 1e-8) -> AnalyticRe
     return AnalyticRep(_trim_trailing(c[: n // 2]))
 
 
+def conjugate(k: np.ndarray) -> np.ndarray:
+    """Harmonic-conjugate values of real node samples ``k``, as a real array.
+
+    The multiplier ``-i*sign(n)`` is applied band by band in place on the
+    spectrum, so no N-sized multiplier array is built. The n = 0 and Nyquist
+    bins are multiplied by zero rather than assigned it, which keeps the
+    signed zeros, and hence the output bits, of a full multiplier product.
+    """
+    n = k.size
+    c = np.fft.fft(k)
+    c[[0, n // 2]] *= 0j
+    c[1 : n // 2] *= -1j
+    c[n // 2 + 1 :] *= 1j
+    return np.fft.ifft(c).real
+
+
+# Test-only, but kept: perfbench/tracing.py wraps conjugate_function by name (ROADMAP item 4).
 def conjugate_function(k: BoundarySignal) -> BoundarySignal:
     """Harmonic-conjugate boundary values of a real signal (zero mean part)."""
     if not k.is_real():
         raise ValueError("conjugate_function expects a real signal")
-    n = k.grid.size
-    c = np.fft.fft(k.values.real)
-    mult = np.zeros(n, dtype=complex)
-    mult[1 : n // 2] = -1j
-    mult[n // 2 + 1 :] = 1j
-    out = np.fft.ifft(c * mult)
-    return BoundarySignal(k.grid, out.real + 0j)
+    return BoundarySignal(k.grid, conjugate(k.values.real) + 0j)
 
 
 def herglotz_integral(k: BoundarySignal, z: complex) -> complex:

@@ -18,8 +18,8 @@ peak value out of essential range) raise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -31,15 +31,8 @@ from .errors import (
     StrategyInapplicable,
     ZeroFunction,
 )
-from .factorization import clipped_log_modulus, is_outer, synth_outer
-from .grid import (
-    TWO_PI,
-    BoundarySignal,
-    CircleGrid,
-    circular_runs,
-    constant_signal,
-    signal_from_values,
-)
+from .factorization import clipped_log_modulus, is_outer, outer_boundary
+from .grid import TWO_PI, BoundarySignal, CircleGrid, circular_runs
 from .zerosets import ZeroSetEstimate, continuous_extension, essential_zero_set
 
 STRATEGIES = ("auto", "sublevel", "peak", "combined")
@@ -96,7 +89,7 @@ def ess_inf(f: BoundarySignal) -> float:
 @dataclass(frozen=True)
 class UnitStage:
     """One stage of the sublevel construction; ``support`` is the node mask
-    of A_m."""
+    of A_m. Only the last stage of a construction carries its ``unit``."""
 
     index: int
     eps: float
@@ -109,13 +102,22 @@ class UnitStage:
     cofactor_sup: float
     error: float
     sup_norm: float
-    unit: BoundarySignal
+    unit: Optional[BoundarySignal] = None
 
 
 def dilation_width(stage: int, spacing: float) -> float:
     """Stage-m dilation: 2^-m, capped below half a grid cell so widening the
     support can neither swallow new nodes nor bridge gaps between clusters."""
     return min(2.0 ** -stage, 0.45 * spacing)
+
+
+def _keep_final(grid: CircleGrid, units: Iterator[tuple]) -> tuple:
+    """The stages of ``units`` as a tuple; the last one keeps its unit."""
+    out = []
+    for stage, unit in units:
+        out.append(stage)
+    out[-1] = replace(out[-1], unit=BoundarySignal(grid, unit))
+    return tuple(out)
 
 
 def approx_unit_sublevel(
@@ -128,8 +130,14 @@ def approx_unit_sublevel(
     ``dilation_width``. The unit is base * cofactor where the cofactor is the
     outer function with log-modulus -k on the complement of A_m, so the
     unit's modulus is e^{k} there times e^{-k} — exactly one — and equals the
-    generator modulus (< eps) on A_m.
+    generator modulus (< eps) on A_m. The last stage carries its unit.
     """
+    return _keep_final(spec.grid, _sublevel_units(spec, stages))
+
+
+def _sublevel_units(spec: IdealSpec, stages: Sequence[int]) -> Iterator[tuple[UnitStage, np.ndarray]]:
+    """Each stage of ``approx_unit_sublevel`` with its unit's values, built
+    in stage order; the values may be shared with a later stage."""
     if not stages:
         raise ValueError("sublevel stages must not be empty")
     if any(m < 1 for m in stages):
@@ -138,71 +146,71 @@ def approx_unit_sublevel(
     # clipped log of the pointwise-largest generator modulus
     k_c = np.maximum.reduce([clipped_log_modulus(g).values.real for g in spec.generators])
     if len(spec.generators) == 1:
-        base = spec.generators[0]
+        base = spec.generators[0].values
     else:
-        base = synth_outer(signal_from_values(grid, k_c)).boundary
+        base = BoundarySignal(grid, outer_boundary(k_c)).values
 
     gen_values = [g.values for g in spec.generators]
     joint_mod = np.exp(k_c)
     one = None  # the unit of every degenerate stage, built when first needed
-    out: list[UnitStage] = []
+    # Sublevel masks are nested, so a stage with as many nodes as the one
+    # before it has the same mask, and only its index, eps and dilated
+    # measure differ.
+    count = runs = stage = unit = None
     for m in stages:
         eps = float(np.exp(-m))
         # The dilation stays under half a cell, so it adds no node: the
         # support's nodes are exactly the sublevel nodes.
         mask = joint_mod < eps
-        if not mask.any():
+        prev_count, count = count, np.count_nonzero(mask)
+        if count == 0:
             if one is None:
-                one = constant_signal(grid, 1.0)
-            out.append(
-                UnitStage(
-                    index=m,
-                    eps=eps,
-                    support=mask,
-                    support_measure=0.0,
-                    degenerate=True,
-                    off_support_deviation=0.0,
-                    on_support_max=0.0,
-                    value_at_zero=1.0 + 0.0j,
-                    cofactor_sup=float(np.exp(-np.min(k_c))),
-                    error=0.0,
-                    sup_norm=1.0,
-                    unit=one,
-                )
-            )
+                one = np.ones(grid.size, dtype=complex)
+            yield UnitStage(
+                index=m,
+                eps=eps,
+                support=mask,
+                support_measure=0.0,
+                degenerate=True,
+                off_support_deviation=0.0,
+                on_support_max=0.0,
+                value_at_zero=1.0 + 0.0j,
+                cofactor_sup=float(np.exp(-np.min(k_c))),
+                error=0.0,
+                sup_norm=1.0,
+            ), one
             continue
 
         # Each run of masked nodes covers its cells plus the dilation on both
         # sides; gaps between runs are at least a cell, so runs never merge,
         # and the cap binds only when every node is masked.
+        if count != prev_count:
+            runs = len(circular_runs(mask))
         w = dilation_width(m, grid.spacing)
-        runs = len(circular_runs(mask))
-        support_measure = min(1.0, (np.count_nonzero(mask) * grid.spacing + 2.0 * w * runs) / TWO_PI)
-        k_m = np.where(mask, 0.0, -k_c)
-        cofactor = synth_outer(signal_from_values(grid, k_m)).boundary
-        u_vals = base.values * cofactor.values
-        mod = np.abs(u_vals)
-        off = ~mask
-        off_dev = float(np.max(np.abs(mod[off] - 1.0))) if off.any() else 0.0
-        on_max = float(np.max(mod[mask]))
-        error = max(float(np.max(np.abs(u_vals * gv - gv))) for gv in gen_values)
-        out.append(
-            UnitStage(
-                index=m,
-                eps=eps,
-                support=mask,
-                support_measure=support_measure,
-                degenerate=False,
-                off_support_deviation=off_dev,
-                on_support_max=on_max,
-                value_at_zero=complex(np.exp(np.sum(k_c[mask]) / grid.size)),
-                cofactor_sup=float(np.max(np.abs(cofactor.values))),
-                error=error,
-                sup_norm=float(np.max(mod)),
-                unit=signal_from_values(grid, u_vals),
-            )
+        support_measure = min(1.0, (count * grid.spacing + 2.0 * w * runs) / TWO_PI)
+        if count == prev_count:
+            stage = replace(stage, index=m, eps=eps, support_measure=support_measure)
+            yield stage, unit
+            continue
+        cofactor = outer_boundary(np.where(mask, 0.0, -k_c))
+        cofactor_sup = float(np.max(np.abs(cofactor)))
+        unit = np.multiply(base, cofactor, out=cofactor)
+        mod = np.abs(unit)
+        off_dev = float(np.max(np.abs(mod[~mask] - 1.0))) if count < grid.size else 0.0
+        stage = UnitStage(
+            index=m,
+            eps=eps,
+            support=mask,
+            support_measure=support_measure,
+            degenerate=False,
+            off_support_deviation=off_dev,
+            on_support_max=float(np.max(mod[mask])),
+            value_at_zero=complex(np.exp(np.sum(k_c[mask]) / grid.size)),
+            cofactor_sup=cofactor_sup,
+            error=max(float(np.max(np.abs(unit * gv - gv))) for gv in gen_values),
+            sup_norm=float(np.max(mod)),
         )
-    return tuple(out)
+        yield stage, unit
 
 
 # ---------------------------------------------------------------------------
@@ -218,10 +226,6 @@ class PeakPreparation:
     rescaled: bool
     sup_base: float
     range_gap: float
-
-
-def _alignment_sup(gv: np.ndarray, phi: float) -> float:
-    return float(np.max(np.abs(1.0 - np.exp(-1j * phi) * gv)))
 
 
 def prepare_peak(generator: BoundarySignal) -> PeakPreparation:
@@ -242,8 +246,17 @@ def prepare_peak(generator: BoundarySignal) -> PeakPreparation:
             f"no unimodular value of the rebased function within {RANGE_TOL:g}"
         )
 
+    buf = np.empty_like(gv)
+    mod = np.empty(gv.shape)
+
+    def sup_at(phi: float) -> float:
+        """sup |1 - e^{-i phi} G|, evaluated in the two buffers of this call."""
+        np.multiply(np.exp(-1j * phi), gv, out=buf)
+        np.subtract(1.0, buf, out=buf)
+        return float(np.max(np.abs(buf, out=mod)))
+
     coarse = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
-    sups = np.array([_alignment_sup(gv, p) for p in coarse])
+    sups = np.array([sup_at(p) for p in coarse])
     i0 = int(np.argmin(sups))
     lo = coarse[i0] - coarse[1]
     hi = coarse[i0] + coarse[1]
@@ -252,19 +265,19 @@ def prepare_peak(generator: BoundarySignal) -> PeakPreparation:
     a, b = lo, hi
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
-    fc, fd = _alignment_sup(gv, c), _alignment_sup(gv, d)
+    fc, fd = sup_at(c), sup_at(d)
     for _ in range(70):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)
-            fc = _alignment_sup(gv, c)
+            fc = sup_at(c)
         else:
             a, c, fc = c, d, fd
             d = a + inv_phi * (b - a)
-            fd = _alignment_sup(gv, d)
+            fd = sup_at(d)
     phi_star = (a + b) / 2.0
     alpha = complex(np.exp(1j * phi_star))
-    sup_base = _alignment_sup(gv, phi_star)
+    sup_base = sup_at(phi_star)
 
     scale = 1.0
     rescaled = False
@@ -299,12 +312,13 @@ def prepare_peak(generator: BoundarySignal) -> PeakPreparation:
 
 @dataclass(frozen=True)
 class PeakStage:
-    """One power of the averaged function; error against the half-generator."""
+    """One power of the averaged function; error against the half-generator.
+    Only the last stage of a construction carries its ``unit``."""
 
     index: int
     error: float
     sup_norm: float
-    unit: BoundarySignal
+    unit: Optional[BoundarySignal] = None
 
 
 def approx_unit_peak(
@@ -317,7 +331,19 @@ def approx_unit_peak(
     The recorded error is sup |u_n h - h| with h the *half*-generator
     (scale * conj(alpha) * G / 2), which equals sup |(1-g) g^n| identically.
     With ``tol`` given the schedule stops at the first stage under tolerance.
+    The last stage carries its unit.
     """
+    prep, units = _peak_units(spec, schedule, tol)
+    return prep, _keep_final(spec.grid, units)
+
+
+def _peak_units(
+    spec: IdealSpec,
+    schedule: Sequence[int],
+    tol: Optional[float],
+) -> tuple[PeakPreparation, Iterator[tuple[PeakStage, np.ndarray]]]:
+    """The alignment of ``approx_unit_peak`` and an iterator over its stages,
+    each with its unit's values."""
     if len(spec.generators) != 1:
         raise StrategyInapplicable("peak units need a single generator")
     if not schedule:
@@ -326,30 +352,30 @@ def approx_unit_peak(
         raise ValueError("peak powers must be positive")
     gv = spec.generators[0].values
     prep = prepare_peak(spec.generators[0])
-    g_mid = 0.5 * (1.0 + (1.0 - prep.scale * np.conj(prep.alpha) * gv))
-    h = 0.5 * prep.scale * np.conj(prep.alpha) * gv
-    stages: list[PeakStage] = []
-    for n in schedule:
-        u = 1.0 - g_mid ** n
-        err = float(np.max(np.abs(u * h - h)))
-        stages.append(
-            PeakStage(
-                index=int(n),
-                error=err,
-                sup_norm=float(np.max(np.abs(u))),
-                unit=signal_from_values(spec.grid, u),
-            )
-        )
-        if tol is not None and err <= tol:
-            break
-    return prep, tuple(stages)
+
+    def units() -> Iterator[tuple[PeakStage, np.ndarray]]:
+        g_mid = 0.5 * (1.0 + (1.0 - prep.scale * np.conj(prep.alpha) * gv))
+        h = 0.5 * prep.scale * np.conj(prep.alpha) * gv
+        dev = np.empty_like(gv)
+        mod = np.empty(gv.shape)
+        for n in schedule:
+            u = g_mid ** n
+            np.subtract(1.0, u, out=u)
+            np.multiply(u, h, out=dev)
+            np.subtract(dev, h, out=dev)
+            err = float(np.max(np.abs(dev, out=mod)))
+            yield PeakStage(index=int(n), error=err, sup_norm=float(np.max(np.abs(u, out=mod)))), u
+            if tol is not None and err <= tol:
+                break
+
+    return prep, units()
 
 
 def combine_units(u: BoundarySignal, v: BoundarySignal) -> BoundarySignal:
     """Diagonal combination u + v - u v; one minus it factors as (1-u)(1-v)."""
     if u.grid.size != v.grid.size:
         raise ValueError("units live on different grids")
-    return signal_from_values(u.grid, u.values + v.values - u.values * v.values)
+    return BoundarySignal(u.grid, u.values + v.values - u.values * v.values)
 
 
 # ---------------------------------------------------------------------------

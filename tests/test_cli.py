@@ -665,3 +665,13 @@ def test_approx_unit_defaults_to_the_sublevel_stages(capsys):
     errors = [s["error"] for s in report["stages"]]
     assert errors == sorted(errors, reverse=True)
     assert errors[-1] < 0.05
+
+
+def test_approx_unit_out_writes_every_stage_and_the_certified_final_unit(capsys, tmp_path):
+    units, cert = tmp_path / "units", tmp_path / "cert"
+    grid = ("--generators", "one-minus-z", "--grid-size", "4096")
+    assert run(capsys, "approx-unit", *grid, "--out", str(units))[0] == 0
+    assert run(capsys, "certify", *grid, "--out", str(cert))[0] == 0
+    written = sorted(p.name for p in units.glob("unit-*.csv"))
+    assert written == [f"unit-{m:04d}.csv" for m in DEFAULT_MAIN_STAGES]
+    assert (units / "unit-0012.csv").read_bytes() == (cert / "final-unit.csv").read_bytes()

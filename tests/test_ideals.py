@@ -6,6 +6,7 @@ The frozen decimals in this module were measured once on the reference
 independently of them.
 """
 
+import dataclasses
 import tracemalloc
 from collections import Counter
 
@@ -35,6 +36,7 @@ from hardylab import (
 import hardylab.ideals
 import hardylab.zerosets
 from hardylab.ideals import (
+    DEFAULT_MAIN_STAGES,
     DEFAULT_PEAK_SCHEDULE,
     SUP_SLACK,
     combine_units,
@@ -187,19 +189,30 @@ def test_degenerate_stages_for_zero_free_generator(grid):
     assert stage.sup_norm == 1.0
     assert stage.support_measure == 0.0
     assert stage.value_at_zero == 1.0 + 0.0j
-    assert np.all(stage.unit.values == 1.0)
+    assert all(s.degenerate for s in cert.stages)
+    assert all(s.unit is None for s in cert.stages[:-1])
+    assert np.all(cert.final_unit.values == 1.0)
+    # every degenerate stage yields one shared constant unit
+    units = [u for _, u in hardylab.ideals._sublevel_units(cert.ideal, DEFAULT_MAIN_STAGES)]
+    assert all(u is units[0] for u in units)
+    assert np.all(units[0] == 1.0)
 
 
 @pytest.mark.parametrize("name, strategy, limit_mib", [
-    # every stage degenerate: one shared constant unit (1 MiB) plus the masks
+    # every stage degenerate: the final constant unit (1 MiB) plus the masks
     ("two-plus-z", "auto", 3),
-    # nine peak stages of 1 MiB each, and no aligned copies of the generator
-    ("one-minus-z", "peak", 10),
+    # twelve masks of 64 KiB and the final unit
+    ("one-minus-z", "sublevel", 3),
+    # the final power only, and no aligned copies of the generator
+    ("one-minus-z", "peak", 3),
+    # two sub-certificates and the diagonal unit, 1 MiB of final unit each
+    ("one-minus-z,one-minus-z-squared", "combined", 6),
 ])
 def test_memory_a_certificate_keeps_at_65536_nodes(name, strategy, limit_mib):
+    names = name.split(",")
     # numpy imports some submodules on first use; keep that out of the count
-    certify_mideal(ideal([example_boundary(name, CircleGrid(64))]), strategy=strategy)
-    spec = ideal([example_boundary(name, CircleGrid(65536))], [name])
+    certify_mideal(ideal([example_boundary(n, CircleGrid(4096)) for n in names]), strategy=strategy)
+    spec = ideal([example_boundary(n, CircleGrid(65536)) for n in names], names)
     tracemalloc.start()
     try:
         cert = certify_mideal(spec, strategy=strategy)
@@ -208,6 +221,43 @@ def test_memory_a_certificate_keeps_at_65536_nodes(name, strategy, limit_mib):
         tracemalloc.stop()
     assert cert.passed
     assert kept <= limit_mib << 20
+
+
+def test_memory_peak_of_a_sublevel_certificate_at_65536_nodes():
+    # stages build one unit at a time on plain arrays and keep only the last
+    certify_mideal(ideal([example_boundary("one-minus-z", CircleGrid(4096))]))
+    spec = ideal([example_boundary("one-minus-z", CircleGrid(65536))])
+    tracemalloc.start()
+    try:
+        cert = certify_mideal(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.passed
+    assert cert.strategy == "sublevel"
+    assert peak <= 12 << 20
+
+
+@pytest.mark.parametrize("name", ["one-minus-z", "two-point-product"])
+def test_repeated_masks_reuse_their_stage_exactly(name):
+    """A stage whose mask repeats the one before it is the stage built on its
+    own, field by field; only index, eps and the dilated measure move."""
+    spec = ideal([example_boundary(name, CircleGrid(65536))], [name])
+    run = approx_unit_sublevel(spec, (9, 10, 11, 12))
+    counts = [int(np.count_nonzero(s.support)) for s in run]
+    assert any(a == b for a, b in zip(counts, counts[1:]))  # the reuse is exercised
+    for s in run:
+        (alone,) = approx_unit_sublevel(spec, (s.index,))
+        for field in dataclasses.fields(s):
+            a, b = getattr(s, field.name), getattr(alone, field.name)
+            if field.name == "support":
+                assert np.array_equal(a, b)
+            elif field.name == "unit":
+                assert (a is None) == (s is not run[-1])
+                if a is not None:
+                    assert np.array_equal(a.values, b.values)
+            else:
+                assert a == b, field.name
 
 
 # ---------------------------------------------------------------------------
@@ -226,14 +276,21 @@ def test_peak_errors_match_closed_form(one_minus_z_spec):
 
 
 def test_peak_unit_is_one_minus_power(one_minus_z_spec):
-    """u_n literally equals 1 - g^n and its error is sup |h g^n|."""
-    prep, stages = approx_unit_peak(one_minus_z_spec, (1, 2, 4), tol=None)
+    """u_n literally equals 1 - g^n and its error is sup |h g^n|, at every
+    stage of the route that yields each stage's unit."""
+    prep, units = hardylab.ideals._peak_units(one_minus_z_spec, (1, 2, 4), None)
     w = prep.scale * np.conj(prep.alpha) * one_minus_z_spec.generators[0].values
     g_mid = 0.5 * (1.0 + (1.0 - w))
     h = 0.5 * w
-    for s in stages:
-        assert np.max(np.abs(s.unit.values - (1.0 - g_mid ** s.index))) <= 1e-15
+    seen = []
+    for s, u in units:
+        seen.append(s.index)
+        assert np.max(np.abs(u - (1.0 - g_mid ** s.index))) <= 1e-15
         assert s.error == pytest.approx(float(np.max(np.abs(h * g_mid ** s.index))), abs=1e-12)
+    assert seen == [1, 2, 4]
+    _, stages = approx_unit_peak(one_minus_z_spec, (1, 2, 4), tol=None)
+    assert [s.unit is None for s in stages] == [True, True, False]
+    assert np.max(np.abs(stages[-1].unit.values - (1.0 - g_mid ** 4))) <= 1e-15
 
 
 def test_peak_schedule_stops_at_tolerance(one_minus_z_spec):
@@ -380,6 +437,8 @@ def test_certify_one_minus_z(one_minus_z_cert):
     )
     assert "certified" in cert.conclusion
     assert cert.final_unit is cert.stages[-1].unit
+    assert cert.final_unit is not None
+    assert all(s.unit is None for s in cert.stages[:-1])
 
 
 @pytest.mark.parametrize(
