@@ -128,13 +128,25 @@ def circular_runs(mask: np.ndarray) -> list[tuple[int, int]]:
 _CSV_BLOCK_ROWS = 4096
 
 
+@lru_cache(maxsize=1)
+def _row_templates(size: int) -> tuple[str, ...]:
+    """One format string per writer block: each row is its node's theta,
+    already printed with %.17g, then placeholders for re and im. The theta
+    column depends only on the grid, so it is printed once per grid size."""
+    nodes = _cached_nodes(size)
+    return tuple(
+        ("%.17g,%%.17g,%%.17g\n" * len(b)) % tuple(b.tolist())
+        for b in (nodes[s:s + _CSV_BLOCK_ROWS] for s in range(0, size, _CSV_BLOCK_ROWS))
+    )
+
+
 def signal_to_csv(f: BoundarySignal) -> str:
-    table = np.column_stack((f.grid.nodes, f.values.real, f.values.imag))
-    parts = ["theta,re,im\n"]
-    for start in range(0, len(table), _CSV_BLOCK_ROWS):
-        block = table[start:start + _CSV_BLOCK_ROWS]
-        parts.append(("%.17g,%.17g,%.17g\n" * len(block)) % tuple(block.ravel().tolist()))
-    return "".join(parts)
+    parts = f.values.view(float)  # re and im interleaved, as stored
+    step = 2 * _CSV_BLOCK_ROWS
+    out = ["theta,re,im\n"]
+    for k, template in enumerate(_row_templates(f.grid.size)):
+        out.append(template % tuple(parts[k * step:(k + 1) * step].tolist()))
+    return "".join(out)
 
 
 def signal_from_csv(text: str) -> BoundarySignal:

@@ -286,14 +286,16 @@ def prepare_peak(generator: BoundarySignal) -> PeakPreparation:
         # w = conj(alpha) G: squared, |w|^2 c^2 - 2 Re(w) c - t <= 0 with
         # t = (1 + 1e-12)^2 - 1, so c = min_j of the positive root. Its
         # reciprocal is (root - Re w)/t, rewritten as |w|^2/(Re w + root)
-        # where Re w > 0 to avoid cancellation; w = 0 gives 0.
+        # where Re w > 0 to avoid cancellation; w = 0 gives 0. A generator
+        # so large that the reciprocal overflows gets scale 0 and is refused.
         w = np.conj(alpha) * gv
         t = 2e-12 + 1e-24
-        root = np.hypot(w.real, np.sqrt(t) * np.abs(w))
-        inv = (root - w.real) / t
-        pos = w.real > 0.0
-        inv[pos] = np.abs(w[pos]) ** 2 / (w.real[pos] + root[pos])
-        scale = 1.0 / float(np.max(inv))
+        with np.errstate(over="ignore"):
+            root = np.hypot(w.real, np.sqrt(t) * np.abs(w))
+            inv = (root - w.real) / t
+            pos = w.real > 0.0
+            inv[pos] = np.abs(w[pos]) ** 2 / (w.real[pos] + root[pos])
+            scale = 1.0 / float(np.max(inv))
         if scale < 1e-8:
             raise NormExceeded(
                 "no scaling of the generator brings the rebased function "

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -190,6 +191,24 @@ def test_peak_powers_below_one_exit_one(capsys, command, generator, schedule):
     assert code == 1
     assert out == ""
     assert json.loads(err) == {"error": "io-format", "message": "peak powers must be positive"}
+
+
+def test_peak_overflow_refusal_keeps_stderr_one_json_object(capsys, tmp_path):
+    # the rescale reciprocal overflows for 1e300*(1-z); a plain process
+    # prints every warning recorded here to stderr ahead of the JSON
+    g = CircleGrid(4096)
+    path = tmp_path / "huge.csv"
+    path.write_text(signal_to_csv(signal_from_values(g, 1e300 * (1.0 - np.exp(1j * g.nodes)))))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(
+            capsys, "approx-unit", "--generators", str(path), "--strategy", "peak",
+            "--grid-size", "4096",
+        )
+    assert [str(w.message) for w in caught] == []
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "NormExceeded"
 
 
 def test_certify_pass_exit_zero(capsys):

@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -17,6 +18,7 @@ from hardylab import (
     signal_from_values,
     signal_to_csv,
 )
+from hardylab import grid
 from hardylab.grid import MAX_GRID_SIZE, BoundarySignal, circular_runs
 
 
@@ -207,6 +209,7 @@ def test_csv_row_count_is_checked_before_any_float(monkeypatch):
 def test_csv_codec_memory_at_65536_nodes():
     g = CircleGrid(65536)
     f = signal_from_values(g, np.exp(1j * g.nodes) * (1.0 + g.nodes))
+    grid._row_templates.cache_clear()  # the first write builds the theta text
     tracemalloc.start()
     try:
         text = signal_to_csv(f)
@@ -217,6 +220,23 @@ def test_csv_codec_memory_at_65536_nodes():
     finally:
         tracemalloc.stop()
     # measured this way, the row-wise writer peaked at 10.9 MiB and the
-    # csv.reader parser at 37.3 MiB; the block codec takes 8.8 and 11.6 MiB
+    # csv.reader parser at 37.3 MiB; the block codec takes 9.2 MiB (a first
+    # write, its row templates included) and 11.6 MiB
     assert write_peak < 10 << 20
     assert read_peak < 16 << 20
+
+
+def test_row_template_cache_keeps_one_grid_size():
+    for size in (8, 65536):
+        signal_to_csv(constant_signal(CircleGrid(size), 1.0))
+    info = grid._row_templates.cache_info()
+    assert info.maxsize == 1 and info.currsize == 1
+    templates = grid._row_templates(65536)
+    assert len(templates) == 65536 // grid._CSV_BLOCK_ROWS
+    assert sum(sys.getsizeof(t) for t in templates) <= 40 * 65536
+
+
+def test_csv_writes_match_oracle_across_cache_evictions():
+    large, small = mixed_signal(65536, 3), mixed_signal(8, 4)
+    for f in (large, small, large):
+        assert signal_to_csv(f) == fstring_oracle_csv(f)
