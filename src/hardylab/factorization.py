@@ -75,8 +75,9 @@ def outer_boundary(k: np.ndarray) -> np.ndarray:
         raise UnboundedLogData(
             f"{100 * frac:.1f}% of log-modulus samples sit at the clip floor"
         )
-    out = 1j * hardy.conjugate(kc)
-    np.add(kc, out, out=out)
+    out = np.empty(kc.size, dtype=complex)
+    out.real = kc
+    out.imag = hardy.conjugate(kc)
     return np.exp(out, out=out)
 
 

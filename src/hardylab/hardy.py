@@ -77,7 +77,7 @@ def _trim_trailing(a: np.ndarray) -> np.ndarray:
     return a[: keep[-1] + 1]
 
 
-# Test-only, but kept: perfbench/tracing.py wraps analytic_projection by name (ROADMAP item 4).
+# Test-only, but kept: perfbench/tracing.py wraps analytic_projection by name (ROADMAP item 6).
 def analytic_projection(f: BoundarySignal, leak_tol: float = 1e-8) -> AnalyticRep:
     """Nonnegative-frequency DFT coefficients of ``f``.
 
@@ -100,20 +100,17 @@ def analytic_projection(f: BoundarySignal, leak_tol: float = 1e-8) -> AnalyticRe
 def conjugate(k: np.ndarray) -> np.ndarray:
     """Harmonic-conjugate values of real node samples ``k``, as a real array.
 
-    The multiplier ``-i*sign(n)`` is applied band by band in place on the
-    spectrum, so no N-sized multiplier array is built. The n = 0 and Nyquist
-    bins are multiplied by zero rather than assigned it, which keeps the
-    signed zeros, and hence the output bits, of a full multiplier product.
+    The real FFT keeps the bins n = 0 .. N/2 of the spectrum, where the
+    multiplier ``-i*sign(n)`` is -i; the n = 0 and Nyquist bins are set to
+    zero, and the inverse real FFT supplies the mirrored negative bins.
     """
-    n = k.size
-    c = np.fft.fft(k)
-    c[[0, n // 2]] *= 0j
-    c[1 : n // 2] *= -1j
-    c[n // 2 + 1 :] *= 1j
-    return np.fft.ifft(c).real
+    c = np.fft.rfft(k)
+    c[0] = c[-1] = 0.0
+    c *= -1j
+    return np.fft.irfft(c, k.size)
 
 
-# Test-only, but kept: perfbench/tracing.py wraps conjugate_function by name (ROADMAP item 4).
+# Test-only, but kept: perfbench/tracing.py wraps conjugate_function by name (ROADMAP item 6).
 def conjugate_function(k: BoundarySignal) -> BoundarySignal:
     """Harmonic-conjugate boundary values of a real signal (zero mean part)."""
     if not k.is_real():

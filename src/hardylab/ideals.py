@@ -18,8 +18,9 @@ peak value out of essential range) raise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -41,6 +42,8 @@ DEFAULT_BOUND = 2.0
 #: Peak units need the generator modulus to come within this of zero.
 RANGE_TOL = 0.05
 DEFAULT_MAIN_STAGES = tuple(range(1, 13))
+#: The last stage whose level e^-m is a nonzero double.
+MAX_STAGE = 745
 DEFAULT_PEAK_SCHEDULE = (1, 2, 4, 8, 16, 32, 64, 128, 200, 400, 800)
 
 #: Allowed overshoot of sup|unit| past the theoretical bound.
@@ -142,6 +145,8 @@ def _sublevel_units(spec: IdealSpec, stages: Sequence[int]) -> Iterator[tuple[Un
         raise ValueError("sublevel stages must not be empty")
     if any(m < 1 for m in stages):
         raise ValueError("sublevel stages must be positive")
+    if any(m > MAX_STAGE for m in stages):
+        raise ValueError(f"sublevel stages must be at most {MAX_STAGE}; e^-m underflows past it")
     grid = spec.grid
     # clipped log of the pointwise-largest generator modulus
     k_c = np.maximum.reduce([clipped_log_modulus(g).values.real for g in spec.generators])
@@ -217,6 +222,9 @@ def _sublevel_units(spec: IdealSpec, stages: Sequence[int]) -> Iterator[tuple[Un
 # peak-power units
 # ---------------------------------------------------------------------------
 
+_NO_SCALE = "no scaling of the generator brings the rebased function into the unit ball"
+
+
 @dataclass(frozen=True)
 class PeakPreparation:
     """Alignment of a generator against a unimodular peak value."""
@@ -226,6 +234,22 @@ class PeakPreparation:
     rescaled: bool
     sup_base: float
     range_gap: float
+
+
+def _rotated_sup(gv: np.ndarray) -> Callable[[float], float]:
+    """phi -> sup_j |1 - e^{-i phi} G_j| for the contiguous complex values
+    ``gv``, in real arithmetic on two N-sized buffers: the square is
+    q - (Re G, Im G) . (2 cos phi, 2 sin phi) with q = 1 + |G|^2."""
+    pairs = gv.view(float).reshape(-1, 2)
+    q = 1.0 + np.einsum("ij,ij->i", pairs, pairs)
+    buf = np.empty(q.shape)
+
+    def sup_at(phi: float) -> float:
+        np.matmul(pairs, (2.0 * math.cos(phi), 2.0 * math.sin(phi)), out=buf)
+        np.subtract(q, buf, out=buf)
+        return math.sqrt(max(float(np.max(buf)), 0.0))
+
+    return sup_at
 
 
 def prepare_peak(generator: BoundarySignal) -> PeakPreparation:
@@ -245,15 +269,12 @@ def prepare_peak(generator: BoundarySignal) -> PeakPreparation:
             f"generator modulus stays above {range_gap:.6g}; "
             f"no unimodular value of the rebased function within {RANGE_TOL:g}"
         )
-
-    buf = np.empty_like(gv)
-    mod = np.empty(gv.shape)
-
-    def sup_at(phi: float) -> float:
-        """sup |1 - e^{-i phi} G|, evaluated in the two buffers of this call."""
-        np.multiply(np.exp(-1j * phi), gv, out=buf)
-        np.subtract(1.0, buf, out=buf)
-        return float(np.max(np.abs(buf, out=mod)))
+    # The scan squares |G|, which overflows near 1e154. Past sup|G| = 1e10
+    # no scale fits: |1 - c w| <= 1 + 1e-12 at the largest |w| forces
+    # c <= (2 + 1e-12) / sup|G| < 1e-8, which is refused below.
+    if float(np.max(np.abs(gv))) > 1e10:
+        raise NormExceeded(_NO_SCALE)
+    sup_at = _rotated_sup(gv)
 
     coarse = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
     sups = np.array([sup_at(p) for p in coarse])
@@ -297,10 +318,7 @@ def prepare_peak(generator: BoundarySignal) -> PeakPreparation:
             inv[pos] = np.abs(w[pos]) ** 2 / (w.real[pos] + root[pos])
             scale = 1.0 / float(np.max(inv))
         if scale < 1e-8:
-            raise NormExceeded(
-                "no scaling of the generator brings the rebased function "
-                "into the unit ball"
-            )
+            raise NormExceeded(_NO_SCALE)
         rescaled = True
 
     return PeakPreparation(

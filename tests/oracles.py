@@ -1,7 +1,8 @@
 """Independent reference routes that the tests compare the package against.
 
 None of these runs in the program. Each route recomputes an answer by a
-second, simpler way (Horner evaluation, a dense matrix, a bisection), so a
+second, simpler way (Horner evaluation, a dense matrix, a bisection, complex
+FFTs and complex moduli where the program works on real arrays), so a
 test can hold the program's route to it; the corpus names the functions on
 which two independent outerness tests must agree.
 """
@@ -67,3 +68,19 @@ def peak_scale_bisection(w: np.ndarray) -> float | None:
         else:
             hi = mid
     return lo
+
+
+def conjugate_complex_fft(k: np.ndarray) -> np.ndarray:
+    """Harmonic conjugate of real samples by a full complex FFT pair, with
+    the two-sided multiplier -i sign(n) and zero at n = 0 and Nyquist."""
+    n = k.size
+    c = np.fft.fft(k)
+    c[[0, n // 2]] = 0.0
+    c[1 : n // 2] *= -1j
+    c[n // 2 + 1 :] *= 1j
+    return np.fft.ifft(c).real
+
+
+def rotated_sup_complex(values: np.ndarray, phi: float) -> float:
+    """sup |1 - e^{-i phi} G| in complex arithmetic."""
+    return float(np.max(np.abs(1.0 - np.exp(-1j * phi) * values)))

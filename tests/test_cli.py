@@ -193,6 +193,22 @@ def test_peak_powers_below_one_exit_one(capsys, command, generator, schedule):
     assert json.loads(err) == {"error": "io-format", "message": "peak powers must be positive"}
 
 
+@pytest.mark.parametrize("command", ["certify", "approx-unit"])
+def test_sublevel_stage_past_underflow_exits_one(capsys, command):
+    # a stage of 2^64 or more once reached np.exp as a Python int and escaped
+    # as a TypeError traceback
+    code, out, err = run(
+        capsys, command, "--generators", "one-minus-z", "--strategy", "sublevel",
+        "--stages", "1,99999999999999999999", "--grid-size", "4096",
+    )
+    assert code == 1
+    assert out == ""
+    assert json.loads(err) == {
+        "error": "io-format",
+        "message": "sublevel stages must be at most 745; e^-m underflows past it",
+    }
+
+
 def test_peak_overflow_refusal_keeps_stderr_one_json_object(capsys, tmp_path):
     # the rescale reciprocal overflows for 1e300*(1-z); a plain process
     # prints every warning recorded here to stderr ahead of the JSON

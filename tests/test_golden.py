@@ -33,13 +33,17 @@ class Tol(NamedTuple):
     abs: float
 
 
-#: Numeric class, by JSON key; "*" covers every key not listed.
+#: Numeric class, by JSON key; "*" covers every key not listed. Roundoff
+#: moves of the FFT and reduction order stay under 1e-16 relative above the
+#: absolute floor; the margin covers other numpy builds.
 TOLERANCES = {
-    "*": Tol(rel=1e-9, abs=1e-12),
+    "*": Tol(rel=1e-10, abs=1e-13),
 }
 
 #: Threshold-sensitive class: these keys of a sublevel stage that is not the
-#: last of its stage list.
+#: last of its stage list. A node that leaves the e^-3 support of
+#: banded-logmod at N = 4096 moved on_support_max from e^-3 to e^-4 (63 %),
+#: error by 5.8 %, support_measure by 2.7 % and value_at_zero by 0.2 %.
 THRESHOLD_SENSITIVE = {
     "error": Tol(rel=0.1, abs=1e-12),
     "support_measure": Tol(rel=0.05, abs=1e-12),
@@ -57,8 +61,10 @@ def _is_number(x) -> bool:
 def _compare(old, new, path: str, key: str, loose: bool, out: list) -> None:
     """Append to ``out`` one line per field of ``new`` outside its class."""
     if _is_number(old) and _is_number(new):
-        table = THRESHOLD_SENSITIVE if loose and key in THRESHOLD_SENSITIVE else TOLERANCES
-        tol = table.get(key, TOLERANCES["*"])
+        if loose and key in THRESHOLD_SENSITIVE:
+            tol = THRESHOLD_SENSITIVE[key]
+        else:
+            tol = TOLERANCES.get(key, TOLERANCES["*"])
         if not abs(new - old) <= tol.abs + tol.rel * abs(old):
             out.append(f"{path}: {old!r} -> {new!r} (tolerance {tol})")
     elif isinstance(old, dict) and isinstance(new, dict):
@@ -126,7 +132,9 @@ def test_comparator_classes():
     new["stages"][0]["error"] = 1.05
     assert compare_record(old, new) == []
     new["stages"][1]["error"] = 1.05
-    assert compare_record(old, new) == [".stages[1].error: 1.0 -> 1.05 (tolerance %s)" % (TOLERANCES["*"],)]
+    assert compare_record(old, new) == [
+        f".stages[1].error: 1.0 -> 1.05 (tolerance {TOLERANCES['*']})"
+    ]
     # booleans, strings, lengths and keys are exact
     assert compare_record({"a": True}, {"a": 1})
     assert compare_record({"a": "x"}, {"a": "y"})

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hardylab import (
     AnalyticRep,
@@ -14,8 +15,8 @@ from hardylab import (
     PointOnBoundary,
     signal_from_values,
 )
-from hardylab.hardy import analytic_projection, conjugate_function, herglotz_integral
-from oracles import evaluate
+from hardylab.hardy import analytic_projection, conjugate, conjugate_function, herglotz_integral
+from oracles import conjugate_complex_fft, evaluate
 
 
 def test_projection_recovers_polynomial_coefficients():
@@ -47,6 +48,28 @@ def test_conjugate_annihilates_mean_and_nyquist():
     assert np.allclose(conjugate_function(const).values, 0.0)
     nyq = signal_from_values(g, np.cos(8 * g.nodes).astype(complex))
     assert np.allclose(conjugate_function(nyq).values, 0.0)
+
+
+def test_conjugate_closed_form_on_every_mode():
+    t = CircleGrid(64).nodes
+    for n in range(1, 32):
+        assert np.max(np.abs(conjugate(np.cos(n * t)) - np.sin(n * t))) <= 1e-13
+        assert np.max(np.abs(conjugate(np.sin(n * t)) + np.cos(n * t))) <= 1e-13
+    # the mean and the Nyquist mode are annihilated exactly
+    alternating = (-1.0) ** np.arange(64)
+    for a, b in ((2.5, 0.0), (0.0, -1.75), (1e6, 3e-7)):
+        assert np.all(conjugate(a + b * alternating) == 0.0)
+
+
+@given(
+    st.integers(min_value=3, max_value=10).flatmap(
+        lambda p: arrays(np.float64, 2 ** p, elements=st.floats(-1e6, 1e6))
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_conjugate_matches_complex_fft_route(k):
+    ref = conjugate_complex_fft(k)
+    assert np.max(np.abs(conjugate(k) - ref)) <= 1e-14 * (1.0 + np.max(np.abs(k)))
 
 
 def test_conjugate_requires_real_input():

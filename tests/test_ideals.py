@@ -38,13 +38,16 @@ import hardylab.zerosets
 from hardylab.ideals import (
     DEFAULT_MAIN_STAGES,
     DEFAULT_PEAK_SCHEDULE,
+    MAX_STAGE,
+    RANGE_TOL,
     SUP_SLACK,
+    _rotated_sup,
     combine_units,
     dilation_width,
     ess_inf,
     prepare_peak,
 )
-from oracles import peak_scale_bisection
+from oracles import peak_scale_bisection, rotated_sup_complex
 
 
 def peak_error_closed_form(n: int) -> float:
@@ -301,6 +304,15 @@ def test_peak_schedule_stops_at_tolerance(one_minus_z_spec):
     assert all(s.error > 0.05 for s in stages[:-1])
 
 
+def test_sublevel_stage_past_underflow_refused(one_minus_z_spec):
+    # e^-745 is the smallest subnormal double; e^-746 rounds to zero
+    (stage,) = approx_unit_sublevel(one_minus_z_spec, (MAX_STAGE,))
+    assert stage.eps > 0.0 and stage.degenerate
+    for m in (MAX_STAGE + 1, 10 ** 20):
+        with pytest.raises(ValueError, match="at most 745"):
+            approx_unit_sublevel(one_minus_z_spec, (1, m))
+
+
 def test_peak_rejects_nonpositive_power(one_minus_z_spec):
     with pytest.raises(ValueError):
         approx_unit_peak(one_minus_z_spec, (0,))
@@ -359,6 +371,46 @@ def test_peak_scale_matches_bisection_when_rotated_and_scaled(name, factor, phas
     grid = CircleGrid(4096)
     values = factor * np.exp(1j * phase) * example_boundary(name, grid).values
     assert_scale_matches_bisection(values, grid)
+
+
+@given(
+    st.integers(min_value=0, max_value=2 ** 32 - 1),
+    st.integers(min_value=3, max_value=12),
+    st.floats(min_value=-3.0, max_value=10.0),
+    st.floats(min_value=0.0, max_value=2.0 * np.pi),
+)
+@settings(max_examples=60, deadline=None)
+def test_rotated_sup_matches_complex_modulus(seed, p, log_scale, phi):
+    # generators as prepare_peak takes them: sup|G| <= 1e10 and one node
+    # within RANGE_TOL of zero, so the sup is at least 1 - RANGE_TOL and
+    # the square root does not magnify the roundoff of the squares
+    rng = np.random.default_rng(seed)
+    n = 2 ** p
+    values = 10.0 ** log_scale * rng.uniform(0.0, 1.0, n) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, n))
+    values[rng.integers(n)] = RANGE_TOL * rng.uniform(0.0, 1.0)
+    bound = 8.0 * np.finfo(float).eps * (1.0 + np.max(np.abs(values))) ** 2
+    assert abs(_rotated_sup(values)(phi) - rotated_sup_complex(values, phi)) <= bound
+
+
+def test_peak_overflow_guard_refuses_like_the_scan(monkeypatch):
+    # 4e9 (1-z) has sup 8e9 and is refused after the scan, for its scale;
+    # 1e10 (1-z) has sup 2e10 and is refused before it, with the same error
+    grid = CircleGrid(4096)
+    base = example_boundary("one-minus-z", grid).values
+    scans = []
+
+    def counted(gv):
+        scans.append(gv.size)
+        return _rotated_sup(gv)
+
+    monkeypatch.setattr(hardylab.ideals, "_rotated_sup", counted)
+    payloads = []
+    for factor in (4e9, 1e10):
+        with pytest.raises(NormExceeded) as exc:
+            prepare_peak(signal_from_values(grid, factor * base))
+        payloads.append(exc.value.payload())
+    assert scans == [4096]
+    assert payloads[0] == payloads[1]
 
 
 def test_peak_range_miss(grid):
