@@ -94,13 +94,9 @@ def compare_record(old: dict, new: dict) -> list[str]:
     return out
 
 
-def _load(name: str) -> list[dict]:
-    return json.loads((make_golden.GOLDEN_DIR / name).read_text())["runs"]
-
-
 @pytest.mark.parametrize("name", sorted(make_golden.golden_files()))
 def test_reports_match_the_corpus(name):
-    golden = _load(name)
+    golden = json.loads((make_golden.GOLDEN_DIR / name).read_text())["runs"]
     argvs = make_golden.golden_files()[name]
     assert [r["argv"] for r in golden] == argvs, "corpus command lines differ; regenerate"
     moved = [
