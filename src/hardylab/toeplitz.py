@@ -30,6 +30,8 @@ DENSITY_SCHEDULE = (16, 32, 64, 128, 256, 512, 1024)
 
 #: Largest truncation order; one dense complex matrix at it takes ~270 MB,
 #: and no distance computation builds a matrix with more entries than that.
+#: A distance holds two such matrices, [T | e_0] and the copy numpy's QR
+#: factors, and while LAPACK runs a third: numpy's column-major buffer.
 MAX_ORDER = 4096
 
 #: Kernel counts use the banded Golub–Kahan spectrum when this many times the
@@ -48,13 +50,30 @@ def _check_order(order: int) -> None:
 
 
 def _lower_toeplitz(a: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """rows x cols matrix of multiplication by sum a_k z^k on degrees < cols."""
-    import scipy.linalg  # imported on first use: only Toeplitz work needs it
+    """rows x cols matrix of multiplication by sum a_k z^k on degrees < cols.
 
-    col = np.zeros(rows, dtype=complex)
+    Row i is a reversed window of one zero-padded coefficient vector:
+    T[i, j] = col[cols - 1 + i - j] = a_{i-j}.
+    """
+    col = np.zeros(rows + cols - 1, dtype=complex)
     take = min(rows, a.size)
-    col[:take] = a[:take]
-    return scipy.linalg.toeplitz(col, np.zeros(cols, dtype=complex))
+    col[cols - 1 : cols - 1 + take] = a[:take]
+    return np.lib.stride_tricks.sliding_window_view(col, cols)[:, ::-1].copy()
+
+
+def _unit_scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """a times the exact power of two 2^-exp that brings its largest real or
+    imaginary part into [1/2, 1), and exp; a zero vector comes back as is.
+
+    Distances and kernel counts are invariant under f -> c f, and in this
+    scale neither the matrices nor their factorizations overflow or work in
+    subnormals.
+    """
+    top = float(np.max(np.abs(a.view(float))))
+    if top == 0.0:
+        return a, 0
+    exp = math.frexp(top)[1]
+    return np.ldexp(a.real, -exp) + 1j * np.ldexp(a.imag, -exp), exp
 
 
 def _banded_singular_values(a: np.ndarray, order: int) -> np.ndarray:
@@ -65,22 +84,20 @@ def _banded_singular_values(a: np.ndarray, order: int) -> np.ndarray:
     sits at offset 2(i-j)-1 below the diagonal and its zero diagonal blocks
     leave only conj(a_0) at offset 1. The 2*order eigenvalues are +-sigma.
 
-    The coefficients are scaled exactly by a power of two to a largest
-    modulus in [1/2, 1), and those then below eps^2 are set to zero. That
-    moves no singular value by more than b*eps^2*sigma_max, far below
-    roundoff. It is needed because LAPACK's tridiagonal eigenvalue step works
-    on squared off-diagonals and cannot split at a tiny one next to a zero
-    diagonal: a_0 = 1e-160 beside a_1 = 0.54 moved sigma by 2e-5 sigma_max,
-    as its square is subnormal.
+    The coefficients are scaled by ``_unit_scaled``, and those then below
+    eps^2 are set to zero. That moves no singular value by more than
+    b*eps^2*sigma_max, far below roundoff. It is needed because LAPACK's
+    tridiagonal eigenvalue step works on squared off-diagonals and cannot
+    split at a tiny one next to a zero diagonal: a_0 = 1e-160 beside
+    a_1 = 0.54 moved sigma by 2e-5 sigma_max, as its square is subnormal.
+    The singular values come back in the caller's scale.
     """
-    import scipy.linalg
+    import scipy.linalg  # imported on first use: only banded kernel counts need it
 
     b = min(a.size, order) - 1
-    top = float(np.max(np.abs(a[: b + 1])))
-    if top == 0.0:
+    a, exp = _unit_scaled(a[: b + 1])
+    if not np.any(a):
         return np.zeros(order)
-    exp = math.frexp(top)[1]
-    a = np.ldexp(a[: b + 1].real, -exp) + 1j * np.ldexp(a[: b + 1].imag, -exp)
     a[np.abs(a) < np.finfo(float).eps ** 2] = 0.0
     band = np.zeros((2 * max(b, 1), 2 * order), dtype=complex)
     band[1, 0::2] = np.conj(a[0])
@@ -109,7 +126,7 @@ def adjoint_kernel_dim(symbol: AnalyticRep, order: int, tol: float = KERNEL_TOL)
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must be finite with 0 < tol < 1, got {tol}")
     _check_order(order)
-    a = symbol.coefficients
+    a = _unit_scaled(symbol.coefficients)[0]  # counted in this scale, never scaled back
     if BANDED_ORDER_RATIO * (min(a.size, order) - 1) <= order:
         sv = _banded_singular_values(a, order)
     else:
@@ -121,13 +138,13 @@ def adjoint_kernel_dim(symbol: AnalyticRep, order: int, tol: float = KERNEL_TOL)
 
 
 def _distances(f: AnalyticRep, order: int) -> np.ndarray:
-    """dist(f, m) for m = 1..order from one R-only QR of [T | e_0].
+    """dist(f, m) for m = 1..order from one Householder QR of [T | e_0].
 
     T is the convolution matrix on degrees < order, with one extra zero row so
     a constant symbol still gives order+1 rows. t = R[:, order] = Q^H e_0, and
     QR is column-nested, so dist(f, m)^2 = sum_{j >= m} |t_j|^2: no cancellation.
     """
-    if float(np.max(np.abs(f.coefficients))) == 0.0:
+    if not np.any(f.coefficients):
         raise ZeroFunction("symbol is identically zero")
     _check_order(order)
     a = f.coefficients
@@ -136,10 +153,11 @@ def _distances(f: AnalyticRep, order: int) -> np.ndarray:
             f"{a.size} coefficients at order {order} exceed the "
             f"{MAX_ORDER}x{MAX_ORDER}-entry matrix budget"
         )
-    aug = _lower_toeplitz(a, a.size + order, order + 1)
+    aug = _lower_toeplitz(_unit_scaled(a)[0], a.size + order, order + 1)
     aug[:, order] = 0.0
     aug[0, order] = 1.0
-    t = np.abs(np.linalg.qr(aug, mode="r")[:, order]) ** 2
+    # the raw factor holds R transposed: R's last column is its row `order`
+    t = np.abs(np.linalg.qr(aug, mode="raw")[0][order, : order + 1]) ** 2
     return np.sqrt(np.cumsum(t[::-1])[::-1][1:])
 
 

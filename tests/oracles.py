@@ -51,6 +51,19 @@ def toeplitz_matrix(symbol: AnalyticRep, order: int) -> np.ndarray:
     return t
 
 
+def distances_r_mode(f: AnalyticRep, order: int) -> np.ndarray:
+    """dist(f, m) for m = 1..order from the R that numpy's qr(mode="r")
+    returns (a triu copy of the factor) for [T | e_0], T built column by
+    column and left unscaled."""
+    a = f.coefficients
+    aug = np.zeros((a.size + order, order + 1), dtype=complex)
+    for k in range(order):
+        aug[k : k + a.size, k] = a
+    aug[0, order] = 1.0
+    t = np.abs(np.linalg.qr(aug, mode="r")[:, order]) ** 2
+    return np.sqrt(np.cumsum(t[::-1])[::-1][1:])
+
+
 def peak_scale_bisection(w: np.ndarray) -> float | None:
     """Largest c in [1e-8, 1] with max |1 - c w| <= 1 + 1e-12, by 80 halvings
     of the feasible interval; None when even 1e-8 is infeasible."""

@@ -315,21 +315,30 @@ def test_signals_off_the_ideal_grid_are_refused(capsys, tmp_path, flags):
     }
 
 
-def test_scipy_loads_only_for_toeplitz_work():
+def test_scipy_loads_only_for_toeplitz_work(tmp_path):
+    # density builds its matrix with numpy, so scipy.linalg is imported only
+    # by a kernel count on the banded route (M >= 100 b)
     script = (
         "import sys\n"
         "from hardylab.cli import main\n"
-        "assert main(['factorize', '--f', 'one-minus-z', '--grid-size', '64']) == 0\n"
-        "before = 'scipy' in sys.modules\n"
-        "assert main(['density', '--f', 'one-minus-z', '--M', '8']) == 0\n"
-        "print(before, 'scipy' in sys.modules)\n"
+        "loaded = []\n"
+        "for argv in (\n"
+        "    ['factorize', '--f', 'one-minus-z', '--grid-size', '64'],\n"
+        "    ['density', '--f', 'one-minus-z', '--M', '8'],\n"
+        "    ['toeplitz-kernel', '--f', 'one-minus-z', '--M', '64'],\n"
+        f"    ['reproduce', 'szego-dichotomy', '--out', {str(tmp_path)!r}],\n"
+        "    ['toeplitz-kernel', '--f', 'one-minus-z', '--M', '1024'],\n"
+        "):\n"
+        "    assert main(argv) == 0, argv\n"
+        "    loaded.append('scipy' in sys.modules)\n"
+        "print(*loaded)\n"
     )
     src = str(Path(hardylab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
     )
-    assert done.stdout.splitlines()[-1] == "False True"
+    assert done.stdout.splitlines()[-1] == "False False False False True"
 
 
 @pytest.mark.parametrize("argv", [

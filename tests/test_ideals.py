@@ -6,7 +6,9 @@ The frozen decimals in this module were measured once on the reference
 independently of them.
 """
 
+import cmath
 import dataclasses
+import math
 import tracemalloc
 from collections import Counter
 
@@ -41,6 +43,7 @@ from hardylab.ideals import (
     MAX_STAGE,
     RANGE_TOL,
     SUP_SLACK,
+    _power,
     _rotated_sup,
     combine_units,
     dilation_width,
@@ -758,3 +761,28 @@ def test_sublevel_units_for_two_generators_use_the_joint_outer_base():
 def test_empty_stage_lists_are_refused(one_minus_z_spec, strategy, option):
     with pytest.raises(ValueError, match="must not be empty"):
         certify_mideal(one_minus_z_spec, strategy=strategy, **{option: ()})
+
+
+@given(
+    st.lists(
+        st.builds(
+            lambda r, t: r * cmath.exp(1j * t),
+            st.floats(min_value=0.5, max_value=1.0),
+            st.floats(min_value=0.0, max_value=2 * math.pi),
+        ),
+        min_size=1,
+        max_size=64,
+    )
+)
+@settings(max_examples=30, deadline=None)
+def test_power_matches_numpy_power(values):
+    """Square-and-multiply against numpy's ** (exp and log from n = 100 on):
+    both carry about n roundoffs, so they agree to 8 n eps relative."""
+    g = np.array(values, dtype=complex)
+    kept = g.copy()
+    for n in DEFAULT_PEAK_SCHEDULE:
+        u = _power(g, n)
+        assert not np.shares_memory(u, g)
+        ref = g**n
+        assert np.all(np.abs(u - ref) <= 8 * n * np.finfo(float).eps * np.abs(ref)), n
+    assert np.array_equal(g, kept)

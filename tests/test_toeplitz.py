@@ -1,12 +1,16 @@
 """Truncated Toeplitz operators and the least-squares density profile."""
 
 import cmath
+import contextlib
+import functools
+import io
+import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hardylab import (
@@ -23,9 +27,11 @@ from hardylab.toeplitz import (
     DENSITY_SCHEDULE,
     KERNEL_TOL,
     _banded_singular_values,
+    _distances,
     density_profile_csv,
 )
-from oracles import toeplitz_matrix
+from hardylab.cli import main
+from oracles import distances_r_mode, toeplitz_matrix
 
 #: Absolute agreement required between the single-QR profile and the oracle.
 ORACLE_TOL = 1e-13
@@ -283,3 +289,98 @@ def test_distance_is_nonincreasing_in_order(coeffs, step):
 def test_one_minus_z_law_at_every_order(order):
     d = szego_distance(AnalyticRep(np.array([1.0, -1.0])), order)
     assert d * d == pytest.approx(1.0 / (order + 1), abs=1e-12)
+
+
+@pytest.mark.parametrize("name", TAYLOR_NAMES)
+def test_distances_equal_r_mode_route_bitwise_on_catalog(name):
+    # R read from the raw factor, not from numpy's triu copy, and the symbol
+    # scaled by a power of two: the same LAPACK factorization, the same bits
+    f = get_example(name).taylor()
+    order = DENSITY_SCHEDULE[-1]
+    assert np.array_equal(_distances(f, order), distances_r_mode(f, order))
+
+
+@given(
+    st.lists(_root(), min_size=0, max_size=6),
+    st.floats(min_value=-6, max_value=6),
+    st.floats(min_value=0.0, max_value=2 * math.pi),
+    st.integers(min_value=1, max_value=300),
+)
+@settings(max_examples=30, deadline=None)
+def test_distances_equal_r_mode_route_bitwise(roots, log_scale, phase, order):
+    f = polynomial(roots, 10.0**log_scale * cmath.exp(1j * phase))
+    assert np.array_equal(_distances(f, order), distances_r_mode(f, order))
+
+
+def test_density_distances_memory_at_order_1024():
+    f = polynomial([0.5, 1.3j])
+    order = 1024
+    matrix_bytes = (len(f) + order) * (order + 1) * 16
+    tracemalloc.start()
+    try:
+        _distances(f, order)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # [T | e0] and the one working copy numpy's QR factors in place; the
+    # column-major buffer numpy hands LAPACK is invisible to tracemalloc
+    assert peak <= 2.1 * matrix_bytes
+
+
+def _cli_report(argv) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert (code, err.getvalue()) == (0, "")
+    return json.loads(out.getvalue())
+
+
+def _profile_and_counts(path: str) -> tuple[tuple[float, ...], tuple[int, ...]]:
+    """The density profile at orders 64 and 1024 and the kernel counts there
+    (dense SVD at 64, banded at 1024), through the CLI."""
+    profile = _cli_report(["density", "--f", path, "--schedule", "64,1024"])["profile"]
+    counts = tuple(
+        _cli_report(["toeplitz-kernel", "--f", path, "--M", str(m)])["kernel_dim"]
+        for m in (64, 1024)
+    )
+    return tuple(row["distance"] for row in profile), counts
+
+
+@functools.cache
+def _unscaled(name: str) -> tuple[tuple[float, ...], tuple[int, ...]]:
+    return _profile_and_counts(name)
+
+
+_SCALED_NAMES = ("one-minus-z", "two-plus-z", "shift-times-one-minus-z")
+
+
+@given(st.sampled_from(_SCALED_NAMES), st.floats(min_value=-320, max_value=308))
+@example("one-minus-z", 308.0)
+@example("two-plus-z", 308.0)
+@example("shift-times-one-minus-z", 308.0)
+@example("one-minus-z", -320.0)
+@example("two-plus-z", -320.0)
+@example("shift-times-one-minus-z", -320.0)
+@settings(max_examples=6, deadline=None)
+def test_density_and_kernel_counts_ignore_the_symbols_scale(tmp_path_factory, name, log_c):
+    """c f for a largest coefficient c = 10^log_c: the profile moves by
+    roundoff only, the counts not at all, and nothing reaches stderr."""
+    a = get_example(name).taylor().coefficients
+    path = tmp_path_factory.mktemp("scaled") / "f.json"
+    path.write_text(AnalyticRep(10.0**log_c / np.max(np.abs(a)) * a).to_json())
+    dist, counts = _profile_and_counts(str(path))
+    ref_dist, ref_counts = _unscaled(name)
+    assert np.max(np.abs(np.subtract(dist, ref_dist))) <= 1e-12
+    assert counts == ref_counts
+
+
+@pytest.mark.parametrize("c", [1e308, 1e-320])
+def test_one_plus_z_at_the_ends_of_the_float_range(tmp_path, c):
+    # dist(1+z, M)^2 = 1/(M+1) for every c != 0, and T_M(c(1+z)) is invertible
+    path = tmp_path / "f.json"
+    path.write_text(AnalyticRep(np.array([c, c])).to_json())
+    profile = _cli_report(["density", "--f", str(path), "--schedule", "1,2,64"])["profile"]
+    for row in profile:
+        assert row["distance"] == pytest.approx(1 / math.sqrt(row["M"] + 1), abs=1e-12)
+    for m in ("64", "1024"):
+        assert _cli_report(["toeplitz-kernel", "--f", str(path), "--M", m])["kernel_dim"] == 0
