@@ -17,7 +17,7 @@ import numpy as np
 
 from . import hardy
 from .errors import SingularPoint, UnboundedLogData, ZeroFunction
-from .grid import BoundarySignal, CircleGrid
+from .grid import BoundarySignal, CircleGrid, _scaled_mean
 
 #: Log-modulus values below this are clipped; e**CLIP_FLOOR ~ 9.4e-14.
 CLIP_FLOOR = -30.0
@@ -178,4 +178,4 @@ def is_outer(f: BoundarySignal) -> bool:
     JENSEN_TOL, with ``f(0)`` the mean of the boundary values."""
     _reject_zero(f)
     jensen = float(np.exp(np.mean(clipped_log_modulus(f).values.real)))
-    return bool(abs(abs(np.mean(f.values)) - jensen) <= JENSEN_TOL * max(jensen, 1e-300))
+    return bool(abs(abs(_scaled_mean(f.values)) - jensen) <= JENSEN_TOL * max(jensen, 1e-300))

@@ -10,6 +10,8 @@ the nodes.
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -82,6 +84,17 @@ class BoundarySignal:
         return bool(np.max(np.abs(self.values.imag)) <= tol)
 
 
+def _scaled_mean(values: np.ndarray) -> complex:
+    """The mean of a contiguous complex array, taken in the exact power of two
+    scale that brings its largest real or imaginary part into [1/2, 1), so the
+    sum cannot overflow. Bitwise ``np.mean`` where no sum overflows and no
+    scaled part falls below the normal range."""
+    parts = values.view(float)
+    exp = math.frexp(float(np.max(np.abs(parts))))[1]  # 0 for a zero array
+    m = np.mean(np.ldexp(parts, -exp).view(complex))
+    return complex(math.ldexp(m.real, exp), math.ldexp(m.imag, exp))
+
+
 def signal_from_values(grid: CircleGrid, values) -> BoundarySignal:
     return BoundarySignal(grid, values)
 
@@ -149,7 +162,65 @@ def signal_to_csv(f: BoundarySignal) -> str:
     return "".join(out)
 
 
-def signal_from_csv(text: str) -> BoundarySignal:
+# Everything a canonical row holds besides its separators ',' and '\n'.
+_CANONICAL_FIELD_BYTES = b"0123456789+-.eE \t"
+
+# Characters per chunk of the canonical reader: each chunk's token list is
+# short-lived, so the read holds about one output table, not a second copy of
+# the text.
+_CANONICAL_CHUNK_CHARS = 1 << 15
+
+# An integer token -0 (not an exponent). JSON reads it as 0, dropping the sign
+# that the writer's %.17g keeps for -0.0.
+_INTEGER_MINUS_ZERO = re.compile(rb"-0(?<![eE]-0)(?=[\s,\]])")
+
+
+def _canonical_table(text: str) -> np.ndarray | None:
+    """The N x 3 table of a canonical CSV text, or None for any other text.
+
+    Canonical text has the header exactly ``theta,re,im`` and rows of exactly
+    two commas, separated by single LFs, with no other characters than digits,
+    ``+-.eE``, spaces and tabs. Its rows are read chunk by chunk as JSON
+    arrays by orjson, whose number reader is correctly rounded, as is
+    ``np.loadtxt``'s, so both routes give the same bits. A chunk that orjson
+    refuses (``+1``, ``.5``, ``5.``, ``007``, ...) sends the whole text to the
+    ``np.loadtxt`` route, which decides its values or error.
+    """
+    header = "theta,re,im\n"
+    if not (text.startswith(header) and text.isascii()):
+        return None
+    end = len(text) - text.endswith("\n")
+    rows = text.count("\n", len(header), end) + 1
+    try:
+        CircleGrid(rows)
+    except ValueError:
+        return None  # the loadtxt route refuses the row count before any float
+    import orjson
+
+    table = np.empty(3 * rows)
+    filled, start = 0, len(header)
+    while start < end:
+        stop = text.find("\n", start + _CANONICAL_CHUNK_CHARS, end)
+        stop = end if stop < 0 else stop
+        chunk = text[start:stop].encode("ascii")
+        separators = chunk.translate(None, _CANONICAL_FIELD_BYTES)
+        n = (len(separators) + 1) // 3  # rows in the chunk if canonical
+        if separators != b",,\n" * (n - 1) + b",,":
+            return None  # another byte, a blank line, or a row of other width
+        try:
+            values = orjson.loads(
+                _INTEGER_MINUS_ZERO.sub(b"-0.0", b"[" + chunk.replace(b"\n", b",") + b"]")
+            )
+        except orjson.JSONDecodeError:
+            return None
+        table[filled:filled + 3 * n] = values
+        filled, start = filled + 3 * n, stop + 1
+    return table.reshape(rows, 3)
+
+
+def _loadtxt_table(text: str) -> np.ndarray:
+    """The N x 3 table of any CSV text, read by ``np.loadtxt`` (README
+    grammar); a malformed text or an illegal row count raises ValueError."""
     lines = text.splitlines()
     if not lines or [c.strip() for c in lines[0].split(",")] != ["theta", "re", "im"]:
         raise ValueError("expected CSV header 'theta,re,im'")
@@ -163,6 +234,14 @@ def signal_from_csv(text: str) -> BoundarySignal:
         raise ValueError(f"malformed boundary-signal CSV: {exc}") from None
     if table.shape != (grid.size, 3):  # N x 4 when every row has 4 fields
         raise ValueError(f"malformed boundary-signal CSV: expected 3 fields, got {table.shape[1]}")
+    return table
+
+
+def signal_from_csv(text: str) -> BoundarySignal:
+    table = _canonical_table(text)
+    if table is None:
+        table = _loadtxt_table(text)
+    grid = CircleGrid(table.shape[0])
     if not np.all(np.abs(table[:, 0] - grid.nodes) <= 1e-9):  # refuses NaN too
         raise ValueError("theta column must be uniform 2*pi*j/N within 1e-9")
     vals = np.empty(grid.size, dtype=complex)

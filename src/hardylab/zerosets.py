@@ -23,7 +23,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .factorization import clipped_log_modulus
-from .grid import TWO_PI, BoundarySignal, CircleGrid, circular_distance, circular_runs
+from .grid import (
+    TWO_PI,
+    BoundarySignal,
+    CircleGrid,
+    _scaled_mean,
+    circular_distance,
+    circular_runs,
+)
 
 #: Sublevel thresholds e^{-1} .. e^{-8}, finest last.
 EPS_SCHEDULE = tuple(float(np.exp(-m)) for m in range(1, 9))
@@ -149,7 +156,7 @@ def continuous_extension(f: BoundarySignal, center: float) -> ExtensionResult:
     tol = extension_tolerance(f)
     windows = [f.values[window_nodes(f.grid, center, w)] for w in WIDTH_SCHEDULE]
     oscs = tuple(value_diameter(v) for v in windows)
-    value = complex(np.mean(windows[-1]))
+    value = _scaled_mean(windows[-1])
     worst = max(oscs)
     # A flat profile (constant data up to roundoff) is continuous outright;
     # otherwise require genuine decay, not just a small final window.

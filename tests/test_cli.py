@@ -227,6 +227,26 @@ def test_peak_overflow_refusal_keeps_stderr_one_json_object(capsys, tmp_path):
     assert json.loads(err)["error"] == "NormExceeded"
 
 
+@pytest.mark.parametrize("argv,code,key,want", [
+    (["factorize", "--f"], 0, "is_outer_input", True),
+    (["zeroset", "--f"], 0, "in_disc_algebra", True),
+    (["certify", "--generators"], 0, "passed", True),
+    (["certify", "--strategy", "peak", "--generators"], 2, "error", "RangeMiss"),
+], ids=["factorize", "zeroset", "certify", "certify-peak"])
+def test_constant_near_overflow_is_outer_without_warnings(capsys, tmp_path, argv, code, key, want):
+    # the plain node mean of 1e308*(1+i) overflows: is_outer read f(0) as nan
+    # and refused this constant as NotOuter, and zeroset's extension means
+    # printed numpy warnings ahead of a report
+    path = tmp_path / "huge.csv"
+    path.write_text(signal_to_csv(signal_from_values(CircleGrid(8), np.full(8, 1e308 * (1 + 1j)))))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got, out, err = run(capsys, *argv, str(path))
+    assert [str(w.message) for w in caught] == []
+    assert got == code
+    assert json.loads(out if code == 0 else err)[key] == want
+
+
 def test_certify_pass_exit_zero(capsys):
     code, out, err = run(capsys, "certify", "--generators", "two-plus-z", "--grid-size", "1024")
     assert code == 0
@@ -388,7 +408,7 @@ def test_stdin_signal(capsys, monkeypatch):
 
 
 G8_CSV = signal_to_csv(example_boundary("one-minus-z", CircleGrid(8)))
-G8_ROW = G8_CSV.splitlines()[2]
+G8_ROW, G8_NEXT = G8_CSV.splitlines()[2:4]
 
 
 @pytest.mark.parametrize("text", [
@@ -405,10 +425,14 @@ G8_ROW = G8_CSV.splitlines()[2]
     G8_CSV.replace("\n", ",0\n").replace("theta,re,im,0", "theta,re,im"),
     G8_CSV.replace(G8_ROW, G8_ROW.split(",", 1)[0] + ",1_0," + G8_ROW.rsplit(",", 1)[1]),
     G8_CSV.replace(G8_ROW, G8_ROW.split(",", 1)[0] + ",\u0661," + G8_ROW.rsplit(",", 1)[1]),
+    G8_CSV.replace(G8_ROW, G8_ROW.rsplit(",", 1)[0] + ",true"),
+    G8_CSV.replace(G8_ROW, G8_ROW.rsplit(",", 1)[0] + ",null"),
+    G8_CSV.replace(G8_ROW + "\n" + G8_NEXT, G8_ROW.rsplit(",", 1)[0] + "\n"
+                   + G8_ROW.rsplit(",", 1)[1] + "," + G8_NEXT),
 ], ids=["short-row", "non-numeric", "empty-body", "non-power-of-two",
         "extra-column", "quoted-number", "nan-theta", "comment-tail", "trailing-comma",
         "whitespace-line", "four-fields-every-row", "underscore-digits",
-        "arabic-indic-digit"])
+        "arabic-indic-digit", "json-true", "json-null", "two-and-four-fields"])
 def test_malformed_csv_exits_one_with_json(capsys, monkeypatch, text):
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
     code, out, err = run(capsys, "factorize", "--f", "-")

@@ -7,6 +7,7 @@ import sys
 import tracemalloc
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -153,6 +154,38 @@ def test_csv_codec_matches_oracles_bitwise(size, seed):
     assert np.array_equal(bits(back.values), bits(f.values))
 
 
+FIELD_SPELLINGS = ("%.17g", "%r", "%.16g", "%.20g", "%.25e")
+
+
+@given(
+    st.sampled_from([8, 64, 2048]),
+    st.integers(min_value=0, max_value=2 ** 32 - 1),
+)
+@example(2048, 0)  # several reader chunks
+@settings(max_examples=30, deadline=None)
+def test_canonical_reader_matches_loadtxt_bitwise(size, seed):
+    # random float64 bit patterns, about half replaced by edge values, each
+    # printed in one of several spellings; integral values of 2**53 and up
+    # are also printed as plain integers, and -0.0 as the integer token -0
+    rng = np.random.default_rng(seed)
+    parts = rng.integers(0, 2 ** 64, size=3 * size, dtype=np.uint64).view(float)
+    parts[~np.isfinite(parts)] = 1e308
+    edge = rng.random(3 * size) < 0.5
+    parts[edge] = rng.choice(np.append(EDGE_VALUES, [2.0 ** 53 + 2, -(2.0 ** 64), 1e300]),
+                             size=int(edge.sum()))
+    kinds = len(FIELD_SPELLINGS)
+    spellings = rng.integers(0, kinds + 1, size=3 * size)
+    fields = [
+        "%d" % v if k == kinds and v == int(v) else FIELD_SPELLINGS[k % kinds] % v
+        for v, k in zip(parts.tolist(), spellings.tolist())
+    ]
+    text = "theta,re,im\n" + "".join(",".join(fields[i:i + 3]) + "\n" for i in range(0, len(fields), 3))
+    fast = grid._canonical_table(text)
+    assert fast is not None
+    assert np.array_equal(bits(fast), bits(grid._loadtxt_table(text)))
+    assert np.array_equal(bits(fast).ravel(), bits(np.array([float(t) for t in fields])))
+
+
 def test_csv_keeps_signed_zeros_that_complex_arithmetic_drops():
     f = BoundarySignal(CircleGrid(8), complex_from_parts(np.full(8, -0.0), np.full(8, -0.0)))
     back = signal_from_csv(signal_to_csv(f))
@@ -179,10 +212,16 @@ def test_csv_rejects_bad_header_and_nonuniform_theta():
         signal_from_csv("\n".join(rows) + "\n")
 
 
-G8_TEXT = signal_to_csv(signal_from_values(CircleGrid(8), np.arange(8) - 2.5j))
+# re 0, 0.5, .., 3.5 with re[0] = -0.0, and im alternating -0.0 and -2.5: the
+# writer prints -0.0 as the integer token -0, which JSON reads as 0
+G8_VALUES = complex_from_parts(
+    np.where(np.arange(8) == 0, -0.0, np.arange(8) / 2), np.tile([-0.0, -2.5], 4)
+)
+G8_TEXT = signal_to_csv(signal_from_values(CircleGrid(8), G8_VALUES))
 
 
 @pytest.mark.parametrize("text", [
+    G8_TEXT,
     G8_TEXT.replace("\n", "\n\n"),
     G8_TEXT + "\n\n",
     G8_TEXT.replace("\n", "\r\n"),
@@ -190,20 +229,38 @@ G8_TEXT = signal_to_csv(signal_from_values(CircleGrid(8), np.arange(8) - 2.5j))
     G8_TEXT.replace("theta,re,im", "theta, re, im"),
     G8_TEXT.replace(",", ", "),
     G8_TEXT.replace(",", ",\t"),
-], ids=["blank-lines", "trailing-blank-lines", "crlf", "cr", "spaced-header", "spaced-fields",
-        "tab-padded-fields"])
+    G8_TEXT.replace(",1,", ",+1,"),
+    G8_TEXT.replace(",0.5,", ",.5,"),
+    G8_TEXT.replace(",2,", ",2.,"),
+    G8_TEXT.replace(",3,", ",003,"),
+    G8_TEXT.replace(",1,", ",1E+00,"),
+    G8_TEXT.replace(",-0", ",-0.0"),
+    G8_TEXT.replace(",-0", ", -0 "),
+    G8_TEXT.rstrip("\n"),
+], ids=["canonical", "blank-lines", "trailing-blank-lines", "crlf", "cr", "spaced-header",
+        "spaced-fields", "tab-padded-fields", "plus-sign", "leading-dot", "trailing-dot",
+        "leading-zeros", "upper-exponent", "minus-zero-spelled-as-float",
+        "minus-zero-padded", "no-final-newline"])
 def test_csv_accepted_variants_read_the_same_values(text):
-    want = signal_from_csv(G8_TEXT).values
-    assert np.array_equal(bits(signal_from_csv(text).values), bits(want))
+    assert G8_TEXT.count(",-0") == 5
+    assert np.array_equal(bits(signal_from_csv(text).values), bits(G8_VALUES))
 
 
 def test_csv_row_count_is_checked_before_any_float(monkeypatch):
-    # tokens that do not parse: the row count must be refused first
-    with pytest.raises(ValueError, match="power of two"):
-        signal_from_csv("theta,re,im\n" + "a,b,c\n" * 12)
+    # unparsed tokens go to np.loadtxt and canonical rows to orjson: either
+    # way the row count must be refused before a reader builds a float
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a float was read before the row count was checked")
+
+    monkeypatch.setattr(np, "loadtxt", refuse)
+    monkeypatch.setattr(orjson, "loads", refuse)
+    for row in ("a,b,c\n", "1,2,3\n"):
+        with pytest.raises(ValueError, match="power of two"):
+            signal_from_csv("theta,re,im\n" + row * 12)
     monkeypatch.setattr("hardylab.grid.MAX_GRID_SIZE", 8)
-    with pytest.raises(ValueError, match="at most 8"):
-        signal_from_csv("theta,re,im\n" + "a,b,c\n" * 16)
+    for row in ("a,b,c\n", "1,2,3\n"):
+        with pytest.raises(ValueError, match="at most 8"):
+            signal_from_csv("theta,re,im\n" + row * 16)
 
 
 def test_csv_codec_memory_at_65536_nodes():
@@ -217,13 +274,19 @@ def test_csv_codec_memory_at_65536_nodes():
         tracemalloc.reset_peak()
         signal_from_csv(text)
         read_peak = tracemalloc.get_traced_memory()[1] - len(text)
+        crlf = text.replace("\n", "\r\n")  # read by np.loadtxt, not orjson
+        tracemalloc.reset_peak()
+        signal_from_csv(crlf)
+        loadtxt_peak = tracemalloc.get_traced_memory()[1] - len(text) - len(crlf)
     finally:
         tracemalloc.stop()
     # measured this way, the row-wise writer peaked at 10.9 MiB and the
     # csv.reader parser at 37.3 MiB; the block codec takes 9.2 MiB (a first
-    # write, its row templates included) and 11.6 MiB
+    # write, its row templates included), 5.8 MiB through orjson and 11.8 MiB
+    # through np.loadtxt (11.6 before orjson, when it read the LF text)
     assert write_peak < 10 << 20
     assert read_peak < 16 << 20
+    assert loadtxt_peak < 16 << 20
 
 
 def test_row_template_cache_keeps_one_grid_size():
