@@ -248,10 +248,10 @@ def _cmd_approx_unit(args) -> int:
         units = _sublevel_units(spec, args.stages)
         report = {"strategy": "sublevel"}
     rows = []
-    for stage, unit in units:  # each unit is written as soon as it is built
+    for stage, unit in units:  # each unit is built and written only under --out
         rows.append(stage_report(stage))
         if args.out is not None:
-            _write(args.out, f"unit-{stage.index:04d}.csv", signal_to_csv(BoundarySignal(spec.grid, unit)))
+            _write(args.out, f"unit-{stage.index:04d}.csv", signal_to_csv(BoundarySignal(spec.grid, unit())))
     report["stages"] = rows
     _emit(report, args.out)
     return 0

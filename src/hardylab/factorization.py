@@ -50,21 +50,18 @@ class OuterFn:
     boundary: BoundarySignal
 
     def at(self, z) -> complex | np.ndarray:
-        """Disc values exp(Herglotz integral of the log-modulus)."""
-        zs = np.atleast_1d(np.asarray(z, dtype=complex))
-        out = np.array(
-            [np.exp(hardy.herglotz_integral(self.log_modulus, w)) for w in zs]
-        )
-        return out if np.ndim(z) else complex(out[0])
+        """Disc values exp(Herglotz integral of the log-modulus), at a point
+        or at each point of an array of them."""
+        out = np.exp(hardy.herglotz_integral(self.log_modulus, z))
+        return out if np.ndim(z) else complex(out)
 
     def value_at_zero(self) -> float:
         """exp(mean log-modulus); positive by the chosen normalization."""
         return float(np.exp(np.mean(self.log_modulus.values.real)))
 
 
-def outer_boundary(k: np.ndarray) -> np.ndarray:
-    """Boundary values ``exp(kc + i H[kc])`` of the outer function whose
-    log-modulus samples ``k`` (a real array) are clipped to ``kc`` at the floor.
+def clip_log_data(k: np.ndarray) -> np.ndarray:
+    """Log-modulus samples ``k`` (a real array) clipped at ``CLIP_FLOOR``.
 
     Raises :class:`UnboundedLogData` when more than ``CLIP_FRACTION_LIMIT`` of
     the samples sit at the floor.
@@ -75,10 +72,24 @@ def outer_boundary(k: np.ndarray) -> np.ndarray:
         raise UnboundedLogData(
             f"{100 * frac:.1f}% of log-modulus samples sit at the clip floor"
         )
+    return kc
+
+
+def outer_values(kc: np.ndarray, conj: np.ndarray) -> np.ndarray:
+    """``exp(kc + i conj)`` in a new complex array, for clipped log-modulus
+    samples ``kc`` and their harmonic conjugate ``conj = hardy.conjugate(kc)``."""
     out = np.empty(kc.size, dtype=complex)
     out.real = kc
-    out.imag = hardy.conjugate(kc)
+    out.imag = conj
     return np.exp(out, out=out)
+
+
+def outer_boundary(k: np.ndarray) -> np.ndarray:
+    """Boundary values ``exp(kc + i H[kc])`` of the outer function whose
+    log-modulus samples ``k`` (a real array) are clipped to ``kc`` at the
+    floor by ``clip_log_data``."""
+    kc = clip_log_data(k)
+    return outer_values(kc, hardy.conjugate(kc))
 
 
 def synth_outer(k: BoundarySignal) -> OuterFn:

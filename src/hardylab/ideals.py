@@ -18,6 +18,7 @@ peak value out of essential range) raise.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Optional, Sequence
@@ -32,8 +33,9 @@ from .errors import (
     StrategyInapplicable,
     ZeroFunction,
 )
-from .factorization import clipped_log_modulus, is_outer, outer_boundary
+from .factorization import clip_log_data, clipped_log_modulus, is_outer, outer_boundary, outer_values
 from .grid import TWO_PI, BoundarySignal, CircleGrid, circular_runs
+from .hardy import conjugate
 from .zerosets import ZeroSetEstimate, continuous_extension, essential_zero_set
 
 STRATEGIES = ("auto", "sublevel", "peak", "combined")
@@ -114,13 +116,29 @@ def dilation_width(stage: int, spacing: float) -> float:
     return min(2.0 ** -stage, 0.45 * spacing)
 
 
-def _keep_final(grid: CircleGrid, units: Iterator[tuple]) -> tuple:
+#: A stage with a zero-argument function that builds its unit's values. The
+#: statistics come from real moduli and phases; the complex unit is built
+#: only when it is written out or kept.
+StagedUnit = tuple[object, Callable[[], np.ndarray]]
+
+
+def _keep_final(grid: CircleGrid, units: Iterator[StagedUnit]) -> tuple:
     """The stages of ``units`` as a tuple; the last one keeps its unit."""
     out = []
     for stage, unit in units:
         out.append(stage)
-    out[-1] = replace(out[-1], unit=BoundarySignal(grid, unit))
+    out[-1] = replace(out[-1], unit=BoundarySignal(grid, unit()))
     return tuple(out)
+
+
+def _distance_to_one(mod: np.ndarray, half_phase: np.ndarray) -> np.ndarray:
+    """|w - 1| for |w| = ``mod`` and arg w = 2 ``half_phase``, from
+    |w - 1|^2 = (|w| - 1)^2 + 4 |w| sin^2(arg w / 2), which has no
+    cancellation near w = 1. Overwrites ``half_phase``."""
+    s = np.sin(half_phase, out=half_phase)
+    np.multiply(s, s, out=s)
+    np.multiply(s, 4.0 * mod, out=s)
+    return np.sqrt(np.add(np.square(mod - 1.0), s, out=s), out=s)
 
 
 def approx_unit_sublevel(
@@ -138,9 +156,15 @@ def approx_unit_sublevel(
     return _keep_final(spec.grid, _sublevel_units(spec, stages))
 
 
-def _sublevel_units(spec: IdealSpec, stages: Sequence[int]) -> Iterator[tuple[UnitStage, np.ndarray]]:
-    """Each stage of ``approx_unit_sublevel`` with its unit's values, built
-    in stage order; the values may be shared with a later stage."""
+def _sublevel_units(spec: IdealSpec, stages: Sequence[int]) -> Iterator[StagedUnit]:
+    """Each stage of ``approx_unit_sublevel`` with the builder of its unit's
+    values, in stage order; a builder may be shared with a later stage.
+
+    The unit is base * cofactor, so |unit| = |base| e^{kc} and
+    arg(unit) = arg(base) + H[kc] for the cofactor's log-modulus kc, and
+    every generator's error is |g| |unit - 1|: the statistics need one
+    conjugate and one sine per stage, and no complex unit.
+    """
     if not stages:
         raise ValueError("sublevel stages must not be empty")
     if any(m < 1 for m in stages):
@@ -155,9 +179,12 @@ def _sublevel_units(spec: IdealSpec, stages: Sequence[int]) -> Iterator[tuple[Un
     else:
         base = BoundarySignal(grid, outer_boundary(k_c)).values
 
-    gen_values = [g.values for g in spec.generators]
+    base_mod = np.abs(base)
+    half_base_phase = 0.5 * np.angle(base)
+    gen_mod = np.maximum.reduce([np.abs(g.values) for g in spec.generators])
     joint_mod = np.exp(k_c)
-    one = None  # the unit of every degenerate stage, built when first needed
+    # the unit of every degenerate stage, built when first needed
+    one = functools.cache(lambda: np.ones(grid.size, dtype=complex))
     # Sublevel masks are nested, so a stage with as many nodes as the one
     # before it has the same mask, and only its index, eps and dilated
     # measure differ.
@@ -169,8 +196,6 @@ def _sublevel_units(spec: IdealSpec, stages: Sequence[int]) -> Iterator[tuple[Un
         mask = joint_mod < eps
         prev_count, count = count, np.count_nonzero(mask)
         if count == 0:
-            if one is None:
-                one = np.ones(grid.size, dtype=complex)
             yield UnitStage(
                 index=m,
                 eps=eps,
@@ -197,11 +222,14 @@ def _sublevel_units(spec: IdealSpec, stages: Sequence[int]) -> Iterator[tuple[Un
             stage = replace(stage, index=m, eps=eps, support_measure=support_measure)
             yield stage, unit
             continue
-        cofactor = outer_boundary(np.where(mask, 0.0, -k_c))
-        cofactor_sup = float(np.max(np.abs(cofactor)))
-        unit = np.multiply(base, cofactor, out=cofactor)
-        mod = np.abs(unit)
+        log_cof = clip_log_data(np.where(mask, 0.0, -k_c))
+        phase = conjugate(log_cof)
+        unit = functools.partial(_sublevel_unit, base, log_cof, phase)
+        mod = np.exp(log_cof)
+        cofactor_sup = float(np.max(mod))
+        mod *= base_mod
         off_dev = float(np.max(np.abs(mod[~mask] - 1.0))) if count < grid.size else 0.0
+        dist = _distance_to_one(mod, np.add(half_base_phase, 0.5 * phase))
         stage = UnitStage(
             index=m,
             eps=eps,
@@ -212,10 +240,16 @@ def _sublevel_units(spec: IdealSpec, stages: Sequence[int]) -> Iterator[tuple[Un
             on_support_max=float(np.max(mod[mask])),
             value_at_zero=complex(np.exp(np.sum(k_c[mask]) / grid.size)),
             cofactor_sup=cofactor_sup,
-            error=max(float(np.max(np.abs(unit * gv - gv))) for gv in gen_values),
+            error=float(np.max(np.multiply(dist, gen_mod, out=dist))),
             sup_norm=float(np.max(mod)),
         )
         yield stage, unit
+
+
+def _sublevel_unit(base: np.ndarray, log_cof: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """base times the outer cofactor exp(log_cof + i phase), in a new array."""
+    cofactor = outer_values(log_cof, phase)
+    return np.multiply(base, cofactor, out=cofactor)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +392,8 @@ def approx_unit_peak(
 
 
 def _power(g: np.ndarray, n: int) -> np.ndarray:
-    """g**n for an integer n >= 1 by square-and-multiply, in a new array.
+    """g**n for an integer n >= 1 by square-and-multiply, in a new array,
+    for real or complex g.
 
     numpy's complex ``**`` goes through exp and log from n = 100 on, about 15x
     slower at these sizes; this takes at most 2 log2(n) products and never
@@ -379,9 +414,14 @@ def _peak_units(
     spec: IdealSpec,
     schedule: Sequence[int],
     tol: Optional[float],
-) -> tuple[PeakPreparation, Iterator[tuple[PeakStage, np.ndarray]]]:
+) -> tuple[PeakPreparation, Iterator[StagedUnit]]:
     """The alignment of ``approx_unit_peak`` and an iterator over its stages,
-    each with its unit's values."""
+    each with the builder of its unit's values.
+
+    With g the averaged function, the error is sup |g|^n |h| and the sup of
+    u_n = 1 - g^n comes from |g|^n and n arg(g): no complex power is taken
+    until a unit is built.
+    """
     if len(spec.generators) != 1:
         raise StrategyInapplicable("peak units need a single generator")
     if not schedule:
@@ -391,22 +431,27 @@ def _peak_units(
     gv = spec.generators[0].values
     prep = prepare_peak(spec.generators[0])
 
-    def units() -> Iterator[tuple[PeakStage, np.ndarray]]:
+    def units() -> Iterator[StagedUnit]:
         g_mid = 0.5 * (1.0 + (1.0 - prep.scale * np.conj(prep.alpha) * gv))
-        h = 0.5 * prep.scale * np.conj(prep.alpha) * gv
-        dev = np.empty_like(gv)
-        mod = np.empty(gv.shape)
+        h_mod = np.abs(0.5 * prep.scale * np.conj(prep.alpha) * gv)
+        g_mod = np.abs(g_mid)
+        half_phase = 0.5 * np.angle(g_mid)
         for n in schedule:
-            u = _power(g_mid, n)
-            np.subtract(1.0, u, out=u)
-            np.multiply(u, h, out=dev)
-            np.subtract(dev, h, out=dev)
-            err = float(np.max(np.abs(dev, out=mod)))
-            yield PeakStage(index=int(n), error=err, sup_norm=float(np.max(np.abs(u, out=mod)))), u
+            power_mod = _power(g_mod, n)
+            err = float(np.max(power_mod * h_mod))
+            dist = _distance_to_one(power_mod, n * half_phase)
+            stage = PeakStage(index=int(n), error=err, sup_norm=float(np.max(dist)))
+            yield stage, functools.partial(_peak_unit, g_mid, n)
             if tol is not None and err <= tol:
                 break
 
     return prep, units()
+
+
+def _peak_unit(g_mid: np.ndarray, n: int) -> np.ndarray:
+    """1 - g_mid^n in a new array."""
+    u = _power(g_mid, n)
+    return np.subtract(1.0, u, out=u)
 
 
 def combine_units(u: BoundarySignal, v: BoundarySignal) -> BoundarySignal:

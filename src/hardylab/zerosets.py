@@ -13,12 +13,16 @@ the angular resolution (eight grid cells) at which they are meaningful.
 Continuous extendability is judged by window oscillation: the value-set
 diameter over shrinking windows must both fall below an absolute tolerance
 and actually decay (final oscillation at most half the peak); plateauing
-oscillation profiles are the signature of an essential discontinuity.
+oscillation profiles are the signature of an essential discontinuity. The
+radius r of a window's values about one of them bounds its diameter to
+[r, 2r], and that settles most verdicts without the exact diameter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -44,6 +48,15 @@ MIN_WINDOW_CELLS = 8
 #: An extension needs its finest oscillation at most this times the largest.
 DECAY_RATIO = 0.5
 
+#: Window radii decide a continuity verdict only when each of its
+#: inequalities holds by at least this relative margin.
+BOUND_MARGIN = 1e-12
+
+
+def _half_width(grid: CircleGrid, full_width: float) -> float:
+    """Half the width of a window, floored at ``MIN_WINDOW_CELLS`` cells."""
+    return max(full_width / 2.0, MIN_WINDOW_CELLS * grid.spacing / 2.0)
+
 
 def window_nodes(grid: CircleGrid, center: float, full_width: float) -> np.ndarray:
     """Ascending indices of the nodes within the (floored) window at ``center``.
@@ -52,7 +65,7 @@ def window_nodes(grid: CircleGrid, center: float, full_width: float) -> np.ndarr
     so a window costs O(its width) rather than a pass over all N nodes.
     """
     n, h = grid.size, grid.spacing
-    half = max(full_width / 2.0, MIN_WINDOW_CELLS * h / 2.0)
+    half = _half_width(grid, full_width)
     reach = int(half / h) + 2
     if 2 * reach + 1 >= n:
         idx = np.arange(n)
@@ -131,38 +144,90 @@ def value_diameter(values: np.ndarray) -> float:
     )
 
 
-def extension_tolerance(f: BoundarySignal) -> float:
-    """Oscillation tolerance 10 * sup|f| * N^{-1/4} of ``continuous_extension``."""
-    return 10.0 * float(np.max(np.abs(f.values))) * f.grid.size ** (-0.25)
+def _extension_levels(f: BoundarySignal) -> tuple[float, float]:
+    """The oscillation tolerance 10 sup|f| N^{-1/4} of ``continuous_extension``
+    and the level 1e-12 max(1, sup|f|) up to which a profile counts as flat
+    (constant data up to roundoff)."""
+    sup = float(np.max(np.abs(f.values)))
+    return 10.0 * sup * f.grid.size ** (-0.25), 1e-12 * max(1.0, sup)
+
+
+def _window_oscillations(f: BoundarySignal, center: float) -> tuple[float, ...]:
+    """Exact value-set diameters over the ``WIDTH_SCHEDULE`` windows at ``center``."""
+    return tuple(value_diameter(f.values[window_nodes(f.grid, center, w)]) for w in WIDTH_SCHEDULE)
+
+
+def _exact_verdict(oscs: Sequence[float], tol: float, flat: float) -> bool:
+    """The finest oscillation is within ``tol``, and the profile is flat
+    (every oscillation at most ``flat``) or decays to at most ``DECAY_RATIO``
+    times the largest: a small final window alone is not enough."""
+    worst = max(oscs)
+    return oscs[-1] <= tol and (worst <= flat or oscs[-1] <= DECAY_RATIO * worst)
+
+
+def _verdict_from_radii(radii: Sequence[float], tol: float, flat: float) -> Optional[bool]:
+    """``_exact_verdict`` for diameters known only to lie in [r, 2r] for
+    the window radii r, or None when those intervals leave it open.
+
+    Each diameter is taken as any value in [r (1 - m), 2 r (1 + m)] with
+    m = ``BOUND_MARGIN``; a verdict is returned only when it is the same for
+    all of them. The decay test can never fail this way, as the largest
+    upper end is at least twice the finest lower end.
+    """
+    lo_last = radii[-1] * (1.0 - BOUND_MARGIN)
+    hi_last = 2.0 * radii[-1] * (1.0 + BOUND_MARGIN)
+    lo_worst = max(radii) * (1.0 - BOUND_MARGIN)
+    hi_worst = 2.0 * max(radii) * (1.0 + BOUND_MARGIN)
+    if lo_last > tol:
+        return False
+    if hi_last <= tol and (hi_worst <= flat or hi_last <= DECAY_RATIO * lo_worst):
+        return True
+    return None
 
 
 @dataclass(frozen=True)
 class ExtensionResult:
+    """A continuity verdict at ``center``. ``oscillations`` holds the exact
+    window diameters; it is computed on first read."""
+
     ok: bool
     value: complex
-    oscillations: tuple[float, ...]
     tolerance: float
     decay_ratio: float
+    signal: BoundarySignal = field(repr=False, compare=False)
+    center: float = field(repr=False, compare=False)
+
+    @cached_property
+    def oscillations(self) -> tuple[float, ...]:
+        return _window_oscillations(self.signal, self.center)
 
 
 def continuous_extension(f: BoundarySignal, center: float) -> ExtensionResult:
     """Attempt a continuous extension of ``f`` at angle ``center``.
 
     Succeeds when the finest-window oscillation over ``WIDTH_SCHEDULE`` is
-    below ``extension_tolerance(f)`` *and* below ``DECAY_RATIO`` times the
-    largest oscillation seen. The extension value is the mean over the finest
-    window.
+    below the tolerance 10 sup|f| N^{-1/4} *and* either below
+    ``DECAY_RATIO`` times the largest oscillation seen or every oscillation
+    is at the roundoff level of constant data (``_extension_levels``). The
+    extension value is the mean over the finest window.
+
+    The windows are nested, so each is sliced from the widest one. A
+    window's radius r, the largest distance of its values from the value at
+    the node nearest ``center`` (a node of every window), bounds its
+    diameter to [r, 2r]; the exact diameters are taken only when those
+    bounds leave the verdict open.
     """
-    tol = extension_tolerance(f)
-    windows = [f.values[window_nodes(f.grid, center, w)] for w in WIDTH_SCHEDULE]
-    oscs = tuple(value_diameter(v) for v in windows)
-    value = _scaled_mean(windows[-1])
-    worst = max(oscs)
-    # A flat profile (constant data up to roundoff) is continuous outright;
-    # otherwise require genuine decay, not just a small final window.
-    flat = worst <= 1e-12 * max(1.0, float(np.max(np.abs(f.values))))
-    ok = oscs[-1] <= tol and (flat or oscs[-1] <= DECAY_RATIO * worst)
-    return ExtensionResult(ok, value, oscs, tol, DECAY_RATIO)
+    grid = f.grid
+    tol, flat = _extension_levels(f)
+    idx = window_nodes(grid, center, WIDTH_SCHEDULE[0])
+    dist = circular_distance(grid.nodes[idx], center)
+    values = f.values[idx]
+    radius = np.abs(values - values[np.argmin(dist)])
+    inside = [dist <= _half_width(grid, w) for w in WIDTH_SCHEDULE]
+    ok = _verdict_from_radii([float(np.max(radius[m])) for m in inside], tol, flat)
+    if ok is None:
+        ok = _exact_verdict(_window_oscillations(f, center), tol, flat)
+    return ExtensionResult(ok, _scaled_mean(values[inside[-1]]), tol, DECAY_RATIO, f, center)
 
 
 # ---------------------------------------------------------------------------

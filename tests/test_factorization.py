@@ -25,6 +25,7 @@ from hardylab import (
 )
 from hardylab.factorization import CLIP_FLOOR, clipped_log_modulus, singular_inner_boundary
 from hardylab.hardy import analytic_projection
+from oracles import outer_at_pointwise
 
 
 def test_constant_log_modulus_gives_constant_outer():
@@ -194,3 +195,36 @@ def test_blaschke_products_fail_the_outer_test(r, phi):
     # Jensen gap: |f(0)| = |a| but exp(mean log|f~|) = 1
     assert not is_outer(f)
     assert is_inner(f)
+
+
+@given(
+    st.sampled_from([64, 512, 4096]),
+    st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4),
+    st.lists(
+        st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 2 * math.pi)), min_size=1, max_size=40
+    ),
+)
+@settings(max_examples=40, deadline=None)
+def test_disc_values_match_pointwise_route(n, coeffs, polar):
+    """The blocked kernel product gives every point the value of its own
+    node mean, within 1e-15 relative, over the whole admissible disc."""
+    g = CircleGrid(n)
+    k = sum(c * np.cos(j * g.nodes + j) for j, c in enumerate(coeffs))
+    f = synth_outer(signal_from_values(g, k.astype(complex)))
+    r_max = 1e-8 ** (1.0 / n) * (1.0 - 1e-12)  # the largest admissible radius
+    zs = np.array([r * r_max * np.exp(1j * t) for r, t in polar])
+    assert np.all(np.abs(f.at(zs) - outer_at_pointwise(f, zs)) <= 1e-15 * np.abs(outer_at_pointwise(f, zs)))
+    assert f.at(zs[0]) == outer_at_pointwise(f, zs[0])
+
+
+def test_disc_values_refuse_any_point_near_the_circle():
+    n = 4096
+    g = CircleGrid(n)
+    f = synth_outer(signal_from_values(g, np.cos(g.nodes).astype(complex)))
+    inside = 0.5 * np.exp(1j * np.linspace(0.0, 6.0, 300))
+    for bad in (1.0 - 2 * math.pi / n, 1.0, 2.0j):
+        for at in (0, 150, 299):
+            zs = inside.copy()
+            zs[at] = bad
+            with pytest.raises(PointOnBoundary):
+                f.at(zs)

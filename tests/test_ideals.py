@@ -14,7 +14,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from hardylab import (
@@ -50,7 +50,13 @@ from hardylab.ideals import (
     ess_inf,
     prepare_peak,
 )
-from oracles import peak_scale_bisection, rotated_sup_complex
+from oracles import (
+    SUBLEVEL_FIELDS,
+    peak_scale_bisection,
+    peak_stages_complex,
+    rotated_sup_complex,
+    sublevel_stages_complex,
+)
 
 
 def peak_error_closed_form(n: int) -> float:
@@ -199,7 +205,7 @@ def test_degenerate_stages_for_zero_free_generator(grid):
     assert all(s.unit is None for s in cert.stages[:-1])
     assert np.all(cert.final_unit.values == 1.0)
     # every degenerate stage yields one shared constant unit
-    units = [u for _, u in hardylab.ideals._sublevel_units(cert.ideal, DEFAULT_MAIN_STAGES)]
+    units = [u() for _, u in hardylab.ideals._sublevel_units(cert.ideal, DEFAULT_MAIN_STAGES)]
     assert all(u is units[0] for u in units)
     assert np.all(units[0] == 1.0)
 
@@ -289,8 +295,9 @@ def test_peak_unit_is_one_minus_power(one_minus_z_spec):
     g_mid = 0.5 * (1.0 + (1.0 - w))
     h = 0.5 * w
     seen = []
-    for s, u in units:
+    for s, build in units:
         seen.append(s.index)
+        u = build()
         assert np.max(np.abs(u - (1.0 - g_mid ** s.index))) <= 1e-15
         assert s.error == pytest.approx(float(np.max(np.abs(h * g_mid ** s.index))), abs=1e-12)
     assert seen == [1, 2, 4]
@@ -786,3 +793,74 @@ def test_power_matches_numpy_power(values):
         ref = g**n
         assert np.all(np.abs(u - ref) <= 8 * n * np.finfo(float).eps * np.abs(ref)), n
     assert np.array_equal(g, kept)
+
+
+# ---------------------------------------------------------------------------
+# stage statistics in real arithmetic, against complex units
+# ---------------------------------------------------------------------------
+
+def _near(x: float, ref: float) -> bool:
+    return abs(x - ref) <= 1e-13 + 1e-12 * abs(ref)
+
+
+@st.composite
+def _zero_generators(draw, count: int, max_order: int = 2, max_a: float = 0.9):
+    """``count`` generators c (1 - conj(zeta) z)^k (1 + a z) on one grid,
+    each with a zero of order k <= ``max_order`` at a node zeta, a scale |c|
+    in 1e-2..1e2 and |a| <= ``max_a`` < 1, so each has a zero set and no
+    other zero in the closed disc."""
+    grid = CircleGrid(draw(st.sampled_from([512, 4096])))
+    gens = []
+    for _ in range(count):
+        theta0 = grid.nodes[draw(st.integers(0, grid.size - 1))]
+        order = draw(st.integers(1, max_order))
+        c = 10.0 ** draw(st.floats(-2.0, 2.0)) * cmath.exp(1j * draw(st.floats(0.0, 2 * math.pi)))
+        a = draw(st.floats(0.0, max_a)) * cmath.exp(1j * draw(st.floats(0.0, 2 * math.pi)))
+        z = np.exp(1j * grid.nodes)
+        values = c * (1.0 - np.exp(1j * (grid.nodes - theta0))) ** order * (1.0 + a * z)
+        gens.append(signal_from_values(grid, values))
+    return gens
+
+
+@given(
+    st.integers(1, 2).flatmap(_zero_generators),
+    st.sets(st.integers(1, 20), min_size=1, max_size=8).map(sorted),
+)
+@settings(max_examples=30, deadline=None)
+def test_sublevel_stage_statistics_match_complex_units(gens, stages):
+    """Every statistic of every non-degenerate stage is within
+    1e-13 + 1e-12 |x| of the one read off the complex unit, for one and two
+    generators, and the kept unit is that unit bit for bit."""
+    spec = ideal(gens)
+    run = approx_unit_sublevel(spec, stages)
+    ref = sublevel_stages_complex(spec, stages)
+    for stage, r in zip(run, ref):
+        assert stage.degenerate == (r is None)
+        if r is not None:
+            for name in SUBLEVEL_FIELDS:
+                assert _near(getattr(stage, name), r[0][name]), (stage.index, name)
+    kept = np.ones(spec.grid.size, dtype=complex) if ref[-1] is None else ref[-1][1]
+    assert np.array_equal(run[-1].unit.values, kept)
+
+
+@given(
+    _zero_generators(1, max_order=1, max_a=0.5),
+    st.sets(st.sampled_from(DEFAULT_PEAK_SCHEDULE), min_size=1).map(sorted),
+)
+@settings(max_examples=30, deadline=None)
+def test_peak_stage_statistics_match_complex_units(gens, schedule):
+    """The error sup |g|^n |h| and the sup of 1 - g^n from |g|^n and n arg g
+    are within 1e-13 + 1e-12 |x| of the complex powers' statistics, and the
+    kept unit is the complex power's unit bit for bit. Generators whose
+    values leave every disc through 0 near the zero, at any scale, have no
+    peak units and are skipped."""
+    spec = ideal(gens)
+    try:
+        _, run = approx_unit_peak(spec, schedule, tol=None)
+    except NormExceeded:
+        reject()
+    ref = peak_stages_complex(spec, schedule)
+    for stage, (error, sup_norm, _) in zip(run, ref):
+        assert _near(stage.error, error), stage.index
+        assert _near(stage.sup_norm, sup_norm), stage.index
+    assert np.array_equal(run[-1].unit.values, ref[-1][2])

@@ -31,7 +31,7 @@ from hardylab.toeplitz import (
     density_profile_csv,
 )
 from hardylab.cli import main
-from oracles import distances_r_mode, toeplitz_matrix
+from oracles import density_mp, distances_r_mode, toeplitz_matrix
 
 #: Absolute agreement required between the single-QR profile and the oracle.
 ORACLE_TOL = 1e-13
@@ -384,3 +384,26 @@ def test_one_plus_z_at_the_ends_of_the_float_range(tmp_path, c):
         assert row["distance"] == pytest.approx(1 / math.sqrt(row["M"] + 1), abs=1e-12)
     for m in ("64", "1024"):
         assert _cli_report(["toeplitz-kernel", "--f", str(path), "--M", m])["kernel_dim"] == 0
+
+
+#: Absolute agreement required between the profile and the 60-digit
+#: normal-equations solve; (1-z)^2 is 1.9e-13 off at order 512.
+MP_TOL = 5e-13
+
+
+def test_mp_reference_meets_the_closed_form():
+    """dist(1 - z, m)^2 = 1/(m + 1) at every order the reference returns."""
+    orders = [1, 2, 16, 256, 512]
+    ref = density_mp(AnalyticRep(np.array([1.0, -1.0])), orders)
+    assert ref == pytest.approx([1.0 / math.sqrt(m + 1) for m in orders], rel=1e-15)
+
+
+@pytest.mark.parametrize("coeffs", [
+    [1, -2, 1],                       # (1 - z)^2
+    [2, -1, -1],                      # (1 - z)(2 + z)
+    [1, 0.5 - 2j, -1 - 1j, -0.5],     # (1 - iz)^2 (1 + z/2)
+])
+def test_density_profile_matches_high_precision_solve(coeffs):
+    f = AnalyticRep(np.array(coeffs, dtype=complex))
+    for (m, d), ref in zip(density_profile(f, (256, 512)), density_mp(f, (256, 512))):
+        assert abs(d - ref) <= MP_TOL, m

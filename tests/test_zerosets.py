@@ -23,6 +23,7 @@ from hardylab import (
 )
 from hardylab.factorization import singular_inner_boundary
 from hardylab.grid import circular_distance
+import hardylab.zerosets
 from hardylab.zerosets import (
     EPS_SCHEDULE,
     MIN_WINDOW_CELLS,
@@ -31,6 +32,7 @@ from hardylab.zerosets import (
     value_diameter,
     window_nodes,
 )
+from oracles import continuous_extension_hull
 
 
 def circ_gap(a: float, b: float) -> float:
@@ -282,3 +284,80 @@ def test_nearby_zero_clusters_merge_including_across_angle_zero(zeros, angles):
     assert len(est.angles) == len(angles)
     for got, node in zip(est.angles, angles):
         assert circ_gap(got, grid.nodes[node]) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# continuity verdicts from window radii, against the all-hull route
+# ---------------------------------------------------------------------------
+
+def assert_extension_matches_hull(f, center):
+    ext = continuous_extension(f, center)
+    ok, value, oscs, tol = continuous_extension_hull(f, center)
+    assert ext.ok == ok
+    assert ext.value == value
+    assert ext.tolerance == tol
+    assert ext.oscillations == oscs  # the exact diameters, bit for bit
+
+
+def _window_signal(kind: str, n: int, center: float, scale: float, shape: float, phase: float):
+    """Data around ``center``: smooth, a jump at it, an oscillation that
+    winds ever faster into it, or a power |t|^p whose decay sits near the
+    verdict's threshold for small p."""
+    grid = CircleGrid(n)
+    t = (grid.nodes - center + math.pi) % (2 * math.pi) - math.pi  # signed offset
+    if kind == "smooth":
+        values = np.exp(1j * phase) + shape * np.exp(1j * t) + 0.3 * np.exp(-2j * t)
+    elif kind == "jump":
+        values = np.where(t >= 0.0, 1.0, np.exp(1j * phase) * shape)
+    elif kind == "oscillating":
+        values = np.exp(1j * (phase + (1.0 + 10 * shape) * np.log(np.abs(t) + 1e-9)))
+    else:
+        values = np.exp(1j * phase) * (np.abs(t) + 1e-12) ** (0.02 + shape)
+    return signal_from_values(grid, scale * values.astype(complex))
+
+
+@given(
+    st.sampled_from(["smooth", "jump", "oscillating", "power"]),
+    st.sampled_from([512, 4096]),
+    st.floats(min_value=0.0, max_value=2 * math.pi, exclude_max=True),
+    st.floats(min_value=-6.0, max_value=6.0),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=0.0, max_value=2 * math.pi),
+    st.floats(min_value=-0.01, max_value=0.01),
+)
+@settings(max_examples=80, deadline=None)
+def test_extension_verdict_matches_hull_route(kind, n, center, log_scale, shape, phase, miss):
+    """The radius bounds decide a verdict only where the exact diameters give
+    the same one; the probe sits on or beside the feature."""
+    f = _window_signal(kind, n, center, 10.0**log_scale, shape, phase)
+    assert_extension_matches_hull(f, (center + miss) % (2 * math.pi))
+
+
+@pytest.mark.parametrize("n", [512, 4096])
+@pytest.mark.parametrize("name", catalog_names())
+def test_extension_verdict_matches_hull_route_on_catalog(name, n):
+    """Every catalog entry at the 64 probe angles of ``in_disc_algebra``."""
+    f = example_boundary(name, CircleGrid(n))
+    for j in range(64):
+        assert_extension_matches_hull(f, j * 2 * math.pi / 64)
+
+
+def test_disc_algebra_of_one_minus_z_takes_no_hull(monkeypatch):
+    """Continuous data is settled by the window radii: no exact diameter."""
+    calls = []
+    monkeypatch.setattr(hardylab.zerosets, "value_diameter", lambda v: calls.append(v.size) or 0.0)
+    assert in_disc_algebra(example_boundary("one-minus-z", CircleGrid(65536)))
+    assert calls == []
+
+
+def test_undecided_verdict_takes_the_hull(monkeypatch):
+    """offset-ramp's decay ratio at its zero sits near DECAY_RATIO, where
+    [r, 2r] cannot settle it; the hull then decides, and oscillations are
+    read from the same diameters."""
+    f = example_boundary("offset-ramp", CircleGrid(4096))
+    calls = []
+    real = hardylab.zerosets.value_diameter
+    monkeypatch.setattr(hardylab.zerosets, "value_diameter", lambda v: calls.append(v.size) or real(v))
+    ext = continuous_extension(f, 0.0)
+    assert len(calls) == len(WIDTH_SCHEDULE)
+    assert ext.ok == continuous_extension_hull(f, 0.0)[0]
