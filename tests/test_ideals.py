@@ -654,6 +654,48 @@ def test_combined_shared_zero_set(grid, one_minus_z_cert):
         assert membership(h, one_minus_z_cert) is expected
 
 
+def test_combined_shared_zero_set_above_tolerance():
+    """Both generators pass at tol 0.02 on their own (errors 0.0074 and
+    0.0176), but the diagonal unit's error on the shared zero is 0.0235."""
+    grid = CircleGrid(4096)
+    names = ["one-minus-z", "one-minus-z-times-exp"]
+    cert = certify_mideal(ideal([example_boundary(n, grid) for n in names], names), tol=0.02)
+    assert [c.passed for c in cert.sub_certificates] == [True, True]
+    assert [c.final_error for c in cert.sub_certificates] == [
+        pytest.approx(0.0074, abs=1e-4),
+        pytest.approx(0.0176, abs=1e-4),
+    ]
+    assert not cert.passed
+    assert cert.failure_reason == "tolerance"
+    assert cert.conclusion == "combined unit error above tolerance"
+    assert cert.zero_angles == (0.0,)
+    assert cert.final_error == pytest.approx(0.0235, abs=1e-4)
+    assert cert.combined_inf is not None and len(cert.stages) == 1
+
+
+def test_combined_disjoint_zero_sets_not_bounded_below():
+    """Zeros 24 cells apart are farther than the 16-cell matching threshold,
+    so the zero sets count as disjoint, yet the diagonal unit dips to 0.774
+    between them: not bounded below, so nothing is certified."""
+    grid = CircleGrid(4096)
+    delta = 24 * grid.spacing
+    gens = [
+        example_boundary("one-minus-z", grid),
+        signal_from_values(grid, 1.0 - np.exp(1j * (grid.nodes - delta))),
+    ]
+    cert = certify_mideal(ideal(gens, ["zero-at-0", "zero-at-delta"]))
+    assert [c.passed for c in cert.sub_certificates] == [True, True]
+    assert [c.zero_angles for c in cert.sub_certificates] == [
+        (0.0,),
+        (pytest.approx(delta, abs=grid.spacing),),
+    ]
+    assert not cert.passed
+    assert cert.failure_reason == "combined unit not bounded below"
+    assert cert.conclusion == "disjoint zero sets but the combined unit is not bounded below"
+    assert cert.zero_angles == ()
+    assert cert.combined_inf == pytest.approx(0.774, abs=1e-3)
+
+
 def test_combined_fails_when_a_generator_is_inner(grid):
     cert = certify_mideal(
         ideal(
