@@ -46,7 +46,6 @@ from .serialize import (
     certificate_report,
     dump_text,
     stage_report,
-    zero_set_report,
     zinfty_report_dict,
 )
 from .toeplitz import (
@@ -195,10 +194,8 @@ def _cmd_zeroset(args) -> int:
     rep = zinfty_report(f)
     report = {
         "grid_size": f.grid.size,
-        "zero_set": zero_set_report(rep.zero_set),
-        "in_zinfty": rep.in_class,
         "in_disc_algebra": in_disc_algebra(f),
-        "zinfty": zinfty_report_dict(rep),
+        **zinfty_report_dict(rep),
     }
     _emit(report, args.out)
     return 0

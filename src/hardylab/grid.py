@@ -84,14 +84,21 @@ class BoundarySignal:
         return bool(np.max(np.abs(self.values.imag)) <= tol)
 
 
+def _unit_scaled(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """A new complex array of ``values`` times the exact power of two 2^-exp
+    that brings the largest real or imaginary part into [1/2, 1), and exp
+    (0 for a zero array). Exact unless a part falls below the normal range."""
+    parts = np.ascontiguousarray(values, dtype=complex).view(float)
+    exp = math.frexp(float(np.max(np.abs(parts))))[1]
+    return np.ldexp(parts, -exp).view(complex), exp
+
+
 def _scaled_mean(values: np.ndarray) -> complex:
-    """The mean of a contiguous complex array, taken in the exact power of two
-    scale that brings its largest real or imaginary part into [1/2, 1), so the
-    sum cannot overflow. Bitwise ``np.mean`` where no sum overflows and no
+    """The mean of a complex array, taken in the ``_unit_scaled`` scale, so
+    the sum cannot overflow. Bitwise ``np.mean`` where no sum overflows and no
     scaled part falls below the normal range."""
-    parts = values.view(float)
-    exp = math.frexp(float(np.max(np.abs(parts))))[1]  # 0 for a zero array
-    m = np.mean(np.ldexp(parts, -exp).view(complex))
+    scaled, exp = _unit_scaled(values)
+    m = np.mean(scaled)
     return complex(math.ldexp(m.real, exp), math.ldexp(m.imag, exp))
 
 

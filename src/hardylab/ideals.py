@@ -34,9 +34,9 @@ from .errors import (
     ZeroFunction,
 )
 from .factorization import clip_log_data, clipped_log_modulus, is_outer, outer_boundary, outer_values
-from .grid import TWO_PI, BoundarySignal, CircleGrid, circular_runs
+from .grid import TWO_PI, BoundarySignal, CircleGrid, circular_distance, circular_runs
 from .hardy import conjugate
-from .zerosets import ZeroSetEstimate, continuous_extension, essential_zero_set
+from .zerosets import continuous_extension, essential_zero_set
 
 STRATEGIES = ("auto", "sublevel", "peak", "combined")
 DEFAULT_TOL = 0.05
@@ -482,7 +482,6 @@ class Certificate:
     tol: float
     passed: bool
     failure_reason: Optional[str]
-    zero_sets: tuple[ZeroSetEstimate, ...]
     zero_angles: tuple[float, ...]
     resolution: float
     conclusion: str
@@ -539,81 +538,63 @@ def certify_mideal(
 
     f = spec.generators[0]
     zset = essential_zero_set(f)
-
+    outer = is_outer(f)
+    # Z-infinity membership: a continuous extension at every zero.
+    in_zinfty = (
+        outer and strategy != "peak" and all(continuous_extension(f, a).ok for a in zset.angles)
+    )
     notes: list[str] = []
-    gate = None  # (failure reason, conclusion) when a hypothesis fails
-    if not is_outer(f):
-        gate = (
-            "NotOuter",
-            "generator has a nontrivial inner factor, so no bounded "
-            "approximate unit can exist for its principal ideal",
-        )
-    elif strategy != "peak":
-        # Z-infinity membership: a continuous extension at every zero.
-        in_zinfty = all(continuous_extension(f, a).ok for a in zset.angles)
-        if strategy == "auto":
-            strategy = "sublevel" if in_zinfty else "peak"
-            notes.append(f"auto strategy resolved to {strategy}")
-        elif not in_zinfty:
-            gate = (
-                "NotInZinfty",
-                "generator has no continuous extension to its essential zero "
-                "set; the sublevel construction does not apply",
-            )
-    if gate is not None:
-        return Certificate(
-            ideal=spec,
-            strategy=strategy,
-            tol=tol,
-            passed=False,
-            failure_reason=gate[0],
-            zero_sets=(zset,),
-            zero_angles=zset.angles,
-            resolution=zset.resolution,
-            conclusion=gate[1],
-        )
+    if outer and strategy == "auto":
+        strategy = "sublevel" if in_zinfty else "peak"
+        notes.append(f"auto strategy resolved to {strategy}")
 
-    if strategy == "sublevel":
-        unit_stages: tuple = approx_unit_sublevel(spec, stages)
-        prep = None
+    unit_stages: tuple = ()
+    prep = None
+    if outer and strategy == "peak":
+        prep, unit_stages = approx_unit_peak(spec, schedule, tol=tol)
+        if prep.rescaled:
+            notes.append(f"generator rescaled by {prep.scale:.6g} during alignment")
+    elif in_zinfty:
+        unit_stages = approx_unit_sublevel(spec, stages)
         if any(s.degenerate for s in unit_stages):
             notes.append(
                 "degenerate stage: empty support, unit identically 1 "
                 "(sublevel set vanished at the log-floor)"
             )
-    else:
-        prep, unit_stages = approx_unit_peak(spec, schedule, tol=tol)
-        if prep.rescaled:
-            notes.append(f"generator rescaled by {prep.scale:.6g} during alignment")
+    final_error = unit_stages[-1].error if unit_stages else float("inf")
+    sup_bound = max((s.sup_norm for s in unit_stages), default=0.0)
 
-    final_error = unit_stages[-1].error
-    sup_bound = max(s.sup_norm for s in unit_stages)
-    within_bound = sup_bound <= bound + SUP_SLACK
-    passed = bool(final_error <= tol and within_bound)
-    if passed:
-        conclusion = (
-            "ideal contains an approximate unit bounded by its stage bound; "
-            "certified"
-            if zset.angles
-            else "essential zero set is empty; the ideal is the whole algebra"
+    if not outer:
+        failure, conclusion = (
+            "NotOuter",
+            "generator has a nontrivial inner factor, so no bounded "
+            "approximate unit can exist for its principal ideal",
         )
-        failure = None
-    elif not within_bound:
-        conclusion = "a unit escaped the sup bound"
-        failure = "NormExceeded"
+    elif strategy == "sublevel" and not in_zinfty:
+        failure, conclusion = (
+            "NotInZinfty",
+            "generator has no continuous extension to its essential zero "
+            "set; the sublevel construction does not apply",
+        )
+    elif not sup_bound <= bound + SUP_SLACK:
+        failure, conclusion = "NormExceeded", "a unit escaped the sup bound"
+    elif not final_error <= tol:
+        failure, conclusion = "tolerance", "stage errors did not reach tolerance"
+    elif zset.angles:
+        failure, conclusion = None, (
+            "ideal contains an approximate unit bounded by its stage bound; certified"
+        )
     else:
-        conclusion = "stage errors did not reach tolerance"
-        failure = "tolerance"
+        failure, conclusion = None, "essential zero set is empty; the ideal is the whole algebra"
     return Certificate(
         ideal=spec,
         strategy=strategy,
         tol=tol,
-        passed=passed,
+        passed=failure is None,
         failure_reason=failure,
         stages=unit_stages,
         final_error=final_error,
         sup_bound=sup_bound,
-        zero_sets=(zset,),
         zero_angles=zset.angles,
         resolution=zset.resolution,
         conclusion=conclusion,
@@ -635,73 +616,58 @@ def _certify_combined(
         certify_mideal(ideal([g], [name]), tol=tol, bound=bound, stages=stages, schedule=schedule)
         for g, name in zip(spec.generators, spec.names)
     )
-    zero_sets = tuple(c.zero_sets[0] for c in subs)
-    resolution = max(c.resolution for c in subs)
     failed_sub = next((c for c in subs if not c.passed), None)
-    if failed_sub is not None:
-        return Certificate(
-            ideal=spec,
-            strategy="combined",
-            tol=tol,
-            passed=False,
-            failure_reason=failed_sub.failure_reason or "tolerance",
-            zero_sets=zero_sets,
-            zero_angles=(),
-            resolution=resolution,
-            conclusion="a generator failed its own certification",
-            sub_certificates=subs,
+
+    combined_stages: tuple = ()
+    final_error, sup_bound, inf_z, common = float("inf"), 0.0, None, ()
+    if failed_sub is None:
+        zeta = combine_units(subs[0].final_unit, subs[1].final_unit)
+        errors = tuple(
+            float(np.max(np.abs(zeta.values * g.values - g.values)))
+            for g in spec.generators
+        )
+        inf_z = ess_inf(zeta)
+        combined = CombinedUnit(errors, inf_z, float(np.max(np.abs(zeta.values))), zeta)
+        combined_stages = (combined,)
+        final_error = max(errors)
+        sup_bound = max(combined.sup_norm, *(c.sup_bound for c in subs))
+        threshold = subs[0].resolution + subs[1].resolution
+        common = tuple(
+            a for a in subs[0].zero_angles
+            if any(circular_distance(a, b) <= threshold for b in subs[1].zero_angles)
         )
 
-    zeta = combine_units(subs[0].final_unit, subs[1].final_unit)
-    errors = tuple(
-        float(np.max(np.abs(zeta.values * g.values - g.values)))
-        for g in spec.generators
-    )
-    inf_z = ess_inf(zeta)
-    threshold = subs[0].resolution + subs[1].resolution
-    common = tuple(a for a in subs[0].zero_angles if zero_sets[1].covers_angle(a, threshold))
-
-    combined_stage = CombinedUnit(
-        errors=errors,
-        ess_inf=inf_z,
-        sup_norm=float(np.max(np.abs(zeta.values))),
-        unit=zeta,
-    )
-
-    if not common:  # disjoint zero sets
-        passed = inf_z > 0.9
-        conclusion = (
+    if failed_sub is not None:
+        failure, conclusion = failed_sub.failure_reason, "a generator failed its own certification"
+    elif not common and not inf_z > 0.9:
+        failure, conclusion = (
+            "combined unit not bounded below",
+            "disjoint zero sets but the combined unit is not bounded below",
+        )
+    elif not common:
+        failure, conclusion = None, (
             "generators have disjoint essential zero sets and the combined "
             "unit is bounded below; the ideal is the whole algebra (I = I(1))"
-            if passed
-            else "disjoint zero sets but the combined unit is not bounded below"
         )
-        failure = None if passed else "combined unit not bounded below"
-        zero_angles: tuple[float, ...] = ()
+    elif not final_error <= tol:
+        failure, conclusion = "tolerance", "combined unit error above tolerance"
     else:
-        passed = max(errors) <= tol
-        conclusion = (
+        failure, conclusion = None, (
             "generators share their essential zero set; the combined unit "
             "certifies the ideal, which is singly generated by an outer "
             "function with that zero set"
-            if passed
-            else "combined unit error above tolerance"
         )
-        failure = None if passed else "tolerance"
-        zero_angles = common
-
     return Certificate(
         ideal=spec,
         strategy="combined",
         tol=tol,
-        passed=passed,
+        passed=failure is None,
         failure_reason=failure,
-        stages=(combined_stage,),
-        final_error=max(errors),
-        sup_bound=max(combined_stage.sup_norm, *(c.sup_bound for c in subs)),
-        zero_sets=zero_sets,
-        zero_angles=zero_angles,
-        resolution=resolution,
+        stages=combined_stages,
+        final_error=final_error,
+        sup_bound=sup_bound,
+        zero_angles=common,
+        resolution=max(c.resolution for c in subs),
         conclusion=conclusion,
         combined_inf=inf_z,
         sub_certificates=subs,

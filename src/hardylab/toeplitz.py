@@ -15,11 +15,10 @@ nearly-inner symbols. Closed forms used in the tests: dist(1-z, M)^2 =
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import ZeroFunction
+from .grid import _unit_scaled
 from .hardy import AnalyticRep
 
 #: Relative singular-value cutoff for kernel dimension counts.
@@ -59,21 +58,6 @@ def _lower_toeplitz(a: np.ndarray, rows: int, cols: int) -> np.ndarray:
     take = min(rows, a.size)
     col[cols - 1 : cols - 1 + take] = a[:take]
     return np.lib.stride_tricks.sliding_window_view(col, cols)[:, ::-1].copy()
-
-
-def _unit_scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
-    """a times the exact power of two 2^-exp that brings its largest real or
-    imaginary part into [1/2, 1), and exp; a zero vector comes back as is.
-
-    Distances and kernel counts are invariant under f -> c f, and in this
-    scale neither the matrices nor their factorizations overflow or work in
-    subnormals.
-    """
-    top = float(np.max(np.abs(a.view(float))))
-    if top == 0.0:
-        return a, 0
-    exp = math.frexp(top)[1]
-    return np.ldexp(a.real, -exp) + 1j * np.ldexp(a.imag, -exp), exp
 
 
 def _banded_singular_values(a: np.ndarray, order: int) -> np.ndarray:
@@ -153,6 +137,8 @@ def _distances(f: AnalyticRep, order: int) -> np.ndarray:
             f"{a.size} coefficients at order {order} exceed the "
             f"{MAX_ORDER}x{MAX_ORDER}-entry matrix budget"
         )
+    # dist(f, m) = dist(c f, m) for c != 0, and in this scale neither the
+    # matrix nor its factorization overflows or works in subnormals
     aug = _lower_toeplitz(_unit_scaled(a)[0], a.size + order, order + 1)
     aug[:, order] = 0.0
     aug[0, order] = 1.0

@@ -32,6 +32,7 @@ from .grid import (
     BoundarySignal,
     CircleGrid,
     _scaled_mean,
+    _unit_scaled,
     circular_distance,
     circular_runs,
 )
@@ -123,8 +124,8 @@ def value_diameter(values: np.ndarray) -> float:
     v = np.unique(values)  # sorted by (real, imag), repeats dropped
     # Exact power-of-two rescaling to |coordinates| < 1, so that the turn
     # tests neither overflow nor underflow.
-    e = np.frexp(max(np.abs(v.real).max(), np.abs(v.imag).max()))[1]
-    x, y = np.ldexp(v.real, -e), np.ldexp(v.imag, -e)
+    scaled = _unit_scaled(v)[0]
+    x, y = scaled.real, scaled.imag
     lower = _lower_chain(x, y)
     upper = x.size - 1 - _lower_chain(x[::-1], y[::-1])
     hull = v[np.concatenate((lower[:-1], upper[:-1]))]  # counter-clockwise
@@ -217,8 +218,13 @@ def continuous_extension(f: BoundarySignal, center: float) -> ExtensionResult:
     diameter to [r, 2r]; the exact diameters are taken only when those
     bounds leave the verdict open.
     """
+    return _extension(f, center, *_extension_levels(f))
+
+
+def _extension(f: BoundarySignal, center: float, tol: float, flat: float) -> ExtensionResult:
+    """``continuous_extension`` at the levels ``_extension_levels(f)``, so
+    that a caller testing many centres takes sup|f| once."""
     grid = f.grid
-    tol, flat = _extension_levels(f)
     idx = window_nodes(grid, center, WIDTH_SCHEDULE[0])
     dist = circular_distance(grid.nodes[idx], center)
     values = f.values[idx]
@@ -331,7 +337,8 @@ class ZinftyReport:
 def zinfty_report(f: BoundarySignal) -> ZinftyReport:
     """Does ``f`` extend continuously to (each point of) its zero set?"""
     est = essential_zero_set(f)
-    exts = tuple(continuous_extension(f, a) for a in est.angles)
+    levels = _extension_levels(f)
+    exts = tuple(_extension(f, a, *levels) for a in est.angles)
     return ZinftyReport(all(e.ok for e in exts), est, exts)
 
 
@@ -343,4 +350,5 @@ def in_zinfty(f: BoundarySignal) -> bool:
 def in_disc_algebra(f: BoundarySignal) -> bool:
     """Continuity of the boundary data, probed at 64 equispaced angles."""
     step = TWO_PI / 64
-    return all(continuous_extension(f, j * step).ok for j in range(64))
+    levels = _extension_levels(f)
+    return all(_extension(f, j * step, *levels).ok for j in range(64))
