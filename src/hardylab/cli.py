@@ -10,6 +10,7 @@ identical inputs produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -157,11 +158,10 @@ def _emit(report: dict, out: Optional[str]) -> None:
 def _cmd_synth_outer(args) -> int:
     k = _resolve_log_modulus(args.k, args.grid_size)
     outer = synth_outer(k)
-    clipped = np.mean(outer.log_modulus.values.real <= CLIP_FLOOR)
     report = {
         "grid_size": k.grid.size,
         "clip_floor": CLIP_FLOOR,
-        "clipped_fraction": float(clipped),
+        "clipped_fraction": outer.clip_count / k.grid.size,
         "value_at_zero": outer.value_at_zero(),
         "boundary_sup": float(np.max(np.abs(outer.boundary.values))),
     }
@@ -356,8 +356,9 @@ def _add_ideal(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser of every command; usage errors raise ``argparse.ArgumentError``."""
+    """The parser of every command, built once; usage errors raise ``argparse.ArgumentError``."""
     parser = _Parser(prog="hardylab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

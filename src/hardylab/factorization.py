@@ -4,9 +4,14 @@ functions, inner-outer factorization, and the two pointwise function tests.
 An outer function is reconstructed from its boundary log-modulus ``k`` as
 ``exp(k + i H[k])`` on the circle and ``exp(mean((e^{it}+z)/(e^{it}-z) k))``
 in the disc, so its modulus law ``|boundary| = e^k`` and the Jensen equality
-``|f(0)| = exp(mean k)`` hold by construction. Log-modulus samples are clipped
-at ``CLIP_FLOOR`` to keep quadrature finite across integrable singularities;
-the clip bias is resolution-dependent and documented wherever it matters.
+``|f(0)| = exp(mean k)`` hold by construction.
+
+Log-modulus samples are clipped at ``CLIP_FLOOR`` to keep quadrature finite
+across integrable singularities, always by ``grid._clip_log``: once per signal
+for its ``log_abs``, which every reader of log|f| shares, and once for the
+data of ``synth_outer`` or of a sublevel cofactor. Outer synthesis refuses
+data with more than ``CLIP_FRACTION_LIMIT`` of it at the floor; the clip bias
+is resolution-dependent and documented wherever it matters.
 """
 
 from __future__ import annotations
@@ -17,10 +22,7 @@ import numpy as np
 
 from . import hardy
 from .errors import SingularPoint, UnboundedLogData, ZeroFunction
-from .grid import BoundarySignal, CircleGrid, _scaled_mean
-
-#: Log-modulus values below this are clipped; e**CLIP_FLOOR ~ 9.4e-14.
-CLIP_FLOOR = -30.0
+from .grid import CLIP_FLOOR, BoundarySignal, CircleGrid, _clip_log, _scaled_mean
 
 #: More than this fraction of clipped nodes means the log data cannot be
 #: trusted as (numerically) integrable at the current resolution.
@@ -34,20 +36,18 @@ JENSEN_TOL = 1e-2
 
 
 def clipped_log_modulus(f: BoundarySignal) -> BoundarySignal:
-    """``max(log|f|, CLIP_FLOOR)`` as a real signal (zeros go to the floor)."""
-    mod = np.abs(f.values)
-    with np.errstate(divide="ignore"):
-        k = np.log(mod)
-    k = np.maximum(k, CLIP_FLOOR)
-    return BoundarySignal(f.grid, k + 0j)
+    """``f.log_abs``, ``max(log|f|, CLIP_FLOOR)``, as a real signal."""
+    return BoundarySignal(f.grid, f.log_abs)
 
 
 @dataclass(frozen=True)
 class OuterFn:
-    """An outer function carried as (clipped) log-modulus plus its boundary."""
+    """An outer function carried as (clipped) log-modulus plus its boundary;
+    ``clip_count`` of the log-modulus samples sit at the clip floor."""
 
     log_modulus: BoundarySignal
     boundary: BoundarySignal
+    clip_count: int
 
     def at(self, z) -> complex | np.ndarray:
         """Disc values exp(Herglotz integral of the log-modulus), at a point
@@ -60,19 +60,14 @@ class OuterFn:
         return float(np.exp(np.mean(self.log_modulus.values.real)))
 
 
-def clip_log_data(k: np.ndarray) -> np.ndarray:
-    """Log-modulus samples ``k`` (a real array) clipped at ``CLIP_FLOOR``.
-
-    Raises :class:`UnboundedLogData` when more than ``CLIP_FRACTION_LIMIT`` of
-    the samples sit at the floor.
-    """
-    kc = np.maximum(k, CLIP_FLOOR)
-    frac = float(np.mean(kc <= CLIP_FLOOR))
+def check_clip_count(clip_count: int, size: int) -> None:
+    """Raise :class:`UnboundedLogData` when more than ``CLIP_FRACTION_LIMIT``
+    of ``size`` log-modulus samples sit at the clip floor."""
+    frac = clip_count / size
     if frac > CLIP_FRACTION_LIMIT:
         raise UnboundedLogData(
             f"{100 * frac:.1f}% of log-modulus samples sit at the clip floor"
         )
-    return kc
 
 
 def outer_values(kc: np.ndarray, conj: np.ndarray) -> np.ndarray:
@@ -84,21 +79,26 @@ def outer_values(kc: np.ndarray, conj: np.ndarray) -> np.ndarray:
     return np.exp(out, out=out)
 
 
-def outer_boundary(k: np.ndarray) -> np.ndarray:
-    """Boundary values ``exp(kc + i H[kc])`` of the outer function whose
-    log-modulus samples ``k`` (a real array) are clipped to ``kc`` at the
-    floor by ``clip_log_data``."""
-    kc = clip_log_data(k)
+def outer_boundary(kc: np.ndarray, clip_count: int) -> np.ndarray:
+    """Boundary values ``exp(kc + i H[kc])`` of the outer function with
+    clipped log-modulus samples ``kc`` (a real array), ``clip_count`` of them
+    at the floor; refused by ``check_clip_count``."""
+    check_clip_count(clip_count, kc.size)
     return outer_values(kc, hardy.conjugate(kc))
+
+
+def _outer(grid: CircleGrid, kc: np.ndarray, clip_count: int) -> OuterFn:
+    """The outer function with clipped log-modulus samples ``kc``."""
+    boundary = BoundarySignal(grid, outer_boundary(kc, clip_count))
+    return OuterFn(BoundarySignal(grid, kc), boundary, clip_count)
 
 
 def synth_outer(k: BoundarySignal) -> OuterFn:
     """Outer function with boundary log-modulus ``k`` (clipped at the floor)."""
     if not k.is_real():
         raise ValueError("log-modulus data must be real")
-    vals = np.maximum(k.values.real, CLIP_FLOOR)
-    boundary = BoundarySignal(k.grid, outer_boundary(vals))
-    return OuterFn(log_modulus=BoundarySignal(k.grid, vals + 0j), boundary=boundary)
+    kc = k.values.real + 0.0  # a new array; -0 becomes 0, so the CSV writes 0
+    return _outer(k.grid, kc, _clip_log(kc))
 
 
 def blaschke(a: complex, z) -> complex | np.ndarray:
@@ -152,7 +152,7 @@ class FactorizationResult:
 
 
 def _reject_zero(f: BoundarySignal) -> None:
-    if float(np.max(np.abs(f.values))) == 0.0:
+    if f.sup_abs == 0.0:
         raise ZeroFunction("input is identically zero")
 
 
@@ -165,28 +165,24 @@ def inner_outer(f: BoundarySignal) -> FactorizationResult:
     there is still reported, as input/outer).
     """
     _reject_zero(f)
-    outer = synth_outer(clipped_log_modulus(f))
+    outer = _outer(f.grid, f.log_abs, f.clip_count)
     inner_vals = f.values / outer.boundary.values
     inner = BoundarySignal(f.grid, inner_vals)
-    trusted = np.abs(f.values) >= np.exp(CLIP_FLOOR)
-    if trusted.any():
-        residual = float(np.max(np.abs(np.abs(inner_vals[trusted]) - 1.0)))
-    else:
-        residual = float("inf")
+    # outer synthesis refused f unless most nodes are above the floor
+    residual = float(np.max(np.abs(np.abs(inner_vals[f.log_abs > CLIP_FLOOR]) - 1.0)))
     return FactorizationResult(inner=inner, outer=outer, unimodular_residual=residual)
 
 
 def is_inner(f: BoundarySignal) -> bool:
     """Unimodular boundary values (away from clip-floor nodes) within INNER_TOL."""
     _reject_zero(f)
-    mod = np.abs(f.values)
-    trusted = mod >= np.exp(CLIP_FLOOR)
-    return bool(np.max(np.abs(mod[trusted] - 1.0)) <= INNER_TOL)
+    mod = np.abs(f.values[f.log_abs > CLIP_FLOOR])
+    return f.clip_count < f.grid.size and bool(np.max(np.abs(mod - 1.0)) <= INNER_TOL)
 
 
 def is_outer(f: BoundarySignal) -> bool:
     """Jensen-equality test: ``|f(0)| = exp(mean log|f|)`` within relative
     JENSEN_TOL, with ``f(0)`` the mean of the boundary values."""
     _reject_zero(f)
-    jensen = float(np.exp(np.mean(clipped_log_modulus(f).values.real)))
+    jensen = float(np.exp(np.mean(f.log_abs)))
     return bool(abs(abs(_scaled_mean(f.values)) - jensen) <= JENSEN_TOL * max(jensen, 1e-300))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -21,6 +21,16 @@ TWO_PI = 2.0 * np.pi
 
 #: Largest grid size; one complex signal on it takes 256 MB.
 MAX_GRID_SIZE = 2**24
+
+#: Log-modulus values below this are clipped; e**CLIP_FLOOR ~ 9.4e-14.
+CLIP_FLOOR = -30.0
+
+
+def _clip_log(k: np.ndarray) -> int:
+    """Raise log-modulus samples ``k`` to the floor in place; the count at it.
+    Every clip in the package goes through here."""
+    np.maximum(k, CLIP_FLOOR, out=k)
+    return int(np.count_nonzero(k <= CLIP_FLOOR))
 
 
 @lru_cache(maxsize=8)
@@ -59,7 +69,9 @@ class CircleGrid:
 
 @dataclass(frozen=True)
 class BoundarySignal:
-    """Complex samples of a boundary function at the nodes of a grid."""
+    """Complex samples of a boundary function at the nodes of a grid. The
+    values are read-only, so the modulus fields are computed on first read,
+    in one pass over |f|, and kept; |f| itself is not."""
 
     grid: CircleGrid
     values: np.ndarray
@@ -82,6 +94,21 @@ class BoundarySignal:
 
     def is_real(self, tol: float = 1e-10) -> bool:
         return bool(np.max(np.abs(self.values.imag)) <= tol)
+
+    @cached_property
+    def _moduli(self) -> tuple[np.ndarray, float, float, int]:
+        k = np.abs(self.values)
+        sup, inf = float(np.max(k)), float(np.min(k))
+        with np.errstate(divide="ignore"):
+            np.log(k, out=k)
+        clipped = _clip_log(k)
+        k.flags.writeable = False
+        return k, sup, inf, clipped
+
+    log_abs = property(lambda self: self._moduli[0], doc="max(log|f|, CLIP_FLOOR), read-only")
+    sup_abs = property(lambda self: self._moduli[1], doc="max |f| over the nodes")
+    inf_abs = property(lambda self: self._moduli[2], doc="min |f| over the nodes")
+    clip_count = property(lambda self: self._moduli[3], doc="nodes where log_abs is at the floor")
 
 
 def _unit_scaled(values: np.ndarray) -> tuple[np.ndarray, int]:

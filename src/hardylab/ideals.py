@@ -33,8 +33,8 @@ from .errors import (
     StrategyInapplicable,
     ZeroFunction,
 )
-from .factorization import clip_log_data, clipped_log_modulus, is_outer, outer_boundary, outer_values
-from .grid import TWO_PI, BoundarySignal, CircleGrid, circular_distance, circular_runs
+from .factorization import check_clip_count, is_outer, outer_boundary, outer_values
+from .grid import CLIP_FLOOR, TWO_PI, BoundarySignal, CircleGrid, _clip_log, circular_distance, circular_runs
 from .hardy import conjugate
 from .zerosets import continuous_extension, essential_zero_set
 
@@ -73,7 +73,7 @@ def ideal(generators: Sequence[BoundarySignal], names: Sequence[str] | None = No
     for g in gens:
         if g.grid.size != grid.size:
             raise ValueError("generators live on different grids")
-        if float(np.max(np.abs(g.values))) == 0.0:
+        if g.sup_abs == 0.0:
             raise ZeroFunction("a generator is identically zero")
     if names is None:
         names = tuple(f"generator-{i}" for i in range(len(gens)))
@@ -81,10 +81,6 @@ def ideal(generators: Sequence[BoundarySignal], names: Sequence[str] | None = No
     if len(names) != len(gens):
         raise ValueError("one name per generator")
     return IdealSpec(grid=grid, generators=gens, names=names)
-
-
-def ess_inf(f: BoundarySignal) -> float:
-    return float(np.min(np.abs(f.values)))
 
 
 # ---------------------------------------------------------------------------
@@ -173,15 +169,17 @@ def _sublevel_units(spec: IdealSpec, stages: Sequence[int]) -> Iterator[StagedUn
         raise ValueError(f"sublevel stages must be at most {MAX_STAGE}; e^-m underflows past it")
     grid = spec.grid
     # clipped log of the pointwise-largest generator modulus
-    k_c = np.maximum.reduce([clipped_log_modulus(g).values.real for g in spec.generators])
+    k_c = np.maximum.reduce([g.log_abs for g in spec.generators])
     if len(spec.generators) == 1:
         base = spec.generators[0].values
     else:
-        base = BoundarySignal(grid, outer_boundary(k_c)).values
+        clipped = int(np.count_nonzero(k_c <= CLIP_FLOOR))
+        base = BoundarySignal(grid, outer_boundary(k_c, clipped)).values
 
     base_mod = np.abs(base)
     half_base_phase = 0.5 * np.angle(base)
-    gen_mod = np.maximum.reduce([np.abs(g.values) for g in spec.generators])
+    gen_mod = base_mod if len(spec.generators) == 1 else np.maximum.reduce(
+        [np.abs(g.values) for g in spec.generators])
     joint_mod = np.exp(k_c)
     # the unit of every degenerate stage, built when first needed
     one = functools.cache(lambda: np.ones(grid.size, dtype=complex))
@@ -222,7 +220,8 @@ def _sublevel_units(spec: IdealSpec, stages: Sequence[int]) -> Iterator[StagedUn
             stage = replace(stage, index=m, eps=eps, support_measure=support_measure)
             yield stage, unit
             continue
-        log_cof = clip_log_data(np.where(mask, 0.0, -k_c))
+        log_cof = np.where(mask, 0.0, -k_c)
+        check_clip_count(_clip_log(log_cof), grid.size)
         phase = conjugate(log_cof)
         unit = functools.partial(_sublevel_unit, base, log_cof, phase)
         mod = np.exp(log_cof)
@@ -297,7 +296,7 @@ def prepare_peak(generator: BoundarySignal) -> PeakPreparation:
     within 1e-12 of 1; if that factor is below 1e-8, NormExceeded.
     """
     gv = generator.values
-    range_gap = ess_inf(generator)
+    range_gap = generator.inf_abs
     if range_gap > RANGE_TOL:
         raise RangeMiss(
             f"generator modulus stays above {range_gap:.6g}; "
@@ -306,7 +305,7 @@ def prepare_peak(generator: BoundarySignal) -> PeakPreparation:
     # The scan squares |G|, which overflows near 1e154. Past sup|G| = 1e10
     # no scale fits: |1 - c w| <= 1 + 1e-12 at the largest |w| forces
     # c <= (2 + 1e-12) / sup|G| < 1e-8, which is refused below.
-    if float(np.max(np.abs(gv))) > 1e10:
+    if generator.sup_abs > 1e10:
         raise NormExceeded(_NO_SCALE)
     sup_at = _rotated_sup(gv)
 
@@ -626,8 +625,10 @@ def _certify_combined(
             float(np.max(np.abs(zeta.values * g.values - g.values)))
             for g in spec.generators
         )
-        inf_z = ess_inf(zeta)
-        combined = CombinedUnit(errors, inf_z, float(np.max(np.abs(zeta.values))), zeta)
+        # one pass over |zeta|; its cached fields would keep a log it never needs
+        zeta_mod = np.abs(zeta.values)
+        inf_z = float(np.min(zeta_mod))
+        combined = CombinedUnit(errors, inf_z, float(np.max(zeta_mod)), zeta)
         combined_stages = (combined,)
         final_error = max(errors)
         sup_bound = max(combined.sup_norm, *(c.sup_bound for c in subs))
@@ -718,7 +719,7 @@ def analytic_prime_check(
     """
     if not (np.isfinite(delta) and delta > 0):
         raise ValueError(f"delta must be finite and positive, got {delta!r}")
-    inf_a = ess_inf(a)
+    inf_a = a.inf_abs
     if inf_a <= delta:
         raise HypothesisFailed(
             f"divisor modulus reaches {inf_a:.6g}, not essentially above {delta:g}"

@@ -26,7 +26,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .factorization import clipped_log_modulus
 from .grid import (
     TWO_PI,
     BoundarySignal,
@@ -145,14 +144,6 @@ def value_diameter(values: np.ndarray) -> float:
     )
 
 
-def _extension_levels(f: BoundarySignal) -> tuple[float, float]:
-    """The oscillation tolerance 10 sup|f| N^{-1/4} of ``continuous_extension``
-    and the level 1e-12 max(1, sup|f|) up to which a profile counts as flat
-    (constant data up to roundoff)."""
-    sup = float(np.max(np.abs(f.values)))
-    return 10.0 * sup * f.grid.size ** (-0.25), 1e-12 * max(1.0, sup)
-
-
 def _window_oscillations(f: BoundarySignal, center: float) -> tuple[float, ...]:
     """Exact value-set diameters over the ``WIDTH_SCHEDULE`` windows at ``center``."""
     return tuple(value_diameter(f.values[window_nodes(f.grid, center, w)]) for w in WIDTH_SCHEDULE)
@@ -209,7 +200,7 @@ def continuous_extension(f: BoundarySignal, center: float) -> ExtensionResult:
     Succeeds when the finest-window oscillation over ``WIDTH_SCHEDULE`` is
     below the tolerance 10 sup|f| N^{-1/4} *and* either below
     ``DECAY_RATIO`` times the largest oscillation seen or every oscillation
-    is at the roundoff level of constant data (``_extension_levels``). The
+    is at the roundoff level 1e-12 max(1, sup|f|) of constant data. The
     extension value is the mean over the finest window.
 
     The windows are nested, so each is sliced from the widest one. A
@@ -218,12 +209,7 @@ def continuous_extension(f: BoundarySignal, center: float) -> ExtensionResult:
     diameter to [r, 2r]; the exact diameters are taken only when those
     bounds leave the verdict open.
     """
-    return _extension(f, center, *_extension_levels(f))
-
-
-def _extension(f: BoundarySignal, center: float, tol: float, flat: float) -> ExtensionResult:
-    """``continuous_extension`` at the levels ``_extension_levels(f)``, so
-    that a caller testing many centres takes sup|f| once."""
+    tol, flat = 10.0 * f.sup_abs * f.grid.size ** (-0.25), 1e-12 * max(1.0, f.sup_abs)
     grid = f.grid
     idx = window_nodes(grid, center, WIDTH_SCHEDULE[0])
     dist = circular_distance(grid.nodes[idx], center)
@@ -292,36 +278,22 @@ def essential_zero_set(f: BoundarySignal) -> ZeroSetEstimate:
     grid = f.grid
     n = grid.size
     h = grid.spacing
-    outer_mod = np.exp(clipped_log_modulus(f).values.real)
-
+    outer_mod = np.exp(f.log_abs)
     masks = [outer_mod < eps for eps in EPS_SCHEDULE]
-    runs = _merge_runs(circular_runs(masks[-1]), n, MIN_WINDOW_CELLS)
-
-    theta = grid.nodes
     candidates = []
-    accepted_angles = []
-    for start, length in runs:
-        center = float((theta[start] + (length - 1) * h / 2.0) % TWO_PI)
+    for start, length in _merge_runs(circular_runs(masks[-1]), n, MIN_WINDOW_CELLS):
+        center = float((grid.nodes[start] + (length - 1) * h / 2.0) % TWO_PI)
         windows = [window_nodes(grid, center, w) for w in WIDTH_SCHEDULE]
         rows = tuple(
             tuple(float(np.count_nonzero(mask[win])) / n for win in windows)
             for mask in masks
         )
         ok = all(m > 0.0 for row in rows for m in row)
-        cand = ZeroCandidate(
-            angle=center,
-            point=complex(np.exp(1j * center)),
-            evidence=rows,
-            accepted=ok,
-        )
-        candidates.append(cand)
-        if ok:
-            accepted_angles.append(center)
-
-    accepted_angles.sort()
+        candidates.append(ZeroCandidate(center, complex(np.exp(1j * center)), rows, ok))
+    angles = sorted(c.angle for c in candidates if c.accepted)
     return ZeroSetEstimate(
-        angles=tuple(accepted_angles),
-        points=tuple(complex(np.exp(1j * a)) for a in accepted_angles),
+        angles=tuple(angles),
+        points=tuple(complex(np.exp(1j * a)) for a in angles),
         resolution=MIN_WINDOW_CELLS * h,
         candidates=tuple(candidates),
     )
@@ -337,8 +309,7 @@ class ZinftyReport:
 def zinfty_report(f: BoundarySignal) -> ZinftyReport:
     """Does ``f`` extend continuously to (each point of) its zero set?"""
     est = essential_zero_set(f)
-    levels = _extension_levels(f)
-    exts = tuple(_extension(f, a, *levels) for a in est.angles)
+    exts = tuple(continuous_extension(f, a) for a in est.angles)
     return ZinftyReport(all(e.ok for e in exts), est, exts)
 
 
@@ -350,5 +321,4 @@ def in_zinfty(f: BoundarySignal) -> bool:
 def in_disc_algebra(f: BoundarySignal) -> bool:
     """Continuity of the boundary data, probed at 64 equispaced angles."""
     step = TWO_PI / 64
-    levels = _extension_levels(f)
-    return all(_extension(f, j * step, *levels).ok for j in range(64))
+    return all(continuous_extension(f, j * step).ok for j in range(64))

@@ -9,11 +9,13 @@ can hold the program's route to it; the corpus names the functions on which
 two independent outerness tests must agree.
 """
 
+import math
+
 import mpmath
 import numpy as np
 
 from hardylab import AnalyticRep, BoundarySignal, PointOnBoundary
-from hardylab.factorization import clipped_log_modulus, outer_boundary
+from hardylab.factorization import CLIP_FLOOR, clipped_log_modulus, outer_boundary
 from hardylab.grid import _scaled_mean
 from hardylab.ideals import _power, prepare_peak
 from hardylab.zerosets import WIDTH_SCHEDULE, value_diameter, window_nodes
@@ -61,8 +63,12 @@ def toeplitz_matrix(symbol: AnalyticRep, order: int) -> np.ndarray:
 def distances_r_mode(f: AnalyticRep, order: int) -> np.ndarray:
     """dist(f, m) for m = 1..order from the R that numpy's qr(mode="r")
     returns (a triu copy of the factor) for [T | e_0], T built column by
-    column and left unscaled."""
-    a = f.coefficients
+    column. The symbol is first scaled by the exact power of two that brings
+    its largest real or imaginary part into [1/2, 1), as the program does:
+    that scaling is exact for normal coefficients, but it moves the bits of
+    a subnormal one, so both routes must factor the same scaled matrix."""
+    parts = f.coefficients.view(float)
+    a = np.ldexp(parts, -math.frexp(float(np.max(np.abs(parts))))[1]).view(complex)
     aug = np.zeros((a.size + order, order + 1), dtype=complex)
     for k in range(order):
         aug[k : k + a.size, k] = a
@@ -129,14 +135,15 @@ def sublevel_stages_complex(spec, stages) -> list:
     read off the complex unit base * cofactor."""
     gens = spec.generators
     k_c = np.maximum.reduce([clipped_log_modulus(g).values.real for g in gens])
-    base = gens[0].values if len(gens) == 1 else outer_boundary(k_c)
+    base = gens[0].values if len(gens) == 1 else outer_boundary(k_c, np.count_nonzero(k_c == CLIP_FLOOR))
     out = []
     for m in stages:
         mask = np.exp(k_c) < float(np.exp(-m))
         if not mask.any():
             out.append(None)
             continue
-        cofactor = outer_boundary(np.where(mask, 0.0, -k_c))
+        log_cof = np.maximum(np.where(mask, 0.0, -k_c), CLIP_FLOOR)
+        cofactor = outer_boundary(log_cof, np.count_nonzero(log_cof == CLIP_FLOOR))
         unit = base * cofactor
         mod = np.abs(unit)
         stats = {

@@ -1,5 +1,7 @@
 """End-to-end CLI behavior: exit codes, JSON reports, files, stdin, config."""
 
+import functools
+import hashlib
 import io
 import json
 import os
@@ -24,7 +26,7 @@ import hardylab
 from hardylab import cli
 from hardylab.catalog import ramp_log_modulus
 from hardylab.cli import main
-from hardylab.grid import MAX_GRID_SIZE
+from hardylab.grid import MAX_GRID_SIZE, BoundarySignal
 from hardylab.ideals import DEFAULT_MAIN_STAGES
 from hardylab.toeplitz import MAX_ORDER
 
@@ -743,3 +745,46 @@ def test_approx_unit_out_writes_every_stage_and_the_certified_final_unit(capsys,
     written = sorted(p.name for p in units.glob("unit-*.csv"))
     assert written == [f"unit-{m:04d}.csv" for m in DEFAULT_MAIN_STAGES]
     assert (units / "unit-0012.csv").read_bytes() == (cert / "final-unit.csv").read_bytes()
+
+
+def _digest(a: np.ndarray) -> str:
+    return hashlib.sha256(a.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("argv, signals", [
+    (["certify", "--generators", "one-minus-z"], 1),
+    (["certify", "--generators", "one-minus-z", "--strategy", "peak"], 1),
+    (["certify", "--generators", "one-minus-z,one-minus-z-squared"], 2),
+    (["factorize", "--f", "one-minus-z"], 1),
+    (["zeroset", "--f", "one-minus-z"], 1),
+    (["member", "--h", "one-minus-z-squared", "--generators", "one-minus-z"], 2),
+])
+def test_each_signal_is_clipped_and_measured_once_per_command(capsys, monkeypatch, argv, signals):
+    """Every clip goes through one route, and no clipped data comes out of it
+    twice; the modulus statistics of each input signal are computed once."""
+    clips, measured = [], []
+    route = hardylab.grid._clip_log
+
+    def clip(k):
+        count = route(k)
+        clips.append(_digest(k))  # the clipped data: clipping it again repeats it
+        return count
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hardylab") and getattr(module, "_clip_log", None) is route:
+            monkeypatch.setattr(module, "_clip_log", clip)
+    compute = BoundarySignal.__dict__["_moduli"].func
+
+    def moduli(f):
+        measured.append(_digest(f.values))
+        return compute(f)
+
+    spy = functools.cached_property(moduli)
+    spy.__set_name__(BoundarySignal, "_moduli")
+    monkeypatch.setattr(BoundarySignal, "_moduli", spy)
+
+    code, out, err = run(capsys, *argv, "--grid-size", "4096")
+    assert code == 0, err
+    assert len(measured) == len(set(measured)) == signals
+    # each signal's log-modulus is one of the clips; the rest are cofactors
+    assert len(clips) == len(set(clips)) >= signals

@@ -172,6 +172,12 @@ def test_is_inner_on_catalog(grid):
     assert not is_inner(get_example("one-minus-z").boundary(grid))
 
 
+def test_is_inner_is_false_when_every_node_is_below_the_clip_floor():
+    # no node is trusted, so there is no modulus to hold near 1; this used to
+    # raise numpy's ValueError for a max over an empty array
+    assert is_inner(constant_signal(CircleGrid(8), 1e-20)) is False
+
+
 @given(
     st.floats(min_value=-1.0, max_value=1.0),
     st.floats(min_value=-1.0, max_value=1.0),

@@ -20,7 +20,7 @@ from hardylab import (
     signal_to_csv,
 )
 from hardylab import grid
-from hardylab.grid import MAX_GRID_SIZE, BoundarySignal, circular_runs
+from hardylab.grid import CLIP_FLOOR, MAX_GRID_SIZE, BoundarySignal, circular_runs
 
 
 def test_grid_rejects_bad_sizes():
@@ -303,3 +303,49 @@ def test_csv_writes_match_oracle_across_cache_evictions():
     large, small = mixed_signal(65536, 3), mixed_signal(8, 4)
     for f in (large, small, large):
         assert signal_to_csv(f) == fstring_oracle_csv(f)
+
+
+# Parts of moduli the cached fields must handle: exact zeros, subnormals,
+# values near the clip floor e^-30 and near 1e300 (whose modulus stays finite).
+_MODULUS_PARTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2e-310, np.finfo(float).tiny, 9.357622968840175e-14,
+                     -1e300, 1.2e300, 1.0]),
+    st.floats(min_value=-1e300, max_value=1e300),
+    st.floats(min_value=-1e-13, max_value=1e-13),
+)
+
+
+@given(
+    st.sampled_from([8, 16, 64]).flatmap(
+        lambda n: st.lists(_MODULUS_PARTS, min_size=4 * n, max_size=4 * n)
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_cached_modulus_fields_equal_their_formulas_bitwise(parts):
+    n = len(parts) // 4
+    g = CircleGrid(n)
+    p = np.array(parts)
+
+    def check(f: BoundarySignal) -> None:
+        assert "_moduli" not in f.__dict__  # nothing computed before the first read
+        mod = np.abs(f.values)
+        with np.errstate(divide="ignore"):
+            raw = np.log(mod)
+        assert bits(np.array(f.sup_abs)) == bits(np.max(mod))
+        assert bits(np.array(f.inf_abs)) == bits(np.min(mod))
+        assert np.array_equal(bits(f.log_abs), bits(np.maximum(raw, CLIP_FLOOR)))
+        assert f.clip_count == np.count_nonzero(raw <= CLIP_FLOOR)
+        assert not f.log_abs.flags.writeable
+        with pytest.raises(ValueError):
+            f.log_abs[0] = 0.0
+
+    f = signal_from_values(g, complex_from_parts(p[0:n], p[n:2 * n]))
+    h = BoundarySignal(g, complex_from_parts(p[2 * n:3 * n], p[3 * n:]))
+    check(f)
+    check(h)
+    # a new signal starts with an empty cache, also when its values repeat
+    check(signal_from_values(g, f.values))
+    with np.errstate(over="ignore", invalid="ignore"):
+        product = f.values * h.values
+    if np.all(np.isfinite(product)):
+        check(f * h)

@@ -47,7 +47,6 @@ from hardylab.ideals import (
     _rotated_sup,
     combine_units,
     dilation_width,
-    ess_inf,
     prepare_peak,
 )
 from oracles import (
@@ -100,8 +99,8 @@ def test_ideal_default_names(small_grid):
 
 def test_ess_inf(small_grid):
     f = example_boundary("two-plus-z", small_grid)
-    assert ess_inf(f) == pytest.approx(1.0, abs=1e-12)
-    assert ess_inf(example_boundary("one-minus-z", small_grid)) == 0.0
+    assert f.inf_abs == pytest.approx(1.0, abs=1e-12)
+    assert example_boundary("one-minus-z", small_grid).inf_abs == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +209,7 @@ def test_degenerate_stages_for_zero_free_generator(grid):
     assert np.all(units[0] == 1.0)
 
 
+# Each generator also keeps its cached log-modulus, 0.5 MiB.
 @pytest.mark.parametrize("name, strategy, limit_mib", [
     # every stage degenerate: the final constant unit (1 MiB) plus the masks
     ("two-plus-z", "auto", 3),
@@ -224,10 +224,10 @@ def test_memory_a_certificate_keeps_at_65536_nodes(name, strategy, limit_mib):
     names = name.split(",")
     # numpy imports some submodules on first use; keep that out of the count
     certify_mideal(ideal([example_boundary(n, CircleGrid(4096)) for n in names]), strategy=strategy)
-    spec = ideal([example_boundary(n, CircleGrid(65536)) for n in names], names)
+    gens = [example_boundary(n, CircleGrid(65536)) for n in names]
     tracemalloc.start()
-    try:
-        cert = certify_mideal(spec, strategy=strategy)
+    try:  # ideal() reads the generators' cached fields, so they count here
+        cert = certify_mideal(ideal(gens, names), strategy=strategy)
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -238,10 +238,10 @@ def test_memory_a_certificate_keeps_at_65536_nodes(name, strategy, limit_mib):
 def test_memory_peak_of_a_sublevel_certificate_at_65536_nodes():
     # stages build one unit at a time on plain arrays and keep only the last
     certify_mideal(ideal([example_boundary("one-minus-z", CircleGrid(4096))]))
-    spec = ideal([example_boundary("one-minus-z", CircleGrid(65536))])
+    f = example_boundary("one-minus-z", CircleGrid(65536))
     tracemalloc.start()
     try:
-        cert = certify_mideal(spec)
+        cert = certify_mideal(ideal([f]))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -307,6 +307,10 @@ def test_distances_equal_r_mode_route_bitwise_on_catalog(name):
     st.integers(min_value=1, max_value=300),
 )
 @settings(max_examples=30, deadline=None)
+# a root of subnormal modulus gives a constant coefficient near 1e-315, whose
+# bits the power-of-two scaling moves: both routes must scale alike
+@example([-0.48622412715639823 - 0.4482738643222254j, 2.225073858507e-311 * cmath.exp(2j)],
+         -4.0, 2.890696403419069, 88)
 def test_distances_equal_r_mode_route_bitwise(roots, log_scale, phase, order):
     f = polynomial(roots, 10.0**log_scale * cmath.exp(1j * phase))
     assert np.array_equal(_distances(f, order), distances_r_mode(f, order))
