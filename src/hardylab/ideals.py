@@ -8,7 +8,9 @@ exactly 1 off A_m and at most e^{-m} on it, so multiplying a generator by it
 is a small perturbation. The *peak* route aligns the generator against a
 unimodular constant, forms g = (1 + base)/2, and uses u_n = 1 - g^n; the
 identity (1-g) u_n - (1-g) = -(1-g) g^n pins the stage error at
-sqrt(n^n/(n+1)^{n+1}) for the shift.
+sqrt(n^n/(n+1)^{n+1}) for the shift. Finitely many generators are certified
+one at a time, and their final units are folded by u + v - uv into one unit
+whose distance to 1 is the product of theirs.
 
 A certificate is a value, not an exception: failed gates (non-outer
 generator, missing continuous extension) come back as a failed certificate
@@ -466,7 +468,7 @@ def combine_units(u: BoundarySignal, v: BoundarySignal) -> BoundarySignal:
 
 @dataclass(frozen=True)
 class CombinedUnit:
-    """Diagonal unit for a two-generator ideal."""
+    """Diagonal unit of a finitely generated ideal, folded by ``combine_units``."""
 
     errors: tuple[float, ...]
     ess_inf: float
@@ -512,14 +514,14 @@ def certify_mideal(
     Strategies: ``sublevel`` (unit supported off shrinking zero-set
     neighborhoods; needs the generator continuously extendable to its zero
     set), ``peak`` (powers of the averaged rebased generator), ``combined``
-    (two generators; per-generator certification plus the diagonal unit), and
-    ``auto`` which picks sublevel/peak for one generator and combined for two.
-    ``tol`` and ``bound`` must be finite and positive. A single-generator
-    certificate passes when the final stage error is at most ``tol`` and
-    every stage's unit has sup at most ``bound + SUP_SLACK``. A combined
-    certificate gates ``bound`` only through its two sub-certificates: the
-    diagonal unit u + v - uv enters ``sup_bound`` but is not gated, and it can
-    reach 2B + B^2 for B = ``bound + SUP_SLACK``.
+    (k >= 2 generators; per-generator certification folded into one diagonal
+    unit), and ``auto`` which picks sublevel/peak for one generator and
+    combined for more. ``tol`` and ``bound`` must be finite and positive. A
+    single-generator certificate passes when the final stage error is at most
+    ``tol`` and every stage's unit has sup at most ``bound + SUP_SLACK``. A
+    combined certificate gates ``bound`` only through its k sub-certificates:
+    the diagonal unit 1 - (1 - u_1)...(1 - u_k) enters ``sup_bound`` but is
+    not gated, and it can reach (1 + B)^k - 1 for B = ``bound + SUP_SLACK``.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -527,13 +529,12 @@ def certify_mideal(
         if not (np.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and positive, got {value!r}")
     n_gen = len(spec.generators)
-
-    if strategy == "combined" or (strategy == "auto" and n_gen == 2):
+    if strategy == "auto" and n_gen > 1:
+        strategy = "combined"
+    if (strategy == "combined") != (n_gen > 1):
+        raise StrategyInapplicable(f"strategy {strategy!r} does not apply to {n_gen} generator(s)")
+    if strategy == "combined":
         return _certify_combined(spec, tol=tol, bound=bound, stages=stages, schedule=schedule)
-    if n_gen != 1:
-        raise StrategyInapplicable(
-            f"strategy {strategy!r} applies to a single generator; got {n_gen}"
-        )
 
     f = spec.generators[0]
     zset = essential_zero_set(f)
@@ -609,8 +610,6 @@ def _certify_combined(
     stages: Sequence[int],
     schedule: Sequence[int],
 ) -> Certificate:
-    if len(spec.generators) != 2:
-        raise StrategyInapplicable("combined certification needs exactly two generators")
     subs = tuple(
         certify_mideal(ideal([g], [name]), tol=tol, bound=bound, stages=stages, schedule=schedule)
         for g, name in zip(spec.generators, spec.names)
@@ -620,7 +619,7 @@ def _certify_combined(
     combined_stages: tuple = ()
     final_error, sup_bound, inf_z, common = float("inf"), 0.0, None, ()
     if failed_sub is None:
-        zeta = combine_units(subs[0].final_unit, subs[1].final_unit)
+        zeta = functools.reduce(combine_units, (c.final_unit for c in subs))
         errors = tuple(
             float(np.max(np.abs(zeta.values * g.values - g.values)))
             for g in spec.generators
@@ -632,11 +631,11 @@ def _certify_combined(
         combined_stages = (combined,)
         final_error = max(errors)
         sup_bound = max(combined.sup_norm, *(c.sup_bound for c in subs))
-        threshold = subs[0].resolution + subs[1].resolution
-        common = tuple(
-            a for a in subs[0].zero_angles
-            if any(circular_distance(a, b) <= threshold for b in subs[1].zero_angles)
-        )
+        first, *rest = subs
+        common = first.zero_angles
+        for c in rest:
+            near = first.resolution + c.resolution
+            common = tuple(a for a in common if any(circular_distance(a, b) <= near for b in c.zero_angles))
 
     if failed_sub is not None:
         failure, conclusion = failed_sub.failure_reason, "a generator failed its own certification"

@@ -38,8 +38,14 @@ from hardylab.reproduce import bundle_names  # noqa: E402
 GRID_SIZES = (512, 4096)
 GOLDEN_DIR = HERE / "golden"
 
-#: Generator pairs certified together (auto resolves to combined).
-PAIRS = ("one-minus-z,one-plus-z", "one-minus-z,one-minus-z-times-exp")
+#: Generator sets certified together (auto resolves to combined); the pairs
+#: come first so that the triples only add records after them.
+GENERATOR_SETS = (
+    "one-minus-z,one-plus-z",
+    "one-minus-z,one-minus-z-times-exp",
+    "one-minus-z,one-plus-z,two-plus-z",
+    "one-minus-z,one-minus-z-squared,one-minus-z-times-exp",
+)
 
 #: The zeroset runs whose boundary comes from synth_outer; the others call
 #: no FFT, and their continuity probes would dominate the corpus time.
@@ -58,7 +64,7 @@ def command_groups(n: int) -> dict[str, list[list[str]]]:
             for e in names
             for s in ("auto", "sublevel", "peak")
         ]
-        + [["certify", "--generators", p, *size] for p in PAIRS],
+        + [["certify", "--generators", g, *size] for g in GENERATOR_SETS],
         "approx-unit": [
             ["approx-unit", "--generators", e, "--strategy", s, *size]
             for e in names

@@ -8,6 +8,7 @@ independently of them.
 
 import cmath
 import dataclasses
+import itertools
 import math
 import tracemalloc
 from collections import Counter
@@ -37,6 +38,7 @@ from hardylab import (
 )
 import hardylab.ideals
 import hardylab.zerosets
+from hardylab.grid import circular_distance
 from hardylab.ideals import (
     DEFAULT_MAIN_STAGES,
     DEFAULT_PEAK_SCHEDULE,
@@ -219,6 +221,8 @@ def test_degenerate_stages_for_zero_free_generator(grid):
     ("one-minus-z", "peak", 3),
     # two sub-certificates and the diagonal unit, 1 MiB of final unit each
     ("one-minus-z,one-minus-z-squared", "combined", 6),
+    # three sub-certificates; the fold keeps only its last diagonal unit
+    ("one-minus-z,one-minus-z-squared,one-minus-z-times-exp", "combined", 8),
 ])
 def test_memory_a_certificate_keeps_at_65536_nodes(name, strategy, limit_mib):
     names = name.split(",")
@@ -578,6 +582,9 @@ def test_certify_strategy_validation(grid, one_minus_z_spec):
         certify_mideal(two, strategy="sublevel")
     with pytest.raises(StrategyInapplicable):
         certify_mideal(one_minus_z_spec, strategy="combined")
+    three = ideal([example_boundary(n, grid) for n in ("one-minus-z", "one-plus-z", "two-plus-z")])
+    with pytest.raises(StrategyInapplicable):
+        certify_mideal(three, strategy="peak")
 
 
 def test_combined_disjoint_zero_sets(grid):
@@ -633,25 +640,23 @@ MEMBER_PANEL = {
 
 
 def test_combined_shared_zero_set(grid, one_minus_z_cert):
-    cert = certify_mideal(
-        ideal(
-            [
-                example_boundary("one-minus-z", grid),
-                example_boundary("one-minus-z-squared", grid),
-            ],
-            ["one-minus-z", "one-minus-z-squared"],
-        )
-    )
-    assert cert.passed
-    assert cert.zero_angles == (0.0,)
-    assert 0.0 < cert.final_error <= cert.tol
-    assert "share their essential zero set" in cert.conclusion
-    assert "singly generated" in cert.conclusion
-    # membership through the pair certificate agrees with the principal one
-    for name, expected in MEMBER_PANEL.items():
-        h = example_boundary(name, grid)
-        assert membership(h, cert) is expected
-        assert membership(h, one_minus_z_cert) is expected
+    # the triple certifies through the same fold, with error 0.0079
+    for names in (
+        ["one-minus-z", "one-minus-z-squared"],
+        ["one-minus-z", "one-minus-z-squared", "one-minus-z-times-exp"],
+    ):
+        cert = certify_mideal(ideal([example_boundary(n, grid) for n in names], names))
+        assert cert.passed
+        assert cert.zero_angles == (0.0,)
+        assert 0.0 < cert.final_error <= cert.tol
+        assert "share their essential zero set" in cert.conclusion
+        assert "singly generated" in cert.conclusion
+        assert len(cert.sub_certificates) == len(cert.stages[0].errors) == len(names)
+        # membership through the k-generator certificate agrees with the principal one
+        for name, expected in MEMBER_PANEL.items():
+            h = example_boundary(name, grid)
+            assert membership(h, cert) is expected
+            assert membership(h, one_minus_z_cert) is expected
 
 
 def test_combined_shared_zero_set_above_tolerance():
@@ -694,6 +699,62 @@ def test_combined_disjoint_zero_sets_not_bounded_below():
     assert cert.conclusion == "disjoint zero sets but the combined unit is not bounded below"
     assert cert.zero_angles == ()
     assert cert.combined_inf == pytest.approx(0.774, abs=1e-3)
+
+
+def _pairwise_shared_triple(grid):
+    """(1-z)(1+z), (1+z)(1+iz) and (1-z)(1+iz): each pair shares a zero, and
+    no zero is common to all three."""
+    z = grid.boundary_points()
+    values = [(1 - z) * (1 + z), (1 + z) * (1 + 1j * z), (1 - z) * (1 + 1j * z)]
+    return [signal_from_values(grid, v) for v in values], ["z0-zpi", "zpi-zi", "z0-zi"]
+
+
+def test_combined_pairwise_shared_zeros_without_a_common_zero():
+    """The fold keeps an angle only when every zero set comes near it, so
+    three generators whose pairs share zeros span the whole algebra. N is
+    8192 because at 4096 (1-z)(1+z) is refused as NotOuter: the clipped
+    log-modulus at its two zeros biases the outer test (ROADMAP item 2)."""
+    gens, names = _pairwise_shared_triple(CircleGrid(8192))
+    cert = certify_mideal(ideal(gens, names))
+    assert [len(c.zero_angles) for c in cert.sub_certificates] == [2, 2, 2]
+    assert cert.passed
+    assert cert.zero_angles == ()
+    assert cert.combined_inf > 0.9
+    assert "(I = I(1))" in cert.conclusion
+
+
+def _permutation_cases(grid):
+    named = [
+        ["one-minus-z", "one-plus-z"],
+        ["one-minus-z", "one-minus-z-times-exp"],
+        ["one-minus-z", "one-plus-z", "two-plus-z"],
+        ["one-minus-z", "one-minus-z-squared", "one-minus-z-times-exp"],
+    ]
+    yield from (([example_boundary(n, grid) for n in names], names) for names in named)
+    yield _pairwise_shared_triple(grid)
+
+
+def test_combined_verdict_does_not_depend_on_generator_order():
+    """Each ordering folds the units in another order, which moves the
+    diagonal unit only by rounding; the verdict, the common zeros and the
+    error stay put (the errors agree to 6.3e-14 relative or better)."""
+    grid = CircleGrid(8192)
+    for gens, names in _permutation_cases(grid):
+        certs = [
+            certify_mideal(ideal([gens[i] for i in order], [names[i] for i in order]))
+            for order in itertools.permutations(range(len(gens)))
+        ]
+        ref = certs[0]
+        for cert in certs[1:]:
+            assert (cert.passed, cert.failure_reason, cert.conclusion) == (
+                ref.passed, ref.failure_reason, ref.conclusion
+            ), names
+            assert len(cert.zero_angles) == len(ref.zero_angles), names
+            for a in cert.zero_angles:
+                assert min(circular_distance(a, b) for b in ref.zero_angles) <= cert.resolution, names
+            # (1-z, 1+z, 2+z) has error 4.6e-16, pure rounding (the unit of 2+z
+            # is identically 1), which orderings move by 1e-16
+            assert cert.final_error == pytest.approx(ref.final_error, rel=1e-12, abs=1e-15), names
 
 
 def test_combined_fails_when_a_generator_is_inner(grid):
