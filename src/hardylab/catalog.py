@@ -123,9 +123,15 @@ def _conv(a: AnalyticRep, b: AnalyticRep) -> AnalyticRep:
 # boundary evaluators (closed forms)
 # ---------------------------------------------------------------------------
 
-def _blaschke_half_boundary(grid: CircleGrid) -> BoundarySignal:
-    z = grid.boundary_points()
-    return signal_from_values(grid, (0.5 - z) / (1.0 - 0.5 * z))
+def _on_circle(
+    formula: Callable[[np.ndarray], np.ndarray],
+) -> Callable[[CircleGrid], BoundarySignal]:
+    """Boundary route of a closed form in z, evaluated once at the grid's points."""
+    return lambda grid: BoundarySignal(grid, formula(grid.boundary_points()))
+
+
+def _blaschke_half(z: np.ndarray) -> np.ndarray:
+    return (0.5 - z) / (1.0 - 0.5 * z)
 
 
 def _two_point_boundary(grid: CircleGrid) -> BoundarySignal:
@@ -181,233 +187,159 @@ class CatalogEntry:
         return self.taylor_fn()
 
 
-_ENTRIES: dict[str, CatalogEntry] = {}
-
-
-def _register(entry: CatalogEntry) -> None:
-    _ENTRIES[entry.name] = entry
-
-
-_register(
-    CatalogEntry(
-        name="constant-one",
-        kind="outer",
-        summary="the constant function 1",
-        boundary_fn=lambda grid: signal_from_values(
-            grid, np.ones(grid.size, dtype=complex)
+_ENTRIES: dict[str, CatalogEntry] = {
+    entry.name: entry
+    for entry in (
+        CatalogEntry(
+            name="constant-one",
+            kind="outer",
+            summary="the constant function 1",
+            boundary_fn=_on_circle(np.ones_like),
+            taylor_fn=lambda: _poly(1.0),
         ),
-        taylor_fn=lambda: _poly(1.0),
-    )
-)
-
-_register(
-    CatalogEntry(
-        name="one-minus-z",
-        kind="outer",
-        summary="1 - z; outer, single boundary zero at angle 0",
-        boundary_fn=lambda grid: signal_from_values(grid, 1.0 - grid.boundary_points()),
-        taylor_fn=lambda: _poly(1.0, -1.0),
-    )
-)
-
-_register(
-    CatalogEntry(
-        name="one-plus-z",
-        kind="outer",
-        summary="1 + z; outer, single boundary zero at angle pi",
-        boundary_fn=lambda grid: signal_from_values(grid, 1.0 + grid.boundary_points()),
-        taylor_fn=lambda: _poly(1.0, 1.0),
-    )
-)
-
-_register(
-    CatalogEntry(
-        name="two-plus-z",
-        kind="outer",
-        summary="2 + z; invertible, hence outer with no boundary zeros",
-        boundary_fn=lambda grid: signal_from_values(grid, 2.0 + grid.boundary_points()),
-        taylor_fn=lambda: _poly(2.0, 1.0),
-    )
-)
-
-_register(
-    CatalogEntry(
-        name="one-minus-half-z",
-        kind="outer",
-        summary="1 - z/2; invertible, hence outer with no boundary zeros",
-        boundary_fn=lambda grid: signal_from_values(grid, 1.0 - 0.5 * grid.boundary_points()),
-        taylor_fn=lambda: _poly(1.0, -0.5),
-    )
-)
-
-_register(
-    CatalogEntry(
-        name="one-minus-z-squared",
-        kind="outer",
-        summary="(1 - z)^2; outer with a second-order boundary zero",
-        boundary_fn=lambda grid: signal_from_values(grid, (1.0 - grid.boundary_points()) ** 2),
-        taylor_fn=lambda: _poly(1.0, -2.0, 1.0),
-    )
-)
-
-_register(
-    CatalogEntry(
-        name="exp-z",
-        kind="outer",
-        summary="exp(z); invertible, hence outer",
-        boundary_fn=lambda grid: signal_from_values(grid, np.exp(grid.boundary_points())),
-        taylor_fn=_exp_z_taylor,
-    )
-)
-
-_register(
-    CatalogEntry(
-        name="one-minus-z-times-exp",
-        kind="outer",
-        summary="(1 - z) exp(z); outer, boundary zero at angle 0",
-        boundary_fn=lambda grid: signal_from_values(
-            grid, (1.0 - grid.boundary_points()) * np.exp(grid.boundary_points())
+        CatalogEntry(
+            name="one-minus-z",
+            kind="outer",
+            summary="1 - z; outer, single boundary zero at angle 0",
+            boundary_fn=_on_circle(lambda z: 1.0 - z),
+            taylor_fn=lambda: _poly(1.0, -1.0),
         ),
-        taylor_fn=lambda: _conv(_poly(1.0, -1.0), _exp_z_taylor()),
-    )
-)
-
-_register(
-    CatalogEntry(
-        name="shift",
-        kind="inner",
-        summary="z; the shift, inner with a zero inside the disc",
-        boundary_fn=lambda grid: signal_from_values(grid, grid.boundary_points()),
-        taylor_fn=lambda: _poly(0.0, 1.0),
-    )
-)
-
-_register(
-    CatalogEntry(
-        name="shift-squared",
-        kind="inner",
-        summary="z^2; inner with a double zero inside the disc",
-        boundary_fn=lambda grid: signal_from_values(grid, grid.boundary_points() ** 2),
-        taylor_fn=lambda: _poly(0.0, 0.0, 1.0),
-    )
-)
-
-_register(
-    CatalogEntry(
-        name="shift-times-one-minus-z",
-        kind="mixed",
-        summary="z (1 - z); inner factor z times the outer factor 1 - z",
-        boundary_fn=lambda grid: signal_from_values(
-            grid, grid.boundary_points() * (1.0 - grid.boundary_points())
+        CatalogEntry(
+            name="one-plus-z",
+            kind="outer",
+            summary="1 + z; outer, single boundary zero at angle pi",
+            boundary_fn=_on_circle(lambda z: 1.0 + z),
+            taylor_fn=lambda: _poly(1.0, 1.0),
         ),
-        taylor_fn=lambda: _poly(0.0, 1.0, -1.0),
-    )
-)
-
-_register(
-    CatalogEntry(
-        name="shift-exp",
-        kind="mixed",
-        summary="z exp(z); inner factor z times an invertible outer factor",
-        boundary_fn=lambda grid: signal_from_values(
-            grid, grid.boundary_points() * np.exp(grid.boundary_points())
+        CatalogEntry(
+            name="two-plus-z",
+            kind="outer",
+            summary="2 + z; invertible, hence outer with no boundary zeros",
+            boundary_fn=_on_circle(lambda z: 2.0 + z),
+            taylor_fn=lambda: _poly(2.0, 1.0),
         ),
-        taylor_fn=lambda: _conv(_poly(0.0, 1.0), _exp_z_taylor()),
-    )
-)
-
-_register(
-    CatalogEntry(
-        name="blaschke-half",
-        kind="inner",
-        summary="Blaschke factor with zero at 1/2",
-        boundary_fn=_blaschke_half_boundary,
-        taylor_fn=_blaschke_half_taylor,
-    )
-)
-
-_register(
-    CatalogEntry(
-        name="blaschke-half-times-one-minus-z",
-        kind="mixed",
-        summary="Blaschke factor at 1/2 times the outer function 1 - z",
-        boundary_fn=lambda grid: signal_from_values(
-            grid, _blaschke_half_boundary(grid).values * (1.0 - grid.boundary_points())
+        CatalogEntry(
+            name="one-minus-half-z",
+            kind="outer",
+            summary="1 - z/2; invertible, hence outer with no boundary zeros",
+            boundary_fn=_on_circle(lambda z: 1.0 - 0.5 * z),
+            taylor_fn=lambda: _poly(1.0, -0.5),
         ),
-        taylor_fn=lambda: _conv(_poly(1.0, -1.0), _blaschke_half_taylor()),
-    )
-)
-
-_register(
-    CatalogEntry(
-        name="singular-inner-1",
-        kind="inner",
-        summary="exp((z+1)/(z-1)); singular inner, mass at angle 0",
-        boundary_fn=lambda grid: singular_inner_boundary(1.0 + 0.0j, grid),
-        taylor_fn=_singular_one_taylor,
-    )
-)
-
-_register(
-    CatalogEntry(
-        name="singular-inner-i",
-        kind="inner",
-        summary="exp((z+i)/(z-i)); singular inner, mass at angle pi/2",
-        boundary_fn=lambda grid: singular_inner_boundary(1j, grid),
-        taylor_fn=_singular_i_taylor,
-    )
-)
-
-_register(
-    CatalogEntry(
-        name="one-minus-singular-i",
-        kind="outer",
-        summary="1 - exp((z+i)/(z-i)); outer since its real part is positive",
-        boundary_fn=lambda grid: signal_from_values(
-            grid, 1.0 - singular_inner_boundary(1j, grid).values
+        CatalogEntry(
+            name="one-minus-z-squared",
+            kind="outer",
+            summary="(1 - z)^2; outer with a second-order boundary zero",
+            boundary_fn=_on_circle(lambda z: (1.0 - z) ** 2),
+            taylor_fn=lambda: _poly(1.0, -2.0, 1.0),
         ),
-        taylor_fn=_one_minus_singular_i_taylor,
+        CatalogEntry(
+            name="exp-z",
+            kind="outer",
+            summary="exp(z); invertible, hence outer",
+            boundary_fn=_on_circle(np.exp),
+            taylor_fn=_exp_z_taylor,
+        ),
+        CatalogEntry(
+            name="one-minus-z-times-exp",
+            kind="outer",
+            summary="(1 - z) exp(z); outer, boundary zero at angle 0",
+            boundary_fn=_on_circle(lambda z: (1.0 - z) * np.exp(z)),
+            taylor_fn=lambda: _conv(_poly(1.0, -1.0), _exp_z_taylor()),
+        ),
+        CatalogEntry(
+            name="shift",
+            kind="inner",
+            summary="z; the shift, inner with a zero inside the disc",
+            boundary_fn=_on_circle(lambda z: z),
+            taylor_fn=lambda: _poly(0.0, 1.0),
+        ),
+        CatalogEntry(
+            name="shift-squared",
+            kind="inner",
+            summary="z^2; inner with a double zero inside the disc",
+            boundary_fn=_on_circle(lambda z: z ** 2),
+            taylor_fn=lambda: _poly(0.0, 0.0, 1.0),
+        ),
+        CatalogEntry(
+            name="shift-times-one-minus-z",
+            kind="mixed",
+            summary="z (1 - z); inner factor z times the outer factor 1 - z",
+            boundary_fn=_on_circle(lambda z: z * (1.0 - z)),
+            taylor_fn=lambda: _poly(0.0, 1.0, -1.0),
+        ),
+        CatalogEntry(
+            name="shift-exp",
+            kind="mixed",
+            summary="z exp(z); inner factor z times an invertible outer factor",
+            boundary_fn=_on_circle(lambda z: z * np.exp(z)),
+            taylor_fn=lambda: _conv(_poly(0.0, 1.0), _exp_z_taylor()),
+        ),
+        CatalogEntry(
+            name="blaschke-half",
+            kind="inner",
+            summary="Blaschke factor with zero at 1/2",
+            boundary_fn=_on_circle(_blaschke_half),
+            taylor_fn=_blaschke_half_taylor,
+        ),
+        CatalogEntry(
+            name="blaschke-half-times-one-minus-z",
+            kind="mixed",
+            summary="Blaschke factor at 1/2 times the outer function 1 - z",
+            boundary_fn=_on_circle(lambda z: _blaschke_half(z) * (1.0 - z)),
+            taylor_fn=lambda: _conv(_poly(1.0, -1.0), _blaschke_half_taylor()),
+        ),
+        CatalogEntry(
+            name="singular-inner-1",
+            kind="inner",
+            summary="exp((z+1)/(z-1)); singular inner, mass at angle 0",
+            boundary_fn=lambda grid: singular_inner_boundary(1.0 + 0.0j, grid),
+            taylor_fn=_singular_one_taylor,
+        ),
+        CatalogEntry(
+            name="singular-inner-i",
+            kind="inner",
+            summary="exp((z+i)/(z-i)); singular inner, mass at angle pi/2",
+            boundary_fn=lambda grid: singular_inner_boundary(1j, grid),
+            taylor_fn=_singular_i_taylor,
+        ),
+        CatalogEntry(
+            name="one-minus-singular-i",
+            kind="outer",
+            summary="1 - exp((z+i)/(z-i)); outer since its real part is positive",
+            boundary_fn=lambda grid: signal_from_values(
+                grid, 1.0 - singular_inner_boundary(1j, grid).values
+            ),
+            taylor_fn=_one_minus_singular_i_taylor,
+        ),
+        CatalogEntry(
+            name="two-point-product",
+            kind="outer",
+            summary="(1 - z)(1 - exp((z+i)/(z-i))); essential zeros at 1 and -i",
+            boundary_fn=_two_point_boundary,
+            taylor_fn=lambda: _conv(_poly(1.0, -1.0), _one_minus_singular_i_taylor()),
+        ),
+        CatalogEntry(
+            name="banded-logmod",
+            kind="outer",
+            summary="outer function synthesized from the banded log-modulus profile",
+            boundary_fn=_synthesized_boundary("banded-logmod"),
+            log_modulus_fn=banded_log_modulus,
+        ),
+        CatalogEntry(
+            name="ramp-logmod",
+            kind="outer",
+            summary="outer function synthesized from the ramp log-modulus profile",
+            boundary_fn=_synthesized_boundary("ramp-logmod"),
+            log_modulus_fn=ramp_log_modulus,
+        ),
+        CatalogEntry(
+            name="offset-ramp",
+            kind="outer",
+            summary="alpha - ramp where alpha is the ramp's unimodular value at angle 0",
+            boundary_fn=_offset_ramp_boundary,
+        ),
     )
-)
-
-_register(
-    CatalogEntry(
-        name="two-point-product",
-        kind="outer",
-        summary="(1 - z)(1 - exp((z+i)/(z-i))); essential zeros at 1 and -i",
-        boundary_fn=_two_point_boundary,
-        taylor_fn=lambda: _conv(_poly(1.0, -1.0), _one_minus_singular_i_taylor()),
-    )
-)
-
-_register(
-    CatalogEntry(
-        name="banded-logmod",
-        kind="outer",
-        summary="outer function synthesized from the banded log-modulus profile",
-        boundary_fn=_synthesized_boundary("banded-logmod"),
-        log_modulus_fn=banded_log_modulus,
-    )
-)
-
-_register(
-    CatalogEntry(
-        name="ramp-logmod",
-        kind="outer",
-        summary="outer function synthesized from the ramp log-modulus profile",
-        boundary_fn=_synthesized_boundary("ramp-logmod"),
-        log_modulus_fn=ramp_log_modulus,
-    )
-)
-
-_register(
-    CatalogEntry(
-        name="offset-ramp",
-        kind="outer",
-        summary="alpha - ramp where alpha is the ramp's unimodular value at angle 0",
-        boundary_fn=_offset_ramp_boundary,
-    )
-)
+}
 
 
 def catalog_names() -> tuple[str, ...]:

@@ -271,7 +271,7 @@ def _cmd_certify(args) -> int:
         sys.stderr.write(
             dump_text(
                 {
-                    "error": cert.failure_reason or "CertificationFailed",
+                    "error": cert.failure_reason,
                     "message": cert.conclusion,
                 }
             )

@@ -36,7 +36,7 @@ from .errors import (
     ZeroFunction,
 )
 from .factorization import check_clip_count, is_outer, outer_boundary, outer_values
-from .grid import CLIP_FLOOR, TWO_PI, BoundarySignal, CircleGrid, _clip_log, circular_distance, circular_runs
+from .grid import TWO_PI, BoundarySignal, CircleGrid, _clip_log, circular_distance, circular_runs
 from .hardy import conjugate
 from .zerosets import continuous_extension, essential_zero_set
 
@@ -175,8 +175,7 @@ def _sublevel_units(spec: IdealSpec, stages: Sequence[int]) -> Iterator[StagedUn
     if len(spec.generators) == 1:
         base = spec.generators[0].values
     else:
-        clipped = int(np.count_nonzero(k_c <= CLIP_FLOOR))
-        base = BoundarySignal(grid, outer_boundary(k_c, clipped)).values
+        base = BoundarySignal(grid, outer_boundary(k_c, _clip_log(k_c))).values
 
     base_mod = np.abs(base)
     half_base_phase = 0.5 * np.angle(base)
@@ -642,19 +641,20 @@ def _certify_combined(
     elif not common and not inf_z > 0.9:
         failure, conclusion = (
             "combined unit not bounded below",
-            "disjoint zero sets but the combined unit is not bounded below",
+            "no essential zero is common to all generators, but the combined "
+            "unit is not bounded below",
         )
     elif not common:
         failure, conclusion = None, (
-            "generators have disjoint essential zero sets and the combined "
+            "no essential zero is common to all generators and the combined "
             "unit is bounded below; the ideal is the whole algebra (I = I(1))"
         )
     elif not final_error <= tol:
         failure, conclusion = "tolerance", "combined unit error above tolerance"
     else:
         failure, conclusion = None, (
-            "generators share their essential zero set; the combined unit "
-            "certifies the ideal, which is singly generated by an outer "
+            "the generators have a common essential zero set; the combined "
+            "unit certifies the ideal, which is singly generated by an outer "
             "function with that zero set"
         )
     return Certificate(

@@ -56,17 +56,11 @@ class _Bundle:
         self.grid_size = grid_size
         self.grid = CircleGrid(grid_size)
         self.checks: list[dict] = []
-        self._inputs: dict[str, str] = {}
-        self._outputs: dict[str, str] = {}
+        #: path under the bundle directory ("inputs/..." or "outputs/...") -> text
+        self.files: dict[str, str] = {}
 
     def check(self, label: str, passed: bool, detail: str) -> None:
         self.checks.append({"name": label, "passed": bool(passed), "detail": detail})
-
-    def add_input(self, filename: str, text: str) -> None:
-        self._inputs[filename] = text
-
-    def add_output(self, filename: str, text: str) -> None:
-        self._outputs[filename] = text
 
     def finish(self, criteria: tuple[int, ...]) -> dict:
         summary = {
@@ -79,14 +73,10 @@ class _Bundle:
         config = {"bundle": self.name, "grid_size": self.grid_size}
         self.dir.mkdir(parents=True, exist_ok=True)
         (self.dir / "config.json").write_text(dump_text(config))
-        if self._inputs:
-            (self.dir / "inputs").mkdir(exist_ok=True)
-            for fn, text in self._inputs.items():
-                (self.dir / "inputs" / fn).write_text(text)
-        if self._outputs:
-            (self.dir / "outputs").mkdir(exist_ok=True)
-            for fn, text in self._outputs.items():
-                (self.dir / "outputs" / fn).write_text(text)
+        for rel, text in self.files.items():
+            path = self.dir / rel
+            path.parent.mkdir(exist_ok=True)
+            path.write_text(text)
         (self.dir / "summary.json").write_text(dump_text(summary))
         return summary
 
@@ -97,10 +87,10 @@ class _Bundle:
 
 def _zeroset_banded(b: _Bundle) -> None:
     entry = get_example("banded-logmod")
-    b.add_input("log_modulus.csv", signal_to_csv(entry.log_modulus(b.grid)))
+    b.files["inputs/log_modulus.csv"] = signal_to_csv(entry.log_modulus(b.grid))
     f = entry.boundary(b.grid)
     est = essential_zero_set(f)
-    b.add_output("zeroset.json", dump_text(zero_set_report(est)))
+    b.files["outputs/zeroset.json"] = dump_text(zero_set_report(est))
     b.check(
         "single essential zero at angle 0",
         len(est.angles) == 1 and circular_distance(est.angles[0], 0.0) <= est.resolution,
@@ -110,11 +100,11 @@ def _zeroset_banded(b: _Bundle) -> None:
 
 def _zeroset_two_point(b: _Bundle) -> None:
     f = example_boundary("two-point-product", b.grid)
-    b.add_input("two-point-product.csv", signal_to_csv(f))
+    b.files["inputs/two-point-product.csv"] = signal_to_csv(f)
     rep = zinfty_report(f)
     est = rep.zero_set
     in_da = in_disc_algebra(f)
-    b.add_output("zinfty.json", dump_text(zinfty_report_dict(rep)))
+    b.files["outputs/zinfty.json"] = dump_text(zinfty_report_dict(rep))
     targets = (0.0, 3.0 * math.pi / 2.0)
     hit = len(est.angles) == 2 and all(
         min(circular_distance(a, t) for a in est.angles) <= est.resolution for t in targets
@@ -136,7 +126,7 @@ def _inner_generator_rejected(b: _Bundle) -> None:
     for name in ("shift", "shift-squared", "singular-inner-1"):
         f = example_boundary(name, b.grid)
         cert = certify_mideal(ideal([f], [name]))
-        b.add_output(f"certificate-{name}.json", dump_text(certificate_report(cert)))
+        b.files[f"outputs/certificate-{name}.json"] = dump_text(certificate_report(cert))
         b.check(
             f"{name}: certification fails with NotOuter",
             (not cert.passed) and cert.failure_reason == "NotOuter",
@@ -149,7 +139,7 @@ def _polynomial_zero_location(b: _Bundle) -> None:
     f = example_boundary("one-minus-z", b.grid)
     for strategy in ("sublevel", "peak"):
         cert = certify_mideal(ideal([f], ["one-minus-z"]), strategy=strategy)
-        b.add_output(f"certificate-{strategy}.json", dump_text(certificate_report(cert)))
+        b.files[f"outputs/certificate-{strategy}.json"] = dump_text(certificate_report(cert))
         b.check(
             f"one-minus-z certifies via {strategy}",
             cert.passed,
@@ -157,7 +147,7 @@ def _polynomial_zero_location(b: _Bundle) -> None:
         )
     z = example_boundary("shift", b.grid)
     cert = certify_mideal(ideal([z], ["shift"]))
-    b.add_output("certificate-shift.json", dump_text(certificate_report(cert)))
+    b.files["outputs/certificate-shift.json"] = dump_text(certificate_report(cert))
     b.check(
         "shift is rejected (inner generator)",
         (not cert.passed) and cert.failure_reason == "NotOuter",
@@ -168,8 +158,8 @@ def _polynomial_zero_location(b: _Bundle) -> None:
 def _unit_staircase(b: _Bundle) -> None:
     f = example_boundary("one-minus-z", b.grid)
     stages = approx_unit_sublevel(ideal([f], ["one-minus-z"]))
-    b.add_output("staircase.json", dump_text({"stages": [stage_report(s) for s in stages]}))
-    b.add_output("final-unit.csv", signal_to_csv(stages[-1].unit))
+    b.files["outputs/staircase.json"] = dump_text({"stages": [stage_report(s) for s in stages]})
+    b.files["outputs/final-unit.csv"] = signal_to_csv(stages[-1].unit)
     dichotomy = all(
         s.off_support_deviation <= 1e-6 and s.on_support_max <= s.eps + 1e-6
         for s in stages
@@ -195,10 +185,10 @@ def _peak_decay(b: _Bundle) -> None:
         expected = math.sqrt(n ** n / float((n + 1) ** (n + 1)))
         rows.append({"power": n, "error": s.error, "closed_form": expected})
         closed_ok &= abs(s.error - expected) <= 1e-4
-    b.add_output("closed-form.json", dump_text({"stages": rows}))
+    b.files["outputs/closed-form.json"] = dump_text({"stages": rows})
     b.check("stage errors match the closed form at powers 3 and 8", closed_ok, "")
     cert = certify_mideal(spec, strategy="peak", tol=0.05)
-    b.add_output("certificate.json", dump_text(certificate_report(cert)))
+    b.files["outputs/certificate.json"] = dump_text(certificate_report(cert))
     b.check(
         "certification passes by power 200",
         cert.passed and cert.stages[-1].index <= 200,
@@ -210,7 +200,7 @@ def _peak_decay(b: _Bundle) -> None:
 def _disjoint_zeros_combined(b: _Bundle) -> None:
     gens = [example_boundary("one-minus-z", b.grid), example_boundary("one-plus-z", b.grid)]
     cert = certify_mideal(ideal(gens, ["one-minus-z", "one-plus-z"]), strategy="combined")
-    b.add_output("certificate.json", dump_text(certificate_report(cert)))
+    b.files["outputs/certificate.json"] = dump_text(certificate_report(cert))
     b.check(
         "combined unit essentially bounded below by 0.9",
         cert.combined_inf is not None and cert.combined_inf > 0.9,
@@ -230,8 +220,8 @@ def _shared_zero_combined(b: _Bundle) -> None:
         ideal([f1, f2], ["one-minus-z", "one-minus-z-times-exp"]), strategy="combined"
     )
     single = pair.sub_certificates[0]
-    b.add_output("certificate-pair.json", dump_text(certificate_report(pair)))
-    b.add_output("certificate-single.json", dump_text(certificate_report(single)))
+    b.files["outputs/certificate-pair.json"] = dump_text(certificate_report(pair))
+    b.files["outputs/certificate-single.json"] = dump_text(certificate_report(single))
     b.check("pair certification passes", pair.passed, pair.conclusion)
     label = "membership sets coincide with the single-generator ideal"
     if not (pair.passed and single.passed):
@@ -246,17 +236,17 @@ def _shared_zero_combined(b: _Bundle) -> None:
         m_single = membership(h, single)
         rows.append({"h": probe, "pair": m_pair, "single": m_single})
         agree &= m_pair == m_single
-    b.add_output("membership.json", dump_text({"probes": rows}))
+    b.files["outputs/membership.json"] = dump_text({"probes": rows})
     b.check(label, agree, f"{len(rows)} probes")
 
 
 def _offrange_peak(b: _Bundle) -> None:
     f = example_boundary("two-plus-z", b.grid)
-    b.add_input("two-plus-z.csv", signal_to_csv(f))
+    b.files["inputs/two-plus-z.csv"] = signal_to_csv(f)
     try:
         prepare_peak(f)
     except RangeMiss as exc:
-        b.add_output("error.json", dump_text(exc.payload()))
+        b.files["outputs/error.json"] = dump_text(exc.payload())
         b.check(
             "peak alignment refuses a generator bounded away from zero",
             True,
@@ -272,9 +262,9 @@ def _offrange_peak(b: _Bundle) -> None:
 
 def _ramp_peak(b: _Bundle) -> None:
     f = example_boundary("offset-ramp", b.grid)
-    b.add_input("offset-ramp.csv", signal_to_csv(f))
+    b.files["inputs/offset-ramp.csv"] = signal_to_csv(f)
     cert = certify_mideal(ideal([f], ["offset-ramp"]), strategy="peak")
-    b.add_output("certificate.json", dump_text(certificate_report(cert)))
+    b.files["outputs/certificate.json"] = dump_text(certificate_report(cert))
     b.check(
         "offset ramp certifies via peak units",
         cert.passed,
@@ -308,11 +298,8 @@ def _szego_dichotomy(b: _Bundle) -> None:
         abs(d_blaschke - math.sqrt(0.75)) <= 1e-2,
         f"distance {d_blaschke:.6f}",
     )
-    b.add_output("distances.json", dump_text({"rows": rows}))
-    b.add_output(
-        "density-one-minus-z.csv",
-        density_profile_csv(density_profile(one_minus_z)),
-    )
+    b.files["outputs/distances.json"] = dump_text({"rows": rows})
+    b.files["outputs/density-one-minus-z.csv"] = density_profile_csv(density_profile(one_minus_z))
 
 
 #: bundle name -> (acceptance criteria it witnesses, body)

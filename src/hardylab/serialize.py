@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import fields
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -74,6 +75,11 @@ def dump_text(obj: Any) -> str:
 # report builders: domain objects -> plain dicts
 # ---------------------------------------------------------------------------
 
+def _fields(record, skip: tuple[str, ...] = ()) -> dict:
+    """The fields of the dataclass ``record`` by name, less those in ``skip``."""
+    return {f.name: getattr(record, f.name) for f in fields(record) if f.name not in skip}
+
+
 def extension_report(ext: ExtensionResult) -> dict:
     return {
         "ok": ext.ok,
@@ -91,16 +97,8 @@ def zero_set_report(est: ZeroSetEstimate) -> dict:
         "resolution": float(est.resolution),
         "eps_schedule": [float(e) for e in EPS_SCHEDULE],
         "width_schedule": [float(w) for w in WIDTH_SCHEDULE],
-        "candidates": [
-            {
-                "angle": float(c.angle),
-                "point": complex(c.point),
-                "accepted": bool(c.accepted),
-                # rows follow eps_schedule, columns width_schedule
-                "evidence": [[float(m) for m in row] for row in c.evidence],
-            }
-            for c in est.candidates
-        ],
+        # each candidate's evidence rows follow eps_schedule, columns width_schedule
+        "candidates": [_fields(c) for c in est.candidates],
     }
 
 
@@ -116,35 +114,17 @@ def zinfty_report_dict(rep: ZinftyReport) -> dict:
 
 
 def stage_report(stage) -> dict:
+    """Every field of ``stage`` except its unit and support, with its kind; the
+    index is a sublevel stage's ``stage`` and a peak stage's ``power``."""
     if isinstance(stage, UnitStage):
-        return {
-            "kind": "sublevel",
-            "stage": stage.index,
-            "eps": stage.eps,
-            "support_measure": stage.support_measure,
-            "degenerate": stage.degenerate,
-            "off_support_deviation": stage.off_support_deviation,
-            "on_support_max": stage.on_support_max,
-            "value_at_zero": stage.value_at_zero,
-            "cofactor_sup": stage.cofactor_sup,
-            "error": stage.error,
-            "sup_norm": stage.sup_norm,
-        }
-    if isinstance(stage, PeakStage):
-        return {
-            "kind": "peak",
-            "power": stage.index,
-            "error": stage.error,
-            "sup_norm": stage.sup_norm,
-        }
-    if isinstance(stage, CombinedUnit):
-        return {
-            "kind": "combined",
-            "errors": [float(e) for e in stage.errors],
-            "ess_inf": stage.ess_inf,
-            "sup_norm": stage.sup_norm,
-        }
-    raise TypeError(f"unknown stage type {type(stage).__name__}")
+        kind, index = "sublevel", {"stage": stage.index}
+    elif isinstance(stage, PeakStage):
+        kind, index = "peak", {"power": stage.index}
+    elif isinstance(stage, CombinedUnit):
+        kind, index = "combined", {}
+    else:
+        raise TypeError(f"unknown stage type {type(stage).__name__}")
+    return {"kind": kind, **index, **_fields(stage, ("index", "support", "unit"))}
 
 
 def certificate_report(cert: Certificate) -> dict:
@@ -165,14 +145,7 @@ def certificate_report(cert: Certificate) -> dict:
     if cert.combined_inf is not None:
         report["combined_inf"] = cert.combined_inf
     if cert.peak_prep is not None:
-        prep = cert.peak_prep
-        report["peak_alignment"] = {
-            "alpha": prep.alpha,
-            "scale": prep.scale,
-            "rescaled": prep.rescaled,
-            "sup_base": prep.sup_base,
-            "range_gap": prep.range_gap,
-        }
+        report["peak_alignment"] = _fields(cert.peak_prep)
     if cert.sub_certificates:
         report["sub_certificates"] = [
             certificate_report(c) for c in cert.sub_certificates

@@ -60,6 +60,18 @@ def test_synth_outer_writes_companion_files(capsys, tmp_path):
     assert (out_dir / "log_modulus.csv").exists()
 
 
+def test_synth_outer_from_an_entry_without_a_profile_writes_its_log_abs(capsys, tmp_path):
+    """An entry with no log-modulus profile gives the log-modulus of its boundary."""
+    code, _, _ = run(
+        capsys, "synth-outer", "--k", "one-minus-z", "--grid-size", "512",
+        "--out", str(tmp_path),
+    )
+    assert code == 0
+    grid = CircleGrid(512)
+    want = signal_to_csv(signal_from_values(grid, example_boundary("one-minus-z", grid).log_abs))
+    assert (tmp_path / "log_modulus.csv").read_text() == want
+
+
 def test_factorize_flags_inner_input(capsys):
     code, out, _ = run(capsys, "factorize", "--f", "blaschke-half", "--grid-size", "1024")
     assert code == 0
@@ -512,6 +524,13 @@ def test_config_rejects_unknown_keys_and_bad_files(capsys, tmp_path):
     not_object.write_text("[1, 2]")
     code, _, _ = run(capsys, "zeroset", "--f", "one-minus-z", "--config", str(not_object))
     assert code == 1
+
+    not_json = tmp_path / "broken.json"
+    not_json.write_text('{"tol": ')
+    code, _, err = run(capsys, "zeroset", "--f", "one-minus-z", "--config", str(not_json))
+    assert code == 1
+    assert json.loads(err)["error"] == "io-format"
+    assert "not valid JSON" in json.loads(err)["message"]
 
 
 @pytest.mark.parametrize(

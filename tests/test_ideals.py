@@ -649,7 +649,7 @@ def test_combined_shared_zero_set(grid, one_minus_z_cert):
         assert cert.passed
         assert cert.zero_angles == (0.0,)
         assert 0.0 < cert.final_error <= cert.tol
-        assert "share their essential zero set" in cert.conclusion
+        assert "have a common essential zero set" in cert.conclusion
         assert "singly generated" in cert.conclusion
         assert len(cert.sub_certificates) == len(cert.stages[0].errors) == len(names)
         # membership through the k-generator certificate agrees with the principal one
@@ -696,7 +696,9 @@ def test_combined_disjoint_zero_sets_not_bounded_below():
     ]
     assert not cert.passed
     assert cert.failure_reason == "combined unit not bounded below"
-    assert cert.conclusion == "disjoint zero sets but the combined unit is not bounded below"
+    assert cert.conclusion == (
+        "no essential zero is common to all generators, but the combined unit is not bounded below"
+    )
     assert cert.zero_angles == ()
     assert cert.combined_inf == pytest.approx(0.774, abs=1e-3)
 
@@ -776,6 +778,15 @@ def test_membership_requires_passing_certificate(grid):
     assert not failed.passed
     with pytest.raises(NotCertified):
         membership(example_boundary("one-minus-z", grid), failed)
+
+
+def test_membership_in_the_whole_algebra(grid):
+    """A passing certificate with an empty zero set certifies the whole
+    algebra, so every function on the grid is a member."""
+    cert = certify_mideal(ideal([example_boundary("two-plus-z", grid)], ["two-plus-z"]))
+    assert cert.passed
+    assert cert.zero_angles == ()
+    assert all(membership(example_boundary(name, grid), cert) for name in MEMBER_PANEL)
 
 
 def test_division_property(grid, one_minus_z_cert):

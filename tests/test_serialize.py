@@ -15,7 +15,13 @@ from hardylab import (
     ideal,
     zinfty_report,
 )
-from hardylab.serialize import dump_text, extension_report, zero_set_report, zinfty_report_dict
+from hardylab.serialize import (
+    dump_text,
+    extension_report,
+    stage_report,
+    zero_set_report,
+    zinfty_report_dict,
+)
 
 
 def test_scalar_rendering():
@@ -52,6 +58,8 @@ def test_dump_text_appends_newline():
 def test_rejects_unknown_types():
     with pytest.raises(TypeError):
         dumps(object())
+    with pytest.raises(TypeError, match="unknown stage type object"):
+        stage_report(object())
 
 
 def test_report_is_valid_json_and_loads_back():

@@ -250,6 +250,7 @@ def test_density_profile_shape_and_csv():
     assert len(lines) == 4
     with pytest.raises(ValueError):
         density_profile(get_example("one-minus-z").taylor(), (8, 8))
+    assert density_profile(get_example("one-minus-z").taylor(), ()) == ()
 
 
 _COEFFS = st.lists(
