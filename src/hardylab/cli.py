@@ -28,7 +28,14 @@ from .factorization import (
     is_outer,
     synth_outer,
 )
-from .grid import BoundarySignal, CircleGrid, signal_from_csv, signal_to_csv, signal_from_values
+from .grid import (
+    DEFAULT_GRID_SIZE,
+    BoundarySignal,
+    CircleGrid,
+    signal_from_csv,
+    signal_from_values,
+    signal_to_csv,
+)
 from .hardy import AnalyticRep
 from .ideals import (
     DEFAULT_BOUND,
@@ -58,8 +65,6 @@ from .toeplitz import (
     szego_distance,
 )
 from .zerosets import in_disc_algebra, zinfty_report
-
-DEFAULT_GRID_SIZE = 16384
 
 
 class _Parser(argparse.ArgumentParser):

@@ -97,7 +97,7 @@ def synth_outer(k: BoundarySignal) -> OuterFn:
     """Outer function with boundary log-modulus ``k`` (clipped at the floor)."""
     if not k.is_real():
         raise ValueError("log-modulus data must be real")
-    kc = k.values.real + 0.0  # a new array; -0 becomes 0, so the CSV writes 0
+    kc = k.values.real.copy()  # a new array; -0 stays -0, so the CSV writes -0
     return _outer(k.grid, kc, _clip_log(kc))
 
 

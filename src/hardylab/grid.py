@@ -22,6 +22,9 @@ TWO_PI = 2.0 * np.pi
 #: Largest grid size; one complex signal on it takes 256 MB.
 MAX_GRID_SIZE = 2**24
 
+#: Grid size of the CLI commands and reproduction bundles when none is given.
+DEFAULT_GRID_SIZE = 16384
+
 #: Log-modulus values below this are clipped; e**CLIP_FLOOR ~ 9.4e-14.
 CLIP_FLOOR = -30.0
 
@@ -147,23 +150,27 @@ def circular_distance(theta, center: float):
     return np.minimum(d, TWO_PI - d)
 
 
-def circular_runs(mask: np.ndarray) -> list[tuple[int, int]]:
-    """Maximal circular runs of True as (start index, length)."""
+def circular_runs(mask: np.ndarray, gap: int = 0) -> list[tuple[int, int]]:
+    """Maximal circular runs of True as (start index, length), sorted by start.
+
+    Runs at most ``gap`` unmasked nodes apart are merged, in order of their
+    starts and then across the wrap while more than one run is left; a single
+    run's own gap round the circle is never filled.
+    """
     n = mask.size
     if mask.all():
         return [(0, n)]
     if not mask.any():
         return []
-    start = int(np.argmin(mask))  # an unmasked index, so no run wraps
-    rolled = np.roll(mask, -start)
-    edges = np.flatnonzero(np.diff(rolled.astype(np.int8)))
-    starts = edges[::2] + 1
-    ends = (
-        edges[1::2] + 1
-        if len(edges) % 2 == 0
-        else np.append(edges[1::2] + 1, n)
-    )
-    return [(int((s + start) % n), int(e - s)) for s, e in zip(starts, ends)]
+    before = np.roll(mask, 1)
+    starts, ends = np.flatnonzero(mask & ~before), np.flatnonzero(~mask & before)
+    if ends[0] < starts[0]:  # the last run crosses the wrap
+        ends = np.append(ends[1:], ends[0] + n)
+    head = np.concatenate(([True], starts[1:] - ends[:-1] > gap))
+    starts, ends = starts[head], ends[np.append(head[1:], True)]
+    if starts.size > 1 and starts[0] + n - ends[-1] <= gap:  # merge across the wrap
+        starts, ends = starts[1:], np.append(ends[1:-1], ends[0] + n)
+    return [(int(s), int(e - s)) for s, e in zip(starts, ends)]
 
 
 # ---------------------------------------------------------------------------

@@ -432,8 +432,9 @@ def _peak_units(
     prep = prepare_peak(spec.generators[0])
 
     def units() -> Iterator[StagedUnit]:
-        g_mid = 0.5 * (1.0 + (1.0 - prep.scale * np.conj(prep.alpha) * gv))
-        h_mod = np.abs(0.5 * prep.scale * np.conj(prep.alpha) * gv)
+        w = prep.scale * np.conj(prep.alpha) * gv
+        g_mid = 0.5 * (1.0 + (1.0 - w))
+        h_mod = np.abs(0.5 * w)
         g_mod = np.abs(g_mid)
         half_phase = 0.5 * np.angle(g_mid)
         for n in schedule:

@@ -15,7 +15,7 @@ from typing import Callable
 from .catalog import example_boundary, get_example
 from .errors import RangeMiss, UnknownExample
 from .factorization import is_inner
-from .grid import CircleGrid, circular_distance, signal_to_csv
+from .grid import DEFAULT_GRID_SIZE, CircleGrid, circular_distance, signal_to_csv
 from .ideals import (
     approx_unit_peak,
     approx_unit_sublevel,
@@ -322,7 +322,7 @@ def bundle_names() -> tuple[str, ...]:
     return tuple(sorted(_BUNDLES))
 
 
-def run_bundle(name: str, out_root: Path, grid_size: int = 16384) -> dict:
+def run_bundle(name: str, out_root: Path, grid_size: int = DEFAULT_GRID_SIZE) -> dict:
     try:
         criteria, body = _BUNDLES[name]
     except KeyError:

@@ -144,35 +144,36 @@ def value_diameter(values: np.ndarray) -> float:
     )
 
 
+def _windows(grid: CircleGrid, center: float) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """The nodes of the widest ``WIDTH_SCHEDULE`` window at ``center``, their
+    distances to it, and one mask over them per width, finest last.
+
+    The windows are nested and centred alike, so each mask selects the nodes
+    of ``window_nodes(grid, center, w)``, in the same order.
+    """
+    idx = window_nodes(grid, center, WIDTH_SCHEDULE[0])
+    dist = circular_distance(grid.nodes[idx], center)
+    return idx, dist, [dist <= _half_width(grid, w) for w in WIDTH_SCHEDULE]
+
+
 def _window_oscillations(f: BoundarySignal, center: float) -> tuple[float, ...]:
     """Exact value-set diameters over the ``WIDTH_SCHEDULE`` windows at ``center``."""
-    return tuple(value_diameter(f.values[window_nodes(f.grid, center, w)]) for w in WIDTH_SCHEDULE)
+    idx, _, inside = _windows(f.grid, center)
+    values = f.values[idx]
+    return tuple(value_diameter(values[m]) for m in inside)
 
 
-def _exact_verdict(oscs: Sequence[float], tol: float, flat: float) -> bool:
-    """The finest oscillation is within ``tol``, and the profile is flat
-    (every oscillation at most ``flat``) or decays to at most ``DECAY_RATIO``
-    times the largest: a small final window alone is not enough."""
-    worst = max(oscs)
-    return oscs[-1] <= tol and (worst <= flat or oscs[-1] <= DECAY_RATIO * worst)
+def _verdict(lo: Sequence[float], hi: Sequence[float], tol: float, flat: float) -> Optional[bool]:
+    """The continuity rule for window diameters known to lie in [lo, hi], or
+    None when those intervals leave it open.
 
-
-def _verdict_from_radii(radii: Sequence[float], tol: float, flat: float) -> Optional[bool]:
-    """``_exact_verdict`` for diameters known only to lie in [r, 2r] for
-    the window radii r, or None when those intervals leave it open.
-
-    Each diameter is taken as any value in [r (1 - m), 2 r (1 + m)] with
-    m = ``BOUND_MARGIN``; a verdict is returned only when it is the same for
-    all of them. The decay test can never fail this way, as the largest
-    upper end is at least twice the finest lower end.
+    The finest diameter must be within ``tol``, and the profile flat (every
+    diameter at most ``flat``) or decaying to at most ``DECAY_RATIO`` times
+    the largest: a small final window alone is not enough.
     """
-    lo_last = radii[-1] * (1.0 - BOUND_MARGIN)
-    hi_last = 2.0 * radii[-1] * (1.0 + BOUND_MARGIN)
-    lo_worst = max(radii) * (1.0 - BOUND_MARGIN)
-    hi_worst = 2.0 * max(radii) * (1.0 + BOUND_MARGIN)
-    if lo_last > tol:
+    if lo[-1] > tol:
         return False
-    if hi_last <= tol and (hi_worst <= flat or hi_last <= DECAY_RATIO * lo_worst):
+    if hi[-1] <= tol and (max(hi) <= flat or hi[-1] <= DECAY_RATIO * max(lo)):
         return True
     return None
 
@@ -210,15 +211,14 @@ def continuous_extension(f: BoundarySignal, center: float) -> ExtensionResult:
     bounds leave the verdict open.
     """
     tol, flat = 10.0 * f.sup_abs * f.grid.size ** (-0.25), 1e-12 * max(1.0, f.sup_abs)
-    grid = f.grid
-    idx = window_nodes(grid, center, WIDTH_SCHEDULE[0])
-    dist = circular_distance(grid.nodes[idx], center)
+    idx, dist, inside = _windows(f.grid, center)
     values = f.values[idx]
     radius = np.abs(values - values[np.argmin(dist)])
-    inside = [dist <= _half_width(grid, w) for w in WIDTH_SCHEDULE]
-    ok = _verdict_from_radii([float(np.max(radius[m])) for m in inside], tol, flat)
-    if ok is None:
-        ok = _exact_verdict(_window_oscillations(f, center), tol, flat)
+    r = np.array([np.max(radius[m]) for m in inside])
+    ok = _verdict(r * (1.0 - BOUND_MARGIN), 2.0 * r * (1.0 + BOUND_MARGIN), tol, flat)
+    if ok is None:  # the exact diameters decide; undecided there reads as False
+        oscs = _window_oscillations(f, center)
+        ok = bool(_verdict(oscs, oscs, tol, flat))
     return ExtensionResult(ok, _scaled_mean(values[inside[-1]]), tol, DECAY_RATIO, f, center)
 
 
@@ -246,28 +246,6 @@ class ZeroSetEstimate:
         return any(circular_distance(theta, a) <= slack for a in self.angles)
 
 
-def _merge_runs(runs: list[tuple[int, int]], n: int, gap: int) -> list[tuple[int, int]]:
-    """Merge circular runs separated by at most ``gap`` unmasked nodes."""
-    if len(runs) <= 1:
-        return runs
-    runs = sorted(runs)
-    merged = [runs[0]]
-    for s, length in runs[1:]:
-        ps, pl = merged[-1]
-        if s - (ps + pl) <= gap:
-            merged[-1] = (ps, s + length - ps)
-        else:
-            merged.append((s, length))
-    # wrap-around merge between the last and first runs
-    if len(merged) > 1:
-        s0, l0 = merged[0]
-        s1, l1 = merged[-1]
-        if (s0 + n) - (s1 + l1) <= gap:
-            merged[0] = (s1, s0 + l0 + n - s1)
-            merged.pop()
-    return merged
-
-
 def essential_zero_set(f: BoundarySignal) -> ZeroSetEstimate:
     """Estimate the essential zero set of the outer part of ``f``.
 
@@ -279,14 +257,14 @@ def essential_zero_set(f: BoundarySignal) -> ZeroSetEstimate:
     n = grid.size
     h = grid.spacing
     outer_mod = np.exp(f.log_abs)
-    masks = [outer_mod < eps for eps in EPS_SCHEDULE]
     candidates = []
-    for start, length in _merge_runs(circular_runs(masks[-1]), n, MIN_WINDOW_CELLS):
+    for start, length in circular_runs(outer_mod < EPS_SCHEDULE[-1], MIN_WINDOW_CELLS):
         center = float((grid.nodes[start] + (length - 1) * h / 2.0) % TWO_PI)
-        windows = [window_nodes(grid, center, w) for w in WIDTH_SCHEDULE]
+        idx, _, inside = _windows(grid, center)
+        near = outer_mod[idx]
         rows = tuple(
-            tuple(float(np.count_nonzero(mask[win])) / n for win in windows)
-            for mask in masks
+            tuple(float(np.count_nonzero(near[m] < eps)) / n for m in inside)
+            for eps in EPS_SCHEDULE
         )
         ok = all(m > 0.0 for row in rows for m in row)
         candidates.append(ZeroCandidate(center, complex(np.exp(1j * center)), rows, ok))
@@ -313,7 +291,7 @@ def zinfty_report(f: BoundarySignal) -> ZinftyReport:
     return ZinftyReport(all(e.ok for e in exts), est, exts)
 
 
-# Test-only, but kept: perfbench/tracing.py wraps in_zinfty by name (ROADMAP item 6).
+# Test-only, but kept: perfbench/tracing.py wraps in_zinfty by name (ROADMAP item 7).
 def in_zinfty(f: BoundarySignal) -> bool:
     return zinfty_report(f).in_class
 

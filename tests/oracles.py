@@ -125,6 +125,29 @@ def continuous_extension_hull(f: BoundarySignal, center: float) -> tuple:
     return ok, _scaled_mean(windows[-1]), oscs, tol
 
 
+def merge_runs(runs: list[tuple[int, int]], n: int, gap: int) -> list[tuple[int, int]]:
+    """Merge circular runs separated by at most ``gap`` unmasked nodes, one
+    pair at a time in order of their starts, then once across the wrap; a
+    run merged across the wrap comes first."""
+    if len(runs) <= 1:
+        return runs
+    runs = sorted(runs)
+    merged = [runs[0]]
+    for s, length in runs[1:]:
+        ps, pl = merged[-1]
+        if s - (ps + pl) <= gap:
+            merged[-1] = (ps, s + length - ps)
+        else:
+            merged.append((s, length))
+    if len(merged) > 1:
+        s0, l0 = merged[0]
+        s1, l1 = merged[-1]
+        if (s0 + n) - (s1 + l1) <= gap:
+            merged[0] = (s1, s0 + l0 + n - s1)
+            merged.pop()
+    return merged
+
+
 #: Stage statistics that the complex-unit routes recompute.
 SUBLEVEL_FIELDS = ("error", "sup_norm", "cofactor_sup", "off_support_deviation", "on_support_max")
 

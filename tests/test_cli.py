@@ -720,6 +720,23 @@ def test_log_modulus_from_file_and_stdin_match_the_registry(capsys, tmp_path, mo
     assert (code, got) == (0, want)
 
 
+def test_log_modulus_csv_keeps_signed_zeros_through_synth_outer(capsys, tmp_path):
+    """A -0 log-modulus sample comes back as -0 in the written log_modulus.csv,
+    from a CSV and from the registry ramp, which is -0.0 at theta = 0."""
+    grid = CircleGrid(512)
+    text = signal_to_csv(signal_from_values(grid, ramp_log_modulus(grid.nodes)))
+    assert text.splitlines()[1] == "0,-0,0"
+    path = tmp_path / "k.csv"
+    path.write_text(text)
+    for k in (str(path), "ramp-logmod"):
+        out_dir = tmp_path / f"out-{len(k)}"
+        code, _, _ = run(
+            capsys, "synth-outer", "--k", k, "--grid-size", "512", "--out", str(out_dir)
+        )
+        assert code == 0
+        assert (out_dir / "log_modulus.csv").read_text() == text
+
+
 def test_complex_log_modulus_exits_one(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(signal_to_csv(ramp_log_modulus_signal(1e-6j))))
     code, out, err = run(capsys, "synth-outer", "--k", "-")

@@ -21,6 +21,7 @@ from hardylab import (
 )
 from hardylab import grid
 from hardylab.grid import CLIP_FLOOR, MAX_GRID_SIZE, BoundarySignal, circular_runs
+from oracles import merge_runs
 
 
 def test_grid_rejects_bad_sizes():
@@ -88,6 +89,34 @@ def test_wraparound_run_is_single_arc():
     assert circular_runs(mask) == [(15, 3)]
     assert circular_runs(np.ones(16, dtype=bool)) == [(0, 16)]
     assert circular_runs(np.zeros(16, dtype=bool)) == []
+    mask[[1, 5, 10]] = [False, True, True]
+    assert circular_runs(mask, 16) == [(5, 12)]  # one run keeps its own wrap gap
+    mask[13] = True  # 13 joins the run 15, 0 across the wrap; the runs stay sorted
+    assert circular_runs(mask, 1) == [(5, 1), (10, 1), (13, 4)]
+
+
+@st.composite
+def run_masks(draw) -> np.ndarray:
+    """Masks of 8 to 4096 nodes: all True, all False, scattered short runs,
+    or scattered runs with both ends of the array set."""
+    n = 2 ** draw(st.integers(min_value=3, max_value=12))
+    kind = draw(st.sampled_from(["all", "none", "scatter", "ends"]))
+    if kind in ("all", "none"):
+        return np.full(n, kind == "all")
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+    mask = rng.random(n) < draw(st.sampled_from([0.01, 0.05, 0.2, 0.5, 0.9]))
+    if kind == "ends":
+        mask[[0, -1]] = True
+    return mask
+
+
+@given(run_masks(), st.integers(min_value=0, max_value=16))
+@settings(max_examples=200, deadline=None)
+def test_merged_runs_match_the_pairwise_merge(mask, gap):
+    """Runs at most ``gap`` apart merge as the one-pair-at-a-time oracle
+    merges them, sorted by start."""
+    want = sorted(merge_runs(circular_runs(mask), mask.size, gap))
+    assert circular_runs(mask, gap) == want
 
 
 def fstring_oracle_csv(f) -> str:

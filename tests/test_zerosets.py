@@ -28,6 +28,8 @@ from hardylab.zerosets import (
     EPS_SCHEDULE,
     MIN_WINDOW_CELLS,
     WIDTH_SCHEDULE,
+    _verdict,
+    _windows,
     in_zinfty,
     value_diameter,
     window_nodes,
@@ -113,6 +115,45 @@ def test_window_nodes_match_the_full_distance_mask(size):
             half = max(w / 2.0, floor / 2.0)
             want = np.flatnonzero(circular_distance(g.nodes, c) <= half)
             assert np.array_equal(window_nodes(g, c, w), want), (c, w)
+
+
+@given(st.sampled_from([8, 64, 4096, 65536]),
+       st.floats(min_value=-1.0, max_value=2 * math.pi + 1.0))
+@settings(max_examples=60, deadline=None)
+def test_window_masks_select_the_window_nodes(size, center):
+    """Each width's mask over the widest window picks that width's nodes."""
+    g = CircleGrid(size)
+    idx, dist, inside = _windows(g, center)
+    assert np.array_equal(dist, circular_distance(g.nodes[idx], center))
+    assert len(inside) == len(WIDTH_SCHEDULE)
+    for m, w in zip(inside, WIDTH_SCHEDULE):
+        assert np.array_equal(idx[m], window_nodes(g, center, w)), w
+    if size == 8:  # the widest window covers the whole circle
+        assert np.array_equal(idx, np.arange(8))
+
+
+@pytest.mark.parametrize("lo, hi, want", [
+    ((1.0, 3.0), (2.0, 6.0), False),        # finest lower end above tol
+    ((4.0, 1.0), (8.0, 2.0), True),         # decays: 2 <= 0.5 * 4
+    ((1e-15, 1e-15), (2e-15, 2e-15), True),  # flat
+    ((2.0, 1.0), (4.0, 2.0), None),         # [r, 2r] leaves the decay open
+    ((1.0, 0.9), (1.0, 0.9), None),         # exact diameters: no decay, not flat
+])
+def test_verdict_outcomes(lo, hi, want):
+    assert _verdict(lo, hi, 2.5, 1e-12) is want
+
+
+def test_undecided_exact_diameters_read_as_discontinuous():
+    """A small jump keeps every window's diameter equal: within tolerance
+    but neither flat nor decaying, so the exact rule is undecided, and the
+    extension fails."""
+    grid = CircleGrid(512)
+    t = (grid.nodes + math.pi) % (2 * math.pi) - math.pi
+    f = signal_from_values(grid, np.where(t >= 0.0, 1.0, 1.1))
+    ext = continuous_extension(f, 0.0)
+    flat = 1e-12 * max(1.0, f.sup_abs)
+    assert _verdict(ext.oscillations, ext.oscillations, ext.tolerance, flat) is None
+    assert ext.ok is False
 
 
 def test_extension_at_full_resolution_allocates_no_pairwise_matrix():
