@@ -129,14 +129,17 @@ def _keep_final(grid: CircleGrid, units: Iterator[StagedUnit]) -> tuple:
     return tuple(out)
 
 
-def _distance_to_one(mod: np.ndarray, half_phase: np.ndarray) -> np.ndarray:
+def _distance_to_one(
+    mod: np.ndarray, mod_minus_one: np.ndarray, half_phase: np.ndarray
+) -> np.ndarray:
     """|w - 1| for |w| = ``mod`` and arg w = 2 ``half_phase``, from
     |w - 1|^2 = (|w| - 1)^2 + 4 |w| sin^2(arg w / 2), which has no
-    cancellation near w = 1. Overwrites ``half_phase``."""
+    cancellation near w = 1 when ``mod_minus_one`` = |w| - 1 is accurate.
+    Overwrites ``half_phase``."""
     s = np.sin(half_phase, out=half_phase)
     np.multiply(s, s, out=s)
     np.multiply(s, 4.0 * mod, out=s)
-    return np.sqrt(np.add(np.square(mod - 1.0), s, out=s), out=s)
+    return np.sqrt(np.add(np.square(mod_minus_one), s, out=s), out=s)
 
 
 def approx_unit_sublevel(
@@ -229,7 +232,7 @@ def _sublevel_units(spec: IdealSpec, stages: Sequence[int]) -> Iterator[StagedUn
         cofactor_sup = float(np.max(mod))
         mod *= base_mod
         off_dev = float(np.max(np.abs(mod[~mask] - 1.0))) if count < grid.size else 0.0
-        dist = _distance_to_one(mod, np.add(half_base_phase, 0.5 * phase))
+        dist = _distance_to_one(mod, mod - 1.0, np.add(half_base_phase, 0.5 * phase))
         stage = UnitStage(
             index=m,
             eps=eps,
@@ -420,7 +423,11 @@ def _peak_units(
 
     With g the averaged function, the error is sup |g|^n |h| and the sup of
     u_n = 1 - g^n comes from |g|^n and n arg(g): no complex power is taken
-    until a unit is built.
+    until a unit is built. |g|^n - 1 is expm1(n log|g|). Where |g|^2 >= 1/2,
+    log|g|^2 is the log1p of |g|^2 - 1 = Re d (Re d - 2) + (Im d)^2 for
+    d = 1 - g (exact in floating point near g = 1), and elsewhere the log of
+    |g|^2 itself, so |g|^n - 1 keeps full relative precision both where |g|
+    is within rounding of 1 and sup |u_n| is small, and where g is near 0.
     """
     if len(spec.generators) != 1:
         raise StrategyInapplicable("peak units need a single generator")
@@ -435,12 +442,18 @@ def _peak_units(
         w = prep.scale * np.conj(prep.alpha) * gv
         g_mid = 0.5 * (1.0 + (1.0 - w))
         h_mod = np.abs(0.5 * w)
-        g_mod = np.abs(g_mid)
+        mod2 = np.square(g_mid.real) + np.square(g_mid.imag)
+        near = mod2 >= 0.5
+        with np.errstate(divide="ignore"):  # g = 0 gives |g|^n = 0
+            log_mod2 = np.log(mod2)
+        d = 1.0 - g_mid[near]
+        log_mod2[near] = np.log1p(d.real * (d.real - 2.0) + np.square(d.imag))
         half_phase = 0.5 * np.angle(g_mid)
         for n in schedule:
-            power_mod = _power(g_mod, n)
+            mod_minus_one = np.expm1(0.5 * n * log_mod2)
+            power_mod = mod_minus_one + 1.0
             err = float(np.max(power_mod * h_mod))
-            dist = _distance_to_one(power_mod, n * half_phase)
+            dist = _distance_to_one(power_mod, mod_minus_one, n * half_phase)
             stage = PeakStage(index=int(n), error=err, sup_norm=float(np.max(dist)))
             yield stage, functools.partial(_peak_unit, g_mid, n)
             if tol is not None and err <= tol:

@@ -195,6 +195,18 @@ def peak_stages_complex(spec, schedule) -> list:
     return out
 
 
+def peak_sup_norms_mp(spec, schedule, dps: int = 50) -> list[float]:
+    """sup |1 - g^n| for each power n of the peak route, with g the averaged
+    function in floating point and the power and distance taken in
+    ``dps``-digit arithmetic."""
+    gv = spec.generators[0].values
+    prep = prepare_peak(spec.generators[0])
+    g_mid = 0.5 * (1.0 + (1.0 - prep.scale * np.conj(prep.alpha) * gv))
+    with mpmath.workdps(dps):
+        gs = [mpmath.mpc(complex(g)) for g in g_mid]
+        return [float(max(abs(1 - g**n) for g in gs)) for n in schedule]
+
+
 def outer_at_pointwise(outer, z) -> complex | np.ndarray:
     """exp of the Herglotz node mean of the outer function's log-modulus,
     one point at a time."""

@@ -55,6 +55,7 @@ from oracles import (
     SUBLEVEL_FIELDS,
     peak_scale_bisection,
     peak_stages_complex,
+    peak_sup_norms_mp,
     rotated_sup_complex,
     sublevel_stages_complex,
 )
@@ -978,3 +979,25 @@ def test_peak_stage_statistics_match_complex_units(gens, schedule):
         assert _near(stage.error, error), stage.index
         assert _near(stage.sup_norm, sup_norm), stage.index
     assert np.array_equal(run[-1].unit.values, ref[-1][2])
+
+
+@pytest.mark.parametrize(
+    "c, zero_node, a",
+    [
+        # rescaled to 1.3e-7: |g| is within rounding of 1 and sup |1 - g^n| is small
+        (1.5678788438269702, 1, 0.21875),
+        # unimodular c, no rescale: g reaches 0 at z = -1
+        (-0.8239043424882664 + 0.5667288897074004j, 0, 0.0),
+    ],
+)
+def test_peak_sup_norm_keeps_relative_precision(c, zero_node, a):
+    """Each stage's sup |1 - g^n| is within 1e-15 relative of the same
+    statistic taken in 50-digit arithmetic, both where sup |1 - g^n| is
+    1e-7 and where g passes through 0."""
+    grid = CircleGrid(512)
+    z = np.exp(1j * grid.nodes)
+    values = c * (1.0 - z * np.exp(-1j * grid.nodes[zero_node])) * (1.0 + a * z)
+    spec = ideal([signal_from_values(grid, values)])
+    _, run = approx_unit_peak(spec, DEFAULT_PEAK_SCHEDULE, tol=None)
+    for stage, ref in zip(run, peak_sup_norms_mp(spec, DEFAULT_PEAK_SCHEDULE)):
+        assert abs(stage.sup_norm - ref) <= 1e-15 * ref, stage.index
