@@ -9,7 +9,10 @@ diagonals. The density distance
 
 is computed by an orthogonal factorization of the (tall) convolution matrix —
 never through the normal equations, which are routinely ill-conditioned for
-nearly-inner symbols. Closed forms used in the tests: dist(1-z, M)^2 =
+nearly-inner symbols. The matrix is banded, so its Householder QR runs on
+blocks of k = max(64, b + 1) columns and touches only the band: a whole
+profile to order M costs O(M (k + b)^2) time and O((k + b)^2) memory for a
+symbol of bandwidth b. Closed forms used in the tests: dist(1-z, M)^2 =
 1/(M+1); dist(z, M) = 1; dist -> sqrt(1-|f(0)|^2) for inner f.
 """
 
@@ -27,11 +30,19 @@ KERNEL_TOL = 1e-10
 #: Default truncation-order schedule for density profiles.
 DENSITY_SCHEDULE = (16, 32, 64, 128, 256, 512, 1024)
 
-#: Largest truncation order; one dense complex matrix at it takes ~270 MB,
-#: and no distance computation builds a matrix with more entries than that.
-#: A distance holds two such matrices, [T | e_0] and the copy numpy's QR
-#: factors, and while LAPACK runs a third: numpy's column-major buffer.
+#: Largest truncation order. A dense kernel count at it factors one
+#: order x order complex matrix (~270 MB). A density distance factors one
+#: block of [T | e_0] at a time and refuses a symbol whose largest block would
+#: have more than MAX_ORDER^2 entries; a symbol of length at most 64 has
+#: blocks of about 70 KB at every order.
 MAX_ORDER = 4096
+
+#: Fewest columns per block of the banded density QR; a longer symbol's blocks
+#: are as wide as it is long. Timed at order 1024 on a 2-core box with one
+#: BLAS thread, a length-3 symbol took 6.5, 4.2, 4.1, 8.5 and 27 ms with
+#: blocks of 16, 32, 64, 128 and 256 columns, and exp(z) (length 48) took 14
+#: ms at 16 to 64 and 20 ms at 128; one dense QR took 240–260 ms.
+_BLOCK = 64
 
 #: Kernel counts use the banded Golub–Kahan spectrum when this many times the
 #: symbol's bandwidth is at most the order, else a dense SVD. Timed on a
@@ -48,15 +59,17 @@ def _check_order(order: int) -> None:
         raise ValueError(f"order must be at most {MAX_ORDER}")
 
 
-def _lower_toeplitz(a: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """rows x cols matrix of multiplication by sum a_k z^k on degrees < cols.
+def _lower_toeplitz(a: np.ndarray, rows: int, cols: int, shift: int = 0) -> np.ndarray:
+    """rows x cols matrix of multiplication by sum a_k z^k on degrees < cols,
+    from row ``shift`` on: T[i, j] = a_{i+shift-j}.
 
     Row i is a reversed window of one zero-padded coefficient vector:
-    T[i, j] = col[cols - 1 + i - j] = a_{i-j}.
+    T[i, j] = col[cols - 1 + i - j].
     """
     col = np.zeros(rows + cols - 1, dtype=complex)
-    take = min(rows, a.size)
-    col[cols - 1 : cols - 1 + take] = a[:take]
+    lo, hi = max(0, shift - cols + 1), min(a.size, shift + rows)
+    if hi > lo:
+        col[lo - shift + cols - 1 : hi - shift + cols - 1] = a[lo:hi]
     return np.lib.stride_tricks.sliding_window_view(col, cols)[:, ::-1].copy()
 
 
@@ -122,28 +135,62 @@ def adjoint_kernel_dim(symbol: AnalyticRep, order: int, tol: float = KERNEL_TOL)
 
 
 def _distances(f: AnalyticRep, order: int) -> np.ndarray:
-    """dist(f, m) for m = 1..order from one Householder QR of [T | e_0].
+    """dist(f, m) for m = 1..order from a blocked banded Householder QR of
+    [T | e_0].
 
     T is the convolution matrix on degrees < order, with one extra zero row so
-    a constant symbol still gives order+1 rows. t = R[:, order] = Q^H e_0, and
-    QR is column-nested, so dist(f, m)^2 = sum_{j >= m} |t_j|^2: no cancellation.
+    a constant symbol still gives order+1 rows; its lower bandwidth is
+    b = len(f) - 1, and R's upper bandwidth is b too. The columns go in blocks
+    of k = max(_BLOCK, len(f)). Each block is one R-only QR of the rows carried
+    from the block before (their entries on this block's columns and on e_0)
+    over the rows of T that first reach this block, on the block's k columns,
+    the next b and e_0. The first k rows of that R are final: their e_0
+    entries are t_j = (Q^H e_0)_j. The rest, at most b+1 rows on the next b
+    columns and e_0, are carried; after the last block the carry's e_0 column
+    holds the residual, of norm |t_order|. QR is column-nested, so
+    dist(f, m)^2 = sum_{j >= m} |t_j|^2: no cancellation.
+
+    Householder QR is backward stable in any order of application, so this is
+    the dense factorization's accuracy class at O(order (k+b)^2) time and
+    O((k+b)^2) memory. An order of at most k is one block: the whole of
+    [T | e_0], factored by one QR.
     """
     if not np.any(f.coefficients):
         raise ZeroFunction("symbol is identically zero")
     _check_order(order)
-    a = f.coefficients
-    if (a.size + order + 1) * (order + 1) > MAX_ORDER**2:
+    size = f.coefficients.size
+    k = max(_BLOCK, size)
+    # no block has more than L + min(order, k) + 1 rows or min(order, k + b) + 1
+    # columns; an order of at most k is one block, (L + order) x (order + 1)
+    if (size + min(order, k) + 1) * (min(order, k + size - 1) + 1) > MAX_ORDER**2:
         raise ValueError(
-            f"{a.size} coefficients at order {order} exceed the "
+            f"{size} coefficients at order {order} exceed the "
             f"{MAX_ORDER}x{MAX_ORDER}-entry matrix budget"
         )
     # dist(f, m) = dist(c f, m) for c != 0, and in this scale neither the
     # matrix nor its factorization overflows or works in subnormals
-    aug = _lower_toeplitz(_unit_scaled(a)[0], a.size + order, order + 1)
-    aug[:, order] = 0.0
-    aug[0, order] = 1.0
-    # the raw factor holds R transposed: R's last column is its row `order`
-    t = np.abs(np.linalg.qr(aug, mode="raw")[0][order, : order + 1]) ** 2
+    a = _unit_scaled(f.coefficients)[0]
+    b = size - 1
+    t = np.empty(order + 1)
+    carry = np.zeros((0, 1), dtype=complex)  # entries on the next columns, then on e_0
+    for c0 in range(0, order, k):
+        c1 = min(c0 + k, order)
+        width = min(c1 + b, order) - c0
+        # the rows whose first entry lies in columns c0 .. c1-1, from row 0 in
+        # the first block and through the zero row in the last
+        r0 = c0 + b if c0 else 0
+        r1 = c1 + b if c1 < order else order + b + 1
+        n = carry.shape[0]
+        block = np.zeros((n + r1 - r0, width + 1), dtype=complex)
+        block[:n, : carry.shape[1] - 1] = carry[:, :-1]
+        block[:n, -1] = carry[:, -1]
+        block[n:, :width] = _lower_toeplitz(a, r1 - r0, width, r0 - c0)
+        if c0 == 0:
+            block[0, -1] = 1.0
+        r = np.linalg.qr(block, mode="r")
+        t[c0:c1] = np.abs(r[: c1 - c0, -1]) ** 2
+        carry = r[c1 - c0 :, c1 - c0 :]
+    t[order] = np.sum(np.abs(carry[:, -1]) ** 2)
     return np.sqrt(np.cumsum(t[::-1])[::-1][1:])
 
 
