@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import UnknownExample
-from .factorization import singular_inner_boundary, synth_outer
+from .factorization import blaschke, singular_inner_boundary, synth_outer
 from .grid import BoundarySignal, CircleGrid, signal_from_values
 from .hardy import AnalyticRep
 
@@ -128,10 +128,6 @@ def _on_circle(
 ) -> Callable[[CircleGrid], BoundarySignal]:
     """Boundary route of a closed form in z, evaluated once at the grid's points."""
     return lambda grid: BoundarySignal(grid, formula(grid.boundary_points()))
-
-
-def _blaschke_half(z: np.ndarray) -> np.ndarray:
-    return (0.5 - z) / (1.0 - 0.5 * z)
 
 
 def _two_point_boundary(grid: CircleGrid) -> BoundarySignal:
@@ -278,14 +274,14 @@ _ENTRIES: dict[str, CatalogEntry] = {
             name="blaschke-half",
             kind="inner",
             summary="Blaschke factor with zero at 1/2",
-            boundary_fn=_on_circle(_blaschke_half),
+            boundary_fn=_on_circle(lambda z: blaschke(0.5, z)),
             taylor_fn=_blaschke_half_taylor,
         ),
         CatalogEntry(
             name="blaschke-half-times-one-minus-z",
             kind="mixed",
             summary="Blaschke factor at 1/2 times the outer function 1 - z",
-            boundary_fn=_on_circle(lambda z: _blaschke_half(z) * (1.0 - z)),
+            boundary_fn=_on_circle(lambda z: blaschke(0.5, z) * (1.0 - z)),
             taylor_fn=lambda: _conv(_poly(1.0, -1.0), _blaschke_half_taylor()),
         ),
         CatalogEntry(

@@ -1,10 +1,11 @@
 """Command line interface.
 
 Exit codes: 0 on success, 2 on domain errors (non-outer generator, unknown
-example, hypothesis failures, ...), 1 on I/O, format, or usage errors. Every
-error is mirrored as a one-line JSON object on stderr. Reports are printed to
-stdout and, with ``--out DIR``, written alongside their CSV companions;
-identical inputs produce byte-identical output.
+example, hypothesis failures, a failed certificate or bundle, ...), 1 on I/O,
+format, or usage errors. Every error is mirrored as one JSON object with
+``error`` and ``message`` on stderr. Reports are printed to stdout and, with
+``--out DIR``, written alongside their CSV companions; identical inputs
+produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .grid import (
 from .hardy import AnalyticRep
 from .ideals import (
     DEFAULT_BOUND,
+    DEFAULT_DELTA,
     DEFAULT_MAIN_STAGES,
     DEFAULT_PEAK_SCHEDULE,
     DEFAULT_TOL,
@@ -160,7 +162,7 @@ def _emit(report: dict, out: Optional[str]) -> None:
 # commands
 # ---------------------------------------------------------------------------
 
-def _cmd_synth_outer(args) -> int:
+def _cmd_synth_outer(args) -> None:
     k = _resolve_log_modulus(args.k, args.grid_size)
     outer = synth_outer(k)
     report = {
@@ -174,10 +176,9 @@ def _cmd_synth_outer(args) -> int:
         _write(args.out, "boundary.csv", signal_to_csv(outer.boundary))
         _write(args.out, "log_modulus.csv", signal_to_csv(outer.log_modulus))
     _emit(report, args.out)
-    return 0
 
 
-def _cmd_factorize(args) -> int:
+def _cmd_factorize(args) -> None:
     f = _resolve_signal(args.f, args.grid_size)
     result = inner_outer(f)
     report = {
@@ -191,10 +192,9 @@ def _cmd_factorize(args) -> int:
         _write(args.out, "inner.csv", signal_to_csv(result.inner))
         _write(args.out, "outer.csv", signal_to_csv(result.outer.boundary))
     _emit(report, args.out)
-    return 0
 
 
-def _cmd_zeroset(args) -> int:
+def _cmd_zeroset(args) -> None:
     f = _resolve_signal(args.f, args.grid_size)
     rep = zinfty_report(f)
     report = {
@@ -203,10 +203,9 @@ def _cmd_zeroset(args) -> int:
         **zinfty_report_dict(rep),
     }
     _emit(report, args.out)
-    return 0
 
 
-def _cmd_density(args) -> int:
+def _cmd_density(args) -> None:
     f = _resolve_taylor(args.f)
     if args.M is not None:
         d = szego_distance(f, args.M)
@@ -216,24 +215,21 @@ def _cmd_density(args) -> int:
             "distance": d,
             "distance_squared": d * d,
         }
-        _emit(report, args.out)
-        return 0
-    profile = density_profile(f, args.schedule)
-    report = {
-        "f": args.f,
-        "profile": [{"M": m, "distance": d} for m, d in profile],
-    }
-    if args.out is not None:
-        _write(args.out, "density.csv", density_profile_csv(profile))
+    else:
+        profile = density_profile(f, args.schedule)
+        report = {
+            "f": args.f,
+            "profile": [{"M": m, "distance": d} for m, d in profile],
+        }
+        if args.out is not None:
+            _write(args.out, "density.csv", density_profile_csv(profile))
     _emit(report, args.out)
-    return 0
 
 
-def _cmd_toeplitz_kernel(args) -> int:
+def _cmd_toeplitz_kernel(args) -> None:
     f = _resolve_taylor(args.f)
     dim = adjoint_kernel_dim(f, args.M, tol=args.tol)
     _emit({"f": args.f, "M": args.M, "tol": args.tol, "kernel_dim": dim}, args.out)
-    return 0
 
 
 def _build_ideal(args):
@@ -241,7 +237,7 @@ def _build_ideal(args):
     return ideal(gens, args.generators)
 
 
-def _cmd_approx_unit(args) -> int:
+def _cmd_approx_unit(args) -> None:
     spec = _build_ideal(args)
     if args.strategy == "peak":
         prep, units = _peak_units(spec, args.schedule, None)
@@ -256,10 +252,9 @@ def _cmd_approx_unit(args) -> int:
             _write(args.out, f"unit-{stage.index:04d}.csv", signal_to_csv(BoundarySignal(spec.grid, unit())))
     report["stages"] = rows
     _emit(report, args.out)
-    return 0
 
 
-def _cmd_certify(args) -> int:
+def _cmd_certify(args) -> Optional[dict]:
     spec = _build_ideal(args)
     cert = certify_mideal(
         spec,
@@ -273,16 +268,8 @@ def _cmd_certify(args) -> int:
     if args.out is not None and cert.final_unit is not None:
         _write(args.out, "final-unit.csv", signal_to_csv(cert.final_unit))
     if not cert.passed:
-        sys.stderr.write(
-            dump_text(
-                {
-                    "error": cert.failure_reason,
-                    "message": cert.conclusion,
-                }
-            )
-        )
-        return 2
-    return 0
+        return {"error": cert.failure_reason, "message": cert.conclusion}
+    return None
 
 
 def _certified_ideal(args):
@@ -290,7 +277,7 @@ def _certified_ideal(args):
     return spec, certify_mideal(spec, strategy=args.strategy, tol=args.tol)
 
 
-def _cmd_member(args) -> int:
+def _cmd_member(args) -> None:
     spec, cert = _certified_ideal(args)
     h = _resolve_signal(args.h, args.grid_size)
     result = membership(h, cert)
@@ -304,10 +291,9 @@ def _cmd_member(args) -> int:
         },
         args.out,
     )
-    return 0
 
 
-def _cmd_prime_check(args) -> int:
+def _cmd_prime_check(args) -> None:
     spec, cert = _certified_ideal(args)
     a = _resolve_signal(args.a, args.grid_size)
     b = _resolve_signal(args.b, args.grid_size)
@@ -322,20 +308,16 @@ def _cmd_prime_check(args) -> int:
         },
         args.out,
     )
-    return 0
 
 
-def _cmd_reproduce(args) -> int:
+def _cmd_reproduce(args) -> Optional[dict]:
     out_dir = Path(args.out) if args.out else Path.cwd()
     summary = reproduce_mod.run_bundle(args.name, out_dir, grid_size=args.grid_size)
     sys.stdout.write(dump_text(summary))
     if not summary["passed"]:
         failed = [c["name"] for c in summary["checks"] if not c["passed"]]
-        sys.stderr.write(
-            dump_text({"error": "BundleFailed", "message": "failed checks: " + "; ".join(failed)})
-        )
-        return 2
-    return 0
+        return {"error": "BundleFailed", "message": "failed checks: " + "; ".join(failed)}
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +341,14 @@ def _add_ideal(p: argparse.ArgumentParser) -> None:
                    help="comma-separated signals")
     p.add_argument("--strategy", choices=STRATEGIES, default="auto")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+
+
+def _add_unit_options(p: argparse.ArgumentParser) -> None:
+    """The sublevel stages and peak powers of an approximate unit."""
+    p.add_argument("--stages", type=_int_list, default=DEFAULT_MAIN_STAGES,
+                   help="sublevel stage indices, comma-separated")
+    p.add_argument("--schedule", type=_int_list, default=DEFAULT_PEAK_SCHEDULE,
+                   help="peak powers, comma-separated")
 
 
 @functools.cache
@@ -402,18 +392,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--generators", type=_name_list, required=True,
                    help="comma-separated signals")
     p.add_argument("--strategy", choices=["sublevel", "peak"], default="sublevel")
-    p.add_argument("--stages", type=_int_list, default=DEFAULT_MAIN_STAGES,
-                   help="sublevel stage indices, comma-separated")
-    p.add_argument("--schedule", type=_int_list, default=DEFAULT_PEAK_SCHEDULE,
-                   help="peak powers, comma-separated")
+    _add_unit_options(p)
     _add_grid_common(p)
     p.set_defaults(func=_cmd_approx_unit)
 
     p = sub.add_parser("certify", help="certify a bounded approximate unit")
     _add_ideal(p)
     p.add_argument("--bound", type=float, default=DEFAULT_BOUND)
-    p.add_argument("--stages", type=_int_list, default=DEFAULT_MAIN_STAGES)
-    p.add_argument("--schedule", type=_int_list, default=DEFAULT_PEAK_SCHEDULE)
+    _add_unit_options(p)
     _add_grid_common(p)
     p.set_defaults(func=_cmd_certify)
 
@@ -427,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", required=True, help="divisor, essentially bounded below")
     p.add_argument("--b", required=True, help="quotient candidate")
     _add_ideal(p)
-    p.add_argument("--delta", type=float, default=0.5)
+    p.add_argument("--delta", type=float, default=DEFAULT_DELTA)
     _add_grid_common(p)
     p.set_defaults(func=_cmd_prime_check)
 
@@ -466,23 +452,30 @@ def _with_config(parser: argparse.ArgumentParser, argv: list[str], path_text: st
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command line and return its exit code. A command returns None,
+    or the failure record of a failed certificate or bundle; a raised error
+    becomes the same record. Only here is a record written to stderr. A usage
+    error exits with 1, as argparse exits for ``--help``."""
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
+    usage = False
     try:
         args = parser.parse_args(argv)
-    except argparse.ArgumentError as exc:
-        sys.stderr.write(dump_text({"error": "usage", "message": str(exc)}))
-        raise SystemExit(1)
-    try:
         if args.config is not None:
             args = _with_config(parser, argv, args.config)
-        return args.func(args)
+        failure, code = args.func(args), 2
+    except argparse.ArgumentError as exc:
+        usage, failure, code = True, {"error": "usage", "message": str(exc)}, 1
     except HardyLabError as exc:
-        sys.stderr.write(dump_text(exc.payload()))
-        return 2
+        failure, code = exc.payload(), 2
     except (OSError, ValueError) as exc:
-        sys.stderr.write(dump_text({"error": "io-format", "message": str(exc)}))
-        return 1
+        failure, code = {"error": "io-format", "message": str(exc)}, 1
+    if failure is None:
+        return 0
+    sys.stderr.write(dump_text(failure))
+    if usage:
+        raise SystemExit(code)
+    return code
 
 
 if __name__ == "__main__":

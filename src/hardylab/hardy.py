@@ -77,7 +77,7 @@ def _trim_trailing(a: np.ndarray) -> np.ndarray:
     return a[: keep[-1] + 1]
 
 
-# Test-only, but kept: perfbench/tracing.py wraps analytic_projection by name (ROADMAP item 7).
+# Test-only, but kept: perfbench/tracing.py wraps it by name (ROADMAP: "Move the spans").
 def analytic_projection(f: BoundarySignal, leak_tol: float = 1e-8) -> AnalyticRep:
     """Nonnegative-frequency DFT coefficients of ``f``.
 
@@ -110,7 +110,7 @@ def conjugate(k: np.ndarray) -> np.ndarray:
     return np.fft.irfft(c, k.size)
 
 
-# Test-only, but kept: perfbench/tracing.py wraps conjugate_function by name (ROADMAP item 7).
+# Test-only, but kept: perfbench/tracing.py wraps it by name (ROADMAP: "Move the spans").
 def conjugate_function(k: BoundarySignal) -> BoundarySignal:
     """Harmonic-conjugate boundary values of a real signal (zero mean part)."""
     if not k.is_real():

@@ -49,6 +49,11 @@ DEFAULT_MAIN_STAGES = tuple(range(1, 13))
 #: The last stage whose level e^-m is a nonzero double.
 MAX_STAGE = 745
 DEFAULT_PEAK_SCHEDULE = (1, 2, 4, 8, 16, 32, 64, 128, 200, 400, 800)
+#: The divisor's essential lower bound assumed by the analytic prime check.
+DEFAULT_DELTA = 0.5
+#: A combined unit of generators with no common zero must stay above this
+#: modulus everywhere for the ideal to be the whole algebra.
+COMBINED_INF_FLOOR = 0.9
 
 #: Allowed overshoot of sup|unit| past the theoretical bound.
 SUP_SLACK = 1e-9
@@ -652,7 +657,7 @@ def _certify_combined(
 
     if failed_sub is not None:
         failure, conclusion = failed_sub.failure_reason, "a generator failed its own certification"
-    elif not common and not inf_z > 0.9:
+    elif not common and not inf_z > COMBINED_INF_FLOOR:
         failure, conclusion = (
             "combined unit not bounded below",
             "no essential zero is common to all generators, but the combined "
@@ -721,7 +726,7 @@ def analytic_prime_check(
     cert: Certificate,
     a: BoundarySignal,
     b: BoundarySignal,
-    delta: float = 0.5,
+    delta: float = DEFAULT_DELTA,
 ) -> bool:
     """Division property of the certified ideal.
 

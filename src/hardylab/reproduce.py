@@ -17,6 +17,7 @@ from .errors import RangeMiss, UnknownExample
 from .factorization import is_inner
 from .grid import DEFAULT_GRID_SIZE, CircleGrid, circular_distance, signal_to_csv
 from .ideals import (
+    COMBINED_INF_FLOOR,
     approx_unit_peak,
     approx_unit_sublevel,
     certify_mideal,
@@ -202,8 +203,8 @@ def _disjoint_zeros_combined(b: _Bundle) -> None:
     cert = certify_mideal(ideal(gens, ["one-minus-z", "one-plus-z"]), strategy="combined")
     b.files["outputs/certificate.json"] = dump_text(certificate_report(cert))
     b.check(
-        "combined unit essentially bounded below by 0.9",
-        cert.combined_inf is not None and cert.combined_inf > 0.9,
+        f"combined unit essentially bounded below by {COMBINED_INF_FLOOR:g}",
+        cert.combined_inf is not None and cert.combined_inf > COMBINED_INF_FLOOR,
         f"ess inf {cert.combined_inf}",
     )
     b.check(

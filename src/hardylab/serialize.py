@@ -76,27 +76,21 @@ def dump_text(obj: Any) -> str:
 # ---------------------------------------------------------------------------
 
 def _fields(record, skip: tuple[str, ...] = ()) -> dict:
-    """The fields of the dataclass ``record`` by name, less those in ``skip``."""
-    return {f.name: getattr(record, f.name) for f in fields(record) if f.name not in skip}
+    """The fields of the dataclass ``record`` by name, less those in ``skip``;
+    a tuple field comes out as a list."""
+    values = ((f.name, getattr(record, f.name)) for f in fields(record) if f.name not in skip)
+    return {name: list(v) if isinstance(v, tuple) else v for name, v in values}
 
 
 def extension_report(ext: ExtensionResult) -> dict:
-    return {
-        "ok": ext.ok,
-        "value": complex(ext.value),
-        "oscillations": [float(o) for o in ext.oscillations],
-        "tolerance": float(ext.tolerance),
-        "decay_ratio": float(ext.decay_ratio),
-    }
+    return {**_fields(ext, ("signal", "center")), "oscillations": list(ext.oscillations)}
 
 
 def zero_set_report(est: ZeroSetEstimate) -> dict:
     return {
-        "angles": [float(a) for a in est.angles],
-        "points": [complex(p) for p in est.points],
-        "resolution": float(est.resolution),
-        "eps_schedule": [float(e) for e in EPS_SCHEDULE],
-        "width_schedule": [float(w) for w in WIDTH_SCHEDULE],
+        **_fields(est, ("candidates",)),
+        "eps_schedule": list(EPS_SCHEDULE),
+        "width_schedule": list(WIDTH_SCHEDULE),
         # each candidate's evidence rows follow eps_schedule, columns width_schedule
         "candidates": [_fields(c) for c in est.candidates],
     }
@@ -128,19 +122,12 @@ def stage_report(stage) -> dict:
 
 
 def certificate_report(cert: Certificate) -> dict:
+    """Every field of ``cert`` with its stages reported, its generators by name;
+    ``combined_inf``, ``peak_alignment`` and ``sub_certificates`` only when set."""
     report = {
+        **_fields(cert, ("ideal", "combined_inf", "peak_prep", "sub_certificates")),
         "generators": list(cert.ideal.names),
-        "strategy": cert.strategy,
-        "tol": cert.tol,
-        "passed": cert.passed,
-        "failure_reason": cert.failure_reason,
-        "final_error": cert.final_error,
-        "sup_bound": cert.sup_bound,
         "stages": [stage_report(s) for s in cert.stages],
-        "zero_angles": [float(a) for a in cert.zero_angles],
-        "resolution": cert.resolution,
-        "conclusion": cert.conclusion,
-        "notes": list(cert.notes),
     }
     if cert.combined_inf is not None:
         report["combined_inf"] = cert.combined_inf

@@ -11,9 +11,13 @@ empty), and, at N = 512, a few norms of every CSV the run wrote. The commands
 run in-process through ``hardylab.cli.main`` on the source tree next to this
 script, so two runs on one machine write byte-identical files.
 
-A change that moves a report regenerates the corpus only together with a
-CHANGES.md line naming each moved exact-class field and its cause; the golden
-diff is the record of what moved.
+Where ``DIR`` already holds a corpus file, each of its records that
+``test_golden.compare_record`` finds unmoved is kept byte for byte, and only
+the moved records are replaced; the script prints the argv and the moved
+fields of each. A fresh ``DIR`` gets every record new. So a change that
+moves a report regenerates in place, and the golden diff shows only what
+moved; it goes in together with a CHANGES.md line naming each moved
+exact-class field and its cause.
 """
 
 from __future__ import annotations
@@ -142,11 +146,28 @@ def golden_files() -> dict[str, list[list[str]]]:
 
 
 def write_corpus(out_dir: Path) -> None:
+    """Write every corpus file into ``out_dir``, keeping each record already
+    there that has not moved."""
+    from test_golden import compare_record  # test_golden imports this module
+
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, argvs in golden_files().items():
-        runs = [record(a) for a in argvs]
+        path = out_dir / name
+        old = {}
+        if path.exists():
+            old = {tuple(r["argv"]): r for r in json.loads(path.read_text())["runs"]}
+        runs = []
+        for argv in argvs:
+            new = record(argv)
+            kept = old.get(tuple(argv))
+            moved = ["new command line"] if kept is None else compare_record(kept, new)
+            if not moved:
+                new = kept
+            elif old:
+                print(" ".join(argv), *moved, sep="\n  ")
+            runs.append(new)
         text = json.dumps({"runs": runs}, indent=1, sort_keys=True)
-        (out_dir / name).write_text(text + "\n")
+        path.write_text(text + "\n")
 
 
 if __name__ == "__main__":

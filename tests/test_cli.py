@@ -28,6 +28,7 @@ from hardylab.catalog import ramp_log_modulus
 from hardylab.cli import main
 from hardylab.grid import MAX_GRID_SIZE, BoundarySignal
 from hardylab.ideals import DEFAULT_MAIN_STAGES
+from hardylab.serialize import dump_text
 from hardylab.toeplitz import MAX_ORDER
 
 
@@ -286,6 +287,23 @@ def test_certify_failure_exit_two(capsys):
     error = json.loads(err)
     assert error["error"] == "NotOuter"
     assert "inner factor" in error["message"]
+
+
+def _command(*argv):
+    args = cli.build_parser().parse_args(list(argv))
+    return args.func(args)
+
+
+def test_failed_certificate_is_returned_and_written_once_by_main(capsys):
+    argv = ("certify", "--generators", "shift", "--grid-size", "512")
+    record = _command(*argv)
+    out, err = capsys.readouterr()
+    assert err == ""
+    report = json.loads(out)
+    assert record == {"error": "NotOuter", "message": report["conclusion"]}
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err == dump_text(record)
 
 
 def test_member_cli(capsys):
@@ -607,6 +625,25 @@ def test_reproduce_failed_bundle_exits_two_with_json(capsys, tmp_path):
     error = json.loads(err)
     assert error["error"] == "BundleFailed"
     assert "certification passes by power 200" in error["message"]
+
+
+def test_failed_bundle_is_returned_and_written_once_by_main(capsys, tmp_path, monkeypatch):
+    checks = [
+        {"name": "first check", "passed": False, "detail": ""},
+        {"name": "second check", "passed": True, "detail": ""},
+        {"name": "third check", "passed": False, "detail": ""},
+    ]
+    summary = {"bundle": "stub", "passed": False, "checks": checks}
+    monkeypatch.setattr(hardylab.reproduce, "run_bundle", lambda *a, **k: summary)
+    argv = ("reproduce", "peak-decay", "--out", str(tmp_path))
+    record = _command(*argv)
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out) == summary
+    assert record == {"error": "BundleFailed", "message": "failed checks: first check; third check"}
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err == dump_text(record)
 
 
 def test_reproduce_bundle_with_uncertified_ideal_exits_two_with_json(capsys, tmp_path):

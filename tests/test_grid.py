@@ -49,6 +49,12 @@ def test_signal_requires_finite_values():
         signal_from_values(g, [np.inf] + [0.0] * 7)
 
 
+@pytest.mark.parametrize("shape", [(7,), (9,), (8, 1)])
+def test_signal_needs_one_value_per_node(shape):
+    with pytest.raises(ValueError, match="expected 8 values"):
+        signal_from_values(CircleGrid(8), np.zeros(shape))
+
+
 def test_signal_accepts_non_contiguous_values():
     # a strided column: finiteness is checked on the copy, not a float view
     # of the caller's array

@@ -34,6 +34,11 @@ def test_projection_flags_negative_frequency_energy():
         analytic_projection(f)
 
 
+def test_projection_of_the_zero_signal_is_one_zero_coefficient():
+    rep = analytic_projection(signal_from_values(CircleGrid(16), np.zeros(16)))
+    assert np.array_equal(rep.coefficients, [0.0])
+
+
 def test_conjugate_of_cosine_is_sine():
     # every mode strictly between the mean and Nyquist, and sine -> -cosine
     g = CircleGrid(64)
@@ -80,6 +85,12 @@ def test_herglotz_reproduces_analytic_monomials(n, a):
     assert herglotz_integral(k, z) == pytest.approx(a * z ** n, abs=1e-12)
 
 
+def test_herglotz_requires_real_input():
+    g = CircleGrid(16)
+    with pytest.raises(ValueError, match="real signal"):
+        herglotz_integral(signal_from_values(g, np.exp(1j * g.nodes)), 0.1)
+
+
 def test_poisson_positive_and_mean_value():
     g = CircleGrid(256)
     k = signal_from_values(g, (1.5 + np.cos(g.nodes)).astype(complex))
@@ -123,6 +134,18 @@ def test_analytic_rep_json_roundtrip():
     rep = AnalyticRep(np.array([1.0 + 2.0j, -0.5]))
     back = AnalyticRep.from_json(rep.to_json())
     assert np.array_equal(back.coefficients, rep.coefficients)
+
+
+@pytest.mark.parametrize("coefficients", [[], np.ones((2, 2))], ids=["empty", "2-D"])
+def test_analytic_rep_rejects_empty_and_2d_coefficients(coefficients):
+    with pytest.raises(ValueError, match="nonempty 1-D"):
+        AnalyticRep(coefficients)
+
+
+def test_sample_needs_a_node_per_coefficient():
+    assert len(AnalyticRep(np.ones(8)).sample(CircleGrid(8)).values) == 8
+    with pytest.raises(ValueError, match="too many coefficients"):
+        AnalyticRep(np.ones(9)).sample(CircleGrid(8))
 
 
 def test_analytic_rep_accepts_non_contiguous_coefficients():

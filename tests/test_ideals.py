@@ -716,7 +716,7 @@ def test_combined_pairwise_shared_zeros_without_a_common_zero():
     """The fold keeps an angle only when every zero set comes near it, so
     three generators whose pairs share zeros span the whole algebra. N is
     8192 because at 4096 (1-z)(1+z) is refused as NotOuter: the clipped
-    log-modulus at its two zeros biases the outer test (ROADMAP item 2)."""
+    log-modulus at its two zeros biases the outer test (ROADMAP, "Boundary zeros")."""
     gens, names = _pairwise_shared_triple(CircleGrid(8192))
     cert = certify_mideal(ideal(gens, names))
     assert [len(c.zero_angles) for c in cert.sub_certificates] == [2, 2, 2]

@@ -5,6 +5,7 @@ import json
 import pytest
 
 import hardylab.ideals
+import hardylab.reproduce
 from hardylab import UnknownExample, bundle_names, run_bundle
 
 
@@ -63,6 +64,16 @@ def test_shared_zero_combined_without_certificates_reports_a_failed_check(tmp_pa
     assert "membership sets coincide with the single-generator ideal" in failed
     on_disk = json.loads((tmp_path / "shared-zero-combined" / "summary.json").read_text())
     assert on_disk == summary
+
+
+def test_offrange_peak_reports_a_failed_check_when_alignment_succeeds(tmp_path, monkeypatch):
+    monkeypatch.setattr(hardylab.reproduce, "prepare_peak", lambda f: None)
+    summary = run_bundle("offrange-peak", tmp_path, grid_size=512)
+    assert summary["passed"] is False
+    assert [(c["passed"], c["detail"]) for c in summary["checks"]] == [
+        (False, "RangeMiss was not raised")
+    ]
+    assert not (tmp_path / "offrange-peak" / "outputs" / "error.json").exists()
 
 
 def test_shared_zero_combined_builds_each_generators_units_once(tmp_path, monkeypatch):
