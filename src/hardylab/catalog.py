@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import UnknownExample
-from .factorization import blaschke, singular_inner_boundary, synth_outer
+from .factorization import blaschke, clipped_log_modulus, singular_inner_boundary, synth_outer
 from .grid import BoundarySignal, CircleGrid, signal_from_values
 from .hardy import AnalyticRep
 
@@ -171,7 +171,7 @@ class CatalogEntry:
         """The defining log-modulus profile on ``grid`` where the entry has
         one, else the clipped log-modulus of its boundary."""
         if self.log_modulus_fn is None:
-            return signal_from_values(grid, self.boundary(grid).log_abs)
+            return clipped_log_modulus(self.boundary(grid))
         return signal_from_values(grid, self.log_modulus_fn(grid.nodes))
 
     def taylor(self) -> AnalyticRep:

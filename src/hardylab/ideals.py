@@ -38,7 +38,7 @@ from .errors import (
 from .factorization import check_clip_count, is_outer, outer_boundary, outer_values
 from .grid import TWO_PI, BoundarySignal, CircleGrid, _clip_log, circular_distance, circular_runs
 from .hardy import conjugate
-from .zerosets import continuous_extension, essential_zero_set
+from .zerosets import continuous_extension, essential_zero_set, zinfty_report
 
 STRATEGIES = ("auto", "sublevel", "peak", "combined")
 DEFAULT_TOL = 0.05
@@ -147,6 +147,24 @@ def _distance_to_one(
     return np.sqrt(np.add(np.square(mod_minus_one), s, out=s), out=s)
 
 
+def _check_stages(stages: Sequence[int]) -> None:
+    """Refuse an empty list of sublevel stages, or a stage outside 1 .. MAX_STAGE."""
+    if not stages:
+        raise ValueError("sublevel stages must not be empty")
+    if any(m < 1 for m in stages):
+        raise ValueError("sublevel stages must be positive")
+    if any(m > MAX_STAGE for m in stages):
+        raise ValueError(f"sublevel stages must be at most {MAX_STAGE}; e^-m underflows past it")
+
+
+def _check_schedule(schedule: Sequence[int]) -> None:
+    """Refuse an empty peak schedule, or a power below 1."""
+    if not schedule:
+        raise ValueError("peak schedule must not be empty")
+    if any(n < 1 for n in schedule):
+        raise ValueError("peak powers must be positive")
+
+
 def approx_unit_sublevel(
     spec: IdealSpec,
     stages: Sequence[int] = DEFAULT_MAIN_STAGES,
@@ -171,25 +189,17 @@ def _sublevel_units(spec: IdealSpec, stages: Sequence[int]) -> Iterator[StagedUn
     every generator's error is |g| |unit - 1|: the statistics need one
     conjugate and one sine per stage, and no complex unit.
     """
-    if not stages:
-        raise ValueError("sublevel stages must not be empty")
-    if any(m < 1 for m in stages):
-        raise ValueError("sublevel stages must be positive")
-    if any(m > MAX_STAGE for m in stages):
-        raise ValueError(f"sublevel stages must be at most {MAX_STAGE}; e^-m underflows past it")
+    _check_stages(stages)
     grid = spec.grid
     # clipped log of the pointwise-largest generator modulus
     k_c = np.maximum.reduce([g.log_abs for g in spec.generators])
-    if len(spec.generators) == 1:
-        base = spec.generators[0].values
-    else:
-        base = BoundarySignal(grid, outer_boundary(k_c, _clip_log(k_c))).values
+    base = spec.generators[0].values if len(spec.generators) == 1 else outer_boundary(
+        k_c, _clip_log(k_c))
 
     base_mod = np.abs(base)
     half_base_phase = 0.5 * np.angle(base)
     gen_mod = base_mod if len(spec.generators) == 1 else np.maximum.reduce(
         [np.abs(g.values) for g in spec.generators])
-    joint_mod = np.exp(k_c)
     # the unit of every degenerate stage, built when first needed
     one = functools.cache(lambda: np.ones(grid.size, dtype=complex))
     # Sublevel masks are nested, so a stage with as many nodes as the one
@@ -200,7 +210,7 @@ def _sublevel_units(spec: IdealSpec, stages: Sequence[int]) -> Iterator[StagedUn
         eps = float(np.exp(-m))
         # The dilation stays under half a cell, so it adds no node: the
         # support's nodes are exactly the sublevel nodes.
-        mask = joint_mod < eps
+        mask = k_c < -m
         prev_count, count = count, np.count_nonzero(mask)
         if count == 0:
             yield UnitStage(
@@ -436,10 +446,7 @@ def _peak_units(
     """
     if len(spec.generators) != 1:
         raise StrategyInapplicable("peak units need a single generator")
-    if not schedule:
-        raise ValueError("peak schedule must not be empty")
-    if any(n < 1 for n in schedule):
-        raise ValueError("peak powers must be positive")
+    _check_schedule(schedule)
     gv = spec.generators[0].values
     prep = prepare_peak(spec.generators[0])
 
@@ -534,7 +541,8 @@ def certify_mideal(
     set), ``peak`` (powers of the averaged rebased generator), ``combined``
     (k >= 2 generators; per-generator certification folded into one diagonal
     unit), and ``auto`` which picks sublevel/peak for one generator and
-    combined for more. ``tol`` and ``bound`` must be finite and positive. A
+    combined for more. ``tol`` and ``bound`` must be finite and positive;
+    ``stages`` and ``schedule`` are checked whichever route runs. A
     single-generator certificate passes when the final stage error is at most
     ``tol`` and every stage's unit has sup at most ``bound + SUP_SLACK``. A
     combined certificate gates ``bound`` only through its k sub-certificates:
@@ -546,6 +554,8 @@ def certify_mideal(
     for name, value in (("tol", tol), ("bound", bound)):
         if not (np.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    _check_stages(stages)
+    _check_schedule(schedule)
     n_gen = len(spec.generators)
     if strategy == "auto" and n_gen > 1:
         strategy = "combined"
@@ -555,12 +565,9 @@ def certify_mideal(
         return _certify_combined(spec, tol=tol, bound=bound, stages=stages, schedule=schedule)
 
     f = spec.generators[0]
-    zset = essential_zero_set(f)
+    rep = zinfty_report(f)
     outer = is_outer(f)
-    # Z-infinity membership: a continuous extension at every zero.
-    in_zinfty = (
-        outer and strategy != "peak" and all(continuous_extension(f, a).ok for a in zset.angles)
-    )
+    in_zinfty = outer and strategy != "peak" and rep.in_class
     notes: list[str] = []
     if outer and strategy == "auto":
         strategy = "sublevel" if in_zinfty else "peak"
@@ -598,7 +605,7 @@ def certify_mideal(
         failure, conclusion = "NormExceeded", "a unit escaped the sup bound"
     elif not final_error <= tol:
         failure, conclusion = "tolerance", "stage errors did not reach tolerance"
-    elif zset.angles:
+    elif rep.zero_set.angles:
         failure, conclusion = None, (
             "ideal contains an approximate unit bounded by its stage bound; certified"
         )
@@ -613,8 +620,8 @@ def certify_mideal(
         stages=unit_stages,
         final_error=final_error,
         sup_bound=sup_bound,
-        zero_angles=zset.angles,
-        resolution=zset.resolution,
+        zero_angles=rep.zero_set.angles,
+        resolution=rep.zero_set.resolution,
         conclusion=conclusion,
         peak_prep=prep,
         notes=tuple(notes),

@@ -246,19 +246,11 @@ def _offrange_peak(b: _Bundle) -> None:
     b.files["inputs/two-plus-z.csv"] = signal_to_csv(f)
     try:
         prepare_peak(f)
+        refused, detail = False, "RangeMiss was not raised"
     except RangeMiss as exc:
         b.files["outputs/error.json"] = dump_text(exc.payload())
-        b.check(
-            "peak alignment refuses a generator bounded away from zero",
-            True,
-            str(exc),
-        )
-    else:
-        b.check(
-            "peak alignment refuses a generator bounded away from zero",
-            False,
-            "RangeMiss was not raised",
-        )
+        refused, detail = True, str(exc)
+    b.check("peak alignment refuses a generator bounded away from zero", refused, detail)
 
 
 def _ramp_peak(b: _Bundle) -> None:

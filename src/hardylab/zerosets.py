@@ -3,8 +3,8 @@ extendability.
 
 A boundary point belongs to the essential zero set when every neighborhood
 meets every sublevel set ``{|outer part| < eps}`` in positive measure. The
-grid estimator works with the clipped modulus ``exp(clip(log|f|))`` (identical
-to the modulus of the outer factor by construction), proposes candidates from
+grid estimator reads the set of eps = e^{-m} as ``clip(log|f|) < -m`` (the
+log-modulus of the outer factor by construction), proposes candidates from
 the finest sublevel set's node clusters, and keeps a candidate only if the
 evidence holds for *every* tested ``(eps, width)`` pair — a finite shrinking
 family standing in for the quantifier over all neighborhoods. Results carry
@@ -36,8 +36,9 @@ from .grid import (
     circular_runs,
 )
 
-#: Sublevel thresholds e^{-1} .. e^{-8}, finest last.
-EPS_SCHEDULE = tuple(float(np.exp(-m)) for m in range(1, 9))
+#: Sublevel levels m = 1 .. 8 and their thresholds e^{-m}, finest last.
+_LEVELS = tuple(range(1, 9))
+EPS_SCHEDULE = tuple(float(np.exp(-m)) for m in _LEVELS)
 
 #: Window full widths (radians) 2^{-1} .. 2^{-8}, finest last.
 WIDTH_SCHEDULE = tuple(2.0 ** (-j) for j in range(1, 9))
@@ -165,13 +166,13 @@ def _window_oscillations(f: BoundarySignal, center: float) -> tuple[float, ...]:
 
 def _verdict(lo: Sequence[float], hi: Sequence[float], tol: float, flat: float) -> Optional[bool]:
     """The continuity rule for window diameters known to lie in [lo, hi], or
-    None when those intervals leave it open.
+    None when those intervals leave it open; exact ones (lo == hi) decide it.
 
     The finest diameter must be within ``tol``, and the profile flat (every
     diameter at most ``flat``) or decaying to at most ``DECAY_RATIO`` times
     the largest: a small final window alone is not enough.
     """
-    if lo[-1] > tol:
+    if lo[-1] > tol or (max(lo) > flat and lo[-1] > DECAY_RATIO * max(hi)):
         return False
     if hi[-1] <= tol and (max(hi) <= flat or hi[-1] <= DECAY_RATIO * max(lo)):
         return True
@@ -216,9 +217,9 @@ def continuous_extension(f: BoundarySignal, center: float) -> ExtensionResult:
     radius = np.abs(values - values[np.argmin(dist)])
     r = np.array([np.max(radius[m]) for m in inside])
     ok = _verdict(r * (1.0 - BOUND_MARGIN), 2.0 * r * (1.0 + BOUND_MARGIN), tol, flat)
-    if ok is None:  # the exact diameters decide; undecided there reads as False
+    if ok is None:
         oscs = _window_oscillations(f, center)
-        ok = bool(_verdict(oscs, oscs, tol, flat))
+        ok = _verdict(oscs, oscs, tol, flat)
     return ExtensionResult(ok, _scaled_mean(values[inside[-1]]), tol, DECAY_RATIO, f, center)
 
 
@@ -254,17 +255,16 @@ def essential_zero_set(f: BoundarySignal) -> ZeroSetEstimate:
     show positive sublevel measure inside every tested window.
     """
     grid = f.grid
-    n = grid.size
-    h = grid.spacing
-    outer_mod = np.exp(f.log_abs)
+    n, h = grid.size, grid.spacing
+    log_mod = f.log_abs
     candidates = []
-    for start, length in circular_runs(outer_mod < EPS_SCHEDULE[-1], MIN_WINDOW_CELLS):
+    for start, length in circular_runs(log_mod < -_LEVELS[-1], MIN_WINDOW_CELLS):
         center = float((grid.nodes[start] + (length - 1) * h / 2.0) % TWO_PI)
         idx, _, inside = _windows(grid, center)
-        near = outer_mod[idx]
+        near = log_mod[idx]
         rows = tuple(
-            tuple(float(np.count_nonzero(near[m] < eps)) / n for m in inside)
-            for eps in EPS_SCHEDULE
+            tuple(float(np.count_nonzero(near[m] < -level)) / n for m in inside)
+            for level in _LEVELS
         )
         ok = all(m > 0.0 for row in rows for m in row)
         candidates.append(ZeroCandidate(center, complex(np.exp(1j * center)), rows, ok))

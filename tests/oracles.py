@@ -119,10 +119,16 @@ def continuous_extension_hull(f: BoundarySignal, center: float) -> tuple:
     tol = 10.0 * sup * f.grid.size ** (-0.25)
     windows = [f.values[window_nodes(f.grid, center, w)] for w in WIDTH_SCHEDULE]
     oscs = tuple(value_diameter(v) for v in windows)
-    worst = max(oscs)
-    flat = worst <= 1e-12 * max(1.0, sup)
-    ok = oscs[-1] <= tol and (flat or oscs[-1] <= 0.5 * worst)
+    ok = continuity_rule(oscs, tol, 1e-12 * max(1.0, sup))
     return ok, _scaled_mean(windows[-1]), oscs, tol
+
+
+def continuity_rule(oscs, tol: float, flat: float) -> bool:
+    """The documented rule on exact window diameters: the finest within
+    ``tol``, and every diameter at most ``flat`` or the finest at most half
+    the largest."""
+    worst = max(oscs)
+    return oscs[-1] <= tol and (worst <= flat or oscs[-1] <= 0.5 * worst)
 
 
 def merge_runs(runs: list[tuple[int, int]], n: int, gap: int) -> list[tuple[int, int]]:

@@ -224,6 +224,21 @@ def test_sublevel_stage_past_underflow_exits_one(capsys, command):
     }
 
 
+@pytest.mark.parametrize("generators, flags, message", [
+    ("one-minus-z", ("--strategy", "peak", "--stages", "0,-1"), "sublevel stages must be positive"),
+    ("one-minus-z", ("--schedule", "0"), "peak powers must be positive"),
+    ("shift", ("--stages", "0"), "sublevel stages must be positive"),
+    ("one-minus-z", ("--stages", "0"), "sublevel stages must be positive"),
+], ids=["stages-under-peak", "schedule-under-auto", "stages-of-inner", "stages-of-outer"])
+def test_certify_checks_stages_and_schedule_whichever_route_runs(capsys, generators, flags, message):
+    # both lists are checked before any signal work, so the route that runs
+    # (or a NotOuter generator) does not decide whether a bad list is seen
+    code, out, err = run(capsys, "certify", "--generators", generators, *flags, "--grid-size", "4096")
+    assert code == 1
+    assert out == ""
+    assert json.loads(err) == {"error": "io-format", "message": message}
+
+
 def test_peak_overflow_refusal_keeps_stderr_one_json_object(capsys, tmp_path):
     # the rescale reciprocal overflows for 1e300*(1-z); a plain process
     # prints every warning recorded here to stderr ahead of the JSON

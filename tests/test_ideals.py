@@ -548,9 +548,10 @@ def test_certify_offset_ramp_auto_picks_peak(grid):
     assert cert.sup_bound == pytest.approx(1.2055684562498414, rel=1e-6)
 
 
-@pytest.mark.parametrize("strategy, extensions", [("auto", 1), ("peak", 0)])
+@pytest.mark.parametrize("strategy, extensions", [("auto", 1), ("peak", 1)])
 def test_certify_analyses_the_generator_once(one_minus_z_spec, monkeypatch, strategy, extensions):
-    """One zero-set estimate per generator; the peak route tests no extension."""
+    """One zero-set estimate per generator, and one extension test per zero,
+    whichever route runs: both come from one ``zinfty_report``."""
     calls = Counter()
     for name in ("essential_zero_set", "continuous_extension"):
         def counted(*args, _orig=getattr(hardylab.zerosets, name), _name=name, **kwargs):
@@ -562,6 +563,30 @@ def test_certify_analyses_the_generator_once(one_minus_z_spec, monkeypatch, stra
     assert certify_mideal(one_minus_z_spec, strategy=strategy).passed
     assert calls["essential_zero_set"] == 1
     assert calls["continuous_extension"] == extensions
+
+
+@pytest.mark.parametrize("names, strategy", [
+    ("one-minus-z", "sublevel"),
+    ("one-minus-z", "peak"),
+    ("shift", "auto"),
+    ("one-minus-z,one-plus-z", "combined"),
+    ("one-minus-z,one-plus-z,two-plus-z", "combined"),
+])
+def test_certify_takes_zinfty_from_one_report_per_generator(monkeypatch, names, strategy):
+    """Certifying k generators computes ``zinfty_report`` exactly k times,
+    once per generator, on every route and whether or not it passes."""
+    seen = []
+    orig = hardylab.ideals.zinfty_report
+
+    def counted(f):
+        seen.append(f)
+        return orig(f)
+
+    monkeypatch.setattr(hardylab.ideals, "zinfty_report", counted)
+    gens = [example_boundary(n, CircleGrid(4096)) for n in names.split(",")]
+    certify_mideal(ideal(gens), strategy=strategy)
+    assert len(seen) == len(gens)
+    assert all(a is b for a, b in zip(seen, gens))
 
 
 def test_certify_norm_bound_enforced(one_minus_z_spec):

@@ -34,7 +34,7 @@ from hardylab.zerosets import (
     value_diameter,
     window_nodes,
 )
-from oracles import continuous_extension_hull
+from oracles import continuity_rule, continuous_extension_hull
 
 
 def circ_gap(a: float, b: float) -> float:
@@ -137,22 +137,31 @@ def test_window_masks_select_the_window_nodes(size, center):
     ((4.0, 1.0), (8.0, 2.0), True),         # decays: 2 <= 0.5 * 4
     ((1e-15, 1e-15), (2e-15, 2e-15), True),  # flat
     ((2.0, 1.0), (4.0, 2.0), None),         # [r, 2r] leaves the decay open
-    ((1.0, 0.9), (1.0, 0.9), None),         # exact diameters: no decay, not flat
+    ((1.0, 0.9), (1.0, 0.9), False),        # exact diameters: no decay, not flat
 ])
 def test_verdict_outcomes(lo, hi, want):
     assert _verdict(lo, hi, 2.5, 1e-12) is want
 
 
+@given(st.lists(st.floats(min_value=0.0, max_value=1e300), min_size=1, max_size=len(WIDTH_SCHEDULE)),
+       st.floats(min_value=1e-300, max_value=1e300), st.floats(min_value=1e-300, max_value=1e300))
+@settings(max_examples=300, deadline=None)
+def test_exact_diameters_always_decide(oscs, tol, flat):
+    """Exact diameters (lo == hi) get True or False, never None, and the
+    oracle's two-valued rule agrees."""
+    assert _verdict(oscs, oscs, tol, flat) is continuity_rule(oscs, tol, flat)
+
+
 def test_undecided_exact_diameters_read_as_discontinuous():
     """A small jump keeps every window's diameter equal: within tolerance
-    but neither flat nor decaying, so the exact rule is undecided, and the
-    extension fails."""
+    but neither flat nor decaying, so the exact rule reads it as a
+    discontinuity, and the extension fails."""
     grid = CircleGrid(512)
     t = (grid.nodes + math.pi) % (2 * math.pi) - math.pi
     f = signal_from_values(grid, np.where(t >= 0.0, 1.0, 1.1))
     ext = continuous_extension(f, 0.0)
     flat = 1e-12 * max(1.0, f.sup_abs)
-    assert _verdict(ext.oscillations, ext.oscillations, ext.tolerance, flat) is None
+    assert _verdict(ext.oscillations, ext.oscillations, ext.tolerance, flat) is False
     assert ext.ok is False
 
 
