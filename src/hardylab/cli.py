@@ -272,14 +272,19 @@ def _cmd_certify(args) -> Optional[dict]:
     return None
 
 
-def _certified_ideal(args):
+def _certified_ideal(args, *tokens):
+    """The ideal of ``--generators``, the signals named by ``tokens`` and the
+    ideal's certificate. The signals are resolved, and refused off the
+    ideal's grid, before the certification runs."""
     spec = _build_ideal(args)
-    return spec, certify_mideal(spec, strategy=args.strategy, tol=args.tol)
+    signals = [_resolve_signal(t, args.grid_size) for t in tokens]
+    if any(s.grid.size != spec.grid.size for s in signals):
+        raise ValueError("signals live on different grids")
+    return spec, signals, certify_mideal(spec, strategy=args.strategy, tol=args.tol)
 
 
 def _cmd_member(args) -> None:
-    spec, cert = _certified_ideal(args)
-    h = _resolve_signal(args.h, args.grid_size)
+    spec, (h,), cert = _certified_ideal(args, args.h)
     result = membership(h, cert)
     _emit(
         {
@@ -294,9 +299,7 @@ def _cmd_member(args) -> None:
 
 
 def _cmd_prime_check(args) -> None:
-    spec, cert = _certified_ideal(args)
-    a = _resolve_signal(args.a, args.grid_size)
-    b = _resolve_signal(args.b, args.grid_size)
+    spec, (a, b), cert = _certified_ideal(args, args.a, args.b)
     result = analytic_prime_check(cert, a, b, delta=args.delta)
     _emit(
         {

@@ -18,6 +18,8 @@ symbol of bandwidth b. Closed forms used in the tests: dist(1-z, M)^2 =
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import ZeroFunction
@@ -44,11 +46,14 @@ MAX_ORDER = 4096
 #: ms at 16 to 64 and 20 ms at 128; one dense QR took 240–260 ms.
 _BLOCK = 64
 
-#: Kernel counts use the banded Golub–Kahan spectrum when this many times the
-#: symbol's bandwidth is at most the order, else a dense SVD. Timed on a
-#: 2-core box with one BLAS thread: the two cost the same near order/bandwidth
-#: = 100 at orders 256 and 512; the banded route is 4x faster at order 1024,
-#: bandwidth 2, and 10x at 2048.
+#: Kernel counts reduce the truncation to bidiagonal form when this many times
+#: the symbol's bandwidth is at most the order, else take a dense SVD. Timed on
+#: a 2-core box with one BLAS thread (best of 5), the reduction and count took
+#: 18 ms at order 1024, bandwidth 2, against 0.88 s for the dense SVD, and 28,
+#: 54 and 63 ms at bandwidths 4, 8 and 10. The ratio stays at 100 because a
+#: wide symbol is faster dense (bandwidth 319 at order 1024: 2.8 s reduced,
+#: 1.1 s dense), and a lower one would send small orders, such as 64 for a
+#: bandwidth-1 symbol, through the 0.24–0.33 s import of scipy.linalg.
 BANDED_ORDER_RATIO = 100
 
 
@@ -73,34 +78,86 @@ def _lower_toeplitz(a: np.ndarray, rows: int, cols: int, shift: int = 0) -> np.n
     return np.lib.stride_tricks.sliding_window_view(col, cols)[:, ::-1].copy()
 
 
-def _banded_singular_values(a: np.ndarray, order: int) -> np.ndarray:
-    """Singular values of the truncation, ascending, from the spectrum of the
-    Golub–Kahan matrix [[0, T], [T^H, 0]].
+@functools.cache
+def _zgbbrd():
+    """LAPACK zgbbrd (complex band to real bidiagonal), called through the
+    function pointer that scipy.linalg.cython_lapack exports: scipy.linalg.lapack
+    does not wrap it. Every argument is a pointer."""
+    import ctypes
 
-    Index 2i stands for row i of T and 2j+1 for column j, so T[i, j] = a_{i-j}
-    sits at offset 2(i-j)-1 below the diagonal and its zero diagonal blocks
-    leave only conj(a_0) at offset 1. The 2*order eigenvalues are +-sigma.
+    from scipy.linalg import cython_lapack  # imported on first use: only banded kernel counts need it
 
-    The coefficients are scaled by ``_unit_scaled``, and those then below
-    eps^2 are set to zero. That moves no singular value by more than
-    b*eps^2*sigma_max, far below roundoff. It is needed because LAPACK's
-    tridiagonal eigenvalue step works on squared off-diagonals and cannot
-    split at a tiny one next to a zero diagonal: a_0 = 1e-160 beside
-    a_1 = 0.54 moved sigma by 2e-5 sigma_max, as its square is subnormal.
-    The singular values come back in the caller's scale.
+    capsule = cython_lapack.__pyx_capi__["zgbbrd"]
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi)
+    )
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi)
+    )
+    address = get_pointer(capsule, get_name(capsule))
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 19)(address)
+
+
+def _bidiagonal(a: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal d and superdiagonal e of a real bidiagonal B with the singular
+    values of the order x order truncation of sum a_k z^k.
+
+    LAPACK zgbbrd reduces the band of T (lower bandwidth b = min(len(a),
+    order) - 1) by Givens rotations from both sides, chasing each bulge down
+    the band: O(order^2 b) time and O(order b) memory. It is backward stable,
+    with absolute error about eps * sigma_max.
     """
-    import scipy.linalg  # imported on first use: only banded kernel counts need it
-
     b = min(a.size, order) - 1
-    a, exp = _unit_scaled(a[: b + 1])
-    if not np.any(a):
-        return np.zeros(order)
-    a[np.abs(a) < np.finfo(float).eps ** 2] = 0.0
-    band = np.zeros((2 * max(b, 1), 2 * order), dtype=complex)
-    band[1, 0::2] = np.conj(a[0])
-    for d in range(1, b + 1):
-        band[2 * d - 1, 1 : 2 * (order - d) : 2] = a[d]
-    return np.ldexp(scipy.linalg.eigvals_banded(band, lower=True)[order:], exp)
+    # LAPACK band storage, column-major with KU = 0: AB(1 + i - j, j) = T[i, j]
+    ab = np.zeros((order, b + 1), dtype=complex)
+    for k in range(b + 1):
+        ab[: order - k, k] = a[k]
+    d = np.empty(order)
+    e = np.empty(order)  # the first order - 1 entries are B's superdiagonal
+    work = np.empty(order, dtype=complex)
+    rwork = np.empty(order)
+    unused = np.zeros(1, dtype=complex)  # Q, P^H and C: not referenced with VECT='N'
+    # M, N, NCC, KL, KU, LDAB, LDQ, LDPT, LDC, INFO
+    ints = np.array([order, order, 0, b, 0, b + 1, 1, 1, 1, 0], dtype=np.intc)
+    m, n, ncc, kl, ku, ldab, ldq, ldpt, ldc, info = (
+        ints.ctypes.data + i * ints.itemsize for i in range(ints.size)
+    )
+    vect = np.array(b"N")
+    # every array above stays referenced until the call returns
+    _zgbbrd()(
+        vect.ctypes.data, m, n, ncc, kl, ku, ab.ctypes.data, ldab, d.ctypes.data,
+        e.ctypes.data, unused.ctypes.data, ldq, unused.ctypes.data, ldpt,
+        unused.ctypes.data, ldc, work.ctypes.data, rwork.ctypes.data, info,
+    )
+    if ints[-1] != 0:
+        raise RuntimeError(f"LAPACK zgbbrd failed with INFO = {ints[-1]}")
+    return d, e[: order - 1]
+
+
+def _golub_kahan(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Off-diagonal |d_1|, |e_1|, |d_2|, .., |d_n| of the symmetric tridiagonal
+    of order 2n with zero diagonal whose eigenvalues are +-sigma for the
+    singular values sigma of the bidiagonal (d, e)."""
+    off = np.empty(2 * d.size - 1)
+    off[0::2] = np.abs(d)
+    off[1::2] = np.abs(e)
+    return off
+
+
+def _banded_kernel_dim(a: np.ndarray, order: int, tol: float) -> int:
+    """Singular values of the truncation below tol * sigma_max, counted on the
+    Golub–Kahan tridiagonal of its bidiagonal form by bisection (LAPACK
+    dstebz): sigma_max is its top eigenvalue, and each sigma < tol * sigma_max
+    puts two eigenvalues in (-tol * sigma_max, tol * sigma_max]."""
+    from scipy.linalg import eigvalsh_tridiagonal
+
+    off = _golub_kahan(*_bidiagonal(a, order))
+    zero = np.zeros(off.size + 1)
+    top = eigvalsh_tridiagonal(zero, off, select="i", select_range=(off.size, off.size))[0]
+    if top == 0.0:
+        return order
+    inside = eigvalsh_tridiagonal(zero, off, select="v", select_range=(-tol * top, tol * top))
+    return inside.size // 2
 
 
 def adjoint_kernel_dim(symbol: AnalyticRep, order: int, tol: float = KERNEL_TOL) -> int:
@@ -111,11 +168,11 @@ def adjoint_kernel_dim(symbol: AnalyticRep, order: int, tol: float = KERNEL_TOL)
     identically-zero truncation kills everything: dimension = order.
 
     With bandwidth b = min(len(symbol), order) - 1 and
-    ``BANDED_ORDER_RATIO * b <= order``, the singular values are the upper
-    half of the spectrum of the interleaved Golub–Kahan matrix, which is
-    Hermitian and banded (``eigvals_banded``; O(order^2 b) time, O(order b)
-    memory). Wider symbols take a dense SVD (O(order^3) time, order^2
-    entries). Both are backward stable, with absolute error about
+    ``BANDED_ORDER_RATIO * b <= order``, LAPACK zgbbrd reduces the truncation
+    to a real bidiagonal B, and two bisections on B's Golub–Kahan tridiagonal
+    give sigma_max and the count: O(order^2 b) time, O(order b) memory, and
+    never the whole spectrum. Wider symbols take a dense SVD (O(order^3) time,
+    order^2 entries). Both are backward stable, with absolute error about
     eps * sigma_max, so the count against ``tol * sigma_max`` agrees unless a
     singular value sits within roundoff of the threshold. Never T^H T: it
     would square the threshold below double precision.
@@ -125,9 +182,8 @@ def adjoint_kernel_dim(symbol: AnalyticRep, order: int, tol: float = KERNEL_TOL)
     _check_order(order)
     a = _unit_scaled(symbol.coefficients)[0]  # counted in this scale, never scaled back
     if BANDED_ORDER_RATIO * (min(a.size, order) - 1) <= order:
-        sv = _banded_singular_values(a, order)
-    else:
-        sv = np.linalg.svd(_lower_toeplitz(a, order, order), compute_uv=False)
+        return _banded_kernel_dim(a, order, tol)
+    sv = np.linalg.svd(_lower_toeplitz(a, order, order), compute_uv=False)
     top = float(np.max(sv))
     if top == 0.0:
         return order

@@ -382,6 +382,24 @@ def test_signals_off_the_ideal_grid_are_refused(capsys, tmp_path, flags):
     }
 
 
+@pytest.mark.parametrize("flags", [
+    ["member", "--h", "{b}"],
+    ["prime-check", "--a", "two-plus-z", "--b", "{b}"],
+], ids=["member", "prime-check"])
+def test_signals_off_the_ideal_grid_are_refused_before_certifying(capsys, tmp_path, monkeypatch, flags):
+    # the shift's certificate fails, yet the grid is refused first, and the
+    # certification never runs
+    path = tmp_path / "b512.csv"
+    path.write_text(signal_to_csv(example_boundary("one-minus-z", CircleGrid(512))))
+    monkeypatch.setattr(cli, "certify_mideal", lambda *a, **k: pytest.fail("certified"))
+    argv = [f.format(b=path) for f in flags]
+    code, out, err = run(capsys, *argv, "--generators", "shift", "--grid-size", "4096")
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {
+        "error": "io-format", "message": "signals live on different grids"
+    }
+
+
 def test_scipy_loads_only_for_toeplitz_work(tmp_path):
     # density builds its matrix with numpy, so scipy.linalg is imported only
     # by a kernel count on the banded route (M >= 100 b)

@@ -10,6 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -28,8 +29,9 @@ from hardylab.toeplitz import (
     KERNEL_TOL,
     MAX_ORDER,
     _BLOCK,
-    _banded_singular_values,
+    _bidiagonal,
     _distances,
+    _golub_kahan,
     density_profile_csv,
 )
 from hardylab.cli import main
@@ -77,6 +79,13 @@ def count_below_tol(sv: np.ndarray, order: int, tol: float = KERNEL_TOL) -> int:
     if top == 0.0:
         return order
     return int(np.count_nonzero(sv < tol * top))
+
+
+def bidiagonal_singular_values(f: AnalyticRep, order: int) -> np.ndarray:
+    """The singular values of ``_bidiagonal`` of f's truncation, ascending:
+    the upper half of the spectrum of its Golub–Kahan tridiagonal."""
+    off = _golub_kahan(*_bidiagonal(f.coefficients, order))
+    return scipy.linalg.eigvalsh_tridiagonal(np.zeros(2 * order), off, lapack_driver="sterf")[order:]
 
 
 def svd_oracle_kernel_dim(f: AnalyticRep, order: int, tol: float = KERNEL_TOL) -> int:
@@ -180,9 +189,20 @@ _PINNED_1024 = [
 def test_banded_kernel_dim_matches_svd_oracle_at_1024(f, inside):
     assert BANDED_ORDER_RATIO * (len(f) - 1) <= 1024  # the banded route runs
     dense = oracle_singular_values(f, 1024)
-    banded = _banded_singular_values(f.coefficients, 1024)
+    banded = bidiagonal_singular_values(f, 1024)
     assert np.max(np.abs(banded - dense[::-1])) <= 1e-13 * dense[0]
     assert adjoint_kernel_dim(f, 1024) == count_below_tol(dense, 1024) == inside
+
+
+@pytest.mark.parametrize("b", [4, 8])
+def test_banded_kernel_dim_counts_the_roots_inside_at_1024(b):
+    # every root at radius 0.3 to 0.7: by the splitting phenomenon (Böttcher &
+    # Grudsky) the truncation has one singular value decaying like r^1024 per
+    # root, and the others stay bounded away from zero
+    roots = [(0.3 + 0.4 * j / (b - 1)) * cmath.exp(2j * math.pi * (j + 0.3) / b) for j in range(b)]
+    f = polynomial(roots)
+    assert BANDED_ORDER_RATIO * (len(f) - 1) <= 1024  # the banded route runs
+    assert adjoint_kernel_dim(f, 1024) == b
 
 
 def _root():
@@ -214,9 +234,27 @@ def test_banded_kernel_dim_matches_svd_oracle(roots, log_scale, phase, extra):
     dense = oracle_singular_values(f, order)
     top = dense[0]
     assume(np.min(np.abs(dense - KERNEL_TOL * top)) > 1e-12 * top)
-    banded = _banded_singular_values(f.coefficients, order)
+    banded = bidiagonal_singular_values(f, order)
     assert np.max(np.abs(banded - dense[::-1])) <= 1e-13 * top
-    assert adjoint_kernel_dim(f, order) == svd_oracle_kernel_dim(f, order)
+    assert adjoint_kernel_dim(f, order) == count_below_tol(dense, order)
+
+
+@given(
+    st.lists(
+        st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+        min_size=1,
+        max_size=13,
+    ),
+    st.integers(min_value=1, max_value=128),
+)
+@settings(max_examples=30, deadline=None)
+def test_bidiagonal_keeps_the_singular_values_across_bandwidths(coeffs, order):
+    """The band layout for every bandwidth up to 12, including symbols longer
+    than the order, which the truncation cuts."""
+    f = AnalyticRep(np.array(coeffs, dtype=complex))
+    dense = oracle_singular_values(f, order)
+    banded = bidiagonal_singular_values(f, order)
+    assert np.max(np.abs(banded - dense[::-1])) <= 1e-13 * dense[0]
 
 
 @pytest.mark.parametrize(
@@ -228,13 +266,13 @@ def test_banded_kernel_dim_matches_svd_oracle(roots, log_scale, phase, extra):
     ],
 )
 def test_banded_singular_values_survive_tiny_coefficients(coeffs):
-    # unless entries below eps^2 of the largest are zeroed, squares this close
-    # to underflow cost LAPACK's tridiagonal step up to 1e-5 sigma_max
+    # coefficients whose squares underflow, beside a zero diagonal in the
+    # Golub–Kahan tridiagonal
     f = AnalyticRep(np.array(coeffs))
     dense = oracle_singular_values(f, 256)
-    banded = _banded_singular_values(f.coefficients, 256)
+    banded = bidiagonal_singular_values(f, 256)
     assert np.max(np.abs(banded - dense[::-1])) <= 1e-13 * dense[0]
-    assert adjoint_kernel_dim(f, 256) == svd_oracle_kernel_dim(f, 256)
+    assert adjoint_kernel_dim(f, 256) == count_below_tol(dense, 256)
 
 
 def test_banded_kernel_dim_memory_at_order_2048():
