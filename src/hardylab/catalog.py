@@ -97,20 +97,16 @@ def _blaschke_half_taylor() -> AnalyticRep:
     return AnalyticRep(coeffs)
 
 
-def _singular_one_taylor() -> AnalyticRep:
-    g = np.full(320, -2.0, dtype=complex)
-    g[0] = -1.0
-    return AnalyticRep(_exp_of_series(g))
-
-
-def _singular_i_taylor() -> AnalyticRep:
-    g = -2.0 * (-1j) ** np.arange(320)
+def _singular_taylor(alpha: complex) -> AnalyticRep:
+    """exp((z + alpha)/(z - alpha)) for unimodular alpha, whose exponent has
+    coefficients g_0 = -1 and g_k = -2 conj(alpha)^k."""
+    g = -2.0 * np.conj(alpha) ** np.arange(320)
     g[0] = -1.0
     return AnalyticRep(_exp_of_series(g))
 
 
 def _one_minus_singular_i_taylor() -> AnalyticRep:
-    s = -_singular_i_taylor().coefficients
+    s = -_singular_taylor(1j).coefficients
     s[0] += 1.0
     return AnalyticRep(s)
 
@@ -289,14 +285,14 @@ _ENTRIES: dict[str, CatalogEntry] = {
             kind="inner",
             summary="exp((z+1)/(z-1)); singular inner, mass at angle 0",
             boundary_fn=lambda grid: singular_inner_boundary(1.0 + 0.0j, grid),
-            taylor_fn=_singular_one_taylor,
+            taylor_fn=lambda: _singular_taylor(1.0 + 0.0j),
         ),
         CatalogEntry(
             name="singular-inner-i",
             kind="inner",
             summary="exp((z+i)/(z-i)); singular inner, mass at angle pi/2",
             boundary_fn=lambda grid: singular_inner_boundary(1j, grid),
-            taylor_fn=_singular_i_taylor,
+            taylor_fn=lambda: _singular_taylor(1j),
         ),
         CatalogEntry(
             name="one-minus-singular-i",

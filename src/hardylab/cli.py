@@ -45,6 +45,7 @@ from .ideals import (
     DEFAULT_PEAK_SCHEDULE,
     DEFAULT_TOL,
     STRATEGIES,
+    _check_divisor,
     _peak_units,
     _sublevel_units,
     analytic_prime_check,
@@ -272,14 +273,16 @@ def _cmd_certify(args) -> Optional[dict]:
     return None
 
 
-def _certified_ideal(args, *tokens):
+def _certified_ideal(args, *tokens, check=None):
     """The ideal of ``--generators``, the signals named by ``tokens`` and the
-    ideal's certificate. The signals are resolved, and refused off the
-    ideal's grid, before the certification runs."""
+    ideal's certificate. The signals are resolved, refused off the ideal's
+    grid and passed to ``check`` (when given) before the certification runs."""
     spec = _build_ideal(args)
     signals = [_resolve_signal(t, args.grid_size) for t in tokens]
     if any(s.grid.size != spec.grid.size for s in signals):
         raise ValueError("signals live on different grids")
+    if check is not None:
+        check(*signals)
     return spec, signals, certify_mideal(spec, strategy=args.strategy, tol=args.tol)
 
 
@@ -299,7 +302,8 @@ def _cmd_member(args) -> None:
 
 
 def _cmd_prime_check(args) -> None:
-    spec, (a, b), cert = _certified_ideal(args, args.a, args.b)
+    spec, (a, b), cert = _certified_ideal(
+        args, args.a, args.b, check=lambda a, b: _check_divisor(a, args.delta))
     result = analytic_prime_check(cert, a, b, delta=args.delta)
     _emit(
         {

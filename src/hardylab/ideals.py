@@ -409,25 +409,6 @@ def approx_unit_peak(
     return prep, _keep_final(spec.grid, units)
 
 
-def _power(g: np.ndarray, n: int) -> np.ndarray:
-    """g**n for an integer n >= 1 by square-and-multiply, in a new array,
-    for real or complex g.
-
-    numpy's complex ``**`` goes through exp and log from n = 100 on, about 15x
-    slower at these sizes; this takes at most 2 log2(n) products and never
-    returns or overwrites g, so the caller may work on the result in place.
-    """
-    result = None
-    square = g
-    while True:
-        if n & 1:
-            result = square.copy() if result is None else np.multiply(result, square, out=result)
-        n >>= 1
-        if not n:
-            return result
-        square = square * square if square is g else np.multiply(square, square, out=square)
-
-
 def _peak_units(
     spec: IdealSpec,
     schedule: Sequence[int],
@@ -436,9 +417,10 @@ def _peak_units(
     """The alignment of ``approx_unit_peak`` and an iterator over its stages,
     each with the builder of its unit's values.
 
-    With g the averaged function, the error is sup |g|^n |h| and the sup of
-    u_n = 1 - g^n comes from |g|^n and n arg(g): no complex power is taken
-    until a unit is built. |g|^n - 1 is expm1(n log|g|). Where |g|^2 >= 1/2,
+    With g the averaged function, the error is sup |g|^n |h|, the sup of
+    u_n = 1 - g^n comes from |g|^n and n arg(g), and a built unit is
+    1 - exp(n log|g| + i n arg(g)) from the same two arrays: no complex power
+    is taken. |g|^n - 1 is expm1(n log|g|). Where |g|^2 >= 1/2,
     log|g|^2 is the log1p of |g|^2 - 1 = Re d (Re d - 2) + (Im d)^2 for
     d = 1 - g (exact in floating point near g = 1), and elsewhere the log of
     |g|^2 itself, so |g|^n - 1 keeps full relative precision both where |g|
@@ -467,16 +449,19 @@ def _peak_units(
             err = float(np.max(power_mod * h_mod))
             dist = _distance_to_one(power_mod, mod_minus_one, n * half_phase)
             stage = PeakStage(index=int(n), error=err, sup_norm=float(np.max(dist)))
-            yield stage, functools.partial(_peak_unit, g_mid, n)
+            yield stage, functools.partial(_peak_unit, log_mod2, half_phase, n)
             if tol is not None and err <= tol:
                 break
 
     return prep, units()
 
 
-def _peak_unit(g_mid: np.ndarray, n: int) -> np.ndarray:
-    """1 - g_mid^n in a new array."""
-    u = _power(g_mid, n)
+def _peak_unit(log_mod2: np.ndarray, half_phase: np.ndarray, n: int) -> np.ndarray:
+    """u_n = 1 - g^n in a new array, from g^n = exp(n/2 log|g|^2 + i n arg g)
+    with ``log_mod2`` = log|g|^2 and ``half_phase`` = arg(g)/2: the polar
+    form the stage statistics are read from, with one rounding in each of
+    the modulus and phase exponents where repeated products carry about n."""
+    u = outer_values(0.5 * n * log_mod2, 2 * n * half_phase)
     return np.subtract(1.0, u, out=u)
 
 
@@ -729,6 +714,19 @@ def membership(h: BoundarySignal, cert: Certificate) -> bool:
     return True
 
 
+def _check_divisor(a: BoundarySignal, delta: float) -> None:
+    """The hypotheses of ``analytic_prime_check`` that need no certificate:
+    ``delta`` finite and positive (else ValueError), and |a| essentially
+    above it (else HypothesisFailed)."""
+    if not (np.isfinite(delta) and delta > 0):
+        raise ValueError(f"delta must be finite and positive, got {delta!r}")
+    inf_a = a.inf_abs
+    if inf_a <= delta:
+        raise HypothesisFailed(
+            f"divisor modulus reaches {inf_a:.6g}, not essentially above {delta:g}"
+        )
+
+
 def analytic_prime_check(
     cert: Certificate,
     a: BoundarySignal,
@@ -742,13 +740,7 @@ def analytic_prime_check(
     whether b itself lands in the ideal — for a certified proper ideal this is
     the prime-like division conclusion. ``delta`` must be finite and positive.
     """
-    if not (np.isfinite(delta) and delta > 0):
-        raise ValueError(f"delta must be finite and positive, got {delta!r}")
-    inf_a = a.inf_abs
-    if inf_a <= delta:
-        raise HypothesisFailed(
-            f"divisor modulus reaches {inf_a:.6g}, not essentially above {delta:g}"
-        )
+    _check_divisor(a, delta)
     if not membership(a * b, cert):
         raise HypothesisFailed("product does not lie in the certified ideal")
     return membership(b, cert)

@@ -106,7 +106,14 @@ def _bidiagonal(a: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
     order) - 1) by Givens rotations from both sides, chasing each bulge down
     the band: O(order^2 b) time and O(order b) memory. It is backward stable,
     with absolute error about eps * sigma_max.
+
+    zgbbrd makes B real by dividing entries by their moduli, and the modulus
+    of a subnormal entry rounds so coarsely that its phase is no unit (for
+    5e-324 (1 + i) it is 1 + i, which scales a singular value by sqrt 2). In
+    the unit scale such entries lie far below that error, so they are dropped.
     """
+    a, exp = _unit_scaled(a)
+    a[np.abs(a) < np.finfo(float).tiny] = 0.0
     b = min(a.size, order) - 1
     # LAPACK band storage, column-major with KU = 0: AB(1 + i - j, j) = T[i, j]
     ab = np.zeros((order, b + 1), dtype=complex)
@@ -131,7 +138,7 @@ def _bidiagonal(a: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
     )
     if ints[-1] != 0:
         raise RuntimeError(f"LAPACK zgbbrd failed with INFO = {ints[-1]}")
-    return d, e[: order - 1]
+    return np.ldexp(d, exp), np.ldexp(e[: order - 1], exp)
 
 
 def _golub_kahan(d: np.ndarray, e: np.ndarray) -> np.ndarray:

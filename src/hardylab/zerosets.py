@@ -157,10 +157,8 @@ def _windows(grid: CircleGrid, center: float) -> tuple[np.ndarray, np.ndarray, l
     return idx, dist, [dist <= _half_width(grid, w) for w in WIDTH_SCHEDULE]
 
 
-def _window_oscillations(f: BoundarySignal, center: float) -> tuple[float, ...]:
-    """Exact value-set diameters over the ``WIDTH_SCHEDULE`` windows at ``center``."""
-    idx, _, inside = _windows(f.grid, center)
-    values = f.values[idx]
+def _diameters(values: np.ndarray, inside: list[np.ndarray]) -> tuple[float, ...]:
+    """Exact value-set diameters of ``values`` over each window mask of ``_windows``."""
     return tuple(value_diameter(values[m]) for m in inside)
 
 
@@ -182,7 +180,8 @@ def _verdict(lo: Sequence[float], hi: Sequence[float], tol: float, flat: float) 
 @dataclass(frozen=True)
 class ExtensionResult:
     """A continuity verdict at ``center``. ``oscillations`` holds the exact
-    window diameters; it is computed on first read."""
+    window diameters; it is computed on first read, unless the verdict
+    already needed them."""
 
     ok: bool
     value: complex
@@ -193,7 +192,8 @@ class ExtensionResult:
 
     @cached_property
     def oscillations(self) -> tuple[float, ...]:
-        return _window_oscillations(self.signal, self.center)
+        idx, _, inside = _windows(self.signal.grid, self.center)
+        return _diameters(self.signal.values[idx], inside)
 
 
 def continuous_extension(f: BoundarySignal, center: float) -> ExtensionResult:
@@ -209,7 +209,7 @@ def continuous_extension(f: BoundarySignal, center: float) -> ExtensionResult:
     window's radius r, the largest distance of its values from the value at
     the node nearest ``center`` (a node of every window), bounds its
     diameter to [r, 2r]; the exact diameters are taken only when those
-    bounds leave the verdict open.
+    bounds leave the verdict open, and then kept as ``oscillations``.
     """
     tol, flat = 10.0 * f.sup_abs * f.grid.size ** (-0.25), 1e-12 * max(1.0, f.sup_abs)
     idx, dist, inside = _windows(f.grid, center)
@@ -217,10 +217,14 @@ def continuous_extension(f: BoundarySignal, center: float) -> ExtensionResult:
     radius = np.abs(values - values[np.argmin(dist)])
     r = np.array([np.max(radius[m]) for m in inside])
     ok = _verdict(r * (1.0 - BOUND_MARGIN), 2.0 * r * (1.0 + BOUND_MARGIN), tol, flat)
+    oscs = None
     if ok is None:
-        oscs = _window_oscillations(f, center)
+        oscs = _diameters(values, inside)
         ok = _verdict(oscs, oscs, tol, flat)
-    return ExtensionResult(ok, _scaled_mean(values[inside[-1]]), tol, DECAY_RATIO, f, center)
+    ext = ExtensionResult(ok, _scaled_mean(values[inside[-1]]), tol, DECAY_RATIO, f, center)
+    if oscs is not None:
+        vars(ext)["oscillations"] = oscs  # the cache ``cached_property`` reads first
+    return ext
 
 
 # ---------------------------------------------------------------------------

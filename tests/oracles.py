@@ -17,7 +17,7 @@ import numpy as np
 from hardylab import AnalyticRep, BoundarySignal, PointOnBoundary
 from hardylab.factorization import CLIP_FLOOR, clipped_log_modulus, outer_boundary
 from hardylab.grid import _scaled_mean
-from hardylab.ideals import _power, prepare_peak
+from hardylab.ideals import prepare_peak
 from hardylab.zerosets import WIDTH_SCHEDULE, value_diameter, window_nodes
 
 #: Catalog names whose Jensen outerness test and least-squares density must
@@ -186,18 +186,23 @@ def sublevel_stages_complex(spec, stages) -> list:
     return out
 
 
-def peak_stages_complex(spec, schedule) -> list:
-    """(error, sup_norm, unit values) for each power n of the peak route:
-    u_n = 1 - g^n, error sup |u_n h - h| and sup norm sup |u_n|, all in
-    complex arithmetic."""
-    gv = spec.generators[0].values
+def _peak_halves(spec) -> tuple[np.ndarray, np.ndarray]:
+    """The peak route's averaged function g = (1 + (1 - w))/2 and
+    half-generator h = w/2 for the rebased generator w, in floating point."""
     prep = prepare_peak(spec.generators[0])
-    g_mid = 0.5 * (1.0 + (1.0 - prep.scale * np.conj(prep.alpha) * gv))
-    h = 0.5 * prep.scale * np.conj(prep.alpha) * gv
+    w = prep.scale * np.conj(prep.alpha) * spec.generators[0].values
+    return 0.5 * (1.0 + (1.0 - w)), 0.5 * w
+
+
+def peak_stages_complex(spec, schedule) -> list:
+    """(error, sup_norm) for each power n of the peak route: u_n = 1 - g^n
+    with numpy's complex power, error sup |u_n h - h| and sup norm sup |u_n|,
+    all in complex arithmetic."""
+    g_mid, h = _peak_halves(spec)
     out = []
     for n in schedule:
-        u = 1.0 - _power(g_mid, n)
-        out.append((float(np.max(np.abs(u * h - h))), float(np.max(np.abs(u))), u))
+        u = 1.0 - g_mid**n
+        out.append((float(np.max(np.abs(u * h - h))), float(np.max(np.abs(u)))))
     return out
 
 
@@ -205,12 +210,19 @@ def peak_sup_norms_mp(spec, schedule, dps: int = 50) -> list[float]:
     """sup |1 - g^n| for each power n of the peak route, with g the averaged
     function in floating point and the power and distance taken in
     ``dps``-digit arithmetic."""
-    gv = spec.generators[0].values
-    prep = prepare_peak(spec.generators[0])
-    g_mid = 0.5 * (1.0 + (1.0 - prep.scale * np.conj(prep.alpha) * gv))
     with mpmath.workdps(dps):
-        gs = [mpmath.mpc(complex(g)) for g in g_mid]
+        gs = [mpmath.mpc(complex(g)) for g in _peak_halves(spec)[0]]
         return [float(max(abs(1 - g**n) for g in gs)) for n in schedule]
+
+
+def peak_unit_error_mp(spec, unit: np.ndarray, n: int, dps: int = 50) -> float:
+    """max_j |unit_j - (1 - g_j^n)|, with g the averaged function in floating
+    point and the power and difference taken in ``dps``-digit arithmetic."""
+    with mpmath.workdps(dps):
+        return float(max(
+            abs(mpmath.mpc(complex(u)) - (1 - mpmath.mpc(complex(g)) ** n))
+            for u, g in zip(unit, _peak_halves(spec)[0])
+        ))
 
 
 def outer_at_pointwise(outer, z) -> complex | np.ndarray:

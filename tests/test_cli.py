@@ -400,6 +400,24 @@ def test_signals_off_the_ideal_grid_are_refused_before_certifying(capsys, tmp_pa
     }
 
 
+@pytest.mark.parametrize("delta, code, error, message", [
+    ("-1", 1, "io-format", "delta must be finite and positive, got -1.0"),
+    ("nan", 1, "io-format", "delta must be finite and positive, got nan"),
+    ("0.5", 2, "HypothesisFailed", "divisor modulus reaches 0, not essentially above 0.5"),
+])
+def test_prime_check_hypotheses_are_refused_before_certifying(
+    capsys, monkeypatch, delta, code, error, message
+):
+    # a bad delta, or a divisor reaching zero, needs no certificate
+    monkeypatch.setattr(cli, "certify_mideal", lambda *a, **k: pytest.fail("certified"))
+    got_code, out, err = run(
+        capsys, "prime-check", "--a", "one-minus-z", "--b", "two-plus-z",
+        "--generators", "one-minus-z", "--delta", delta, "--grid-size", "4096",
+    )
+    assert (got_code, out) == (code, "")
+    assert json.loads(err) == {"error": error, "message": message}
+
+
 def test_scipy_loads_only_for_toeplitz_work(tmp_path):
     # density builds its matrix with numpy, so scipy.linalg is imported only
     # by a kernel count on the banded route (M >= 100 b)

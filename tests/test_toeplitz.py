@@ -223,6 +223,8 @@ def _root():
     st.integers(min_value=0, max_value=120),
 )
 @settings(max_examples=30, deadline=None)
+# a constant coefficient 5e-324 (1 + i) has a subnormal modulus
+@example([5e-324 + 5e-324j], 0.0, 0.0, 0)
 def test_banded_kernel_dim_matches_svd_oracle(roots, log_scale, phase, extra):
     """Narrow symbols at orders where the banded route runs.
 

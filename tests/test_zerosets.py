@@ -409,5 +409,6 @@ def test_undecided_verdict_takes_the_hull(monkeypatch):
     real = hardylab.zerosets.value_diameter
     monkeypatch.setattr(hardylab.zerosets, "value_diameter", lambda v: calls.append(v.size) or real(v))
     ext = continuous_extension(f, 0.0)
+    ok, _, oscs, _ = continuous_extension_hull(f, 0.0)
+    assert (ext.ok, ext.oscillations) == (ok, oscs)
     assert len(calls) == len(WIDTH_SCHEDULE)
-    assert ext.ok == continuous_extension_hull(f, 0.0)[0]
