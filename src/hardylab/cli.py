@@ -33,8 +33,8 @@ from .grid import (
     DEFAULT_GRID_SIZE,
     BoundarySignal,
     CircleGrid,
+    common_grid,
     signal_from_csv,
-    signal_from_values,
     signal_to_csv,
 )
 from .hardy import AnalyticRep
@@ -109,19 +109,10 @@ def _resolve_taylor(token: str) -> AnalyticRep:
     return _resolve(token, lambda e: e.taylor(), AnalyticRep.from_json, "JSON")
 
 
-def _real_log_modulus(text: str):
-    sig = signal_from_csv(text)
-    if not sig.is_real(1e-9):
-        raise ValueError("log-modulus input must be real-valued")
-    # synth_outer reads only the real part; imaginary noise below 1e-9 is
-    # dropped here so its stricter realness guard still accepts the input
-    return sig if sig.is_real(0.0) else signal_from_values(sig.grid, sig.values.real)
-
-
 def _resolve_log_modulus(token: str, grid_size: int):
-    """A real log-modulus signal for outer synthesis."""
+    """A log-modulus signal for outer synthesis, which refuses it unless real."""
     grid = CircleGrid(grid_size)
-    return _resolve(token, lambda e: e.log_modulus(grid), _real_log_modulus, "CSV")
+    return _resolve(token, lambda e: e.log_modulus(grid), signal_from_csv, "CSV")
 
 
 def _comma_list(convert, noun: str):
@@ -279,8 +270,7 @@ def _certified_ideal(args, *tokens, check=None):
     grid and passed to ``check`` (when given) before the certification runs."""
     spec = _build_ideal(args)
     signals = [_resolve_signal(t, args.grid_size) for t in tokens]
-    if any(s.grid.size != spec.grid.size for s in signals):
-        raise ValueError("signals live on different grids")
+    common_grid(*spec.generators, *signals)
     if check is not None:
         check(*signals)
     return spec, signals, certify_mideal(spec, strategy=args.strategy, tol=args.tol)

@@ -94,9 +94,10 @@ def _outer(grid: CircleGrid, kc: np.ndarray, clip_count: int) -> OuterFn:
 
 
 def synth_outer(k: BoundarySignal) -> OuterFn:
-    """Outer function with boundary log-modulus ``k`` (clipped at the floor)."""
+    """Outer function with boundary log-modulus ``k`` (clipped at the floor);
+    ``k`` must pass ``is_real``, and only its real part is read."""
     if not k.is_real():
-        raise ValueError("log-modulus data must be real")
+        raise ValueError("log-modulus input must be real-valued")
     kc = k.values.real.copy()  # a new array; -0 stays -0, so the CSV writes -0
     return _outer(k.grid, kc, _clip_log(kc))
 
@@ -152,6 +153,7 @@ class FactorizationResult:
 
 
 def _reject_zero(f: BoundarySignal) -> None:
+    """Raise :class:`ZeroFunction` when ``f`` vanishes at every node."""
     if f.sup_abs == 0.0:
         raise ZeroFunction("input is identically zero")
 

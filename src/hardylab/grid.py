@@ -28,6 +28,9 @@ DEFAULT_GRID_SIZE = 16384
 #: Log-modulus values below this are clipped; e**CLIP_FLOOR ~ 9.4e-14.
 CLIP_FLOOR = -30.0
 
+#: A signal counts as real when no imaginary part exceeds this in size.
+REAL_TOL = 1e-9
+
 
 def _clip_log(k: np.ndarray) -> int:
     """Raise log-modulus samples ``k`` to the floor in place; the count at it.
@@ -91,12 +94,11 @@ class BoundarySignal:
         object.__setattr__(self, "values", v)
 
     def __mul__(self, other: "BoundarySignal") -> "BoundarySignal":
-        if other.grid.size != self.grid.size:
-            raise ValueError("signals live on different grids")
-        return BoundarySignal(self.grid, self.values * other.values)
+        return BoundarySignal(common_grid(self, other), self.values * other.values)
 
-    def is_real(self, tol: float = 1e-10) -> bool:
-        return bool(np.max(np.abs(self.values.imag)) <= tol)
+    def is_real(self) -> bool:
+        """No imaginary part larger than ``REAL_TOL``."""
+        return bool(np.max(np.abs(self.values.imag)) <= REAL_TOL)
 
     @cached_property
     def _moduli(self) -> tuple[np.ndarray, float, float, int]:
@@ -112,6 +114,14 @@ class BoundarySignal:
     sup_abs = property(lambda self: self._moduli[1], doc="max |f| over the nodes")
     inf_abs = property(lambda self: self._moduli[2], doc="min |f| over the nodes")
     clip_count = property(lambda self: self._moduli[3], doc="nodes where log_abs is at the floor")
+
+
+def common_grid(*signals: BoundarySignal) -> CircleGrid:
+    """The grid that all ``signals`` live on; ValueError when they differ."""
+    grid = signals[0].grid
+    if any(s.grid.size != grid.size for s in signals):
+        raise ValueError("signals live on different grids")
+    return grid
 
 
 def _unit_scaled(values: np.ndarray) -> tuple[np.ndarray, int]:

@@ -33,10 +33,11 @@ from .errors import (
     NotCertified,
     RangeMiss,
     StrategyInapplicable,
-    ZeroFunction,
 )
-from .factorization import check_clip_count, is_outer, outer_boundary, outer_values
-from .grid import TWO_PI, BoundarySignal, CircleGrid, _clip_log, circular_distance, circular_runs
+from .factorization import _reject_zero, check_clip_count, is_outer, outer_boundary, outer_values
+from .grid import (
+    TWO_PI, BoundarySignal, CircleGrid, _clip_log, circular_distance, circular_runs, common_grid,
+)
 from .hardy import conjugate
 from .zerosets import continuous_extension, essential_zero_set, zinfty_report
 
@@ -76,12 +77,9 @@ def ideal(generators: Sequence[BoundarySignal], names: Sequence[str] | None = No
     gens = tuple(generators)
     if not gens:
         raise ValueError("an ideal needs at least one generator")
-    grid = gens[0].grid
+    grid = common_grid(*gens)
     for g in gens:
-        if g.grid.size != grid.size:
-            raise ValueError("generators live on different grids")
-        if g.sup_abs == 0.0:
-            raise ZeroFunction("a generator is identically zero")
+        _reject_zero(g)
     if names is None:
         names = tuple(f"generator-{i}" for i in range(len(gens)))
     names = tuple(names)
@@ -145,6 +143,12 @@ def _distance_to_one(
     np.multiply(s, s, out=s)
     np.multiply(s, 4.0 * mod, out=s)
     return np.sqrt(np.add(np.square(mod_minus_one), s, out=s), out=s)
+
+
+def _check_positive(name: str, value: float) -> None:
+    """Refuse an option ``value`` that is not finite and positive."""
+    if not (np.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 def _check_stages(stages: Sequence[int]) -> None:
@@ -467,9 +471,7 @@ def _peak_unit(log_mod2: np.ndarray, half_phase: np.ndarray, n: int) -> np.ndarr
 
 def combine_units(u: BoundarySignal, v: BoundarySignal) -> BoundarySignal:
     """Diagonal combination u + v - u v; one minus it factors as (1-u)(1-v)."""
-    if u.grid.size != v.grid.size:
-        raise ValueError("units live on different grids")
-    return BoundarySignal(u.grid, u.values + v.values - u.values * v.values)
+    return BoundarySignal(common_grid(u, v), u.values + v.values - u.values * v.values)
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +528,7 @@ def certify_mideal(
     set), ``peak`` (powers of the averaged rebased generator), ``combined``
     (k >= 2 generators; per-generator certification folded into one diagonal
     unit), and ``auto`` which picks sublevel/peak for one generator and
-    combined for more. ``tol`` and ``bound`` must be finite and positive;
+    combined for more. ``tol`` and ``bound`` are refused unless finite and positive;
     ``stages`` and ``schedule`` are checked whichever route runs. A
     single-generator certificate passes when the final stage error is at most
     ``tol`` and every stage's unit has sup at most ``bound + SUP_SLACK``. A
@@ -536,9 +538,8 @@ def certify_mideal(
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    for name, value in (("tol", tol), ("bound", bound)):
-        if not (np.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    _check_positive("tol", tol)
+    _check_positive("bound", bound)
     _check_stages(stages)
     _check_schedule(schedule)
     n_gen = len(spec.generators)
@@ -699,8 +700,7 @@ def membership(h: BoundarySignal, cert: Certificate) -> bool:
     """
     if not cert.passed:
         raise NotCertified("membership requires a passing certificate")
-    if h.grid.size != cert.ideal.grid.size:
-        raise ValueError("signals live on different grids")
+    common_grid(cert.ideal.generators[0], h)
     if not cert.zero_angles:
         return True
     hz = essential_zero_set(h)
@@ -718,8 +718,7 @@ def _check_divisor(a: BoundarySignal, delta: float) -> None:
     """The hypotheses of ``analytic_prime_check`` that need no certificate:
     ``delta`` finite and positive (else ValueError), and |a| essentially
     above it (else HypothesisFailed)."""
-    if not (np.isfinite(delta) and delta > 0):
-        raise ValueError(f"delta must be finite and positive, got {delta!r}")
+    _check_positive("delta", delta)
     inf_a = a.inf_abs
     if inf_a <= delta:
         raise HypothesisFailed(
@@ -738,7 +737,7 @@ def analytic_prime_check(
     Hypotheses: |a| essentially bounded below by delta, and the product a*b in
     the ideal; both are checked and HypothesisFailed raised otherwise. Returns
     whether b itself lands in the ideal — for a certified proper ideal this is
-    the prime-like division conclusion. ``delta`` must be finite and positive.
+    the prime-like division conclusion. ``delta`` is refused unless finite and positive.
     """
     _check_divisor(a, delta)
     if not membership(a * b, cert):

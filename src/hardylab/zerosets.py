@@ -68,11 +68,9 @@ def window_nodes(grid: CircleGrid, center: float, full_width: float) -> np.ndarr
     n, h = grid.size, grid.spacing
     half = _half_width(grid, full_width)
     reach = int(half / h) + 2
-    if 2 * reach + 1 >= n:
-        idx = np.arange(n)
-    else:
-        k = int(round(center / h))
-        idx = np.sort(np.arange(k - reach, k + reach + 1) % n)
+    k = int(round(center / h))
+    # a range of N or more indices wraps onto each node once
+    idx = np.unique(np.arange(k - reach, k + reach + 1) % n)
     return idx[circular_distance(grid.nodes[idx], center) <= half]
 
 

@@ -17,7 +17,10 @@ import pytest
 from hardylab import (
     AnalyticRep,
     CircleGrid,
+    certify_mideal,
     example_boundary,
+    ideal,
+    membership,
     signal_from_csv,
     signal_from_values,
     signal_to_csv,
@@ -27,7 +30,7 @@ from hardylab import cli
 from hardylab.catalog import ramp_log_modulus
 from hardylab.cli import main
 from hardylab.grid import MAX_GRID_SIZE, BoundarySignal
-from hardylab.ideals import DEFAULT_MAIN_STAGES
+from hardylab.ideals import DEFAULT_MAIN_STAGES, combine_units
 from hardylab.serialize import dump_text
 from hardylab.toeplitz import MAX_ORDER
 
@@ -359,6 +362,36 @@ def test_prime_check_refuses_signals_on_different_grids(capsys, tmp_path):
     )
     assert code == 1
     assert out == ""
+    assert json.loads(err) == {
+        "error": "io-format", "message": "signals live on different grids"
+    }
+
+
+@pytest.mark.parametrize("case", [
+    "product", "ideal", "combine_units", "membership", "certify", "member", "prime-check",
+])
+def test_every_meeting_of_two_grids_is_refused_with_one_message(capsys, tmp_path, case):
+    fine = example_boundary("one-minus-z", CircleGrid(4096))
+    coarse = example_boundary("one-minus-z", CircleGrid(1024))
+    library = {
+        "product": lambda: fine * coarse,
+        "ideal": lambda: ideal([fine, coarse]),
+        "combine_units": lambda: combine_units(fine, coarse),
+        "membership": lambda: membership(coarse, certify_mideal(ideal([fine]))),
+    }
+    if case in library:
+        with pytest.raises(ValueError, match="^signals live on different grids$"):
+            library[case]()
+        return
+    path = tmp_path / "coarse.csv"
+    path.write_text(signal_to_csv(coarse))
+    flags = {
+        "certify": ["--generators", f"one-minus-z,{path}"],
+        "member": ["--h", str(path), "--generators", "one-minus-z"],
+        "prime-check": ["--a", "two-plus-z", "--b", str(path), "--generators", "one-minus-z"],
+    }[case]
+    code, out, err = run(capsys, case, *flags, "--grid-size", "4096")
+    assert (code, out) == (1, "")
     assert json.loads(err) == {
         "error": "io-format", "message": "signals live on different grids"
     }
@@ -802,7 +835,7 @@ def test_log_modulus_from_file_and_stdin_match_the_registry(capsys, tmp_path, mo
     path.write_text(signal_to_csv(ramp_log_modulus_signal()))
     code, got, _ = run(capsys, "synth-outer", "--k", str(path))
     assert (code, got) == (0, want)
-    # imaginary noise below 1e-9 is dropped before synthesis
+    # synthesis reads the real part of a log-modulus with imaginary noise below 1e-9
     monkeypatch.setattr("sys.stdin", io.StringIO(signal_to_csv(ramp_log_modulus_signal(1e-12j))))
     code, got, _ = run(capsys, "synth-outer", "--k", "-")
     assert (code, got) == (0, want)

@@ -82,6 +82,17 @@ def test_synth_outer_rejects_complex_and_heavy_clipping():
         synth_outer(signal_from_values(g, heavy.astype(complex)))
 
 
+def test_synth_outer_reads_the_real_part_within_the_realness_tolerance():
+    g = CircleGrid(512)
+    k = np.cos(g.nodes) - 0.25
+    want = synth_outer(signal_from_values(g, k))
+    got = synth_outer(signal_from_values(g, k + 5e-10j))
+    assert got.boundary.values.tobytes() == want.boundary.values.tobytes()
+    assert got.log_modulus.values.tobytes() == want.log_modulus.values.tobytes()
+    with pytest.raises(ValueError, match="real-valued"):
+        synth_outer(signal_from_values(g, k + 2e-9j))
+
+
 def test_clip_floor_bias_on_a_boundary_zero(grid):
     # Analytic value: |f(0)| = exp(mean log|1-e^{it}|) = 1 (the sine-product
     # mean is exactly 0).  On the grid the node at the zero carries the clip

@@ -82,7 +82,7 @@ def one_minus_z_cert(one_minus_z_spec):
 # ---------------------------------------------------------------------------
 
 def test_ideal_rejects_zero_generator(small_grid):
-    with pytest.raises(ZeroFunction):
+    with pytest.raises(ZeroFunction, match="^input is identically zero$"):
         ideal([constant_signal(small_grid, 0.0)])
 
 
