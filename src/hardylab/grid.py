@@ -187,19 +187,218 @@ def circular_runs(mask: np.ndarray, gap: int = 0) -> list[tuple[int, int]]:
 # CSV interchange: header "theta,re,im", strictly increasing theta
 # ---------------------------------------------------------------------------
 
-# Rows the writer formats per step; bounds the boxed floats alive at once
-# without a buffer that grows with the grid size.
-_CSV_BLOCK_ROWS = 4096
+# Rows the writer prints per step. The field kernel's arrays peak at about
+# 1.1 MiB for a step, 0.75 MiB of it the byte index (384 B per row), whatever
+# the grid size; 4096-row steps raised the peak RSS of 65536-node factorize
+# and synth-outer runs by about 2 MB at no measurable gain in speed.
+_CSV_BLOCK_ROWS = 2048
+
+# The longest '%.17g' of a float64, as in '-2.2250738585072014e-308'.
+_FIELD_WIDTH = 24
+
+# The field kernel prints zeros and every |x| in this range; CPython's '%.17g'
+# prints the rest.
+_KERNEL_RANGE = (1e-280, 1e280)
+
+# Passes that settle a part's decimal exponent; a part still unsettled after
+# them is printed by CPython.
+_EXPONENT_PASSES = 3
+
+# Where 10^p is not a double, a scaled part this close to a rounding tie or
+# to 10^16 or 10^17 is printed by CPython.
+_TIE_MARGIN = 1e-6
+
+# Decimal powers 10^p in the kernel's table; |x| in _KERNEL_RANGE scales by
+# p = 16 - E with E within 3 of floor(log10|x|).
+_POWERS = range(-270, 301)
+
+# Decimal exponents in the kernel's exponent table; 16 - E is in _POWERS.
+_EXPONENTS = range(-300, 301)
+
+# Columns of the kernel's source bytes, one row per part: 17 digits, the
+# exponent's sign and three digits, then the constant bytes "-.0e" and NUL.
+_EXP_SIGN, _MINUS, _POINT, _ZERO, _E, _NUL = 17, 21, 22, 23, 24, 25
+_SOURCE_WIDTH = _NUL + 1
+
+# Layout classes: sign x (fixed E = -4..16, e+XX, e+XXX) x kept digits 1..17.
+_FORMS, _KEPT = 23, 17
+
+
+def _layout(negative: bool, form: int, kept: int) -> list[int]:
+    """The source column of each byte of a field of one layout class."""
+    cols = [_MINUS] if negative else []
+    if form <= 20:  # fixed notation, E = form - 4
+        e = form - 4
+        if e >= 0:
+            cols += range(e + 1)
+            if kept > e + 1:
+                cols += [_POINT, *range(e + 1, kept)]
+        else:
+            cols += [_ZERO, _POINT] + [_ZERO] * (-e - 1) + list(range(kept))
+    else:
+        cols += [0] + ([_POINT, *range(1, kept)] if kept > 1 else [])
+        cols += [_E, _EXP_SIGN, *range(_EXP_SIGN + 1 + (form == 21), _EXP_SIGN + 4)]
+    return cols + [_NUL] * (_FIELD_WIDTH - len(cols))
 
 
 @lru_cache(maxsize=1)
-def _row_templates(size: int) -> tuple[str, ...]:
-    """One format string per writer block: each row is its node's theta,
-    already printed with %.17g, then placeholders for re and im. The theta
+def _field_tables() -> tuple[np.ndarray, ...]:
+    """The field kernel's tables, built on its first use:
+
+    - ``powers``: rows hi, hi's Veltkamp halves and lo of each 10^p of
+      ``_POWERS``, with hi + lo = 10^p to about 2^-106 and lo = 0 where 10^p
+      is a double;
+    - ``digits``: the four ASCII digits of each group 0..9999, and
+      ``zeros``, the group's trailing-zero count (4 for 0000);
+    - ``exponents``: the sign and three digits of each E of ``_EXPONENTS``;
+    - ``layout``: the source column of each field byte, per layout class.
+
+    Text tables are bytes read through ``V4`` views, never integer views, so
+    nothing depends on the host's byte order.
+    """
+    rows = []
+    for p in _POWERS:
+        num, den = (10 ** p, 1) if p >= 0 else (1, 10 ** -p)
+        hi = num / den  # int true division rounds correctly
+        n, d = hi.as_integer_ratio()
+        rows.append((hi, (num * d - n * den) / (den * d)))
+    hi, lo = np.array(rows).T
+    powers = np.stack([hi, *_veltkamp(hi), lo])
+    groups = np.arange(10000)
+    digits = "".join("%04d" % g for g in groups).encode("ascii")
+    zeros = np.full(10000, 4, np.uint8)
+    for k in (3, 2, 1, 0):
+        zeros[groups % 10 ** (k + 1) != 0] = k
+    exponents = "".join("%+04d" % e for e in _EXPONENTS).encode("ascii")
+    layout = np.array([
+        _layout(negative, form, kept)
+        for negative in (False, True) for form in range(_FORMS) for kept in range(1, _KEPT + 1)
+    ], dtype=np.intp)
+    return (powers, np.frombuffer(digits, "V4"), zeros, np.frombuffer(exponents, "V4"), layout)
+
+
+def _veltkamp(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x as hi + lo, each of at most 26 significant bits, so that products of
+    the halves are exact (Veltkamp's split)."""
+    c = x * 134217729.0  # 2^27 + 1
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+def _exponent_guess(a: np.ndarray) -> np.ndarray:
+    """floor(log10(a)); it may be one off next to a power of ten."""
+    return np.floor(np.log10(a)).astype(np.int64)
+
+
+def _scaled(powers: np.ndarray, a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """q = a * 10^(16-e) as qh + ql: qh = fl(a * hi) and ql its Dekker
+    product error plus a * lo; exact where 10^(16-e) is a double."""
+    hi, hh, hl, lo = powers[:, np.clip(16 - e - _POWERS.start, 0, len(_POWERS) - 1)]
+    ah, al = _veltkamp(a)
+    qh = a * hi
+    return qh, ((ah * hh - qh) + ah * hl + al * hh) + al * hl + a * lo
+
+
+def _exponent_step(qh: np.ndarray, ql: np.ndarray) -> np.ndarray:
+    """-1 where q < 10^16, +1 where q >= 10^17, else 0."""
+    below = (qh < 1e16) | ((qh == 1e16) & (ql < 0))
+    above = (qh > 1e17) | ((qh == 1e17) & (ql >= 0))
+    return above.astype(np.int64) - below
+
+
+def _decimal(parts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(n, E, python): each |x| of ``parts`` as n * 10^(E-16), n rounded to
+    17 digits, ties to even (n = 0 and E = 0 for a zero), and the mask of
+    the parts left to CPython.
+
+    E starts at floor(log10|x|) and is settled in ``_EXPONENT_PASSES``
+    passes, each forming q = |x| * 10^(16-E) with ``_scaled``. Where
+    10^(16-E) is a double, q is exact, so ties are exact too; where it is
+    not, a q near a tie or near 10^16 or 10^17 goes to CPython.
+    """
+    powers = _field_tables()[0]
+    a = np.abs(parts)
+    zero = a == 0
+    python = ~((a >= _KERNEL_RANGE[0]) & (a <= _KERNEL_RANGE[1]) | zero)  # inf and nan too
+    a[python | zero] = 1.0
+    e = _exponent_guess(a)
+    qh, ql = _scaled(powers, a, e)
+    todo = np.flatnonzero(_exponent_step(qh, ql))
+    for _ in range(_EXPONENT_PASSES - 1):  # the first pass was the one above
+        if not todo.size:
+            break
+        e[todo] += _exponent_step(qh[todo], ql[todo])
+        qh[todo], ql[todo] = _scaled(powers, a[todo], e[todo])
+        todo = todo[_exponent_step(qh[todo], ql[todo]) != 0]
+    python[todo] = True
+    r = np.rint(ql)
+    inexact = np.flatnonzero((e < -6) | (e > 16))  # 10^(16-E) is a double for E in -6..16
+    if inexact.size:
+        q, t = qh[inexact], ql[inexact]
+        python[inexact] |= (
+            (np.abs(np.abs(t - r[inexact]) - 0.5) < _TIE_MARGIN)
+            | (np.abs((q - 1e16) + t) < _TIE_MARGIN)
+            | (np.abs((q - 1e17) + t) < _TIE_MARGIN)
+        )
+    if python.any():
+        qh[python], r[python], e[python] = 1e16, 0.0, 0
+    n = qh.astype(np.int64) + r.astype(np.int64)  # qh is an even integer here
+    n[zero] = 0
+    carry = n == 10 ** 17  # q rounded up to the next power of ten
+    n[carry] = 10 ** 16
+    e += carry
+    return n, e, python
+
+
+def _source_bytes(n: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each part's source bytes (the 17 digits of n, E's sign and three
+    digits, then "-.0e" and NUL), and its count of kept digits less one."""
+    _, digits, zeros, exponents, _ = _field_tables()
+    h = n // 10 ** 8  # below 10^9
+    top = h // 10 ** 8
+    halves = np.stack([h - top * 10 ** 8, n - h * 10 ** 8], axis=1).astype(np.int32)
+    q = halves // 10000
+    g = np.stack([q, halves - q * 10000], axis=2).reshape(-1, 4)  # four 4-digit groups
+    tz = np.where(g[:, 3] != 0, zeros[g[:, 3]], np.where(g[:, 2] != 0, 4 + zeros[g[:, 2]],
+                  np.where(g[:, 1] != 0, 8 + zeros[g[:, 1]], 12 + zeros[g[:, 0]])))
+    src = np.empty((n.size, _SOURCE_WIDTH), np.uint8)
+    src[:, 0] = 48 + top
+    src[:, 1:17].view("V4")[:] = digits[g]
+    src[:, _EXP_SIGN:_MINUS].view("V4")[:, 0] = exponents[e - _EXPONENTS.start]
+    src[:, _MINUS:].view("V5")[:] = np.frombuffer(b"-.0e\0", "V5")
+    return src, 16 - tz
+
+
+def _print_fields(parts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every float of ``parts`` printed as ``'%.17g' % x``, byte for byte, in
+    a NUL-padded S24 array, and the mask of the parts that CPython printed.
+
+    ``_decimal`` rounds each part to 17 digits and a decimal exponent E, and
+    ``_source_bytes`` spells both out. The part's sign, notation (fixed for
+    E in -4..16, else e+XX or e+XXX) and kept digits pick a row of the
+    layout table, which says where each field byte comes from.
+    """
+    n, e, python = _decimal(parts)
+    src, last = _source_bytes(n, e)
+    form = np.where((e >= -4) & (e <= 16), e + 4, np.where(np.abs(e) < 100, 21, 22))
+    cls = (np.signbit(parts) * _FORMS + form) * _KEPT + last
+    layout = _field_tables()[-1]
+    index = layout.take(cls, axis=0)
+    index += np.arange(0, src.size, _SOURCE_WIDTH)[:, None]
+    fields = src.ravel().take(index).view(f"S{_FIELD_WIDTH}").ravel()
+    if python.any():
+        fields[python] = ["%.17g" % x for x in parts[python].tolist()]
+    return fields, python
+
+
+@lru_cache(maxsize=1)
+def _row_templates(size: int) -> tuple[bytes, ...]:
+    """One bytes format per writer block: each row is its node's theta,
+    already printed with %.17g, then %b placeholders for re and im. The theta
     column depends only on the grid, so it is printed once per grid size."""
     nodes = _cached_nodes(size)
     return tuple(
-        ("%.17g,%%.17g,%%.17g\n" * len(b)) % tuple(b.tolist())
+        (b"%.17g,%%b,%%b\n" * len(b)) % tuple(b.tolist())
         for b in (nodes[s:s + _CSV_BLOCK_ROWS] for s in range(0, size, _CSV_BLOCK_ROWS))
     )
 
@@ -209,7 +408,8 @@ def signal_to_csv(f: BoundarySignal) -> str:
     step = 2 * _CSV_BLOCK_ROWS
     out = ["theta,re,im\n"]
     for k, template in enumerate(_row_templates(f.grid.size)):
-        out.append(template % tuple(parts[k * step:(k + 1) * step].tolist()))
+        fields = _print_fields(parts[k * step:(k + 1) * step])[0]
+        out.append((template % tuple(fields.tolist())).decode("ascii"))
     return "".join(out)
 
 

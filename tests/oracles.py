@@ -131,6 +131,12 @@ def continuity_rule(oscs, tol: float, flat: float) -> bool:
     return oscs[-1] <= tol and (worst <= flat or oscs[-1] <= 0.5 * worst)
 
 
+def fstring_oracle_csv(f: BoundarySignal) -> str:
+    """The CSV text of ``f`` written one f-string per row."""
+    rows = [f"{t:.17g},{v.real:.17g},{v.imag:.17g}\n" for t, v in zip(f.grid.nodes, f.values)]
+    return "theta,re,im\n" + "".join(rows)
+
+
 def merge_runs(runs: list[tuple[int, int]], n: int, gap: int) -> list[tuple[int, int]]:
     """Merge circular runs separated by at most ``gap`` unmasked nodes, one
     pair at a time in order of their starts, then once across the wrap; a

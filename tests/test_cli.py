@@ -64,6 +64,29 @@ def test_synth_outer_writes_companion_files(capsys, tmp_path):
     assert (out_dir / "log_modulus.csv").exists()
 
 
+# Bytes per node of a command's tracemalloc peak at N = 65536, run cold (the
+# grid's node, row-template and field-kernel caches cleared) with --out. The
+# per-float formatter peaked at 241.0 B/node (15.06 MiB) in factorize and
+# 211.6 B/node (13.23 MiB) in synth-outer; the field kernel takes 240.2 and
+# 210.5. A budget stops either peak from growing past the formatter's.
+@pytest.mark.parametrize("argv, budget", [
+    (["factorize", "--f", "one-minus-z"], 244),
+    (["synth-outer", "--k", "ramp-logmod"], 212),
+], ids=["factorize", "synth-outer"])
+def test_out_commands_keep_their_memory_budget_at_65536_nodes(capsys, tmp_path, argv, budget):
+    grid = hardylab.grid
+    for cache in (grid._cached_nodes, grid._row_templates, grid._field_tables):
+        cache.cache_clear()
+    tracemalloc.start()
+    try:
+        code, _, _ = run(capsys, *argv, "--grid-size", "65536", "--out", str(tmp_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= budget * 65536
+
+
 def test_synth_outer_from_an_entry_without_a_profile_writes_its_log_abs(capsys, tmp_path):
     """An entry with no log-modulus profile gives the log-modulus of its boundary."""
     code, _, _ = run(

@@ -21,7 +21,7 @@ from hardylab import (
 )
 from hardylab import grid
 from hardylab.grid import CLIP_FLOOR, MAX_GRID_SIZE, BoundarySignal, circular_runs
-from oracles import merge_runs
+from oracles import fstring_oracle_csv, merge_runs
 
 
 def test_grid_rejects_bad_sizes():
@@ -125,15 +125,6 @@ def test_merged_runs_match_the_pairwise_merge(mask, gap):
     assert circular_runs(mask, gap) == want
 
 
-def fstring_oracle_csv(f) -> str:
-    """Reference writer: one f-string per row."""
-    buf = io.StringIO()
-    buf.write("theta,re,im\n")
-    for t, v in zip(f.grid.nodes, f.values):
-        buf.write(f"{t:.17g},{v.real:.17g},{v.imag:.17g}\n")
-    return buf.getvalue()
-
-
 def csv_reader_oracle_columns(text: str):
     """Reference reader: ``csv.reader`` plus ``float`` per token; returns the
     theta, re and im columns."""
@@ -187,6 +178,58 @@ def test_csv_codec_matches_oracles_bitwise(size, seed):
     assert np.array_equal(bits(back.values.real), bits(re))
     assert np.array_equal(bits(back.values.imag), bits(im))
     assert np.array_equal(bits(back.values), bits(f.values))
+
+
+def printed(parts) -> tuple[list[str], np.ndarray]:
+    """The writer's field kernel on ``parts``: its fields as str, and the
+    mask of the parts it left to CPython."""
+    fields, python = grid._print_fields(np.ascontiguousarray(parts, dtype=float))
+    return [b.decode("ascii") for b in fields.tolist()], python
+
+
+def percent_g(parts) -> list[str]:
+    return ["%.17g" % x for x in np.asarray(parts, dtype=float).tolist()]
+
+
+POWERS_OF_TEN = np.array([float(f"1e{k}") for k in range(-300, 301)])
+
+
+def test_field_kernel_matches_percent_g_bitwise():
+    # random bit patterns cover every exponent, so both routes run
+    patterns = np.random.default_rng(31).integers(0, 2 ** 64, size=1 << 17, dtype=np.uint64)
+    parts = patterns.view(float)[np.isfinite(patterns.view(float))]
+    parts = np.concatenate([
+        parts, EDGE_VALUES,
+        POWERS_OF_TEN, np.nextafter(POWERS_OF_TEN, 0.0), np.nextafter(POWERS_OF_TEN, np.inf),
+        [2.0 ** 53 - 2, 2.0 ** 53 + 2, 1e16, 1e17, 5e-324, 0.0, -0.0],
+    ])
+    parts = np.concatenate([parts, -parts])
+    got, python = printed(parts)
+    assert got == percent_g(parts)
+    assert python.any() and not python.all()
+
+
+def test_field_kernel_rounds_exact_ties_to_even():
+    # |x| * 10^2 is exact, so the kernel itself rounds these ties
+    got, python = printed([123456789012345.625, 123456789012345.875, -123456789012345.625])
+    assert got == ["123456789012345.62", "123456789012345.88", "-123456789012345.62"]
+    assert not python.any()
+    # 3 * 2^-24 * 10^23 is a tie too, but 10^23 is not a double: CPython decides it
+    got, python = printed([3 * 2.0 ** -24])
+    assert got == ["1.7881393432617188e-07"] and python.all()
+
+
+@pytest.mark.parametrize("shift", [-3, -2, 2, 3])
+def test_field_kernel_settles_the_exponent_in_three_passes(monkeypatch, shift):
+    # a first guess two decades off settles in the three passes; three off
+    # hits the cap, and CPython prints every part, zeros included
+    rng = np.random.default_rng(17)
+    parts = np.append(rng.normal(size=4096) * 10.0 ** rng.integers(-250, 250, size=4096), [0.0, -0.0])
+    guess = grid._exponent_guess
+    monkeypatch.setattr(grid, "_exponent_guess", lambda a: guess(a) + shift)
+    got, python = printed(parts)
+    assert got == percent_g(parts)
+    assert python.all() if abs(shift) == 3 else not python.any()
 
 
 FIELD_SPELLINGS = ("%.17g", "%r", "%.16g", "%.20g", "%.25e")
@@ -317,8 +360,9 @@ def test_csv_codec_memory_at_65536_nodes():
         tracemalloc.stop()
     # measured this way, the row-wise writer peaked at 10.9 MiB and the
     # csv.reader parser at 37.3 MiB; the block codec takes 9.2 MiB (a first
-    # write, its row templates included), 5.8 MiB through orjson and 11.8 MiB
-    # through np.loadtxt (11.6 before orjson, when it read the LF text)
+    # write, its row templates and field-kernel tables included, as with the
+    # per-float formatter before the kernel), 5.7 MiB through orjson and
+    # 11.7 MiB through np.loadtxt (11.6 before orjson, when it read the LF text)
     assert write_peak < 10 << 20
     assert read_peak < 16 << 20
     assert loadtxt_peak < 16 << 20
