@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -37,7 +36,7 @@ from .grid import (
     signal_from_csv,
     signal_to_csv,
 )
-from .hardy import AnalyticRep
+from .hardy import AnalyticRep, _read_json
 from .ideals import (
     DEFAULT_BOUND,
     DEFAULT_DELTA,
@@ -429,10 +428,7 @@ def _with_config(parser: argparse.ArgumentParser, argv: list[str], path_text: st
     path = Path(path_text)
     if not path.exists():
         raise OSError(f"config file not found: {path_text}")
-    try:
-        values = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"config file is not valid JSON: {exc}") from None
+    values = _read_json(path.read_text(), "config file")
     if not isinstance(values, dict):
         raise ValueError("config file must hold a JSON object")
     tokens = []

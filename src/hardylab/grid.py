@@ -39,13 +39,6 @@ def _clip_log(k: np.ndarray) -> int:
     return int(np.count_nonzero(k <= CLIP_FLOOR))
 
 
-@lru_cache(maxsize=8)
-def _cached_nodes(size: int) -> np.ndarray:
-    nodes = TWO_PI * np.arange(size) / size
-    nodes.flags.writeable = False
-    return nodes
-
-
 @dataclass(frozen=True)
 class CircleGrid:
     """Equispaced nodes on the unit circle; ``size`` must be a power of two
@@ -62,7 +55,8 @@ class CircleGrid:
 
     @property
     def nodes(self) -> np.ndarray:
-        return _cached_nodes(self.size)
+        """A new array of the node angles; nothing caches it."""
+        return TWO_PI * np.arange(self.size) / self.size
 
     @property
     def spacing(self) -> float:
@@ -396,7 +390,7 @@ def _row_templates(size: int) -> tuple[bytes, ...]:
     """One bytes format per writer block: each row is its node's theta,
     already printed with %.17g, then %b placeholders for re and im. The theta
     column depends only on the grid, so it is printed once per grid size."""
-    nodes = _cached_nodes(size)
+    nodes = CircleGrid(size).nodes
     return tuple(
         (b"%.17g,%%b,%%b\n" * len(b)) % tuple(b.tolist())
         for b in (nodes[s:s + _CSV_BLOCK_ROWS] for s in range(0, size, _CSV_BLOCK_ROWS))
@@ -420,6 +414,13 @@ _CANONICAL_FIELD_BYTES = b"0123456789+-.eE \t"
 # short-lived, so the read holds about one output table, not a second copy of
 # the text.
 _CANONICAL_CHUNK_CHARS = 1 << 15
+
+# Every character that str.isspace() accepts but a field's spaces and tabs and
+# the line ends LF, CRLF and CR.
+_STRAY_WHITESPACE = (
+    "\v\f\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005"
+    "\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000"
+)
 
 # An integer token -0 (not an exponent). JSON reads it as 0, dropping the sign
 # that the writer's %.17g keeps for -0.0.
@@ -472,6 +473,9 @@ def _canonical_table(text: str) -> np.ndarray | None:
 def _loadtxt_table(text: str) -> np.ndarray:
     """The N x 3 table of any CSV text, read by ``np.loadtxt`` (README
     grammar); a malformed text or an illegal row count raises ValueError."""
+    for c in _STRAY_WHITESPACE:  # str.splitlines and np.loadtxt accept each
+        if c in text:
+            raise ValueError(f"malformed boundary-signal CSV: {c!r} is not a space, tab or line end")
     lines = text.splitlines()
     if not lines or [c.strip() for c in lines[0].split(",")] != ["theta", "re", "im"]:
         raise ValueError("expected CSV header 'theta,re,im'")

@@ -16,6 +16,7 @@ smooth integrands.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,11 +57,28 @@ class AnalyticRep:
 
     @staticmethod
     def from_json(text: str) -> "AnalyticRep":
-        data = json.loads(text)
+        data = _read_json(text, "Taylor input")
         pairs = data.get("coefficients") if isinstance(data, dict) else None
         if not isinstance(pairs, list) or not all(map(_is_number_pair, pairs)):
             raise ValueError('Taylor JSON must be {"coefficients": [[re, im], ...]}')
         return AnalyticRep(np.array([complex(re, im) for re, im in pairs]))
+
+
+def _read_json(text: str, what: str):
+    """The value of JSON ``text``, integers kept as ``int``. Text that is not
+    JSON, nests too deeply to parse or holds an integer beyond the float
+    range raises ValueError naming ``what``."""
+    try:
+        return json.loads(text, parse_int=_json_int)
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"{what} is not valid JSON: {exc}") from None
+
+
+def _json_int(token: str) -> int:
+    value = int(token)
+    if abs(value) > sys.float_info.max:
+        raise ValueError(f"the {len(token)}-character integer is beyond the float range")
+    return value
 
 
 def _is_number_pair(p) -> bool:

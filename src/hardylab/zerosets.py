@@ -62,16 +62,16 @@ def _half_width(grid: CircleGrid, full_width: float) -> float:
 def window_nodes(grid: CircleGrid, center: float, full_width: float) -> np.ndarray:
     """Ascending indices of the nodes within the (floored) window at ``center``.
 
-    Only the index range ``round(center/h) +- (half/h + 2)`` (mod N) is tested,
-    so a window costs O(its width) rather than a pass over all N nodes.
+    Only the index range ``round(center/h) +- (half/h + 2)`` (mod N, at most
+    N indices) is tested, with node j at ``TWO_PI * j / N`` (bitwise
+    ``grid.nodes[j]``), so a window costs O(its width), not O(N).
     """
     n, h = grid.size, grid.spacing
     half = _half_width(grid, full_width)
     reach = int(half / h) + 2
-    k = int(round(center / h))
-    # a range of N or more indices wraps onto each node once
-    idx = np.unique(np.arange(k - reach, k + reach + 1) % n)
-    return idx[circular_distance(grid.nodes[idx], center) <= half]
+    start = int(round(center / h)) - reach
+    idx = np.sort(np.arange(start, start + min(2 * reach + 1, n)) % n)
+    return idx[circular_distance(TWO_PI * idx / n, center) <= half]
 
 
 def _turn(x: np.ndarray, y: np.ndarray, i, j, k) -> np.ndarray:
@@ -151,7 +151,7 @@ def _windows(grid: CircleGrid, center: float) -> tuple[np.ndarray, np.ndarray, l
     of ``window_nodes(grid, center, w)``, in the same order.
     """
     idx = window_nodes(grid, center, WIDTH_SCHEDULE[0])
-    dist = circular_distance(grid.nodes[idx], center)
+    dist = circular_distance(TWO_PI * idx / grid.size, center)
     return idx, dist, [dist <= _half_width(grid, w) for w in WIDTH_SCHEDULE]
 
 
@@ -261,7 +261,7 @@ def essential_zero_set(f: BoundarySignal) -> ZeroSetEstimate:
     log_mod = f.log_abs
     candidates = []
     for start, length in circular_runs(log_mod < -_LEVELS[-1], MIN_WINDOW_CELLS):
-        center = float((grid.nodes[start] + (length - 1) * h / 2.0) % TWO_PI)
+        center = float((TWO_PI * start / n + (length - 1) * h / 2.0) % TWO_PI)
         idx, _, inside = _windows(grid, center)
         near = log_mod[idx]
         rows = tuple(

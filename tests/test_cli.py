@@ -65,17 +65,19 @@ def test_synth_outer_writes_companion_files(capsys, tmp_path):
 
 
 # Bytes per node of a command's tracemalloc peak at N = 65536, run cold (the
-# grid's node, row-template and field-kernel caches cleared) with --out. The
+# grid's row-template and field-kernel caches cleared) with --out. The
 # per-float formatter peaked at 241.0 B/node (15.06 MiB) in factorize and
-# 211.6 B/node (13.23 MiB) in synth-outer; the field kernel takes 240.2 and
-# 210.5. A budget stops either peak from growing past the formatter's.
+# 211.6 B/node (13.23 MiB) in synth-outer; the field kernel took 240.2 and
+# 210.5 while the grid cached its node arrays, and takes 232.1 and 202.5 now
+# that nothing does. A budget stops either peak from growing past the
+# formatter's.
 @pytest.mark.parametrize("argv, budget", [
     (["factorize", "--f", "one-minus-z"], 244),
     (["synth-outer", "--k", "ramp-logmod"], 212),
 ], ids=["factorize", "synth-outer"])
 def test_out_commands_keep_their_memory_budget_at_65536_nodes(capsys, tmp_path, argv, budget):
     grid = hardylab.grid
-    for cache in (grid._cached_nodes, grid._row_templates, grid._field_tables):
+    for cache in (grid._row_templates, grid._field_tables):
         cache.cache_clear()
     tracemalloc.start()
     try:
@@ -656,6 +658,14 @@ def test_config_rejects_unknown_keys_and_bad_files(capsys, tmp_path):
     assert code == 1
     assert json.loads(err)["error"] == "io-format"
     assert "not valid JSON" in json.loads(err)["message"]
+
+
+def test_config_integers_stay_integers(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"M": 64}')
+    code, out, _ = run(capsys, "density", "--f", "one-minus-z", "--config", str(cfg))
+    assert code == 0
+    assert json.loads(out)["M"] == 64
 
 
 @pytest.mark.parametrize(

@@ -38,6 +38,8 @@ def test_nodes_and_spacing():
     g = CircleGrid(8)
     assert g.spacing == pytest.approx(math.pi / 4)
     assert np.allclose(g.nodes, np.arange(8) * math.pi / 4)
+    for n in (8, 4096, 65536):  # the expression zero-set windows use for node angles
+        assert np.array_equal(bits(CircleGrid(n).nodes), bits(grid.TWO_PI * np.arange(n) / n))
     assert np.allclose(np.abs(g.boundary_points()), 1.0)
 
 
@@ -322,6 +324,18 @@ G8_TEXT = signal_to_csv(signal_from_values(CircleGrid(8), G8_VALUES))
 def test_csv_accepted_variants_read_the_same_values(text):
     assert G8_TEXT.count(",-0") == 5
     assert np.array_equal(bits(signal_from_csv(text).values), bits(G8_VALUES))
+
+
+@pytest.mark.parametrize("char", [
+    "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "\x1f", "\xa0", "\u3000",
+])
+def test_csv_refuses_whitespace_that_is_not_a_space_tab_or_line_end(char):
+    # the first eight are line boundaries of str.splitlines; np.loadtxt reads
+    # every one of them as a blank around a field
+    for text in (char.join(G8_TEXT.splitlines()), G8_TEXT.replace(",", char + ",", 3),
+                 G8_TEXT.replace("\n", char + "\n")):
+        with pytest.raises(ValueError, match="not a space, tab or line end"):
+            signal_from_csv(text)
 
 
 def test_csv_row_count_is_checked_before_any_float(monkeypatch):

@@ -136,6 +136,23 @@ def test_analytic_rep_json_roundtrip():
     assert np.array_equal(back.coefficients, rep.coefficients)
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"coefficients": [[%s, 0]]}' % ("9" * 401), "beyond the float range"),
+    ('{"coefficients": [[1, -%s]]}' % ("9" * 309), "beyond the float range"),
+    ("[" * 100_000 + "]" * 100_000, "recursion"),
+    ('{"coefficients": ', "Expecting value"),
+], ids=["big-integer", "big-negative-integer", "nested", "truncated"])
+def test_analytic_rep_json_refuses_what_json_loads_cannot_bound(text, message):
+    with pytest.raises(ValueError, match=message):
+        AnalyticRep.from_json(text)
+
+
+def test_analytic_rep_json_reads_integers_within_the_float_range():
+    big = 10 ** 308
+    rep = AnalyticRep.from_json('{"coefficients": [[%d, 0], [1, -2]]}' % big)
+    assert np.array_equal(rep.coefficients, [complex(big, 0), 1 - 2j])
+
+
 @pytest.mark.parametrize("coefficients", [[], np.ones((2, 2))], ids=["empty", "2-D"])
 def test_analytic_rep_rejects_empty_and_2d_coefficients(coefficients):
     with pytest.raises(ValueError, match="nonempty 1-D"):

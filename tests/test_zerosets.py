@@ -101,7 +101,7 @@ def test_value_diameter_matches_pairwise_oracle(values):
     assert abs(value_diameter(values) - want) <= 1e-15 * want
 
 
-@pytest.mark.parametrize("size", [8, 16, 512, 4096])
+@pytest.mark.parametrize("size", [8, 16, 32, 512, 4096, 65536])
 def test_window_nodes_match_the_full_distance_mask(size):
     g = CircleGrid(size)
     h = g.spacing
