@@ -81,16 +81,17 @@ class _Parser(argparse.ArgumentParser):
 # input resolution
 # ---------------------------------------------------------------------------
 
-def _resolve(token: str, from_catalog, parse, file_kind: str):
+def _resolve(token: str, from_catalog, parse, file_kind: str, read=Path.read_text):
     """A registry name (through ``from_catalog``), '-' for stdin, or a file
-    path; stdin and file text go through ``parse``."""
+    path; stdin text and the file's contents, as ``read`` gives them, go
+    through ``parse``."""
     if token in catalog_names():
         return from_catalog(get_example(token))
     if token == "-":
         return parse(sys.stdin.read())
     path = Path(token)
     if path.exists():
-        return parse(path.read_text())
+        return parse(read(path))
     raise UnknownExample(
         f"{token!r} is neither a registry name nor a readable {file_kind} file; "
         f"known names: {', '.join(catalog_names())}"
@@ -100,7 +101,7 @@ def _resolve(token: str, from_catalog, parse, file_kind: str):
 def _resolve_signal(token: str, grid_size: int):
     """A boundary signal: registry name, CSV path, or '-' for stdin CSV."""
     grid = CircleGrid(grid_size)  # refuses an illegal size for file inputs too
-    return _resolve(token, lambda e: e.boundary(grid), signal_from_csv, "CSV")
+    return _resolve(token, lambda e: e.boundary(grid), signal_from_csv, "CSV", Path.read_bytes)
 
 
 def _resolve_taylor(token: str) -> AnalyticRep:
@@ -111,7 +112,7 @@ def _resolve_taylor(token: str) -> AnalyticRep:
 def _resolve_log_modulus(token: str, grid_size: int):
     """A log-modulus signal for outer synthesis, which refuses it unless real."""
     grid = CircleGrid(grid_size)
-    return _resolve(token, lambda e: e.log_modulus(grid), signal_from_csv, "CSV")
+    return _resolve(token, lambda e: e.log_modulus(grid), signal_from_csv, "CSV", Path.read_bytes)
 
 
 def _comma_list(convert, noun: str):
@@ -433,9 +434,11 @@ def _with_config(parser: argparse.ArgumentParser, argv: list[str], path_text: st
         raise ValueError("config file must hold a JSON object")
     tokens = []
     for key, value in values.items():
-        # argparse would take the text of a list or object as a plain value
+        # argparse would take the text of a list or object as a plain value;
+        # the refusal names its type only, as the value may be any size
         if isinstance(value, (list, dict)):
-            raise ValueError(f"config key {key!r}: invalid value {value!r}")
+            kind = "a list" if isinstance(value, list) else "an object"
+            raise ValueError(f"config key {key!r}: {kind} is not an option value")
         if value is not None:  # JSON null leaves the option unset
             tokens.append(f"--{key.replace('_', '-')}={value}")
     try:  # argv parsed once already, so argv[0] is the command

@@ -10,6 +10,7 @@ the nodes.
 
 from __future__ import annotations
 
+import io
 import math
 import re
 from dataclasses import dataclass
@@ -410,7 +411,7 @@ def signal_to_csv(f: BoundarySignal) -> str:
 # Everything a canonical row holds besides its separators ',' and '\n'.
 _CANONICAL_FIELD_BYTES = b"0123456789+-.eE \t"
 
-# Characters per chunk of the canonical reader: each chunk's token list is
+# Bytes per chunk of the canonical reader: each chunk's token list is
 # short-lived, so the read holds about one output table, not a second copy of
 # the text.
 _CANONICAL_CHUNK_CHARS = 1 << 15
@@ -427,46 +428,55 @@ _STRAY_WHITESPACE = (
 _INTEGER_MINUS_ZERO = re.compile(rb"-0(?<![eE]-0)(?=[\s,\]])")
 
 
-def _canonical_table(text: str) -> np.ndarray | None:
-    """The N x 3 table of a canonical CSV text, or None for any other text.
+def _canonical_table(data: bytes) -> np.ndarray | None:
+    """The N x 3 table of a canonical CSV text, given as bytes, or None for
+    any other text.
 
     Canonical text has the header exactly ``theta,re,im`` and rows of exactly
-    two commas, separated by single LFs, with no other characters than digits,
-    ``+-.eE``, spaces and tabs. Its rows are read chunk by chunk as JSON
-    arrays by orjson, whose number reader is correctly rounded, as is
-    ``np.loadtxt``'s, so both routes give the same bits. A chunk that orjson
-    refuses (``+1``, ``.5``, ``5.``, ``007``, ...) sends the whole text to the
-    ``np.loadtxt`` route, which decides its values or error.
+    two commas, separated by single LFs, with no other bytes than digits,
+    ``+-.eE``, spaces and tabs. Two passes go over the same chunks of about
+    ``_CANONICAL_CHUNK_CHARS`` bytes. The shape pass deletes the field bytes,
+    checks the separators left and counts the rows, so a bad row count goes
+    to the ``np.loadtxt`` route, which refuses it, before any float is built.
+    The parse pass reads each chunk as a JSON array by orjson, whose number
+    reader is correctly rounded, as is ``np.loadtxt``'s, so both routes give
+    the same bits. JSON reads an integer token ``-0`` as 0, so a chunk whose
+    values hold a zero and whose text holds such a token is read again with
+    each one spelled ``-0.0``. A chunk that orjson refuses (``+1``, ``.5``,
+    ``5.``, ``007``, ...) sends the whole text to the ``np.loadtxt`` route,
+    which decides its values or error.
     """
-    header = "theta,re,im\n"
-    if not (text.startswith(header) and text.isascii()):
+    header = b"theta,re,im\n"
+    if not data.startswith(header):
         return None
-    end = len(text) - text.endswith("\n")
-    rows = text.count("\n", len(header), end) + 1
+    end = len(data) - data.endswith(b"\n")
+    cuts, rows, start = [], 0, len(header)
+    while start < end:
+        stop = data.find(b"\n", start + _CANONICAL_CHUNK_CHARS, end)
+        stop = end if stop < 0 else stop
+        separators = data[start:stop].translate(None, _CANONICAL_FIELD_BYTES)
+        n = (len(separators) + 1) // 3  # rows in the chunk if canonical
+        if separators != b",,\n" * (n - 1) + b",,":
+            return None  # another byte, a blank line, or a row of other width
+        cuts.append((start, stop))
+        rows, start = rows + n, stop + 1
     try:
         CircleGrid(rows)
     except ValueError:
         return None  # the loadtxt route refuses the row count before any float
     import orjson
 
-    table = np.empty(3 * rows)
-    filled, start = 0, len(header)
-    while start < end:
-        stop = text.find("\n", start + _CANONICAL_CHUNK_CHARS, end)
-        stop = end if stop < 0 else stop
-        chunk = text[start:stop].encode("ascii")
-        separators = chunk.translate(None, _CANONICAL_FIELD_BYTES)
-        n = (len(separators) + 1) // 3  # rows in the chunk if canonical
-        if separators != b",,\n" * (n - 1) + b",,":
-            return None  # another byte, a blank line, or a row of other width
+    table, filled = np.empty(3 * rows), 0
+    for start, stop in cuts:
+        body = b"[" + data[start:stop].replace(b"\n", b",") + b"]"
         try:
-            values = orjson.loads(
-                _INTEGER_MINUS_ZERO.sub(b"-0.0", b"[" + chunk.replace(b"\n", b",") + b"]")
-            )
+            block = np.fromiter(orjson.loads(body), float)
+            if not block.all() and _INTEGER_MINUS_ZERO.search(body):
+                block = np.fromiter(orjson.loads(_INTEGER_MINUS_ZERO.sub(b"-0.0", body)), float)
         except orjson.JSONDecodeError:
             return None
-        table[filled:filled + 3 * n] = values
-        filled, start = filled + 3 * n, stop + 1
+        table[filled:filled + block.size] = block
+        filled += block.size
     return table.reshape(rows, 3)
 
 
@@ -492,10 +502,21 @@ def _loadtxt_table(text: str) -> np.ndarray:
     return table
 
 
-def signal_from_csv(text: str) -> BoundarySignal:
-    table = _canonical_table(text)
-    if table is None:
-        table = _loadtxt_table(text)
+def signal_from_csv(text: str | bytes) -> BoundarySignal:
+    """The signal of a CSV text, or of a CSV file's bytes. Bytes that are not
+    canonical are decoded as ``Path.read_text`` decodes a file (the locale
+    encoding, universal newlines) and read as that text, so a bad encoding
+    raises the error ``read_text`` raises and a CRLF file reaches the
+    canonical reader with LF line ends. A text is encoded once, when it is
+    ASCII, for the canonical reader."""
+    if isinstance(text, bytes):
+        table = _canonical_table(text)
+        if table is None:
+            return signal_from_csv(io.TextIOWrapper(io.BytesIO(text), encoding=None).read())
+    else:
+        table = _canonical_table(text.encode("ascii")) if text.isascii() else None
+        if table is None:
+            table = _loadtxt_table(text)
     grid = CircleGrid(table.shape[0])
     if not np.all(np.abs(table[:, 0] - grid.nodes) <= 1e-9):  # refuses NaN too
         raise ValueError("theta column must be uniform 2*pi*j/N within 1e-9")

@@ -95,7 +95,7 @@ def _trim_trailing(a: np.ndarray) -> np.ndarray:
     return a[: keep[-1] + 1]
 
 
-# Test-only, but kept: perfbench/tracing.py wraps it by name (ROADMAP: "Move the spans").
+# Test-only, but kept: perfbench/tracing.py wraps it by name (ROADMAP item 8).
 def analytic_projection(f: BoundarySignal, leak_tol: float = 1e-8) -> AnalyticRep:
     """Nonnegative-frequency DFT coefficients of ``f``.
 
@@ -128,7 +128,7 @@ def conjugate(k: np.ndarray) -> np.ndarray:
     return np.fft.irfft(c, k.size)
 
 
-# Test-only, but kept: perfbench/tracing.py wraps it by name (ROADMAP: "Move the spans").
+# Test-only, but kept: perfbench/tracing.py wraps it by name (ROADMAP item 8).
 def conjugate_function(k: BoundarySignal) -> BoundarySignal:
     """Harmonic-conjugate boundary values of a real signal (zero mean part)."""
     if not k.is_real():

@@ -89,6 +89,34 @@ def test_out_commands_keep_their_memory_budget_at_65536_nodes(capsys, tmp_path, 
     assert peak <= budget * 65536
 
 
+# The same cold peaks, without --out, for commands that read 65536-node CSV
+# files (one-minus-z, and one-minus-z-squared as h): certify peaked at
+# 140.4 B/node (8.77 MiB) and member at 146.3 B/node (9.14 MiB), both when
+# files were read as text and now that they are read as bytes, so the
+# certificate, not the reader, sets the peak. Each budget is its peak plus
+# 5 %, the headroom the budgets above leave over their peaks.
+@pytest.mark.parametrize("argv, budget", [
+    (["certify", "--generators", "{f}"], 148),
+    (["member", "--h", "{h}", "--generators", "{f}"], 154),
+], ids=["certify", "member"])
+def test_csv_commands_keep_their_memory_budget_at_65536_nodes(capsys, tmp_path, argv, budget):
+    paths = {}
+    for key, name in (("f", "one-minus-z"), ("h", "one-minus-z-squared")):
+        paths[key] = tmp_path / f"{key}.csv"
+        paths[key].write_text(signal_to_csv(example_boundary(name, CircleGrid(65536))))
+    grid = hardylab.grid
+    for cache in (grid._row_templates, grid._field_tables):
+        cache.cache_clear()
+    tracemalloc.start()
+    try:
+        code, _, _ = run(capsys, *[a.format(**paths) for a in argv])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= budget * 65536
+
+
 def test_synth_outer_from_an_entry_without_a_profile_writes_its_log_abs(capsys, tmp_path):
     """An entry with no log-modulus profile gives the log-modulus of its boundary."""
     code, _, _ = run(
@@ -574,12 +602,38 @@ G8_ROW, G8_NEXT = G8_CSV.splitlines()[2:4]
         "extra-column", "quoted-number", "nan-theta", "comment-tail", "trailing-comma",
         "whitespace-line", "four-fields-every-row", "underscore-digits",
         "arabic-indic-digit", "json-true", "json-null", "two-and-four-fields"])
-def test_malformed_csv_exits_one_with_json(capsys, monkeypatch, text):
+def test_malformed_csv_exits_one_with_json(capsys, monkeypatch, tmp_path, text):
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
     code, out, err = run(capsys, "factorize", "--f", "-")
     assert code == 1
     assert out == ""
     assert json.loads(err)["error"] == "io-format"
+    # stdin is read as text and a file as bytes: the refusal is the same
+    path = tmp_path / "f.csv"
+    path.write_bytes(text.encode())
+    assert run(capsys, "factorize", "--f", str(path)) == (code, out, err)
+
+
+_CSV_1024 = signal_to_csv(example_boundary("one-minus-z", CircleGrid(1024))).encode()
+
+
+@pytest.mark.parametrize("data", [
+    b"\xff" + _CSV_1024,
+    _CSV_1024[:-10] + b"\xe9" + _CSV_1024[-10:],
+    _CSV_1024.replace(b"\n", b"\r\n")[:-10] + b"\xc3" + _CSV_1024.replace(b"\n", b"\r\n")[-10:],
+], ids=["first-byte", "last-row", "crlf-last-row"])
+@pytest.mark.parametrize("argv", [["factorize", "--f"], ["certify", "--generators"]],
+                         ids=["factorize", "certify"])
+def test_csv_file_that_is_not_utf8_is_refused_as_read_text_refuses_it(capsys, tmp_path, data, argv):
+    # the file is read as bytes; bytes that are not canonical are decoded as
+    # Path.read_text decodes them, so the error names the same byte and offset
+    path = tmp_path / "f.csv"
+    path.write_bytes(data)
+    with pytest.raises(UnicodeDecodeError) as exc:
+        path.read_text()
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out) == (1, "")
+    assert err == dump_text({"error": "io-format", "message": str(exc.value)})
 
 
 @pytest.mark.parametrize("command,flag", [
@@ -658,6 +712,21 @@ def test_config_rejects_unknown_keys_and_bad_files(capsys, tmp_path):
     assert code == 1
     assert json.loads(err)["error"] == "io-format"
     assert "not valid JSON" in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("value, kind", [
+    ("[" * 900 + "]" * 900, "a list"),
+    (json.dumps(list(range(100_000))), "a list"),
+    ('{"a": ' * 900 + "1" + "}" * 900, "an object"),
+], ids=["list-900-deep", "list-of-100000", "object-900-deep"])
+def test_config_list_or_object_value_is_refused_by_its_type(capsys, tmp_path, value, kind):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"stages": ' + value + "}")
+    code, out, err = run(capsys, "certify", "--generators", "one-minus-z", "--config", str(cfg))
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {
+        "error": "io-format", "message": f"config key 'stages': {kind} is not an option value"}
+    assert len(err.encode()) < 300
 
 
 def test_config_integers_stay_integers(capsys, tmp_path):

@@ -141,6 +141,14 @@ def bits(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a).view(np.uint64)
 
 
+def read_csv(text: str) -> BoundarySignal:
+    """``signal_from_csv`` of ``text``, which must read bitwise the same from
+    the text's UTF-8 bytes, as the CLI passes a file."""
+    f = signal_from_csv(text)
+    assert np.array_equal(bits(signal_from_csv(text.encode()).values), bits(f.values))
+    return f
+
+
 EDGE_VALUES = np.array([
     0.0, -0.0, 5e-324, -5e-324, np.finfo(float).tiny, -np.finfo(float).tiny,
     1e308, -1e308, np.nextafter(1.0, 2.0), -np.nextafter(1.0, 2.0),
@@ -174,7 +182,7 @@ def test_csv_codec_matches_oracles_bitwise(size, seed):
     f = mixed_signal(size, seed)
     text = signal_to_csv(f)
     assert text == fstring_oracle_csv(f)
-    back = signal_from_csv(text)
+    back = read_csv(text)
     theta, re, im = csv_reader_oracle_columns(text)
     assert np.array_equal(theta, f.grid.nodes)
     assert np.array_equal(bits(back.values.real), bits(re))
@@ -260,7 +268,7 @@ def test_canonical_reader_matches_loadtxt_bitwise(size, seed):
         for v, k in zip(parts.tolist(), spellings.tolist())
     ]
     text = "theta,re,im\n" + "".join(",".join(fields[i:i + 3]) + "\n" for i in range(0, len(fields), 3))
-    fast = grid._canonical_table(text)
+    fast = grid._canonical_table(text.encode("ascii"))
     assert fast is not None
     assert np.array_equal(bits(fast), bits(grid._loadtxt_table(text)))
     assert np.array_equal(bits(fast).ravel(), bits(np.array([float(t) for t in fields])))
@@ -268,7 +276,7 @@ def test_canonical_reader_matches_loadtxt_bitwise(size, seed):
 
 def test_csv_keeps_signed_zeros_that_complex_arithmetic_drops():
     f = BoundarySignal(CircleGrid(8), complex_from_parts(np.full(8, -0.0), np.full(8, -0.0)))
-    back = signal_from_csv(signal_to_csv(f))
+    back = read_csv(signal_to_csv(f))
     assert np.array_equal(bits(back.values), bits(f.values))
     # building values as re + 1j*im, as the row-wise reader did, loses -0 parts
     assert not np.array_equal(bits(-0.0 + 1j * np.full(8, -0.0)), bits(f.values))
@@ -278,18 +286,19 @@ def test_csv_roundtrip_bitwise():
     g = CircleGrid(32)
     f = signal_from_values(g, np.exp(1j * g.nodes) / 3.0 + 0.25j)
     text = signal_to_csv(f)
-    back = signal_from_csv(text)
+    back = read_csv(text)
     assert np.array_equal(back.values, f.values)
     assert signal_to_csv(back) == text
 
 
-def test_csv_rejects_bad_header_and_nonuniform_theta():
-    with pytest.raises(ValueError):
-        signal_from_csv("a,b,c\n0,1,0\n")
+@pytest.mark.parametrize("encode", [str, str.encode], ids=["str", "bytes"])
+def test_csv_rejects_bad_header_and_nonuniform_theta(encode):
+    with pytest.raises(ValueError, match="expected CSV header"):
+        signal_from_csv(encode("a,b,c\n0,1,0\n"))
     g = CircleGrid(8)
     rows = ["theta,re,im"] + [f"{t + 0.01:.17g},1,0" for t in g.nodes]
-    with pytest.raises(ValueError):
-        signal_from_csv("\n".join(rows) + "\n")
+    with pytest.raises(ValueError, match="theta column"):
+        signal_from_csv(encode("\n".join(rows) + "\n"))
 
 
 # re 0, 0.5, .., 3.5 with re[0] = -0.0, and im alternating -0.0 and -2.5: the
@@ -323,7 +332,58 @@ G8_TEXT = signal_to_csv(signal_from_values(CircleGrid(8), G8_VALUES))
         "minus-zero-padded", "no-final-newline"])
 def test_csv_accepted_variants_read_the_same_values(text):
     assert G8_TEXT.count(",-0") == 5
-    assert np.array_equal(bits(signal_from_csv(text).values), bits(G8_VALUES))
+    assert np.array_equal(bits(read_csv(text).values), bits(G8_VALUES))
+
+
+def zero_token_signals() -> list[BoundarySignal]:
+    """16-node signals whose CSVs hold integer tokens -0 and 0: a complex one
+    with both zeros in each part column, in the first and last rows and in
+    rows 7 and 8, and a real one whose im column is 0 but for one -0."""
+    rng = np.random.default_rng(5)
+    re, im = rng.normal(size=(2, 16)) + 2.0
+    re[[0, 7, 8, 15]] = [-0.0, 0.0, -0.0, 0.0]
+    im[[0, 7, 8, 15]] = [0.0, -0.0, 0.0, -0.0]
+    real_im = np.zeros(16)
+    real_im[9] = -0.0
+    return [BoundarySignal(CircleGrid(16), complex_from_parts(re, im)),
+            BoundarySignal(CircleGrid(16), complex_from_parts(re[::-1] + 1.0, real_im))]
+
+
+@pytest.mark.parametrize("f", zero_token_signals(), ids=["complex", "real"])
+def test_csv_integer_zero_tokens_keep_their_signs_across_chunk_cuts(monkeypatch, f):
+    # theta 0 is written as the token -0 too; chunks of every size from one
+    # row to the whole text put a cut between every pair of rows, and zeros
+    # and minus zeros in the same chunk and in different ones
+    text = "theta,re,im\n-" + signal_to_csv(f)[len("theta,re,im\n"):]
+    tokens = text.split("\n", 1)[1].replace("\n", ",").rstrip(",").split(",")
+    assert "-0" in tokens and "0" in tokens
+    want = bits(np.array([float(t) for t in tokens]))
+    for size in range(1, len(text) + 1):
+        monkeypatch.setattr(grid, "_CANONICAL_CHUNK_CHARS", size)
+        assert np.array_equal(bits(grid._canonical_table(text.encode())).ravel(), want)
+        assert np.array_equal(bits(read_csv(text).values), bits(f.values))
+
+
+def test_canonical_reader_parses_each_chunk_once_without_a_minus_zero(monkeypatch):
+    # one row per chunk: 64 loads for 64 rows, theta 0 included; a row with
+    # the token -0 is parsed again, and only that row
+    parts = mixed_signal(64, 7).values.view(float).copy()
+    parts[parts == 0] = 1.5
+    text = signal_to_csv(signal_from_values(CircleGrid(64), parts.view(complex)))
+    rows = [row.split(",") for row in text.splitlines()]
+    assert not {"0", "-0"} & {t for row in rows[1:] for t in row[1:]}
+    loads, calls = orjson.loads, []
+    monkeypatch.setattr(orjson, "loads", lambda b: calls.append(b) or loads(b))
+    monkeypatch.setattr(grid, "_CANONICAL_CHUNK_CHARS", 1)
+    for data in (text.encode(), text):
+        calls.clear()
+        assert np.array_equal(bits(signal_from_csv(data).values), bits(parts))
+        assert len(calls) == 64
+    rows[6][1], parts[10] = "-0", -0.0
+    calls.clear()
+    f = signal_from_csv("".join(",".join(row) + "\n" for row in rows).encode())
+    assert np.array_equal(bits(f.values), bits(parts))
+    assert len(calls) == 65
 
 
 @pytest.mark.parametrize("char", [
@@ -334,8 +394,9 @@ def test_csv_refuses_whitespace_that_is_not_a_space_tab_or_line_end(char):
     # every one of them as a blank around a field
     for text in (char.join(G8_TEXT.splitlines()), G8_TEXT.replace(",", char + ",", 3),
                  G8_TEXT.replace("\n", char + "\n")):
-        with pytest.raises(ValueError, match="not a space, tab or line end"):
-            signal_from_csv(text)
+        for given in (text, text.encode()):
+            with pytest.raises(ValueError, match="not a space, tab or line end"):
+                signal_from_csv(given)
 
 
 def test_csv_row_count_is_checked_before_any_float(monkeypatch):
@@ -366,6 +427,11 @@ def test_csv_codec_memory_at_65536_nodes():
         tracemalloc.reset_peak()
         signal_from_csv(text)
         read_peak = tracemalloc.get_traced_memory()[1] - len(text)
+        data = text.encode("ascii")  # a file's bytes, as the CLI reads it
+        tracemalloc.reset_peak()
+        signal_from_csv(data)
+        bytes_peak = tracemalloc.get_traced_memory()[1] - len(text) - len(data)
+        del data
         crlf = text.replace("\n", "\r\n")  # read by np.loadtxt, not orjson
         tracemalloc.reset_peak()
         signal_from_csv(crlf)
@@ -373,12 +439,14 @@ def test_csv_codec_memory_at_65536_nodes():
     finally:
         tracemalloc.stop()
     # measured this way, the row-wise writer peaked at 10.9 MiB and the
-    # csv.reader parser at 37.3 MiB; the block codec takes 9.2 MiB (a first
-    # write, its row templates and field-kernel tables included, as with the
-    # per-float formatter before the kernel), 5.7 MiB through orjson and
-    # 11.7 MiB through np.loadtxt (11.6 before orjson, when it read the LF text)
+    # csv.reader parser at 37.3 MiB; the block codec takes 9.0-9.2 MiB (a
+    # first write, its row templates and field-kernel tables included, as with
+    # the per-float formatter before the kernel), 11.2-11.7 MiB through
+    # np.loadtxt, and through orjson 5.1 MiB from bytes and 6.8-7.4 MiB from a
+    # text, which is encoded to bytes first (5.7 MiB when orjson read text)
     assert write_peak < 10 << 20
     assert read_peak < 16 << 20
+    assert bytes_peak < read_peak
     assert loadtxt_peak < 16 << 20
 
 
