@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import reproduce as reproduce_mod
-from .catalog import catalog_names, get_example
+from .catalog import CatalogEntry, catalog_names, get_example
 from .errors import HardyLabError, UnknownExample
 from .factorization import (
     CLIP_FLOOR,
@@ -81,38 +81,32 @@ class _Parser(argparse.ArgumentParser):
 # input resolution
 # ---------------------------------------------------------------------------
 
-def _resolve(token: str, from_catalog, parse, file_kind: str, read=Path.read_text):
+def _resolve(token: str, from_catalog, parse, file_kind: str):
     """A registry name (through ``from_catalog``), '-' for stdin, or a file
-    path; stdin text and the file's contents, as ``read`` gives them, go
-    through ``parse``."""
+    path; the bytes of stdin or of the file go through ``parse``, which
+    decodes them, where it needs text, by ``grid.decode_text``."""
     if token in catalog_names():
         return from_catalog(get_example(token))
     if token == "-":
-        return parse(sys.stdin.read())
+        return parse(sys.stdin.buffer.read())
     path = Path(token)
     if path.exists():
-        return parse(read(path))
+        return parse(path.read_bytes())
     raise UnknownExample(
         f"{token!r} is neither a registry name nor a readable {file_kind} file; "
         f"known names: {', '.join(catalog_names())}"
     )
 
 
-def _resolve_signal(token: str, grid_size: int):
-    """A boundary signal: registry name, CSV path, or '-' for stdin CSV."""
+def _resolve_signal(token: str, grid_size: int, route=CatalogEntry.boundary):
+    """A signal: registry name (its ``route`` on the grid), CSV path, or '-'."""
     grid = CircleGrid(grid_size)  # refuses an illegal size for file inputs too
-    return _resolve(token, lambda e: e.boundary(grid), signal_from_csv, "CSV", Path.read_bytes)
+    return _resolve(token, lambda e: route(e, grid), signal_from_csv, "CSV")
 
 
 def _resolve_taylor(token: str) -> AnalyticRep:
     """An analytic (Taylor) representation: registry name, JSON path, or '-'."""
     return _resolve(token, lambda e: e.taylor(), AnalyticRep.from_json, "JSON")
-
-
-def _resolve_log_modulus(token: str, grid_size: int):
-    """A log-modulus signal for outer synthesis, which refuses it unless real."""
-    grid = CircleGrid(grid_size)
-    return _resolve(token, lambda e: e.log_modulus(grid), signal_from_csv, "CSV", Path.read_bytes)
 
 
 def _comma_list(convert, noun: str):
@@ -155,7 +149,7 @@ def _emit(report: dict, out: Optional[str]) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_synth_outer(args) -> None:
-    k = _resolve_log_modulus(args.k, args.grid_size)
+    k = _resolve_signal(args.k, args.grid_size, CatalogEntry.log_modulus)  # refused unless real
     outer = synth_outer(k)
     report = {
         "grid_size": k.grid.size,
@@ -429,7 +423,7 @@ def _with_config(parser: argparse.ArgumentParser, argv: list[str], path_text: st
     path = Path(path_text)
     if not path.exists():
         raise OSError(f"config file not found: {path_text}")
-    values = _read_json(path.read_text(), "config file")
+    values = _read_json(path.read_bytes(), "config file")
     if not isinstance(values, dict):
         raise ValueError("config file must hold a JSON object")
     tokens = []

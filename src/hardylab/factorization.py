@@ -109,7 +109,7 @@ def blaschke(a: complex, z) -> complex | np.ndarray:
     which is unimodular on the circle.
     """
     a = complex(a)
-    if abs(a) >= 1:
+    if not abs(a) < 1:  # refuses NaN too
         raise ValueError("Blaschke zero must lie in the open disc")
     zs = np.asarray(z, dtype=complex)
     if a == 0:
@@ -125,7 +125,7 @@ def singular_inner(alpha: complex, z) -> complex | np.ndarray:
     limit at ``alpha`` itself is 0, and evaluation exactly there raises.
     """
     alpha = complex(alpha)
-    if abs(abs(alpha) - 1.0) > 1e-12:
+    if not abs(abs(alpha) - 1.0) <= 1e-12:  # refuses NaN too
         raise ValueError("singular point must be unimodular")
     zs = np.asarray(z, dtype=complex)
     if np.any(zs == alpha):
@@ -138,7 +138,7 @@ def singular_inner_boundary(alpha: complex, grid: CircleGrid) -> BoundarySignal:
     """Boundary samples of ``singular_inner(alpha, .)``; the node at the
     singular point (if any) carries the radial-limit value 0."""
     pts = grid.boundary_points()
-    ok = np.abs(pts - complex(alpha)) >= 1e-12
+    ok = ~(np.abs(pts - complex(alpha)) < 1e-12)  # a NaN alpha reaches the check
     vals = np.zeros(grid.size, dtype=complex)
     vals[ok] = singular_inner(alpha, pts[ok])
     return BoundarySignal(grid, vals)

@@ -502,17 +502,21 @@ def _loadtxt_table(text: str) -> np.ndarray:
     return table
 
 
+def decode_text(data: bytes) -> str:
+    """The text ``Path.read_text`` gives for a file holding ``data`` (locale
+    encoding, universal newlines), or the error it raises."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding=None).read()
+
+
 def signal_from_csv(text: str | bytes) -> BoundarySignal:
     """The signal of a CSV text, or of a CSV file's bytes. Bytes that are not
-    canonical are decoded as ``Path.read_text`` decodes a file (the locale
-    encoding, universal newlines) and read as that text, so a bad encoding
-    raises the error ``read_text`` raises and a CRLF file reaches the
+    canonical are read as their ``decode_text``, so a CRLF file reaches the
     canonical reader with LF line ends. A text is encoded once, when it is
     ASCII, for the canonical reader."""
     if isinstance(text, bytes):
         table = _canonical_table(text)
         if table is None:
-            return signal_from_csv(io.TextIOWrapper(io.BytesIO(text), encoding=None).read())
+            return signal_from_csv(decode_text(text))
     else:
         table = _canonical_table(text.encode("ascii")) if text.isascii() else None
         if table is None:
@@ -520,6 +524,6 @@ def signal_from_csv(text: str | bytes) -> BoundarySignal:
     grid = CircleGrid(table.shape[0])
     if not np.all(np.abs(table[:, 0] - grid.nodes) <= 1e-9):  # refuses NaN too
         raise ValueError("theta column must be uniform 2*pi*j/N within 1e-9")
-    vals = np.empty(grid.size, dtype=complex)
-    vals.real, vals.imag = table[:, 1], table[:, 2]  # keeps signed zeros
-    return BoundarySignal(grid, vals)
+    # re and im side by side are a complex column; the signal's copy is the
+    # only one, and keeps signed zeros
+    return BoundarySignal(grid, table[:, 1:].view(complex)[:, 0])

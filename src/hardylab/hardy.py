@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotAnalytic, PointOnBoundary
-from .grid import BoundarySignal, CircleGrid
+from .grid import BoundarySignal, CircleGrid, decode_text
 
 @dataclass(frozen=True)
 class AnalyticRep:
@@ -56,7 +56,7 @@ class AnalyticRep:
         return json.dumps({"coefficients": pairs})
 
     @staticmethod
-    def from_json(text: str) -> "AnalyticRep":
+    def from_json(text: str | bytes) -> "AnalyticRep":
         data = _read_json(text, "Taylor input")
         pairs = data.get("coefficients") if isinstance(data, dict) else None
         if not isinstance(pairs, list) or not all(map(_is_number_pair, pairs)):
@@ -64,10 +64,12 @@ class AnalyticRep:
         return AnalyticRep(np.array([complex(re, im) for re, im in pairs]))
 
 
-def _read_json(text: str, what: str):
-    """The value of JSON ``text``, integers kept as ``int``. Text that is not
-    JSON, nests too deeply to parse or holds an integer beyond the float
-    range raises ValueError naming ``what``."""
+def _read_json(text: str | bytes, what: str):
+    """The value of JSON ``text`` (bytes: their ``decode_text``), integers
+    kept as ``int``. Text that is not JSON, nests too deeply to parse or holds
+    an integer beyond the float range raises ValueError naming ``what``."""
+    if isinstance(text, bytes):
+        text = decode_text(text)
     try:
         return json.loads(text, parse_int=_json_int)
     except (ValueError, RecursionError) as exc:
@@ -150,7 +152,7 @@ def herglotz_integral(k: BoundarySignal, z) -> complex | np.ndarray:
     points x nodes kernel product with row means; a row is bitwise the node
     mean taken for its point alone.
 
-    Raises :class:`PointOnBoundary` when |z|^N > 1e-8 at any point, for N
+    Raises :class:`PointOnBoundary` unless |z|^N <= 1e-8 at every point, for N
     nodes. The node mean aliases with an error of about 5 |z|^N: for
     k = cos(theta) at N = 512 and 4096, exp of it misses exp(z) by up to 1e-2
     one cell (2 pi / N) from the circle, 3.4e-8 at three cells and 1.1e-13
@@ -161,7 +163,7 @@ def herglotz_integral(k: BoundarySignal, z) -> complex | np.ndarray:
     n = k.grid.size
     r = np.abs(flat)
     with np.errstate(over="ignore"):  # |z| > 1 may overflow to inf, and is refused
-        near = np.flatnonzero((r >= 1.0) | (r**n > 1e-8))
+        near = np.flatnonzero(~(r**n <= 1e-8))  # |z| >= 1 and NaN too
     if near.size:
         raise PointOnBoundary(
             f"|z| = {r[near[0]]:.12f} is too close to the circle for {n} nodes"

@@ -41,6 +41,11 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def byte_stdin(data):
+    """A stdin that holds bytes under its text layer, as a real one does."""
+    return io.TextIOWrapper(io.BytesIO(data if isinstance(data, bytes) else data.encode()))
+
+
 def test_synth_outer_report(capsys):
     code, out, err = run(capsys, "synth-outer", "--k", "ramp-logmod", "--grid-size", "1024")
     assert code == 0
@@ -90,18 +95,27 @@ def test_out_commands_keep_their_memory_budget_at_65536_nodes(capsys, tmp_path, 
 
 
 # The same cold peaks, without --out, for commands that read 65536-node CSV
-# files (one-minus-z, and one-minus-z-squared as h): certify peaked at
-# 140.4 B/node (8.77 MiB) and member at 146.3 B/node (9.14 MiB), both when
-# files were read as text and now that they are read as bytes, so the
-# certificate, not the reader, sets the peak. Each budget is its peak plus
-# 5 %, the headroom the budgets above leave over their peaks.
+# files (one-minus-z as f, one-minus-z-squared as h, two-plus-z as a).
+# certify peaked at 140.4 B/node (8.77 MiB) and member at 146.3 B/node
+# (9.14 MiB), both when files were read as text and when they were first
+# read as bytes; certify has since come down to 130.4, and member is at
+# 146.2. Each budget is a peak plus 5 %, the headroom the budgets above
+# leave over their peaks; the last four are set from the peaks before the
+# reader handed its table to the signal with one copy (before -> after):
+# zeroset 116.2 -> 100.2, approx-unit 122.2 and 137.2 (sublevel and peak)
+# and prime-check 170.2, the last three unchanged, as their units and
+# certificates, not the reader, set the peak.
 @pytest.mark.parametrize("argv, budget", [
     (["certify", "--generators", "{f}"], 148),
     (["member", "--h", "{h}", "--generators", "{f}"], 154),
-], ids=["certify", "member"])
+    (["zeroset", "--f", "{f}"], 123),
+    (["approx-unit", "--generators", "{f}", "--strategy", "sublevel"], 129),
+    (["approx-unit", "--generators", "{f}", "--strategy", "peak"], 145),
+    (["prime-check", "--a", "{a}", "--b", "{h}", "--generators", "{f}"], 179),
+], ids=["certify", "member", "zeroset", "approx-unit-sublevel", "approx-unit-peak", "prime-check"])
 def test_csv_commands_keep_their_memory_budget_at_65536_nodes(capsys, tmp_path, argv, budget):
     paths = {}
-    for key, name in (("f", "one-minus-z"), ("h", "one-minus-z-squared")):
+    for key, name in (("f", "one-minus-z"), ("h", "one-minus-z-squared"), ("a", "two-plus-z")):
         paths[key] = tmp_path / f"{key}.csv"
         paths[key].write_text(signal_to_csv(example_boundary(name, CircleGrid(65536))))
     grid = hardylab.grid
@@ -570,7 +584,7 @@ def test_usage_error_exits_one(capsys):
 
 def test_stdin_signal(capsys, monkeypatch):
     csv = signal_to_csv(example_boundary("one-minus-z", CircleGrid(1024)))
-    monkeypatch.setattr("sys.stdin", io.StringIO(csv))
+    monkeypatch.setattr("sys.stdin", byte_stdin(csv))
     code, out, _ = run(capsys, "factorize", "--f", "-")
     assert code == 0
     assert json.loads(out)["grid_size"] == 1024
@@ -603,12 +617,12 @@ G8_ROW, G8_NEXT = G8_CSV.splitlines()[2:4]
         "whitespace-line", "four-fields-every-row", "underscore-digits",
         "arabic-indic-digit", "json-true", "json-null", "two-and-four-fields"])
 def test_malformed_csv_exits_one_with_json(capsys, monkeypatch, tmp_path, text):
-    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    monkeypatch.setattr("sys.stdin", byte_stdin(text))
     code, out, err = run(capsys, "factorize", "--f", "-")
     assert code == 1
     assert out == ""
     assert json.loads(err)["error"] == "io-format"
-    # stdin is read as text and a file as bytes: the refusal is the same
+    # stdin and a file are both read as bytes: the refusal is the same
     path = tmp_path / "f.csv"
     path.write_bytes(text.encode())
     assert run(capsys, "factorize", "--f", str(path)) == (code, out, err)
@@ -624,16 +638,82 @@ _CSV_1024 = signal_to_csv(example_boundary("one-minus-z", CircleGrid(1024))).enc
 ], ids=["first-byte", "last-row", "crlf-last-row"])
 @pytest.mark.parametrize("argv", [["factorize", "--f"], ["certify", "--generators"]],
                          ids=["factorize", "certify"])
-def test_csv_file_that_is_not_utf8_is_refused_as_read_text_refuses_it(capsys, tmp_path, data, argv):
-    # the file is read as bytes; bytes that are not canonical are decoded as
-    # Path.read_text decodes them, so the error names the same byte and offset
+def test_csv_file_that_is_not_utf8_is_refused_as_read_text_refuses_it(
+        capsys, monkeypatch, tmp_path, data, argv):
+    # the file and stdin are read as bytes; bytes that are not canonical are
+    # decoded as Path.read_text decodes them, so the error names the same
+    # byte and offset
     path = tmp_path / "f.csv"
     path.write_bytes(data)
     with pytest.raises(UnicodeDecodeError) as exc:
         path.read_text()
-    code, out, err = run(capsys, *argv, str(path))
-    assert (code, out) == (1, "")
-    assert err == dump_text({"error": "io-format", "message": str(exc.value)})
+    want = (1, "", dump_text({"error": "io-format", "message": str(exc.value)}))
+    assert run(capsys, *argv, str(path)) == want
+    monkeypatch.setattr("sys.stdin", byte_stdin(data))
+    assert run(capsys, *argv, "-") == want
+
+
+_TAYLOR = b'{"coefficients": [[1, 0], [-1, 0]]}\n'
+_CONFIG = b'{"M": 8}\n'
+
+
+def _json_forms(data: bytes) -> list[bytes]:
+    """``data`` with a byte that is not UTF-8, after a UTF-8 BOM, and with
+    CRLF line ends and a syntax error on line 2."""
+    return [data[:-3] + b"\xe9" + data[-3:], b"\xef\xbb\xbf" + data,
+            data.replace(b"{", b"{\r\n", 1).replace(b"}\n", b"x\r\n}\r\n")]
+
+
+def _read_text_refusal(path: Path, what: str) -> str:
+    """The stderr of a JSON file's refusal when it is read by read_text."""
+    try:
+        json.loads(path.read_text())
+    except UnicodeDecodeError as exc:
+        message = str(exc)
+    except ValueError as exc:
+        message = f"{what} is not valid JSON: {exc}"
+    return dump_text({"error": "io-format", "message": message})
+
+
+@pytest.mark.parametrize("data", _json_forms(_TAYLOR), ids=["not-utf8", "bom", "crlf-line-2"])
+def test_taylor_json_is_decoded_as_read_text_decodes_it(capsys, monkeypatch, tmp_path, data):
+    path = tmp_path / "f.json"
+    path.write_bytes(data)
+    want = (1, "", _read_text_refusal(path, "Taylor input"))
+    assert run(capsys, "density", "--f", str(path), "--M", "8") == want
+    monkeypatch.setattr("sys.stdin", byte_stdin(data))
+    assert run(capsys, "density", "--f", "-", "--M", "8") == want
+
+
+@pytest.mark.parametrize("data", _json_forms(_CONFIG), ids=["not-utf8", "bom", "crlf-line-2"])
+def test_config_file_is_decoded_as_read_text_decodes_it(capsys, tmp_path, data):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(data)
+    want = (1, "", _read_text_refusal(path, "config file"))
+    assert run(capsys, "density", "--f", "one-minus-z", "--config", str(path)) == want
+
+
+@pytest.mark.parametrize("argv", [["factorize", "--f"], ["certify", "--generators"]],
+                         ids=["factorize", "certify"])
+def test_csv_from_stdin_peaks_no_higher_than_from_its_file(capsys, monkeypatch, tmp_path, argv):
+    # both are read as bytes, so stdin holds no decoded text and no second
+    # encoded copy: a 65536-row text on stdin peaked at 144.1 B/node against
+    # 116.2 from its file in factorize when stdin was read as text
+    data = signal_to_csv(example_boundary("one-minus-z", CircleGrid(65536))).encode()
+    path = tmp_path / "f.csv"
+    path.write_bytes(data)
+    assert run(capsys, *argv, str(path))[0] == 0  # imports and caches, untraced
+    peaks = []
+    for token in (str(path), "-"):
+        monkeypatch.setattr("sys.stdin", byte_stdin(data))
+        tracemalloc.start()
+        try:
+            code, _, _ = run(capsys, *argv, token)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+    assert peaks[1] <= 1.01 * peaks[0]
 
 
 @pytest.mark.parametrize("command,flag", [
@@ -665,7 +745,7 @@ def test_grid_size_is_a_usage_error_where_no_grid_is_built(capsys, argv):
 
 def test_csv_above_the_grid_cap_exits_one(capsys, monkeypatch):
     monkeypatch.setattr("hardylab.grid.MAX_GRID_SIZE", 8)
-    monkeypatch.setattr("sys.stdin", io.StringIO("theta,re,im\n" + "0,0,0\n" * 16))
+    monkeypatch.setattr("sys.stdin", byte_stdin("theta,re,im\n" + "0,0,0\n" * 16))
     code, out, err = run(capsys, "factorize", "--f", "-")
     assert code == 1
     assert out == ""
@@ -896,7 +976,7 @@ def test_taylor_json_from_file_and_stdin_match_the_registry(capsys, tmp_path, mo
     code, got, _ = run(capsys, "density", "--f", str(path), "--schedule", "4,16")
     assert code == 0
     assert got == want.replace('"one-minus-z"', json.dumps(str(path)))
-    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    monkeypatch.setattr("sys.stdin", byte_stdin(text))
     code, got, _ = run(capsys, "density", "--f", "-", "--schedule", "4,16")
     assert code == 0
     assert got == want.replace('"one-minus-z"', '"-"')
@@ -938,7 +1018,7 @@ def test_log_modulus_from_file_and_stdin_match_the_registry(capsys, tmp_path, mo
     code, got, _ = run(capsys, "synth-outer", "--k", str(path))
     assert (code, got) == (0, want)
     # synthesis reads the real part of a log-modulus with imaginary noise below 1e-9
-    monkeypatch.setattr("sys.stdin", io.StringIO(signal_to_csv(ramp_log_modulus_signal(1e-12j))))
+    monkeypatch.setattr("sys.stdin", byte_stdin(signal_to_csv(ramp_log_modulus_signal(1e-12j))))
     code, got, _ = run(capsys, "synth-outer", "--k", "-")
     assert (code, got) == (0, want)
 
@@ -961,7 +1041,7 @@ def test_log_modulus_csv_keeps_signed_zeros_through_synth_outer(capsys, tmp_path
 
 
 def test_complex_log_modulus_exits_one(capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO(signal_to_csv(ramp_log_modulus_signal(1e-6j))))
+    monkeypatch.setattr("sys.stdin", byte_stdin(signal_to_csv(ramp_log_modulus_signal(1e-6j))))
     code, out, err = run(capsys, "synth-outer", "--k", "-")
     assert code == 1
     assert out == ""

@@ -92,7 +92,7 @@ INPUTS = {
 @pytest.mark.parametrize("argv, stdin, config", INPUTS.values(), ids=INPUTS.keys())
 def test_every_malformed_input_is_refused_with_one_io_format_error(
         capsys, monkeypatch, tmp_path, argv, stdin, config):
-    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(stdin.encode())))
     if config is not None:
         path = tmp_path / "config.json"
         path.write_text(config)

@@ -24,7 +24,7 @@ from hardylab import (
     synth_outer,
 )
 from hardylab.factorization import CLIP_FLOOR, clipped_log_modulus, singular_inner_boundary
-from hardylab.hardy import analytic_projection
+from hardylab.hardy import analytic_projection, herglotz_integral
 from oracles import outer_at_pointwise
 
 
@@ -134,6 +134,32 @@ def test_singular_inner_boundary_closed_form():
     assert np.allclose(s.values[1:], np.exp(-1j / np.tan(t / 2.0)))
     assert s.values[0] == 0.0  # radial limit at the singular point
     assert is_inner(s)
+
+
+NAN_POINTS = [math.nan, complex(math.nan, 0.0), np.array([0.0, 0.3j, math.nan, -0.2])]
+
+
+@pytest.mark.parametrize("z", NAN_POINTS, ids=["float", "complex", "array"])
+def test_nan_point_is_refused_as_on_the_boundary(z):
+    g = CircleGrid(64)
+    outer = synth_outer(signal_from_values(g, np.cos(g.nodes).astype(complex)))
+    with pytest.raises(PointOnBoundary):
+        outer.at(z)
+    with pytest.raises(PointOnBoundary):
+        herglotz_integral(outer.log_modulus, z)
+
+
+@pytest.mark.parametrize("a", [math.nan, complex(math.nan, 0.0), complex(0.0, math.nan)],
+                         ids=["float", "complex", "imaginary"])
+def test_nan_zero_or_singular_point_is_refused(a):
+    with pytest.raises(ValueError, match="open disc"):
+        blaschke(a, 0.3)
+    with pytest.raises(ValueError, match="unimodular"):
+        singular_inner(a, 0.3)
+    with pytest.raises(ValueError, match="unimodular"):
+        singular_inner(a, np.array([0.0, 0.3j]))
+    with pytest.raises(ValueError, match="unimodular"):
+        singular_inner_boundary(a, CircleGrid(64))
 
 
 def test_inner_outer_split_of_mixed_function(grid):
