@@ -37,6 +37,7 @@ sys.path.insert(0, str(HERE.parent / "src"))
 
 from hardylab.catalog import catalog_names, get_example  # noqa: E402
 from hardylab.cli import main  # noqa: E402
+from hardylab.grid import DEFAULT_GRID_SIZE  # noqa: E402
 from hardylab.reproduce import bundle_names  # noqa: E402
 
 GRID_SIZES = (512, 4096)
@@ -50,10 +51,6 @@ GENERATOR_SETS = (
     "one-minus-z,one-plus-z,two-plus-z",
     "one-minus-z,one-minus-z-squared,one-minus-z-times-exp",
 )
-
-#: The zeroset runs whose boundary comes from synth_outer; the others call
-#: no FFT, and their continuity probes would dominate the corpus time.
-ZEROSET_ENTRIES = ("offset-ramp", "ramp-logmod", "banded-logmod")
 
 
 def command_groups(n: int) -> dict[str, list[list[str]]]:
@@ -76,7 +73,7 @@ def command_groups(n: int) -> dict[str, list[list[str]]]:
         ],
         "synth-outer": [["synth-outer", "--k", e, *size] for e in logmod],
         "reproduce": [["reproduce", b, *size] for b in bundle_names()],
-        "zeroset": [["zeroset", "--f", e, *size] for e in ZEROSET_ENTRIES],
+        "zeroset": [["zeroset", "--f", e, *size] for e in names],
     }
 
 
@@ -138,11 +135,16 @@ def record(argv: list[str]) -> dict:
 
 def golden_files() -> dict[str, list[list[str]]]:
     """Corpus file name -> the command lines it records, in order."""
-    return {
+    files = {
         f"{group}-{n}.json": argvs
         for n in GRID_SIZES
         for group, argvs in command_groups(n).items()
     }
+    # zeroset also runs at the CLI's default grid size, so that the zero-set
+    # windows are pinned where a run without --grid-size takes them
+    n = DEFAULT_GRID_SIZE
+    files[f"zeroset-{n}.json"] = command_groups(n)["zeroset"]
+    return files
 
 
 def write_corpus(out_dir: Path) -> None:
