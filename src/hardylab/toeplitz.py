@@ -111,10 +111,12 @@ def _bidiagonal(a: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
     of a subnormal entry rounds so coarsely that its phase is no unit (for
     5e-324 (1 + i) it is 1 + i, which scales a singular value by sqrt 2). In
     the unit scale such entries lie far below that error, so they are dropped.
+    The scale is taken from the coefficients the truncation keeps, so a cut
+    one never pushes a kept one into that range.
     """
-    a, exp = _unit_scaled(a)
+    a, exp = _unit_scaled(a[:order])
     a[np.abs(a) < np.finfo(float).tiny] = 0.0
-    b = min(a.size, order) - 1
+    b = a.size - 1
     # LAPACK band storage, column-major with KU = 0: AB(1 + i - j, j) = T[i, j]
     ab = np.zeros((order, b + 1), dtype=complex)
     for k in range(b + 1):
@@ -187,8 +189,8 @@ def adjoint_kernel_dim(symbol: AnalyticRep, order: int, tol: float = KERNEL_TOL)
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must be finite with 0 < tol < 1, got {tol}")
     _check_order(order)
-    a = _unit_scaled(symbol.coefficients)[0]  # counted in this scale, never scaled back
-    if BANDED_ORDER_RATIO * (min(a.size, order) - 1) <= order:
+    a = _unit_scaled(symbol.coefficients[:order])[0]  # counted in the kept ones' scale
+    if BANDED_ORDER_RATIO * (a.size - 1) <= order:
         return _banded_kernel_dim(a, order, tol)
     sv = np.linalg.svd(_lower_toeplitz(a, order, order), compute_uv=False)
     top = float(np.max(sv))

@@ -59,21 +59,6 @@ def _half_width(grid: CircleGrid, full_width: float) -> float:
     return max(full_width / 2.0, MIN_WINDOW_CELLS * grid.spacing / 2.0)
 
 
-def window_nodes(grid: CircleGrid, center: float, full_width: float) -> np.ndarray:
-    """Ascending indices of the nodes within the (floored) window at ``center``.
-
-    Only the index range ``round(center/h) +- (half/h + 2)`` (mod N, at most
-    N indices) is tested, with node j at ``TWO_PI * j / N`` (bitwise
-    ``grid.nodes[j]``), so a window costs O(its width), not O(N).
-    """
-    n, h = grid.size, grid.spacing
-    half = _half_width(grid, full_width)
-    reach = int(half / h) + 2
-    start = int(round(center / h)) - reach
-    idx = np.sort(np.arange(start, start + min(2 * reach + 1, n)) % n)
-    return idx[circular_distance(TWO_PI * idx / n, center) <= half]
-
-
 def _turn(x: np.ndarray, y: np.ndarray, i, j, k) -> np.ndarray:
     """Cross product of (p_j - p_i) and (p_k - p_i): > 0 for a left turn."""
     return (x[j] - x[i]) * (y[k] - y[i]) - (y[j] - y[i]) * (x[k] - x[i])
@@ -128,8 +113,9 @@ def value_diameter(values: np.ndarray) -> float:
     upper = x.size - 1 - _lower_chain(x[::-1], y[::-1])
     hull = v[np.concatenate((lower[:-1], upper[:-1]))]  # counter-clockwise
     m = hull.size
-    if m < 3:  # collinear or coincident values
-        return float(abs(v[-1] - v[0]))
+    if m < 3:  # collinear in the unit scale: the farthest from v[0] is an end
+        end = v[np.argmax(np.abs(v - v[0]))]
+        return float(np.abs(v - end).max())
     edges = np.roll(hull, -1) - hull
     ang = np.unwrap(np.arctan2(edges.imag, edges.real))
     j = np.searchsorted(np.concatenate((ang, ang + TWO_PI)), ang + np.pi)
@@ -143,21 +129,25 @@ def value_diameter(values: np.ndarray) -> float:
     )
 
 
-def _windows(grid: CircleGrid, center: float) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """The nodes of the widest ``WIDTH_SCHEDULE`` window at ``center``, their
-    distances to it, and one mask over them per width, finest last.
+def _windows(grid: CircleGrid, center: float) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes of the widest ``WIDTH_SCHEDULE`` window at ``center``,
+    nearest first with ties by index, and the node count of each width's
+    window, finest last.
 
-    The windows are nested and centred alike, so each mask selects the nodes
-    of ``window_nodes(grid, center, w)``, in the same order.
+    The windows are nested and centred alike, so each is a prefix of that
+    order. Only the index range ``round(center/h) +- (half/h + 2)`` (mod N, at
+    most N indices) is tested, with node j at ``TWO_PI * j / N`` (bitwise
+    ``grid.nodes[j]``), so the windows cost O(their width), not O(N).
     """
-    idx = window_nodes(grid, center, WIDTH_SCHEDULE[0])
-    dist = circular_distance(TWO_PI * idx / grid.size, center)
-    return idx, dist, [dist <= _half_width(grid, w) for w in WIDTH_SCHEDULE]
-
-
-def _diameters(values: np.ndarray, inside: list[np.ndarray]) -> tuple[float, ...]:
-    """Exact value-set diameters of ``values`` over each window mask of ``_windows``."""
-    return tuple(value_diameter(values[m]) for m in inside)
+    n, h = grid.size, grid.spacing
+    reach = int(_half_width(grid, WIDTH_SCHEDULE[0]) / h) + 2
+    start = int(round(center / h)) - reach
+    idx = np.arange(start, start + min(2 * reach + 1, n)) % n
+    dist = circular_distance(TWO_PI * idx / n, center)
+    order = np.lexsort((idx, dist))
+    halves = [_half_width(grid, w) for w in WIDTH_SCHEDULE]
+    counts = np.searchsorted(dist[order], halves, side="right")
+    return idx[order[: counts[0]]], counts
 
 
 def _verdict(lo: Sequence[float], hi: Sequence[float], tol: float, flat: float) -> Optional[bool]:
@@ -190,8 +180,8 @@ class ExtensionResult:
 
     @cached_property
     def oscillations(self) -> tuple[float, ...]:
-        idx, _, inside = _windows(self.signal.grid, self.center)
-        return _diameters(self.signal.values[idx], inside)
+        idx, counts = _windows(self.signal.grid, self.center)
+        return tuple(value_diameter(self.signal.values[idx[:s]]) for s in counts)
 
 
 def continuous_extension(f: BoundarySignal, center: float) -> ExtensionResult:
@@ -203,23 +193,25 @@ def continuous_extension(f: BoundarySignal, center: float) -> ExtensionResult:
     is at the roundoff level 1e-12 max(1, sup|f|) of constant data. The
     extension value is the mean over the finest window.
 
-    The windows are nested, so each is sliced from the widest one. A
-    window's radius r, the largest distance of its values from the value at
-    the node nearest ``center`` (a node of every window), bounds its
-    diameter to [r, 2r]; the exact diameters are taken only when those
-    bounds leave the verdict open, and then kept as ``oscillations``.
+    The windows are nested, so each is a prefix of the widest one's nodes
+    taken nearest first. A window's radius r, the largest distance of its
+    values from the value at the node nearest ``center`` (the first node of
+    every window), bounds its diameter to [r, 2r]; the exact diameters are
+    taken only when those bounds leave the verdict open, and then kept as
+    ``oscillations``. The mean runs over the finest window in ascending index
+    order.
     """
     tol, flat = 10.0 * f.sup_abs * f.grid.size ** (-0.25), 1e-12 * max(1.0, f.sup_abs)
-    idx, dist, inside = _windows(f.grid, center)
+    idx, counts = _windows(f.grid, center)
     values = f.values[idx]
-    radius = np.abs(values - values[np.argmin(dist)])
-    r = np.array([np.max(radius[m]) for m in inside])
+    r = np.maximum.accumulate(np.abs(values - values[0]))[counts - 1]
     ok = _verdict(r * (1.0 - BOUND_MARGIN), 2.0 * r * (1.0 + BOUND_MARGIN), tol, flat)
     oscs = None
     if ok is None:
-        oscs = _diameters(values, inside)
+        oscs = tuple(value_diameter(values[:s]) for s in counts)
         ok = _verdict(oscs, oscs, tol, flat)
-    ext = ExtensionResult(ok, _scaled_mean(values[inside[-1]]), tol, DECAY_RATIO, f, center)
+    value = _scaled_mean(f.values[np.sort(idx[: counts[-1]])])
+    ext = ExtensionResult(ok, value, tol, DECAY_RATIO, f, center)
     if oscs is not None:
         vars(ext)["oscillations"] = oscs  # the cache ``cached_property`` reads first
     return ext
@@ -262,12 +254,9 @@ def essential_zero_set(f: BoundarySignal) -> ZeroSetEstimate:
     candidates = []
     for start, length in circular_runs(log_mod < -_LEVELS[-1], MIN_WINDOW_CELLS):
         center = float((TWO_PI * start / n + (length - 1) * h / 2.0) % TWO_PI)
-        idx, _, inside = _windows(grid, center)
-        near = log_mod[idx]
-        rows = tuple(
-            tuple(float(np.count_nonzero(near[m] < -level)) / n for m in inside)
-            for level in _LEVELS
-        )
+        idx, counts = _windows(grid, center)
+        below = np.cumsum(log_mod[idx, None] < -np.array(_LEVELS), axis=0)
+        rows = tuple(map(tuple, (below[counts - 1].T / n).tolist()))
         ok = all(m > 0.0 for row in rows for m in row)
         candidates.append(ZeroCandidate(center, complex(np.exp(1j * center)), rows, ok))
     angles = sorted(c.angle for c in candidates if c.accepted)

@@ -16,9 +16,9 @@ import numpy as np
 
 from hardylab import AnalyticRep, BoundarySignal, PointOnBoundary
 from hardylab.factorization import CLIP_FLOOR, clipped_log_modulus, outer_boundary
-from hardylab.grid import _scaled_mean
+from hardylab.grid import _scaled_mean, circular_distance
 from hardylab.ideals import prepare_peak
-from hardylab.zerosets import WIDTH_SCHEDULE, value_diameter, window_nodes
+from hardylab.zerosets import MIN_WINDOW_CELLS, WIDTH_SCHEDULE, value_diameter
 
 #: Catalog names whose Jensen outerness test and least-squares density must
 #: classify them identically.
@@ -112,12 +112,19 @@ def rotated_sup_complex(values: np.ndarray, phi: float) -> float:
     return float(np.max(np.abs(1.0 - np.exp(-1j * phi) * values)))
 
 
+def distance_window(grid, center: float, full_width: float) -> np.ndarray:
+    """Ascending indices of the nodes within ``full_width / 2`` of ``center``
+    (at least ``MIN_WINDOW_CELLS / 2`` cells), from the distance of every node."""
+    half = max(full_width / 2.0, MIN_WINDOW_CELLS * grid.spacing / 2.0)
+    return np.flatnonzero(circular_distance(grid.nodes, center) <= half)
+
+
 def continuous_extension_hull(f: BoundarySignal, center: float) -> tuple:
     """(ok, value, oscillations, tolerance) of a continuity test that takes
     the exact diameter of every window."""
     sup = float(np.max(np.abs(f.values)))
     tol = 10.0 * sup * f.grid.size ** (-0.25)
-    windows = [f.values[window_nodes(f.grid, center, w)] for w in WIDTH_SCHEDULE]
+    windows = [f.values[distance_window(f.grid, center, w)] for w in WIDTH_SCHEDULE]
     oscs = tuple(value_diameter(v) for v in windows)
     ok = continuity_rule(oscs, tol, 1e-12 * max(1.0, sup))
     return ok, _scaled_mean(windows[-1]), oscs, tol

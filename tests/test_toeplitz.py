@@ -250,6 +250,8 @@ def test_banded_kernel_dim_matches_svd_oracle(roots, log_scale, phase, extra):
     st.integers(min_value=1, max_value=128),
 )
 @settings(max_examples=30, deadline=None)
+# the cut coefficient 1 once set the scale, and the kept one fell to zero in it
+@example([2.225073858507e-311, 1], 1)
 def test_bidiagonal_keeps_the_singular_values_across_bandwidths(coeffs, order):
     """The band layout for every bandwidth up to 12, including symbols longer
     than the order, which the truncation cuts."""
@@ -257,6 +259,14 @@ def test_bidiagonal_keeps_the_singular_values_across_bandwidths(coeffs, order):
     dense = oracle_singular_values(f, order)
     banded = bidiagonal_singular_values(f, order)
     assert np.max(np.abs(banded - dense[::-1])) <= 1e-13 * dense[0]
+
+
+@pytest.mark.parametrize("coeffs", [[1e-300, 1e10], [1e-200, 1e200], [2.225073858507e-311, 1]])
+def test_kernel_count_takes_its_scale_from_the_kept_coefficients(coeffs):
+    """At order 1 the truncation is [a_0], which is nonzero: no kernel,
+    however large the coefficients the truncation cuts."""
+    f = AnalyticRep(np.array(coeffs, dtype=complex))
+    assert adjoint_kernel_dim(f, 1) == svd_oracle_kernel_dim(f, 1) == 0
 
 
 @pytest.mark.parametrize(
