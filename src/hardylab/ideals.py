@@ -92,10 +92,33 @@ def ideal(generators: Sequence[BoundarySignal], names: Sequence[str] | None = No
 # sublevel-supported units
 # ---------------------------------------------------------------------------
 
+class _Once:
+    """A zero-argument function's result, computed on the first call and kept;
+    the function, and whatever it holds, is dropped then."""
+
+    def __init__(self, build: Callable[[], BoundarySignal]):
+        self._build: Optional[Callable[[], BoundarySignal]] = build
+        self._value: Optional[BoundarySignal] = None
+
+    def __call__(self) -> BoundarySignal:
+        if self._build is not None:
+            self._value, self._build = self._build(), None
+        return self._value
+
+
+class _BuiltOnRead:
+    """A stage's ``unit``: built by its ``builder`` when first read, then kept.
+    Only the last stage of a construction has a builder, so only it has a unit."""
+
+    @property
+    def unit(self) -> Optional[BoundarySignal]:
+        return None if self.builder is None else self.builder()
+
+
 @dataclass(frozen=True)
-class UnitStage:
+class UnitStage(_BuiltOnRead):
     """One stage of the sublevel construction; ``support`` is the node mask
-    of A_m. Only the last stage of a construction carries its ``unit``."""
+    of A_m."""
 
     index: int
     eps: float
@@ -108,7 +131,7 @@ class UnitStage:
     cofactor_sup: float
     error: float
     sup_norm: float
-    unit: Optional[BoundarySignal] = None
+    builder: Optional[_Once] = None
 
 
 def dilation_width(stage: int, spacing: float) -> float:
@@ -119,16 +142,17 @@ def dilation_width(stage: int, spacing: float) -> float:
 
 #: A stage with a zero-argument function that builds its unit's values. The
 #: statistics come from real moduli and phases; the complex unit is built
-#: only when it is written out or kept.
+#: only when it is written out or read.
 StagedUnit = tuple[object, Callable[[], np.ndarray]]
 
 
 def _keep_final(grid: CircleGrid, units: Iterator[StagedUnit]) -> tuple:
-    """The stages of ``units`` as a tuple; the last one keeps its unit."""
+    """The stages of ``units`` as a tuple; the last one keeps the builder of
+    its unit, which is built when first read."""
     out = []
     for stage, unit in units:
         out.append(stage)
-    out[-1] = replace(out[-1], unit=BoundarySignal(grid, unit()))
+    out[-1] = replace(out[-1], builder=_Once(lambda: BoundarySignal(grid, unit())))
     return tuple(out)
 
 
@@ -179,7 +203,8 @@ def approx_unit_sublevel(
     ``dilation_width``. The unit is base * cofactor where the cofactor is the
     outer function with log-modulus -k on the complement of A_m, so the
     unit's modulus is e^{k} there times e^{-k} — exactly one — and equals the
-    generator modulus (< eps) on A_m. The last stage carries its unit.
+    generator modulus (< eps) on A_m. The last stage carries its unit,
+    built when first read.
     """
     return _keep_final(spec.grid, _sublevel_units(spec, stages))
 
@@ -206,6 +231,9 @@ def _sublevel_units(spec: IdealSpec, stages: Sequence[int]) -> Iterator[StagedUn
         [np.abs(g.values) for g in spec.generators])
     # the unit of every degenerate stage, built when first needed
     one = functools.cache(lambda: np.ones(grid.size, dtype=complex))
+    # k_c is negated in place, and only read as neg_k below: each stage's
+    # cofactor log-modulus is neg_k with the stage's mask nodes zeroed
+    neg_k = np.negative(k_c, out=k_c)
     # Sublevel masks are nested, so a stage with as many nodes as the one
     # before it has the same mask, and only its index, eps and dilated
     # measure differ.
@@ -214,7 +242,7 @@ def _sublevel_units(spec: IdealSpec, stages: Sequence[int]) -> Iterator[StagedUn
         eps = float(np.exp(-m))
         # The dilation stays under half a cell, so it adds no node: the
         # support's nodes are exactly the sublevel nodes.
-        mask = k_c < -m
+        mask = neg_k > m
         prev_count, count = count, np.count_nonzero(mask)
         if count == 0:
             yield UnitStage(
@@ -226,7 +254,7 @@ def _sublevel_units(spec: IdealSpec, stages: Sequence[int]) -> Iterator[StagedUn
                 off_support_deviation=0.0,
                 on_support_max=0.0,
                 value_at_zero=1.0 + 0.0j,
-                cofactor_sup=float(np.exp(-np.min(k_c))),
+                cofactor_sup=float(np.exp(np.max(neg_k))),
                 error=0.0,
                 sup_norm=1.0,
             ), one
@@ -243,28 +271,35 @@ def _sublevel_units(spec: IdealSpec, stages: Sequence[int]) -> Iterator[StagedUn
             stage = replace(stage, index=m, eps=eps, support_measure=support_measure)
             yield stage, unit
             continue
-        log_cof = np.where(mask, 0.0, -k_c)
+        on = np.flatnonzero(mask)
+        log_cof = neg_k.copy()
+        log_cof[on] = 0.0
         check_clip_count(_clip_log(log_cof), grid.size)
         phase = conjugate(log_cof)
         unit = functools.partial(_sublevel_unit, base, log_cof, phase)
         mod = np.exp(log_cof)
         cofactor_sup = float(np.max(mod))
         mod *= base_mod
-        off_dev = float(np.max(np.abs(mod[~mask] - 1.0))) if count < grid.size else 0.0
-        dist = _distance_to_one(mod, mod - 1.0, np.add(half_base_phase, 0.5 * phase))
+        mod_minus_one = mod - 1.0
+        dist = _distance_to_one(mod, mod_minus_one, np.add(half_base_phase, 0.5 * phase))
+        # |mod - 1| with the mask nodes zeroed: its max off the mask, or 0
+        # where every node is masked
+        off = np.abs(mod_minus_one, out=mod_minus_one)
+        off[on] = 0.0
         stage = UnitStage(
             index=m,
             eps=eps,
             support=mask,
             support_measure=support_measure,
             degenerate=False,
-            off_support_deviation=off_dev,
-            on_support_max=float(np.max(mod[mask])),
-            value_at_zero=complex(np.exp(np.sum(k_c[mask]) / grid.size)),
+            off_support_deviation=float(np.max(off)),
+            on_support_max=float(np.max(mod[on])),
+            value_at_zero=complex(np.exp(-np.sum(neg_k[on]) / grid.size)),
             cofactor_sup=cofactor_sup,
             error=float(np.max(np.multiply(dist, gen_mod, out=dist))),
             sup_norm=float(np.max(mod)),
         )
+        del mod, mod_minus_one, off, dist  # free them while the consumer runs
         yield stage, unit
 
 
@@ -292,20 +327,52 @@ class PeakPreparation:
     range_gap: float
 
 
-def _rotated_sup(gv: np.ndarray) -> Callable[[float], float]:
+#: The coarse rotation scan bounds each angle's sup from every this many nodes.
+_SCAN_STRIDE = 16
+#: Relative allowance for rounding between a subsample bound and a full sup.
+_SCAN_MARGIN = 1e-12
+
+
+def _rotated_sup(gv: np.ndarray) -> Callable[..., float]:
     """phi -> sup_j |1 - e^{-i phi} G_j| for the contiguous complex values
     ``gv``, in real arithmetic on two N-sized buffers: the square is
-    q - (Re G, Im G) . (2 cos phi, 2 sin phi) with q = 1 + |G|^2."""
+    q - (Re G, Im G) . (2 cos phi, 2 sin phi) with q = 1 + |G|^2. With
+    ``sampled`` the sup is over every ``_SCAN_STRIDE``-th node only, so it
+    is never above the full sup but for rounding."""
     pairs = gv.view(float).reshape(-1, 2)
     q = 1.0 + np.einsum("ij,ij->i", pairs, pairs)
     buf = np.empty(q.shape)
+    # copies, not strided views: a view is read one cache line per row
+    sampled_rows = pairs[::_SCAN_STRIDE].copy(), q[::_SCAN_STRIDE].copy()
 
-    def sup_at(phi: float) -> float:
-        np.matmul(pairs, (2.0 * math.cos(phi), 2.0 * math.sin(phi)), out=buf)
-        np.subtract(q, buf, out=buf)
-        return math.sqrt(max(float(np.max(buf)), 0.0))
+    def sup_at(phi: float, sampled: bool = False) -> float:
+        rows, q_rows = sampled_rows if sampled else (pairs, q)
+        out = buf[:q_rows.size]
+        np.matmul(rows, (2.0 * math.cos(phi), 2.0 * math.sin(phi)), out=out)
+        np.subtract(q_rows, out, out=out)
+        return math.sqrt(max(float(np.max(out)), 0.0))
 
     return sup_at
+
+
+def _coarse_argmin(sup_at: Callable[..., float], coarse: np.ndarray) -> int:
+    """The first index of the least full sup over the ``coarse`` angles, as
+    np.argmin takes it, from as few full sups as the subsample bounds allow.
+
+    Full sups are taken in order of increasing bound, until the next bound is
+    above the least full sup found by more than ``_SCAN_MARGIN``. Every angle
+    left then has a full sup above that least one, so it cannot be the argmin;
+    where the bounds tie with it, every angle is taken in full.
+    """
+    bounds = [sup_at(phi, sampled=True) for phi in coarse]
+    best, i0 = math.inf, 0
+    for i in sorted(range(len(coarse)), key=bounds.__getitem__):
+        if bounds[i] > best * (1.0 + _SCAN_MARGIN):
+            break
+        s = sup_at(coarse[i])
+        if s < best or (s == best and i < i0):
+            best, i0 = s, i
+    return i0
 
 
 def prepare_peak(generator: BoundarySignal) -> PeakPreparation:
@@ -317,6 +384,13 @@ def prepare_peak(generator: BoundarySignal) -> PeakPreparation:
     raised. If no rotation brings the sup down to 1, the generator is scaled
     down (the ideal is unchanged) by the largest factor that keeps the sup
     within 1e-12 of 1; if that factor is below 1e-8, NormExceeded.
+
+    alpha minimises the sup by a scan of 256 coarse angles, then 72 sups of a
+    golden-section search in the coarse cell around the best one. The scan
+    bounds each angle's sup from below by its sup over every
+    ``_SCAN_STRIDE``-th node and takes full sups only while a bound can still
+    beat the best full sup (``_coarse_argmin``), so it picks the angle that
+    full sups at all 256 would pick, bit for bit.
     """
     gv = generator.values
     range_gap = generator.inf_abs
@@ -333,8 +407,7 @@ def prepare_peak(generator: BoundarySignal) -> PeakPreparation:
     sup_at = _rotated_sup(gv)
 
     coarse = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
-    sups = np.array([sup_at(p) for p in coarse])
-    i0 = int(np.argmin(sups))
+    i0 = _coarse_argmin(sup_at, coarse)
     lo = coarse[i0] - coarse[1]
     hi = coarse[i0] + coarse[1]
 
@@ -387,14 +460,13 @@ def prepare_peak(generator: BoundarySignal) -> PeakPreparation:
 
 
 @dataclass(frozen=True)
-class PeakStage:
-    """One power of the averaged function; error against the half-generator.
-    Only the last stage of a construction carries its ``unit``."""
+class PeakStage(_BuiltOnRead):
+    """One power of the averaged function; error against the half-generator."""
 
     index: int
     error: float
     sup_norm: float
-    unit: Optional[BoundarySignal] = None
+    builder: Optional[_Once] = None
 
 
 def approx_unit_peak(
@@ -407,7 +479,7 @@ def approx_unit_peak(
     The recorded error is sup |u_n h - h| with h the *half*-generator
     (scale * conj(alpha) * G / 2), which equals sup |(1-g) g^n| identically.
     With ``tol`` given the schedule stops at the first stage under tolerance.
-    The last stage carries its unit.
+    The last stage carries its unit, built when first read.
     """
     prep, units = _peak_units(spec, schedule, tol)
     return prep, _keep_final(spec.grid, units)

@@ -108,8 +108,9 @@ def zinfty_report_dict(rep: ZinftyReport) -> dict:
 
 
 def stage_report(stage) -> dict:
-    """Every field of ``stage`` except its unit and support, with its kind; the
-    index is a sublevel stage's ``stage`` and a peak stage's ``power``."""
+    """Every field of ``stage`` except its unit, its unit's builder and its
+    support, with its kind; the index is a sublevel stage's ``stage`` and a
+    peak stage's ``power``."""
     if isinstance(stage, UnitStage):
         kind, index = "sublevel", {"stage": stage.index}
     elif isinstance(stage, PeakStage):
@@ -118,7 +119,7 @@ def stage_report(stage) -> dict:
         kind, index = "combined", {}
     else:
         raise TypeError(f"unknown stage type {type(stage).__name__}")
-    return {"kind": kind, **index, **_fields(stage, ("index", "support", "unit"))}
+    return {"kind": kind, **index, **_fields(stage, ("index", "support", "unit", "builder"))}
 
 
 def certificate_report(cert: Certificate) -> dict:

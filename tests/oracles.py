@@ -10,11 +10,13 @@ two independent outerness tests must agree.
 """
 
 import math
+from unittest import mock
 
 import mpmath
 import numpy as np
 
-from hardylab import AnalyticRep, BoundarySignal, PointOnBoundary
+import hardylab.ideals
+from hardylab import AnalyticRep, BoundarySignal, CircleGrid, PointOnBoundary
 from hardylab.factorization import CLIP_FLOOR, clipped_log_modulus, outer_boundary
 from hardylab.grid import _scaled_mean, circular_distance
 from hardylab.ideals import prepare_peak
@@ -110,6 +112,36 @@ def conjugate_complex_fft(k: np.ndarray) -> np.ndarray:
 def rotated_sup_complex(values: np.ndarray, phi: float) -> float:
     """sup |1 - e^{-i phi} G| in complex arithmetic."""
     return float(np.max(np.abs(1.0 - np.exp(-1j * phi) * values)))
+
+
+def coarse_argmin_exhaustive(sup_at, coarse: np.ndarray) -> int:
+    """np.argmin of the full sups at every one of the ``coarse`` angles."""
+    return int(np.argmin([sup_at(phi) for phi in coarse]))
+
+
+def prepare_peak_exhaustive(generator: BoundarySignal):
+    """``prepare_peak`` with its coarse scan taking the full sup at every
+    angle: the alignment, or the error it raises, as the scan had no bounds."""
+    with mock.patch.object(hardylab.ideals, "_coarse_argmin", coarse_argmin_exhaustive):
+        return prepare_peak(generator)
+
+
+def peak_product(n: int, zeros, c: float, scale: float, rotation: float, spike=None) -> BoundarySignal:
+    """scale e^{i rotation} e^{c z} prod_k (1 - z e^{-i t_k}) on n nodes, with a
+    zero at t_k = (2 pi / n) k for each node index k in ``zeros``, or half a
+    cell past it for a half-integer k. ``spike`` = (start, width, height)
+    multiplies the values at ``width`` nodes from ``start`` on by
+    1 + ``height``: a peak of the modulus that a subsample of the nodes can
+    miss."""
+    grid = CircleGrid(n)
+    z = np.exp(1j * grid.nodes)
+    v = scale * np.exp(1j * rotation) * np.exp(c * z)
+    for k in zeros:
+        v = v * (1.0 - z * np.exp(-2j * np.pi * k / n))
+    if spike is not None:
+        start, width, height = spike
+        v[np.arange(start, start + width) % n] *= 1.0 + height
+    return BoundarySignal(grid, v)
 
 
 def distance_window(grid, center: float, full_width: float) -> np.ndarray:

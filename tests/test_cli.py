@@ -98,20 +98,21 @@ def test_out_commands_keep_their_memory_budget_at_65536_nodes(capsys, tmp_path, 
 # files (one-minus-z as f, one-minus-z-squared as h, two-plus-z as a).
 # certify peaked at 140.4 B/node (8.77 MiB) and member at 146.3 B/node
 # (9.14 MiB), both when files were read as text and when they were first
-# read as bytes; certify has since come down to 130.4, and member is at
-# 146.2. Each budget is a peak plus 5 %, the headroom the budgets above
-# leave over their peaks; the last four are set from the peaks before the
-# reader handed its table to the signal with one copy (before -> after):
-# zeroset 116.2 -> 100.2, approx-unit 122.2 and 137.2 (sublevel and peak)
-# and prime-check 170.2, the last three unchanged, as their units and
-# certificates, not the reader, set the peak.
+# read as bytes. Each budget is a peak plus 5 %, the headroom the budgets
+# above leave over their peaks. zeroset came down from 116.2 to 100.2 when
+# the reader handed its table to the signal with one copy. The sublevel
+# stages set the other peaks: with the final unit built only when read and
+# each stage's arrays freed before the next stage runs, certify went from
+# 130.2 to 122.2, member from 146.2 to 138.2, prime-check from 170.2 to
+# 162.2 and approx-unit sublevel from 122.2 to 114.5. approx-unit peak
+# stays at 137.1: its powers, not a unit, set its peak.
 @pytest.mark.parametrize("argv, budget", [
-    (["certify", "--generators", "{f}"], 148),
-    (["member", "--h", "{h}", "--generators", "{f}"], 154),
+    (["certify", "--generators", "{f}"], 129),
+    (["member", "--h", "{h}", "--generators", "{f}"], 146),
     (["zeroset", "--f", "{f}"], 123),
-    (["approx-unit", "--generators", "{f}", "--strategy", "sublevel"], 129),
+    (["approx-unit", "--generators", "{f}", "--strategy", "sublevel"], 121),
     (["approx-unit", "--generators", "{f}", "--strategy", "peak"], 145),
-    (["prime-check", "--a", "{a}", "--b", "{h}", "--generators", "{f}"], 179),
+    (["prime-check", "--a", "{a}", "--b", "{h}", "--generators", "{f}"], 171),
 ], ids=["certify", "member", "zeroset", "approx-unit-sublevel", "approx-unit-peak", "prime-check"])
 def test_csv_commands_keep_their_memory_budget_at_65536_nodes(capsys, tmp_path, argv, budget):
     paths = {}

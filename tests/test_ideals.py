@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from hardylab import (
     CircleGrid,
+    HardyLabError,
     HypothesisFailed,
     NormExceeded,
     NotCertified,
@@ -29,6 +30,7 @@ from hardylab import (
     analytic_prime_check,
     approx_unit_peak,
     approx_unit_sublevel,
+    catalog_names,
     certify_mideal,
     constant_signal,
     example_boundary,
@@ -45,6 +47,7 @@ from hardylab.ideals import (
     MAX_STAGE,
     RANGE_TOL,
     SUP_SLACK,
+    _coarse_argmin,
     _rotated_sup,
     combine_units,
     dilation_width,
@@ -52,10 +55,13 @@ from hardylab.ideals import (
 )
 from oracles import (
     SUBLEVEL_FIELDS,
+    coarse_argmin_exhaustive,
+    peak_product,
     peak_scale_bisection,
     peak_stages_complex,
     peak_sup_norms_mp,
     peak_unit_error_mp,
+    prepare_peak_exhaustive,
     rotated_sup_complex,
     sublevel_stages_complex,
 )
@@ -214,11 +220,14 @@ def test_degenerate_stages_for_zero_free_generator(grid):
 
 # Each generator also keeps its cached log-modulus, 0.5 MiB.
 @pytest.mark.parametrize("name, strategy, limit_mib", [
-    # every stage degenerate: the final constant unit (1 MiB) plus the masks
-    ("two-plus-z", "auto", 3),
-    # twelve masks of 64 KiB and the final unit
+    # every stage degenerate: the masks; the final constant unit (1 MiB) is
+    # built only when read
+    ("two-plus-z", "auto", 2),
+    # twelve masks of 64 KiB and the final unit's builder: its log-modulus
+    # and phase, 1 MiB
     ("one-minus-z", "sublevel", 3),
-    # the final power only, and no aligned copies of the generator
+    # the final power's builder only (1 MiB), and no aligned copies of the
+    # generator
     ("one-minus-z", "peak", 3),
     # two sub-certificates and the diagonal unit, 1 MiB of final unit each
     ("one-minus-z,one-minus-z-squared", "combined", 6),
@@ -241,7 +250,8 @@ def test_memory_a_certificate_keeps_at_65536_nodes(name, strategy, limit_mib):
 
 
 def test_memory_peak_of_a_sublevel_certificate_at_65536_nodes():
-    # stages build one unit at a time on plain arrays and keep only the last
+    # stages build no unit: their statistics come from plain arrays, and the
+    # last one keeps only its unit's builder
     certify_mideal(ideal([example_boundary("one-minus-z", CircleGrid(4096))]))
     f = example_boundary("one-minus-z", CircleGrid(65536))
     tracemalloc.start()
@@ -269,10 +279,10 @@ def test_repeated_masks_reuse_their_stage_exactly(name):
             a, b = getattr(s, field.name), getattr(alone, field.name)
             if field.name == "support":
                 assert np.array_equal(a, b)
-            elif field.name == "unit":
+            elif field.name == "builder":
                 assert (a is None) == (s is not run[-1])
                 if a is not None:
-                    assert np.array_equal(a.values, b.values)
+                    assert np.array_equal(s.unit.values, alone.unit.values)
             else:
                 assert a == b, field.name
 
@@ -426,6 +436,113 @@ def test_peak_overflow_guard_refuses_like_the_scan(monkeypatch):
         payloads.append(exc.value.payload())
     assert scans == [4096]
     assert payloads[0] == payloads[1]
+
+
+def aligned_or_refused(prepare, f):
+    """``prepare(f)``, or the payload of the error it raises."""
+    try:
+        return prepare(f)
+    except HardyLabError as exc:
+        return exc.payload()
+
+
+def assert_same_alignment(f):
+    """The pruned scan gives the exhaustive scan's alignment, alpha and scale
+    bit for bit, or both refuse alike."""
+    assert aligned_or_refused(prepare_peak, f) == aligned_or_refused(prepare_peak_exhaustive, f)
+
+
+@pytest.mark.parametrize("n", [512, 4096, 65536])
+@pytest.mark.parametrize("name", catalog_names())
+def test_pruned_scan_aligns_like_the_exhaustive_scan(name, n):
+    assert_same_alignment(example_boundary(name, CircleGrid(n)))
+
+
+@given(
+    st.lists(st.integers(min_value=0, max_value=2 * 4096 - 1), min_size=1, max_size=3),
+    st.floats(min_value=-3.0, max_value=3.0),
+    st.floats(min_value=0.2, max_value=5.0),
+    st.floats(min_value=0.0, max_value=2.0 * np.pi),
+    st.tuples(
+        st.integers(min_value=0, max_value=4095),
+        st.integers(min_value=1, max_value=hardylab.ideals._SCAN_STRIDE - 1),
+        st.floats(min_value=0.0, max_value=4.0),
+    ),
+)
+@settings(max_examples=60, deadline=None)
+def test_pruned_scan_aligns_like_the_exhaustive_scan_on_products(half_nodes, c, scale, rotation, spike):
+    # zeros on nodes (even) or halfway between them (odd); a spike narrower
+    # than the stride can fall between subsample nodes, where it loosens the
+    # bounds: that costs full sups, never the angle
+    zeros = [k / 2 for k in half_nodes]
+    assert_same_alignment(peak_product(4096, zeros, c, scale, rotation, spike))
+
+
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=256))
+@settings(max_examples=200, deadline=None)
+def test_coarse_argmin_is_the_first_least_sup_under_any_lower_bounds(rows):
+    # full sups from four values, so ties are common, each bounded from below
+    # with a drawn slack: bound order and index order disagree, and the
+    # pruned scan still returns np.argmin's first least index
+    full = [1.0 + a for a, _ in rows]
+    bounds = [f - 0.5 * slack for f, (_, slack) in zip(full, rows)]
+
+    def sup_at(phi, sampled=False):
+        return (bounds if sampled else full)[int(phi)]
+
+    coarse = np.arange(len(rows), dtype=float)
+    assert _coarse_argmin(sup_at, coarse) == coarse_argmin_exhaustive(sup_at, coarse)
+
+
+def counted_full_sups(sup_at, full: list):
+    """``sup_at``, recording in ``full`` the angle of every full sup taken."""
+    def sup(phi, sampled=False):
+        if not sampled:
+            full.append(phi)
+        return sup_at(phi, sampled)
+
+    return sup
+
+
+def count_full_coarse_sups(monkeypatch) -> list:
+    """Patch the coarse scan to record the angle of every full sup it takes."""
+    full = []
+    scan = hardylab.ideals._coarse_argmin
+    monkeypatch.setattr(hardylab.ideals, "_coarse_argmin",
+                        lambda sup_at, coarse: scan(counted_full_sups(sup_at, full), coarse))
+    return full
+
+
+@pytest.mark.parametrize("name", ["one-minus-z", "offset-ramp"])
+def test_pruned_scan_takes_few_full_sups_at_65536(monkeypatch, name):
+    f = example_boundary(name, CircleGrid(65536))
+    want = prepare_peak_exhaustive(f)
+    full = count_full_coarse_sups(monkeypatch)
+    assert prepare_peak(f) == want
+    assert 1 <= len(full) <= 16
+
+
+def test_pruned_scan_takes_every_angle_when_the_bounds_tie():
+    # |1 - e^{-i phi} z| peaks at 2 opposite e^{i phi}, a node for every
+    # coarse angle, so no bound clears the least full sup and all 256 are
+    # taken; the index is the exhaustive scan's, and with it the bracket
+    values = example_boundary("shift", CircleGrid(65536)).values
+    coarse = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
+    sup_at, full = _rotated_sup(values), []
+    assert _coarse_argmin(counted_full_sups(sup_at, full), coarse) == coarse_argmin_exhaustive(sup_at, coarse)
+    assert len(full) == 256
+
+
+def test_a_spike_between_subsample_nodes_costs_full_sups_not_the_angle(monkeypatch):
+    # 1 - z with node 1001, which no subsample holds, raised threefold to
+    # |G| = 4.2: every full sup is above 3 and no bound is, so all 256
+    # angles are taken in full, and the alignment stays the exhaustive one
+    f = peak_product(4096, [0], 0.0, 1.0, 0.0, spike=(1001, 1, 2.0))
+    assert 1001 % hardylab.ideals._SCAN_STRIDE
+    want = aligned_or_refused(prepare_peak_exhaustive, f)
+    full = count_full_coarse_sups(monkeypatch)
+    assert aligned_or_refused(prepare_peak, f) == want
+    assert len(full) == 256
 
 
 def test_peak_range_miss(grid):
