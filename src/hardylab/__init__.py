@@ -58,6 +58,7 @@ from .ideals import (
     certify_mideal,
     ideal,
     membership,
+    stage_unit,
 )
 from .reproduce import bundle_names, run_bundle
 from .serialize import certificate_report, dumps
@@ -105,6 +106,7 @@ __all__ = [
     "certify_mideal",
     "approx_unit_sublevel",
     "approx_unit_peak",
+    "stage_unit",
     "membership",
     "analytic_prime_check",
     "Certificate",

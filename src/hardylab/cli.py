@@ -30,7 +30,6 @@ from .factorization import (
 )
 from .grid import (
     DEFAULT_GRID_SIZE,
-    BoundarySignal,
     CircleGrid,
     common_grid,
     signal_from_csv,
@@ -45,12 +44,13 @@ from .ideals import (
     DEFAULT_TOL,
     STRATEGIES,
     _check_divisor,
-    _peak_units,
-    _sublevel_units,
     analytic_prime_check,
+    approx_unit_peak,
+    approx_unit_sublevel,
     certify_mideal,
     ideal,
     membership,
+    stage_unit,
 )
 from .serialize import (
     certificate_report,
@@ -225,18 +225,17 @@ def _build_ideal(args):
 
 def _cmd_approx_unit(args) -> None:
     spec = _build_ideal(args)
+    prep = None
     if args.strategy == "peak":
-        prep, units = _peak_units(spec, args.schedule, None)
+        prep, stages = approx_unit_peak(spec, args.schedule)
         report = {"strategy": "peak", "alpha": prep.alpha, "rescaled": prep.rescaled}
     else:
-        units = _sublevel_units(spec, args.stages)
+        stages = approx_unit_sublevel(spec, args.stages)
         report = {"strategy": "sublevel"}
-    rows = []
-    for stage, unit in units:  # each unit is built and written only under --out
-        rows.append(stage_report(stage))
-        if args.out is not None:
-            _write(args.out, f"unit-{stage.index:04d}.csv", signal_to_csv(BoundarySignal(spec.grid, unit())))
-    report["stages"] = rows
+    report["stages"] = [stage_report(s) for s in stages]
+    if args.out is not None:
+        for s in stages:
+            _write(args.out, f"unit-{s.index:04d}.csv", signal_to_csv(stage_unit(spec, s, prep)))
     _emit(report, args.out)
 
 

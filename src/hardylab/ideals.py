@@ -72,6 +72,15 @@ class IdealSpec:
     generators: tuple[BoundarySignal, ...]
     names: tuple[str, ...]
 
+    @functools.cached_property
+    def _base(self) -> np.ndarray:
+        """The base of every sublevel unit: the generator's values, or for
+        several the outer function with their largest log-modulus."""
+        if len(self.generators) == 1:
+            return self.generators[0].values
+        k = _largest_log(self)
+        return outer_boundary(k, _clip_log(k))
+
 
 def ideal(generators: Sequence[BoundarySignal], names: Sequence[str] | None = None) -> IdealSpec:
     gens = tuple(generators)
@@ -92,31 +101,8 @@ def ideal(generators: Sequence[BoundarySignal], names: Sequence[str] | None = No
 # sublevel-supported units
 # ---------------------------------------------------------------------------
 
-class _Once:
-    """A zero-argument function's result, computed on the first call and kept;
-    the function, and whatever it holds, is dropped then."""
-
-    def __init__(self, build: Callable[[], BoundarySignal]):
-        self._build: Optional[Callable[[], BoundarySignal]] = build
-        self._value: Optional[BoundarySignal] = None
-
-    def __call__(self) -> BoundarySignal:
-        if self._build is not None:
-            self._value, self._build = self._build(), None
-        return self._value
-
-
-class _BuiltOnRead:
-    """A stage's ``unit``: built by its ``builder`` when first read, then kept.
-    Only the last stage of a construction has a builder, so only it has a unit."""
-
-    @property
-    def unit(self) -> Optional[BoundarySignal]:
-        return None if self.builder is None else self.builder()
-
-
 @dataclass(frozen=True)
-class UnitStage(_BuiltOnRead):
+class UnitStage:
     """One stage of the sublevel construction; ``support`` is the node mask
     of A_m."""
 
@@ -131,29 +117,12 @@ class UnitStage(_BuiltOnRead):
     cofactor_sup: float
     error: float
     sup_norm: float
-    builder: Optional[_Once] = None
 
 
 def dilation_width(stage: int, spacing: float) -> float:
     """Stage-m dilation: 2^-m, capped below half a grid cell so widening the
     support can neither swallow new nodes nor bridge gaps between clusters."""
     return min(2.0 ** -stage, 0.45 * spacing)
-
-
-#: A stage with a zero-argument function that builds its unit's values. The
-#: statistics come from real moduli and phases; the complex unit is built
-#: only when it is written out or read.
-StagedUnit = tuple[object, Callable[[], np.ndarray]]
-
-
-def _keep_final(grid: CircleGrid, units: Iterator[StagedUnit]) -> tuple:
-    """The stages of ``units`` as a tuple; the last one keeps the builder of
-    its unit, which is built when first read."""
-    out = []
-    for stage, unit in units:
-        out.append(stage)
-    out[-1] = replace(out[-1], builder=_Once(lambda: BoundarySignal(grid, unit())))
-    return tuple(out)
 
 
 def _distance_to_one(
@@ -203,15 +172,18 @@ def approx_unit_sublevel(
     ``dilation_width``. The unit is base * cofactor where the cofactor is the
     outer function with log-modulus -k on the complement of A_m, so the
     unit's modulus is e^{k} there times e^{-k} — exactly one — and equals the
-    generator modulus (< eps) on A_m. The last stage carries its unit,
-    built when first read.
+    generator modulus (< eps) on A_m. ``stage_unit`` builds a stage's unit.
     """
-    return _keep_final(spec.grid, _sublevel_units(spec, stages))
+    return tuple(_sublevel_units(spec, stages))
 
 
-def _sublevel_units(spec: IdealSpec, stages: Sequence[int]) -> Iterator[StagedUnit]:
-    """Each stage of ``approx_unit_sublevel`` with the builder of its unit's
-    values, in stage order; a builder may be shared with a later stage.
+def _largest_log(spec: IdealSpec) -> np.ndarray:
+    """The pointwise-largest clipped generator log-modulus, in a new array."""
+    return np.maximum.reduce([g.log_abs for g in spec.generators])
+
+
+def _sublevel_units(spec: IdealSpec, stages: Sequence[int]) -> Iterator[UnitStage]:
+    """Each stage of ``approx_unit_sublevel``, in stage order.
 
     The unit is base * cofactor, so |unit| = |base| e^{kc} and
     arg(unit) = arg(base) + H[kc] for the cofactor's log-modulus kc, and
@@ -220,24 +192,22 @@ def _sublevel_units(spec: IdealSpec, stages: Sequence[int]) -> Iterator[StagedUn
     """
     _check_stages(stages)
     grid = spec.grid
-    # clipped log of the pointwise-largest generator modulus
-    k_c = np.maximum.reduce([g.log_abs for g in spec.generators])
-    base = spec.generators[0].values if len(spec.generators) == 1 else outer_boundary(
-        k_c, _clip_log(k_c))
-
+    base = spec._base
     base_mod = np.abs(base)
     half_base_phase = 0.5 * np.angle(base)
     gen_mod = base_mod if len(spec.generators) == 1 else np.maximum.reduce(
         [np.abs(g.values) for g in spec.generators])
-    # the unit of every degenerate stage, built when first needed
-    one = functools.cache(lambda: np.ones(grid.size, dtype=complex))
-    # k_c is negated in place, and only read as neg_k below: each stage's
-    # cofactor log-modulus is neg_k with the stage's mask nodes zeroed
-    neg_k = np.negative(k_c, out=k_c)
+    neg_k = _largest_log(spec)
+    np.negative(neg_k, out=neg_k)
+    # a degenerate stage's cofactor is exp(-k) itself, unclipped
+    degenerate_sup = float(np.exp(np.max(neg_k)))
+    # Mask nodes have -k > m >= 1, never at the floor, so each stage's
+    # cofactor log-modulus kc is this one clip with its mask nodes zeroed.
+    clip_count = _clip_log(neg_k)
     # Sublevel masks are nested, so a stage with as many nodes as the one
     # before it has the same mask, and only its index, eps and dilated
     # measure differ.
-    count = runs = stage = unit = None
+    count = runs = stage = None
     for m in stages:
         eps = float(np.exp(-m))
         # The dilation stays under half a cell, so it adds no node: the
@@ -254,10 +224,10 @@ def _sublevel_units(spec: IdealSpec, stages: Sequence[int]) -> Iterator[StagedUn
                 off_support_deviation=0.0,
                 on_support_max=0.0,
                 value_at_zero=1.0 + 0.0j,
-                cofactor_sup=float(np.exp(np.max(neg_k))),
+                cofactor_sup=degenerate_sup,
                 error=0.0,
                 sup_norm=1.0,
-            ), one
+            )
             continue
 
         # Each run of masked nodes covers its cells plus the dilation on both
@@ -269,14 +239,13 @@ def _sublevel_units(spec: IdealSpec, stages: Sequence[int]) -> Iterator[StagedUn
         support_measure = min(1.0, (count * grid.spacing + 2.0 * w * runs) / TWO_PI)
         if count == prev_count:
             stage = replace(stage, index=m, eps=eps, support_measure=support_measure)
-            yield stage, unit
+            yield stage
             continue
+        check_clip_count(clip_count, grid.size)
         on = np.flatnonzero(mask)
         log_cof = neg_k.copy()
         log_cof[on] = 0.0
-        check_clip_count(_clip_log(log_cof), grid.size)
         phase = conjugate(log_cof)
-        unit = functools.partial(_sublevel_unit, base, log_cof, phase)
         mod = np.exp(log_cof)
         cofactor_sup = float(np.max(mod))
         mod *= base_mod
@@ -299,14 +268,8 @@ def _sublevel_units(spec: IdealSpec, stages: Sequence[int]) -> Iterator[StagedUn
             error=float(np.max(np.multiply(dist, gen_mod, out=dist))),
             sup_norm=float(np.max(mod)),
         )
-        del mod, mod_minus_one, off, dist  # free them while the consumer runs
-        yield stage, unit
-
-
-def _sublevel_unit(base: np.ndarray, log_cof: np.ndarray, phase: np.ndarray) -> np.ndarray:
-    """base times the outer cofactor exp(log_cof + i phase), in a new array."""
-    cofactor = outer_values(log_cof, phase)
-    return np.multiply(base, cofactor, out=cofactor)
+        del log_cof, phase, mod, mod_minus_one, off, dist  # free them while the consumer runs
+        yield stage
 
 
 # ---------------------------------------------------------------------------
@@ -460,13 +423,12 @@ def prepare_peak(generator: BoundarySignal) -> PeakPreparation:
 
 
 @dataclass(frozen=True)
-class PeakStage(_BuiltOnRead):
+class PeakStage:
     """One power of the averaged function; error against the half-generator."""
 
     index: int
     error: float
     sup_norm: float
-    builder: Optional[_Once] = None
 
 
 def approx_unit_peak(
@@ -479,66 +441,90 @@ def approx_unit_peak(
     The recorded error is sup |u_n h - h| with h the *half*-generator
     (scale * conj(alpha) * G / 2), which equals sup |(1-g) g^n| identically.
     With ``tol`` given the schedule stops at the first stage under tolerance.
-    The last stage carries its unit, built when first read.
-    """
-    prep, units = _peak_units(spec, schedule, tol)
-    return prep, _keep_final(spec.grid, units)
-
-
-def _peak_units(
-    spec: IdealSpec,
-    schedule: Sequence[int],
-    tol: Optional[float],
-) -> tuple[PeakPreparation, Iterator[StagedUnit]]:
-    """The alignment of ``approx_unit_peak`` and an iterator over its stages,
-    each with the builder of its unit's values.
-
-    With g the averaged function, the error is sup |g|^n |h|, the sup of
-    u_n = 1 - g^n comes from |g|^n and n arg(g), and a built unit is
-    1 - exp(n log|g| + i n arg(g)) from the same two arrays: no complex power
-    is taken. |g|^n - 1 is expm1(n log|g|). Where |g|^2 >= 1/2,
-    log|g|^2 is the log1p of |g|^2 - 1 = Re d (Re d - 2) + (Im d)^2 for
-    d = 1 - g (exact in floating point near g = 1), and elsewhere the log of
-    |g|^2 itself, so |g|^n - 1 keeps full relative precision both where |g|
-    is within rounding of 1 and sup |u_n| is small, and where g is near 0.
+    ``stage_unit`` builds a stage's unit from the stage and the alignment.
     """
     if len(spec.generators) != 1:
         raise StrategyInapplicable("peak units need a single generator")
     _check_schedule(schedule)
-    gv = spec.generators[0].values
     prep = prepare_peak(spec.generators[0])
-
-    def units() -> Iterator[StagedUnit]:
-        w = prep.scale * np.conj(prep.alpha) * gv
-        g_mid = 0.5 * (1.0 + (1.0 - w))
-        h_mod = np.abs(0.5 * w)
-        mod2 = np.square(g_mid.real) + np.square(g_mid.imag)
-        near = mod2 >= 0.5
-        with np.errstate(divide="ignore"):  # g = 0 gives |g|^n = 0
-            log_mod2 = np.log(mod2)
-        d = 1.0 - g_mid[near]
-        log_mod2[near] = np.log1p(d.real * (d.real - 2.0) + np.square(d.imag))
-        half_phase = 0.5 * np.angle(g_mid)
-        for n in schedule:
-            mod_minus_one = np.expm1(0.5 * n * log_mod2)
-            power_mod = mod_minus_one + 1.0
-            err = float(np.max(power_mod * h_mod))
-            dist = _distance_to_one(power_mod, mod_minus_one, n * half_phase)
-            stage = PeakStage(index=int(n), error=err, sup_norm=float(np.max(dist)))
-            yield stage, functools.partial(_peak_unit, log_mod2, half_phase, n)
-            if tol is not None and err <= tol:
-                break
-
-    return prep, units()
+    return prep, tuple(_peak_units(spec, prep, schedule, tol))
 
 
-def _peak_unit(log_mod2: np.ndarray, half_phase: np.ndarray, n: int) -> np.ndarray:
-    """u_n = 1 - g^n in a new array, from g^n = exp(n/2 log|g|^2 + i n arg g)
-    with ``log_mod2`` = log|g|^2 and ``half_phase`` = arg(g)/2: the polar
-    form the stage statistics are read from, with one rounding in each of
-    the modulus and phase exponents where repeated products carry about n."""
-    u = outer_values(0.5 * n * log_mod2, 2 * n * half_phase)
-    return np.subtract(1.0, u, out=u)
+def _averaged(spec: IdealSpec, prep: PeakPreparation) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rebased generator w = scale conj(alpha) G, and log|g|^2 and
+    arg(g)/2 for the averaged function g = (1 + (1 - w))/2.
+
+    Where |g|^2 >= 1/2, log|g|^2 is the log1p of
+    |g|^2 - 1 = Re d (Re d - 2) + (Im d)^2 for d = 1 - g (exact in floating
+    point near g = 1), and elsewhere the log of |g|^2 itself, so |g|^n - 1
+    keeps full relative precision both where |g| is within rounding of 1
+    and sup |u_n| is small, and where g is near 0.
+    """
+    w = prep.scale * np.conj(prep.alpha) * spec.generators[0].values
+    g_mid = 0.5 * (1.0 + (1.0 - w))
+    mod2 = np.square(g_mid.real) + np.square(g_mid.imag)
+    near = mod2 >= 0.5
+    with np.errstate(divide="ignore"):  # g = 0 gives |g|^n = 0
+        log_mod2 = np.log(mod2)
+    d = 1.0 - g_mid[near]
+    log_mod2[near] = np.log1p(d.real * (d.real - 2.0) + np.square(d.imag))
+    return w, log_mod2, 0.5 * np.angle(g_mid)
+
+
+def _peak_units(
+    spec: IdealSpec,
+    prep: PeakPreparation,
+    schedule: Sequence[int],
+    tol: Optional[float],
+) -> Iterator[PeakStage]:
+    """Each stage of ``approx_unit_peak`` for the alignment ``prep``, in
+    schedule order.
+
+    With g the averaged function, the error is sup |g|^n |h| and the sup of
+    u_n = 1 - g^n comes from |g|^n and n arg(g), with |g|^n - 1 taken as
+    expm1(n log|g|): no complex power is taken.
+    """
+    w, log_mod2, half_phase = _averaged(spec, prep)
+    h_mod = np.abs(0.5 * w)
+    del w
+    for n in schedule:
+        mod_minus_one = np.expm1(0.5 * n * log_mod2)
+        power_mod = mod_minus_one + 1.0
+        err = float(np.max(power_mod * h_mod))
+        dist = _distance_to_one(power_mod, mod_minus_one, n * half_phase)
+        yield PeakStage(index=int(n), error=err, sup_norm=float(np.max(dist)))
+        if tol is not None and err <= tol:
+            break
+
+
+def stage_unit(spec: IdealSpec, stage, prep: Optional[PeakPreparation] = None) -> BoundarySignal:
+    """The unit of a sublevel or peak ``stage`` of the ideal ``spec``, in a
+    new signal, from the ideal and the stage record alone; a peak stage also
+    needs the alignment ``prep`` its construction returned.
+
+    A sublevel unit is base * exp(kc + i H[kc]) for the stage's cofactor
+    log-modulus kc, at the cost of one conjugate, and 1 on a degenerate
+    stage. A peak unit is 1 - g^n with g^n = exp(n/2 log|g|^2 + i n arg g):
+    the polar form the stage statistics are read from, with one rounding in
+    each exponent where repeated products would carry about n.
+    """
+    if isinstance(stage, PeakStage):
+        if prep is None:
+            raise ValueError("a peak stage's unit needs the alignment of its construction")
+        _, log_mod2, half_phase = _averaged(spec, prep)
+        n = stage.index
+        values = outer_values(0.5 * n * log_mod2, 2 * n * half_phase)
+        np.subtract(1.0, values, out=values)
+    elif stage.degenerate:
+        values = np.ones(spec.grid.size, dtype=complex)
+    else:
+        log_cof = _largest_log(spec)
+        np.negative(log_cof, out=log_cof)
+        log_cof[stage.support] = 0.0
+        check_clip_count(_clip_log(log_cof), spec.grid.size)
+        values = outer_values(log_cof, conjugate(log_cof))
+        np.multiply(spec._base, values, out=values)
+    return BoundarySignal(spec.grid, values)
 
 
 def combine_units(u: BoundarySignal, v: BoundarySignal) -> BoundarySignal:
@@ -557,7 +543,6 @@ class CombinedUnit:
     errors: tuple[float, ...]
     ess_inf: float
     sup_norm: float
-    unit: BoundarySignal
 
 
 @dataclass(frozen=True)
@@ -578,11 +563,15 @@ class Certificate:
     sub_certificates: tuple["Certificate", ...] = ()
     notes: tuple[str, ...] = ()
 
-    @property
+    @functools.cached_property
     def final_unit(self) -> Optional[BoundarySignal]:
+        """The last stage's unit, or for a combined certificate the fold of
+        its sub-certificates' final units; built on first read and kept."""
         if not self.stages:
             return None
-        return self.stages[-1].unit
+        if self.sub_certificates:
+            return functools.reduce(combine_units, (c.final_unit for c in self.sub_certificates))
+        return stage_unit(self.ideal, self.stages[-1], self.peak_prep)
 
 
 def certify_mideal(
@@ -710,7 +699,7 @@ def _certify_combined(
         # one pass over |zeta|; its cached fields would keep a log it never needs
         zeta_mod = np.abs(zeta.values)
         inf_z = float(np.min(zeta_mod))
-        combined = CombinedUnit(errors, inf_z, float(np.max(zeta_mod)), zeta)
+        combined = CombinedUnit(errors, inf_z, float(np.max(zeta_mod)))
         combined_stages = (combined,)
         final_error = max(errors)
         sup_bound = max(combined.sup_norm, *(c.sup_bound for c in subs))

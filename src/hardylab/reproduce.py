@@ -24,6 +24,7 @@ from .ideals import (
     ideal,
     membership,
     prepare_peak,
+    stage_unit,
 )
 from .serialize import (
     certificate_report,
@@ -158,9 +159,10 @@ def _polynomial_zero_location(b: _Bundle) -> None:
 
 def _unit_staircase(b: _Bundle) -> None:
     f = example_boundary("one-minus-z", b.grid)
-    stages = approx_unit_sublevel(ideal([f], ["one-minus-z"]))
+    spec = ideal([f], ["one-minus-z"])
+    stages = approx_unit_sublevel(spec)
     b.files["outputs/staircase.json"] = dump_text({"stages": [stage_report(s) for s in stages]})
-    b.files["outputs/final-unit.csv"] = signal_to_csv(stages[-1].unit)
+    b.files["outputs/final-unit.csv"] = signal_to_csv(stage_unit(spec, stages[-1]))
     dichotomy = all(
         s.off_support_deviation <= 1e-6 and s.on_support_max <= s.eps + 1e-6
         for s in stages

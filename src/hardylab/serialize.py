@@ -108,9 +108,8 @@ def zinfty_report_dict(rep: ZinftyReport) -> dict:
 
 
 def stage_report(stage) -> dict:
-    """Every field of ``stage`` except its unit, its unit's builder and its
-    support, with its kind; the index is a sublevel stage's ``stage`` and a
-    peak stage's ``power``."""
+    """Every field of ``stage`` except its support, with its kind; the index
+    is a sublevel stage's ``stage`` and a peak stage's ``power``."""
     if isinstance(stage, UnitStage):
         kind, index = "sublevel", {"stage": stage.index}
     elif isinstance(stage, PeakStage):
@@ -119,7 +118,7 @@ def stage_report(stage) -> dict:
         kind, index = "combined", {}
     else:
         raise TypeError(f"unknown stage type {type(stage).__name__}")
-    return {"kind": kind, **index, **_fields(stage, ("index", "support", "unit", "builder"))}
+    return {"kind": kind, **index, **_fields(stage, ("index", "support"))}
 
 
 def certificate_report(cert: Certificate) -> dict:

@@ -282,7 +282,7 @@ def zinfty_report(f: BoundarySignal) -> ZinftyReport:
     return ZinftyReport(all(e.ok for e in exts), est, exts)
 
 
-# Test-only, but kept: perfbench/tracing.py wraps it by name (ROADMAP: "Move the spans").
+# Test-only, but kept: perfbench/tracing.py wraps it by name (ROADMAP item 8).
 def in_zinfty(f: BoundarySignal) -> bool:
     return zinfty_report(f).in_class
 

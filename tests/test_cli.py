@@ -100,19 +100,21 @@ def test_out_commands_keep_their_memory_budget_at_65536_nodes(capsys, tmp_path, 
 # (9.14 MiB), both when files were read as text and when they were first
 # read as bytes. Each budget is a peak plus 5 %, the headroom the budgets
 # above leave over their peaks. zeroset came down from 116.2 to 100.2 when
-# the reader handed its table to the signal with one copy. The sublevel
-# stages set the other peaks: with the final unit built only when read and
-# each stage's arrays freed before the next stage runs, certify went from
-# 130.2 to 122.2, member from 146.2 to 138.2, prime-check from 170.2 to
-# 162.2 and approx-unit sublevel from 122.2 to 114.5. approx-unit peak
-# stays at 137.1: its powers, not a unit, set its peak.
+# the reader handed its table to the signal with one copy. The unit
+# constructions set the other peaks. Since their stages keep no arrays for a
+# unit, and the sublevel cofactor log-modulus is clipped once per
+# construction, certify went from 122.2 to 106.4, member from 138.2 to
+# 124.4, prime-check from 162.2 to 146.2 and approx-unit sublevel from 114.5
+# to 106.2. approx-unit peak went from 137.1 to 100.2: its powers no longer
+# hold the rebased generator and the averaged function, so the CSV read
+# sets its peak, as it does zeroset's.
 @pytest.mark.parametrize("argv, budget", [
-    (["certify", "--generators", "{f}"], 129),
-    (["member", "--h", "{h}", "--generators", "{f}"], 146),
+    (["certify", "--generators", "{f}"], 112),
+    (["member", "--h", "{h}", "--generators", "{f}"], 131),
     (["zeroset", "--f", "{f}"], 123),
-    (["approx-unit", "--generators", "{f}", "--strategy", "sublevel"], 121),
-    (["approx-unit", "--generators", "{f}", "--strategy", "peak"], 145),
-    (["prime-check", "--a", "{a}", "--b", "{h}", "--generators", "{f}"], 171),
+    (["approx-unit", "--generators", "{f}", "--strategy", "sublevel"], 112),
+    (["approx-unit", "--generators", "{f}", "--strategy", "peak"], 106),
+    (["prime-check", "--a", "{a}", "--b", "{h}", "--generators", "{f}"], 154),
 ], ids=["certify", "member", "zeroset", "approx-unit-sublevel", "approx-unit-peak", "prime-check"])
 def test_csv_commands_keep_their_memory_budget_at_65536_nodes(capsys, tmp_path, argv, budget):
     paths = {}
@@ -1085,6 +1087,26 @@ def test_approx_unit_out_writes_every_stage_and_the_certified_final_unit(capsys,
     written = sorted(p.name for p in units.glob("unit-*.csv"))
     assert written == [f"unit-{m:04d}.csv" for m in DEFAULT_MAIN_STAGES]
     assert (units / "unit-0012.csv").read_bytes() == (cert / "final-unit.csv").read_bytes()
+
+
+def test_approx_unit_out_synthesises_the_joint_base_once(capsys, monkeypatch, tmp_path):
+    """With several generators every stage's unit is built on the one joint
+    outer base that the stages were measured against."""
+    calls = []
+    orig = hardylab.ideals.outer_boundary
+
+    def counted(*args):
+        calls.append(args[0].size)
+        return orig(*args)
+
+    monkeypatch.setattr(hardylab.ideals, "outer_boundary", counted)
+    code, _, err = run(
+        capsys, "approx-unit", "--generators", "one-minus-z,one-minus-z-squared",
+        "--grid-size", "4096", "--out", str(tmp_path),
+    )
+    assert code == 0, err
+    assert len(list(tmp_path.glob("unit-*.csv"))) == len(DEFAULT_MAIN_STAGES)
+    assert calls == [4096]
 
 
 def _digest(a: np.ndarray) -> str:

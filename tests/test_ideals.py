@@ -52,6 +52,7 @@ from hardylab.ideals import (
     combine_units,
     dilation_width,
     prepare_peak,
+    stage_unit,
 )
 from oracles import (
     SUBLEVEL_FIELDS,
@@ -210,29 +211,28 @@ def test_degenerate_stages_for_zero_free_generator(grid):
     assert stage.support_measure == 0.0
     assert stage.value_at_zero == 1.0 + 0.0j
     assert all(s.degenerate for s in cert.stages)
-    assert all(s.unit is None for s in cert.stages[:-1])
     assert np.all(cert.final_unit.values == 1.0)
-    # every degenerate stage yields one shared constant unit
-    units = [u() for _, u in hardylab.ideals._sublevel_units(cert.ideal, DEFAULT_MAIN_STAGES)]
-    assert all(u is units[0] for u in units)
-    assert np.all(units[0] == 1.0)
+    # every degenerate stage's unit is the constant 1
+    for s in approx_unit_sublevel(cert.ideal, DEFAULT_MAIN_STAGES):
+        assert np.all(stage_unit(cert.ideal, s).values == 1.0)
 
 
-# Each generator also keeps its cached log-modulus, 0.5 MiB.
+# Each generator also keeps its cached log-modulus, 0.5 MiB. No stage keeps
+# an array for its unit, and a final unit (1 MiB) is built only when read.
+# The five certificates keep 1.25, 1.13, 0.51, 4.39 and 6.46 MiB; each limit
+# leaves 0.5 to 1.5 MiB over that.
 @pytest.mark.parametrize("name, strategy, limit_mib", [
-    # every stage degenerate: the masks; the final constant unit (1 MiB) is
-    # built only when read
+    # every stage degenerate: the masks
     ("two-plus-z", "auto", 2),
-    # twelve masks of 64 KiB and the final unit's builder: its log-modulus
-    # and phase, 1 MiB
-    ("one-minus-z", "sublevel", 3),
-    # the final power's builder only (1 MiB), and no aligned copies of the
-    # generator
-    ("one-minus-z", "peak", 3),
-    # two sub-certificates and the diagonal unit, 1 MiB of final unit each
-    ("one-minus-z,one-minus-z-squared", "combined", 6),
-    # three sub-certificates; the fold keeps only its last diagonal unit
-    ("one-minus-z,one-minus-z-squared,one-minus-z-times-exp", "combined", 8),
+    # twelve masks of 64 KiB
+    ("one-minus-z", "sublevel", 2),
+    # scalars only, and no aligned copies of the generator
+    ("one-minus-z", "peak", 2),
+    # two sub-certificates, each with its final unit, read by the fold; the
+    # diagonal unit is not kept
+    ("one-minus-z,one-minus-z-squared", "combined", 5),
+    # three sub-certificates and their final units
+    ("one-minus-z,one-minus-z-squared,one-minus-z-times-exp", "combined", 7),
 ])
 def test_memory_a_certificate_keeps_at_65536_nodes(name, strategy, limit_mib):
     names = name.split(",")
@@ -250,8 +250,8 @@ def test_memory_a_certificate_keeps_at_65536_nodes(name, strategy, limit_mib):
 
 
 def test_memory_peak_of_a_sublevel_certificate_at_65536_nodes():
-    # stages build no unit: their statistics come from plain arrays, and the
-    # last one keeps only its unit's builder
+    # stages build no unit: their statistics come from plain arrays, and
+    # they keep none
     certify_mideal(ideal([example_boundary("one-minus-z", CircleGrid(4096))]))
     f = example_boundary("one-minus-z", CircleGrid(65536))
     tracemalloc.start()
@@ -279,12 +279,9 @@ def test_repeated_masks_reuse_their_stage_exactly(name):
             a, b = getattr(s, field.name), getattr(alone, field.name)
             if field.name == "support":
                 assert np.array_equal(a, b)
-            elif field.name == "builder":
-                assert (a is None) == (s is not run[-1])
-                if a is not None:
-                    assert np.array_equal(s.unit.values, alone.unit.values)
             else:
                 assert a == b, field.name
+        assert np.array_equal(stage_unit(spec, s).values, stage_unit(spec, alone).values)
 
 
 # ---------------------------------------------------------------------------
@@ -304,21 +301,22 @@ def test_peak_errors_match_closed_form(one_minus_z_spec):
 
 def test_peak_unit_is_one_minus_power(one_minus_z_spec):
     """u_n literally equals 1 - g^n and its error is sup |h g^n|, at every
-    stage of the route that yields each stage's unit."""
-    prep, units = hardylab.ideals._peak_units(one_minus_z_spec, (1, 2, 4), None)
+    stage."""
+    prep, stages = approx_unit_peak(one_minus_z_spec, (1, 2, 4), tol=None)
     w = prep.scale * np.conj(prep.alpha) * one_minus_z_spec.generators[0].values
     g_mid = 0.5 * (1.0 + (1.0 - w))
     h = 0.5 * w
-    seen = []
-    for s, build in units:
-        seen.append(s.index)
-        u = build()
+    for s in stages:
+        u = stage_unit(one_minus_z_spec, s, prep).values
         assert np.max(np.abs(u - (1.0 - g_mid ** s.index))) <= 1e-15
         assert s.error == pytest.approx(float(np.max(np.abs(h * g_mid ** s.index))), abs=1e-12)
-    assert seen == [1, 2, 4]
-    _, stages = approx_unit_peak(one_minus_z_spec, (1, 2, 4), tol=None)
-    assert [s.unit is None for s in stages] == [True, True, False]
-    assert np.max(np.abs(stages[-1].unit.values - (1.0 - g_mid ** 4))) <= 1e-15
+    assert [s.index for s in stages] == [1, 2, 4]
+
+
+def test_a_peak_stage_unit_needs_its_alignment(one_minus_z_spec):
+    _, stages = approx_unit_peak(one_minus_z_spec, (1, 2), tol=None)
+    with pytest.raises(ValueError, match="alignment"):
+        stage_unit(one_minus_z_spec, stages[-1])
 
 
 def test_peak_schedule_stops_at_tolerance(one_minus_z_spec):
@@ -620,9 +618,34 @@ def test_certify_one_minus_z(one_minus_z_cert):
         8.0 * cert.ideal.grid.spacing, rel=1e-12
     )
     assert "certified" in cert.conclusion
-    assert cert.final_unit is cert.stages[-1].unit
-    assert cert.final_unit is not None
-    assert all(s.unit is None for s in cert.stages[:-1])
+    unit = cert.final_unit
+    assert unit is not None
+    assert cert.final_unit is unit  # built on the first read, then kept
+    assert np.array_equal(unit.values, stage_unit(cert.ideal, cert.stages[-1]).values)
+
+
+def test_a_certificate_builds_its_unit_once_and_only_when_read(monkeypatch):
+    """A sublevel certificate takes one conjugate per distinct stage mask and
+    builds no unit; the first read of ``final_unit`` takes one conjugate
+    more, and a second read and ``membership`` take none."""
+    calls = []
+    orig = hardylab.ideals.conjugate
+
+    def counted(k):
+        calls.append(k.size)
+        return orig(k)
+
+    monkeypatch.setattr(hardylab.ideals, "conjugate", counted)
+    grid = CircleGrid(4096)
+    cert = certify_mideal(ideal([example_boundary("one-minus-z", grid)]), strategy="sublevel")
+    masks = len({s.support.tobytes() for s in cert.stages})
+    assert masks < len(cert.stages)  # a repeated mask takes no conjugate
+    assert len(calls) == masks
+    unit = cert.final_unit
+    assert len(calls) == masks + 1
+    assert cert.final_unit is unit
+    assert membership(example_boundary("one-minus-z-squared", grid), cert)
+    assert len(calls) == masks + 1
 
 
 @pytest.mark.parametrize(
@@ -1062,17 +1085,20 @@ def _zero_generators(draw, count: int, max_order: int = 2, max_a: float = 0.9):
 def test_sublevel_stage_statistics_match_complex_units(gens, stages):
     """Every statistic of every non-degenerate stage is within
     1e-13 + 1e-12 |x| of the one read off the complex unit, for one and two
-    generators, and the kept unit is that unit bit for bit."""
+    generators; every such stage's unit is that unit bit for bit, and every
+    degenerate stage's unit is 1."""
     spec = ideal(gens)
     run = approx_unit_sublevel(spec, stages)
     ref = sublevel_stages_complex(spec, stages)
     for stage, r in zip(run, ref):
         assert stage.degenerate == (r is None)
-        if r is not None:
-            for name in SUBLEVEL_FIELDS:
-                assert _near(getattr(stage, name), r[0][name]), (stage.index, name)
-    kept = np.ones(spec.grid.size, dtype=complex) if ref[-1] is None else ref[-1][1]
-    assert np.array_equal(run[-1].unit.values, kept)
+        unit = stage_unit(spec, stage).values
+        if r is None:
+            assert np.all(unit == 1.0), stage.index
+            continue
+        for name in SUBLEVEL_FIELDS:
+            assert _near(getattr(stage, name), r[0][name]), (stage.index, name)
+        assert np.array_equal(unit, r[1]), stage.index
 
 
 @given(
@@ -1088,14 +1114,15 @@ def test_peak_stage_statistics_match_complex_units(gens, schedule):
     zero, at any scale, have no peak units and are skipped."""
     spec = ideal(gens)
     try:
-        _, run = approx_unit_peak(spec, schedule, tol=None)
+        prep, run = approx_unit_peak(spec, schedule, tol=None)
     except NormExceeded:
         reject()
     ref = peak_stages_complex(spec, schedule)
     for stage, (error, sup_norm) in zip(run, ref):
         assert _near(stage.error, error), stage.index
         assert _near(stage.sup_norm, sup_norm), stage.index
-    assert peak_unit_error_mp(spec, run[-1].unit.values, run[-1].index) <= 1e-14
+    unit = stage_unit(spec, run[-1], prep).values
+    assert peak_unit_error_mp(spec, unit, run[-1].index) <= 1e-14
 
 
 @pytest.mark.parametrize(
@@ -1127,8 +1154,8 @@ def test_peak_unit_keeps_double_precision_at_the_last_power(name):
     rounding in each of n log|g| and n arg g, where n repeated products
     would carry about n."""
     spec = ideal([example_boundary(name, CircleGrid(512))])
-    _, stages = approx_unit_peak(spec, DEFAULT_PEAK_SCHEDULE, tol=None)
-    unit = stages[-1].unit.values
+    prep, stages = approx_unit_peak(spec, DEFAULT_PEAK_SCHEDULE, tol=None)
+    unit = stage_unit(spec, stages[-1], prep).values
     assert stages[-1].index == DEFAULT_PEAK_SCHEDULE[-1]
     assert peak_unit_error_mp(spec, unit, stages[-1].index) <= 5e-15
     assert abs(float(np.max(np.abs(unit))) - stages[-1].sup_norm) <= 1e-15
