@@ -17,8 +17,6 @@ from .errors import (
     NormExceeded,
     NotAnalytic,
     NotCertified,
-    NotInZinfty,
-    NotOuter,
     PointOnBoundary,
     RangeMiss,
     SingularPoint,
@@ -132,8 +130,6 @@ __all__ = [
     "NormExceeded",
     "NotAnalytic",
     "NotCertified",
-    "NotInZinfty",
-    "NotOuter",
     "PointOnBoundary",
     "RangeMiss",
     "SingularPoint",

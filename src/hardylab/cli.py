@@ -225,7 +225,6 @@ def _build_ideal(args):
 
 def _cmd_approx_unit(args) -> None:
     spec = _build_ideal(args)
-    prep = None
     if args.strategy == "peak":
         prep, stages = approx_unit_peak(spec, args.schedule)
         report = {"strategy": "peak", "alpha": prep.alpha, "rescaled": prep.rescaled}
@@ -235,7 +234,7 @@ def _cmd_approx_unit(args) -> None:
     report["stages"] = [stage_report(s) for s in stages]
     if args.out is not None:
         for s in stages:
-            _write(args.out, f"unit-{s.index:04d}.csv", signal_to_csv(stage_unit(spec, s, prep)))
+            _write(args.out, f"unit-{s.index:04d}.csv", signal_to_csv(stage_unit(spec, s)))
     _emit(report, args.out)
 
 

@@ -33,14 +33,6 @@ class SingularPoint(HardyLabError):
     """Evaluation exactly at the singular point of an inner factor."""
 
 
-class NotOuter(HardyLabError):
-    """A generator required to be outer fails the Jensen-equality test."""
-
-
-class NotInZinfty(HardyLabError):
-    """A generator does not extend continuously to its essential zero set."""
-
-
 class NormExceeded(HardyLabError):
     """Peak construction needs sup-norm at most one."""
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -80,6 +80,12 @@ class IdealSpec:
             return self.generators[0].values
         k = _largest_log(self)
         return outer_boundary(k, _clip_log(k))
+
+    @functools.cached_property
+    def _alignment(self) -> PeakPreparation:
+        """The alignment of every peak unit: ``prepare_peak`` of the first
+        generator."""
+        return prepare_peak(self.generators[0])
 
 
 def ideal(generators: Sequence[BoundarySignal], names: Sequence[str] | None = None) -> IdealSpec:
@@ -162,33 +168,28 @@ def _check_schedule(schedule: Sequence[int]) -> None:
         raise ValueError("peak powers must be positive")
 
 
+def _largest_log(spec: IdealSpec) -> np.ndarray:
+    """The pointwise-largest clipped generator log-modulus, in a new array."""
+    return np.maximum.reduce([g.log_abs for g in spec.generators])
+
+
 def approx_unit_sublevel(
     spec: IdealSpec,
     stages: Sequence[int] = DEFAULT_MAIN_STAGES,
 ) -> tuple[UnitStage, ...]:
-    """Units supported off shrinking sublevel neighborhoods of the zero set.
+    """Units supported off shrinking sublevel neighborhoods of the zero set,
+    one stage per entry of ``stages``, in stage order.
 
     Stage m: A_m is the eps = e^{-m} joint sublevel set, dilated by
     ``dilation_width``. The unit is base * cofactor where the cofactor is the
     outer function with log-modulus -k on the complement of A_m, so the
     unit's modulus is e^{k} there times e^{-k} — exactly one — and equals the
     generator modulus (< eps) on A_m. ``stage_unit`` builds a stage's unit.
-    """
-    return tuple(_sublevel_units(spec, stages))
 
-
-def _largest_log(spec: IdealSpec) -> np.ndarray:
-    """The pointwise-largest clipped generator log-modulus, in a new array."""
-    return np.maximum.reduce([g.log_abs for g in spec.generators])
-
-
-def _sublevel_units(spec: IdealSpec, stages: Sequence[int]) -> Iterator[UnitStage]:
-    """Each stage of ``approx_unit_sublevel``, in stage order.
-
-    The unit is base * cofactor, so |unit| = |base| e^{kc} and
-    arg(unit) = arg(base) + H[kc] for the cofactor's log-modulus kc, and
-    every generator's error is |g| |unit - 1|: the statistics need one
-    conjugate and one sine per stage, and no complex unit.
+    So |unit| = |base| e^{kc} and arg(unit) = arg(base) + H[kc] for the
+    cofactor's log-modulus kc, and every generator's error is
+    |g| |unit - 1|: the statistics need one conjugate and one sine per stage,
+    and no complex unit.
     """
     _check_stages(stages)
     grid = spec.grid
@@ -207,7 +208,8 @@ def _sublevel_units(spec: IdealSpec, stages: Sequence[int]) -> Iterator[UnitStag
     # Sublevel masks are nested, so a stage with as many nodes as the one
     # before it has the same mask, and only its index, eps and dilated
     # measure differ.
-    count = runs = stage = None
+    out: list[UnitStage] = []
+    count = runs = None
     for m in stages:
         eps = float(np.exp(-m))
         # The dilation stays under half a cell, so it adds no node: the
@@ -215,7 +217,7 @@ def _sublevel_units(spec: IdealSpec, stages: Sequence[int]) -> Iterator[UnitStag
         mask = neg_k > m
         prev_count, count = count, np.count_nonzero(mask)
         if count == 0:
-            yield UnitStage(
+            out.append(UnitStage(
                 index=m,
                 eps=eps,
                 support=mask,
@@ -227,7 +229,7 @@ def _sublevel_units(spec: IdealSpec, stages: Sequence[int]) -> Iterator[UnitStag
                 cofactor_sup=degenerate_sup,
                 error=0.0,
                 sup_norm=1.0,
-            )
+            ))
             continue
 
         # Each run of masked nodes covers its cells plus the dilation on both
@@ -238,8 +240,7 @@ def _sublevel_units(spec: IdealSpec, stages: Sequence[int]) -> Iterator[UnitStag
         w = dilation_width(m, grid.spacing)
         support_measure = min(1.0, (count * grid.spacing + 2.0 * w * runs) / TWO_PI)
         if count == prev_count:
-            stage = replace(stage, index=m, eps=eps, support_measure=support_measure)
-            yield stage
+            out.append(replace(out[-1], index=m, eps=eps, support_measure=support_measure))
             continue
         check_clip_count(clip_count, grid.size)
         on = np.flatnonzero(mask)
@@ -255,7 +256,7 @@ def _sublevel_units(spec: IdealSpec, stages: Sequence[int]) -> Iterator[UnitStag
         # where every node is masked
         off = np.abs(mod_minus_one, out=mod_minus_one)
         off[on] = 0.0
-        stage = UnitStage(
+        out.append(UnitStage(
             index=m,
             eps=eps,
             support=mask,
@@ -267,9 +268,9 @@ def _sublevel_units(spec: IdealSpec, stages: Sequence[int]) -> Iterator[UnitStag
             cofactor_sup=cofactor_sup,
             error=float(np.max(np.multiply(dist, gen_mod, out=dist))),
             sup_norm=float(np.max(mod)),
-        )
-        del log_cof, phase, mod, mod_minus_one, off, dist  # free them while the consumer runs
-        yield stage
+        ))
+        del log_cof, phase, mod, mod_minus_one, off, dist  # free them before the next stage
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -431,28 +432,10 @@ class PeakStage:
     sup_norm: float
 
 
-def approx_unit_peak(
-    spec: IdealSpec,
-    schedule: Sequence[int] = DEFAULT_PEAK_SCHEDULE,
-    tol: Optional[float] = None,
-) -> tuple[PeakPreparation, tuple[PeakStage, ...]]:
-    """Powers u_n = 1 - g^n with g the average of 1 and the rebased generator.
-
-    The recorded error is sup |u_n h - h| with h the *half*-generator
-    (scale * conj(alpha) * G / 2), which equals sup |(1-g) g^n| identically.
-    With ``tol`` given the schedule stops at the first stage under tolerance.
-    ``stage_unit`` builds a stage's unit from the stage and the alignment.
-    """
-    if len(spec.generators) != 1:
-        raise StrategyInapplicable("peak units need a single generator")
-    _check_schedule(schedule)
-    prep = prepare_peak(spec.generators[0])
-    return prep, tuple(_peak_units(spec, prep, schedule, tol))
-
-
-def _averaged(spec: IdealSpec, prep: PeakPreparation) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _averaged(spec: IdealSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The rebased generator w = scale conj(alpha) G, and log|g|^2 and
-    arg(g)/2 for the averaged function g = (1 + (1 - w))/2.
+    arg(g)/2 for the averaged function g = (1 + (1 - w))/2, for the ideal's
+    alignment.
 
     Where |g|^2 >= 1/2, log|g|^2 is the log1p of
     |g|^2 - 1 = Re d (Re d - 2) + (Im d)^2 for d = 1 - g (exact in floating
@@ -460,6 +443,7 @@ def _averaged(spec: IdealSpec, prep: PeakPreparation) -> tuple[np.ndarray, np.nd
     keeps full relative precision both where |g| is within rounding of 1
     and sup |u_n| is small, and where g is near 0.
     """
+    prep = spec._alignment
     w = prep.scale * np.conj(prep.alpha) * spec.generators[0].values
     g_mid = 0.5 * (1.0 + (1.0 - w))
     mod2 = np.square(g_mid.real) + np.square(g_mid.imag)
@@ -471,47 +455,53 @@ def _averaged(spec: IdealSpec, prep: PeakPreparation) -> tuple[np.ndarray, np.nd
     return w, log_mod2, 0.5 * np.angle(g_mid)
 
 
-def _peak_units(
+def approx_unit_peak(
     spec: IdealSpec,
-    prep: PeakPreparation,
-    schedule: Sequence[int],
-    tol: Optional[float],
-) -> Iterator[PeakStage]:
-    """Each stage of ``approx_unit_peak`` for the alignment ``prep``, in
-    schedule order.
+    schedule: Sequence[int] = DEFAULT_PEAK_SCHEDULE,
+    tol: Optional[float] = None,
+) -> tuple[PeakPreparation, tuple[PeakStage, ...]]:
+    """Powers u_n = 1 - g^n with g the average of 1 and the rebased
+    generator, one stage per power of ``schedule``, in schedule order, and
+    the ideal's alignment.
 
-    With g the averaged function, the error is sup |g|^n |h| and the sup of
-    u_n = 1 - g^n comes from |g|^n and n arg(g), with |g|^n - 1 taken as
-    expm1(n log|g|): no complex power is taken.
+    The recorded error is sup |u_n h - h| with h the *half*-generator
+    (scale * conj(alpha) * G / 2), which equals sup |(1-g) g^n| identically:
+    it is sup |g|^n |h|, and the sup of u_n comes from |g|^n and n arg(g),
+    with |g|^n - 1 taken as expm1(n log|g|), so no complex power is taken.
+    With ``tol`` given the schedule stops at the first stage under tolerance.
+    ``stage_unit`` builds a stage's unit.
     """
-    w, log_mod2, half_phase = _averaged(spec, prep)
+    if len(spec.generators) != 1:
+        raise StrategyInapplicable("peak units need a single generator")
+    _check_schedule(schedule)
+    w, log_mod2, half_phase = _averaged(spec)
     h_mod = np.abs(0.5 * w)
     del w
+    out: list[PeakStage] = []
     for n in schedule:
         mod_minus_one = np.expm1(0.5 * n * log_mod2)
         power_mod = mod_minus_one + 1.0
         err = float(np.max(power_mod * h_mod))
         dist = _distance_to_one(power_mod, mod_minus_one, n * half_phase)
-        yield PeakStage(index=int(n), error=err, sup_norm=float(np.max(dist)))
+        out.append(PeakStage(index=int(n), error=err, sup_norm=float(np.max(dist))))
         if tol is not None and err <= tol:
             break
+    return spec._alignment, tuple(out)
 
 
-def stage_unit(spec: IdealSpec, stage, prep: Optional[PeakPreparation] = None) -> BoundarySignal:
+def stage_unit(spec: IdealSpec, stage) -> BoundarySignal:
     """The unit of a sublevel or peak ``stage`` of the ideal ``spec``, in a
-    new signal, from the ideal and the stage record alone; a peak stage also
-    needs the alignment ``prep`` its construction returned.
+    new signal, from the ideal and the stage record alone.
 
     A sublevel unit is base * exp(kc + i H[kc]) for the stage's cofactor
     log-modulus kc, at the cost of one conjugate, and 1 on a degenerate
-    stage. A peak unit is 1 - g^n with g^n = exp(n/2 log|g|^2 + i n arg g):
-    the polar form the stage statistics are read from, with one rounding in
-    each exponent where repeated products would carry about n.
+    stage. A peak unit is 1 - g^n with g^n = exp(n/2 log|g|^2 + i n arg g)
+    for the ideal's alignment: the polar form the stage statistics are read
+    from, with one rounding in each exponent where repeated products would
+    carry about n.
     """
     if isinstance(stage, PeakStage):
-        if prep is None:
-            raise ValueError("a peak stage's unit needs the alignment of its construction")
-        _, log_mod2, half_phase = _averaged(spec, prep)
+        _, log_mod2, half_phase = _averaged(spec)
         n = stage.index
         values = outer_values(0.5 * n * log_mod2, 2 * n * half_phase)
         np.subtract(1.0, values, out=values)
@@ -571,7 +561,7 @@ class Certificate:
             return None
         if self.sub_certificates:
             return functools.reduce(combine_units, (c.final_unit for c in self.sub_certificates))
-        return stage_unit(self.ideal, self.stages[-1], self.peak_prep)
+        return stage_unit(self.ideal, self.stages[-1])
 
 
 def certify_mideal(

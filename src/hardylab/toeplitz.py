@@ -163,8 +163,6 @@ def _banded_kernel_dim(a: np.ndarray, order: int, tol: float) -> int:
     off = _golub_kahan(*_bidiagonal(a, order))
     zero = np.zeros(off.size + 1)
     top = eigvalsh_tridiagonal(zero, off, select="i", select_range=(off.size, off.size))[0]
-    if top == 0.0:
-        return order
     inside = eigvalsh_tridiagonal(zero, off, select="v", select_range=(-tol * top, tol * top))
     return inside.size // 2
 
@@ -190,13 +188,14 @@ def adjoint_kernel_dim(symbol: AnalyticRep, order: int, tol: float = KERNEL_TOL)
         raise ValueError(f"tol must be finite with 0 < tol < 1, got {tol}")
     _check_order(order)
     a = _unit_scaled(symbol.coefficients[:order])[0]  # counted in the kept ones' scale
+    # the largest kept part is at least 1/2 here unless every one is 0, so
+    # sigma_max is 0 exactly when this returns
+    if not np.any(a):
+        return order
     if BANDED_ORDER_RATIO * (a.size - 1) <= order:
         return _banded_kernel_dim(a, order, tol)
     sv = np.linalg.svd(_lower_toeplitz(a, order, order), compute_uv=False)
-    top = float(np.max(sv))
-    if top == 0.0:
-        return order
-    return int(np.count_nonzero(sv < tol * top))
+    return int(np.count_nonzero(sv < tol * np.max(sv)))
 
 
 def _distances(f: AnalyticRep, order: int) -> np.ndarray:

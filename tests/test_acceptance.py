@@ -31,19 +31,8 @@ from hardylab import (
     szego_distance,
 )
 from hardylab.hardy import analytic_projection
+from hardylab.reproduce import MEMBERSHIP_PROBES
 from oracles import ORACLE_CORPUS
-
-MEMBERSHIP_PROBES = (
-    "one-minus-z",
-    "one-minus-z-squared",
-    "shift-times-one-minus-z",
-    "two-point-product",
-    "exp-z",
-    "shift",
-    "constant-one",
-    "singular-inner-1",
-    "one-plus-z",
-)
 
 
 @pytest.fixture(scope="module")

@@ -30,7 +30,7 @@ from hardylab import cli
 from hardylab.catalog import ramp_log_modulus
 from hardylab.cli import main
 from hardylab.grid import MAX_GRID_SIZE, BoundarySignal
-from hardylab.ideals import DEFAULT_MAIN_STAGES, combine_units
+from hardylab.ideals import DEFAULT_MAIN_STAGES, DEFAULT_PEAK_SCHEDULE, combine_units
 from hardylab.serialize import dump_text
 from hardylab.toeplitz import MAX_ORDER
 
@@ -69,67 +69,71 @@ def test_synth_outer_writes_companion_files(capsys, tmp_path):
     assert (out_dir / "log_modulus.csv").exists()
 
 
-# Bytes per node of a command's tracemalloc peak at N = 65536, run cold (the
-# grid's row-template and field-kernel caches cleared) with --out. The
-# per-float formatter peaked at 241.0 B/node (15.06 MiB) in factorize and
-# 211.6 B/node (13.23 MiB) in synth-outer; the field kernel took 240.2 and
-# 210.5 while the grid cached its node arrays, and takes 232.1 and 202.5 now
-# that nothing does. A budget stops either peak from growing past the
-# formatter's.
-@pytest.mark.parametrize("argv, budget", [
-    (["factorize", "--f", "one-minus-z"], 244),
-    (["synth-outer", "--k", "ramp-logmod"], 212),
-], ids=["factorize", "synth-outer"])
-def test_out_commands_keep_their_memory_budget_at_65536_nodes(capsys, tmp_path, argv, budget):
+def _cold_peak(capsys, warm_argv, argv):
+    """The exit code and tracemalloc peak of the command ``argv``, run after
+    ``warm_argv``, the same command on 4096-node inputs, has imported what
+    the command imports on first use (orjson, numpy.fft), and with the
+    grid's row-template and field-kernel caches cleared. So the peak does
+    not depend on which tests ran before. 4096 is the smallest grid on which
+    1 - z certifies: below it the certificate is refused as NotOuter before
+    any unit is built, and the warm-up would miss numpy.fft."""
+    assert run(capsys, *warm_argv)[0] == 0
     grid = hardylab.grid
     for cache in (grid._row_templates, grid._field_tables):
         cache.cache_clear()
     tracemalloc.start()
     try:
-        code, _, _ = run(capsys, *argv, "--grid-size", "65536", "--out", str(tmp_path))
-        peak = tracemalloc.get_traced_memory()[1]
+        code, _, _ = run(capsys, *argv)
+        return code, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+# Bytes per node of a command's tracemalloc peak at N = 65536, with --out,
+# measured by ``_cold_peak``: the same in a run of this test alone and in the
+# full suite. The per-float formatter peaked at 241.0 B/node (15.06 MiB) in
+# factorize and 211.6 B/node (13.23 MiB) in synth-outer; the field kernel
+# peaks at 226.5 and 202.5. Each budget is a peak plus 5 %, and no more than
+# the formatter's peak.
+@pytest.mark.parametrize("argv, budget", [
+    (["factorize", "--f", "one-minus-z"], 238),
+    (["synth-outer", "--k", "ramp-logmod"], 212),
+], ids=["factorize", "synth-outer"])
+def test_out_commands_keep_their_memory_budget_at_65536_nodes(capsys, tmp_path, argv, budget):
+    code, peak = _cold_peak(
+        capsys,
+        [*argv, "--grid-size", "4096", "--out", str(tmp_path / "warm")],
+        [*argv, "--grid-size", "65536", "--out", str(tmp_path / "run")],
+    )
     assert code == 0
     assert peak <= budget * 65536
 
 
-# The same cold peaks, without --out, for commands that read 65536-node CSV
-# files (one-minus-z as f, one-minus-z-squared as h, two-plus-z as a).
-# certify peaked at 140.4 B/node (8.77 MiB) and member at 146.3 B/node
-# (9.14 MiB), both when files were read as text and when they were first
-# read as bytes. Each budget is a peak plus 5 %, the headroom the budgets
-# above leave over their peaks. zeroset came down from 116.2 to 100.2 when
-# the reader handed its table to the signal with one copy. The unit
-# constructions set the other peaks. Since their stages keep no arrays for a
-# unit, and the sublevel cofactor log-modulus is clipped once per
-# construction, certify went from 122.2 to 106.4, member from 138.2 to
-# 124.4, prime-check from 162.2 to 146.2 and approx-unit sublevel from 114.5
-# to 106.2. approx-unit peak went from 137.1 to 100.2: its powers no longer
-# hold the rebased generator and the averaged function, so the CSV read
-# sets its peak, as it does zeroset's.
+# The same peaks, without --out, for commands that read 65536-node CSV
+# files (one-minus-z as f, one-minus-z-squared as h, two-plus-z as a), each
+# a peak plus 5 %. The unit constructions set the peaks of certify (106.2),
+# member (124.4), prime-check (146.2) and approx-unit sublevel (106.2): their
+# stages keep no arrays for a unit, and the sublevel cofactor log-modulus is
+# clipped once per construction. The CSV read sets the peaks of zeroset and
+# approx-unit peak (100.2 each), since the peak powers hold neither the
+# rebased generator nor the averaged function.
 @pytest.mark.parametrize("argv, budget", [
     (["certify", "--generators", "{f}"], 112),
     (["member", "--h", "{h}", "--generators", "{f}"], 131),
-    (["zeroset", "--f", "{f}"], 123),
+    (["zeroset", "--f", "{f}"], 106),
     (["approx-unit", "--generators", "{f}", "--strategy", "sublevel"], 112),
     (["approx-unit", "--generators", "{f}", "--strategy", "peak"], 106),
     (["prime-check", "--a", "{a}", "--b", "{h}", "--generators", "{f}"], 154),
 ], ids=["certify", "member", "zeroset", "approx-unit-sublevel", "approx-unit-peak", "prime-check"])
 def test_csv_commands_keep_their_memory_budget_at_65536_nodes(capsys, tmp_path, argv, budget):
-    paths = {}
-    for key, name in (("f", "one-minus-z"), ("h", "one-minus-z-squared"), ("a", "two-plus-z")):
-        paths[key] = tmp_path / f"{key}.csv"
-        paths[key].write_text(signal_to_csv(example_boundary(name, CircleGrid(65536))))
-    grid = hardylab.grid
-    for cache in (grid._row_templates, grid._field_tables):
-        cache.cache_clear()
-    tracemalloc.start()
-    try:
-        code, _, _ = run(capsys, *[a.format(**paths) for a in argv])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    inputs = {}
+    for size in (4096, 65536):
+        paths = inputs[size] = {}
+        for key, name in (("f", "one-minus-z"), ("h", "one-minus-z-squared"), ("a", "two-plus-z")):
+            paths[key] = tmp_path / f"{key}-{size}.csv"
+            paths[key].write_text(signal_to_csv(example_boundary(name, CircleGrid(size))))
+    code, peak = _cold_peak(
+        capsys, *([a.format(**inputs[size]) for a in argv] for size in (4096, 65536)))
     assert code == 0
     assert peak <= budget * 65536
 
@@ -1106,6 +1110,26 @@ def test_approx_unit_out_synthesises_the_joint_base_once(capsys, monkeypatch, tm
     )
     assert code == 0, err
     assert len(list(tmp_path.glob("unit-*.csv"))) == len(DEFAULT_MAIN_STAGES)
+    assert calls == [4096]
+
+
+def test_approx_unit_peak_out_aligns_the_generator_once(capsys, monkeypatch, tmp_path):
+    """The peak stages and every unit they write share the ideal's one
+    alignment."""
+    calls = []
+    orig = hardylab.ideals.prepare_peak
+
+    def counted(f):
+        calls.append(f.grid.size)
+        return orig(f)
+
+    monkeypatch.setattr(hardylab.ideals, "prepare_peak", counted)
+    code, _, err = run(
+        capsys, "approx-unit", "--generators", "one-minus-z", "--strategy", "peak",
+        "--grid-size", "4096", "--out", str(tmp_path),
+    )
+    assert code == 0, err
+    assert len(list(tmp_path.glob("unit-*.csv"))) == len(DEFAULT_PEAK_SCHEDULE)
     assert calls == [4096]
 
 

@@ -307,16 +307,39 @@ def test_peak_unit_is_one_minus_power(one_minus_z_spec):
     g_mid = 0.5 * (1.0 + (1.0 - w))
     h = 0.5 * w
     for s in stages:
-        u = stage_unit(one_minus_z_spec, s, prep).values
+        u = stage_unit(one_minus_z_spec, s).values
         assert np.max(np.abs(u - (1.0 - g_mid ** s.index))) <= 1e-15
         assert s.error == pytest.approx(float(np.max(np.abs(h * g_mid ** s.index))), abs=1e-12)
     assert [s.index for s in stages] == [1, 2, 4]
 
 
-def test_a_peak_stage_unit_needs_its_alignment(one_minus_z_spec):
-    _, stages = approx_unit_peak(one_minus_z_spec, (1, 2), tol=None)
-    with pytest.raises(ValueError, match="alignment"):
-        stage_unit(one_minus_z_spec, stages[-1])
+def test_an_ideal_aligns_its_generator_once(monkeypatch):
+    """A peak certificate, its final unit and a peak construction on the same
+    ideal share one alignment: ``prepare_peak`` runs once."""
+    calls = []
+    orig = hardylab.ideals.prepare_peak
+
+    def counted(f):
+        calls.append(f)
+        return orig(f)
+
+    monkeypatch.setattr(hardylab.ideals, "prepare_peak", counted)
+    spec = ideal([example_boundary("one-minus-z", CircleGrid(4096))])
+    cert = certify_mideal(spec, strategy="peak")
+    assert cert.passed and cert.final_unit is not None
+    prep, _ = approx_unit_peak(spec, (1, 2), tol=None)
+    assert prep is cert.peak_prep
+    assert calls == [spec.generators[0]]
+
+
+def test_a_peak_stage_unit_depends_only_on_the_generator_and_the_stage():
+    """A fresh ideal of the same generator builds the construction's unit of
+    a peak stage, bit for bit."""
+    f = example_boundary("one-minus-z-times-exp", CircleGrid(4096))
+    spec = ideal([f])
+    _, stages = approx_unit_peak(spec, (1, 8, 64), tol=None)
+    for s in stages:
+        assert np.array_equal(stage_unit(ideal([f]), s).values, stage_unit(spec, s).values), s.index
 
 
 def test_peak_schedule_stops_at_tolerance(one_minus_z_spec):
@@ -1114,14 +1137,14 @@ def test_peak_stage_statistics_match_complex_units(gens, schedule):
     zero, at any scale, have no peak units and are skipped."""
     spec = ideal(gens)
     try:
-        prep, run = approx_unit_peak(spec, schedule, tol=None)
+        _, run = approx_unit_peak(spec, schedule, tol=None)
     except NormExceeded:
         reject()
     ref = peak_stages_complex(spec, schedule)
     for stage, (error, sup_norm) in zip(run, ref):
         assert _near(stage.error, error), stage.index
         assert _near(stage.sup_norm, sup_norm), stage.index
-    unit = stage_unit(spec, run[-1], prep).values
+    unit = stage_unit(spec, run[-1]).values
     assert peak_unit_error_mp(spec, unit, run[-1].index) <= 1e-14
 
 
@@ -1154,8 +1177,8 @@ def test_peak_unit_keeps_double_precision_at_the_last_power(name):
     rounding in each of n log|g| and n arg g, where n repeated products
     would carry about n."""
     spec = ideal([example_boundary(name, CircleGrid(512))])
-    prep, stages = approx_unit_peak(spec, DEFAULT_PEAK_SCHEDULE, tol=None)
-    unit = stage_unit(spec, stages[-1], prep).values
+    _, stages = approx_unit_peak(spec, DEFAULT_PEAK_SCHEDULE, tol=None)
+    unit = stage_unit(spec, stages[-1]).values
     assert stages[-1].index == DEFAULT_PEAK_SCHEDULE[-1]
     assert peak_unit_error_mp(spec, unit, stages[-1].index) <= 5e-15
     assert abs(float(np.max(np.abs(unit))) - stages[-1].sup_norm) <= 1e-15

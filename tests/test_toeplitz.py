@@ -158,6 +158,19 @@ def test_kernel_dimensions():
     assert adjoint_kernel_dim(AnalyticRep(np.array([0.0])), 5) == 5
 
 
+@pytest.mark.parametrize("coeffs, order, banded", [
+    ([0.0, 1.0], 1, True),  # z, cut to [0]
+    ([0.0, 0.0, 1.0], 2, False),  # z^2, cut to [0, 0]
+    ([0.0], 5, True),
+    ([0.0, 0.0, 0.0], 2, False),
+], ids=["z", "z-squared", "zero-banded", "zero-dense"])
+def test_a_truncation_with_no_kept_coefficient_kills_everything(coeffs, order, banded):
+    """Every kept coefficient 0 gives the order on either route."""
+    kept = min(len(coeffs), order)
+    assert (BANDED_ORDER_RATIO * (kept - 1) <= order) == banded
+    assert adjoint_kernel_dim(AnalyticRep(np.array(coeffs)), order) == order
+
+
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 1.5, 1.0, 0.0, -1.0])
 def test_kernel_tol_must_lie_strictly_inside_the_unit_interval(tol):
     with pytest.raises(ValueError, match="0 < tol < 1"):
