@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import io
 import math
+import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -33,6 +34,15 @@ CLIP_FLOOR = -30.0
 REAL_TOL = 1e-9
 
 
+def _as_index(value, name: str) -> int:
+    """``value`` by ``operator.index``: an int or a numpy integer, else
+    ValueError. Every grid size, stage, power and order goes through here."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _clip_log(k: np.ndarray) -> int:
     """Raise log-modulus samples ``k`` to the floor in place; the count at it.
     Every clip in the package goes through here."""
@@ -48,7 +58,7 @@ class CircleGrid:
     size: int
 
     def __post_init__(self):
-        n = self.size
+        n = _as_index(self.size, "grid size")
         if n < 8 or (n & (n - 1)) != 0:
             raise ValueError(f"grid size must be a power of two >= 8, got {n}")
         if n > MAX_GRID_SIZE:

@@ -36,7 +36,8 @@ from .errors import (
 )
 from .factorization import _reject_zero, check_clip_count, is_outer, outer_boundary, outer_values
 from .grid import (
-    TWO_PI, BoundarySignal, CircleGrid, _clip_log, circular_distance, circular_runs, common_grid,
+    TWO_PI, BoundarySignal, CircleGrid, _as_index, _clip_log, circular_distance, circular_runs,
+    common_grid,
 )
 from .hardy import conjugate
 from .zerosets import continuous_extension, essential_zero_set, zinfty_report
@@ -109,12 +110,11 @@ def ideal(generators: Sequence[BoundarySignal], names: Sequence[str] | None = No
 
 @dataclass(frozen=True)
 class UnitStage:
-    """One stage of the sublevel construction; ``support`` is the node mask
-    of A_m."""
+    """One stage of the sublevel construction. Its support A_m, the nodes where
+    -k > m for the ideal's joint clipped log-modulus k, is rebuilt, not kept."""
 
     index: int
     eps: float
-    support: np.ndarray
     support_measure: float
     degenerate: bool
     off_support_deviation: float
@@ -154,7 +154,7 @@ def _check_stages(stages: Sequence[int]) -> None:
     """Refuse an empty list of sublevel stages, or a stage outside 1 .. MAX_STAGE."""
     if not stages:
         raise ValueError("sublevel stages must not be empty")
-    if any(m < 1 for m in stages):
+    if any(_as_index(m, "a sublevel stage") < 1 for m in stages):
         raise ValueError("sublevel stages must be positive")
     if any(m > MAX_STAGE for m in stages):
         raise ValueError(f"sublevel stages must be at most {MAX_STAGE}; e^-m underflows past it")
@@ -164,7 +164,7 @@ def _check_schedule(schedule: Sequence[int]) -> None:
     """Refuse an empty peak schedule, or a power below 1."""
     if not schedule:
         raise ValueError("peak schedule must not be empty")
-    if any(n < 1 for n in schedule):
+    if any(_as_index(n, "a peak power") < 1 for n in schedule):
         raise ValueError("peak powers must be positive")
 
 
@@ -220,7 +220,6 @@ def approx_unit_sublevel(
             out.append(UnitStage(
                 index=m,
                 eps=eps,
-                support=mask,
                 support_measure=0.0,
                 degenerate=True,
                 off_support_deviation=0.0,
@@ -259,7 +258,6 @@ def approx_unit_sublevel(
         out.append(UnitStage(
             index=m,
             eps=eps,
-            support=mask,
             support_measure=support_measure,
             degenerate=False,
             off_support_deviation=float(np.max(off)),
@@ -269,7 +267,7 @@ def approx_unit_sublevel(
             error=float(np.max(np.multiply(dist, gen_mod, out=dist))),
             sup_norm=float(np.max(mod)),
         ))
-        del log_cof, phase, mod, mod_minus_one, off, dist  # free them before the next stage
+        del mask, on, log_cof, phase, mod, mod_minus_one, off, dist  # before the next stage
     return tuple(out)
 
 
@@ -510,7 +508,7 @@ def stage_unit(spec: IdealSpec, stage) -> BoundarySignal:
     else:
         log_cof = _largest_log(spec)
         np.negative(log_cof, out=log_cof)
-        log_cof[stage.support] = 0.0
+        log_cof[log_cof > stage.index] = 0.0  # the support, before the clip
         check_clip_count(_clip_log(log_cof), spec.grid.size)
         values = outer_values(log_cof, conjugate(log_cof))
         np.multiply(spec._base, values, out=values)
@@ -520,6 +518,11 @@ def stage_unit(spec: IdealSpec, stage) -> BoundarySignal:
 def combine_units(u: BoundarySignal, v: BoundarySignal) -> BoundarySignal:
     """Diagonal combination u + v - u v; one minus it factors as (1-u)(1-v)."""
     return BoundarySignal(common_grid(u, v), u.values + v.values - u.values * v.values)
+
+
+def _fold(subs: Sequence[Certificate]) -> BoundarySignal:
+    """The ``combine_units`` fold of the last-stage units of ``subs``, built one at a time."""
+    return functools.reduce(combine_units, (stage_unit(c.ideal, c.stages[-1]) for c in subs))
 
 
 # ---------------------------------------------------------------------------
@@ -556,12 +559,8 @@ class Certificate:
     @functools.cached_property
     def final_unit(self) -> Optional[BoundarySignal]:
         """The last stage's unit, or for a combined certificate the fold of
-        its sub-certificates' final units; built on first read and kept."""
-        if not self.stages:
-            return None
-        if self.sub_certificates:
-            return functools.reduce(combine_units, (c.final_unit for c in self.sub_certificates))
-        return stage_unit(self.ideal, self.stages[-1])
+        its sub-certificates' last-stage units; built on first read and kept."""
+        return _fold(self.sub_certificates or (self,)) if self.stages else None
 
 
 def certify_mideal(
@@ -681,7 +680,7 @@ def _certify_combined(
     combined_stages: tuple = ()
     final_error, sup_bound, inf_z, common = float("inf"), 0.0, None, ()
     if failed_sub is None:
-        zeta = functools.reduce(combine_units, (c.final_unit for c in subs))
+        zeta = _fold(subs)
         errors = tuple(
             float(np.max(np.abs(zeta.values * g.values - g.values)))
             for g in spec.generators

@@ -108,8 +108,8 @@ def zinfty_report_dict(rep: ZinftyReport) -> dict:
 
 
 def stage_report(stage) -> dict:
-    """Every field of ``stage`` except its support, with its kind; the index
-    is a sublevel stage's ``stage`` and a peak stage's ``power``."""
+    """Every field of ``stage``, with its kind; the index is a sublevel
+    stage's ``stage`` and a peak stage's ``power``."""
     if isinstance(stage, UnitStage):
         kind, index = "sublevel", {"stage": stage.index}
     elif isinstance(stage, PeakStage):
@@ -118,7 +118,7 @@ def stage_report(stage) -> dict:
         kind, index = "combined", {}
     else:
         raise TypeError(f"unknown stage type {type(stage).__name__}")
-    return {"kind": kind, **index, **_fields(stage, ("index", "support"))}
+    return {"kind": kind, **index, **_fields(stage, ("index",))}
 
 
 def certificate_report(cert: Certificate) -> dict:

@@ -23,7 +23,7 @@ import functools
 import numpy as np
 
 from .errors import ZeroFunction
-from .grid import _unit_scaled
+from .grid import _as_index, _unit_scaled
 from .hardy import AnalyticRep
 
 #: Relative singular-value cutoff for kernel dimension counts.
@@ -58,7 +58,7 @@ BANDED_ORDER_RATIO = 100
 
 
 def _check_order(order: int) -> None:
-    if order < 1:
+    if _as_index(order, "order") < 1:
         raise ValueError("order must be at least 1")
     if order > MAX_ORDER:
         raise ValueError(f"order must be at most {MAX_ORDER}")
@@ -265,7 +265,7 @@ def szego_distance(f: AnalyticRep, order: int) -> float:
 
 def density_profile(f: AnalyticRep, schedule=DENSITY_SCHEDULE) -> tuple[tuple[int, float], ...]:
     """(order, distance) pairs along an increasing truncation schedule."""
-    orders = [int(m) for m in schedule]
+    orders = [_as_index(m, "a truncation order") for m in schedule]
     if any(m < 1 for m in orders) or any(b <= a for a, b in zip(orders, orders[1:])):
         raise ValueError("schedule must be increasing positive integers")
     if not orders:

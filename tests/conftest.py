@@ -13,6 +13,11 @@ settings.load_profile("hardylab")
 FULL_SIZE = 2 ** 14
 
 
+def pytest_addoption(parser):
+    parser.addoption("--contract-examples", type=int, default=100,
+                     help="examples of the CLI contract property in tests/test_contract.py")
+
+
 @pytest.fixture(scope="session")
 def grid() -> CircleGrid:
     """The production-resolution grid shared by the expensive tests."""

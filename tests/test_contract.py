@@ -8,16 +8,27 @@ separator-only text, a non-ASCII digit and an ordinary value). The commands
 run in-process through ``cli.main``, with warnings raised as errors, on
 registry signals, at 512 nodes where a grid is built. A second sweep feeds
 malformed input texts, on stdin or as a ``--config`` file, and each must be
-refused with exit 1 and one ``io-format`` object.
+refused with exit 1 and one ``io-format`` object. A hypothesis property
+then draws whole command lines from ``build_parser()`` itself, with mutated
+inputs and config files, and holds each to the same contract.
 """
 
+import argparse
+import functools
 import io
 import json
+import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from hardylab import CircleGrid, example_boundary, signal_to_csv
-from hardylab.cli import main
+from hardylab import CircleGrid, HardyLabError, catalog_names, example_boundary, get_example, signal_to_csv
+from hardylab.cli import _int_list, _name_list, build_parser, main
+from hardylab.reproduce import bundle_names
 
 #: Arguments each command runs with before the option under test, which
 #: comes last and so overrides a base value of the same option.
@@ -102,3 +113,184 @@ def test_every_malformed_input_is_refused_with_one_io_format_error(
     assert code == 1
     assert out == ""
     assert json.loads(err)["error"] == "io-format"
+
+
+# ---------------------------------------------------------------------------
+# the contract as a property over the command lines the parser admits
+# ---------------------------------------------------------------------------
+
+PARSER = build_parser()
+#: Each command's parser, by name, as ``build_parser`` registers it.
+COMMANDS = next(a for a in PARSER._actions if isinstance(a, argparse._SubParsersAction)).choices
+#: Commands whose signals are Taylor series; the others read boundary CSVs.
+TAYLOR_COMMANDS = ("density", "toeplitz-kernel")
+#: Options that name a directory or a file, drawn by the property itself.
+PATH_OPTIONS = ("out", "config")
+#: Every example's tracemalloc peak must stay under this. The largest of
+#: 1000 examples was 25.5 MiB: a density profile of `two-point-product` to
+#: the default order 1024, the one work not bounded by the 4096-node grid.
+CONTRACT_BUDGET = 48 << 20
+
+
+def _mostly(valid, invalid):
+    """``valid`` seven times in eight, else ``invalid``: most lines then run
+    to the end, and every option is still refused now and then."""
+    return st.integers(0, 7).flatmap(lambda i: valid if i else invalid)
+
+
+_FLOATS = _mostly(st.floats(1e-3, 5.0).map(repr),
+                  st.sampled_from(["0", "-1", "nan", "inf", "-inf", "1e308", "1e-320"]))
+#: Grid sizes: the legal ones up to 4096, and a few that are refused.
+_GRID_SIZES = _mostly(st.sampled_from([8, 64, 512, 4096]), st.sampled_from([0, -8, 12, 100])).map(str)
+#: Truncation orders: a dense kernel count stays small; 5000 is past MAX_ORDER.
+_ORDERS = _mostly(st.integers(1, 200), st.sampled_from([-1, 0, 5000])).map(str)
+_LIST_ITEMS = {
+    "stages": _mostly(st.integers(1, 40), st.sampled_from([-1, 0, 745, 746])),
+    "schedule": _mostly(st.integers(1, 300), st.sampled_from([-1, 0])),
+}
+_BAD_LISTS = st.sampled_from(["", ",", "1.5", "a,2", "\u0661"])
+
+
+@functools.cache
+def _canonical_csv(name: str, size: int) -> bytes:
+    return signal_to_csv(example_boundary(name, CircleGrid(size))).encode()
+
+
+@st.composite
+def _mutated(draw, data: bytes) -> bytes:
+    """``data`` with up to three byte-level edits: a cut, an insertion, a
+    replacement or a truncation."""
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(data)))
+        j = min(len(data), i + draw(st.integers(0, 64)))
+        piece = draw(st.sampled_from([b",", b"\n", b"\r\n", b"nan", b"-", b"1e999", b"\xff", b" ", b"0",
+                                      b"[", b"}"]) | st.binary(max_size=8))
+        op = draw(st.sampled_from(["cut", "insert", "replace", "truncate"]))
+        data = {"cut": data[:i] + data[j:], "insert": data[:i] + piece + data[i:],
+                "replace": data[:i] + piece + data[j:], "truncate": data[:i]}[op]
+    return data
+
+
+@st.composite
+def _stdin(draw, command: str, size: int) -> bytes:
+    """A canonical input for ``command``, mutated: a Taylor JSON for the
+    Taylor commands, else a boundary CSV on ``size`` nodes, or now and then
+    on another grid."""
+    name = draw(st.sampled_from(catalog_names()))
+    if command in TAYLOR_COMMANDS:
+        try:
+            data = get_example(name).taylor().to_json().encode()
+        except HardyLabError:  # an entry defined on the boundary only
+            data = b'{"coefficients": [[1, 0], [-1, 0]]}'
+    else:
+        data = _canonical_csv(name, draw(_mostly(st.just(size), st.sampled_from([8, 4096]))))
+    return draw(_mutated(data))
+
+
+def _signal():
+    """A registry name, or '-' for the mutated input on stdin."""
+    return _mostly(st.sampled_from(catalog_names()), st.just("-"))
+
+
+def _value(command: str, action: argparse.Action):
+    """A strategy for the text of one option of ``command``, from what the
+    parser says of it: its choices, its type, or else a signal token."""
+    if action.choices is not None:
+        return _mostly(st.sampled_from(list(action.choices)), st.just("nope"))
+    if action.dest == "name":  # the bundle of reproduce
+        return _mostly(st.sampled_from(bundle_names()), st.just("nope"))
+    if action.type is int:
+        return _GRID_SIZES if action.dest == "grid_size" else _ORDERS
+    if action.type is float:
+        return _FLOATS
+    if action.type is _int_list:
+        items = _LIST_ITEMS[action.dest]
+        if command == "density":  # orders must increase
+            items = st.lists(items, min_size=1, max_size=4, unique=True).map(sorted)
+        else:
+            items = st.lists(items, min_size=1, max_size=4)
+        return _mostly(items.map(lambda v: ",".join(map(str, v))), _BAD_LISTS)
+    if action.type is _name_list:
+        return st.lists(_signal(), min_size=1, max_size=3).map(",".join)
+    return _signal()
+
+
+@st.composite
+def _command_lines(draw):
+    """(argv, stdin bytes, config text or None): a command, each of its
+    options present or left out (a required one too, now and then), and a
+    ``--config`` file holding some of its keys."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    actions = [a for a in COMMANDS[command]._actions
+               if a.dest not in ("help", *PATH_OPTIONS)]
+    argv = [command]
+    size = 512
+    for action in actions:
+        # a grid is always given, so the default of 16384 nodes is never built
+        if action.dest == "grid_size":
+            text = draw(_value(command, action))
+            size = int(text) if text in ("8", "64", "512", "4096") else size
+        elif draw(st.booleans()) if not action.required else draw(st.integers(0, 19)) > 0:
+            text = draw(_value(command, action))
+        else:
+            continue
+        argv += [text] if not action.option_strings else [f"{action.option_strings[0]}={text}"]
+    if draw(st.booleans()):
+        argv += ["--out", "out"]
+    config = None
+    if draw(st.integers(0, 4)) == 0:
+        keys = draw(st.lists(st.sampled_from([a for a in actions if a.option_strings]),
+                             max_size=3, unique_by=lambda a: a.dest))
+        values = {a.dest: draw(_value(command, a)) for a in keys}
+        values.update(draw(st.dictionaries(st.sampled_from(["nope", "tol", "M"]),
+                                           st.none() | st.integers(-2, 9) | st.booleans()
+                                           | st.lists(st.integers(), max_size=2), max_size=1)))
+        config = json.dumps(values)
+    return argv, draw(_stdin(command, size)), config
+
+
+def _assert_contract(argv, stdin: bytes, config) -> None:
+    if config is not None:
+        Path("config.json").write_text(config)
+        argv = [*argv, "--config", "config.json"]
+    out, err = io.StringIO(), io.StringIO()
+    stdin_text = io.TextIOWrapper(io.BytesIO(stdin))
+    tracemalloc.start()
+    try:
+        with mock.patch("sys.stdin", stdin_text), redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # a usage error
+                code = exc.code
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = out.getvalue(), err.getvalue()
+    assert peak <= CONTRACT_BUDGET, peak
+    if code == 0:
+        assert err == ""
+        assert isinstance(json.loads(out), dict)
+    else:
+        assert code in (1, 2)
+        assert out == "" or isinstance(json.loads(out), dict)
+        failure = json.loads(err)
+        assert isinstance(failure, dict) and sorted(failure) == ["error", "message"]
+
+
+@pytest.mark.filterwarnings("error")
+def test_every_command_line_the_parser_admits_keeps_the_contract(request, tmp_path, monkeypatch):
+    """Command lines drawn from ``build_parser()`` itself: a command, its
+    options by their choices and types, registry signals or '-' with a
+    mutated CSV or Taylor JSON on stdin, and a ``--config`` file of drawn
+    keys. Each runs under a tracemalloc budget and exits 0 with one JSON
+    report, or 1 or 2 with one {error, message} object on stderr. Grids stay
+    at most 4096 nodes. ``--contract-examples`` sets the number of examples."""
+    monkeypatch.chdir(tmp_path)  # reproduce writes its bundle here without --out
+
+    @settings(max_examples=request.config.getoption("--contract-examples"), derandomize=True,
+              deadline=None, database=None, suppress_health_check=list(HealthCheck))
+    @given(_command_lines())
+    def run(line):
+        _assert_contract(*line)
+
+    run()

@@ -34,6 +34,17 @@ def test_grid_rejects_bad_sizes():
     assert CircleGrid(MAX_GRID_SIZE).size == MAX_GRID_SIZE
 
 
+@pytest.mark.parametrize("size", [4096.0, 4096.5, "4096", None])
+def test_grid_refuses_a_size_that_is_not_an_integer(size):
+    with pytest.raises(ValueError, match="grid size must be an integer"):
+        CircleGrid(size)
+
+
+def test_grid_takes_a_numpy_integer_size():
+    assert CircleGrid(np.int64(4096)) == CircleGrid(4096)
+    assert CircleGrid(np.uint16(4096)).spacing == CircleGrid(4096).spacing
+
+
 def test_nodes_and_spacing():
     g = CircleGrid(8)
     assert g.spacing == pytest.approx(math.pi / 4)

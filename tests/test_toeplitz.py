@@ -117,6 +117,23 @@ def test_truncation_is_lower_triangular_with_taylor_diagonals():
         adjoint_kernel_dim(AnalyticRep(np.array([1.0])), 0)
 
 
+@pytest.mark.parametrize("call", [szego_distance, adjoint_kernel_dim,
+                                  lambda f, m: density_profile(f, (16, m))])
+@pytest.mark.parametrize("order", [32.5, 32.0, "32", float("nan")])
+def test_an_order_that_is_not_an_integer_is_refused(call, order):
+    with pytest.raises(ValueError, match="order must be an integer"):
+        call(AnalyticRep(np.array([1.0, -1.0])), order)
+
+
+def test_numpy_integer_orders_are_taken_as_their_value():
+    f = AnalyticRep(np.array([1.0, -1.0]))
+    assert szego_distance(f, np.int64(32)) == szego_distance(f, 32)
+    assert adjoint_kernel_dim(f, np.int32(32)) == adjoint_kernel_dim(f, 32)
+    profile = density_profile(f, np.array([16, 32]))
+    assert profile == density_profile(f, (16, 32))
+    assert all(type(m) is int for m, _ in profile)
+
+
 @pytest.mark.parametrize("order", [15, 63, 255])
 def test_one_minus_z_distance_closed_form(order):
     # analytic solution: the optimal degree-<M inverse of 1-z leaves
