@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import io
 import math
+import numbers
 import operator
 import re
 from dataclasses import dataclass
@@ -41,6 +42,24 @@ def _as_index(value, name: str) -> int:
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _as_indices(values, name: str) -> tuple[int, ...]:
+    """``values``, any iterable but a string, read once into a tuple of ints by ``_as_index``,
+    else ValueError. Every list of stages, powers or orders goes through here."""
+    try:  # a string is iterable, but never a list of integers
+        items = iter(None if isinstance(values, (str, bytes)) else values)
+    except TypeError:
+        raise ValueError(f"expected a list of integers, each {name}, got {values!r}") from None
+    return tuple(_as_index(v, name) for v in items)
+
+
+def _as_real(value, name: str, rule: str = "finite", test=math.isfinite) -> float:
+    """``value``, a Python or numpy real number, as a float that passes ``test``, else
+    ValueError("{name} must be {rule}, got ..."); every tolerance, bound and angle is read here."""
+    if isinstance(value, numbers.Real) and test(float(value)):
+        return float(value)
+    raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
 def _clip_log(k: np.ndarray) -> int:

@@ -36,8 +36,7 @@ from .errors import (
 )
 from .factorization import _reject_zero, check_clip_count, is_outer, outer_boundary, outer_values
 from .grid import (
-    TWO_PI, BoundarySignal, CircleGrid, _as_index, _clip_log, circular_distance, circular_runs,
-    common_grid,
+    BoundarySignal, CircleGrid, _as_indices, _as_real, _clip_log, circular_distance, common_grid,
 )
 from .hardy import conjugate
 from .zerosets import continuous_extension, essential_zero_set, zinfty_report
@@ -111,7 +110,8 @@ def ideal(generators: Sequence[BoundarySignal], names: Sequence[str] | None = No
 @dataclass(frozen=True)
 class UnitStage:
     """One stage of the sublevel construction. Its support A_m, the nodes where
-    -k > m for the ideal's joint clipped log-modulus k, is rebuilt, not kept."""
+    -k > m for the ideal's joint clipped log-modulus k, is rebuilt, not kept;
+    ``support_measure`` is their count over N."""
 
     index: int
     eps: float
@@ -123,12 +123,6 @@ class UnitStage:
     cofactor_sup: float
     error: float
     sup_norm: float
-
-
-def dilation_width(stage: int, spacing: float) -> float:
-    """Stage-m dilation: 2^-m, capped below half a grid cell so widening the
-    support can neither swallow new nodes nor bridge gaps between clusters."""
-    return min(2.0 ** -stage, 0.45 * spacing)
 
 
 def _distance_to_one(
@@ -144,28 +138,30 @@ def _distance_to_one(
     return np.sqrt(np.add(np.square(mod_minus_one), s, out=s), out=s)
 
 
-def _check_positive(name: str, value: float) -> None:
-    """Refuse an option ``value`` that is not finite and positive."""
-    if not (np.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+#: The rule and test of ``_as_real`` for a tolerance, bound or divisor floor.
+_POSITIVE = ("finite and positive", lambda x: 0.0 < x < math.inf)
 
 
-def _check_stages(stages: Sequence[int]) -> None:
-    """Refuse an empty list of sublevel stages, or a stage outside 1 .. MAX_STAGE."""
+def _read_stages(stages: Sequence[int]) -> tuple[int, ...]:
+    """``stages`` by ``_as_indices``; refused when empty or outside 1 .. MAX_STAGE."""
+    stages = _as_indices(stages, "a sublevel stage")
     if not stages:
         raise ValueError("sublevel stages must not be empty")
-    if any(_as_index(m, "a sublevel stage") < 1 for m in stages):
+    if min(stages) < 1:
         raise ValueError("sublevel stages must be positive")
-    if any(m > MAX_STAGE for m in stages):
+    if max(stages) > MAX_STAGE:
         raise ValueError(f"sublevel stages must be at most {MAX_STAGE}; e^-m underflows past it")
+    return stages
 
 
-def _check_schedule(schedule: Sequence[int]) -> None:
-    """Refuse an empty peak schedule, or a power below 1."""
+def _read_schedule(schedule: Sequence[int]) -> tuple[int, ...]:
+    """``schedule`` by ``_as_indices``; refused when empty or with a power below 1."""
+    schedule = _as_indices(schedule, "a peak power")
     if not schedule:
         raise ValueError("peak schedule must not be empty")
-    if any(_as_index(n, "a peak power") < 1 for n in schedule):
+    if min(schedule) < 1:
         raise ValueError("peak powers must be positive")
+    return schedule
 
 
 def _largest_log(spec: IdealSpec) -> np.ndarray:
@@ -180,18 +176,18 @@ def approx_unit_sublevel(
     """Units supported off shrinking sublevel neighborhoods of the zero set,
     one stage per entry of ``stages``, in stage order.
 
-    Stage m: A_m is the eps = e^{-m} joint sublevel set, dilated by
-    ``dilation_width``. The unit is base * cofactor where the cofactor is the
-    outer function with log-modulus -k on the complement of A_m, so the
-    unit's modulus is e^{k} there times e^{-k} — exactly one — and equals the
-    generator modulus (< eps) on A_m. ``stage_unit`` builds a stage's unit.
+    Stage m: A_m is the eps = e^{-m} joint sublevel set, the nodes where -k > m,
+    and its measure is their count over N. The unit is base * cofactor where
+    the cofactor is the outer function with log-modulus -k on the complement
+    of A_m, so the unit's modulus is e^{k} there times e^{-k} — exactly one —
+    and equals the generator modulus (< eps) on A_m. ``stage_unit`` builds a stage's unit.
 
     So |unit| = |base| e^{kc} and arg(unit) = arg(base) + H[kc] for the
     cofactor's log-modulus kc, and every generator's error is
     |g| |unit - 1|: the statistics need one conjugate and one sine per stage,
     and no complex unit.
     """
-    _check_stages(stages)
+    stages = _read_stages(stages)
     grid = spec.grid
     base = spec._base
     base_mod = np.abs(base)
@@ -205,44 +201,25 @@ def approx_unit_sublevel(
     # Mask nodes have -k > m >= 1, never at the floor, so each stage's
     # cofactor log-modulus kc is this one clip with its mask nodes zeroed.
     clip_count = _clip_log(neg_k)
-    # Sublevel masks are nested, so a stage with as many nodes as the one
-    # before it has the same mask, and only its index, eps and dilated
-    # measure differ.
     out: list[UnitStage] = []
-    count = runs = None
     for m in stages:
         eps = float(np.exp(-m))
-        # The dilation stays under half a cell, so it adds no node: the
-        # support's nodes are exactly the sublevel nodes.
-        mask = neg_k > m
-        prev_count, count = count, np.count_nonzero(mask)
-        if count == 0:
+        on = np.flatnonzero(neg_k > m)  # the support A_m
+        if on.size == 0:
             out.append(UnitStage(
-                index=m,
-                eps=eps,
-                support_measure=0.0,
-                degenerate=True,
-                off_support_deviation=0.0,
-                on_support_max=0.0,
-                value_at_zero=1.0 + 0.0j,
-                cofactor_sup=degenerate_sup,
-                error=0.0,
-                sup_norm=1.0,
+                index=m, eps=eps, support_measure=0.0, degenerate=True, off_support_deviation=0.0,
+                on_support_max=0.0, value_at_zero=1.0 + 0.0j, cofactor_sup=degenerate_sup,
+                error=0.0, sup_norm=1.0,
             ))
             continue
 
-        # Each run of masked nodes covers its cells plus the dilation on both
-        # sides; gaps between runs are at least a cell, so runs never merge,
-        # and the cap binds only when every node is masked.
-        if count != prev_count:
-            runs = len(circular_runs(mask))
-        w = dilation_width(m, grid.spacing)
-        support_measure = min(1.0, (count * grid.spacing + 2.0 * w * runs) / TWO_PI)
-        if count == prev_count:
-            out.append(replace(out[-1], index=m, eps=eps, support_measure=support_measure))
+        support_measure = on.size / grid.size
+        # Sublevel masks are nested, so a stage with as many nodes as the one
+        # before it has the same mask, and only its index and eps differ.
+        if out and out[-1].support_measure == support_measure:
+            out.append(replace(out[-1], index=m, eps=eps))
             continue
         check_clip_count(clip_count, grid.size)
-        on = np.flatnonzero(mask)
         log_cof = neg_k.copy()
         log_cof[on] = 0.0
         phase = conjugate(log_cof)
@@ -267,7 +244,7 @@ def approx_unit_sublevel(
             error=float(np.max(np.multiply(dist, gen_mod, out=dist))),
             sup_norm=float(np.max(mod)),
         ))
-        del mask, on, log_cof, phase, mod, mod_minus_one, off, dist  # before the next stage
+        del on, log_cof, phase, mod, mod_minus_one, off, dist  # before the next stage
     return tuple(out)
 
 
@@ -471,7 +448,8 @@ def approx_unit_peak(
     """
     if len(spec.generators) != 1:
         raise StrategyInapplicable("peak units need a single generator")
-    _check_schedule(schedule)
+    schedule = _read_schedule(schedule)
+    tol = None if tol is None else _as_real(tol, "tol")
     w, log_mod2, half_phase = _averaged(spec)
     h_mod = np.abs(0.5 * w)
     del w
@@ -481,7 +459,7 @@ def approx_unit_peak(
         power_mod = mod_minus_one + 1.0
         err = float(np.max(power_mod * h_mod))
         dist = _distance_to_one(power_mod, mod_minus_one, n * half_phase)
-        out.append(PeakStage(index=int(n), error=err, sup_norm=float(np.max(dist))))
+        out.append(PeakStage(index=n, error=err, sup_norm=float(np.max(dist))))
         if tol is not None and err <= tol:
             break
     return spec._alignment, tuple(out)
@@ -503,6 +481,8 @@ def stage_unit(spec: IdealSpec, stage) -> BoundarySignal:
         n = stage.index
         values = outer_values(0.5 * n * log_mod2, 2 * n * half_phase)
         np.subtract(1.0, values, out=values)
+    elif not isinstance(stage, UnitStage):
+        raise TypeError(f"no unit is built from a stage of type {type(stage).__name__}")
     elif stage.degenerate:
         values = np.ones(spec.grid.size, dtype=complex)
     else:
@@ -588,10 +568,10 @@ def certify_mideal(
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    _check_positive("tol", tol)
-    _check_positive("bound", bound)
-    _check_stages(stages)
-    _check_schedule(schedule)
+    tol = _as_real(tol, "tol", *_POSITIVE)
+    bound = _as_real(bound, "bound", *_POSITIVE)
+    stages = _read_stages(stages)
+    schedule = _read_schedule(schedule)
     n_gen = len(spec.generators)
     if strategy == "auto" and n_gen > 1:
         strategy = "combined"
@@ -768,7 +748,7 @@ def _check_divisor(a: BoundarySignal, delta: float) -> None:
     """The hypotheses of ``analytic_prime_check`` that need no certificate:
     ``delta`` finite and positive (else ValueError), and |a| essentially
     above it (else HypothesisFailed)."""
-    _check_positive("delta", delta)
+    delta = _as_real(delta, "delta", *_POSITIVE)
     inf_a = a.inf_abs
     if inf_a <= delta:
         raise HypothesisFailed(

@@ -23,7 +23,7 @@ import functools
 import numpy as np
 
 from .errors import ZeroFunction
-from .grid import _as_index, _unit_scaled
+from .grid import _as_index, _as_indices, _as_real, _unit_scaled
 from .hardy import AnalyticRep
 
 #: Relative singular-value cutoff for kernel dimension counts.
@@ -184,8 +184,7 @@ def adjoint_kernel_dim(symbol: AnalyticRep, order: int, tol: float = KERNEL_TOL)
     singular value sits within roundoff of the threshold. Never T^H T: it
     would square the threshold below double precision.
     """
-    if not 0.0 < tol < 1.0:
-        raise ValueError(f"tol must be finite with 0 < tol < 1, got {tol}")
+    tol = _as_real(tol, "tol", "finite with 0 < tol < 1", lambda x: 0.0 < x < 1.0)
     _check_order(order)
     a = _unit_scaled(symbol.coefficients[:order])[0]  # counted in the kept ones' scale
     # the largest kept part is at least 1/2 here unless every one is 0, so
@@ -265,12 +264,10 @@ def szego_distance(f: AnalyticRep, order: int) -> float:
 
 def density_profile(f: AnalyticRep, schedule=DENSITY_SCHEDULE) -> tuple[tuple[int, float], ...]:
     """(order, distance) pairs along an increasing truncation schedule."""
-    orders = [_as_index(m, "a truncation order") for m in schedule]
-    if any(m < 1 for m in orders) or any(b <= a for a, b in zip(orders, orders[1:])):
+    orders = _as_indices(schedule, "a truncation order")
+    if any(b <= a for a, b in zip((0, *orders), orders)):  # increasing from 0
         raise ValueError("schedule must be increasing positive integers")
-    if not orders:
-        return ()
-    dist = _distances(f, orders[-1])
+    dist = _distances(f, orders[-1]) if orders else ()
     return tuple((m, float(dist[m - 1])) for m in orders)
 
 

@@ -30,6 +30,7 @@ from .grid import (
     TWO_PI,
     BoundarySignal,
     CircleGrid,
+    _as_real,
     _scaled_mean,
     _unit_scaled,
     circular_distance,
@@ -185,7 +186,7 @@ class ExtensionResult:
 
 
 def continuous_extension(f: BoundarySignal, center: float) -> ExtensionResult:
-    """Attempt a continuous extension of ``f`` at angle ``center``.
+    """Attempt a continuous extension of ``f`` at the angle ``center`` mod 2 pi.
 
     Succeeds when the finest-window oscillation over ``WIDTH_SCHEDULE`` is
     below the tolerance 10 sup|f| N^{-1/4} *and* either below
@@ -201,6 +202,7 @@ def continuous_extension(f: BoundarySignal, center: float) -> ExtensionResult:
     ``oscillations``. The mean runs over the finest window in ascending index
     order.
     """
+    center = _as_real(center, "center") % TWO_PI
     tol, flat = 10.0 * f.sup_abs * f.grid.size ** (-0.25), 1e-12 * max(1.0, f.sup_abs)
     idx, counts = _windows(f.grid, center)
     values = f.values[idx]

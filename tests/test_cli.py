@@ -138,6 +138,42 @@ def test_csv_commands_keep_their_memory_budget_at_65536_nodes(capsys, tmp_path, 
     assert peak <= budget * 65536
 
 
+# The same peaks for commands on registry signals: synth-outer without --out
+# (57.1 B/node) and the unit-staircase bundle, which writes its files into
+# --out (194.8 B/node). Each budget is a peak plus 5 %.
+@pytest.mark.parametrize("argv, budget", [
+    (["synth-outer", "--k", "ramp-logmod"], 60),
+    (["reproduce", "unit-staircase", "--out", "{out}"], 204),
+], ids=["synth-outer", "reproduce-unit-staircase"])
+def test_registry_commands_keep_their_memory_budget_at_65536_nodes(capsys, tmp_path, argv, budget):
+    code, peak = _cold_peak(capsys, *(
+        [*(a.format(out=tmp_path / str(size)) for a in argv), "--grid-size", str(size)]
+        for size in (4096, 65536)))
+    assert code == 0
+    assert peak <= budget * 65536
+
+
+# Peaks of the commands that build no grid, by ``_cold_peak`` after the same
+# command at lower orders: a density profile to order 1024 peaked at 289.7
+# KiB for 1 - z and 808.5 KiB for exp-z, whose 48 coefficients widen every QR
+# block, and a banded kernel count at order 1024 at 157.7 KiB. A dense kernel
+# count holds about one complex order x order matrix: 16.08 B per order^2 at
+# order 512. Each budget is a peak plus 5 %.
+@pytest.mark.parametrize("warm, argv, budget", [
+    (["density", "--f", "one-minus-z", "--schedule", "16,32,64"],
+     ["density", "--f", "one-minus-z"], 304 * 1024),
+    (["density", "--f", "exp-z", "--schedule", "16,32,64"], ["density", "--f", "exp-z"], 849 * 1024),
+    (["toeplitz-kernel", "--f", "one-minus-z", "--M", "512"],
+     ["toeplitz-kernel", "--f", "one-minus-z", "--M", "1024"], 166 * 1024),
+    (["toeplitz-kernel", "--f", "exp-z", "--M", "64"],
+     ["toeplitz-kernel", "--f", "exp-z", "--M", "512"], 16.9 * 512 ** 2),
+], ids=["density-one-minus-z", "density-exp-z", "toeplitz-kernel-banded", "toeplitz-kernel-dense"])
+def test_order_commands_keep_their_memory_budget(capsys, warm, argv, budget):
+    code, peak = _cold_peak(capsys, warm, argv)
+    assert code == 0
+    assert peak <= budget
+
+
 def test_synth_outer_from_an_entry_without_a_profile_writes_its_log_abs(capsys, tmp_path):
     """An entry with no log-modulus profile gives the log-modulus of its boundary."""
     code, _, _ = run(

@@ -17,18 +17,24 @@ import argparse
 import functools
 import io
 import json
+import math
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hardylab import CircleGrid, HardyLabError, catalog_names, example_boundary, get_example, signal_to_csv
+from hardylab import (
+    CircleGrid, HardyLabError, approx_unit_peak, approx_unit_sublevel, catalog_names, certify_mideal,
+    example_boundary, get_example, ideal, signal_to_csv,
+)
 from hardylab.cli import _int_list, _name_list, build_parser, main
 from hardylab.reproduce import bundle_names
+from hardylab.toeplitz import density_profile
 
 #: Arguments each command runs with before the option under test, which
 #: comes last and so overrides a base value of the same option.
@@ -292,5 +298,98 @@ def test_every_command_line_the_parser_admits_keeps_the_contract(request, tmp_pa
     @given(_command_lines())
     def run(line):
         _assert_contract(*line)
+
+    run()
+
+
+# ---------------------------------------------------------------------------
+# the API reads each list and number argument once, whatever its form
+# ---------------------------------------------------------------------------
+
+@functools.cache
+def _api_inputs():
+    """1 - z, the pair (1 - z, 1 + z) at 4096 nodes, the smallest grid on which
+    1 - z certifies, and the Taylor series of 1 - z."""
+    g = CircleGrid(4096)
+    one = example_boundary("one-minus-z", g)
+    pair = ideal([one, example_boundary("one-plus-z", g)], ["one-minus-z", "one-plus-z"])
+    return ideal([one], ["one-minus-z"]), pair, get_example("one-minus-z").taylor()
+
+
+#: Each call of the API on an integer list and a tolerance, and whether it
+#: reads the tolerance.
+_API_CALLS = {
+    "approx_unit_sublevel": (lambda ints, tol: approx_unit_sublevel(_api_inputs()[0], ints), False),
+    "approx_unit_peak": (lambda ints, tol: approx_unit_peak(_api_inputs()[0], ints, tol=tol), True),
+    "certify_mideal": (lambda ints, tol: certify_mideal(_api_inputs()[0], tol=tol, stages=ints), True),
+    "certify_mideal pair": (
+        lambda ints, tol: certify_mideal(_api_inputs()[1], tol=tol, stages=ints), True),
+    "density_profile": (lambda ints, tol: density_profile(_api_inputs()[2], ints), False),
+}
+
+#: An integer item as a Python int, a numpy integer scalar, or True for 1.
+_ITEM_FORMS = (int, np.int64, np.int32, lambda v: True if v == 1 else v)
+
+#: An integer list, from its items in their drawn forms.
+_LIST_FORMS = (tuple, list, iter, lambda items: (v for v in items))
+
+#: Lists no call takes: not iterable, a string, float items, a 2-d array.
+_BAD_INT_LISTS = (5, np.int64(5), None, 2.5, "1,2", "12", b"12", (1.5, 2), [1, 2.0],
+                  np.array([1.0, 2.0]), np.array([[1, 2]]), ("2",))
+
+#: Empty lists: refused as stages or powers, an empty profile as orders.
+_EMPTY_INT_LISTS = ((), [], iter(()), np.array([], dtype=int), range(0))
+
+
+@st.composite
+def _int_lists(draw):
+    """(a list argument, the tuple of ints it holds, or None when malformed):
+    an increasing range of positive ints, as a range, a numpy array or a
+    drawn container of drawn item forms."""
+    start, step, count = draw(st.integers(1, 5)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    values = range(start, start + step * count, step)
+    kind = draw(st.sampled_from(["range", "array", "items", "items", "empty", "bad"]))
+    if kind == "range":
+        return values, tuple(values)
+    if kind == "array":
+        return np.array(values, dtype=draw(st.sampled_from([np.int64, np.int32, np.uint16]))), tuple(values)
+    if kind == "empty":
+        return draw(st.sampled_from(_EMPTY_INT_LISTS)), ()
+    if kind == "bad":
+        return draw(st.sampled_from(_BAD_INT_LISTS)), None
+    items = [draw(st.sampled_from(_ITEM_FORMS))(v) for v in values]
+    return draw(st.sampled_from(_LIST_FORMS))(items), tuple(values)
+
+
+@st.composite
+def _reals(draw):
+    """(a tolerance argument, the float it holds, or None when malformed)."""
+    value = draw(st.sampled_from([0.05, 0.5, 1.0]))
+    forms = [float, np.float64] + ([int, bool] if value == 1.0 else [])
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.sampled_from(["0.05", 0.05j, math.nan, math.inf, [0.05]])), None
+    return draw(st.sampled_from(forms))(value), value
+
+
+@pytest.mark.filterwarnings("error")
+def test_every_argument_form_reads_as_its_tuple_form(request):
+    """Integer lists given as a tuple, list, range, iterator, generator or
+    numpy array, with items as Python or numpy integers or bools, and
+    tolerances as Python or numpy reals or bools, give what the tuple and the
+    float give, compared with ==; a malformed list or number raises
+    ValueError, and an empty list too, except that an empty density schedule
+    is an empty profile. ``--contract-examples`` sets the number of examples."""
+
+    @settings(max_examples=request.config.getoption("--contract-examples"), derandomize=True,
+              deadline=None, database=None, suppress_health_check=list(HealthCheck))
+    @given(st.sampled_from(sorted(_API_CALLS)), _int_lists(), _reals())
+    def run(name, ints, tol):
+        call, reads_tol = _API_CALLS[name]
+        (given_ints, ints), (given_tol, tol) = ints, tol
+        if (reads_tol and tol is None) or ints is None or (ints == () and name != "density_profile"):
+            with pytest.raises(ValueError):
+                call(given_ints, given_tol)
+        else:
+            assert call(given_ints, given_tol) == call(ints, tol)
 
     run()

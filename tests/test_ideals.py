@@ -11,6 +11,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import re
 import tracemalloc
 from collections import Counter
 
@@ -51,10 +52,10 @@ from hardylab.ideals import (
     _coarse_argmin,
     _rotated_sup,
     combine_units,
-    dilation_width,
     prepare_peak,
     stage_unit,
 )
+from hardylab.serialize import certificate_report, dumps, stage_report
 from oracles import (
     SUBLEVEL_FIELDS,
     coarse_argmin_exhaustive,
@@ -165,7 +166,7 @@ def _support(spec, m: int) -> np.ndarray:
 
 
 def test_sublevel_supports_nest(small_grid):
-    """A_(m+1) sits inside A_m, and its dilated measure is no larger."""
+    """A_(m+1) sits inside A_m, and its measure is no larger."""
     spec = ideal([example_boundary("one-minus-z", small_grid)], ["one-minus-z"])
     stages = approx_unit_sublevel(spec, range(1, 10))
     for outer, inner in zip(stages, stages[1:]):
@@ -174,13 +175,13 @@ def test_sublevel_supports_nest(small_grid):
 
 
 @pytest.mark.parametrize(
-    "masked, runs",
-    [([62, 63, 0, 1], 1), ([5, 6, 7, 20], 2), (list(range(64)), 1)],
+    "masked",
+    [[62, 63, 0, 1], [5, 6, 7, 20], list(range(64))],
     ids=["run-through-node-0", "two-runs", "full-circle"],
 )
-def test_support_measure_counts_cells_and_run_ends(masked, runs):
-    """Each run of support nodes covers its cells plus the dilation at both
-    ends; a run through node 0 is one run, and the full circle measures 1."""
+def test_support_measure_counts_support_nodes(masked):
+    """A stage measures the nodes it is supported on, one cell of measure 1/N
+    each, however they fall into runs; the full circle measures 1."""
     g = CircleGrid(64)
     values = np.ones(64, dtype=complex)
     values[masked] = 1e-6  # below e^-12, so every stage masks the same nodes
@@ -189,18 +190,7 @@ def test_support_measure_counts_cells_and_run_ends(masked, runs):
     for stage in stages:
         assert np.flatnonzero(_support(spec, stage.index)).tolist() == sorted(masked)
         assert stage.on_support_max == pytest.approx(1e-6, rel=1e-12)
-        if len(masked) == 64:
-            assert stage.support_measure == 1.0
-            continue
-        w = dilation_width(stage.index, g.spacing)
-        expected = len(masked) / 64 + w * runs / np.pi
-        assert abs(stage.support_measure - expected) <= 2.3e-16
-
-
-def test_dilation_width_caps_at_half_cell():
-    spacing = 2.0 * np.pi / 512
-    assert dilation_width(1, spacing) == 0.45 * spacing
-    assert dilation_width(20, spacing) == 2.0 ** -20
+        assert stage.support_measure == len(masked) / 64
 
 
 def test_degenerate_stages_for_zero_free_generator(grid):
@@ -295,7 +285,7 @@ def test_memory_peak_of_a_combined_certificate_at_65536_nodes(names, limit_mib):
 @pytest.mark.parametrize("name", ["one-minus-z", "two-point-product"])
 def test_repeated_masks_reuse_their_stage_exactly(name):
     """A stage whose mask repeats the one before it is the stage built on its
-    own, field by field; only index, eps and the dilated measure move."""
+    own, field by field; only index and eps move."""
     spec = ideal([example_boundary(name, CircleGrid(65536))], [name])
     run = approx_unit_sublevel(spec, (9, 10, 11, 12))
     masks = [_support(spec, s.index) for s in run]
@@ -1138,6 +1128,73 @@ def test_numpy_integer_stages_and_powers_are_taken_as_their_value(small_grid):
 def test_empty_stage_lists_are_refused(one_minus_z_spec, strategy, option):
     with pytest.raises(ValueError, match="must not be empty"):
         certify_mideal(one_minus_z_spec, strategy=strategy, **{option: ()})
+
+
+@pytest.fixture(scope="module")
+def specs_4096():
+    """1 - z and the pair (1 - z, 1 + z) at 4096 nodes, the smallest grid on
+    which 1 - z certifies."""
+    g = CircleGrid(4096)
+    one, two = example_boundary("one-minus-z", g), example_boundary("one-plus-z", g)
+    return ideal([one], ["one-minus-z"]), ideal([one, two], ["one-minus-z", "one-plus-z"])
+
+
+def test_stages_given_once_are_read_once(specs_4096):
+    """An iterator of stages certifies as the tuple does: the stages are read
+    once, by the check and the loop alike, and handed to each generator."""
+    single, pair = specs_4096
+    cert = certify_mideal(single, stages=iter(range(1, 13)))
+    assert cert.passed and len(cert.stages) == 12
+    assert cert == certify_mideal(single, stages=tuple(range(1, 13)))
+    cert = certify_mideal(pair, stages=(m for m in range(1, 13)))
+    assert cert.passed
+    assert [len(c.stages) for c in cert.sub_certificates] == [12, 12]
+    assert [s.index for s in approx_unit_sublevel(single, iter([1, 2]))] == [1, 2]
+    assert approx_unit_peak(single, iter([1, 2])) == approx_unit_peak(single, (1, 2))
+
+
+def test_numpy_arrays_of_stages_and_powers_are_lists(specs_4096):
+    single, _ = specs_4096
+    assert approx_unit_sublevel(single, np.array([1, 2, 3])) == approx_unit_sublevel(single, (1, 2, 3))
+    assert approx_unit_peak(single, np.array([1, 2])) == approx_unit_peak(single, (1, 2))
+    with pytest.raises(ValueError, match="sublevel stages must not be empty"):
+        approx_unit_sublevel(single, np.array([], dtype=int))
+    with pytest.raises(ValueError, match="peak schedule must not be empty"):
+        approx_unit_peak(single, np.array([], dtype=int))
+
+
+def test_reports_carry_the_values_read_not_the_arguments_given(specs_4096):
+    single, _ = specs_4096
+    stage = approx_unit_sublevel(single, (True, 2))[0]
+    assert type(stage.index) is int
+    assert '"stage": 1,' in dumps(stage_report(stage))
+    cert = certify_mideal(single, tol=True)
+    assert type(cert.tol) is float
+    assert '"tol": 1,' in dumps(certificate_report(cert))
+    assert cert == certify_mideal(single, tol=1.0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda s: approx_unit_sublevel(s, 5), "expected a list of integers, each a sublevel stage"),
+    (lambda s: approx_unit_peak(s, "12"), "expected a list of integers, each a peak power"),
+    (lambda s: certify_mideal(s, tol="0.05"), "tol must be finite and positive, got '0.05'"),
+    (lambda s: certify_mideal(s, bound=None), "bound must be finite and positive, got None"),
+    (lambda s: approx_unit_peak(s, (1, 2), tol="x"), "tol must be finite, got 'x'"),
+    (lambda s: approx_unit_peak(s, (1, 2), tol=math.inf), "tol must be finite, got inf"),
+    (lambda s: analytic_prime_check(certify_mideal(s), s.generators[0], s.generators[0], delta="x"),
+     "delta must be finite and positive, got 'x'"),
+], ids=["stages-int", "schedule-str", "tol-str", "bound-none", "peak-tol-str", "peak-tol-inf",
+        "delta-str"])
+def test_malformed_arguments_are_refused_with_value_error(specs_4096, call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(specs_4096[0])
+
+
+def test_stage_unit_refuses_a_combined_stage(specs_4096):
+    cert = certify_mideal(specs_4096[1])
+    assert cert.passed
+    with pytest.raises(TypeError, match="CombinedUnit"):
+        stage_unit(cert.ideal, cert.stages[-1])
 
 
 # ---------------------------------------------------------------------------

@@ -194,6 +194,25 @@ def test_kernel_tol_must_lie_strictly_inside_the_unit_interval(tol):
         adjoint_kernel_dim(get_example("one-minus-z").taylor(), 8, tol=tol)
 
 
+@pytest.mark.parametrize("tol", ["x", "0.5", None, 0.5j])
+def test_a_kernel_tol_that_is_not_a_real_number_is_refused(tol):
+    with pytest.raises(ValueError, match="0 < tol < 1"):
+        adjoint_kernel_dim(get_example("one-minus-z").taylor(), 8, tol=tol)
+
+
+@pytest.mark.parametrize("schedule", [16, None, "16,32"])
+def test_a_density_schedule_that_is_not_a_list_is_refused(schedule):
+    with pytest.raises(ValueError, match="a truncation order"):
+        density_profile(get_example("one-minus-z").taylor(), schedule)
+
+
+def test_a_density_schedule_is_read_once():
+    f = get_example("one-minus-z").taylor()
+    assert density_profile(f, iter([16, 32])) == density_profile(f, (16, 32))
+    assert density_profile(f, np.array([16, 32])) == density_profile(f, (16, 32))
+    assert density_profile(f, iter(())) == density_profile(f, np.array([], dtype=int)) == ()
+
+
 @pytest.mark.parametrize("name", TAYLOR_NAMES)
 def test_kernel_dim_matches_svd_oracle_on_catalog(name):
     f = get_example(name).taylor()

@@ -178,6 +178,20 @@ def test_undecided_exact_diameters_read_as_discontinuous():
     assert ext.ok is False
 
 
+@pytest.mark.parametrize("center", [1e300, -1e20, -2.0, 2.0 + 2 * math.pi])
+def test_extension_reads_its_center_modulo_a_turn(center):
+    f = example_boundary("one-minus-z", CircleGrid(4096))
+    ext = continuous_extension(f, center)
+    assert ext.center == center % (2 * math.pi)
+    assert ext == continuous_extension(f, center % (2 * math.pi))
+
+
+@pytest.mark.parametrize("center", [math.inf, -math.inf, math.nan, "0", None])
+def test_extension_refuses_a_center_that_is_not_a_finite_real(center):
+    with pytest.raises(ValueError, match="center must be finite"):
+        continuous_extension(example_boundary("one-minus-z", CircleGrid(512)), center)
+
+
 def test_extension_at_full_resolution_allocates_no_pairwise_matrix():
     f = example_boundary("one-minus-z", CircleGrid(65536))
     tracemalloc.start()
