@@ -273,30 +273,47 @@ _SCAN_MARGIN = 1e-12
 
 
 def _rotated_sup(gv: np.ndarray) -> Callable[..., float]:
+    """``_sup_over(gv)``, or with ``sampled`` the sup over every
+    ``_SCAN_STRIDE``-th node, never above the full sup but for rounding."""
+    full = _sup_over(gv)
+    part = _sup_over(gv[::_SCAN_STRIDE].copy())  # a strided view is read one cache line per row
+    return lambda phi, sampled=False: part(phi) if sampled else full(phi)
+
+
+def _sup_over(gv: np.ndarray) -> Callable[[float], float]:
     """phi -> sup_j |1 - e^{-i phi} G_j| for the contiguous complex values
-    ``gv``, in real arithmetic on two N-sized buffers: the square is
-    q - (Re G, Im G) . (2 cos phi, 2 sin phi) with q = 1 + |G|^2. With
-    ``sampled`` the sup is over every ``_SCAN_STRIDE``-th node only, so it
-    is never above the full sup but for rounding."""
+    ``gv``, in real arithmetic on one buffer: the square is
+    q - (Re G, Im G) . (2 cos phi, 2 sin phi) with q = 1 + |G|^2."""
     pairs = gv.view(float).reshape(-1, 2)
     q = 1.0 + np.einsum("ij,ij->i", pairs, pairs)
     buf = np.empty(q.shape)
-    # copies, not strided views: a view is read one cache line per row
-    sampled_rows = pairs[::_SCAN_STRIDE].copy(), q[::_SCAN_STRIDE].copy()
 
-    def sup_at(phi: float, sampled: bool = False) -> float:
-        rows, q_rows = sampled_rows if sampled else (pairs, q)
-        out = buf[:q_rows.size]
-        np.matmul(rows, (2.0 * math.cos(phi), 2.0 * math.sin(phi)), out=out)
-        np.subtract(q_rows, out, out=out)
-        return math.sqrt(max(float(np.max(out)), 0.0))
+    def sup(phi: float) -> float:
+        np.matmul(pairs, (2.0 * math.cos(phi), 2.0 * math.sin(phi)), out=buf)
+        np.subtract(q, buf, out=buf)
+        return math.sqrt(max(float(np.max(buf)), 0.0))
 
-    return sup_at
+    return sup
 
 
-def _coarse_argmin(sup_at: Callable[..., float], coarse: np.ndarray) -> int:
+def _search_sup(
+    sup_at: Callable[..., float], gv: np.ndarray, phi: float, best: float, step: float
+) -> Callable[..., float]:
+    """``sup_at`` within ``step`` of ``phi``, where it is ``best``, over fewer
+    nodes where it can: |e^{i phi} - G_j| is 1-Lipschitz in phi, so a node
+    below best - 2 step at ``phi`` never holds the sup there. Those go when
+    fewer than half are left, which a subsample tests before a full pass."""
+    floor = best - 2.0 * step - 1e-9 * best - 1e-12  # allowance for rounding
+    for nodes in (gv[::_SCAN_STRIDE], gv):
+        near = np.abs(np.exp(1j * phi) - nodes) >= floor
+        if 2 * np.count_nonzero(near) >= near.size:
+            return sup_at
+    return _sup_over(gv[near])
+
+
+def _coarse_argmin(sup_at: Callable[..., float], coarse: np.ndarray) -> tuple[int, float]:
     """The first index of the least full sup over the ``coarse`` angles, as
-    np.argmin takes it, from as few full sups as the subsample bounds allow.
+    np.argmin takes it, and that sup, from as few full sups as bounds allow.
 
     Full sups are taken in order of increasing bound, until the next bound is
     above the least full sup found by more than ``_SCAN_MARGIN``. Every angle
@@ -311,7 +328,7 @@ def _coarse_argmin(sup_at: Callable[..., float], coarse: np.ndarray) -> int:
         s = sup_at(coarse[i])
         if s < best or (s == best and i < i0):
             best, i0 = s, i
-    return i0
+    return i0, best
 
 
 def prepare_peak(generator: BoundarySignal) -> PeakPreparation:
@@ -329,7 +346,8 @@ def prepare_peak(generator: BoundarySignal) -> PeakPreparation:
     bounds each angle's sup from below by its sup over every
     ``_SCAN_STRIDE``-th node and takes full sups only while a bound can still
     beat the best full sup (``_coarse_argmin``), so it picks the angle that
-    full sups at all 256 would pick, bit for bit.
+    full sups at all 256 would pick, bit for bit. The search reads only the
+    nodes that can hold the sup in the cell (``_search_sup``).
     """
     gv = generator.values
     range_gap = generator.inf_abs
@@ -346,24 +364,25 @@ def prepare_peak(generator: BoundarySignal) -> PeakPreparation:
     sup_at = _rotated_sup(gv)
 
     coarse = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
-    i0 = _coarse_argmin(sup_at, coarse)
+    i0, best = _coarse_argmin(sup_at, coarse)
     lo = coarse[i0] - coarse[1]
     hi = coarse[i0] + coarse[1]
+    search = _search_sup(sup_at, gv, coarse[i0], best, coarse[1])
 
     inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
-    fc, fd = sup_at(c), sup_at(d)
+    fc, fd = search(c), search(d)
     for _ in range(70):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)
-            fc = sup_at(c)
+            fc = search(c)
         else:
             a, c, fc = c, d, fd
             d = a + inv_phi * (b - a)
-            fd = sup_at(d)
+            fd = search(d)
     phi_star = (a + b) / 2.0
     alpha = complex(np.exp(1j * phi_star))
     sup_base = sup_at(phi_star)

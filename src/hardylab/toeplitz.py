@@ -12,7 +12,8 @@ never through the normal equations, which are routinely ill-conditioned for
 nearly-inner symbols. The matrix is banded, so its Householder QR runs on
 blocks of k = max(64, b + 1) columns and touches only the band: a whole
 profile to order M costs O(M (k + b)^2) time and O((k + b)^2) memory for a
-symbol of bandwidth b. Closed forms used in the tests: dist(1-z, M)^2 =
+symbol of bandwidth b, each block written in place and R read off the raw
+LAPACK factor. Closed forms used in the tests: dist(1-z, M)^2 =
 1/(M+1); dist(z, M) = 1; dist -> sqrt(1-|f(0)|^2) for inner f.
 """
 
@@ -41,9 +42,10 @@ MAX_ORDER = 4096
 
 #: Fewest columns per block of the banded density QR; a longer symbol's blocks
 #: are as wide as it is long. Timed at order 1024 on a 2-core box with one
-#: BLAS thread, a length-3 symbol took 6.5, 4.2, 4.1, 8.5 and 27 ms with
-#: blocks of 16, 32, 64, 128 and 256 columns, and exp(z) (length 48) took 14
-#: ms at 16 to 64 and 20 ms at 128; one dense QR took 240–260 ms.
+#: BLAS thread (best of 9), a length-3 symbol took 3.5, 2.6, 2.5, 7.6 and 21
+#: ms with blocks of 16, 32, 64, 128 and 256 columns, and exp(z) (length 48)
+#: 13 ms at 16 to 64, 18 at 128 and 30 at 256; one dense QR took 197 ms.
+#: Another size factors other blocks, so it moves the distances' last bits.
 _BLOCK = 64
 
 #: Kernel counts reduce the truncation to bidiagonal form when this many times
@@ -64,18 +66,18 @@ def _check_order(order: int) -> None:
         raise ValueError(f"order must be at most {MAX_ORDER}")
 
 
-def _lower_toeplitz(a: np.ndarray, rows: int, cols: int, shift: int = 0) -> np.ndarray:
-    """rows x cols matrix of multiplication by sum a_k z^k on degrees < cols,
-    from row ``shift`` on: T[i, j] = a_{i+shift-j}.
-
-    Row i is a reversed window of one zero-padded coefficient vector:
-    T[i, j] = col[cols - 1 + i - j].
-    """
-    col = np.zeros(rows + cols - 1, dtype=complex)
-    lo, hi = max(0, shift - cols + 1), min(a.size, shift + rows)
-    if hi > lo:
-        col[lo - shift + cols - 1 : hi - shift + cols - 1] = a[lo:hi]
-    return np.lib.stride_tricks.sliding_window_view(col, cols)[:, ::-1].copy()
+def _put_band(out: np.ndarray, a: np.ndarray, cols: int, shift: int = 0) -> np.ndarray:
+    """``out``, zeroed and C-contiguous, with out[i, j] = a_{i+shift-j} for
+    j < cols: multiplication by sum a_k z^k on degrees < cols, from row
+    ``shift`` on, written one strided slice of the flat array per diagonal."""
+    rows, stride = out.shape
+    flat = out.reshape(-1)
+    for d in range(a.size):
+        j0, j1 = max(0, shift - d), min(cols, rows + shift - d)
+        if j1 > j0:
+            start = (j0 + d - shift) * stride + j0
+            flat[start : start + (j1 - j0 - 1) * (stride + 1) + 1 : stride + 1] = a[d]
+    return out
 
 
 @functools.cache
@@ -193,7 +195,7 @@ def adjoint_kernel_dim(symbol: AnalyticRep, order: int, tol: float = KERNEL_TOL)
         return order
     if BANDED_ORDER_RATIO * (a.size - 1) <= order:
         return _banded_kernel_dim(a, order, tol)
-    sv = np.linalg.svd(_lower_toeplitz(a, order, order), compute_uv=False)
+    sv = np.linalg.svd(_put_band(np.zeros((order, order), dtype=complex), a, order), compute_uv=False)
     return int(np.count_nonzero(sv < tol * np.max(sv)))
 
 
@@ -204,11 +206,12 @@ def _distances(f: AnalyticRep, order: int) -> np.ndarray:
     T is the convolution matrix on degrees < order, with one extra zero row so
     a constant symbol still gives order+1 rows; its lower bandwidth is
     b = len(f) - 1, and R's upper bandwidth is b too. The columns go in blocks
-    of k = max(_BLOCK, len(f)). Each block is one R-only QR of the rows carried
-    from the block before (their entries on this block's columns and on e_0)
-    over the rows of T that first reach this block, on the block's k columns,
-    the next b and e_0. The first k rows of that R are final: their e_0
-    entries are t_j = (Q^H e_0)_j. The rest, at most b+1 rows on the next b
+    of k = max(_BLOCK, len(f)). Each block, written in place, is one QR of the
+    rows carried from the block before (their entries on this block's columns
+    and on e_0) over the rows of T that first reach this block, on the block's
+    k columns, the next b and e_0. R is the upper triangle of the raw factor's
+    transpose (mode="r" adds a triu copy). Its first k rows are final: their
+    e_0 entries are t_j = (Q^H e_0)_j. The rest, at most b+1 rows on the next b
     columns and e_0, are carried; after the last block the carry's e_0 column
     holds the residual, of norm |t_order|. QR is column-nested, so
     dist(f, m)^2 = sum_{j >= m} |t_j|^2: no cancellation.
@@ -247,12 +250,12 @@ def _distances(f: AnalyticRep, order: int) -> np.ndarray:
         block = np.zeros((n + r1 - r0, width + 1), dtype=complex)
         block[:n, : carry.shape[1] - 1] = carry[:, :-1]
         block[:n, -1] = carry[:, -1]
-        block[n:, :width] = _lower_toeplitz(a, r1 - r0, width, r0 - c0)
+        _put_band(block[n:], a, width, r0 - c0)
         if c0 == 0:
             block[0, -1] = 1.0
-        r = np.linalg.qr(block, mode="r")
+        r = np.linalg.qr(block, mode="raw")[0].T
         t[c0:c1] = np.abs(r[: c1 - c0, -1]) ** 2
-        carry = r[c1 - c0 :, c1 - c0 :]
+        carry = np.triu(r[c1 - c0 : min(r.shape), c1 - c0 :])
     t[order] = np.sum(np.abs(carry[:, -1]) ** 2)
     return np.sqrt(np.cumsum(t[::-1])[::-1][1:])
 

@@ -11,13 +11,14 @@ empty), and, at N = 512, a few norms of every CSV the run wrote. The commands
 run in-process through ``hardylab.cli.main`` on the source tree next to this
 script, so two runs on one machine write byte-identical files.
 
-Where ``DIR`` already holds a corpus file, each of its records that
-``test_golden.compare_record`` finds unmoved is kept byte for byte, and only
-the moved records are replaced; the script prints the argv and the moved
-fields of each. A fresh ``DIR`` gets every record new. So a change that
-moves a report regenerates in place, and the golden diff shows only what
-moved; it goes in together with a CHANGES.md line naming each moved
-exact-class field and its cause.
+Where ``DIR`` already holds a corpus file, each of its records is merged
+leaf by leaf (``test_golden.merge_record``): every committed leaf that the
+comparator accepts is kept byte for byte, and a leaf is taken new only where
+it moved or where the keys or the length of its container changed; the
+script prints the argv and the moved fields of each moved record. A fresh
+``DIR`` gets every record new. So a change that moves a report regenerates
+in place, and the golden diff shows only what moved; it goes in together
+with a CHANGES.md line naming each moved exact-class field and its cause.
 """
 
 from __future__ import annotations
@@ -148,9 +149,9 @@ def golden_files() -> dict[str, list[list[str]]]:
 
 
 def write_corpus(out_dir: Path) -> None:
-    """Write every corpus file into ``out_dir``, keeping each record already
+    """Write every corpus file into ``out_dir``, keeping each leaf already
     there that has not moved."""
-    from test_golden import compare_record  # test_golden imports this module
+    from test_golden import merge_record  # test_golden imports this module
 
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, argvs in golden_files().items():
@@ -162,10 +163,10 @@ def write_corpus(out_dir: Path) -> None:
         for argv in argvs:
             new = record(argv)
             kept = old.get(tuple(argv))
-            moved = ["new command line"] if kept is None else compare_record(kept, new)
-            if not moved:
-                new = kept
-            elif old:
+            moved = ["new command line"]
+            if kept is not None:
+                new, moved = merge_record(kept, new)
+            if moved and old:
                 print(" ".join(argv), *moved, sep="\n  ")
             runs.append(new)
         text = json.dumps({"runs": runs}, indent=1, sort_keys=True)

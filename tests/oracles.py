@@ -3,10 +3,11 @@
 None of these runs in the program. Each route recomputes an answer by a
 second, simpler way (Horner evaluation, a dense matrix, a bisection, complex
 FFTs, complex units and complex moduli where the program works on real
-arrays, exact hulls where it bounds diameters, one point at a time where it
-works in blocks, 60-digit arithmetic where it works in doubles), so a test
-can hold the program's route to it; the corpus names the functions on which
-two independent outerness tests must agree.
+arrays, copied blocks where it writes them in place, exact hulls where it
+bounds diameters, one point at a time where it works in blocks, 60-digit
+arithmetic where it works in doubles), so a test can hold the program's
+route to it; the corpus names the functions on which two independent
+outerness tests must agree.
 """
 
 import math
@@ -18,8 +19,9 @@ import numpy as np
 import hardylab.ideals
 from hardylab import AnalyticRep, BoundarySignal, CircleGrid, PointOnBoundary
 from hardylab.factorization import CLIP_FLOOR, clipped_log_modulus, outer_boundary
-from hardylab.grid import _scaled_mean, circular_distance
+from hardylab.grid import _scaled_mean, _unit_scaled, circular_distance
 from hardylab.ideals import prepare_peak
+from hardylab.toeplitz import _BLOCK
 from hardylab.zerosets import MIN_WINDOW_CELLS, WIDTH_SCHEDULE, value_diameter
 
 #: Catalog names whose Jensen outerness test and least-squares density must
@@ -79,6 +81,52 @@ def distances_r_mode(f: AnalyticRep, order: int) -> np.ndarray:
     return np.sqrt(np.cumsum(t[::-1])[::-1][1:])
 
 
+def _lower_toeplitz(a: np.ndarray, rows: int, cols: int, shift: int = 0) -> np.ndarray:
+    """rows x cols matrix of multiplication by sum a_k z^k on degrees < cols,
+    from row ``shift`` on: T[i, j] = a_{i+shift-j}.
+
+    Row i is a reversed window of one zero-padded coefficient vector:
+    T[i, j] = col[cols - 1 + i - j].
+    """
+    col = np.zeros(rows + cols - 1, dtype=complex)
+    lo, hi = max(0, shift - cols + 1), min(a.size, shift + rows)
+    if hi > lo:
+        col[lo - shift + cols - 1 : hi - shift + cols - 1] = a[lo:hi]
+    return np.lib.stride_tricks.sliding_window_view(col, cols)[:, ::-1].copy()
+
+
+def distances_blocked_reference(f: AnalyticRep, order: int) -> np.ndarray:
+    """dist(f, m) for m = 1..order by the program's blocked banded QR of
+    [T | e_0], with each block's T rows built as a reversed-window copy, the
+    block copied together, and R taken from qr(mode="r"): the same blocks and
+    the same LAPACK calls as the program, assembled the simple way."""
+    size = f.coefficients.size
+    k = max(_BLOCK, size)
+    a = _unit_scaled(f.coefficients)[0]
+    b = size - 1
+    t = np.empty(order + 1)
+    carry = np.zeros((0, 1), dtype=complex)  # entries on the next columns, then on e_0
+    for c0 in range(0, order, k):
+        c1 = min(c0 + k, order)
+        width = min(c1 + b, order) - c0
+        # the rows whose first entry lies in columns c0 .. c1-1, from row 0 in
+        # the first block and through the zero row in the last
+        r0 = c0 + b if c0 else 0
+        r1 = c1 + b if c1 < order else order + b + 1
+        n = carry.shape[0]
+        block = np.zeros((n + r1 - r0, width + 1), dtype=complex)
+        block[:n, : carry.shape[1] - 1] = carry[:, :-1]
+        block[:n, -1] = carry[:, -1]
+        block[n:, :width] = _lower_toeplitz(a, r1 - r0, width, r0 - c0)
+        if c0 == 0:
+            block[0, -1] = 1.0
+        r = np.linalg.qr(block, mode="r")
+        t[c0:c1] = np.abs(r[: c1 - c0, -1]) ** 2
+        carry = r[c1 - c0 :, c1 - c0 :]
+    t[order] = np.sum(np.abs(carry[:, -1]) ** 2)
+    return np.sqrt(np.cumsum(t[::-1])[::-1][1:])
+
+
 def peak_scale_bisection(w: np.ndarray) -> float | None:
     """Largest c in [1e-8, 1] with max |1 - c w| <= 1 + 1e-12, by 80 halvings
     of the feasible interval; None when even 1e-8 is infeasible."""
@@ -114,15 +162,25 @@ def rotated_sup_complex(values: np.ndarray, phi: float) -> float:
     return float(np.max(np.abs(1.0 - np.exp(-1j * phi) * values)))
 
 
-def coarse_argmin_exhaustive(sup_at, coarse: np.ndarray) -> int:
-    """np.argmin of the full sups at every one of the ``coarse`` angles."""
-    return int(np.argmin([sup_at(phi) for phi in coarse]))
+def coarse_argmin_exhaustive(sup_at, coarse: np.ndarray) -> tuple[int, float]:
+    """np.argmin of the full sups at every one of the ``coarse`` angles, and
+    the sup there."""
+    sups = [sup_at(phi) for phi in coarse]
+    i = int(np.argmin(sups))
+    return i, sups[i]
 
 
 def prepare_peak_exhaustive(generator: BoundarySignal):
     """``prepare_peak`` with its coarse scan taking the full sup at every
     angle: the alignment, or the error it raises, as the scan had no bounds."""
     with mock.patch.object(hardylab.ideals, "_coarse_argmin", coarse_argmin_exhaustive):
+        return prepare_peak(generator)
+
+
+def prepare_peak_unpruned(generator: BoundarySignal):
+    """``prepare_peak`` with its golden-section search reading every node:
+    the alignment, or the error it raises, as the search had no pruning."""
+    with mock.patch.object(hardylab.ideals, "_search_sup", lambda sup_at, *args: sup_at):
         return prepare_peak(generator)
 
 

@@ -18,6 +18,7 @@ classes:
 
 from __future__ import annotations
 
+import copy
 import json
 from typing import NamedTuple
 
@@ -58,8 +59,10 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def _compare(old, new, path: str, key: str, loose: bool, out: list) -> None:
-    """Append to ``out`` one line per field of ``new`` outside its class."""
+def _compare(old, new, path: str, key: str, loose: bool, out: list):
+    """Append to ``out`` one line per field of ``new`` outside its class, and
+    return ``old`` with each such field, or each container whose keys or
+    length changed, taken from ``new``."""
     if _is_number(old) and _is_number(new):
         if loose and key in THRESHOLD_SENSITIVE:
             tol = THRESHOLD_SENSITIVE[key]
@@ -67,31 +70,40 @@ def _compare(old, new, path: str, key: str, loose: bool, out: list) -> None:
             tol = TOLERANCES.get(key, TOLERANCES["*"])
         if not abs(new - old) <= tol.abs + tol.rel * abs(old):
             out.append(f"{path}: {old!r} -> {new!r} (tolerance {tol})")
+            return new
     elif isinstance(old, dict) and isinstance(new, dict):
         if old.keys() != new.keys():
             out.append(f"{path}: keys {sorted(old)} -> {sorted(new)}")
-            return
-        for k in old:
-            _compare(old[k], new[k], f"{path}.{k}", k, loose, out)
+            return new
+        return {k: _compare(old[k], new[k], f"{path}.{k}", k, loose, out) for k in old}
     elif isinstance(old, list) and isinstance(new, list):
         if len(old) != len(new):
             out.append(f"{path}: length {len(old)} -> {len(new)}")
-            return
+            return new
+        merged = []
         for i, (a, b) in enumerate(zip(old, new)):
             intermediate = key == "stages" and i < len(old) - 1
             sub_loose = loose or (
                 intermediate and isinstance(a, dict) and a.get("kind") == "sublevel"
             )
-            _compare(a, b, f"{path}[{i}]", key, sub_loose, out)
+            merged.append(_compare(a, b, f"{path}[{i}]", key, sub_loose, out))
+        return merged
     elif type(old) is not type(new) or old != new:
         out.append(f"{path}: {old!r} -> {new!r}")
+        return new
+    return old
+
+
+def merge_record(old: dict, new: dict) -> tuple[dict, list[str]]:
+    """``old`` with every field that leaves its class taken from ``new``, and
+    the lines ``compare_record`` gives for them."""
+    out: list[str] = []
+    return _compare(old, new, "", "", False, out), out
 
 
 def compare_record(old: dict, new: dict) -> list[str]:
     """Every field of ``new`` that leaves its class against ``old``."""
-    out: list[str] = []
-    _compare(old, new, "", "", False, out)
-    return out
+    return merge_record(old, new)[1]
 
 
 @pytest.mark.parametrize("name", sorted(make_golden.golden_files()))
@@ -137,3 +149,29 @@ def test_comparator_classes():
     assert compare_record({"a": [1]}, {"a": [1, 1]})
     assert compare_record({"a": 1}, {"b": 1})
     assert compare_record({"a": None}, {"a": 0.0})
+
+
+def test_regeneration_rewrites_only_the_leaf_that_moved(tmp_path, monkeypatch):
+    # a committed record with one leaf moved past its tolerance and another
+    # within it: regeneration takes the first anew and keeps the second as
+    # committed, and every other leaf as it was
+    argv = ["zeroset", "--f", "one-minus-z", "--grid-size", "512"]
+    monkeypatch.setattr(make_golden, "golden_files", lambda: {"one.json": [argv]})
+    fresh = make_golden.record(argv)
+    committed = copy.deepcopy(fresh)
+    extension = committed["stdout"]["extensions"][0]["extension"]
+    extension["tolerance"] *= 2.0
+    extension["oscillations"][1] *= 1.0 + 1e-12
+    (tmp_path / "one.json").write_text(json.dumps({"runs": [committed]}))
+    make_golden.write_corpus(tmp_path)
+    want = copy.deepcopy(committed)
+    want["stdout"]["extensions"][0]["extension"]["tolerance"] = fresh["stdout"]["extensions"][0]["extension"]["tolerance"]
+    assert json.loads((tmp_path / "one.json").read_text())["runs"] == [want]
+
+
+def test_merge_takes_a_container_anew_where_its_keys_or_length_changed():
+    old = {"a": [1.0, 2.0], "b": {"x": 1.0}, "c": {"x": 1.0}, "d": 3.0}
+    new = {"a": [1.0, 2.0, 3.0], "b": {"x": 1.0 + 1e-15, "y": 2}, "c": {"x": 1.0 + 1e-15}, "d": 3.0 + 1e-15}
+    merged, moved = merge_record(old, new)
+    assert merged == {"a": new["a"], "b": new["b"], "c": old["c"], "d": old["d"]}
+    assert moved == [".a: length 2 -> 3", ".b: keys ['x'] -> ['x', 'y']"]

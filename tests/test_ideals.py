@@ -65,6 +65,7 @@ from oracles import (
     peak_sup_norms_mp,
     peak_unit_error_mp,
     prepare_peak_exhaustive,
+    prepare_peak_unpruned,
     rotated_sup_complex,
     sublevel_stages_complex,
 )
@@ -577,6 +578,48 @@ def test_a_spike_between_subsample_nodes_costs_full_sups_not_the_angle(monkeypat
     full = count_full_coarse_sups(monkeypatch)
     assert aligned_or_refused(prepare_peak, f) == want
     assert len(full) == 256
+
+
+@pytest.mark.parametrize("n", [4096, 65536])
+@pytest.mark.parametrize("name", catalog_names())
+def test_pruned_search_aligns_like_the_full_search(name, n):
+    f = example_boundary(name, CircleGrid(n))
+    assert repr(aligned_or_refused(prepare_peak, f)) == repr(aligned_or_refused(prepare_peak_unpruned, f))
+
+
+@given(
+    st.integers(min_value=0, max_value=2 * 4096 - 1),
+    st.floats(min_value=-0.3, max_value=0.3),
+    st.floats(min_value=0.2, max_value=1.0),
+    st.floats(min_value=0.0, max_value=2.0 * np.pi),
+    st.tuples(
+        st.integers(min_value=0, max_value=4095),
+        st.integers(min_value=1, max_value=hardylab.ideals._SCAN_STRIDE - 1),
+        st.floats(min_value=0.0, max_value=0.5),
+    ),
+)
+@settings(max_examples=40, deadline=None)
+def test_pruned_search_aligns_like_the_full_search_on_products(half_node, c, scale, rotation, spike):
+    # one zero and small c and scale, so most products align; repr tells
+    # every float's bits apart, -0.0 from 0.0 too
+    f = peak_product(4096, [half_node / 2], c, scale, rotation, spike)
+    assert repr(aligned_or_refused(prepare_peak, f)) == repr(aligned_or_refused(prepare_peak_unpruned, f))
+
+
+def test_the_search_reads_few_nodes_of_offset_ramp_and_all_of_one_minus_z(monkeypatch):
+    # the node count of each sup built: all nodes and the scan's subsample,
+    # then the search's nodes when it is pruned. offset-ramp peaks at few
+    # nodes near the best angle; every node of 1 - z is at distance 1 from
+    # the peak value, so its subsample keeps them all and no full pass or
+    # pruned sup follows
+    sizes = []
+    sup_over = hardylab.ideals._sup_over
+    monkeypatch.setattr(hardylab.ideals, "_sup_over", lambda gv: sizes.append(gv.size) or sup_over(gv))
+    prepare_peak(example_boundary("offset-ramp", CircleGrid(65536)))
+    assert sizes[:2] == [65536, 4096] and 0 < sizes[2] < 65536 // 8 and len(sizes) == 3
+    sizes.clear()
+    prepare_peak(example_boundary("one-minus-z", CircleGrid(65536)))
+    assert sizes == [65536, 4096]
 
 
 def test_peak_range_miss(grid):

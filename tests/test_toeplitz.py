@@ -35,7 +35,7 @@ from hardylab.toeplitz import (
     density_profile_csv,
 )
 from hardylab.cli import main
-from oracles import density_mp, distances_r_mode, toeplitz_matrix
+from oracles import density_mp, distances_blocked_reference, distances_r_mode, toeplitz_matrix
 
 #: Absolute agreement required between the banded-QR profile and a dense QR
 #: oracle.
@@ -494,6 +494,31 @@ def test_distances_agree_with_dense_oracle_across_block_edges(roots, log_scale, 
     for m, d in density_profile(f, orders):
         assert d == dist[m - 1]
         assert abs(d - szego_distance(f, m)) <= ORACLE_TOL, m
+
+
+@pytest.mark.parametrize("name", TAYLOR_NAMES)
+def test_distances_equal_blocked_reference_bitwise_on_catalog(name):
+    # the in-place band and the raw factor feed LAPACK the same blocks as
+    # copied blocks and qr(mode="r"), and read the same R
+    f = get_example(name).taylor()
+    assert np.array_equal(_distances(f, 1024), distances_blocked_reference(f, 1024))
+
+
+@given(
+    _separated_roots(),
+    st.floats(min_value=-6, max_value=6),
+    st.floats(min_value=0.0, max_value=2 * math.pi),
+)
+@settings(max_examples=30, deadline=None)
+@example([-0.48622412715639823 - 0.4482738643222254j, 2.225073858507e-311 * cmath.exp(2j)],
+         -4.0, 2.890696403419069)
+def test_distances_equal_blocked_reference_bitwise_across_block_edges(roots, log_scale, phase):
+    """Symbols of length 1 to 70 at orders that end one column into the
+    second block, one into the third and two into the fourth."""
+    f = polynomial(roots, 10.0**log_scale * cmath.exp(1j * phase))
+    k = max(_BLOCK, len(f))
+    for order in (k + 1, 2 * k + 1, 3 * k + 2):
+        assert np.array_equal(_distances(f, order), distances_blocked_reference(f, order)), order
 
 
 def test_density_distances_memory_at_order_1024():
