@@ -20,6 +20,7 @@ LAPACK factor. Closed forms used in the tests: dist(1-z, M)^2 =
 from __future__ import annotations
 
 import functools
+import sys
 
 import numpy as np
 
@@ -55,7 +56,9 @@ _BLOCK = 64
 #: 54 and 63 ms at bandwidths 4, 8 and 10. The ratio stays at 100 because a
 #: wide symbol is faster dense (bandwidth 319 at order 1024: 2.8 s reduced,
 #: 1.1 s dense), and a lower one would send small orders, such as 64 for a
-#: bandwidth-1 symbol, through the 0.24–0.33 s import of scipy.linalg.
+#: bandwidth-1 symbol, through the 15–24 ms first load of the LAPACK routines
+#: (scipy's cython_lapack extension and two ctypes functions; the order-64
+#: dense SVD takes under 1 ms).
 BANDED_ORDER_RATIO = 100
 
 
@@ -81,15 +84,45 @@ def _put_band(out: np.ndarray, a: np.ndarray, cols: int, shift: int = 0) -> np.n
 
 
 @functools.cache
-def _zgbbrd():
-    """LAPACK zgbbrd (complex band to real bidiagonal), called through the
-    function pointer that scipy.linalg.cython_lapack exports: scipy.linalg.lapack
-    does not wrap it. Every argument is a pointer."""
+def _lapack_capsules() -> dict:
+    """The LAPACK function pointers that scipy.linalg.cython_lapack exports,
+    by routine name, without scipy.linalg's Python API.
+
+    A loaded scipy.linalg has the extension in sys.modules already. Otherwise
+    it is run from its file in scipy's linalg directory (which also holds its
+    .pxd and .pyx sources) and taken out of sys.modules again: left there, it
+    would keep a later ``import scipy.linalg`` from binding it as an
+    attribute."""
+    module = sys.modules.get("scipy.linalg.cython_lapack")
+    if module is None:
+        import os
+        from importlib import machinery, util
+
+        import scipy  # the package only: its subpackages load on first use
+
+        finder = machinery.FileFinder(
+            os.path.join(os.path.dirname(scipy.__file__), "linalg"),
+            (machinery.ExtensionFileLoader, machinery.EXTENSION_SUFFIXES),
+        )
+        spec = finder.find_spec("scipy.linalg.cython_lapack")
+        if spec is None:
+            raise ImportError("scipy has no scipy.linalg.cython_lapack extension")
+        module = util.module_from_spec(spec)
+        try:
+            spec.loader.exec_module(module)  # which enters it in sys.modules
+        finally:
+            sys.modules.pop(spec.name, None)
+    return module.__pyx_capi__
+
+
+@functools.cache
+def _lapack(name: str, nargs: int):
+    """LAPACK routine ``name``, which takes ``nargs`` arguments, all pointers,
+    as a ctypes function. scipy.linalg.lapack does not wrap zgbbrd, and its
+    dstebz wrapper needs scipy.linalg's Python API."""
     import ctypes
 
-    from scipy.linalg import cython_lapack  # imported on first use: only banded kernel counts need it
-
-    capsule = cython_lapack.__pyx_capi__["zgbbrd"]
+    capsule = _lapack_capsules()[name]
     get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
         ("PyCapsule_GetName", ctypes.pythonapi)
     )
@@ -97,7 +130,12 @@ def _zgbbrd():
         ("PyCapsule_GetPointer", ctypes.pythonapi)
     )
     address = get_pointer(capsule, get_name(capsule))
-    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 19)(address)
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * nargs)(address)
+
+
+def _pointers(a: np.ndarray):
+    """The address of each entry of the 1-d array ``a``."""
+    return (a.ctypes.data + i * a.itemsize for i in range(a.size))
 
 
 def _bidiagonal(a: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -130,12 +168,10 @@ def _bidiagonal(a: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
     unused = np.zeros(1, dtype=complex)  # Q, P^H and C: not referenced with VECT='N'
     # M, N, NCC, KL, KU, LDAB, LDQ, LDPT, LDC, INFO
     ints = np.array([order, order, 0, b, 0, b + 1, 1, 1, 1, 0], dtype=np.intc)
-    m, n, ncc, kl, ku, ldab, ldq, ldpt, ldc, info = (
-        ints.ctypes.data + i * ints.itemsize for i in range(ints.size)
-    )
+    m, n, ncc, kl, ku, ldab, ldq, ldpt, ldc, info = _pointers(ints)
     vect = np.array(b"N")
     # every array above stays referenced until the call returns
-    _zgbbrd()(
+    _lapack("zgbbrd", 19)(
         vect.ctypes.data, m, n, ncc, kl, ku, ab.ctypes.data, ldab, d.ctypes.data,
         e.ctypes.data, unused.ctypes.data, ldq, unused.ctypes.data, ldpt,
         unused.ctypes.data, ldc, work.ctypes.data, rwork.ctypes.data, info,
@@ -155,18 +191,54 @@ def _golub_kahan(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     return off
 
 
+def _tridiagonal_eigenvalues(
+    off: np.ndarray, select: bytes, index: int = 1, bound: float = 0.0
+) -> np.ndarray:
+    """Eigenvalues, ascending, of the symmetric tridiagonal with zero diagonal
+    and off-diagonal ``off``, by LAPACK dstebz bisection: the index-th
+    smallest (counted from 1) for select b"I", those in (-bound, bound] for
+    b"V". ORDER 'E' and ABSTOL 0, as scipy's eigvalsh_tridiagonal passes."""
+    n = off.size + 1
+    zero = np.zeros(n)
+    w = np.empty(n)
+    iblock = np.empty(n, dtype=np.intc)
+    isplit = np.empty(n, dtype=np.intc)
+    work = np.empty(4 * n)
+    iwork = np.empty(3 * n, dtype=np.intc)
+    # N, IL, IU, M, NSPLIT, INFO
+    ints = np.array([n, index, index, 0, 0, 0], dtype=np.intc)
+    n_, il, iu, m, nsplit, info = _pointers(ints)
+    reals = np.array([-bound, bound, 0.0])  # VL, VU, ABSTOL
+    vl, vu, abstol = _pointers(reals)
+    flags = np.array([select, b"E"])  # RANGE, ORDER
+    range_, order = _pointers(flags)
+    # every array above stays referenced until the call returns
+    _lapack("dstebz", 18)(
+        range_, order, n_, vl, vu, il, iu, abstol, zero.ctypes.data, off.ctypes.data,
+        m, nsplit, w.ctypes.data, iblock.ctypes.data, isplit.ctypes.data,
+        work.ctypes.data, iwork.ctypes.data, info,
+    )
+    if ints[-1] != 0:
+        raise RuntimeError(f"LAPACK dstebz failed with INFO = {ints[-1]}")
+    return w[: ints[3]]
+
+
+def _top_and_count(off: np.ndarray, tol: float) -> tuple[float, int]:
+    """sigma_max and the number of singular values below tol * sigma_max, for
+    the bidiagonal whose Golub–Kahan off-diagonal is ``off``: sigma_max is the
+    top eigenvalue, and each sigma < tol * sigma_max puts two eigenvalues in
+    (-tol * sigma_max, tol * sigma_max]. A threshold that underflows to 0
+    counts nothing, as sv < 0 does on the dense route."""
+    top = float(_tridiagonal_eigenvalues(off, b"I", index=off.size + 1)[0])
+    if not tol * top > 0.0:
+        return top, 0
+    return top, _tridiagonal_eigenvalues(off, b"V", bound=tol * top).size // 2
+
+
 def _banded_kernel_dim(a: np.ndarray, order: int, tol: float) -> int:
     """Singular values of the truncation below tol * sigma_max, counted on the
-    Golub–Kahan tridiagonal of its bidiagonal form by bisection (LAPACK
-    dstebz): sigma_max is its top eigenvalue, and each sigma < tol * sigma_max
-    puts two eigenvalues in (-tol * sigma_max, tol * sigma_max]."""
-    from scipy.linalg import eigvalsh_tridiagonal
-
-    off = _golub_kahan(*_bidiagonal(a, order))
-    zero = np.zeros(off.size + 1)
-    top = eigvalsh_tridiagonal(zero, off, select="i", select_range=(off.size, off.size))[0]
-    inside = eigvalsh_tridiagonal(zero, off, select="v", select_range=(-tol * top, tol * top))
-    return inside.size // 2
+    Golub–Kahan tridiagonal of its bidiagonal form by bisection."""
+    return _top_and_count(_golub_kahan(*_bidiagonal(a, order)), tol)[1]
 
 
 def adjoint_kernel_dim(symbol: AnalyticRep, order: int, tol: float = KERNEL_TOL) -> int:

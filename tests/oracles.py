@@ -5,11 +5,13 @@ second, simpler way (Horner evaluation, a dense matrix, a bisection, complex
 FFTs, complex units and complex moduli where the program works on real
 arrays, copied blocks where it writes them in place, exact hulls where it
 bounds diameters, one point at a time where it works in blocks, 60-digit
-arithmetic where it works in doubles), so a test can hold the program's
-route to it; the corpus names the functions on which two independent
-outerness tests must agree.
+arithmetic where it works in doubles, scipy's checked wrappers where it
+calls LAPACK itself), so a test can hold the program's route to it; the
+corpus names the functions on which two independent outerness tests must
+agree, and the pinned symbols carry the kernel counts their zeros predict.
 """
 
+import cmath
 import math
 from unittest import mock
 
@@ -42,6 +44,29 @@ ORACLE_CORPUS = (
 )
 
 
+def polynomial(roots, scale=1.0) -> AnalyticRep:
+    """scale * prod (z - r), lowest coefficient first."""
+    a = np.array([scale], dtype=complex)
+    for r in roots:
+        a = np.convolve(a, [-r, 1.0])
+    return AnalyticRep(a)
+
+
+#: Symbols and the kernel count of their order-1024 truncation, every one on
+#: the banded route: the shapes of the density benchmark's symbols (a root on
+#: the circle beside one inside or outside it, scale 0.5), the shift, the zero
+#: symbol, and the splitting cases with zeros {0.5} and {0.5, -0.3i}: one
+#: vanishing singular value per zero inside the disc.
+PINNED_1024 = [
+    (polynomial([cmath.exp(2.1j), 0.55 * cmath.exp(-0.7j)], 0.5), 1),
+    (polynomial([cmath.exp(-2.6j), 1.45 * cmath.exp(1.3j)], 0.5), 0),
+    (AnalyticRep(np.array([0.0, 1.0])), 1),
+    (AnalyticRep(np.array([0.0, 0.0])), 1024),
+    (polynomial([0.5]), 1),
+    (polynomial([0.5, -0.3j]), 2),
+]
+
+
 def evaluate(f: AnalyticRep, z) -> complex | np.ndarray:
     """Horner evaluation of the Taylor polynomial at points of the open disc."""
     zs = np.atleast_1d(np.asarray(z, dtype=complex))
@@ -62,6 +87,20 @@ def toeplitz_matrix(symbol: AnalyticRep, order: int) -> np.ndarray:
         take = min(a.size, order - k)
         t[k : k + take, k] = a[:take]
     return t
+
+
+def sturm_top_and_count(off: np.ndarray, tol: float) -> tuple[float, int]:
+    """sigma_max and the count of singular values below tol * sigma_max from
+    scipy's eigvalsh_tridiagonal on the Golub–Kahan tridiagonal with
+    off-diagonal ``off``: its top eigenvalue (select="i") and half the number
+    of its eigenvalues in (-tol sigma_max, tol sigma_max] (select="v"), by the
+    same LAPACK dstebz behind scipy's argument checks."""
+    from scipy.linalg import eigvalsh_tridiagonal  # only toeplitz tests load scipy.linalg
+
+    zero = np.zeros(off.size + 1)
+    top = eigvalsh_tridiagonal(zero, off, select="i", select_range=(off.size, off.size))[0]
+    inside = eigvalsh_tridiagonal(zero, off, select="v", select_range=(-tol * top, tol * top))
+    return float(top), inside.size // 2
 
 
 def distances_r_mode(f: AnalyticRep, order: int) -> np.ndarray:

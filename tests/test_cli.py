@@ -562,12 +562,18 @@ def test_prime_check_hypotheses_are_refused_before_certifying(
 
 
 def test_scipy_loads_only_for_toeplitz_work(tmp_path):
-    # density builds its matrix with numpy, so scipy.linalg is imported only
-    # by a kernel count on the banded route (M >= 100 b)
+    # density builds its matrix with numpy, so scipy is imported only by a
+    # kernel count on the banded route (M >= 100 b), and that count runs
+    # scipy.linalg.cython_lapack's extension without scipy.linalg's Python
+    # API. A later import of scipy.linalg must still bind the extension, and
+    # the counts there are the counts before it.
     script = (
-        "import sys\n"
+        "import json, sys\n"
+        "from hardylab import adjoint_kernel_dim\n"
         "from hardylab.cli import main\n"
-        "loaded = []\n"
+        "from oracles import PINNED_1024\n"
+        "linalg = lambda: sorted(m for m in sys.modules if m.startswith('scipy.linalg'))\n"
+        "loaded, modules = [], []\n"
         "for argv in (\n"
         "    ['factorize', '--f', 'one-minus-z', '--grid-size', '64'],\n"
         "    ['density', '--f', 'one-minus-z', '--M', '8'],\n"
@@ -577,14 +583,30 @@ def test_scipy_loads_only_for_toeplitz_work(tmp_path):
         "):\n"
         "    assert main(argv) == 0, argv\n"
         "    loaded.append('scipy' in sys.modules)\n"
-        "print(*loaded)\n"
+        "    modules.append(linalg())\n"
+        "cold = [adjoint_kernel_dim(f, 1024) for f, _ in PINNED_1024]\n"
+        "modules.append(linalg())\n"
+        "import numpy as np\n"
+        "import scipy.linalg\n"
+        "capi = len(scipy.linalg.cython_lapack.__pyx_capi__)\n"
+        "eig = scipy.linalg.eigvalsh_tridiagonal(np.zeros(3), np.ones(2)).tolist()\n"
+        "warm = [adjoint_kernel_dim(f, 1024) for f, _ in PINNED_1024]\n"
+        "pinned = [inside for _, inside in PINNED_1024]\n"
+        "print(json.dumps(dict(loaded=loaded, modules=modules, cold=cold, capi=capi, eig=eig,\n"
+        "                      warm=warm, pinned=pinned)))\n"
     )
     src = str(Path(hardylab.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    tests = str(Path(__file__).resolve().parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, tests, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
     )
-    assert done.stdout.splitlines()[-1] == "False False False False True"
+    report = json.loads(done.stdout.splitlines()[-1])
+    assert report["loaded"] == [False, False, False, False, True]
+    assert report["modules"] == [[]] * 6
+    assert report["capi"] > 0
+    assert report["eig"] == pytest.approx([-2**0.5, 0.0, 2**0.5], abs=1e-15)
+    assert report["cold"] == report["warm"] == report["pinned"]
 
 
 @pytest.mark.parametrize("argv", [

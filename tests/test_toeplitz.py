@@ -32,10 +32,20 @@ from hardylab.toeplitz import (
     _bidiagonal,
     _distances,
     _golub_kahan,
+    _top_and_count,
     density_profile_csv,
 )
+from hardylab.grid import _unit_scaled
 from hardylab.cli import main
-from oracles import density_mp, distances_blocked_reference, distances_r_mode, toeplitz_matrix
+from oracles import (
+    PINNED_1024,
+    density_mp,
+    distances_blocked_reference,
+    distances_r_mode,
+    polynomial,
+    sturm_top_and_count,
+    toeplitz_matrix,
+)
 
 #: Absolute agreement required between the banded-QR profile and a dense QR
 #: oracle.
@@ -91,14 +101,6 @@ def bidiagonal_singular_values(f: AnalyticRep, order: int) -> np.ndarray:
 def svd_oracle_kernel_dim(f: AnalyticRep, order: int, tol: float = KERNEL_TOL) -> int:
     """Reference: the dense-SVD count, for every bandwidth."""
     return count_below_tol(oracle_singular_values(f, order), order, tol)
-
-
-def polynomial(roots, scale=1.0) -> AnalyticRep:
-    """scale * prod (z - r), lowest coefficient first."""
-    a = np.array([scale], dtype=complex)
-    for r in roots:
-        a = np.convolve(a, [-r, 1.0])
-    return AnalyticRep(a)
 
 
 def test_truncation_is_lower_triangular_with_taylor_diagonals():
@@ -220,21 +222,7 @@ def test_kernel_dim_matches_svd_oracle_on_catalog(name):
         assert adjoint_kernel_dim(f, order) == svd_oracle_kernel_dim(f, order), order
 
 
-# shapes of the density benchmark's symbols (a root on the circle beside one
-# inside or outside it, scale 0.5), the shift, the zero symbol, and the
-# splitting cases with zeros {0.5} and {0.5, -0.3i}: one vanishing singular
-# value per zero inside the disc
-_PINNED_1024 = [
-    (polynomial([cmath.exp(2.1j), 0.55 * cmath.exp(-0.7j)], 0.5), 1),
-    (polynomial([cmath.exp(-2.6j), 1.45 * cmath.exp(1.3j)], 0.5), 0),
-    (AnalyticRep(np.array([0.0, 1.0])), 1),
-    (AnalyticRep(np.array([0.0, 0.0])), 1024),
-    (polynomial([0.5]), 1),
-    (polynomial([0.5, -0.3j]), 2),
-]
-
-
-@pytest.mark.parametrize("f, inside", _PINNED_1024)
+@pytest.mark.parametrize("f, inside", PINNED_1024)
 def test_banded_kernel_dim_matches_svd_oracle_at_1024(f, inside):
     assert BANDED_ORDER_RATIO * (len(f) - 1) <= 1024  # the banded route runs
     dense = oracle_singular_values(f, 1024)
@@ -288,6 +276,48 @@ def test_banded_kernel_dim_matches_svd_oracle(roots, log_scale, phase, extra):
     banded = bidiagonal_singular_values(f, order)
     assert np.max(np.abs(banded - dense[::-1])) <= 1e-13 * top
     assert adjoint_kernel_dim(f, order) == count_below_tol(dense, order)
+
+
+@given(
+    st.lists(_root(), min_size=1, max_size=6),
+    st.floats(min_value=-3, max_value=3),
+    st.integers(min_value=0, max_value=120),
+    st.one_of(st.sampled_from([KERNEL_TOL, 1e-6, 1e-3]), st.floats(min_value=1e-300, max_value=0.5)),
+)
+@settings(max_examples=30, deadline=None)
+def test_sturm_count_equals_scipy_wrapper_bitwise(roots, log_scale, extra, tol):
+    """sigma_max and the count from the direct dstebz calls are scipy's
+    eigvalsh_tridiagonal's, bit for bit, on the bidiagonal the banded route
+    reduces: the same LAPACK routine on the same arrays."""
+    f = polynomial(roots, 10.0**log_scale)
+    order = BANDED_ORDER_RATIO * len(roots) + extra
+    a = _unit_scaled(f.coefficients[:order])[0]
+    off = _golub_kahan(*_bidiagonal(a, order))
+    top, count = _top_and_count(off, tol)
+    assert (top, count) == sturm_top_and_count(off, tol)
+    assert adjoint_kernel_dim(f, order, tol) == count
+
+
+def test_a_kernel_threshold_that_underflows_counts_nothing():
+    # sigma_max is 1/2 to roundoff after unit scaling, and 5e-324 times it
+    # rounds to 0: no singular value lies below 0, on either route
+    f = AnalyticRep(np.array([0.5]))
+    off = _golub_kahan(*_bidiagonal(f.coefficients, 256))
+    top, count = _top_and_count(off, 5e-324)
+    assert (5e-324 * top, count) == (0.0, 0)
+    assert adjoint_kernel_dim(f, 256, tol=5e-324) == svd_oracle_kernel_dim(f, 256, 5e-324) == 0
+
+
+def test_a_kernel_threshold_that_underflows_exits_zero(tmp_path, capfd):
+    """Through the CLI, with LAPACK's own output captured at the file
+    descriptors: one JSON object on stdout, nothing on stderr."""
+    path = tmp_path / "half.json"
+    path.write_text('{"coefficients": [[0.5, 0]]}')
+    code = main(["toeplitz-kernel", "--f", str(path), "--M", "1024", "--tol", "5e-324"])
+    out, err = capfd.readouterr()
+    assert (code, err) == (0, "")
+    f = AnalyticRep(np.array([0.5]))
+    assert json.loads(out)["kernel_dim"] == svd_oracle_kernel_dim(f, 1024, 5e-324) == 0
 
 
 @given(
