@@ -30,10 +30,11 @@ from .factorization import (
 )
 from .grid import (
     DEFAULT_GRID_SIZE,
+    BoundarySignal,
     CircleGrid,
+    _write_csv,
     common_grid,
     signal_from_csv,
-    signal_to_csv,
 )
 from .hardy import AnalyticRep, _read_json
 from .ideals import (
@@ -130,12 +131,16 @@ _int_list = _comma_list(int, "integers")
 _name_list = _comma_list(str, "names")
 
 
-def _write(out: Optional[str], name: str, text: str) -> None:
+def _write(out: Optional[str], name: str, content: str | BoundarySignal) -> None:
+    """Write a text, or a signal as CSV, to the file ``name`` under ``out``."""
     if out is None:
         return
     directory = Path(out)
     directory.mkdir(parents=True, exist_ok=True)
-    (directory / name).write_text(text)
+    if isinstance(content, BoundarySignal):
+        _write_csv(directory / name, content)
+    else:
+        (directory / name).write_text(content)
 
 
 def _emit(report: dict, out: Optional[str]) -> None:
@@ -159,8 +164,8 @@ def _cmd_synth_outer(args) -> None:
         "boundary_sup": float(np.max(np.abs(outer.boundary.values))),
     }
     if args.out is not None:
-        _write(args.out, "boundary.csv", signal_to_csv(outer.boundary))
-        _write(args.out, "log_modulus.csv", signal_to_csv(outer.log_modulus))
+        _write(args.out, "boundary.csv", outer.boundary)
+        _write(args.out, "log_modulus.csv", outer.log_modulus)
     _emit(report, args.out)
 
 
@@ -175,8 +180,8 @@ def _cmd_factorize(args) -> None:
         "outer_value_at_zero": result.outer.value_at_zero(),
     }
     if args.out is not None:
-        _write(args.out, "inner.csv", signal_to_csv(result.inner))
-        _write(args.out, "outer.csv", signal_to_csv(result.outer.boundary))
+        _write(args.out, "inner.csv", result.inner)
+        _write(args.out, "outer.csv", result.outer.boundary)
     _emit(report, args.out)
 
 
@@ -234,7 +239,7 @@ def _cmd_approx_unit(args) -> None:
     report["stages"] = [stage_report(s) for s in stages]
     if args.out is not None:
         for s in stages:
-            _write(args.out, f"unit-{s.index:04d}.csv", signal_to_csv(stage_unit(spec, s)))
+            _write(args.out, f"unit-{s.index:04d}.csv", stage_unit(spec, s))
     _emit(report, args.out)
 
 
@@ -250,7 +255,7 @@ def _cmd_certify(args) -> Optional[dict]:
     )
     _emit(certificate_report(cert), args.out)
     if args.out is not None and cert.final_unit is not None:
-        _write(args.out, "final-unit.csv", signal_to_csv(cert.final_unit))
+        _write(args.out, "final-unit.csv", cert.final_unit)
     if not cert.passed:
         return {"error": cert.failure_reason, "message": cert.conclusion}
     return None

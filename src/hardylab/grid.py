@@ -331,9 +331,9 @@ def _exponent_step(qh: np.ndarray, ql: np.ndarray) -> np.ndarray:
 
 
 def _decimal(parts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(n, E, python): each |x| of ``parts`` as n * 10^(E-16), n rounded to
-    17 digits, ties to even (n = 0 and E = 0 for a zero), and the mask of
-    the parts left to CPython.
+    """(n, E, python): each |x| of ``parts``, none of them zero, as
+    n * 10^(E-16), n rounded to 17 digits, ties to even, and the mask of the
+    parts left to CPython.
 
     E starts at floor(log10|x|) and is settled in ``_EXPONENT_PASSES``
     passes, each forming q = |x| * 10^(16-E) with ``_scaled``. Where
@@ -342,9 +342,8 @@ def _decimal(parts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     powers = _field_tables()[0]
     a = np.abs(parts)
-    zero = a == 0
-    python = ~((a >= _KERNEL_RANGE[0]) & (a <= _KERNEL_RANGE[1]) | zero)  # inf and nan too
-    a[python | zero] = 1.0
+    python = ~((a >= _KERNEL_RANGE[0]) & (a <= _KERNEL_RANGE[1]))  # inf and nan too
+    a[python] = 1.0
     e = _exponent_guess(a)
     qh, ql = _scaled(powers, a, e)
     todo = np.flatnonzero(_exponent_step(qh, ql))
@@ -367,7 +366,6 @@ def _decimal(parts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if python.any():
         qh[python], r[python], e[python] = 1e16, 0.0, 0
     n = qh.astype(np.int64) + r.astype(np.int64)  # qh is an even integer here
-    n[zero] = 0
     carry = n == 10 ** 17  # q rounded up to the next power of ten
     n[carry] = 10 ** 16
     e += carry
@@ -393,9 +391,8 @@ def _source_bytes(n: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return src, 16 - tz
 
 
-def _print_fields(parts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every float of ``parts`` printed as ``'%.17g' % x``, byte for byte, in
-    a NUL-padded S24 array, and the mask of the parts that CPython printed.
+def _kernel_fields(parts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_print_fields`` of ``parts``, none of them zero, all in the kernel.
 
     ``_decimal`` rounds each part to 17 digits and a decimal exponent E, and
     ``_source_bytes`` spells both out. The part's sign, notation (fixed for
@@ -409,32 +406,75 @@ def _print_fields(parts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     layout = _field_tables()[-1]
     index = layout.take(cls, axis=0)
     index += np.arange(0, src.size, _SOURCE_WIDTH)[:, None]
-    fields = src.ravel().take(index).view(f"S{_FIELD_WIDTH}").ravel()
+    return src.ravel().take(index).view(f"S{_FIELD_WIDTH}").ravel(), python
+
+
+def _print_fields(parts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every float of ``parts`` printed as ``'%.17g' % x``, byte for byte, in
+    a NUL-padded S24 array, and the mask of the parts that CPython printed.
+    Exact zeros are spelled ``0`` and ``-0`` here, the other parts by
+    ``_kernel_fields``."""
+    zero = parts == 0
+    if zero.any():
+        fields = np.where(np.signbit(parts), b"-0", b"0").astype(f"S{_FIELD_WIDTH}")
+        python = np.zeros(parts.size, bool)
+        live = np.flatnonzero(~zero)
+        if live.size:
+            fields[live], python[live] = _kernel_fields(parts[live])
+    else:
+        fields, python = _kernel_fields(parts)
     if python.any():
         fields[python] = ["%.17g" % x for x in parts[python].tolist()]
     return fields, python
 
 
 @lru_cache(maxsize=1)
-def _row_templates(size: int) -> tuple[bytes, ...]:
-    """One bytes format per writer block: each row is its node's theta,
-    already printed with %.17g, then %b placeholders for re and im. The theta
-    column depends only on the grid, so it is printed once per grid size."""
+def _theta_column(size: int) -> np.ndarray:
+    """The theta field of every node, printed as ``'%.17g'``, NUL-padded
+    S24. The theta column depends only on the grid, so it is printed once
+    per grid size, a writer block at a time."""
     nodes = CircleGrid(size).nodes
-    return tuple(
-        (b"%.17g,%%b,%%b\n" * len(b)) % tuple(b.tolist())
-        for b in (nodes[s:s + _CSV_BLOCK_ROWS] for s in range(0, size, _CSV_BLOCK_ROWS))
-    )
+    column = np.empty(size, f"S{_FIELD_WIDTH}")
+    for s in range(0, size, 2 * _CSV_BLOCK_ROWS):
+        column[s:s + 2 * _CSV_BLOCK_ROWS] = _print_fields(nodes[s:s + 2 * _CSV_BLOCK_ROWS])[0]
+    column.flags.writeable = False
+    return column
+
+
+# One row of a writer block: each field NUL-padded to _FIELD_WIDTH bytes and
+# followed by its separator, so deleting the NULs leaves "theta,re,im\n".
+_CSV_ROW = np.dtype([
+    ("theta", f"S{_FIELD_WIDTH}"), ("comma", "S1"), ("re", f"S{_FIELD_WIDTH}"),
+    ("comma2", "S1"), ("im", f"S{_FIELD_WIDTH}"), ("newline", "S1"),
+])
+
+
+def _csv_blocks(f: BoundarySignal):
+    """The CSV text of ``f`` as ASCII bytes: the header, then one block per
+    ``_CSV_BLOCK_ROWS`` rows. A block's fields fill one NUL-padded row
+    buffer, which is compacted once by deleting its NULs."""
+    yield b"theta,re,im\n"
+    size = f.grid.size
+    theta = _theta_column(size)
+    parts = f.values.view(float)  # re and im interleaved, as stored
+    rows = np.zeros(min(size, _CSV_BLOCK_ROWS), _CSV_ROW)
+    rows["comma"] = rows["comma2"] = b","
+    rows["newline"] = b"\n"
+    for s in range(0, size, rows.size):
+        rows["theta"] = theta[s:s + rows.size]
+        rows["re"], rows["im"] = _print_fields(parts[2 * s:2 * (s + rows.size)])[0].reshape(-1, 2).T
+        yield rows.tobytes().translate(None, b"\0")
 
 
 def signal_to_csv(f: BoundarySignal) -> str:
-    parts = f.values.view(float)  # re and im interleaved, as stored
-    step = 2 * _CSV_BLOCK_ROWS
-    out = ["theta,re,im\n"]
-    for k, template in enumerate(_row_templates(f.grid.size)):
-        fields = _print_fields(parts[k * step:(k + 1) * step])[0]
-        out.append((template % tuple(fields.tolist())).decode("ascii"))
-    return "".join(out)
+    return b"".join(_csv_blocks(f)).decode("ascii")
+
+
+def _write_csv(path, f: BoundarySignal) -> None:
+    """Write the CSV text of ``f`` to the file ``path`` in binary, a block at
+    a time, so no whole-file text is built; lines end in LF everywhere."""
+    with open(path, "wb") as file:
+        file.writelines(_csv_blocks(f))
 
 
 # Everything a canonical row holds besides its separators ',' and '\n'.

@@ -15,7 +15,7 @@ from typing import Callable
 from .catalog import example_boundary, get_example
 from .errors import RangeMiss, UnknownExample
 from .factorization import is_inner
-from .grid import DEFAULT_GRID_SIZE, CircleGrid, circular_distance, signal_to_csv
+from .grid import DEFAULT_GRID_SIZE, BoundarySignal, CircleGrid, _write_csv, circular_distance
 from .ideals import (
     COMBINED_INF_FLOOR,
     approx_unit_peak,
@@ -58,8 +58,9 @@ class _Bundle:
         self.grid_size = grid_size
         self.grid = CircleGrid(grid_size)
         self.checks: list[dict] = []
-        #: path under the bundle directory ("inputs/..." or "outputs/...") -> text
-        self.files: dict[str, str] = {}
+        #: path under the bundle directory ("inputs/..." or "outputs/...") ->
+        #: its text, or the signal written there as CSV
+        self.files: dict[str, str | BoundarySignal] = {}
 
     def check(self, label: str, passed: bool, detail: str) -> None:
         self.checks.append({"name": label, "passed": bool(passed), "detail": detail})
@@ -75,10 +76,13 @@ class _Bundle:
         config = {"bundle": self.name, "grid_size": self.grid_size}
         self.dir.mkdir(parents=True, exist_ok=True)
         (self.dir / "config.json").write_text(dump_text(config))
-        for rel, text in self.files.items():
+        for rel, content in self.files.items():
             path = self.dir / rel
             path.parent.mkdir(exist_ok=True)
-            path.write_text(text)
+            if isinstance(content, BoundarySignal):
+                _write_csv(path, content)
+            else:
+                path.write_text(content)
         (self.dir / "summary.json").write_text(dump_text(summary))
         return summary
 
@@ -89,7 +93,7 @@ class _Bundle:
 
 def _zeroset_banded(b: _Bundle) -> None:
     entry = get_example("banded-logmod")
-    b.files["inputs/log_modulus.csv"] = signal_to_csv(entry.log_modulus(b.grid))
+    b.files["inputs/log_modulus.csv"] = entry.log_modulus(b.grid)
     f = entry.boundary(b.grid)
     est = essential_zero_set(f)
     b.files["outputs/zeroset.json"] = dump_text(zero_set_report(est))
@@ -102,7 +106,7 @@ def _zeroset_banded(b: _Bundle) -> None:
 
 def _zeroset_two_point(b: _Bundle) -> None:
     f = example_boundary("two-point-product", b.grid)
-    b.files["inputs/two-point-product.csv"] = signal_to_csv(f)
+    b.files["inputs/two-point-product.csv"] = f
     rep = zinfty_report(f)
     est = rep.zero_set
     in_da = in_disc_algebra(f)
@@ -162,7 +166,7 @@ def _unit_staircase(b: _Bundle) -> None:
     spec = ideal([f], ["one-minus-z"])
     stages = approx_unit_sublevel(spec)
     b.files["outputs/staircase.json"] = dump_text({"stages": [stage_report(s) for s in stages]})
-    b.files["outputs/final-unit.csv"] = signal_to_csv(stage_unit(spec, stages[-1]))
+    b.files["outputs/final-unit.csv"] = stage_unit(spec, stages[-1])
     dichotomy = all(
         s.off_support_deviation <= 1e-6 and s.on_support_max <= s.eps + 1e-6
         for s in stages
@@ -245,7 +249,7 @@ def _shared_zero_combined(b: _Bundle) -> None:
 
 def _offrange_peak(b: _Bundle) -> None:
     f = example_boundary("two-plus-z", b.grid)
-    b.files["inputs/two-plus-z.csv"] = signal_to_csv(f)
+    b.files["inputs/two-plus-z.csv"] = f
     try:
         prepare_peak(f)
         refused, detail = False, "RangeMiss was not raised"
@@ -257,7 +261,7 @@ def _offrange_peak(b: _Bundle) -> None:
 
 def _ramp_peak(b: _Bundle) -> None:
     f = example_boundary("offset-ramp", b.grid)
-    b.files["inputs/offset-ramp.csv"] = signal_to_csv(f)
+    b.files["inputs/offset-ramp.csv"] = f
     cert = certify_mideal(ideal([f], ["offset-ramp"]), strategy="peak")
     b.files["outputs/certificate.json"] = dump_text(certificate_report(cert))
     b.check(

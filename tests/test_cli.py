@@ -69,17 +69,47 @@ def test_synth_outer_writes_companion_files(capsys, tmp_path):
     assert (out_dir / "log_modulus.csv").exists()
 
 
+@pytest.mark.parametrize("size", [8, 4096])
+@pytest.mark.parametrize("argv", [
+    ["factorize", "--f", "one-minus-z"],
+    ["synth-outer", "--k", "ramp-logmod"],
+    ["approx-unit", "--generators", "one-minus-z"],
+    ["certify", "--generators", "exp-z"],
+    ["reproduce", "offrange-peak"],
+], ids=["factorize", "synth-outer", "approx-unit", "certify", "reproduce"])
+def test_written_csv_files_equal_signal_to_csv_byte_for_byte(capsys, monkeypatch, tmp_path, argv, size):
+    # every CSV a command writes streams through one file writer; record the
+    # signal behind each file, then compare the file with the text writer's
+    # output for that signal (8 rows fill part of one block, 4096 two blocks)
+    written = {}
+    write_csv = hardylab.grid._write_csv
+
+    def record(path, f):
+        written[Path(path)] = f
+        write_csv(path, f)
+
+    for module in (cli, hardylab.reproduce):
+        monkeypatch.setattr(module, "_write_csv", record)
+    code, _, err = run(capsys, *argv, "--grid-size", str(size), "--out", str(tmp_path))
+    assert code == 0, err
+    assert written and sorted(written) == sorted(tmp_path.rglob("*.csv"))
+    for path, f in written.items():
+        assert path.read_bytes() == signal_to_csv(f).encode("ascii"), path.name
+    if argv[0] == "synth-outer":  # an all-zero im column, spelled without the field kernel
+        assert not np.any(written[tmp_path / "log_modulus.csv"].values.imag)
+
+
 def _cold_peak(capsys, warm_argv, argv):
     """The exit code and tracemalloc peak of the command ``argv``, run after
     ``warm_argv``, the same command on 4096-node inputs, has imported what
     the command imports on first use (orjson, numpy.fft), and with the
-    grid's row-template and field-kernel caches cleared. So the peak does
+    grid's theta-column and field-kernel caches cleared. So the peak does
     not depend on which tests ran before. 4096 is the smallest grid on which
     1 - z certifies: below it the certificate is refused as NotOuter before
     any unit is built, and the warm-up would miss numpy.fft."""
     assert run(capsys, *warm_argv)[0] == 0
     grid = hardylab.grid
-    for cache in (grid._row_templates, grid._field_tables):
+    for cache in (grid._theta_column, grid._field_tables):
         cache.cache_clear()
     tracemalloc.start()
     try:
@@ -92,12 +122,13 @@ def _cold_peak(capsys, warm_argv, argv):
 # Bytes per node of a command's tracemalloc peak at N = 65536, with --out,
 # measured by ``_cold_peak``: the same in a run of this test alone and in the
 # full suite. The per-float formatter peaked at 241.0 B/node (15.06 MiB) in
-# factorize and 211.6 B/node (13.23 MiB) in synth-outer; the field kernel
-# peaks at 226.5 and 202.5. Each budget is a peak plus 5 %, and no more than
-# the formatter's peak.
+# factorize and 211.6 B/node (13.23 MiB) in synth-outer, and the field kernel
+# writing each file's whole text at 226.5 and 202.5. Streamed a block at a
+# time, with the theta column cached as S24 fields, the files no longer set
+# the peaks: 127.8 and 103.5. Each budget is a peak plus 5 %.
 @pytest.mark.parametrize("argv, budget", [
-    (["factorize", "--f", "one-minus-z"], 238),
-    (["synth-outer", "--k", "ramp-logmod"], 212),
+    (["factorize", "--f", "one-minus-z"], 134),
+    (["synth-outer", "--k", "ramp-logmod"], 109),
 ], ids=["factorize", "synth-outer"])
 def test_out_commands_keep_their_memory_budget_at_65536_nodes(capsys, tmp_path, argv, budget):
     code, peak = _cold_peak(
@@ -140,10 +171,11 @@ def test_csv_commands_keep_their_memory_budget_at_65536_nodes(capsys, tmp_path, 
 
 # The same peaks for commands on registry signals: synth-outer without --out
 # (57.1 B/node) and the unit-staircase bundle, which writes its files into
-# --out (194.8 B/node). Each budget is a peak plus 5 %.
+# --out (97.0 B/node; 194.8 when each CSV's whole text was built before the
+# write). Each budget is a peak plus 5 %.
 @pytest.mark.parametrize("argv, budget", [
     (["synth-outer", "--k", "ramp-logmod"], 60),
-    (["reproduce", "unit-staircase", "--out", "{out}"], 204),
+    (["reproduce", "unit-staircase", "--out", "{out}"], 102),
 ], ids=["synth-outer", "reproduce-unit-staircase"])
 def test_registry_commands_keep_their_memory_budget_at_65536_nodes(capsys, tmp_path, argv, budget):
     code, peak = _cold_peak(capsys, *(
@@ -403,7 +435,7 @@ def test_certify_without_out_formats_no_csv(capsys, monkeypatch):
     def refuse(_):
         raise AssertionError("CSV formatted without --out")
 
-    monkeypatch.setattr(cli, "signal_to_csv", refuse)
+    monkeypatch.setattr(hardylab.grid, "_csv_blocks", refuse)
     code, _, err = run(capsys, "certify", "--generators", "one-minus-z", "--grid-size", "4096")
     assert code == 0, err
 

@@ -243,14 +243,16 @@ def test_field_kernel_rounds_exact_ties_to_even():
 @pytest.mark.parametrize("shift", [-3, -2, 2, 3])
 def test_field_kernel_settles_the_exponent_in_three_passes(monkeypatch, shift):
     # a first guess two decades off settles in the three passes; three off
-    # hits the cap, and CPython prints every part, zeros included
+    # hits the cap, and CPython prints every part but the zeros, which never
+    # reach the kernel
     rng = np.random.default_rng(17)
     parts = np.append(rng.normal(size=4096) * 10.0 ** rng.integers(-250, 250, size=4096), [0.0, -0.0])
     guess = grid._exponent_guess
     monkeypatch.setattr(grid, "_exponent_guess", lambda a: guess(a) + shift)
     got, python = printed(parts)
     assert got == percent_g(parts)
-    assert python.all() if abs(shift) == 3 else not python.any()
+    assert not python[-2:].any()
+    assert python[:-2].all() if abs(shift) == 3 else not python.any()
 
 
 FIELD_SPELLINGS = ("%.17g", "%r", "%.16g", "%.20g", "%.25e")
@@ -291,6 +293,21 @@ def test_csv_keeps_signed_zeros_that_complex_arithmetic_drops():
     assert np.array_equal(bits(back.values), bits(f.values))
     # building values as re + 1j*im, as the row-wise reader did, loses -0 parts
     assert not np.array_equal(bits(-0.0 + 1j * np.full(8, -0.0)), bits(f.values))
+
+
+@pytest.mark.parametrize("size", [8, 4096])
+def test_file_writer_spells_signed_zeros_as_the_oracle(tmp_path, size):
+    # +0.0 and -0.0 in both columns, beside nonzero parts and on their own:
+    # the first rows hold every sign pair of zeros, and at 4096 the second
+    # block is zeros only
+    pattern = [0.0, -0.0, -0.0, 0.0, 0.0, 0.0, -0.0, -0.0, 0.0, 2.5e-300, -0.0, -7.0, 1.5, -0.0, 1e300, 0.0]
+    parts = np.resize(np.array(pattern), 2 * size)
+    parts[2 * grid._CSV_BLOCK_ROWS:] = np.copysign(0.0, parts[2 * grid._CSV_BLOCK_ROWS:])
+    f = BoundarySignal(CircleGrid(size), parts.view(complex))
+    path = tmp_path / "zeros.csv"
+    grid._write_csv(path, f)
+    assert path.read_bytes() == fstring_oracle_csv(f).encode("ascii")
+    assert np.array_equal(bits(signal_from_csv(path.read_bytes()).values), bits(f.values))
 
 
 def test_csv_roundtrip_bitwise():
@@ -430,7 +447,7 @@ def test_csv_row_count_is_checked_before_any_float(monkeypatch):
 def test_csv_codec_memory_at_65536_nodes():
     g = CircleGrid(65536)
     f = signal_from_values(g, np.exp(1j * g.nodes) * (1.0 + g.nodes))
-    grid._row_templates.cache_clear()  # the first write builds the theta text
+    grid._theta_column.cache_clear()  # the first write builds the theta column
     tracemalloc.start()
     try:
         text = signal_to_csv(f)
@@ -451,7 +468,7 @@ def test_csv_codec_memory_at_65536_nodes():
         tracemalloc.stop()
     # measured this way, the row-wise writer peaked at 10.9 MiB and the
     # csv.reader parser at 37.3 MiB; the block codec takes 9.0-9.2 MiB (a
-    # first write, its row templates and field-kernel tables included, as with
+    # first write, its theta column and field-kernel tables included, as with
     # the per-float formatter before the kernel), 11.2-11.7 MiB through
     # np.loadtxt, and through orjson 5.1 MiB from bytes and 6.8-7.4 MiB from a
     # text, which is encoded to bytes first (5.7 MiB when orjson read text)
@@ -461,14 +478,14 @@ def test_csv_codec_memory_at_65536_nodes():
     assert loadtxt_peak < 16 << 20
 
 
-def test_row_template_cache_keeps_one_grid_size():
+def test_theta_column_cache_keeps_one_grid_size():
     for size in (8, 65536):
         signal_to_csv(constant_signal(CircleGrid(size), 1.0))
-    info = grid._row_templates.cache_info()
+    info = grid._theta_column.cache_info()
     assert info.maxsize == 1 and info.currsize == 1
-    templates = grid._row_templates(65536)
-    assert len(templates) == 65536 // grid._CSV_BLOCK_ROWS
-    assert sum(sys.getsizeof(t) for t in templates) <= 40 * 65536
+    column = grid._theta_column(65536)
+    assert column.shape == (65536,) and not column.flags.writeable
+    assert sys.getsizeof(column) <= 24 * 65536 + sys.getsizeof(np.empty(0, "S24"))
 
 
 def test_csv_writes_match_oracle_across_cache_evictions():

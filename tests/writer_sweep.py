@@ -2,7 +2,9 @@
 300 with both of its neighbours, both zeros and the smallest subnormals
 through ``signal_to_csv``; compare each text with the one-f-string-per-row
 oracle, and read it back through ``signal_from_csv``, from the text and from
-its bytes, comparing each part's bits with the part printed.
+its bytes, comparing each part's bits with the part printed. Each signal is
+also written to a temporary file by the file writer that the CLI's ``--out``
+uses, and the file's bytes are compared with the oracle's.
 
 Usage::
 
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +30,7 @@ sys.path.insert(0, str(HERE.parent / "src"))
 sys.path.insert(0, str(HERE))
 
 from hardylab import BoundarySignal, CircleGrid, signal_from_csv, signal_to_csv  # noqa: E402
+from hardylab.grid import _write_csv  # noqa: E402
 from oracles import fstring_oracle_csv  # noqa: E402
 
 NODES = 1 << 15
@@ -55,19 +59,25 @@ def main() -> int:
     p.add_argument("--seed", type=int, default=0)
     args = p.parse_args()
     parts = differ = misread = 0
-    for f in signals(args.log2_parts, args.seed):
-        text = signal_to_csv(f)
-        for given in (text, text.encode("ascii")):
-            back = signal_from_csv(given).values
-            misread += int(np.count_nonzero(back.view(np.uint64) != f.values.view(np.uint64)))
-        got, want = text.splitlines(), fstring_oracle_csv(f).splitlines()
-        bad = [(g, w) for g, w in zip(got, want) if g != w]
-        if len(got) != len(want):
-            bad.append((f"{len(got)} rows", f"{len(want)} rows"))
-        for g, w in bad[:max(0, 5 - differ)]:  # the first five differences
-            print(f"got  {g!r}\nwant {w!r}")
-        parts, differ = parts + 2 * f.grid.size, differ + len(bad)
-    print(f"{parts} parts printed, {differ} rows differ, "
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "signal.csv"
+        for f in signals(args.log2_parts, args.seed):
+            text, oracle = signal_to_csv(f), fstring_oracle_csv(f)
+            for given in (text, text.encode("ascii")):
+                back = signal_from_csv(given).values
+                misread += int(np.count_nonzero(back.view(np.uint64) != f.values.view(np.uint64)))
+            _write_csv(path, f)
+            written = path.read_bytes().decode("ascii")
+            bad = []
+            for source, printed in (("text", text), ("file", written)):
+                got, want = printed.splitlines(keepends=True), oracle.splitlines(keepends=True)
+                bad += [(source, g, w) for g, w in zip(got, want) if g != w]
+                if len(got) != len(want):
+                    bad.append((source, f"{len(got)} rows", f"{len(want)} rows"))
+            for source, g, w in bad[:max(0, 5 - differ)]:  # the first five differences
+                print(f"{source} got  {g!r}\n{source} want {w!r}")
+            parts, differ = parts + 2 * f.grid.size, differ + len(bad)
+    print(f"{parts} parts printed, {differ} rows differ (text and file writes), "
           f"{misread} parts read back with other bits (text and bytes reads)")
     return 1 if differ or misread else 0
 
