@@ -32,7 +32,7 @@ from .grid import (
     DEFAULT_GRID_SIZE,
     BoundarySignal,
     CircleGrid,
-    _write_csv,
+    _write_file,
     common_grid,
     signal_from_csv,
 )
@@ -133,14 +133,9 @@ _name_list = _comma_list(str, "names")
 
 def _write(out: Optional[str], name: str, content: str | BoundarySignal) -> None:
     """Write a text, or a signal as CSV, to the file ``name`` under ``out``."""
-    if out is None:
-        return
-    directory = Path(out)
-    directory.mkdir(parents=True, exist_ok=True)
-    if isinstance(content, BoundarySignal):
-        _write_csv(directory / name, content)
-    else:
-        (directory / name).write_text(content)
+    if out is not None:
+        Path(out).mkdir(parents=True, exist_ok=True)
+        _write_file(Path(out) / name, content)
 
 
 def _emit(report: dict, out: Optional[str]) -> None:

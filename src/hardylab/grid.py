@@ -34,6 +34,9 @@ CLIP_FLOOR = -30.0
 #: A signal counts as real when no imaginary part exceeds this in size.
 REAL_TOL = 1e-9
 
+#: A log-modulus within this relative margin of a level -m counts as on it.
+_LEVEL_MARGIN = 1e-9
+
 
 def _as_index(value, name: str) -> int:
     """``value`` by ``operator.index``: an int or a numpy integer, else
@@ -67,6 +70,11 @@ def _clip_log(k: np.ndarray) -> int:
     Every clip in the package goes through here."""
     np.maximum(k, CLIP_FLOOR, out=k)
     return int(np.count_nonzero(k <= CLIP_FLOOR))
+
+
+def _level_cut(m):
+    """The log-modulus below which a node is in {|f| < e^-m}, for one level or an array ``m``."""
+    return -m * (1.0 + _LEVEL_MARGIN)
 
 
 @dataclass(frozen=True)
@@ -475,6 +483,14 @@ def _write_csv(path, f: BoundarySignal) -> None:
     a time, so no whole-file text is built; lines end in LF everywhere."""
     with open(path, "wb") as file:
         file.writelines(_csv_blocks(f))
+
+
+def _write_file(path, content: str | BoundarySignal) -> None:
+    """Write a text, or a signal as CSV by ``_write_csv``, to the file ``path``."""
+    if isinstance(content, BoundarySignal):
+        return _write_csv(path, content)
+    with open(path, "w") as file:
+        file.write(content)
 
 
 # Everything a canonical row holds besides its separators ',' and '\n'.

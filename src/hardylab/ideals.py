@@ -36,7 +36,8 @@ from .errors import (
 )
 from .factorization import _reject_zero, check_clip_count, is_outer, outer_boundary, outer_values
 from .grid import (
-    BoundarySignal, CircleGrid, _as_indices, _as_real, _clip_log, circular_distance, common_grid,
+    BoundarySignal, CircleGrid, _as_indices, _as_real, _clip_log, _level_cut, circular_distance,
+    common_grid,
 )
 from .hardy import conjugate
 from .zerosets import continuous_extension, essential_zero_set, zinfty_report
@@ -110,8 +111,8 @@ def ideal(generators: Sequence[BoundarySignal], names: Sequence[str] | None = No
 @dataclass(frozen=True)
 class UnitStage:
     """One stage of the sublevel construction. Its support A_m, the nodes where
-    -k > m for the ideal's joint clipped log-modulus k, is rebuilt, not kept;
-    ``support_measure`` is their count over N."""
+    k < ``_level_cut(m)`` for the ideal's joint clipped log-modulus k, is
+    rebuilt, not kept; ``support_measure`` is their count over N."""
 
     index: int
     eps: float
@@ -176,11 +177,11 @@ def approx_unit_sublevel(
     """Units supported off shrinking sublevel neighborhoods of the zero set,
     one stage per entry of ``stages``, in stage order.
 
-    Stage m: A_m is the eps = e^{-m} joint sublevel set, the nodes where -k > m,
-    and its measure is their count over N. The unit is base * cofactor where
-    the cofactor is the outer function with log-modulus -k on the complement
-    of A_m, so the unit's modulus is e^{k} there times e^{-k} — exactly one —
-    and equals the generator modulus (< eps) on A_m. ``stage_unit`` builds a stage's unit.
+    Stage m: A_m is the eps = e^{-m} joint sublevel set, the nodes where
+    k < ``_level_cut(m)``, measured by their count over N. The unit is base *
+    cofactor, the cofactor the outer function with log-modulus -k off A_m, so
+    the unit's modulus is e^{k} there times e^{-k} — exactly one — and equals
+    the generator modulus (< eps) on A_m. ``stage_unit`` builds a stage's unit.
 
     So |unit| = |base| e^{kc} and arg(unit) = arg(base) + H[kc] for the
     cofactor's log-modulus kc, and every generator's error is
@@ -204,7 +205,7 @@ def approx_unit_sublevel(
     out: list[UnitStage] = []
     for m in stages:
         eps = float(np.exp(-m))
-        on = np.flatnonzero(neg_k > m)  # the support A_m
+        on = np.flatnonzero(neg_k > -_level_cut(m))  # the support A_m
         if on.size == 0:
             out.append(UnitStage(
                 index=m, eps=eps, support_measure=0.0, degenerate=True, off_support_deviation=0.0,
@@ -507,7 +508,7 @@ def stage_unit(spec: IdealSpec, stage) -> BoundarySignal:
     else:
         log_cof = _largest_log(spec)
         np.negative(log_cof, out=log_cof)
-        log_cof[log_cof > stage.index] = 0.0  # the support, before the clip
+        log_cof[log_cof > -_level_cut(stage.index)] = 0.0  # the support, before the clip
         check_clip_count(_clip_log(log_cof), spec.grid.size)
         values = outer_values(log_cof, conjugate(log_cof))
         np.multiply(spec._base, values, out=values)

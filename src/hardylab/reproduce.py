@@ -15,7 +15,7 @@ from typing import Callable
 from .catalog import example_boundary, get_example
 from .errors import RangeMiss, UnknownExample
 from .factorization import is_inner
-from .grid import DEFAULT_GRID_SIZE, BoundarySignal, CircleGrid, _write_csv, circular_distance
+from .grid import DEFAULT_GRID_SIZE, BoundarySignal, CircleGrid, _write_file, circular_distance
 from .ideals import (
     COMBINED_INF_FLOOR,
     approx_unit_peak,
@@ -77,12 +77,8 @@ class _Bundle:
         self.dir.mkdir(parents=True, exist_ok=True)
         (self.dir / "config.json").write_text(dump_text(config))
         for rel, content in self.files.items():
-            path = self.dir / rel
-            path.parent.mkdir(exist_ok=True)
-            if isinstance(content, BoundarySignal):
-                _write_csv(path, content)
-            else:
-                path.write_text(content)
+            (self.dir / rel).parent.mkdir(exist_ok=True)
+            _write_file(self.dir / rel, content)
         (self.dir / "summary.json").write_text(dump_text(summary))
         return summary
 

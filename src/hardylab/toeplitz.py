@@ -53,12 +53,12 @@ _BLOCK = 64
 #: the symbol's bandwidth is at most the order, else take a dense SVD. Timed on
 #: a 2-core box with one BLAS thread (best of 5), the reduction and count took
 #: 18 ms at order 1024, bandwidth 2, against 0.88 s for the dense SVD, and 28,
-#: 54 and 63 ms at bandwidths 4, 8 and 10. The ratio stays at 100 because a
-#: wide symbol is faster dense (bandwidth 319 at order 1024: 2.8 s reduced,
-#: 1.1 s dense), and a lower one would send small orders, such as 64 for a
-#: bandwidth-1 symbol, through the 15–24 ms first load of the LAPACK routines
-#: (scipy's cython_lapack extension and two ctypes functions; the order-64
-#: dense SVD takes under 1 ms).
+#: 54 and 63 ms at bandwidths 4, 8 and 10. At order 1024 (best of 3) only the
+#: widest symbols are faster dense, reduced against dense: exp(z), 48
+#: coefficients, 355 against 1162 ms; blaschke-half, 220, 1254 against 762;
+#: singular-inner-1, 320, 2497 against 795. So 100 sends exp(z) the slow way,
+#: but a lower ratio, unmeasured end to end, sends small orders such as 64 through
+#: the 15–24 ms first LAPACK load (the order-64 dense SVD takes under 1 ms).
 BANDED_ORDER_RATIO = 100
 
 

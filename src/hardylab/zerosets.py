@@ -3,8 +3,8 @@ extendability.
 
 A boundary point belongs to the essential zero set when every neighborhood
 meets every sublevel set ``{|outer part| < eps}`` in positive measure. The
-grid estimator reads the set of eps = e^{-m} as ``clip(log|f|) < -m`` (the
-log-modulus of the outer factor by construction), proposes candidates from
+grid estimator reads the set of eps = e^{-m} as ``clip(log|f|) < _level_cut(m)``
+(the log-modulus of the outer factor by construction), proposes candidates from
 the finest sublevel set's node clusters, and keeps a candidate only if the
 evidence holds for *every* tested ``(eps, width)`` pair — a finite shrinking
 family standing in for the quantifier over all neighborhoods. Results carry
@@ -31,15 +31,16 @@ from .grid import (
     BoundarySignal,
     CircleGrid,
     _as_real,
+    _level_cut,
     _scaled_mean,
     _unit_scaled,
     circular_distance,
     circular_runs,
 )
 
-#: Sublevel levels m = 1 .. 8 and their thresholds e^{-m}, finest last.
-_LEVELS = tuple(range(1, 9))
-EPS_SCHEDULE = tuple(float(np.exp(-m)) for m in _LEVELS)
+#: Sublevel thresholds e^{-m}, m = 1 .. 8, and their log-modulus cuts, finest last.
+EPS_SCHEDULE = tuple(float(np.exp(-m)) for m in range(1, 9))
+_CUTS = _level_cut(np.arange(1, 9))
 
 #: Window full widths (radians) 2^{-1} .. 2^{-8}, finest last.
 WIDTH_SCHEDULE = tuple(2.0 ** (-j) for j in range(1, 9))
@@ -254,10 +255,10 @@ def essential_zero_set(f: BoundarySignal) -> ZeroSetEstimate:
     n, h = grid.size, grid.spacing
     log_mod = f.log_abs
     candidates = []
-    for start, length in circular_runs(log_mod < -_LEVELS[-1], MIN_WINDOW_CELLS):
+    for start, length in circular_runs(log_mod < _CUTS[-1], MIN_WINDOW_CELLS):
         center = float((TWO_PI * start / n + (length - 1) * h / 2.0) % TWO_PI)
         idx, counts = _windows(grid, center)
-        below = np.cumsum(log_mod[idx, None] < -np.array(_LEVELS), axis=0)
+        below = np.cumsum(log_mod[idx, None] < _CUTS, axis=0)
         rows = tuple(map(tuple, (below[counts - 1].T / n).tolist()))
         ok = all(m > 0.0 for row in rows for m in row)
         candidates.append(ZeroCandidate(center, complex(np.exp(1j * center)), rows, ok))

@@ -88,8 +88,7 @@ def test_written_csv_files_equal_signal_to_csv_byte_for_byte(capsys, monkeypatch
         written[Path(path)] = f
         write_csv(path, f)
 
-    for module in (cli, hardylab.reproduce):
-        monkeypatch.setattr(module, "_write_csv", record)
+    monkeypatch.setattr(hardylab.grid, "_write_csv", record)
     code, _, err = run(capsys, *argv, "--grid-size", str(size), "--out", str(tmp_path))
     assert code == 0, err
     assert written and sorted(written) == sorted(tmp_path.rglob("*.csv"))

@@ -1,19 +1,18 @@
 """Hold every corpus command line to the report recorded in ``tests/golden``.
 
 ``make_golden.py`` lists the command lines and writes the corpus; this test
-runs them again and sorts every field of each record into one of three
+runs them again and sorts every field of each record into one of two
 classes:
 
 - exact: the exit code, every string (error kind, ``failure_reason``,
   strategy, conclusion, notes), every boolean and null, every dict's keys and
   every list's length (so zero counts and stage counts);
 - numeric: every JSON number, int or float alike (the serializer writes an
-  exact 1.0 as ``1``), within ``TOLERANCES`` by its nearest key;
-- threshold-sensitive: the fields in ``THRESHOLD_SENSITIVE`` of a sublevel
-  stage that is not the last of its list. A node whose modulus sits at a
-  stage's level e^-m can fall on either side of it under a roundoff move, and
-  that moves these fields by more than roundoff. The last stage, and with it
-  the verdict, stays in the numeric class.
+  exact 1.0 as ``1``), within ``TOLERANCE``.
+
+A sublevel stage's fields are numeric like any other: a node whose modulus
+sits at a level e^-m is kept out of its set by ``grid._level_cut``, whatever
+the last bit of its logarithm.
 """
 
 from __future__ import annotations
@@ -34,23 +33,10 @@ class Tol(NamedTuple):
     abs: float
 
 
-#: Numeric class, by JSON key; "*" covers every key not listed. Roundoff
-#: moves of the FFT and reduction order stay under 1e-16 relative above the
-#: absolute floor; the margin covers other numpy builds.
-TOLERANCES = {
-    "*": Tol(rel=1e-10, abs=1e-13),
-}
-
-#: Threshold-sensitive class: these keys of a sublevel stage that is not the
-#: last of its stage list. A node that leaves the e^-3 support of
-#: banded-logmod at N = 4096 moved on_support_max from e^-3 to e^-4 (63 %),
-#: error by 5.8 %, support_measure by 2.7 % and value_at_zero by 0.2 %.
-THRESHOLD_SENSITIVE = {
-    "error": Tol(rel=0.1, abs=1e-12),
-    "support_measure": Tol(rel=0.05, abs=1e-12),
-    "on_support_max": Tol(rel=1.0, abs=1e-12),
-    "value_at_zero": Tol(rel=0.01, abs=1e-12),
-}
+#: The numeric class. Roundoff moves of the FFT and reduction order stay
+#: under 1e-16 relative above the absolute floor; the margin covers other
+#: numpy builds.
+TOLERANCE = Tol(rel=1e-10, abs=1e-13)
 
 CORPUS_LIMIT_BYTES = 2_000_000
 
@@ -59,35 +45,24 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def _compare(old, new, path: str, key: str, loose: bool, out: list):
+def _compare(old, new, path: str, out: list):
     """Append to ``out`` one line per field of ``new`` outside its class, and
     return ``old`` with each such field, or each container whose keys or
     length changed, taken from ``new``."""
     if _is_number(old) and _is_number(new):
-        if loose and key in THRESHOLD_SENSITIVE:
-            tol = THRESHOLD_SENSITIVE[key]
-        else:
-            tol = TOLERANCES.get(key, TOLERANCES["*"])
-        if not abs(new - old) <= tol.abs + tol.rel * abs(old):
-            out.append(f"{path}: {old!r} -> {new!r} (tolerance {tol})")
+        if not abs(new - old) <= TOLERANCE.abs + TOLERANCE.rel * abs(old):
+            out.append(f"{path}: {old!r} -> {new!r} (tolerance {TOLERANCE})")
             return new
     elif isinstance(old, dict) and isinstance(new, dict):
         if old.keys() != new.keys():
             out.append(f"{path}: keys {sorted(old)} -> {sorted(new)}")
             return new
-        return {k: _compare(old[k], new[k], f"{path}.{k}", k, loose, out) for k in old}
+        return {k: _compare(old[k], new[k], f"{path}.{k}", out) for k in old}
     elif isinstance(old, list) and isinstance(new, list):
         if len(old) != len(new):
             out.append(f"{path}: length {len(old)} -> {len(new)}")
             return new
-        merged = []
-        for i, (a, b) in enumerate(zip(old, new)):
-            intermediate = key == "stages" and i < len(old) - 1
-            sub_loose = loose or (
-                intermediate and isinstance(a, dict) and a.get("kind") == "sublevel"
-            )
-            merged.append(_compare(a, b, f"{path}[{i}]", key, sub_loose, out))
-        return merged
+        return [_compare(a, b, f"{path}[{i}]", out) for i, (a, b) in enumerate(zip(old, new))]
     elif type(old) is not type(new) or old != new:
         out.append(f"{path}: {old!r} -> {new!r}")
         return new
@@ -98,7 +73,7 @@ def merge_record(old: dict, new: dict) -> tuple[dict, list[str]]:
     """``old`` with every field that leaves its class taken from ``new``, and
     the lines ``compare_record`` gives for them."""
     out: list[str] = []
-    return _compare(old, new, "", "", False, out), out
+    return _compare(old, new, "", out), out
 
 
 def compare_record(old: dict, new: dict) -> list[str]:
@@ -135,13 +110,16 @@ def test_comparator_classes():
     assert compare_record(old, json.loads(json.dumps(old))) == []
     # an exact 1.0 is written as 1
     assert compare_record({"sup_base": 1}, {"sup_base": 1.0}) == []
-    # an intermediate sublevel stage takes the looser bound, the last does not
+    # numbers within the tolerance pass, wherever they sit
+    new = json.loads(json.dumps(old))
+    new["stages"][0]["error"] = new["stages"][1]["error"] = 1.0 + 1e-11
+    assert compare_record(old, new) == []
+    # every sublevel stage is numeric, the intermediate one as the last
     new = json.loads(json.dumps(old))
     new["stages"][0]["error"] = 1.05
-    assert compare_record(old, new) == []
     new["stages"][1]["error"] = 1.05
     assert compare_record(old, new) == [
-        f".stages[1].error: 1.0 -> 1.05 (tolerance {TOLERANCES['*']})"
+        f".stages[{i}].error: 1.0 -> 1.05 (tolerance {TOLERANCE})" for i in (0, 1)
     ]
     # booleans, strings, lengths and keys are exact
     assert compare_record({"a": True}, {"a": 1})

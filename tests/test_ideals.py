@@ -35,6 +35,7 @@ from hardylab import (
     catalog_names,
     certify_mideal,
     constant_signal,
+    essential_zero_set,
     example_boundary,
     ideal,
     membership,
@@ -42,7 +43,7 @@ from hardylab import (
 )
 import hardylab.ideals
 import hardylab.zerosets
-from hardylab.grid import circular_distance
+from hardylab.grid import _level_cut, circular_distance
 from hardylab.ideals import (
     DEFAULT_MAIN_STAGES,
     DEFAULT_PEAK_SCHEDULE,
@@ -162,8 +163,31 @@ def test_sublevel_staircase_frozen_errors(one_minus_z_spec):
 
 
 def _support(spec, m: int) -> np.ndarray:
-    """The node mask of the sublevel support A_m: -max_i log|g_i| > m."""
-    return -np.maximum.reduce([g.log_abs for g in spec.generators]) > m
+    """The node mask of the sublevel support A_m: max_i log|g_i| < _level_cut(m)."""
+    return np.maximum.reduce([g.log_abs for g in spec.generators]) < _level_cut(m)
+
+
+def _level_answers(f) -> tuple:
+    """Every answer read from the sublevel sets of ``f``: the support measure of
+    stages 1 .. 12 and the essential zero set's angles."""
+    stages = approx_unit_sublevel(ideal([f]), range(1, 13))
+    return [s.support_measure for s in stages], essential_zero_set(f).angles
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_level_answers_survive_a_roundoff_move(name):
+    """A node whose log-modulus sits on a level -m stays on one side of it: each
+    sample times 1 + 1e-14 u, u uniform in [-1, 1], moves no stage support and
+    no zero angle. banded-logmod has hundreds of nodes on its integer levels,
+    and exp-z and shift-exp one node on level 1; only the cut's margin keeps
+    their side from following the last bit of their logarithm."""
+    for size in (512, 4096, 16384):
+        grid = CircleGrid(size)
+        f = example_boundary(name, grid)
+        want = _level_answers(f)
+        for draw in range(3):
+            u = np.random.default_rng([catalog_names().index(name), size, draw]).uniform(-1.0, 1.0, size)
+            assert _level_answers(signal_from_values(grid, f.values * (1.0 + 1e-14 * u))) == want, (size, draw)
 
 
 def test_sublevel_supports_nest(small_grid):
