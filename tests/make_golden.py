@@ -5,9 +5,11 @@ Usage::
     python tests/make_golden.py [--out DIR]
 
 ``DIR`` defaults to ``tests/golden``. Each file ``<group>-<N>.json`` holds one
-record per command line: the argv, the exit code, the report printed on
-stdout and the JSON object printed on stderr (each parsed, or null when
-empty), and, at N = 512, a few norms of every CSV the run wrote. The commands
+record per command line (``density.json`` and ``toeplitz-kernel-1024.json``,
+which build no grid, one per catalog entry with a Taylor series): the argv,
+the exit code, the report printed on stdout and the JSON object printed on
+stderr (each parsed, or null when empty), and, at N = 512, a few norms of
+every CSV the run wrote. The commands
 run in-process through ``hardylab.cli.main`` on the source tree next to this
 script, so two runs on one machine write byte-identical files.
 
@@ -110,7 +112,7 @@ def record(argv: list[str]) -> dict:
     """Run one command line in-process and return its corpus record."""
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
-        n = int(argv[argv.index("--grid-size") + 1])
+        n = int(argv[argv.index("--grid-size") + 1]) if "--grid-size" in argv else None
         writes = argv[0] in WRITES_CSV and n == CSV_GRID_SIZE
         # reproduce writes its bundle into the working directory without --out
         full = [*argv, "--out", tmp] if writes or argv[0] == "reproduce" else list(argv)
@@ -145,6 +147,13 @@ def golden_files() -> dict[str, list[list[str]]]:
     # windows are pinned where a run without --grid-size takes them
     n = DEFAULT_GRID_SIZE
     files[f"zeroset-{n}.json"] = command_groups(n)["zeroset"]
+    # every Taylor profile on the default schedule, and the kernel count at
+    # order 1024, which takes the banded route for the narrow symbols
+    taylor = [e for e in catalog_names() if get_example(e).taylor_fn is not None]
+    files["density.json"] = [["density", "--f", e] for e in taylor]
+    files["toeplitz-kernel-1024.json"] = [
+        ["toeplitz-kernel", "--f", e, "--M", "1024"] for e in taylor
+    ]
     return files
 
 
