@@ -12,9 +12,10 @@ never through the normal equations, which are routinely ill-conditioned for
 nearly-inner symbols. The matrix is banded, so its Householder QR runs on
 blocks of k = max(64, b + 1) columns and touches only the band: a whole
 profile to order M costs O(M (k + b)^2) time and O((k + b)^2) memory for a
-symbol of bandwidth b, each block written in place and R read off the raw
-LAPACK factor. Closed forms used in the tests: dist(1-z, M)^2 =
-1/(M+1); dist(z, M) = 1; dist -> sqrt(1-|f(0)|^2) for inner f.
+symbol of bandwidth b, each block written column-major in place and factored
+there by LAPACK zgeqrf, with no copy. Closed forms used in the tests:
+dist(1-z, M)^2 = 1/(M+1); dist(z, M) = 1; dist -> sqrt(1-|f(0)|^2) for inner
+f.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import functools
 import sys
 
 import numpy as np
+from numpy.linalg import lapack_lite
 
 from .errors import ZeroFunction
 from .grid import _as_index, _as_indices, _as_real, _unit_scaled
@@ -43,10 +45,11 @@ MAX_ORDER = 4096
 
 #: Fewest columns per block of the banded density QR; a longer symbol's blocks
 #: are as wide as it is long. Timed at order 1024 on a 2-core box with one
-#: BLAS thread (best of 9), a length-3 symbol took 3.5, 2.6, 2.5, 7.6 and 21
-#: ms with blocks of 16, 32, 64, 128 and 256 columns, and exp(z) (length 48)
-#: 13 ms at 16 to 64, 18 at 128 and 30 at 256; one dense QR took 197 ms.
-#: Another size factors other blocks, so it moves the distances' last bits.
+#: BLAS thread (best of 9, three runs), a length-3 symbol took 1.5, 1.1, 1.1,
+#: 2.6-4.4 and 9-13 ms with blocks of 16, 32, 64, 128 and 256 columns, and
+#: exp(z) (length 48) 7 ms at 16 to 64, 8-13 at 128 and 14 at 256; one dense
+#: QR took 142 ms. 32 ties 64, but another size factors other blocks, so it
+#: moves the distances' last bits.
 _BLOCK = 64
 
 #: Kernel counts reduce the truncation to bidiagonal form when this many times
@@ -69,18 +72,44 @@ def _check_order(order: int) -> None:
         raise ValueError(f"order must be at most {MAX_ORDER}")
 
 
-def _put_band(out: np.ndarray, a: np.ndarray, cols: int, shift: int = 0) -> np.ndarray:
-    """``out``, zeroed and C-contiguous, with out[i, j] = a_{i+shift-j} for
-    j < cols: multiplication by sum a_k z^k on degrees < cols, from row
-    ``shift`` on, written one strided slice of the flat array per diagonal."""
-    rows, stride = out.shape
+def _put_band(
+    out: np.ndarray, a: np.ndarray, cols: int, shift: int = 0, top: int = 0
+) -> np.ndarray:
+    """``out``, zeroed and C-contiguous, read as the column-major layout of a
+    matrix (row j of ``out`` is column j), with entry top + i of column j set
+    to a_{i+shift-j} for i >= 0 and j < cols: multiplication by sum a_k z^k
+    on degrees < cols, from row ``shift`` on, below the first ``top`` rows,
+    which are left as they are. One strided slice of the flat array per
+    diagonal."""
+    rows = out.shape[1]
     flat = out.reshape(-1)
     for d in range(a.size):
-        j0, j1 = max(0, shift - d), min(cols, rows + shift - d)
+        j0, j1 = max(0, shift - d), min(cols, rows - top + shift - d)
         if j1 > j0:
-            start = (j0 + d - shift) * stride + j0
-            flat[start : start + (j1 - j0 - 1) * (stride + 1) + 1 : stride + 1] = a[d]
+            start = j0 * (rows + 1) + top + d - shift
+            flat[start : start + (j1 - j0 - 1) * (rows + 1) + 1 : rows + 1] = a[d]
     return out
+
+
+def _geqrf(block: np.ndarray) -> None:
+    """Householder QR, in place, of the matrix whose column-major layout is
+    the C-contiguous ``block`` (row j of it column j of the matrix): R on and
+    above the diagonal, the reflectors below, as numpy.linalg.qr(mode="raw")
+    leaves them, by the same LAPACK zgeqrf with the same workspace (the size
+    a query returns, at least one entry per column), so with the same bits.
+
+    numpy.linalg.lapack_lite exports zgeqrf from the LAPACK numpy links, and
+    imports in well under a millisecond. zgbbrd and dstebz below come from
+    scipy's cython_lapack instead: lapack_lite has neither, and loading
+    scipy's capsules costs 15-24 ms, which a density profile never pays."""
+    n, m = block.shape
+    tau = np.empty(min(m, n), dtype=complex)
+    work = np.empty(1, dtype=complex)
+    lapack_lite.zgeqrf(m, n, block, m, tau, work, -1, 0)
+    work = np.empty(max(1, n, int(work[0].real)), dtype=complex)
+    info = lapack_lite.zgeqrf(m, n, block, m, tau, work, work.size, 0)["info"]
+    if info != 0:
+        raise RuntimeError(f"LAPACK zgeqrf failed with INFO = {info}")
 
 
 @functools.cache
@@ -267,7 +296,8 @@ def adjoint_kernel_dim(symbol: AnalyticRep, order: int, tol: float = KERNEL_TOL)
         return order
     if BANDED_ORDER_RATIO * (a.size - 1) <= order:
         return _banded_kernel_dim(a, order, tol)
-    sv = np.linalg.svd(_put_band(np.zeros((order, order), dtype=complex), a, order), compute_uv=False)
+    dense = _put_band(np.zeros((order, order), dtype=complex), a, order).T  # T, not a copy
+    sv = np.linalg.svd(dense, compute_uv=False)
     return int(np.count_nonzero(sv < tol * np.max(sv)))
 
 
@@ -281,9 +311,11 @@ def _distances(f: AnalyticRep, order: int) -> np.ndarray:
     of k = max(_BLOCK, len(f)). Each block, written in place, is one QR of the
     rows carried from the block before (their entries on this block's columns
     and on e_0) over the rows of T that first reach this block, on the block's
-    k columns, the next b and e_0. R is the upper triangle of the raw factor's
-    transpose (mode="r" adds a triu copy). Its first k rows are final: their
-    e_0 entries are t_j = (Q^H e_0)_j. The rest, at most b+1 rows on the next b
+    k columns, the next b and e_0. The block is written column-major, one
+    array row per column, and factored in place by ``_geqrf``; R is the upper
+    triangle of the factor, so the e_0 column is the array's last row and no
+    transpose or triu copy is made. R's first k rows are final: their e_0
+    entries are t_j = (Q^H e_0)_j. The rest, at most b+1 rows on the next b
     columns and e_0, are carried; after the last block the carry's e_0 column
     holds the residual, of norm |t_order|. QR is column-nested, so
     dist(f, m)^2 = sum_{j >= m} |t_j|^2: no cancellation.
@@ -310,7 +342,8 @@ def _distances(f: AnalyticRep, order: int) -> np.ndarray:
     a = _unit_scaled(f.coefficients)[0]
     b = size - 1
     t = np.empty(order + 1)
-    carry = np.zeros((0, 1), dtype=complex)  # entries on the next columns, then on e_0
+    # column-major, one column per row: entries on the next columns, then on e_0
+    carry = np.zeros((1, 0), dtype=complex)
     for c0 in range(0, order, k):
         c1 = min(c0 + k, order)
         width = min(c1 + b, order) - c0
@@ -318,17 +351,19 @@ def _distances(f: AnalyticRep, order: int) -> np.ndarray:
         # the first block and through the zero row in the last
         r0 = c0 + b if c0 else 0
         r1 = c1 + b if c1 < order else order + b + 1
-        n = carry.shape[0]
-        block = np.zeros((n + r1 - r0, width + 1), dtype=complex)
-        block[:n, : carry.shape[1] - 1] = carry[:, :-1]
-        block[:n, -1] = carry[:, -1]
-        _put_band(block[n:], a, width, r0 - c0)
+        n = carry.shape[1]
+        block = np.zeros((width + 1, n + r1 - r0), dtype=complex)
+        block[: carry.shape[0] - 1, :n] = carry[:-1]
+        block[-1, :n] = carry[-1]
+        _put_band(block, a, width, r0 - c0, n)
         if c0 == 0:
-            block[0, -1] = 1.0
-        r = np.linalg.qr(block, mode="raw")[0].T
-        t[c0:c1] = np.abs(r[: c1 - c0, -1]) ** 2
-        carry = np.triu(r[c1 - c0 : min(r.shape), c1 - c0 :])
-    t[order] = np.sum(np.abs(carry[:, -1]) ** 2)
+            block[-1, 0] = 1.0
+        _geqrf(block)
+        done = c1 - c0
+        t[c0:c1] = np.abs(block[-1, :done]) ** 2
+        carry = np.tril(block[done:, done : min(block.shape)])
+        del block  # or the next block is allocated while this one is held
+    t[order] = np.sum(np.abs(carry[-1]) ** 2)
     return np.sqrt(np.cumsum(t[::-1])[::-1][1:])
 
 

@@ -9,9 +9,9 @@ record per command line (``density.json`` and ``toeplitz-kernel-1024.json``,
 which build no grid, one per catalog entry with a Taylor series): the argv,
 the exit code, the report printed on stdout and the JSON object printed on
 stderr (each parsed, or null when empty), and, at N = 512, a few norms of
-every CSV the run wrote. The commands
-run in-process through ``hardylab.cli.main`` on the source tree next to this
-script, so two runs on one machine write byte-identical files.
+every CSV the run wrote. The commands run in-process through
+``hardylab.cli.main`` on the source tree next to this script, so two runs on
+one machine write byte-identical files.
 
 Where ``DIR`` already holds a corpus file, each of its records is merged
 leaf by leaf (``test_golden.merge_record``): every committed leaf that the

@@ -137,8 +137,10 @@ def _lower_toeplitz(a: np.ndarray, rows: int, cols: int, shift: int = 0) -> np.n
 def distances_blocked_reference(f: AnalyticRep, order: int) -> np.ndarray:
     """dist(f, m) for m = 1..order by the program's blocked banded QR of
     [T | e_0], with each block's T rows built as a reversed-window copy, the
-    block copied together, and R taken from qr(mode="r"): the same blocks and
-    the same LAPACK calls as the program, assembled the simple way."""
+    block copied together row-major, and R taken from qr(mode="r"). The
+    program writes each block column-major in place and calls LAPACK zgeqrf
+    on it directly; qr copies the block into that layout and calls the same
+    zgeqrf with the same workspace size, so the two must agree bit for bit."""
     size = f.coefficients.size
     k = max(_BLOCK, size)
     a = _unit_scaled(f.coefficients)[0]

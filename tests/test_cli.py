@@ -593,11 +593,14 @@ def test_prime_check_hypotheses_are_refused_before_certifying(
 
 
 def test_scipy_loads_only_for_toeplitz_work(tmp_path):
-    # density builds its matrix with numpy, so scipy is imported only by a
-    # kernel count on the banded route (M >= 100 b), and that count runs
-    # scipy.linalg.cython_lapack's extension without scipy.linalg's Python
-    # API. A later import of scipy.linalg must still bind the extension, and
-    # the counts there are the counts before it.
+    # density builds its blocks with numpy and factors them with numpy's
+    # lapack_lite: on one block (M = 8), on 16 (one-minus-z to 1024) and on
+    # blocks wide enough for zgeqrf's blocked path (singular-inner-1,
+    # k = 320). So scipy is imported only by a kernel count on the banded
+    # route (M >= 100 b), and that count runs scipy.linalg.cython_lapack's
+    # extension without scipy.linalg's Python API. A later import of
+    # scipy.linalg must still bind the extension, and the counts there are
+    # the counts before it.
     script = (
         "import json, sys\n"
         "from hardylab import adjoint_kernel_dim\n"
@@ -608,6 +611,8 @@ def test_scipy_loads_only_for_toeplitz_work(tmp_path):
         "for argv in (\n"
         "    ['factorize', '--f', 'one-minus-z', '--grid-size', '64'],\n"
         "    ['density', '--f', 'one-minus-z', '--M', '8'],\n"
+        "    ['density', '--f', 'one-minus-z'],\n"
+        "    ['density', '--f', 'singular-inner-1'],\n"
         "    ['toeplitz-kernel', '--f', 'one-minus-z', '--M', '64'],\n"
         f"    ['reproduce', 'szego-dichotomy', '--out', {str(tmp_path)!r}],\n"
         "    ['toeplitz-kernel', '--f', 'one-minus-z', '--M', '1024'],\n"
@@ -633,8 +638,8 @@ def test_scipy_loads_only_for_toeplitz_work(tmp_path):
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
     )
     report = json.loads(done.stdout.splitlines()[-1])
-    assert report["loaded"] == [False, False, False, False, True]
-    assert report["modules"] == [[]] * 6
+    assert report["loaded"] == [False, False, False, False, False, False, True]
+    assert report["modules"] == [[]] * 8
     assert report["capi"] > 0
     assert report["eig"] == pytest.approx([-2**0.5, 0.0, 2**0.5], abs=1e-15)
     assert report["cold"] == report["warm"] == report["pinned"]

@@ -551,19 +551,44 @@ def test_distances_equal_blocked_reference_bitwise_across_block_edges(roots, log
         assert np.array_equal(_distances(f, order), distances_blocked_reference(f, order)), order
 
 
+@given(st.integers(min_value=129, max_value=200), st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=10, deadline=None)
+def test_distances_equal_blocked_reference_bitwise_on_wide_blocks(size, seed):
+    """Symbols of 129 to 200 random coefficients: blocks of k = len(f) > 128
+    columns, where zgeqrf takes its blocked path and its workspace size
+    matters, at orders that end one column into the second block and one
+    into the third."""
+    rng = np.random.default_rng(seed)
+    f = AnalyticRep(rng.standard_normal(size) + 1j * rng.standard_normal(size))
+    for order in (size + 1, 2 * size + 1):
+        assert np.array_equal(_distances(f, order), distances_blocked_reference(f, order)), order
+
+
+def _distances_peak(f: AnalyticRep, order: int) -> int:
+    tracemalloc.start()
+    try:
+        _distances(f, order)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_density_distances_memory_at_order_1024():
     f = polynomial([0.5, 1.3j])
     k = max(_BLOCK, len(f))
     block_bytes = (len(f) + k + 1) * (k + len(f)) * 16
-    tracemalloc.start()
-    try:
-        _distances(f, 1024)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # one block and numpy's working copies of it (about 0.3 MiB in all); the
-    # whole [T | e0] would take 16 MB
-    assert peak <= 8 * block_bytes
+    # one block (72 KB), zgeqrf's workspace of 32 entries a column (34 KB)
+    # and the profile (8 KB): 1.6 blocks; the whole [T | e0] would take 16 MB
+    assert _distances_peak(f, 1024) <= 2 * block_bytes
+
+
+def test_density_distances_memory_of_a_wide_symbol():
+    """600 coefficients at order 600: one block of 1200 x 601 entries
+    (11.5 MB), factored where it was written, with no copy of it."""
+    rng = np.random.default_rng(7)
+    f = AnalyticRep(rng.standard_normal(600) + 1j * rng.standard_normal(600))
+    block_bytes = (600 + 600) * (600 + 1) * 16
+    assert _distances_peak(f, 600) <= 1.3 * block_bytes
 
 
 def test_density_distances_memory_at_the_largest_order():
