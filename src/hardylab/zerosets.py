@@ -245,15 +245,18 @@ class ZeroSetEstimate:
 
 
 def essential_zero_set(f: BoundarySignal) -> ZeroSetEstimate:
-    """Estimate the essential zero set of the outer part of ``f``.
+    """Estimate the essential zero set of the outer part of ``f``."""
+    return _log_zero_set(f.grid, f.log_abs)
+
+
+def _log_zero_set(grid: CircleGrid, log_mod: np.ndarray) -> ZeroSetEstimate:
+    """The essential zero set of the clipped log-modulus ``log_mod`` on ``grid``.
 
     Candidates are midpoints of the finest sublevel set's node clusters
     (clusters closer than the resolution are merged, wrap included); each must
     show positive sublevel measure inside every tested window.
     """
-    grid = f.grid
     n, h = grid.size, grid.spacing
-    log_mod = f.log_abs
     candidates = []
     for start, length in circular_runs(log_mod < _CUTS[-1], MIN_WINDOW_CELLS):
         center = float((TWO_PI * start / n + (length - 1) * h / 2.0) % TWO_PI)

@@ -188,14 +188,13 @@ def test_criterion_10_analytic_prime_property(grid, cert_one_minus_z):
 
 
 def test_criterion_11_finitely_generated_collapse(grid, cert_one_minus_z):
-    disjoint = certify_mideal(
-        ideal(
-            [example_boundary("one-minus-z", grid), example_boundary("one-plus-z", grid)],
-            ["one-minus-z", "one-plus-z"],
-        )
-    )
+    gens = [example_boundary("one-minus-z", grid), example_boundary("one-plus-z", grid)]
+    disjoint = certify_mideal(ideal(gens, ["one-minus-z", "one-plus-z"]))
     assert disjoint.passed
-    assert disjoint.combined_inf > 0.9
+    # |1 - z|^2 + |1 + z|^2 = 4, so the joint modulus is at least sqrt 2
+    joint = np.maximum(np.abs(gens[0].values), np.abs(gens[1].values))
+    assert joint.min() >= math.sqrt(2.0) - 1e-12
+    assert disjoint.zero_angles == ()
     assert "I = I(1)" in disjoint.conclusion
 
     shared = certify_mideal(

@@ -129,7 +129,8 @@ def test_certificate_report_stage_kinds(grid, small_grid):
     )
     comb = certificate_report(pair)
     assert [s["kind"] for s in comb["stages"]] == ["combined"]
-    assert comb["combined_inf"] == pair.combined_inf
+    assert "combined_inf" not in comb
+    assert comb["stages"][0]["ess_inf"] == pair.stages[0].ess_inf
     assert len(comb["sub_certificates"]) == 2
     assert all(s["strategy"] == "sublevel" for s in comb["sub_certificates"])
 
