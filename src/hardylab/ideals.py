@@ -22,10 +22,11 @@ peak value out of essential range) raise.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -265,69 +266,48 @@ class PeakPreparation:
     range_gap: float
 
 
-#: The coarse rotation scan bounds each angle's sup from every this many nodes.
-_SCAN_STRIDE = 16
-#: Relative allowance for rounding between a subsample bound and a full sup.
-_SCAN_MARGIN = 1e-12
+def _feasible_arc(r: np.ndarray, theta: np.ndarray, slack: float) -> Optional[tuple[float, float]]:
+    """The ends of the widest arc of phi with |1 - e^{-i phi} G_j| <= 1 + ``slack``
+    at every node, G_j = r_j e^{i theta_j}, or None. Node j allows half-width
+    arccos(kappa_j) around theta_j, kappa_j = (r_j^2 - 2 slack - slack^2)/(2 r_j):
+    twice the atan2 of the roots of (2 + slack - r)(r + slack) = 2r (1 - kappa)
+    and (r - slack)(r + 2 + slack) = 2r (1 + kappa), so no end cancels. The set
+    lies in the narrowest arc I; each other arc's open gap is no longer than
+    I's, so meets I in one piece at most. Gaps over an end of I trim it, and
+    the few inside what is left are sorted to find the widest piece."""
+    p = (2.0 + slack - r) * (r + slack)
+    if np.min(p) < 0.0:  # a node that allows no angle
+        return None
+    q = (r - slack) * (r + (2.0 + slack))
+    half = np.arctan2(np.sqrt(p, out=p), np.sqrt(np.maximum(q, 0.0, out=q), out=q), out=p)
+    j0 = int(np.argmin(half))
+    theta0, lo, hi = float(theta[j0]), -2.0 * float(half[j0]), 2.0 * float(half[j0])
+    # each gap as an open (a, b) from theta0: centre in [-pi, pi), half-width pi - 2 half
+    centre = np.subtract(theta, theta0, out=q)
+    centre -= np.copysign(np.pi, centre)
+    gap = np.subtract(np.pi, np.multiply(half, 2.0, out=half), out=half)
+    a = centre - gap
+    b = np.add(centre, gap, out=centre)
+    lo = float(np.max(b, where=(a < lo) & (b > lo), initial=lo))
+    hi = float(np.min(a, where=(a < hi) & (b > hi), initial=hi))
+    inside = np.flatnonzero((b > lo) & (a < hi) & (a < b))
+    order = np.argsort(a[inside])
+    starts = np.maximum.accumulate(np.append(lo, b[inside][order]))
+    ends = np.append(a[inside][order], hi)
+    i = int(np.argmax(ends - starts))
+    return None if ends[i] < starts[i] else (theta0 + starts[i], theta0 + ends[i])
 
 
-def _rotated_sup(gv: np.ndarray) -> Callable[..., float]:
-    """``_sup_over(gv)``, or with ``sampled`` the sup over every
-    ``_SCAN_STRIDE``-th node, never above the full sup but for rounding."""
-    full = _sup_over(gv)
-    part = _sup_over(gv[::_SCAN_STRIDE].copy())  # a strided view is read one cache line per row
-    return lambda phi, sampled=False: part(phi) if sampled else full(phi)
-
-
-def _sup_over(gv: np.ndarray) -> Callable[[float], float]:
-    """phi -> sup_j |1 - e^{-i phi} G_j| for the contiguous complex values
-    ``gv``, in real arithmetic on one buffer: the square is
-    q - (Re G, Im G) . (2 cos phi, 2 sin phi) with q = 1 + |G|^2."""
-    pairs = gv.view(float).reshape(-1, 2)
-    q = 1.0 + np.einsum("ij,ij->i", pairs, pairs)
-    buf = np.empty(q.shape)
-
-    def sup(phi: float) -> float:
-        np.matmul(pairs, (2.0 * math.cos(phi), 2.0 * math.sin(phi)), out=buf)
-        np.subtract(q, buf, out=buf)
-        return math.sqrt(max(float(np.max(buf)), 0.0))
-
-    return sup
-
-
-def _search_sup(
-    sup_at: Callable[..., float], gv: np.ndarray, phi: float, best: float, step: float
-) -> Callable[..., float]:
-    """``sup_at`` within ``step`` of ``phi``, where it is ``best``, over fewer
-    nodes where it can: |e^{i phi} - G_j| is 1-Lipschitz in phi, so a node
-    below best - 2 step at ``phi`` never holds the sup there. Those go when
-    fewer than half are left, which a subsample tests before a full pass."""
-    floor = best - 2.0 * step - 1e-9 * best - 1e-12  # allowance for rounding
-    for nodes in (gv[::_SCAN_STRIDE], gv):
-        near = np.abs(np.exp(1j * phi) - nodes) >= floor
-        if 2 * np.count_nonzero(near) >= near.size:
-            return sup_at
-    return _sup_over(gv[near])
-
-
-def _coarse_argmin(sup_at: Callable[..., float], coarse: np.ndarray) -> tuple[int, float]:
-    """The first index of the least full sup over the ``coarse`` angles, as
-    np.argmin takes it, and that sup, from as few full sups as bounds allow.
-
-    Full sups are taken in order of increasing bound, until the next bound is
-    above the least full sup found by more than ``_SCAN_MARGIN``. Every angle
-    left then has a full sup above that least one, so it cannot be the argmin;
-    where the bounds tie with it, every angle is taken in full.
-    """
-    bounds = [sup_at(phi, sampled=True) for phi in coarse]
-    best, i0 = math.inf, 0
-    for i in sorted(range(len(coarse)), key=bounds.__getitem__):
-        if bounds[i] > best * (1.0 + _SCAN_MARGIN):
-            break
-        s = sup_at(coarse[i])
-        if s < best or (s == best and i < i0):
-            best, i0 = s, i
-    return i0, best
+def _largest_scale(w: np.ndarray) -> float:
+    """The largest c with |1 - c w_j| <= 1 + 1e-12 at all j: the least root of |w|^2 c^2 -
+    2 Re(w) c - t, t = (1 + 1e-12)^2 - 1, as |w|^2/(Re w + root) where Re w > 0."""
+    t = 2e-12 + 1e-24
+    with np.errstate(over="ignore"):
+        root = np.hypot(w.real, np.sqrt(t) * np.abs(w))
+        inv = (root - w.real) / t
+        pos = w.real > 0.0
+        inv[pos] = np.abs(w[pos]) ** 2 / (w.real[pos] + root[pos])
+        return 1.0 / float(np.max(inv))
 
 
 def prepare_peak(generator: BoundarySignal) -> PeakPreparation:
@@ -336,18 +316,16 @@ def prepare_peak(generator: BoundarySignal) -> PeakPreparation:
     The essential range of the rebased function must reach the peak value 1,
     which happens exactly where G vanishes; if |G| never gets within
     ``RANGE_TOL`` of zero the construction cannot apply and RangeMiss is
-    raised. If no rotation brings the sup down to 1, the generator is scaled
-    down (the ideal is unchanged) by the largest factor that keeps the sup
-    within 1e-12 of 1; if that factor is below 1e-8, NormExceeded.
+    raised.
 
-    alpha minimises the sup by a scan of 256 coarse angles, then 72 sups of a
-    golden-section search in the coarse cell around the best one. The scan
-    bounds each angle's sup from below by its sup over every
-    ``_SCAN_STRIDE``-th node and takes full sups only while a bound can still
-    beat the best full sup (``_coarse_argmin``), so it picks the angle that
-    full sups at all 256 would pick, bit for bit. The search reads only the
-    nodes that can hold the sup in the cell (``_search_sup``).
-    """
+    alpha is the centre of the widest arc of angles with sup at most 1 +
+    ``SUP_SLACK`` (``_feasible_arc``); while the sup there is below 1, it moves
+    to the centre of the narrower arc at that level. With no arc, G is scaled
+    down (the ideal is unchanged): |1 - c w_j| <= 1 + 1e-12 holds for c in some
+    [0, c_j], so a geometric bisection finds the largest c whose arcs meet, to
+    1e-8 relative, each c with an arc lifting the lower end to the largest
+    scale at its centre (``_largest_scale``), where alpha is. NormExceeded
+    refuses a scale below 1e-8."""
     gv = generator.values
     range_gap = generator.inf_abs
     if range_gap > RANGE_TOL:
@@ -355,65 +333,39 @@ def prepare_peak(generator: BoundarySignal) -> PeakPreparation:
             f"generator modulus stays above {range_gap:.6g}; "
             f"no unimodular value of the rebased function within {RANGE_TOL:g}"
         )
-    # The scan squares |G|, which overflows near 1e154. Past sup|G| = 1e10
-    # no scale fits: |1 - c w| <= 1 + 1e-12 at the largest |w| forces
-    # c <= (2 + 1e-12) / sup|G| < 1e-8, which is refused below.
+    # Past sup|G| = 1e10 no scale fits, as c <= (2 + 1e-12) / sup|G| < 1e-8,
+    # and the scale would square |w|, which overflows near 1e154.
     if generator.sup_abs > 1e10:
         raise NormExceeded(_NO_SCALE)
-    sup_at = _rotated_sup(gv)
 
-    coarse = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
-    i0, best = _coarse_argmin(sup_at, coarse)
-    lo = coarse[i0] - coarse[1]
-    hi = coarse[i0] + coarse[1]
-    search = _search_sup(sup_at, gv, coarse[i0], best, coarse[1])
+    def centred(arc: tuple[float, float]) -> tuple[complex, float]:  # alpha, and the sup there
+        alpha = cmath.exp(0.5j * (arc[0] + arc[1]))
+        return alpha, float(np.max(np.abs(1.0 - np.conj(alpha) * gv)))
 
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = search(c), search(d)
-    for _ in range(70):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = search(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = search(d)
-    phi_star = (a + b) / 2.0
-    alpha = complex(np.exp(1j * phi_star))
-    sup_base = sup_at(phi_star)
-
-    scale = 1.0
-    rescaled = False
-    if sup_base > 1.0 + SUP_SLACK:
-        # The largest c with |1 - c w_j| <= 1 + 1e-12 at every node, where
-        # w = conj(alpha) G: squared, |w|^2 c^2 - 2 Re(w) c - t <= 0 with
-        # t = (1 + 1e-12)^2 - 1, so c = min_j of the positive root. Its
-        # reciprocal is (root - Re w)/t, rewritten as |w|^2/(Re w + root)
-        # where Re w > 0 to avoid cancellation; w = 0 gives 0. A generator
-        # so large that the reciprocal overflows gets scale 0 and is refused.
-        w = np.conj(alpha) * gv
-        t = 2e-12 + 1e-24
-        with np.errstate(over="ignore"):
-            root = np.hypot(w.real, np.sqrt(t) * np.abs(w))
-            inv = (root - w.real) / t
-            pos = w.real > 0.0
-            inv[pos] = np.abs(w[pos]) ** 2 / (w.real[pos] + root[pos])
-            scale = 1.0 / float(np.max(inv))
-        if scale < 1e-8:
-            raise NormExceeded(_NO_SCALE)
-        rescaled = True
-
-    return PeakPreparation(
-        alpha=alpha,
-        scale=scale,
-        rescaled=rescaled,
-        sup_base=float(np.max(np.abs(1.0 - scale * np.conj(alpha) * gv))),
-        range_gap=range_gap,
-    )
+    r, theta = np.abs(gv), np.angle(gv)
+    arc = _feasible_arc(r, theta, SUP_SLACK)
+    if arc is not None:
+        alpha, sup_base = centred(arc)
+        while sup_base < 1.0 and (arc := _feasible_arc(r, theta, sup_base - 1.0)) is not None:
+            if (lower := centred(arc))[1] >= sup_base:
+                break
+            alpha, sup_base = lower
+        # an arc within rounding of a point can overshoot: it is scaled off
+        scale = 1.0 if sup_base <= 1.0 + SUP_SLACK else _largest_scale(np.conj(alpha) * gv)
+    else:
+        lo, hi, c, alpha = 0.0, 1.0, 1e-8, None
+        while hi > max(lo * (1.0 + 1e-8), 1e-8):  # stops at once if c = 1e-8 leaves no arc
+            if (arc := _feasible_arc(c * r, theta, 1e-12)) is None:
+                hi = c
+            else:
+                alpha = cmath.exp(0.5j * (arc[0] + arc[1]))
+                lo = max(c, scale := _largest_scale(np.conj(alpha) * gv))
+            c = math.sqrt(lo * hi)
+    if alpha is None or scale < 1e-8:
+        raise NormExceeded(_NO_SCALE)
+    if scale < 1.0:
+        sup_base = float(np.max(np.abs(1.0 - scale * np.conj(alpha) * gv)))
+    return PeakPreparation(alpha, scale, scale < 1.0, sup_base, range_gap)
 
 
 @dataclass(frozen=True)

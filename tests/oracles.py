@@ -6,23 +6,23 @@ FFTs, complex units and complex moduli where the program works on real
 arrays, copied blocks where it writes them in place, exact hulls where it
 bounds diameters, one point at a time where it works in blocks, 60-digit
 arithmetic where it works in doubles, scipy's checked wrappers where it
-calls LAPACK itself), so a test can hold the program's route to it; the
+calls LAPACK itself, a rotation scan and golden-section search where it
+intersects arcs), so a test can hold the program's route to it; the
 corpus names the functions on which two independent outerness tests must
 agree, and the pinned symbols carry the kernel counts their zeros predict.
 """
 
 import cmath
 import math
-from unittest import mock
 
 import mpmath
 import numpy as np
 
-import hardylab.ideals
 from hardylab import AnalyticRep, BoundarySignal, CircleGrid, PointOnBoundary
+from hardylab.errors import HardyLabError, NormExceeded, RangeMiss
 from hardylab.factorization import CLIP_FLOOR, clipped_log_modulus, outer_boundary
 from hardylab.grid import _scaled_mean, _unit_scaled, circular_distance
-from hardylab.ideals import prepare_peak
+from hardylab.ideals import RANGE_TOL, SUP_SLACK, PeakPreparation, prepare_peak
 from hardylab.toeplitz import _BLOCK
 from hardylab.zerosets import MIN_WINDOW_CELLS, WIDTH_SCHEDULE, value_diameter
 
@@ -203,26 +203,94 @@ def rotated_sup_complex(values: np.ndarray, phi: float) -> float:
     return float(np.max(np.abs(1.0 - np.exp(-1j * phi) * values)))
 
 
-def coarse_argmin_exhaustive(sup_at, coarse: np.ndarray) -> tuple[int, float]:
-    """np.argmin of the full sups at every one of the ``coarse`` angles, and
-    the sup there."""
-    sups = [sup_at(phi) for phi in coarse]
-    i = int(np.argmin(sups))
-    return i, sups[i]
+def prepare_peak_scan(generator: BoundarySignal):
+    """``prepare_peak`` by a rotation scan, frozen: alpha from the least sup
+    at 256 coarse angles, then 72 sups of a golden-section search in that
+    angle's cell; where the sup there is above 1 + ``SUP_SLACK``, the largest
+    scale with sup within 1e-12 of 1 at that alpha, in closed form. Returns
+    the alignment, or raises the error the package raises."""
+    gv = generator.values
+    range_gap = generator.inf_abs
+    if range_gap > RANGE_TOL:
+        raise RangeMiss("generator modulus stays away from zero")
+    if generator.sup_abs > 1e10:
+        raise NormExceeded("no scale fits")
+    pairs = gv.view(float).reshape(-1, 2)
+    q = 1.0 + np.einsum("ij,ij->i", pairs, pairs)
+
+    def sup_at(phi: float) -> float:
+        return math.sqrt(max(float(np.max(q - pairs @ (2.0 * math.cos(phi), 2.0 * math.sin(phi)))), 0.0))
+
+    coarse = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
+    i0 = int(np.argmin([sup_at(phi) for phi in coarse]))
+    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = coarse[i0] - coarse[1], coarse[i0] + coarse[1]
+    c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
+    fc, fd = sup_at(c), sup_at(d)
+    for _ in range(70):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = sup_at(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = sup_at(d)
+    phi_star = (a + b) / 2.0
+    alpha = complex(np.exp(1j * phi_star))
+    scale, rescaled = 1.0, sup_at(phi_star) > 1.0 + SUP_SLACK
+    if rescaled:
+        w = np.conj(alpha) * gv
+        t = 2e-12 + 1e-24
+        with np.errstate(over="ignore"):
+            root = np.hypot(w.real, np.sqrt(t) * np.abs(w))
+            inv = (root - w.real) / t
+            pos = w.real > 0.0
+            inv[pos] = np.abs(w[pos]) ** 2 / (w.real[pos] + root[pos])
+            scale = 1.0 / float(np.max(inv))
+        if scale < 1e-8:
+            raise NormExceeded("no scale fits")
+    return PeakPreparation(
+        alpha=alpha,
+        scale=scale,
+        rescaled=rescaled,
+        sup_base=float(np.max(np.abs(1.0 - scale * np.conj(alpha) * gv))),
+        range_gap=range_gap,
+    )
 
 
-def prepare_peak_exhaustive(generator: BoundarySignal):
-    """``prepare_peak`` with its coarse scan taking the full sup at every
-    angle: the alignment, or the error it raises, as the scan had no bounds."""
-    with mock.patch.object(hardylab.ideals, "_coarse_argmin", coarse_argmin_exhaustive):
-        return prepare_peak(generator)
+def aligned_or_refused(prepare, f):
+    """``prepare(f)``, or the name of the error it raises."""
+    try:
+        return prepare(f)
+    except HardyLabError as exc:
+        return type(exc).__name__
 
 
-def prepare_peak_unpruned(generator: BoundarySignal):
-    """``prepare_peak`` with its golden-section search reading every node:
-    the alignment, or the error it raises, as the search had no pruning."""
-    with mock.patch.object(hardylab.ideals, "_search_sup", lambda sup_at, *args: sup_at):
-        return prepare_peak(generator)
+def peak_alignment_fault(arc, scan, f: BoundarySignal) -> str:
+    """'' when ``arc``, what ``prepare_peak`` gives for ``f`` by
+    ``aligned_or_refused``, holds to ``scan``, what ``prepare_peak_scan``
+    gives, else what fails: the same refusal, a sup_base no more than 1e-12
+    above the scan's and a scale no more than 1e-7 relative below it.
+
+    The scan can refuse with NormExceeded where the arc aligns: its alpha
+    minimises the sup before any scaling, and at that alpha a node with
+    Re(conj(alpha) G) < 0 can leave no scale of 1e-8 or more, while another
+    alpha does. There the arc's alignment is checked on its own: scale at
+    least 1e-8, and sup |1 - scale conj(alpha) G|, in complex arithmetic, at
+    most 1 + 1e-12 but for rounding."""
+    if isinstance(arc, str):
+        return "" if arc == scan else "refusals differ"
+    if scan == "NormExceeded":
+        sup = float(np.max(np.abs(1.0 - arc.scale * np.conj(arc.alpha) * f.values)))
+        return "" if sup <= 1.0 + 1e-12 + 1e-15 and arc.scale >= 1e-8 else "alignment fails the sup"
+    if isinstance(scan, str):
+        return "refusals differ"
+    if arc.sup_base > scan.sup_base + 1e-12:
+        return "sup_base above the scan's"
+    if arc.scale < scan.scale * (1.0 - 1e-7):
+        return "scale below the scan's"
+    return ""
 
 
 def peak_product(n: int, zeros, c: float, scale: float, rotation: float, spike=None) -> BoundarySignal:
@@ -230,8 +298,7 @@ def peak_product(n: int, zeros, c: float, scale: float, rotation: float, spike=N
     zero at t_k = (2 pi / n) k for each node index k in ``zeros``, or half a
     cell past it for a half-integer k. ``spike`` = (start, width, height)
     multiplies the values at ``width`` nodes from ``start`` on by
-    1 + ``height``: a peak of the modulus that a subsample of the nodes can
-    miss."""
+    1 + ``height``: a narrow peak of the modulus."""
     grid = CircleGrid(n)
     z = np.exp(1j * grid.nodes)
     v = scale * np.exp(1j * rotation) * np.exp(c * z)

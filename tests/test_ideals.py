@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 
 from hardylab import (
     CircleGrid,
-    HardyLabError,
     HypothesisFailed,
     NormExceeded,
     NotCertified,
@@ -48,10 +47,7 @@ from hardylab.ideals import (
     DEFAULT_MAIN_STAGES,
     DEFAULT_PEAK_SCHEDULE,
     MAX_STAGE,
-    RANGE_TOL,
     SUP_SLACK,
-    _coarse_argmin,
-    _rotated_sup,
     combine_units,
     prepare_peak,
     stage_unit,
@@ -59,15 +55,14 @@ from hardylab.ideals import (
 from hardylab.serialize import certificate_report, dumps, stage_report
 from oracles import (
     SUBLEVEL_FIELDS,
-    coarse_argmin_exhaustive,
+    aligned_or_refused,
+    peak_alignment_fault,
     peak_product,
     peak_scale_bisection,
     peak_stages_complex,
     peak_sup_norms_mp,
     peak_unit_error_mp,
-    prepare_peak_exhaustive,
-    prepare_peak_unpruned,
-    rotated_sup_complex,
+    prepare_peak_scan,
     sublevel_stages_complex,
 )
 
@@ -457,64 +452,38 @@ def test_peak_scale_matches_bisection_when_rotated_and_scaled(name, factor, phas
     assert_scale_matches_bisection(values, grid)
 
 
-@given(
-    st.integers(min_value=0, max_value=2 ** 32 - 1),
-    st.integers(min_value=3, max_value=12),
-    st.floats(min_value=-3.0, max_value=10.0),
-    st.floats(min_value=0.0, max_value=2.0 * np.pi),
-)
-@settings(max_examples=60, deadline=None)
-def test_rotated_sup_matches_complex_modulus(seed, p, log_scale, phi):
-    # generators as prepare_peak takes them: sup|G| <= 1e10 and one node
-    # within RANGE_TOL of zero, so the sup is at least 1 - RANGE_TOL and
-    # the square root does not magnify the roundoff of the squares
-    rng = np.random.default_rng(seed)
-    n = 2 ** p
-    values = 10.0 ** log_scale * rng.uniform(0.0, 1.0, n) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, n))
-    values[rng.integers(n)] = RANGE_TOL * rng.uniform(0.0, 1.0)
-    bound = 8.0 * np.finfo(float).eps * (1.0 + np.max(np.abs(values))) ** 2
-    assert abs(_rotated_sup(values)(phi) - rotated_sup_complex(values, phi)) <= bound
-
-
-def test_peak_overflow_guard_refuses_like_the_scan(monkeypatch):
-    # 4e9 (1-z) has sup 8e9 and is refused after the scan, for its scale;
-    # 1e10 (1-z) has sup 2e10 and is refused before it, with the same error
+def test_peak_overflow_guard_refuses_like_the_arcs(monkeypatch):
+    # 4e9 (1-z) has sup 8e9 and is refused after the arcs, for its scale;
+    # 1e10 (1-z) has sup 2e10 and is refused before them, with the same error
     grid = CircleGrid(4096)
     base = example_boundary("one-minus-z", grid).values
-    scans = []
-
-    def counted(gv):
-        scans.append(gv.size)
-        return _rotated_sup(gv)
-
-    monkeypatch.setattr(hardylab.ideals, "_rotated_sup", counted)
+    arcs = []
+    feasible_arc = hardylab.ideals._feasible_arc
+    monkeypatch.setattr(hardylab.ideals, "_feasible_arc", lambda r, *args: arcs.append(r.size) or feasible_arc(r, *args))
     payloads = []
     for factor in (4e9, 1e10):
         with pytest.raises(NormExceeded) as exc:
             prepare_peak(signal_from_values(grid, factor * base))
         payloads.append(exc.value.payload())
-    assert scans == [4096]
+    # no angle at c = 1, nor at c = 1e-8
+    assert arcs == [4096, 4096]
     assert payloads[0] == payloads[1]
 
 
-def aligned_or_refused(prepare, f):
-    """``prepare(f)``, or the payload of the error it raises."""
-    try:
-        return prepare(f)
-    except HardyLabError as exc:
-        return exc.payload()
-
-
-def assert_same_alignment(f):
-    """The pruned scan gives the exhaustive scan's alignment, alpha and scale
-    bit for bit, or both refuse alike."""
-    assert aligned_or_refused(prepare_peak, f) == aligned_or_refused(prepare_peak_exhaustive, f)
+def assert_holds_to_the_scan(f):
+    """The arcs' alignment of ``f`` holds to the rotation scan's
+    (``oracles.peak_alignment_fault``)."""
+    arc, scan = aligned_or_refused(prepare_peak, f), aligned_or_refused(prepare_peak_scan, f)
+    assert peak_alignment_fault(arc, scan, f) == "", (arc, scan)
 
 
 @pytest.mark.parametrize("n", [512, 4096, 65536])
 @pytest.mark.parametrize("name", catalog_names())
-def test_pruned_scan_aligns_like_the_exhaustive_scan(name, n):
-    assert_same_alignment(example_boundary(name, CircleGrid(n)))
+def test_arc_alignment_holds_to_the_rotation_scan(name, n):
+    f = example_boundary(name, CircleGrid(n))
+    assert_holds_to_the_scan(f)
+    # on the catalog the two refuse alike
+    assert isinstance(aligned_or_refused(prepare_peak, f), str) == isinstance(aligned_or_refused(prepare_peak_scan, f), str)
 
 
 @given(
@@ -524,91 +493,16 @@ def test_pruned_scan_aligns_like_the_exhaustive_scan(name, n):
     st.floats(min_value=0.0, max_value=2.0 * np.pi),
     st.tuples(
         st.integers(min_value=0, max_value=4095),
-        st.integers(min_value=1, max_value=hardylab.ideals._SCAN_STRIDE - 1),
+        st.integers(min_value=1, max_value=15),
         st.floats(min_value=0.0, max_value=4.0),
     ),
 )
 @settings(max_examples=60, deadline=None)
-def test_pruned_scan_aligns_like_the_exhaustive_scan_on_products(half_nodes, c, scale, rotation, spike):
-    # zeros on nodes (even) or halfway between them (odd); a spike narrower
-    # than the stride can fall between subsample nodes, where it loosens the
-    # bounds: that costs full sups, never the angle
+def test_arc_alignment_holds_to_the_rotation_scan_on_products(half_nodes, c, scale, rotation, spike):
+    # zeros on nodes (even) or halfway between them (odd), and a spike of a
+    # few nodes, which can bound the arc alone
     zeros = [k / 2 for k in half_nodes]
-    assert_same_alignment(peak_product(4096, zeros, c, scale, rotation, spike))
-
-
-@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=256))
-@settings(max_examples=200, deadline=None)
-def test_coarse_argmin_is_the_first_least_sup_under_any_lower_bounds(rows):
-    # full sups from four values, so ties are common, each bounded from below
-    # with a drawn slack: bound order and index order disagree, and the
-    # pruned scan still returns np.argmin's first least index
-    full = [1.0 + a for a, _ in rows]
-    bounds = [f - 0.5 * slack for f, (_, slack) in zip(full, rows)]
-
-    def sup_at(phi, sampled=False):
-        return (bounds if sampled else full)[int(phi)]
-
-    coarse = np.arange(len(rows), dtype=float)
-    assert _coarse_argmin(sup_at, coarse) == coarse_argmin_exhaustive(sup_at, coarse)
-
-
-def counted_full_sups(sup_at, full: list):
-    """``sup_at``, recording in ``full`` the angle of every full sup taken."""
-    def sup(phi, sampled=False):
-        if not sampled:
-            full.append(phi)
-        return sup_at(phi, sampled)
-
-    return sup
-
-
-def count_full_coarse_sups(monkeypatch) -> list:
-    """Patch the coarse scan to record the angle of every full sup it takes."""
-    full = []
-    scan = hardylab.ideals._coarse_argmin
-    monkeypatch.setattr(hardylab.ideals, "_coarse_argmin",
-                        lambda sup_at, coarse: scan(counted_full_sups(sup_at, full), coarse))
-    return full
-
-
-@pytest.mark.parametrize("name", ["one-minus-z", "offset-ramp"])
-def test_pruned_scan_takes_few_full_sups_at_65536(monkeypatch, name):
-    f = example_boundary(name, CircleGrid(65536))
-    want = prepare_peak_exhaustive(f)
-    full = count_full_coarse_sups(monkeypatch)
-    assert prepare_peak(f) == want
-    assert 1 <= len(full) <= 16
-
-
-def test_pruned_scan_takes_every_angle_when_the_bounds_tie():
-    # |1 - e^{-i phi} z| peaks at 2 opposite e^{i phi}, a node for every
-    # coarse angle, so no bound clears the least full sup and all 256 are
-    # taken; the index is the exhaustive scan's, and with it the bracket
-    values = example_boundary("shift", CircleGrid(65536)).values
-    coarse = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
-    sup_at, full = _rotated_sup(values), []
-    assert _coarse_argmin(counted_full_sups(sup_at, full), coarse) == coarse_argmin_exhaustive(sup_at, coarse)
-    assert len(full) == 256
-
-
-def test_a_spike_between_subsample_nodes_costs_full_sups_not_the_angle(monkeypatch):
-    # 1 - z with node 1001, which no subsample holds, raised threefold to
-    # |G| = 4.2: every full sup is above 3 and no bound is, so all 256
-    # angles are taken in full, and the alignment stays the exhaustive one
-    f = peak_product(4096, [0], 0.0, 1.0, 0.0, spike=(1001, 1, 2.0))
-    assert 1001 % hardylab.ideals._SCAN_STRIDE
-    want = aligned_or_refused(prepare_peak_exhaustive, f)
-    full = count_full_coarse_sups(monkeypatch)
-    assert aligned_or_refused(prepare_peak, f) == want
-    assert len(full) == 256
-
-
-@pytest.mark.parametrize("n", [4096, 65536])
-@pytest.mark.parametrize("name", catalog_names())
-def test_pruned_search_aligns_like_the_full_search(name, n):
-    f = example_boundary(name, CircleGrid(n))
-    assert repr(aligned_or_refused(prepare_peak, f)) == repr(aligned_or_refused(prepare_peak_unpruned, f))
+    assert_holds_to_the_scan(peak_product(4096, zeros, c, scale, rotation, spike))
 
 
 @given(
@@ -618,32 +512,162 @@ def test_pruned_search_aligns_like_the_full_search(name, n):
     st.floats(min_value=0.0, max_value=2.0 * np.pi),
     st.tuples(
         st.integers(min_value=0, max_value=4095),
-        st.integers(min_value=1, max_value=hardylab.ideals._SCAN_STRIDE - 1),
+        st.integers(min_value=1, max_value=15),
         st.floats(min_value=0.0, max_value=0.5),
     ),
 )
 @settings(max_examples=40, deadline=None)
-def test_pruned_search_aligns_like_the_full_search_on_products(half_node, c, scale, rotation, spike):
-    # one zero and small c and scale, so most products align; repr tells
-    # every float's bits apart, -0.0 from 0.0 too
-    f = peak_product(4096, [half_node / 2], c, scale, rotation, spike)
-    assert repr(aligned_or_refused(prepare_peak, f)) == repr(aligned_or_refused(prepare_peak_unpruned, f))
+def test_arc_alignment_holds_to_the_rotation_scan_on_aligned_products(half_node, c, scale, rotation, spike):
+    # one zero and small c and scale, so most products align; a zero halfway
+    # between nodes leaves a least sup below 1, which the lower arcs reach
+    assert_holds_to_the_scan(peak_product(4096, [half_node / 2], c, scale, rotation, spike))
 
 
-def test_the_search_reads_few_nodes_of_offset_ramp_and_all_of_one_minus_z(monkeypatch):
-    # the node count of each sup built: all nodes and the scan's subsample,
-    # then the search's nodes when it is pruned. offset-ramp peaks at few
-    # nodes near the best angle; every node of 1 - z is at distance 1 from
-    # the peak value, so its subsample keeps them all and no full pass or
-    # pruned sup follows
-    sizes = []
-    sup_over = hardylab.ideals._sup_over
-    monkeypatch.setattr(hardylab.ideals, "_sup_over", lambda gv: sizes.append(gv.size) or sup_over(gv))
-    prepare_peak(example_boundary("offset-ramp", CircleGrid(65536)))
-    assert sizes[:2] == [65536, 4096] and 0 < sizes[2] < 65536 // 8 and len(sizes) == 3
-    sizes.clear()
-    prepare_peak(example_boundary("one-minus-z", CircleGrid(65536)))
-    assert sizes == [65536, 4096]
+#: The catalog entries that prepare_peak aligns at 4096 and 65536 nodes.
+PEAK_CAPABLE = ("offset-ramp", "one-minus-singular-i", "one-minus-z", "one-minus-z-times-exp", "one-plus-z")
+
+
+def test_the_peak_capable_entries_are_the_catalog_entries_that_align():
+    for n in (4096, 65536):
+        grid = CircleGrid(n)
+        aligned = [name for name in catalog_names()
+                   if not isinstance(aligned_or_refused(prepare_peak, example_boundary(name, grid)), str)]
+        assert tuple(aligned) == PEAK_CAPABLE
+
+
+def rotated(f, theta: float):
+    return signal_from_values(f.grid, cmath.exp(1j * theta) * f.values)
+
+
+def seeded_turn(n: int, draw: int) -> float:
+    return float(np.random.default_rng([n, draw]).uniform(0.0, 2.0 * np.pi))
+
+
+@pytest.mark.parametrize("draw", range(4))
+@pytest.mark.parametrize("n", [4096, 65536])
+@pytest.mark.parametrize("name", PEAK_CAPABLE)
+def test_alignment_turns_with_the_generator(name, n, draw):
+    # prepare_peak(e^{i theta} G) is prepare_peak(G) turned by theta: no
+    # angle of a scan or a search depends on where G points
+    f = example_boundary(name, CircleGrid(n))
+    prep = prepare_peak(f)
+    theta = seeded_turn(n, draw)
+    turned = prepare_peak(rotated(f, theta))
+    assert abs(turned.alpha - prep.alpha * cmath.exp(1j * theta)) <= 1e-12
+    assert turned.scale == pytest.approx(prep.scale, abs=1e-12)
+    assert turned.sup_base == pytest.approx(prep.sup_base, abs=1e-12)
+    assert turned.rescaled == prep.rescaled
+
+
+def rotated_sup(f, phi: float) -> float:
+    """sup |1 - e^{-i phi} G| in complex arithmetic."""
+    return float(np.max(np.abs(1.0 - cmath.exp(-1j * phi) * f.values)))
+
+
+def arc_of(f, slack: float = SUP_SLACK):
+    return hardylab.ideals._feasible_arc(np.abs(f.values), np.angle(f.values), slack)
+
+
+@pytest.mark.parametrize("draw", range(3))
+@pytest.mark.parametrize("n", [4096, 65536])
+@pytest.mark.parametrize("name", PEAK_CAPABLE)
+def test_the_feasible_arc_is_maximal(name, n, draw):
+    # both ends, 1e-12 inwards, keep the sup within SUP_SLACK of 1, and
+    # 1e-6 past either end does not, where the arc is wider than 1e-5; an
+    # entry that is rescaled has no arc at c = 1
+    f = example_boundary(name, CircleGrid(n))
+    g = rotated(f, seeded_turn(n, draw) if draw else 0.0)
+    arc = arc_of(g)
+    if prepare_peak(g).rescaled:
+        assert arc is None
+        return
+    lo, hi = arc
+    assert 1e-12 < hi - lo < np.pi
+    assert rotated_sup(g, lo + 1e-12) <= 1.0 + SUP_SLACK
+    assert rotated_sup(g, hi - 1e-12) <= 1.0 + SUP_SLACK
+    if hi - lo > 1e-5:
+        assert rotated_sup(g, lo - 1e-6) > 1.0 + SUP_SLACK
+        assert rotated_sup(g, hi + 1e-6) > 1.0 + SUP_SLACK
+
+
+def feasible_angles(f, count: int) -> np.ndarray:
+    """Which of ``count`` equally spaced angles keep the sup within
+    ``SUP_SLACK`` of 1, from the complex sup at each."""
+    phis = np.linspace(-np.pi, np.pi, count, endpoint=False)
+    return phis, np.array([rotated_sup(f, phi) <= 1.0 + SUP_SLACK for phi in phis])
+
+
+def test_an_arc_across_the_cut_at_pi_is_found_whole():
+    # offset-ramp's arc at 4096 nodes is 0.62 wide, turned to cover pi from
+    # 0.2 before it to 0.42 after it: the arc is found whole across the cut,
+    # and alpha, feasible, sits at its centre, as dense angles place it
+    f = example_boundary("offset-ramp", CircleGrid(4096))
+    lo, hi = arc_of(f)
+    width = hi - lo
+    assert width == pytest.approx(0.6234, abs=1e-4)
+    g = rotated(f, np.pi - 0.2 - lo)
+    lo, hi = arc_of(g)
+    assert math.remainder(lo, 2 * np.pi) == pytest.approx(np.pi - 0.2, abs=1e-12)
+    assert math.remainder(hi, 2 * np.pi) == pytest.approx(-np.pi + width - 0.2, abs=1e-12)
+    prep = prepare_peak(g)
+    assert not prep.rescaled and prep.sup_base <= 1.0 + SUP_SLACK
+    assert abs(prep.alpha - cmath.exp(0.5j * (lo + hi))) <= 1e-12
+    phis, ok = feasible_angles(g, 4096)
+    # the feasible angles are one run across the cut: every angle but a run
+    # of infeasible ones, whose middle is opposite alpha
+    bad = np.flatnonzero(~ok)
+    assert np.all(np.diff(bad) == 1)
+    opposite = 0.5 * (phis[bad[0]] + phis[bad[-1]])
+    assert abs(cmath.exp(1j * opposite) + prep.alpha) <= 4 * np.pi / 4096
+
+
+def test_arcs_that_meet_in_two_pieces_give_one_of_them():
+    # values of modulus 2e-9 allow arcs of half-width 2 pi / 3 at
+    # SUP_SLACK = 1e-9, so opposite ones meet in two pieces, around pi/2 and
+    # -pi/2; a third node trims the second, and alpha sits at the centre of
+    # the first, which dense angles confirm is feasible and the wider
+    values = np.zeros(8, dtype=complex)
+    values[1:4] = 2e-9, -2e-9, 2e-9 * cmath.exp(0.6j)
+    f = signal_from_values(CircleGrid(8), values)
+    lo, hi = arc_of(f)
+    half = math.acos((4e-18 - 2e-9 - 1e-18) / 4e-9)
+    assert lo == pytest.approx(np.pi - half, abs=1e-12) and hi == pytest.approx(half, abs=1e-12)
+    prep = prepare_peak(f)
+    assert prep.alpha == pytest.approx(1j, abs=1e-12) and prep.sup_base <= 1.0 + SUP_SLACK
+    phis, ok = feasible_angles(f, 4096)
+    runs = np.split(phis[ok], np.flatnonzero(np.diff(np.flatnonzero(ok)) > 1) + 1)
+    assert len(runs) == 2
+    widest = max(runs, key=lambda run: run[-1] - run[0])
+    assert widest[0] <= np.pi / 2 <= widest[-1]
+
+
+@pytest.mark.parametrize("n", [65536, 2 ** 18])
+def test_peak_rescales_where_no_angle_is_left(n):
+    # at c = 1 one-minus-singular-i leaves no angle within SUP_SLACK of 1;
+    # the bisection on c scales it into the unit ball, to rounding of the
+    # closed-form scale, and no less far than the rotation scan does
+    f = example_boundary("one-minus-singular-i", CircleGrid(n))
+    assert arc_of(f) is None
+    prep = prepare_peak(f)
+    assert prep.rescaled
+    assert prep.sup_base <= 1.0 + 1e-12 + 1e-15
+    assert rotated_sup(f, cmath.phase(prep.alpha)) > 1.0 + SUP_SLACK
+    assert prep.scale >= prepare_peak_scan(f).scale * (1.0 - 1e-7)
+
+
+def test_an_alignment_is_one_pass_over_the_arcs(monkeypatch):
+    # no scan and no search: one arc for one-minus-z and offset-ramp; a zero
+    # between two nodes leaves a least sup below 1, and each further arc is
+    # at the level of the last centre, lower each time
+    arcs = []
+    feasible_arc = hardylab.ideals._feasible_arc
+    monkeypatch.setattr(hardylab.ideals, "_feasible_arc", lambda r, *args: arcs.append(args[-1]) or feasible_arc(r, *args))
+    for name in ("one-minus-z", "offset-ramp"):
+        prepare_peak(example_boundary(name, CircleGrid(65536)))
+    assert arcs == [SUP_SLACK, SUP_SLACK]
+    arcs.clear()
+    prep = prepare_peak(peak_product(4096, [1267.5], 0.284, 0.603, 4.734))
+    assert arcs[0] == SUP_SLACK and 0.0 > arcs[1] > arcs[-1] >= prep.sup_base - 1.0
 
 
 def test_peak_range_miss(grid):
@@ -800,16 +824,17 @@ def test_certify_offset_ramp_auto_picks_peak(grid):
     assert cert.passed
     assert cert.strategy == "peak"
     assert cert.notes == ("auto strategy resolved to peak",)
+    # alpha at the centre of the feasible arc, (2.51452, 3.00969)
     assert cert.peak_prep.alpha == pytest.approx(
-        -0.831469612302545 + 0.5555702330196025j, abs=1e-9
+        -0.9288547902860806 + 0.370444028920161j, abs=1e-9
     )
     assert not cert.peak_prep.rescaled
     assert [s.index for s in cert.stages] == [1, 2, 4, 8, 16]
-    expected = (0.464965473606, 0.302675193756, 0.14124120839,
-                0.0591043776146, 0.0111350470114)
+    expected = (0.39035716920887, 0.276443594972, 0.181959308544,
+                0.105536166225, 0.0355022097374)
     for s, e in zip(cert.stages, expected):
         assert s.error == pytest.approx(e, rel=1e-6)
-    assert cert.sup_bound == pytest.approx(1.2055684562498414, rel=1e-6)
+    assert cert.sup_bound == pytest.approx(1.2797788359223785, rel=1e-6)
 
 
 @pytest.mark.parametrize("strategy, extensions", [("auto", 1), ("peak", 1)])
