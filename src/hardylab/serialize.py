@@ -83,7 +83,7 @@ def _fields(record, skip: tuple[str, ...] = ()) -> dict:
 
 
 def extension_report(ext: ExtensionResult) -> dict:
-    return {**_fields(ext, ("signal", "center")), "oscillations": list(ext.oscillations)}
+    return _fields(ext, ("center",))
 
 
 def zero_set_report(est: ZeroSetEstimate) -> dict:

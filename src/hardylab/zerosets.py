@@ -14,15 +14,14 @@ Continuous extendability is judged by window oscillation: the value-set
 diameter over shrinking windows must both fall below an absolute tolerance
 and actually decay (final oscillation at most half the peak); plateauing
 oscillation profiles are the signature of an essential discontinuity. The
-radius r of a window's values about one of them bounds its diameter to
-[r, 2r], and that settles most verdicts without the exact diameter.
+radius r of a window's values about the value at its nearest node bounds its
+diameter to [r, 2r]. The verdict is True only when the rule holds for every
+diameter in those bounds; radii that cannot prove it read False.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Optional, Sequence
 
 import numpy as np
 
@@ -33,7 +32,6 @@ from .grid import (
     _as_real,
     _level_cut,
     _scaled_mean,
-    _unit_scaled,
     circular_distance,
     circular_runs,
 )
@@ -51,84 +49,14 @@ MIN_WINDOW_CELLS = 8
 #: An extension needs its finest oscillation at most this times the largest.
 DECAY_RATIO = 0.5
 
-#: Window radii decide a continuity verdict only when each of its
-#: inequalities holds by at least this relative margin.
+#: A continuity verdict is True only when each of its inequalities holds on
+#: the window radii by at least this relative margin.
 BOUND_MARGIN = 1e-12
 
 
 def _half_width(grid: CircleGrid, full_width: float) -> float:
     """Half the width of a window, floored at ``MIN_WINDOW_CELLS`` cells."""
     return max(full_width / 2.0, MIN_WINDOW_CELLS * grid.spacing / 2.0)
-
-
-def _turn(x: np.ndarray, y: np.ndarray, i, j, k) -> np.ndarray:
-    """Cross product of (p_j - p_i) and (p_k - p_i): > 0 for a left turn."""
-    return (x[j] - x[i]) * (y[k] - y[i]) - (y[j] - y[i]) * (x[k] - x[i])
-
-
-def _lower_chain(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Positions of the strictly convex lower hull of distinct points sorted by
-    (x, y), first and last point included.
-
-    Quickhull over all hull edges at once. Each round drops the points on or
-    above their edge, judged against its two end vertices, which stay. An edge
-    whose remaining points all turn left between its ends is finished: they
-    are all vertices. Every other edge is split at its farthest point below.
-    """
-    hull = np.array([0, x.size - 1])
-    cand = np.arange(1, x.size - 1)
-    while cand.size:
-        edge = np.searchsorted(hull, cand) - 1
-        depth = _turn(x, y, hull[edge], hull[edge + 1], cand)
-        below = depth < 0.0
-        cand, edge, depth = cand[below], edge[below], depth[below]
-        chain = np.sort(np.concatenate((hull, cand)))
-        left = _turn(x, y, chain[:-2], chain[1:-1], chain[2:]) > 0.0
-        bent = np.zeros(hull.size, dtype=bool)
-        bent[edge[~left[np.searchsorted(chain, cand) - 1]]] = True
-        take = ~bent[edge]  # finished edges: all their points are vertices
-        split = np.flatnonzero(bent[edge])
-        order = split[np.lexsort((depth[split], edge[split]))]
-        take[order[np.diff(edge[order], prepend=-1) != 0]] = True  # deepest
-        hull = np.sort(np.concatenate((hull, cand[take])))
-        cand = cand[~take]
-    return hull
-
-
-def value_diameter(values: np.ndarray) -> float:
-    """Exact max pairwise distance of a finite complex value set.
-
-    The diameter is attained by an antipodal pair of convex-hull vertices
-    (Shamos 1978; Preparata & Shamos 1985). The hull is a lower and an upper
-    monotone chain; for each hull edge the antipodal vertex is found by
-    ``searchsorted`` on the unwrapped edge angles, and its neighbours are
-    tried too. Typical cost O(w log w) time and O(w) memory for w values.
-    """
-    if values.size <= 1:
-        return 0.0
-    v = np.unique(values)  # sorted by (real, imag), repeats dropped
-    # Exact power-of-two rescaling to |coordinates| < 1, so that the turn
-    # tests neither overflow nor underflow.
-    scaled = _unit_scaled(v)[0]
-    x, y = scaled.real, scaled.imag
-    lower = _lower_chain(x, y)
-    upper = x.size - 1 - _lower_chain(x[::-1], y[::-1])
-    hull = v[np.concatenate((lower[:-1], upper[:-1]))]  # counter-clockwise
-    m = hull.size
-    if m < 3:  # collinear in the unit scale: the farthest from v[0] is an end
-        end = v[np.argmax(np.abs(v - v[0]))]
-        return float(np.abs(v - end).max())
-    edges = np.roll(hull, -1) - hull
-    ang = np.unwrap(np.arctan2(edges.imag, edges.real))
-    j = np.searchsorted(np.concatenate((ang, ang + TWO_PI)), ang + np.pi)
-    i = np.arange(m)
-    return float(
-        max(
-            np.abs(hull[(i + di) % m] - hull[(j + dj) % m]).max()
-            for di in (0, 1)
-            for dj in (-1, 0, 1)
-        )
-    )
 
 
 def _windows(grid: CircleGrid, center: float) -> tuple[np.ndarray, np.ndarray]:
@@ -152,38 +80,31 @@ def _windows(grid: CircleGrid, center: float) -> tuple[np.ndarray, np.ndarray]:
     return idx[order[: counts[0]]], counts
 
 
-def _verdict(lo: Sequence[float], hi: Sequence[float], tol: float, flat: float) -> Optional[bool]:
-    """The continuity rule for window diameters known to lie in [lo, hi], or
-    None when those intervals leave it open; exact ones (lo == hi) decide it.
+def _verdict(radii: np.ndarray, tol: float, flat: float) -> bool:
+    """The continuity rule on window radii ``radii``, finest last: True only
+    when it holds for every diameter in [r (1 - m), 2 r (1 + m)], with
+    m = ``BOUND_MARGIN``.
 
     The finest diameter must be within ``tol``, and the profile flat (every
     diameter at most ``flat``) or decaying to at most ``DECAY_RATIO`` times
-    the largest: a small final window alone is not enough.
+    the largest: a small final window alone is not enough. Radii that cannot
+    prove it read False.
     """
-    if lo[-1] > tol or (max(lo) > flat and lo[-1] > DECAY_RATIO * max(hi)):
-        return False
-    if hi[-1] <= tol and (max(hi) <= flat or hi[-1] <= DECAY_RATIO * max(lo)):
-        return True
-    return None
+    lo, hi = radii * (1.0 - BOUND_MARGIN), 2.0 * radii * (1.0 + BOUND_MARGIN)
+    return bool(hi[-1] <= tol and (hi.max() <= flat or hi[-1] <= DECAY_RATIO * lo.max()))
 
 
 @dataclass(frozen=True)
 class ExtensionResult:
-    """A continuity verdict at ``center``. ``oscillations`` holds the exact
-    window diameters; it is computed on first read, unless the verdict
-    already needed them."""
+    """A continuity verdict at ``center``, with the window radii, finest
+    last, that decide it."""
 
     ok: bool
     value: complex
     tolerance: float
     decay_ratio: float
-    signal: BoundarySignal = field(repr=False, compare=False)
+    radii: tuple[float, ...]
     center: float = field(repr=False, compare=False)
-
-    @cached_property
-    def oscillations(self) -> tuple[float, ...]:
-        idx, counts = _windows(self.signal.grid, self.center)
-        return tuple(value_diameter(self.signal.values[idx[:s]]) for s in counts)
 
 
 def continuous_extension(f: BoundarySignal, center: float) -> ExtensionResult:
@@ -198,26 +119,17 @@ def continuous_extension(f: BoundarySignal, center: float) -> ExtensionResult:
     The windows are nested, so each is a prefix of the widest one's nodes
     taken nearest first. A window's radius r, the largest distance of its
     values from the value at the node nearest ``center`` (the first node of
-    every window), bounds its diameter to [r, 2r]; the exact diameters are
-    taken only when those bounds leave the verdict open, and then kept as
-    ``oscillations``. The mean runs over the finest window in ascending index
-    order.
+    every window), bounds its oscillation to [r, 2r]; the verdict is True
+    only when the rule holds across those bounds (``_verdict``). The mean
+    runs over the finest window in ascending index order.
     """
     center = _as_real(center, "center") % TWO_PI
     tol, flat = 10.0 * f.sup_abs * f.grid.size ** (-0.25), 1e-12 * max(1.0, f.sup_abs)
     idx, counts = _windows(f.grid, center)
     values = f.values[idx]
     r = np.maximum.accumulate(np.abs(values - values[0]))[counts - 1]
-    ok = _verdict(r * (1.0 - BOUND_MARGIN), 2.0 * r * (1.0 + BOUND_MARGIN), tol, flat)
-    oscs = None
-    if ok is None:
-        oscs = tuple(value_diameter(values[:s]) for s in counts)
-        ok = _verdict(oscs, oscs, tol, flat)
     value = _scaled_mean(f.values[np.sort(idx[: counts[-1]])])
-    ext = ExtensionResult(ok, value, tol, DECAY_RATIO, f, center)
-    if oscs is not None:
-        vars(ext)["oscillations"] = oscs  # the cache ``cached_property`` reads first
-    return ext
+    return ExtensionResult(_verdict(r, tol, flat), value, tol, DECAY_RATIO, tuple(r.tolist()), center)
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,14 @@
 None of these runs in the program. Each route recomputes an answer by a
 second, simpler way (Horner evaluation, a dense matrix, a bisection, complex
 FFTs, complex units and complex moduli where the program works on real
-arrays, copied blocks where it writes them in place, exact hulls where it
-bounds diameters, one point at a time where it works in blocks, 60-digit
-arithmetic where it works in doubles, scipy's checked wrappers where it
-calls LAPACK itself, a rotation scan and golden-section search where it
-intersects arcs), so a test can hold the program's route to it; the
-corpus names the functions on which two independent outerness tests must
-agree, and the pinned symbols carry the kernel counts their zeros predict.
+arrays, copied blocks where it writes them in place, pairwise diameters
+where it bounds them by radii, one point at a time where it works in
+blocks, 60-digit arithmetic where it works in doubles, scipy's checked
+wrappers where it calls LAPACK itself, a rotation scan and golden-section
+search where it intersects arcs), so a test can hold the program's route
+to it; the corpus names the functions on which two independent outerness
+tests must agree, and the pinned symbols carry the kernel counts their
+zeros predict.
 """
 
 import cmath
@@ -24,7 +25,7 @@ from hardylab.factorization import CLIP_FLOOR, clipped_log_modulus, outer_bounda
 from hardylab.grid import _scaled_mean, _unit_scaled, circular_distance
 from hardylab.ideals import RANGE_TOL, SUP_SLACK, PeakPreparation, prepare_peak
 from hardylab.toeplitz import _BLOCK
-from hardylab.zerosets import MIN_WINDOW_CELLS, WIDTH_SCHEDULE, value_diameter
+from hardylab.zerosets import MIN_WINDOW_CELLS, WIDTH_SCHEDULE
 
 #: Catalog names whose Jensen outerness test and least-squares density must
 #: classify them identically.
@@ -319,13 +320,17 @@ def distance_window(grid, center: float, full_width: float) -> np.ndarray:
 
 def continuous_extension_hull(f: BoundarySignal, center: float) -> tuple:
     """(ok, value, oscillations, tolerance) of a continuity test that takes
-    the exact diameter of every window."""
+    the exact diameter of every window. The widest window's nodes, ordered by
+    their distance to ``center``, give one pairwise distance matrix, and each
+    narrower window is a leading block of it."""
     sup = float(np.max(np.abs(f.values)))
     tol = 10.0 * sup * f.grid.size ** (-0.25)
-    windows = [f.values[distance_window(f.grid, center, w)] for w in WIDTH_SCHEDULE]
-    oscs = tuple(value_diameter(v) for v in windows)
+    windows = [distance_window(f.grid, center, w) for w in WIDTH_SCHEDULE]
+    near = windows[0][np.argsort(circular_distance(f.grid.nodes[windows[0]], center), kind="stable")]
+    dist = np.abs(f.values[near, None] - f.values[None, near])
+    oscs = tuple(float(dist[: w.size, : w.size].max()) for w in windows)
     ok = continuity_rule(oscs, tol, 1e-12 * max(1.0, sup))
-    return ok, _scaled_mean(windows[-1]), oscs, tol
+    return ok, _scaled_mean(f.values[windows[-1]]), oscs, tol
 
 
 def continuity_rule(oscs, tol: float, flat: float) -> bool:

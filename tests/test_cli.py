@@ -439,6 +439,16 @@ def test_certify_without_out_formats_no_csv(capsys, monkeypatch):
     assert code == 0, err
 
 
+@pytest.mark.parametrize("size", ["4096", "8192"])
+def test_certify_offset_ramp_auto_passes_by_peak(capsys, size):
+    # the ramp's zero does not extend continuously, so auto takes the peak route
+    code, out, err = run(capsys, "certify", "--generators", "offset-ramp", "--grid-size", size)
+    assert code == 0, err
+    report = json.loads(out)
+    assert (report["passed"], report["strategy"]) == (True, "peak")
+    assert report["final_error"] <= report["tol"]
+
+
 def test_certify_failure_exit_two(capsys):
     code, out, err = run(capsys, "certify", "--generators", "shift", "--grid-size", "1024")
     assert code == 2

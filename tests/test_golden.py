@@ -139,7 +139,7 @@ def test_regeneration_rewrites_only_the_leaf_that_moved(tmp_path, monkeypatch):
     committed = copy.deepcopy(fresh)
     extension = committed["stdout"]["extensions"][0]["extension"]
     extension["tolerance"] *= 2.0
-    extension["oscillations"][1] *= 1.0 + 1e-12
+    extension["radii"][1] *= 1.0 + 1e-12
     (tmp_path / "one.json").write_text(json.dumps({"runs": [committed]}))
     make_golden.write_corpus(tmp_path)
     want = copy.deepcopy(committed)

@@ -75,7 +75,8 @@ def test_extension_report_fields(small_grid):
     assert rep["ok"] is True
     assert rep["value"] == complex(ext.value)
     assert rep["tolerance"] == ext.tolerance
-    assert rep["oscillations"] == [float(o) for o in ext.oscillations]
+    assert rep["radii"] == list(ext.radii)
+    assert "center" not in rep and "oscillations" not in rep
     assert isinstance(rep["decay_ratio"], float)
 
 

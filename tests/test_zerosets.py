@@ -25,15 +25,15 @@ from hardylab.factorization import singular_inner_boundary
 from hardylab.grid import circular_distance
 import hardylab.zerosets
 from hardylab.zerosets import (
+    BOUND_MARGIN,
     EPS_SCHEDULE,
     MIN_WINDOW_CELLS,
     WIDTH_SCHEDULE,
     _verdict,
     _windows,
     in_zinfty,
-    value_diameter,
 )
-from oracles import continuity_rule, continuous_extension_hull, distance_window
+from oracles import continuity_rule, continuous_extension_hull
 
 
 def circ_gap(a: float, b: float) -> float:
@@ -41,66 +41,8 @@ def circ_gap(a: float, b: float) -> float:
     return min(d, 2 * math.pi - d)
 
 
-def pairwise_oracle_diameter(values: np.ndarray) -> float:
-    """Reference: the max over the full w x w matrix of pairwise distances."""
-    if values.size <= 1:
-        return 0.0
-    return float(np.abs(values[:, None] - values[None, :]).max())
-
-
-#: 16 equispaced window centres plus the catalog's zero angles 0 and 3*pi/2.
-ORACLE_CENTRES = tuple(2 * math.pi * k / 16 for k in range(16)) + (0.0, 1.5 * math.pi)
-
-
-@pytest.mark.parametrize("size", [512, 4096])
-@pytest.mark.parametrize("name", catalog_names())
-def test_value_diameter_matches_pairwise_oracle_on_catalog(name, size):
-    g = CircleGrid(size)
-    f = example_boundary(name, g)
-    for c in ORACLE_CENTRES:
-        for w in WIDTH_SCHEDULE:
-            v = f.values[distance_window(g, c, w)]
-            assert value_diameter(v) == pairwise_oracle_diameter(v), (c, w)
-
-
-_coord = st.floats(min_value=-1e300, max_value=1e300)
-
-
-@st.composite
-def value_sets(draw) -> np.ndarray:
-    """Scattered points, (near-)duplicates, exactly collinear points, arcs."""
-    kind = draw(st.sampled_from(["scatter", "duplicates", "collinear", "arc"]))
-    n = draw(st.integers(min_value=1, max_value=60))
-    if kind == "scatter":
-        return np.array([complex(draw(_coord), draw(_coord)) for _ in range(n)])
-    if kind == "duplicates":
-        # repeated points, some nudged by far less than their spread
-        base = [complex(draw(_coord), draw(_coord)) for _ in range(draw(st.integers(1, 4)))]
-        nudge = st.sampled_from([0.0, 1e-300, 1e-20j, 1e-14, -1e-14j])
-        return np.array(
-            [base[draw(st.integers(0, len(base) - 1))] + draw(nudge) for _ in range(n)]
-        )
-    if kind == "collinear":
-        small = st.integers(min_value=-50, max_value=50)
-        origin = complex(draw(small), draw(small))
-        step = complex(draw(small), draw(small))
-        return np.array([origin + draw(small) * step for _ in range(n)])
-    centre = complex(draw(_coord), draw(_coord))
-    radius = draw(st.floats(min_value=1e-300, max_value=1e300))
-    start = draw(st.floats(min_value=0.0, max_value=2 * math.pi))
-    span = draw(st.floats(min_value=0.0, max_value=2 * math.pi))
-    t = start + span * np.array([draw(st.floats(0.0, 1.0)) for _ in range(n)])
-    return centre + radius * np.exp(1j * t)
-
-
-@given(value_sets())
-@settings(max_examples=300, deadline=None)
-# in the unit scale the tiny parts flush to zero and the hull looks collinear
-@example(np.array([-4.620404607959493e-126 + 1.1960164332659527e198j, 0, 0,
-                   -4.620404607959493e-126]))
-def test_value_diameter_matches_pairwise_oracle(values):
-    want = pairwise_oracle_diameter(values)
-    assert abs(value_diameter(values) - want) <= 1e-15 * want
+#: The grid sizes at which the catalog's continuity verdicts are pinned.
+ALL_SIZES = (512, 1024, 2048, 4096, 8192, 16384, 65536)
 
 
 #: Window centres a + b h on a grid of spacing h: the origin, exact and half
@@ -145,24 +87,28 @@ def test_windows_are_nearest_first_prefixes_of_the_distance_masks(size, a, b, sh
         assert np.array_equal(np.sort(idx), np.arange(8))
 
 
-@pytest.mark.parametrize("lo, hi, want", [
-    ((1.0, 3.0), (2.0, 6.0), False),        # finest lower end above tol
-    ((4.0, 1.0), (8.0, 2.0), True),         # decays: 2 <= 0.5 * 4
-    ((1e-15, 1e-15), (2e-15, 2e-15), True),  # flat
-    ((2.0, 1.0), (4.0, 2.0), None),         # [r, 2r] leaves the decay open
-    ((1.0, 0.9), (1.0, 0.9), False),        # exact diameters: no decay, not flat
+@pytest.mark.parametrize("radii, want", [
+    ((1.0, 1.5), False),        # finest diameter may exceed tol
+    ((4.0, 0.9), True),         # decays: 2 r = 1.8 <= 0.5 * 4
+    ((4.0, 1.0), False),        # 2 r sits on the ratio: the margin keeps it open
+    ((1e-15, 1e-15), True),     # flat
+    ((2.0, 1.0), False),        # [r, 2r] leaves the decay open
+    ((1.0, 0.9), False),        # within tol, but neither flat nor decaying
 ])
-def test_verdict_outcomes(lo, hi, want):
-    assert _verdict(lo, hi, 2.5, 1e-12) is want
+def test_verdict_outcomes(radii, want):
+    assert _verdict(np.array(radii), 2.5, 1e-12) is want
 
 
-@given(st.lists(st.floats(min_value=0.0, max_value=1e300), min_size=1, max_size=len(WIDTH_SCHEDULE)),
+@given(st.lists(st.tuples(st.floats(min_value=0.0, max_value=1e300), st.floats(min_value=0.0, max_value=1.0)),
+                min_size=1, max_size=len(WIDTH_SCHEDULE)),
        st.floats(min_value=1e-300, max_value=1e300), st.floats(min_value=1e-300, max_value=1e300))
 @settings(max_examples=300, deadline=None)
-def test_exact_diameters_always_decide(oscs, tol, flat):
-    """Exact diameters (lo == hi) get True or False, never None, and the
-    oracle's two-valued rule agrees."""
-    assert _verdict(oscs, oscs, tol, flat) is continuity_rule(oscs, tol, flat)
+def test_radius_verdict_implies_the_exact_rule(windows, tol, flat):
+    """Radii that read True read True for every diameter profile they bound:
+    the oracle's rule holds on any diameters d with r <= d <= 2r."""
+    radii = np.array([r for r, _ in windows])
+    diameters = [r * (1.0 + t) for r, t in windows]
+    assert not _verdict(radii, tol, flat) or continuity_rule(diameters, tol, flat)
 
 
 def test_undecided_exact_diameters_read_as_discontinuous():
@@ -172,10 +118,10 @@ def test_undecided_exact_diameters_read_as_discontinuous():
     grid = CircleGrid(512)
     t = (grid.nodes + math.pi) % (2 * math.pi) - math.pi
     f = signal_from_values(grid, np.where(t >= 0.0, 1.0, 1.1))
-    ext = continuous_extension(f, 0.0)
-    flat = 1e-12 * max(1.0, f.sup_abs)
-    assert _verdict(ext.oscillations, ext.oscillations, ext.tolerance, flat) is False
-    assert ext.ok is False
+    ok, _, oscs, tol = continuous_extension_hull(f, 0.0)
+    assert len(set(oscs)) == 1 and oscs[-1] <= tol
+    assert ok is False
+    assert continuous_extension(f, 0.0).ok is False
 
 
 @pytest.mark.parametrize("center", [1e300, -1e20, -2.0, 2.0 + 2 * math.pi])
@@ -206,24 +152,26 @@ def test_extension_at_full_resolution_allocates_no_pairwise_matrix():
 
 def test_oscillation_of_constant_is_zero(small_grid):
     c = constant_signal(small_grid, 2.5 + 1j)
-    assert value_diameter(c.values[distance_window(small_grid, 1.0, 0.3)]) == 0.0
+    assert continuous_extension(c, 1.0).radii == (0.0,) * len(WIDTH_SCHEDULE)
 
 
 def test_oscillation_chord_diameter(grid):
-    # diameter of the arc {e^{it}: |t| <= 0.1} is the chord 2 sin(0.1); the
-    # grid truncates the window at whole cells, costing at most two spacings
+    # the radius of the arc {e^{it}: |t| <= w/2} about 1 is the chord
+    # 2 sin(w/4); the grid truncates the window at whole cells, costing at
+    # most one spacing
     f = signal_from_values(grid, np.exp(1j * grid.nodes))
-    osc = value_diameter(f.values[distance_window(grid, 0.0, 0.2)])
-    assert abs(osc - 2 * math.sin(0.1)) <= 2 * grid.spacing
-    assert osc <= 2 * math.sin(0.1) + 1e-12  # truncation only shrinks it
+    radii = continuous_extension(f, 0.0).radii
+    for w, r in zip(WIDTH_SCHEDULE, radii):
+        assert abs(r - 2 * math.sin(w / 4)) <= grid.spacing, w
+        assert r <= 2 * math.sin(w / 4) + 1e-12, w  # truncation only shrinks it
 
 
 def test_oscillation_of_singular_inner_stays_full(grid):
     # (e^{it}+1)/(e^{it}-1) sweeps the imaginary axis near t = 0, so the
-    # boundary values wind around the whole circle in every window
+    # boundary values wind around the whole circle in every window, at
+    # distance 1 from the value 0 at the node t = 0
     s = singular_inner_boundary(1.0, grid)
-    assert value_diameter(s.values[distance_window(grid, 0.0, 0.02)]) > 1.9
-    assert value_diameter(s.values[distance_window(grid, 0.0, 0.005)]) > 1.9
+    assert min(continuous_extension(s, 0.0).radii) > 0.99
 
 
 def test_extension_of_polynomial_at_its_zero(grid):
@@ -231,7 +179,7 @@ def test_extension_of_polynomial_at_its_zero(grid):
     ext = continuous_extension(f, 0.0)
     assert ext.ok
     assert abs(ext.value) < 2e-3
-    assert ext.oscillations[-1] <= 0.5 * max(ext.oscillations)
+    assert 2 * ext.radii[-1] <= 0.5 * max(ext.radii)
 
 
 def test_extension_fails_for_singular_inner(grid):
@@ -310,12 +258,23 @@ def test_evidence_rows_are_monotone_in_eps(grid):
     assert np.all(rows > 0)
 
 
-def test_zinfty_for_ramp_is_false(grid):
+@pytest.mark.parametrize("n", ALL_SIZES)
+def test_zinfty_for_ramp_is_false(n):
     # the offset ramp has a jump in its phase at its zero: extension must fail
-    f = get_example("offset-ramp").boundary(grid)
+    f = get_example("offset-ramp").boundary(CircleGrid(n))
     est = essential_zero_set(f)
     assert len(est.angles) == 1 and circ_gap(est.angles[0], 0.0) <= est.resolution
     assert not in_zinfty(f)
+
+
+@pytest.mark.parametrize("n", [
+    n if n <= 2048 else pytest.param(n, marks=pytest.mark.xfail(
+        strict=True, reason="the finest windows at the 64 probe angles miss every band edge"))
+    for n in ALL_SIZES
+])
+def test_banded_logmod_is_not_in_disc_algebra(n):
+    # log|f| = -floor(1/|t|) near angle 0 jumps at every band edge
+    assert not in_disc_algebra(get_example("banded-logmod").boundary(CircleGrid(n)))
 
 
 def test_polynomials_are_in_disc_algebra(grid):
@@ -364,16 +323,19 @@ def test_nearby_zero_clusters_merge_including_across_angle_zero(zeros, angles):
 
 
 # ---------------------------------------------------------------------------
-# continuity verdicts from window radii, against the all-hull route
+# continuity verdicts from window radii, against exact diameters
 # ---------------------------------------------------------------------------
 
-def assert_extension_matches_hull(f, center):
+def assert_radius_verdict_is_sound(f, center):
+    """The radii bound each exact diameter d to [r, 2r] within the verdict's
+    margin, and prove a verdict of True only where the exact rule gives it."""
     ext = continuous_extension(f, center)
     ok, value, oscs, tol = continuous_extension_hull(f, center)
-    assert ext.ok == ok
+    assert ok or not ext.ok
     assert ext.value == value
     assert ext.tolerance == tol
-    assert ext.oscillations == oscs  # the exact diameters, bit for bit
+    for r, d in zip(ext.radii, oscs):
+        assert r * (1.0 - BOUND_MARGIN) <= d <= 2.0 * r * (1.0 + BOUND_MARGIN)
 
 
 def _window_signal(kind: str, n: int, center: float, scale: float, shape: float, phase: float):
@@ -403,39 +365,18 @@ def _window_signal(kind: str, n: int, center: float, scale: float, shape: float,
     st.floats(min_value=-0.01, max_value=0.01),
 )
 @settings(max_examples=80, deadline=None)
-def test_extension_verdict_matches_hull_route(kind, n, center, log_scale, shape, phase, miss):
-    """The radius bounds decide a verdict only where the exact diameters give
-    the same one; the probe sits on or beside the feature."""
+def test_radius_verdict_is_sound(kind, n, center, log_scale, shape, phase, miss):
+    """The radius bounds read True only where the exact diameters do; the
+    probe sits on or beside the feature."""
     f = _window_signal(kind, n, center, 10.0**log_scale, shape, phase)
-    assert_extension_matches_hull(f, (center + miss) % (2 * math.pi))
+    assert_radius_verdict_is_sound(f, (center + miss) % (2 * math.pi))
 
 
 @pytest.mark.parametrize("n", [512, 4096])
 @pytest.mark.parametrize("name", catalog_names())
-def test_extension_verdict_matches_hull_route_on_catalog(name, n):
-    """Every catalog entry at the 64 probe angles of ``in_disc_algebra``."""
+def test_radius_verdict_is_sound_on_catalog(name, n):
+    """Every catalog entry at its zero angles and the 64 probe angles of
+    ``in_disc_algebra``."""
     f = example_boundary(name, CircleGrid(n))
-    for j in range(64):
-        assert_extension_matches_hull(f, j * 2 * math.pi / 64)
-
-
-def test_disc_algebra_of_one_minus_z_takes_no_hull(monkeypatch):
-    """Continuous data is settled by the window radii: no exact diameter."""
-    calls = []
-    monkeypatch.setattr(hardylab.zerosets, "value_diameter", lambda v: calls.append(v.size) or 0.0)
-    assert in_disc_algebra(example_boundary("one-minus-z", CircleGrid(65536)))
-    assert calls == []
-
-
-def test_undecided_verdict_takes_the_hull(monkeypatch):
-    """offset-ramp's decay ratio at its zero sits near DECAY_RATIO, where
-    [r, 2r] cannot settle it; the hull then decides, and oscillations are
-    read from the same diameters."""
-    f = example_boundary("offset-ramp", CircleGrid(4096))
-    calls = []
-    real = hardylab.zerosets.value_diameter
-    monkeypatch.setattr(hardylab.zerosets, "value_diameter", lambda v: calls.append(v.size) or real(v))
-    ext = continuous_extension(f, 0.0)
-    ok, _, oscs, _ = continuous_extension_hull(f, 0.0)
-    assert (ext.ok, ext.oscillations) == (ok, oscs)
-    assert len(calls) == len(WIDTH_SCHEDULE)
+    for center in essential_zero_set(f).angles + tuple(j * 2 * math.pi / 64 for j in range(64)):
+        assert_radius_verdict_is_sound(f, center)
