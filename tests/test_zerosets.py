@@ -33,7 +33,7 @@ from hardylab.zerosets import (
     _windows,
     in_zinfty,
 )
-from oracles import continuity_rule, continuous_extension_hull
+from oracles import continuity_rule, continuous_extension_hull, distance_window
 
 
 def circ_gap(a: float, b: float) -> float:
@@ -43,6 +43,30 @@ def circ_gap(a: float, b: float) -> float:
 
 #: The grid sizes at which the catalog's continuity verdicts are pinned.
 ALL_SIZES = (512, 1024, 2048, 4096, 8192, 16384, 65536)
+
+
+def reference_radii(f, center: float) -> tuple:
+    """Reference: for each width, the largest distance of the values in its
+    distance window from the value at the node nearest ``center``."""
+    out = []
+    for w in WIDTH_SCHEDULE:
+        idx = distance_window(f.grid, center, w)
+        v = f.values[idx]
+        near = np.argmin(circular_distance(f.grid.nodes[idx], center))
+        out.append(float(np.abs(v - v[near]).max()))
+    return tuple(out)
+
+
+#: 16 equispaced window centres plus the catalog's zero angles 0 and 3*pi/2.
+ORACLE_CENTRES = tuple(2 * math.pi * k / 16 for k in range(16)) + (0.0, 1.5 * math.pi)
+
+
+@pytest.mark.parametrize("size", [512, 4096])
+@pytest.mark.parametrize("name", catalog_names())
+def test_radii_match_reference_on_catalog(name, size):
+    f = example_boundary(name, CircleGrid(size))
+    for c in ORACLE_CENTRES:
+        assert continuous_extension(f, c).radii == reference_radii(f, c), c
 
 
 #: Window centres a + b h on a grid of spacing h: the origin, exact and half
