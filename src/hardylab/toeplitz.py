@@ -36,8 +36,9 @@ KERNEL_TOL = 1e-10
 #: Default truncation-order schedule for density profiles.
 DENSITY_SCHEDULE = (16, 32, 64, 128, 256, 512, 1024)
 
-#: Largest truncation order. A dense kernel count at it factors one
-#: order x order complex matrix (~270 MB). A density distance factors one
+#: Largest truncation order. A kernel count at it reduces the band of T,
+#: order x (b + 1) complex entries: 21 MB for 320 coefficients, and ~270 MB
+#: for a symbol at least as long as the order. A density distance factors one
 #: block of [T | e_0] at a time and refuses a symbol whose largest block would
 #: have more than MAX_ORDER^2 entries; a symbol of length at most 64 has
 #: blocks of about 70 KB at every order.
@@ -51,18 +52,6 @@ MAX_ORDER = 4096
 #: QR took 142 ms. 32 ties 64, but another size factors other blocks, so it
 #: moves the distances' last bits.
 _BLOCK = 64
-
-#: Kernel counts reduce the truncation to bidiagonal form when this many times
-#: the symbol's bandwidth is at most the order, else take a dense SVD. Timed on
-#: a 2-core box with one BLAS thread (best of 5), the reduction and count took
-#: 18 ms at order 1024, bandwidth 2, against 0.88 s for the dense SVD, and 28,
-#: 54 and 63 ms at bandwidths 4, 8 and 10. At order 1024 (best of 3) only the
-#: widest symbols are faster dense, reduced against dense: exp(z), 48
-#: coefficients, 355 against 1162 ms; blaschke-half, 220, 1254 against 762;
-#: singular-inner-1, 320, 2497 against 795. So 100 sends exp(z) the slow way,
-#: but a lower ratio, unmeasured end to end, sends small orders such as 64 through
-#: the 15–24 ms first LAPACK load (the order-64 dense SVD takes under 1 ms).
-BANDED_ORDER_RATIO = 100
 
 
 def _check_order(order: int) -> None:
@@ -257,17 +246,11 @@ def _top_and_count(off: np.ndarray, tol: float) -> tuple[float, int]:
     the bidiagonal whose Golub–Kahan off-diagonal is ``off``: sigma_max is the
     top eigenvalue, and each sigma < tol * sigma_max puts two eigenvalues in
     (-tol * sigma_max, tol * sigma_max]. A threshold that underflows to 0
-    counts nothing, as sv < 0 does on the dense route."""
+    counts nothing: no singular value lies below 0."""
     top = float(_tridiagonal_eigenvalues(off, b"I", index=off.size + 1)[0])
     if not tol * top > 0.0:
         return top, 0
     return top, _tridiagonal_eigenvalues(off, b"V", bound=tol * top).size // 2
-
-
-def _banded_kernel_dim(a: np.ndarray, order: int, tol: float) -> int:
-    """Singular values of the truncation below tol * sigma_max, counted on the
-    Golub–Kahan tridiagonal of its bidiagonal form by bisection."""
-    return _top_and_count(_golub_kahan(*_bidiagonal(a, order)), tol)[1]
 
 
 def adjoint_kernel_dim(symbol: AnalyticRep, order: int, tol: float = KERNEL_TOL) -> int:
@@ -277,15 +260,14 @@ def adjoint_kernel_dim(symbol: AnalyticRep, order: int, tol: float = KERNEL_TOL)
     so a rank-revealing factorization of the truncation answers both. An
     identically-zero truncation kills everything: dimension = order.
 
-    With bandwidth b = min(len(symbol), order) - 1 and
-    ``BANDED_ORDER_RATIO * b <= order``, LAPACK zgbbrd reduces the truncation
-    to a real bidiagonal B, and two bisections on B's Golub–Kahan tridiagonal
-    give sigma_max and the count: O(order^2 b) time, O(order b) memory, and
-    never the whole spectrum. Wider symbols take a dense SVD (O(order^3) time,
-    order^2 entries). Both are backward stable, with absolute error about
-    eps * sigma_max, so the count against ``tol * sigma_max`` agrees unless a
-    singular value sits within roundoff of the threshold. Never T^H T: it
-    would square the threshold below double precision.
+    With bandwidth b = min(len(symbol), order) - 1, LAPACK zgbbrd reduces
+    the truncation to a real bidiagonal B, and two bisections on B's
+    Golub–Kahan tridiagonal give sigma_max and the count: O(order^2 b) time,
+    O(order b) memory, and never the whole spectrum. The reduction is
+    backward stable, with absolute error about eps * sigma_max, so the count
+    against ``tol * sigma_max`` is a dense SVD's unless a singular value sits
+    within roundoff of the threshold. Never T^H T: it would square the
+    threshold below double precision.
     """
     tol = _as_real(tol, "tol", "finite with 0 < tol < 1", lambda x: 0.0 < x < 1.0)
     _check_order(order)
@@ -294,11 +276,7 @@ def adjoint_kernel_dim(symbol: AnalyticRep, order: int, tol: float = KERNEL_TOL)
     # sigma_max is 0 exactly when this returns
     if not np.any(a):
         return order
-    if BANDED_ORDER_RATIO * (a.size - 1) <= order:
-        return _banded_kernel_dim(a, order, tol)
-    dense = _put_band(np.zeros((order, order), dtype=complex), a, order).T  # T, not a copy
-    sv = np.linalg.svd(dense, compute_uv=False)
-    return int(np.count_nonzero(sv < tol * np.max(sv)))
+    return _top_and_count(_golub_kahan(*_bidiagonal(a, order)), tol)[1]
 
 
 def _distances(f: AnalyticRep, order: int) -> np.ndarray:

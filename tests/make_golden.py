@@ -15,9 +15,11 @@ one machine write byte-identical files.
 
 Where ``DIR`` already holds a corpus file, each of its records is merged
 leaf by leaf (``test_golden.merge_record``): every committed leaf that the
-comparator accepts is kept byte for byte, and a leaf is taken new only where
-it moved or where the keys or the length of its container changed; the
-script prints the argv and the moved fields of each moved record. A fresh
+comparator accepts is kept byte for byte, including the shared leaves of a
+dict that gained or lost keys. A leaf is taken new only where it moved, a key
+only where it was added (a removed key is dropped), and a list whole only
+where its length changed; the script prints the argv and the moved fields of
+each moved record. A fresh
 ``DIR`` gets every record new. So a change that moves a report regenerates
 in place, and the golden diff shows only what moved; it goes in together
 with a CHANGES.md line naming each moved exact-class field and its cause.
@@ -148,7 +150,7 @@ def golden_files() -> dict[str, list[list[str]]]:
     n = DEFAULT_GRID_SIZE
     files[f"zeroset-{n}.json"] = command_groups(n)["zeroset"]
     # every Taylor profile on the default schedule, and the kernel count at
-    # order 1024, which takes the banded route for the narrow symbols
+    # order 1024
     taylor = [e for e in catalog_names() if get_example(e).taylor_fn is not None]
     files["density.json"] = [["density", "--f", e] for e in taylor]
     files["toeplitz-kernel-1024.json"] = [

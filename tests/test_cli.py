@@ -187,9 +187,9 @@ def test_registry_commands_keep_their_memory_budget_at_65536_nodes(capsys, tmp_p
 # Peaks of the commands that build no grid, by ``_cold_peak`` after the same
 # command at lower orders: a density profile to order 1024 peaked at 289.7
 # KiB for 1 - z and 808.5 KiB for exp-z, whose 48 coefficients widen every QR
-# block, and a banded kernel count at order 1024 at 157.7 KiB. A dense kernel
-# count holds about one complex order x order matrix: 16.08 B per order^2 at
-# order 512. Each budget is a peak plus 5 %.
+# block. A kernel count holds the band of T, order x (b + 1) complex entries:
+# 157.9 KiB for 1 - z at order 1024, and 419.4 KiB for exp-z at order 512,
+# whose band alone is 384 KiB. Each budget is a peak plus 5 %.
 @pytest.mark.parametrize("warm, argv, budget", [
     (["density", "--f", "one-minus-z", "--schedule", "16,32,64"],
      ["density", "--f", "one-minus-z"], 304 * 1024),
@@ -197,8 +197,8 @@ def test_registry_commands_keep_their_memory_budget_at_65536_nodes(capsys, tmp_p
     (["toeplitz-kernel", "--f", "one-minus-z", "--M", "512"],
      ["toeplitz-kernel", "--f", "one-minus-z", "--M", "1024"], 166 * 1024),
     (["toeplitz-kernel", "--f", "exp-z", "--M", "64"],
-     ["toeplitz-kernel", "--f", "exp-z", "--M", "512"], 16.9 * 512 ** 2),
-], ids=["density-one-minus-z", "density-exp-z", "toeplitz-kernel-banded", "toeplitz-kernel-dense"])
+     ["toeplitz-kernel", "--f", "exp-z", "--M", "512"], 441 * 1024),
+], ids=["density-one-minus-z", "density-exp-z", "toeplitz-kernel-banded", "toeplitz-kernel-wide"])
 def test_order_commands_keep_their_memory_budget(capsys, warm, argv, budget):
     code, peak = _cold_peak(capsys, warm, argv)
     assert code == 0
@@ -606,9 +606,9 @@ def test_scipy_loads_only_for_toeplitz_work(tmp_path):
     # density builds its blocks with numpy and factors them with numpy's
     # lapack_lite: on one block (M = 8), on 16 (one-minus-z to 1024) and on
     # blocks wide enough for zgeqrf's blocked path (singular-inner-1,
-    # k = 320). So scipy is imported only by a kernel count on the banded
-    # route (M >= 100 b), and that count runs scipy.linalg.cython_lapack's
-    # extension without scipy.linalg's Python API. A later import of
+    # k = 320). So scipy is imported only by a kernel count, at any order,
+    # and that count runs scipy.linalg.cython_lapack's extension without
+    # scipy.linalg's Python API. A later import of
     # scipy.linalg must still bind the extension, and the counts there are
     # the counts before it.
     script = (
@@ -623,8 +623,8 @@ def test_scipy_loads_only_for_toeplitz_work(tmp_path):
         "    ['density', '--f', 'one-minus-z', '--M', '8'],\n"
         "    ['density', '--f', 'one-minus-z'],\n"
         "    ['density', '--f', 'singular-inner-1'],\n"
-        "    ['toeplitz-kernel', '--f', 'one-minus-z', '--M', '64'],\n"
         f"    ['reproduce', 'szego-dichotomy', '--out', {str(tmp_path)!r}],\n"
+        "    ['toeplitz-kernel', '--f', 'one-minus-z', '--M', '64'],\n"
         "    ['toeplitz-kernel', '--f', 'one-minus-z', '--M', '1024'],\n"
         "):\n"
         "    assert main(argv) == 0, argv\n"
@@ -648,7 +648,7 @@ def test_scipy_loads_only_for_toeplitz_work(tmp_path):
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
     )
     report = json.loads(done.stdout.splitlines()[-1])
-    assert report["loaded"] == [False, False, False, False, False, False, True]
+    assert report["loaded"] == [False, False, False, False, False, True, True]
     assert report["modules"] == [[]] * 8
     assert report["capi"] > 0
     assert report["eig"] == pytest.approx([-2**0.5, 0.0, 2**0.5], abs=1e-15)

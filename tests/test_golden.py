@@ -47,17 +47,17 @@ def _is_number(x) -> bool:
 
 def _compare(old, new, path: str, out: list):
     """Append to ``out`` one line per field of ``new`` outside its class, and
-    return ``old`` with each such field, or each container whose keys or
-    length changed, taken from ``new``."""
+    return ``old`` with each such field taken from ``new``. A dict is merged
+    key by key: shared keys recursively, added keys from ``new``, removed keys
+    dropped, one line each. A list whose length changed is taken whole."""
     if _is_number(old) and _is_number(new):
         if not abs(new - old) <= TOLERANCE.abs + TOLERANCE.rel * abs(old):
             out.append(f"{path}: {old!r} -> {new!r} (tolerance {TOLERANCE})")
             return new
     elif isinstance(old, dict) and isinstance(new, dict):
-        if old.keys() != new.keys():
-            out.append(f"{path}: keys {sorted(old)} -> {sorted(new)}")
-            return new
-        return {k: _compare(old[k], new[k], f"{path}.{k}", out) for k in old}
+        out.extend(f"{path}.{k}: removed" for k in old if k not in new)
+        out.extend(f"{path}.{k}: added" for k in new if k not in old)
+        return {k: _compare(old[k], v, f"{path}.{k}", out) if k in old else v for k, v in new.items()}
     elif isinstance(old, list) and isinstance(new, list):
         if len(old) != len(new):
             out.append(f"{path}: length {len(old)} -> {len(new)}")
@@ -148,8 +148,17 @@ def test_regeneration_rewrites_only_the_leaf_that_moved(tmp_path, monkeypatch):
 
 
 def test_merge_takes_a_container_anew_where_its_keys_or_length_changed():
+    # a list whose length changed is taken whole; a dict whose keys changed
+    # keeps its shared leaves, takes its added keys and drops its removed ones
     old = {"a": [1.0, 2.0], "b": {"x": 1.0}, "c": {"x": 1.0}, "d": 3.0}
     new = {"a": [1.0, 2.0, 3.0], "b": {"x": 1.0 + 1e-15, "y": 2}, "c": {"x": 1.0 + 1e-15}, "d": 3.0 + 1e-15}
     merged, moved = merge_record(old, new)
-    assert merged == {"a": new["a"], "b": new["b"], "c": old["c"], "d": old["d"]}
-    assert moved == [".a: length 2 -> 3", ".b: keys ['x'] -> ['x', 'y']"]
+    assert merged == {"a": new["a"], "b": {"x": 1.0, "y": 2}, "c": old["c"], "d": old["d"]}
+    assert moved == [".a: length 2 -> 3", ".b.y: added"]
+    # a renamed key beside a leaf that drifted within tolerance: the rename
+    # is reported and taken, the drifted leaf keeps its committed bits
+    old = {"ext": {"oscillations": [0.5, 0.25], "tolerance": 5.714483613001311}}
+    new = {"ext": {"radii": [0.5, 0.25], "tolerance": 5.71448361300131}}
+    merged, moved = merge_record(old, new)
+    assert merged == {"ext": {"radii": [0.5, 0.25], "tolerance": 5.714483613001311}}
+    assert moved == [".ext.oscillations: removed", ".ext.radii: added"]

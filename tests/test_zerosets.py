@@ -346,6 +346,45 @@ def test_nearby_zero_clusters_merge_including_across_angle_zero(zeros, angles):
         assert circ_gap(got, grid.nodes[node]) < 1e-12
 
 
+#: Sizes at which the zero set of ``_random_product(seed, n)`` misses a zero,
+#: by seed. A simple zero between nodes leaves |f| about |f'| times its
+#: distance at the nearest node, above the finest level e^-8, so no sublevel
+#: set catches it. At the two nodes around each zero the log-modulus lies at
+#: least 1.3e-3 (relative) from the finest level cut, so no case turns on the
+#: last bits.
+_PRODUCT_MISSES = {
+    0: (512,), 1: (512, 4096), 2: (512, 4096), 3: (512, 4096),
+    4: (512, 4096, 16384), 5: (512, 4096, 16384), 6: (512,),
+    7: (512, 4096, 16384), 8: (512, 4096, 16384), 9: (512, 4096),
+    10: (512, 4096), 11: (512,),
+}
+
+
+def _random_product(seed: int, n: int):
+    """1-3 simple zeros at uniform angles times e^{p1 z + p2 z^2}, with
+    p ~ N(0, 0.5^2): the zero angles and the boundary signal on n nodes."""
+    rng = np.random.default_rng(seed)
+    zeros = rng.uniform(0.0, 2 * math.pi, size=rng.integers(1, 4))
+    p1, p2 = rng.normal(0.0, 0.5, size=2)
+    grid = CircleGrid(n)
+    z = np.exp(1j * grid.nodes)
+    values = np.exp(p1 * z + p2 * z * z) * np.prod(1.0 - np.exp(-1j * zeros)[:, None] * z, axis=0)
+    return zeros, signal_from_values(grid, values)
+
+
+@pytest.mark.parametrize("seed, n", [
+    pytest.param(seed, n, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 1"))
+    if n in _PRODUCT_MISSES[seed] else (seed, n)
+    for seed in _PRODUCT_MISSES
+    for n in (512, 4096, 16384, 65536)
+])
+def test_random_product_zero_set_finds_every_zero(seed, n):
+    zeros, f = _random_product(seed, n)
+    est = essential_zero_set(f)
+    for a in zeros:
+        assert any(circ_gap(a, b) <= est.resolution for b in est.angles), a
+
+
 # ---------------------------------------------------------------------------
 # continuity verdicts from window radii, against exact diameters
 # ---------------------------------------------------------------------------
