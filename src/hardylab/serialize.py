@@ -16,13 +16,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from .ideals import Certificate, CombinedUnit, PeakStage, UnitStage
-from .zerosets import (
-    EPS_SCHEDULE,
-    WIDTH_SCHEDULE,
-    ExtensionResult,
-    ZeroSetEstimate,
-    ZinftyReport,
-)
+from .zerosets import ExtensionResult, ZeroSetEstimate, ZinftyReport
 
 
 def _fmt_float(x: float) -> str:
@@ -89,9 +83,6 @@ def extension_report(ext: ExtensionResult) -> dict:
 def zero_set_report(est: ZeroSetEstimate) -> dict:
     return {
         **_fields(est, ("candidates",)),
-        "eps_schedule": list(EPS_SCHEDULE),
-        "width_schedule": list(WIDTH_SCHEDULE),
-        # each candidate's evidence rows follow eps_schedule, columns width_schedule
         "candidates": [_fields(c) for c in est.candidates],
     }
 

@@ -3,12 +3,12 @@ extendability.
 
 A boundary point belongs to the essential zero set when every neighborhood
 meets every sublevel set ``{|outer part| < eps}`` in positive measure. The
-grid estimator reads the set of eps = e^{-m} as ``clip(log|f|) < _level_cut(m)``
-(the log-modulus of the outer factor by construction), proposes candidates from
-the finest sublevel set's node clusters, and keeps a candidate only if the
-evidence holds for *every* tested ``(eps, width)`` pair — a finite shrinking
-family standing in for the quantifier over all neighborhoods. Results carry
-the angular resolution (eight grid cells) at which they are meaningful.
+grid estimator reads the finest sublevel set, eps = e^{-8}, as
+``clip(log|f|) < _level_cut(8)`` (the log-modulus of the outer factor by
+construction) and keeps a midpoint of its node clusters when the finest window
+there holds a node of it: sublevel sets and windows nest, so that one count is
+positive exactly when every coarser (eps, width) pair's is. Results carry the
+angular resolution (eight grid cells) at which they are meaningful.
 
 Continuous extendability is judged by window oscillation: the value-set
 diameter over shrinking windows must both fall below an absolute tolerance
@@ -36,9 +36,9 @@ from .grid import (
     circular_runs,
 )
 
-#: Sublevel thresholds e^{-m}, m = 1 .. 8, and their log-modulus cuts, finest last.
+# Unused by the program, but kept: perfbench/tracing.py reads it (ROADMAP item 8).
+#: Sublevel thresholds e^{-m}, m = 1 .. 8, finest last.
 EPS_SCHEDULE = tuple(float(np.exp(-m)) for m in range(1, 9))
-_CUTS = _level_cut(np.arange(1, 9))
 
 #: Window full widths (radians) 2^{-1} .. 2^{-8}, finest last.
 WIDTH_SCHEDULE = tuple(2.0 ** (-j) for j in range(1, 9))
@@ -140,8 +140,8 @@ def continuous_extension(f: BoundarySignal, center: float) -> ExtensionResult:
 class ZeroCandidate:
     angle: float
     point: complex
-    #: normalized measure of sublevel(eps) within the window, per (eps, width)
-    evidence: tuple[tuple[float, ...], ...]
+    #: nodes of the finest sublevel set in the finest window, over N
+    measure: float
     accepted: bool
 
 
@@ -166,17 +166,16 @@ def _log_zero_set(grid: CircleGrid, log_mod: np.ndarray) -> ZeroSetEstimate:
 
     Candidates are midpoints of the finest sublevel set's node clusters
     (clusters closer than the resolution are merged, wrap included); each must
-    show positive sublevel measure inside every tested window.
+    show positive sublevel measure inside its finest window.
     """
     n, h = grid.size, grid.spacing
+    below = log_mod < _level_cut(8)
     candidates = []
-    for start, length in circular_runs(log_mod < _CUTS[-1], MIN_WINDOW_CELLS):
+    for start, length in circular_runs(below, MIN_WINDOW_CELLS):
         center = float((TWO_PI * start / n + (length - 1) * h / 2.0) % TWO_PI)
         idx, counts = _windows(grid, center)
-        below = np.cumsum(log_mod[idx, None] < _CUTS, axis=0)
-        rows = tuple(map(tuple, (below[counts - 1].T / n).tolist()))
-        ok = all(m > 0.0 for row in rows for m in row)
-        candidates.append(ZeroCandidate(center, complex(np.exp(1j * center)), rows, ok))
+        measure = float(np.count_nonzero(below[idx[: counts[-1]]]) / n)
+        candidates.append(ZeroCandidate(center, complex(np.exp(1j * center)), measure, measure > 0.0))
     angles = sorted(c.angle for c in candidates if c.accepted)
     return ZeroSetEstimate(
         angles=tuple(angles),
@@ -206,6 +205,10 @@ def in_zinfty(f: BoundarySignal) -> bool:
 
 
 def in_disc_algebra(f: BoundarySignal) -> bool:
-    """Continuity of the boundary data, probed at 64 equispaced angles."""
-    step = TWO_PI / 64
-    return all(continuous_extension(f, j * step).ok for j in range(64))
+    """Continuity of the boundary data, probed at 64 equispaced angles and at the
+    midpoints of the 64 largest local maxima of |f_{j+1} - f_j| (circularly)."""
+    rise = np.abs(np.roll(f.values, -1) - f.values)
+    peaks = np.flatnonzero((rise > np.roll(rise, 1)) & (rise >= np.roll(rise, -1)))
+    jumps = peaks[np.argsort(-rise[peaks], kind="stable")[:64]]
+    probes = np.concatenate((np.arange(64) * (TWO_PI / 64), (jumps + 0.5) * f.grid.spacing))
+    return all(continuous_extension(f, a).ok for a in probes.tolist())

@@ -22,7 +22,7 @@ import numpy as np
 from hardylab import AnalyticRep, BoundarySignal, CircleGrid, PointOnBoundary
 from hardylab.errors import HardyLabError, NormExceeded, RangeMiss
 from hardylab.factorization import CLIP_FLOOR, clipped_log_modulus, outer_boundary
-from hardylab.grid import _scaled_mean, _unit_scaled, circular_distance
+from hardylab.grid import _level_cut, _scaled_mean, _unit_scaled, circular_distance
 from hardylab.ideals import RANGE_TOL, SUP_SLACK, PeakPreparation, prepare_peak
 from hardylab.toeplitz import _BLOCK
 from hardylab.zerosets import MIN_WINDOW_CELLS, WIDTH_SCHEDULE
@@ -316,6 +316,18 @@ def distance_window(grid, center: float, full_width: float) -> np.ndarray:
     (at least ``MIN_WINDOW_CELLS / 2`` cells), from the distance of every node."""
     half = max(full_width / 2.0, MIN_WINDOW_CELLS * grid.spacing / 2.0)
     return np.flatnonzero(circular_distance(grid.nodes, center) <= half)
+
+
+def sublevel_table(grid, log_mod: np.ndarray, center: float) -> np.ndarray:
+    """The sublevel measures about ``center`` for every (level, width) pair:
+    entry [m - 1, w] counts the nodes with ``log_mod < _level_cut(m)`` in the
+    distance window of ``WIDTH_SCHEDULE[w]``, over N. Levels m = 1 .. 8 and
+    widths are both finest last."""
+    windows = [distance_window(grid, center, w) for w in WIDTH_SCHEDULE]
+    return np.array([
+        [np.count_nonzero(log_mod[idx] < _level_cut(m)) / grid.size for idx in windows]
+        for m in range(1, 9)
+    ])
 
 
 def continuous_extension_hull(f: BoundarySignal, center: float) -> tuple:

@@ -86,13 +86,11 @@ def test_zero_set_report_shape(small_grid):
     assert rep["angles"] == [0.0]
     assert rep["points"] == [1.0 + 0.0j]
     assert rep["resolution"] == est.resolution
-    assert len(rep["eps_schedule"]) == 8
-    assert len(rep["width_schedule"]) == 8
+    assert "eps_schedule" not in rep and "width_schedule" not in rep
     accepted = [c for c in rep["candidates"] if c["accepted"]]
     assert len(accepted) == 1
-    evidence = accepted[0]["evidence"]
-    assert len(evidence) == 8
-    assert all(len(row) == 8 for row in evidence)
+    assert "evidence" not in accepted[0]
+    assert accepted[0]["measure"] > 0.0
 
 
 def test_zinfty_report_dict_pairs_angles_with_extensions(small_grid):

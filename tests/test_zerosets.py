@@ -26,14 +26,14 @@ from hardylab.grid import circular_distance
 import hardylab.zerosets
 from hardylab.zerosets import (
     BOUND_MARGIN,
-    EPS_SCHEDULE,
     MIN_WINDOW_CELLS,
     WIDTH_SCHEDULE,
+    _log_zero_set,
     _verdict,
     _windows,
     in_zinfty,
 )
-from oracles import continuity_rule, continuous_extension_hull, distance_window
+from oracles import continuity_rule, continuous_extension_hull, distance_window, sublevel_table
 
 
 def circ_gap(a: float, b: float) -> float:
@@ -271,17 +271,6 @@ def test_inner_factor_does_not_change_the_zero_set(grid):
     assert circ_gap(shifted.angles[0], 0.0) <= plain.resolution
 
 
-def test_evidence_rows_are_monotone_in_eps(grid):
-    est = essential_zero_set(get_example("one-minus-z").boundary(grid))
-    (cand,) = est.candidates
-    assert cand.accepted
-    rows = np.array(cand.evidence)  # rows: eps schedule, cols: width schedule
-    assert rows.shape == (len(EPS_SCHEDULE), len(WIDTH_SCHEDULE))
-    # shrinking eps can only shrink the sublevel mass inside any fixed window
-    assert np.all(np.diff(rows, axis=0) <= 1e-15)
-    assert np.all(rows > 0)
-
-
 @pytest.mark.parametrize("n", ALL_SIZES)
 def test_zinfty_for_ramp_is_false(n):
     # the offset ramp has a jump in its phase at its zero: extension must fail
@@ -291,11 +280,7 @@ def test_zinfty_for_ramp_is_false(n):
     assert not in_zinfty(f)
 
 
-@pytest.mark.parametrize("n", [
-    n if n <= 2048 else pytest.param(n, marks=pytest.mark.xfail(
-        strict=True, reason="the finest windows at the 64 probe angles miss every band edge"))
-    for n in ALL_SIZES
-])
+@pytest.mark.parametrize("n", ALL_SIZES)
 def test_banded_logmod_is_not_in_disc_algebra(n):
     # log|f| = -floor(1/|t|) near angle 0 jumps at every band edge
     assert not in_disc_algebra(get_example("banded-logmod").boundary(CircleGrid(n)))
@@ -383,6 +368,59 @@ def test_random_product_zero_set_finds_every_zero(seed, n):
     est = essential_zero_set(f)
     for a in zeros:
         assert any(circ_gap(a, b) <= est.resolution for b in est.angles), a
+
+
+@pytest.mark.parametrize("n", [512, 4096])
+@pytest.mark.parametrize("apart, accepted", [(8, (True,)), (9, (False,)), (10, (True, True))])
+def test_a_cluster_is_accepted_when_its_finest_window_holds_a_sublevel_node(n, apart, accepted):
+    # |f| = 1 but for two e^-9 dips. 8 and 9 nodes apart they merge into one
+    # cluster whose midpoint is 4 and 4.5 cells from each, the finest window's
+    # half-width being 4 cells; 10 apart they stay two clusters.
+    values = np.ones(n, dtype=complex)
+    values[[100, 100 + apart]] = math.exp(-9.0)
+    est = essential_zero_set(signal_from_values(CircleGrid(n), values))
+    assert tuple(c.accepted for c in est.candidates) == accepted
+    assert all((c.measure > 0.0) == c.accepted for c in est.candidates)
+    assert len(est.angles) == sum(accepted)
+
+
+def _pair_log_moduli(n: int):
+    """Joint log-moduli of generator pairs, the largest log-modulus as a
+    combined certificate takes it: a simple zero times e^{0.4 z}, with a
+    double zero elsewhere (disjoint, so no candidate) or at the same node
+    (shared)."""
+    grid = CircleGrid(n)
+    z = np.exp(1j * grid.nodes)
+    simple = signal_from_values(grid, (1.0 - z * np.exp(-1j * grid.nodes[n // 8])) * np.exp(0.4 * z))
+    for label, node in (("disjoint-pair", 5 * n // 8), ("shared-pair", n // 8)):
+        double = signal_from_values(grid, (1.0 - z * np.exp(-1j * grid.nodes[node])) ** 2)
+        yield label, np.maximum(simple.log_abs, double.log_abs)
+
+
+def _log_moduli(n: int):
+    """Labelled log-moduli on n nodes: the catalog, ``_random_product`` seeds
+    0-11 and the generator pairs."""
+    grid = CircleGrid(n)
+    for name in catalog_names():
+        yield name, get_example(name).boundary(grid).log_abs
+    for seed in range(12):
+        yield f"product-{seed}", _random_product(seed, n)[1].log_abs
+    yield from _pair_log_moduli(n)
+
+
+@pytest.mark.parametrize("n", [512, 4096, 16384, 65536])
+def test_candidate_count_matches_the_sublevel_table(n):
+    """A candidate is accepted exactly when every (level, width) count of the
+    direct reference table is positive, and its measure is that table's
+    finest entry, bit for bit."""
+    grid, seen = CircleGrid(n), 0
+    for label, log_mod in _log_moduli(n):
+        for cand in _log_zero_set(grid, log_mod).candidates:
+            table = sublevel_table(grid, log_mod, cand.angle)
+            assert cand.accepted == bool(np.all(table > 0)), (label, cand.angle)
+            assert cand.measure == table[-1][-1], (label, cand.angle)
+            seen += 1
+    assert seen > 0
 
 
 # ---------------------------------------------------------------------------
