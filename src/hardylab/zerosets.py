@@ -5,10 +5,10 @@ A boundary point belongs to the essential zero set when every neighborhood
 meets every sublevel set ``{|outer part| < eps}`` in positive measure. The
 grid estimator reads the finest sublevel set, eps = e^{-8}, as
 ``clip(log|f|) < _level_cut(8)`` (the log-modulus of the outer factor by
-construction) and keeps a midpoint of its node clusters when the finest window
-there holds a node of it: sublevel sets and windows nest, so that one count is
-positive exactly when every coarser (eps, width) pair's is. Results carry the
-angular resolution (eight grid cells) at which they are meaningful.
+construction), and each cluster of its nodes (runs with at most eight nodes
+between them merge) is a zero at the cluster's midpoint. Results carry the
+angular resolution (eight grid cells) at which they are meaningful; the
+windows below serve only the continuity verdicts.
 
 Continuous extendability is judged by window oscillation: the value-set
 diameter over shrinking windows must both fall below an absolute tolerance
@@ -140,9 +140,6 @@ def continuous_extension(f: BoundarySignal, center: float) -> ExtensionResult:
 class ZeroCandidate:
     angle: float
     point: complex
-    #: nodes of the finest sublevel set in the finest window, over N
-    measure: float
-    accepted: bool
 
 
 @dataclass(frozen=True)
@@ -162,26 +159,21 @@ def essential_zero_set(f: BoundarySignal) -> ZeroSetEstimate:
 
 
 def _log_zero_set(grid: CircleGrid, log_mod: np.ndarray) -> ZeroSetEstimate:
-    """The essential zero set of the clipped log-modulus ``log_mod`` on ``grid``.
-
-    Candidates are midpoints of the finest sublevel set's node clusters
-    (clusters closer than the resolution are merged, wrap included); each must
-    show positive sublevel measure inside its finest window.
+    """The essential zero set of the clipped log-modulus ``log_mod`` on ``grid``:
+    the midpoint of each node cluster of the finest sublevel set (clusters
+    closer than the resolution are merged, wrap included).
     """
     n, h = grid.size, grid.spacing
-    below = log_mod < _level_cut(8)
-    candidates = []
-    for start, length in circular_runs(below, MIN_WINDOW_CELLS):
-        center = float((TWO_PI * start / n + (length - 1) * h / 2.0) % TWO_PI)
-        idx, counts = _windows(grid, center)
-        measure = float(np.count_nonzero(below[idx[: counts[-1]]]) / n)
-        candidates.append(ZeroCandidate(center, complex(np.exp(1j * center)), measure, measure > 0.0))
-    angles = sorted(c.angle for c in candidates if c.accepted)
+    centers = [
+        float((TWO_PI * start / n + (length - 1) * h / 2.0) % TWO_PI)
+        for start, length in circular_runs(log_mod < _level_cut(8), MIN_WINDOW_CELLS)
+    ]
+    angles = sorted(centers)
     return ZeroSetEstimate(
         angles=tuple(angles),
         points=tuple(complex(np.exp(1j * a)) for a in angles),
         resolution=MIN_WINDOW_CELLS * h,
-        candidates=tuple(candidates),
+        candidates=tuple(ZeroCandidate(c, complex(np.exp(1j * c))) for c in centers),
     )
 
 

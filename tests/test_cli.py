@@ -24,6 +24,7 @@ from hardylab import (
     signal_from_csv,
     signal_from_values,
     signal_to_csv,
+    synth_outer,
 )
 import hardylab
 from hardylab import cli
@@ -447,6 +448,25 @@ def test_certify_offset_ramp_auto_passes_by_peak(capsys, size):
     report = json.loads(out)
     assert (report["passed"], report["strategy"]) == (True, "peak")
     assert report["final_error"] <= report["tol"]
+
+
+@pytest.mark.parametrize("size", [512, 4096, 8192])
+def test_two_dips_nine_nodes_apart_are_a_zero_not_the_whole_algebra(capsys, tmp_path, size):
+    # the outer function with log-modulus 0 but -9 at nodes 100 and 109: the
+    # dips form one sublevel cluster, so one zero, and certify fails as a
+    # single dip does rather than calling the ideal the whole algebra
+    grid = CircleGrid(size)
+    log_mod = np.zeros(size)
+    log_mod[[100, 109]] = -9.0
+    path = tmp_path / "dips.csv"
+    path.write_text(signal_to_csv(synth_outer(signal_from_values(grid, log_mod)).boundary))
+    code, out, err = run(capsys, "zeroset", "--f", str(path))
+    assert code == 0, err
+    assert len(json.loads(out)["zero_set"]["angles"]) == 1
+    code, out, err = run(capsys, "certify", "--generators", str(path))
+    assert code == 2
+    assert json.loads(err)["error"] == "NormExceeded"
+    assert "whole algebra" not in out
 
 
 def test_certify_failure_exit_two(capsys):

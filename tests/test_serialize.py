@@ -87,10 +87,9 @@ def test_zero_set_report_shape(small_grid):
     assert rep["points"] == [1.0 + 0.0j]
     assert rep["resolution"] == est.resolution
     assert "eps_schedule" not in rep and "width_schedule" not in rep
-    accepted = [c for c in rep["candidates"] if c["accepted"]]
-    assert len(accepted) == 1
-    assert "evidence" not in accepted[0]
-    assert accepted[0]["measure"] > 0.0
+    (cand,) = rep["candidates"]
+    assert "measure" not in cand and "accepted" not in cand
+    assert cand == {"angle": 0.0, "point": 1.0 + 0.0j}
 
 
 def test_zinfty_report_dict_pairs_angles_with_extensions(small_grid):

@@ -22,7 +22,7 @@ from hardylab import (
     zinfty_report,
 )
 from hardylab.factorization import singular_inner_boundary
-from hardylab.grid import circular_distance
+from hardylab.grid import _level_cut, circular_distance, circular_runs
 import hardylab.zerosets
 from hardylab.zerosets import (
     BOUND_MARGIN,
@@ -33,7 +33,7 @@ from hardylab.zerosets import (
     _windows,
     in_zinfty,
 )
-from oracles import continuity_rule, continuous_extension_hull, distance_window, sublevel_table
+from oracles import continuity_rule, continuous_extension_hull, distance_window
 
 
 def circ_gap(a: float, b: float) -> float:
@@ -286,6 +286,20 @@ def test_banded_logmod_is_not_in_disc_algebra(n):
     assert not in_disc_algebra(get_example("banded-logmod").boundary(CircleGrid(n)))
 
 
+def test_catalog_verdicts_agree_across_grid_sizes():
+    """No catalog entry's in_zinfty, in_disc_algebra or zero-angle count moves
+    between N = 512, 4096, 16384 and 65536."""
+    moved = {}
+    for name in catalog_names():
+        table = set()
+        for n in (512, 4096, 16384, 65536):
+            f = example_boundary(name, CircleGrid(n))
+            table.add((in_zinfty(f), in_disc_algebra(f), len(essential_zero_set(f).angles)))
+        if len(table) > 1:
+            moved[name] = table
+    assert moved == {}
+
+
 def test_polynomials_are_in_disc_algebra(grid):
     assert in_disc_algebra(get_example("one-minus-z").boundary(grid))
     assert in_zinfty(get_example("one-minus-z").boundary(grid))
@@ -370,18 +384,20 @@ def test_random_product_zero_set_finds_every_zero(seed, n):
         assert any(circ_gap(a, b) <= est.resolution for b in est.angles), a
 
 
-@pytest.mark.parametrize("n", [512, 4096])
-@pytest.mark.parametrize("apart, accepted", [(8, (True,)), (9, (False,)), (10, (True, True))])
-def test_a_cluster_is_accepted_when_its_finest_window_holds_a_sublevel_node(n, apart, accepted):
+@pytest.mark.parametrize("n", [512, 4096, 8192])
+@pytest.mark.parametrize("apart, count", [(8, 1), (9, 1), (10, 2)])
+def test_sublevel_dips_up_to_nine_nodes_apart_are_one_zero(n, apart, count):
     # |f| = 1 but for two e^-9 dips. 8 and 9 nodes apart they merge into one
-    # cluster whose midpoint is 4 and 4.5 cells from each, the finest window's
-    # half-width being 4 cells; 10 apart they stay two clusters.
+    # cluster whose midpoint is 4 and 4.5 cells from each; 10 apart they stay
+    # two clusters, each a zero at its own node.
     values = np.ones(n, dtype=complex)
-    values[[100, 100 + apart]] = math.exp(-9.0)
-    est = essential_zero_set(signal_from_values(CircleGrid(n), values))
-    assert tuple(c.accepted for c in est.candidates) == accepted
-    assert all((c.measure > 0.0) == c.accepted for c in est.candidates)
-    assert len(est.angles) == sum(accepted)
+    dips = [100, 100 + apart]
+    values[dips] = math.exp(-9.0)
+    grid = CircleGrid(n)
+    est = essential_zero_set(signal_from_values(grid, values))
+    assert len(est.angles) == count
+    for d in dips:
+        assert est.covers_angle(grid.nodes[d], est.resolution), d
 
 
 def _pair_log_moduli(n: int):
@@ -408,19 +424,29 @@ def _log_moduli(n: int):
     yield from _pair_log_moduli(n)
 
 
-@pytest.mark.parametrize("n", [512, 4096, 16384, 65536])
-def test_candidate_count_matches_the_sublevel_table(n):
-    """A candidate is accepted exactly when every (level, width) count of the
-    direct reference table is positive, and its measure is that table's
-    finest entry, bit for bit."""
-    grid, seen = CircleGrid(n), 0
-    for label, log_mod in _log_moduli(n):
-        for cand in _log_zero_set(grid, log_mod).candidates:
-            table = sublevel_table(grid, log_mod, cand.angle)
-            assert cand.accepted == bool(np.all(table > 0)), (label, cand.angle)
-            assert cand.measure == table[-1][-1], (label, cand.angle)
-            seen += 1
-    assert seen > 0
+def _sparse_log_moduli(n: int):
+    """Log-moduli on n nodes that are 0 but for -9 on random nodes, at 40
+    seeded densities from 0.001 to 0.2, uniform in their logarithm."""
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        density = math.exp(rng.uniform(math.log(0.001), math.log(0.2)))
+        yield f"sparse-{seed}", np.where(rng.random(n) < density, -9.0, 0.0)
+
+
+@pytest.mark.parametrize("n, inputs", [(n, _log_moduli) for n in (512, 4096, 16384, 65536)]
+                         + [(n, _sparse_log_moduli) for n in (512, 4096, 8192)])
+def test_every_sublevel_cluster_is_a_zero(n, inputs):
+    """The zero set has one angle per cluster of the finest sublevel set, so
+    it is empty exactly when no node lies below the cut, and every angle is
+    within the resolution of a node of the set."""
+    grid = CircleGrid(n)
+    for label, log_mod in inputs(n):
+        below = log_mod < _level_cut(8)
+        est = _log_zero_set(grid, log_mod)
+        assert len(est.angles) == len(circular_runs(below, MIN_WINDOW_CELLS)), label
+        assert (est.angles == ()) == (not below.any()), label
+        for a in est.angles:
+            assert circular_distance(grid.nodes[below], a).min() <= est.resolution, (label, a)
 
 
 # ---------------------------------------------------------------------------
