@@ -81,10 +81,7 @@ def extension_report(ext: ExtensionResult) -> dict:
 
 
 def zero_set_report(est: ZeroSetEstimate) -> dict:
-    return {
-        **_fields(est, ("candidates",)),
-        "candidates": [_fields(c) for c in est.candidates],
-    }
+    return _fields(est)
 
 
 def zinfty_report_dict(rep: ZinftyReport) -> dict:

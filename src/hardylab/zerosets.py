@@ -88,7 +88,9 @@ def _verdict(radii: np.ndarray, tol: float, flat: float) -> bool:
     The finest diameter must be within ``tol``, and the profile flat (every
     diameter at most ``flat``) or decaying to at most ``DECAY_RATIO`` times
     the largest: a small final window alone is not enough. Radii that cannot
-    prove it read False.
+    prove it read False. ``continuous_extension``'s radii never increase
+    from widest to finest, so there the largest is the widest and only the
+    widest and finest radii decide.
     """
     lo, hi = radii * (1.0 - BOUND_MARGIN), 2.0 * radii * (1.0 + BOUND_MARGIN)
     return bool(hi[-1] <= tol and (hi.max() <= flat or hi[-1] <= DECAY_RATIO * lo.max()))
@@ -96,8 +98,8 @@ def _verdict(radii: np.ndarray, tol: float, flat: float) -> bool:
 
 @dataclass(frozen=True)
 class ExtensionResult:
-    """A continuity verdict at ``center``, with the window radii, finest
-    last, that decide it."""
+    """A continuity verdict at ``center``, with its window radii, widest
+    first: they never increase, and only the first and last decide."""
 
     ok: bool
     value: complex
@@ -137,17 +139,12 @@ def continuous_extension(f: BoundarySignal, center: float) -> ExtensionResult:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ZeroCandidate:
-    angle: float
-    point: complex
-
-
-@dataclass(frozen=True)
 class ZeroSetEstimate:
     angles: tuple[float, ...]
-    points: tuple[complex, ...]
     resolution: float
-    candidates: tuple[ZeroCandidate, ...] = field(repr=False, default=())
+
+    # Unused by the program, but kept: perfbench/tracing.py reads it (ROADMAP item 8).
+    candidates = property(lambda self: self.angles)
 
     def covers_angle(self, theta: float, slack: float) -> bool:
         return any(circular_distance(theta, a) <= slack for a in self.angles)
@@ -161,20 +158,14 @@ def essential_zero_set(f: BoundarySignal) -> ZeroSetEstimate:
 def _log_zero_set(grid: CircleGrid, log_mod: np.ndarray) -> ZeroSetEstimate:
     """The essential zero set of the clipped log-modulus ``log_mod`` on ``grid``:
     the midpoint of each node cluster of the finest sublevel set (clusters
-    closer than the resolution are merged, wrap included).
+    closer than the resolution are merged, wrap included), sorted.
     """
     n, h = grid.size, grid.spacing
-    centers = [
+    angles = sorted(
         float((TWO_PI * start / n + (length - 1) * h / 2.0) % TWO_PI)
         for start, length in circular_runs(log_mod < _level_cut(8), MIN_WINDOW_CELLS)
-    ]
-    angles = sorted(centers)
-    return ZeroSetEstimate(
-        angles=tuple(angles),
-        points=tuple(complex(np.exp(1j * a)) for a in angles),
-        resolution=MIN_WINDOW_CELLS * h,
-        candidates=tuple(ZeroCandidate(c, complex(np.exp(1j * c))) for c in centers),
     )
+    return ZeroSetEstimate(tuple(angles), MIN_WINDOW_CELLS * h)
 
 
 @dataclass(frozen=True)

@@ -129,7 +129,7 @@ def test_criterion_06_reference_zero_sets(grid):
             for a in two_point.angles
         )
         assert gap <= resolution
-    points = sorted(two_point.points, key=lambda p: p.real)
+    points = sorted((np.exp(1j * a) for a in two_point.angles), key=lambda p: p.real)
     assert abs(points[0] - (-1j)) <= resolution
     assert abs(points[1] - 1.0) <= resolution
 

@@ -213,6 +213,23 @@ def test_support_measure_counts_support_nodes(masked):
         assert stage.support_measure == len(masked) / 64
 
 
+@pytest.mark.parametrize("c, n", [
+    *((1e-3, n) for n in (512, 4096, 16384)),
+    *(pytest.param(1e-4, n, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 6"))
+      for n in (512, 4096, 16384)),
+])
+def test_a_small_constant_generates_the_whole_algebra(c, n):
+    """A nonzero constant is invertible, so its ideal is the whole algebra.
+    1e-3 sits above the finest level e^-8; 1e-4 sits below it at every node,
+    so the whole circle is one sublevel run and its midpoint reads as a zero."""
+    f = constant_signal(CircleGrid(n), c)
+    assert essential_zero_set(f).angles == ()
+    cert = certify_mideal(ideal([f], ["c"]))
+    assert cert.passed
+    assert cert.zero_angles == ()
+    assert "whole algebra" in cert.conclusion
+
+
 def test_degenerate_stages_for_zero_free_generator(grid):
     """A generator bounded below has an empty sublevel set at every stage;
     the unit collapses to the constant 1 and certification is vacuous."""
