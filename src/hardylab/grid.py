@@ -15,6 +15,7 @@ import math
 import numbers
 import operator
 import re
+import struct
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -525,7 +526,9 @@ def _canonical_table(data: bytes) -> np.ndarray | None:
     to the ``np.loadtxt`` route, which refuses it, before any float is built.
     The parse pass reads each chunk as a JSON array by orjson, whose number
     reader is correctly rounded, as is ``np.loadtxt``'s, so both routes give
-    the same bits. JSON reads an integer token ``-0`` as 0, so a chunk whose
+    the same bits. orjson yields only floats and ints within 64 bits, and
+    ``struct`` packs a chunk of both into doubles in one C loop, each int
+    correctly rounded. JSON reads an integer token ``-0`` as 0, so a chunk whose
     values hold a zero and whose text holds such a token is read again with
     each one spelled ``-0.0``. A chunk that orjson refuses (``+1``, ``.5``,
     ``5.``, ``007``, ...) sends the whole text to the ``np.loadtxt`` route,
@@ -555,7 +558,8 @@ def _canonical_table(data: bytes) -> np.ndarray | None:
     for start, stop in cuts:
         body = b"[" + data[start:stop].replace(b"\n", b",") + b"]"
         try:
-            block = np.fromiter(orjson.loads(body), float)
+            vals = orjson.loads(body)
+            block = np.frombuffer(struct.pack(f"{len(vals)}d", *vals), float)
             if not block.all() and _INTEGER_MINUS_ZERO.search(body):
                 block = np.fromiter(orjson.loads(_INTEGER_MINUS_ZERO.sub(b"-0.0", body)), float)
         except orjson.JSONDecodeError:

@@ -111,7 +111,12 @@ def ideal(generators: Sequence[BoundarySignal], names: Sequence[str] | None = No
 class UnitStage:
     """One stage of the sublevel construction. Its support A_m, the nodes where
     k < ``_level_cut(m)`` for the ideal's joint clipped log-modulus k, is
-    rebuilt, not kept; ``support_measure`` is their count over N."""
+    rebuilt, not kept; ``support_measure`` is their count over N.
+
+    ``sup_norm`` is 1 to rounding (within 1e-14) at every stage while no
+    generator modulus reaches e^-CLIP_FLOOR: off A_m the unit's modulus is
+    |g| e^{-log|g|}, and on it |g| < e^-m. The verdict-only commands,
+    ``member`` and ``prime-check``, rely on it to build only the last stage."""
 
     index: int
     eps: float
@@ -227,7 +232,9 @@ def approx_unit_sublevel(
         cofactor_sup = float(np.max(mod))
         mod *= base_mod
         mod_minus_one = mod - 1.0
-        dist = _distance_to_one(mod, mod_minus_one, np.add(half_base_phase, 0.5 * phase))
+        phase *= 0.5
+        phase += half_base_phase
+        dist = _distance_to_one(mod, mod_minus_one, phase)
         # |mod - 1| with the mask nodes zeroed: its max off the mask, or 0
         # where every node is masked
         off = np.abs(mod_minus_one, out=mod_minus_one)

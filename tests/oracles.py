@@ -19,7 +19,7 @@ import math
 import mpmath
 import numpy as np
 
-from hardylab import AnalyticRep, BoundarySignal, CircleGrid, PointOnBoundary
+from hardylab import AnalyticRep, BoundarySignal, CircleGrid, PointOnBoundary, signal_from_values
 from hardylab.errors import HardyLabError, NormExceeded, RangeMiss
 from hardylab.factorization import CLIP_FLOOR, clipped_log_modulus, outer_boundary
 from hardylab.grid import _scaled_mean, _unit_scaled, circular_distance
@@ -309,6 +309,18 @@ def peak_product(n: int, zeros, c: float, scale: float, rotation: float, spike=N
         start, width, height = spike
         v[np.arange(start, start + width) % n] *= 1.0 + height
     return BoundarySignal(grid, v)
+
+
+def random_product(seed: int, n: int):
+    """1-3 simple zeros at uniform angles times e^{p1 z + p2 z^2}, with
+    p ~ N(0, 0.5^2): the zero angles and the boundary signal on n nodes."""
+    rng = np.random.default_rng(seed)
+    zeros = rng.uniform(0.0, 2 * math.pi, size=rng.integers(1, 4))
+    p1, p2 = rng.normal(0.0, 0.5, size=2)
+    grid = CircleGrid(n)
+    z = np.exp(1j * grid.nodes)
+    values = np.exp(p1 * z + p2 * z * z) * np.prod(1.0 - np.exp(-1j * zeros)[:, None] * z, axis=0)
+    return zeros, signal_from_values(grid, values)
 
 
 def distance_window(grid, center: float, full_width: float) -> np.ndarray:

@@ -622,6 +622,53 @@ def test_prime_check_hypotheses_are_refused_before_certifying(
     assert json.loads(err) == {"error": error, "message": message}
 
 
+#: Outer generators with log-modulus a + b cos(t) from -10 up past the clip at
+#: 30: "clipped-sup" leaves 14% of the nodes at the clip and fails the sup
+#: gate, "clipped-count" leaves 22% and is refused as unbounded log data. No
+#: node lies below e^-12, so only the earlier stages have support.
+_CLIPPED = {"clipped-sup": (11.0, 21.0), "clipped-count": (12.6, 22.6)}
+
+
+@pytest.mark.parametrize("size", [512, 4096])
+@pytest.mark.parametrize("strategy", ["auto", "sublevel", "peak", "combined"])
+@pytest.mark.parametrize("generators", [
+    "one-minus-z", "offset-ramp", "shift", "two-plus-z", "one-minus-z,one-minus-z-squared",
+    "one-minus-z,one-plus-z", "clipped-sup", "clipped-count",
+])
+def test_verdict_commands_match_the_full_certificate(
+    capsys, monkeypatch, tmp_path, size, strategy, generators
+):
+    # member and prime-check build only the last sublevel stage, or every
+    # stage for a clipped generator; their report, stderr and exit code are
+    # those of the certificate with every default stage
+    clipped = generators in _CLIPPED
+    if clipped:
+        a, b = _CLIPPED[generators]
+        grid = CircleGrid(size)
+        g = synth_outer(signal_from_values(grid, a + b * np.cos(grid.nodes))).boundary
+        path = tmp_path / "clipped.csv"
+        path.write_text(signal_to_csv(g))
+        generators = str(path)
+    commands = [
+        ["member", "--h", "one-minus-z-squared"],
+        ["member", "--h", "one-plus-z"],
+        ["prime-check", "--a", "two-plus-z", "--b", "one-minus-z-squared", "--delta", "0.9"],
+    ]
+    flags = ["--generators", generators, "--strategy", strategy, "--grid-size", str(size)]
+    asked = []
+
+    def certify(spec, **kw):
+        asked.append(kw["stages"])
+        return certify_mideal(spec, **kw)
+
+    monkeypatch.setattr(cli, "certify_mideal", certify)
+    got = [run(capsys, *argv, *flags) for argv in commands]
+    assert asked == [DEFAULT_MAIN_STAGES if clipped else DEFAULT_MAIN_STAGES[-1:]] * 3
+    monkeypatch.setattr(cli, "certify_mideal",
+                        lambda spec, **kw: certify_mideal(spec, **{**kw, "stages": DEFAULT_MAIN_STAGES}))
+    assert got == [run(capsys, *argv, *flags) for argv in commands]
+
+
 def test_scipy_loads_only_for_toeplitz_work(tmp_path):
     # density builds its blocks with numpy and factors them with numpy's
     # lapack_lite: on one block (M = 8), on 16 (one-minus-z to 1024) and on

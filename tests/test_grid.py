@@ -267,13 +267,15 @@ FIELD_SPELLINGS = ("%.17g", "%r", "%.16g", "%.20g", "%.25e")
 def test_canonical_reader_matches_loadtxt_bitwise(size, seed):
     # random float64 bit patterns, about half replaced by edge values, each
     # printed in one of several spellings; integral values of 2**53 and up
-    # are also printed as plain integers, and -0.0 as the integer token -0
+    # are also printed as plain integers, and -0.0 as the integer token -0;
+    # 2**63 and 2**64 - 2048 are read by orjson as unsigned 64-bit ints, and
+    # -(2**64), which fits no 64-bit int, as a float
     rng = np.random.default_rng(seed)
     parts = rng.integers(0, 2 ** 64, size=3 * size, dtype=np.uint64).view(float)
     parts[~np.isfinite(parts)] = 1e308
     edge = rng.random(3 * size) < 0.5
-    parts[edge] = rng.choice(np.append(EDGE_VALUES, [2.0 ** 53 + 2, -(2.0 ** 64), 1e300]),
-                             size=int(edge.sum()))
+    wide = [2.0 ** 53 + 2, 2.0 ** 63, 2.0 ** 64 - 2048, -(2.0 ** 64), 1e300]
+    parts[edge] = rng.choice(np.append(EDGE_VALUES, wide), size=int(edge.sum()))
     kinds = len(FIELD_SPELLINGS)
     spellings = rng.integers(0, kinds + 1, size=3 * size)
     fields = [

@@ -63,6 +63,7 @@ from oracles import (
     peak_sup_norms_mp,
     peak_unit_error_mp,
     prepare_peak_scan,
+    random_product,
     sublevel_stages_complex,
 )
 
@@ -332,6 +333,19 @@ def test_repeated_masks_reuse_their_stage_exactly(name):
         for field in dataclasses.fields(s):
             assert getattr(s, field.name) == getattr(alone, field.name), field.name
         assert np.array_equal(stage_unit(spec, s).values, stage_unit(spec, alone).values)
+
+
+@pytest.mark.parametrize("n", [512, 4096, 65536])
+def test_every_sublevel_unit_has_sup_one_to_rounding(n):
+    """Off its support a unit has modulus |g| e^{-log|g|}, and on it |g| < e^-m,
+    so every stage's sup is 1 to rounding while no modulus reaches the clip
+    at e^30; ``member`` and ``prime-check`` gate only the last stage on it."""
+    grid = CircleGrid(n)
+    gens = [(name, example_boundary(name, grid)) for name in catalog_names()]
+    gens += [(f"product-{seed}", random_product(seed, n)[1]) for seed in range(40)]
+    for name, g in gens:
+        for s in approx_unit_sublevel(ideal([g], [name])):
+            assert abs(s.sup_norm - 1.0) <= 1e-14, (name, s.index, s.sup_norm)
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from hardylab.zerosets import (
     _windows,
     in_zinfty,
 )
-from oracles import continuity_rule, continuous_extension_hull, distance_window
+from oracles import continuity_rule, continuous_extension_hull, distance_window, random_product
 
 
 def circ_gap(a: float, b: float) -> float:
@@ -348,7 +348,7 @@ def test_nearby_zero_clusters_merge_including_across_angle_zero(zeros, angles):
         assert circ_gap(got, grid.nodes[node]) < 1e-12
 
 
-#: Sizes at which the zero set of ``_random_product(seed, n)`` misses a zero,
+#: Sizes at which the zero set of ``random_product(seed, n)`` misses a zero,
 #: by seed. A simple zero between nodes leaves |f| about |f'| times its
 #: distance at the nearest node, above the finest level e^-8, so no sublevel
 #: set catches it. At the two nodes around each zero the log-modulus lies at
@@ -362,18 +362,6 @@ _PRODUCT_MISSES = {
 }
 
 
-def _random_product(seed: int, n: int):
-    """1-3 simple zeros at uniform angles times e^{p1 z + p2 z^2}, with
-    p ~ N(0, 0.5^2): the zero angles and the boundary signal on n nodes."""
-    rng = np.random.default_rng(seed)
-    zeros = rng.uniform(0.0, 2 * math.pi, size=rng.integers(1, 4))
-    p1, p2 = rng.normal(0.0, 0.5, size=2)
-    grid = CircleGrid(n)
-    z = np.exp(1j * grid.nodes)
-    values = np.exp(p1 * z + p2 * z * z) * np.prod(1.0 - np.exp(-1j * zeros)[:, None] * z, axis=0)
-    return zeros, signal_from_values(grid, values)
-
-
 @pytest.mark.parametrize("seed, n", [
     pytest.param(seed, n, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 1"))
     if n in _PRODUCT_MISSES[seed] else (seed, n)
@@ -381,7 +369,7 @@ def _random_product(seed: int, n: int):
     for n in (512, 4096, 16384, 65536)
 ])
 def test_random_product_zero_set_finds_every_zero(seed, n):
-    zeros, f = _random_product(seed, n)
+    zeros, f = random_product(seed, n)
     est = essential_zero_set(f)
     for a in zeros:
         assert any(circ_gap(a, b) <= est.resolution for b in est.angles), a
@@ -417,13 +405,13 @@ def _pair_log_moduli(n: int):
 
 
 def _log_moduli(n: int):
-    """Labelled log-moduli on n nodes: the catalog, ``_random_product`` seeds
+    """Labelled log-moduli on n nodes: the catalog, ``random_product`` seeds
     0-11 and the generator pairs."""
     grid = CircleGrid(n)
     for name in catalog_names():
         yield name, get_example(name).boundary(grid).log_abs
     for seed in range(12):
-        yield f"product-{seed}", _random_product(seed, n)[1].log_abs
+        yield f"product-{seed}", random_product(seed, n)[1].log_abs
     yield from _pair_log_moduli(n)
 
 
