@@ -266,14 +266,9 @@ def _certified_ideal(args, *tokens, check=None):
     if check is not None:
         check(*signals)
     # Neither command prints stages, and the verdict reads only the last
-    # stage's error (a stage run alone gives it bit for bit), the sup gate at
-    # the default bound and the cofactor's clip check. Every sublevel unit has
-    # sup 1 to rounding (UnitStage) and the clip count is zero unless a
-    # generator modulus reaches e^-CLIP_FLOOR; only then can an earlier stage
-    # fail either gate, so only then does every stage run.
-    clipped = any(np.max(g.log_abs) >= -CLIP_FLOOR for g in spec.generators)
-    stages = DEFAULT_MAIN_STAGES if clipped else DEFAULT_MAIN_STAGES[-1:]
-    cert = certify_mideal(spec, strategy=args.strategy, tol=args.tol, stages=stages)
+    # stage's error, which a stage run alone gives bit for bit, and the sup
+    # gate, which every sublevel unit meets with sup 1 to rounding (UnitStage).
+    cert = certify_mideal(spec, strategy=args.strategy, tol=args.tol, stages=DEFAULT_MAIN_STAGES[-1:])
     return spec, signals, cert
 
 

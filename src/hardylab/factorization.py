@@ -9,9 +9,10 @@ in the disc, so its modulus law ``|boundary| = e^k`` and the Jensen equality
 Log-modulus samples are clipped at ``CLIP_FLOOR`` to keep quadrature finite
 across integrable singularities, always by ``grid._clip_log``: once per signal
 for its ``log_abs``, which every reader of log|f| shares, and once for the
-data of ``synth_outer`` or of a sublevel cofactor. Outer synthesis refuses
-data with more than ``CLIP_FRACTION_LIMIT`` of it at the floor; the clip bias
-is resolution-dependent and documented wherever it matters.
+data of ``synth_outer`` or of several generators' joint log-modulus. Outer
+synthesis refuses data with more than ``CLIP_FRACTION_LIMIT`` of it at the
+floor; the clip bias is resolution-dependent and documented wherever it
+matters.
 """
 
 from __future__ import annotations
@@ -60,19 +61,9 @@ class OuterFn:
         return float(np.exp(np.mean(self.log_modulus.values.real)))
 
 
-def check_clip_count(clip_count: int, size: int) -> None:
-    """Raise :class:`UnboundedLogData` when more than ``CLIP_FRACTION_LIMIT``
-    of ``size`` log-modulus samples sit at the clip floor."""
-    frac = clip_count / size
-    if frac > CLIP_FRACTION_LIMIT:
-        raise UnboundedLogData(
-            f"{100 * frac:.1f}% of log-modulus samples sit at the clip floor"
-        )
-
-
 def outer_values(kc: np.ndarray, conj: np.ndarray) -> np.ndarray:
-    """``exp(kc + i conj)`` in a new complex array, for clipped log-modulus
-    samples ``kc`` and their harmonic conjugate ``conj = hardy.conjugate(kc)``."""
+    """``exp(kc + i conj)`` in a new complex array, for log-modulus samples
+    ``kc`` and their harmonic conjugate ``conj = hardy.conjugate(kc)``."""
     out = np.empty(kc.size, dtype=complex)
     out.real = kc
     out.imag = conj
@@ -82,8 +73,11 @@ def outer_values(kc: np.ndarray, conj: np.ndarray) -> np.ndarray:
 def outer_boundary(kc: np.ndarray, clip_count: int) -> np.ndarray:
     """Boundary values ``exp(kc + i H[kc])`` of the outer function with
     clipped log-modulus samples ``kc`` (a real array), ``clip_count`` of them
-    at the floor; refused by ``check_clip_count``."""
-    check_clip_count(clip_count, kc.size)
+    at the floor; refused as :class:`UnboundedLogData` when more than
+    ``CLIP_FRACTION_LIMIT`` of them are."""
+    frac = clip_count / kc.size
+    if frac > CLIP_FRACTION_LIMIT:
+        raise UnboundedLogData(f"{100 * frac:.1f}% of log-modulus samples sit at the clip floor")
     return outer_values(kc, hardy.conjugate(kc))
 
 

@@ -37,7 +37,7 @@ from .errors import (
     RangeMiss,
     StrategyInapplicable,
 )
-from .factorization import _reject_zero, check_clip_count, is_outer, outer_boundary, outer_values
+from .factorization import _reject_zero, is_outer, outer_boundary, outer_values
 from .grid import (
     BoundarySignal, CircleGrid, _as_indices, _as_real, _clip_log, _level_cut, common_grid,
 )
@@ -113,10 +113,10 @@ class UnitStage:
     k < ``_level_cut(m)`` for the ideal's joint clipped log-modulus k, is
     rebuilt, not kept; ``support_measure`` is their count over N.
 
-    ``sup_norm`` is 1 to rounding (within 1e-14) at every stage while no
-    generator modulus reaches e^-CLIP_FLOOR: off A_m the unit's modulus is
-    |g| e^{-log|g|}, and on it |g| < e^-m. The verdict-only commands,
-    ``member`` and ``prime-check``, rely on it to build only the last stage."""
+    ``sup_norm`` is 1 to rounding (within 1e-14) at every stage: off A_m the
+    unit's modulus is |g| e^{-log|g|}, and on it |g| < e^-m. The verdict-only
+    commands, ``member`` and ``prime-check``, rely on it to build only the
+    last stage."""
 
     index: int
     eps: float
@@ -201,11 +201,8 @@ def approx_unit_sublevel(
         [np.abs(g.values) for g in spec.generators])
     neg_k = _largest_log(spec)
     np.negative(neg_k, out=neg_k)
-    # a degenerate stage's cofactor is exp(-k) itself, unclipped
+    # a degenerate stage's cofactor is exp(-k) itself
     degenerate_sup = float(np.exp(np.max(neg_k)))
-    # Mask nodes have -k > m >= 1, never at the floor, so each stage's
-    # cofactor log-modulus kc is this one clip with its mask nodes zeroed.
-    clip_count = _clip_log(neg_k)
     out: list[UnitStage] = []
     for m in stages:
         eps = float(np.exp(-m))
@@ -224,7 +221,6 @@ def approx_unit_sublevel(
         if out and out[-1].support_measure == support_measure:
             out.append(replace(out[-1], index=m, eps=eps))
             continue
-        check_clip_count(clip_count, grid.size)
         log_cof = neg_k.copy()
         log_cof[on] = 0.0
         phase = conjugate(log_cof)
@@ -465,8 +461,7 @@ def stage_unit(spec: IdealSpec, stage) -> BoundarySignal:
     else:
         log_cof = _largest_log(spec)
         np.negative(log_cof, out=log_cof)
-        log_cof[log_cof > -_level_cut(stage.index)] = 0.0  # the support, before the clip
-        check_clip_count(_clip_log(log_cof), spec.grid.size)
+        log_cof[log_cof > -_level_cut(stage.index)] = 0.0  # the support
         values = outer_values(log_cof, conjugate(log_cof))
         np.multiply(spec._base, values, out=values)
     return BoundarySignal(spec.grid, values)

@@ -10,9 +10,9 @@ Product i is scale e^{c z} times 1 to 3 factors 1 - z e^{-it}, with t on a
 node or halfway between two, so the last sublevel stage has support or has
 none; |c| < 1 and scale in [0.2, 2]. Every fifth product instead has c in
 [17, 22], scale e^{c - s} with s in [6, 11], and its zeros between nodes
-where Re z > 0. Its log|f| runs from -s at z = -1 to 2c - s, often past the
-clip at 30, and as a rule no node lies below e^-12: the commands build every
-stage, and only the earlier stages have support.
+where Re z > 0. Its log|f| runs from -s at z = -1 to 2c - s, often past
+-CLIP_FLOOR = 30, and as a rule no node lies below e^-12, so only the
+earlier stages have support.
 
 The ideal cycles through the product under the ``auto``, ``sublevel`` and
 ``peak`` strategies, and the pair of the product and the product with one

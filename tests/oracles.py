@@ -199,11 +199,6 @@ def conjugate_complex_fft(k: np.ndarray) -> np.ndarray:
     return np.fft.ifft(c).real
 
 
-def rotated_sup_complex(values: np.ndarray, phi: float) -> float:
-    """sup |1 - e^{-i phi} G| in complex arithmetic."""
-    return float(np.max(np.abs(1.0 - np.exp(-1j * phi) * values)))
-
-
 def prepare_peak_scan(generator: BoundarySignal):
     """``prepare_peak`` by a rotation scan, frozen: alpha from the least sup
     at 256 coarse angles, then 72 sups of a golden-section search in that
@@ -399,8 +394,7 @@ def sublevel_stages_complex(spec, stages) -> list:
         if not mask.any():
             out.append(None)
             continue
-        log_cof = np.maximum(np.where(mask, 0.0, -k_c), CLIP_FLOOR)
-        cofactor = outer_boundary(log_cof, np.count_nonzero(log_cof == CLIP_FLOOR))
+        cofactor = outer_boundary(np.where(mask, 0.0, -k_c), 0)  # unclipped
         unit = base * cofactor
         mod = np.abs(unit)
         stats = {

@@ -622,9 +622,9 @@ def test_prime_check_hypotheses_are_refused_before_certifying(
     assert json.loads(err) == {"error": error, "message": message}
 
 
-#: Outer generators with log-modulus a + b cos(t) from -10 up past the clip at
-#: 30: "clipped-sup" leaves 14% of the nodes at the clip and fails the sup
-#: gate, "clipped-count" leaves 22% and is refused as unbounded log data. No
+#: Outer generators with log-modulus a + b cos(t) from -10 up past 30 on 14%
+#: ("clipped-sup") and 22% ("clipped-count") of the nodes, so their sublevel
+#: cofactors fall below the clip floor there and must be built unclipped. No
 #: node lies below e^-12, so only the earlier stages have support.
 _CLIPPED = {"clipped-sup": (11.0, 21.0), "clipped-count": (12.6, 22.6)}
 
@@ -638,11 +638,10 @@ _CLIPPED = {"clipped-sup": (11.0, 21.0), "clipped-count": (12.6, 22.6)}
 def test_verdict_commands_match_the_full_certificate(
     capsys, monkeypatch, tmp_path, size, strategy, generators
 ):
-    # member and prime-check build only the last sublevel stage, or every
-    # stage for a clipped generator; their report, stderr and exit code are
-    # those of the certificate with every default stage
-    clipped = generators in _CLIPPED
-    if clipped:
+    # member and prime-check build only the last sublevel stage; their
+    # report, stderr and exit code are those of the certificate with every
+    # default stage
+    if generators in _CLIPPED:
         a, b = _CLIPPED[generators]
         grid = CircleGrid(size)
         g = synth_outer(signal_from_values(grid, a + b * np.cos(grid.nodes))).boundary
@@ -663,7 +662,7 @@ def test_verdict_commands_match_the_full_certificate(
 
     monkeypatch.setattr(cli, "certify_mideal", certify)
     got = [run(capsys, *argv, *flags) for argv in commands]
-    assert asked == [DEFAULT_MAIN_STAGES if clipped else DEFAULT_MAIN_STAGES[-1:]] * 3
+    assert asked == [DEFAULT_MAIN_STAGES[-1:]] * 3
     monkeypatch.setattr(cli, "certify_mideal",
                         lambda spec, **kw: certify_mideal(spec, **{**kw, "stages": DEFAULT_MAIN_STAGES}))
     assert got == [run(capsys, *argv, *flags) for argv in commands]
@@ -1343,5 +1342,5 @@ def test_each_signal_is_clipped_and_measured_once_per_command(capsys, monkeypatc
     code, out, err = run(capsys, *argv, "--grid-size", "4096")
     assert code == 0, err
     assert len(measured) == len(set(measured)) == signals
-    # each signal's log-modulus is one of the clips; the rest are cofactors
-    assert len(clips) == len(set(clips)) >= signals
+    # every clip is one input signal's own log-modulus
+    assert len(clips) == len(set(clips)) == signals

@@ -39,6 +39,7 @@ from hardylab import (
     ideal,
     membership,
     signal_from_values,
+    synth_outer,
 )
 import hardylab.ideals
 import hardylab.zerosets
@@ -335,17 +336,36 @@ def test_repeated_masks_reuse_their_stage_exactly(name):
         assert np.array_equal(stage_unit(spec, s).values, stage_unit(spec, alone).values)
 
 
+#: (a, b) of outer generators with log-modulus a + b cos(t), which reaches
+#: past e^30 on an arc; no node lies below e^-12.
+_ABOVE_E30 = [(11.0, 21.0), (12.6, 22.6), (340.0, 365.0)]
+
+
+def _cosine_outer(grid: CircleGrid, a: float, b: float):
+    return synth_outer(signal_from_values(grid, a + b * np.cos(grid.nodes))).boundary
+
+
 @pytest.mark.parametrize("n", [512, 4096, 65536])
 def test_every_sublevel_unit_has_sup_one_to_rounding(n):
     """Off its support a unit has modulus |g| e^{-log|g|}, and on it |g| < e^-m,
-    so every stage's sup is 1 to rounding while no modulus reaches the clip
-    at e^30; ``member`` and ``prime-check`` gate only the last stage on it."""
+    so every stage's sup is 1 to rounding, at every scale of the generator;
+    ``member`` and ``prime-check`` gate only the last stage on it."""
     grid = CircleGrid(n)
     gens = [(name, example_boundary(name, grid)) for name in catalog_names()]
     gens += [(f"product-{seed}", random_product(seed, n)[1]) for seed in range(40)]
+    gens += [(f"cosine-{a}-{b}", _cosine_outer(grid, a, b)) for a, b in _ABOVE_E30]
     for name, g in gens:
         for s in approx_unit_sublevel(ideal([g], [name])):
             assert abs(s.sup_norm - 1.0) <= 1e-14, (name, s.index, s.sup_norm)
+
+
+@pytest.mark.parametrize("a, b", _ABOVE_E30[:2])
+def test_a_generator_above_e30_passes_the_sup_gate(a, b):
+    """A generator past e^30 on 14% or 22% of the nodes is neither refused as
+    unbounded log data nor fails the sup gate: its cofactor is not clipped."""
+    cert = certify_mideal(ideal([_cosine_outer(CircleGrid(4096), a, b)]))
+    assert cert.passed and cert.failure_reason is None
+    assert abs(cert.sup_bound - 1.0) <= 1e-14
 
 
 # ---------------------------------------------------------------------------
