@@ -117,17 +117,21 @@ def analytic_projection(f: BoundarySignal, leak_tol: float = 1e-8) -> AnalyticRe
     return AnalyticRep(_trim_trailing(c[: n // 2]))
 
 
-def conjugate(k: np.ndarray) -> np.ndarray:
-    """Harmonic-conjugate values of real node samples ``k``, as a real array.
-
-    The real FFT keeps the bins n = 0 .. N/2 of the spectrum, where the
-    multiplier ``-i*sign(n)`` is -i; the n = 0 and Nyquist bins are set to
-    zero, and the inverse real FFT supplies the mirrored negative bins.
-    """
+def _conjugate_rfft(k: np.ndarray) -> np.ndarray:
+    """The real FFT of real node samples ``k`` times the conjugate multiplier:
+    the bins n = 0 .. N/2, where ``-i*sign(n)`` is -i, with the n = 0 and
+    Nyquist bins set to zero. Its inverse real FFT is ``conjugate(k)``."""
     c = np.fft.rfft(k)
     c[0] = c[-1] = 0.0
     c *= -1j
-    return np.fft.irfft(c, k.size)
+    return c
+
+
+def conjugate(k: np.ndarray) -> np.ndarray:
+    """Harmonic-conjugate values of real node samples ``k``, as a real array:
+    the inverse real FFT of ``_conjugate_rfft(k)``, which supplies the
+    mirrored negative bins."""
+    return np.fft.irfft(_conjugate_rfft(k), k.size)
 
 
 # Test-only, but kept: perfbench/tracing.py wraps it by name (ROADMAP item 8).

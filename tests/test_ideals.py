@@ -12,6 +12,7 @@ import functools
 import itertools
 import math
 import re
+import threading
 import tracemalloc
 from collections import Counter
 
@@ -334,6 +335,71 @@ def test_repeated_masks_reuse_their_stage_exactly(name):
         for field in dataclasses.fields(s):
             assert getattr(s, field.name) == getattr(alone, field.name), field.name
         assert np.array_equal(stage_unit(spec, s).values, stage_unit(spec, alone).values)
+
+
+def _distinct_masks(table) -> int:
+    """The number of stages of ``table`` that computed their statistics: one
+    per distinct nonempty mask."""
+    return len({s.support_measure for s in table if not s.degenerate})
+
+
+class _CountedThread(threading.Thread):
+    started = 0
+
+    def start(self):
+        type(self).started += 1
+        super().start()
+
+
+@pytest.mark.parametrize("name", [*catalog_names(), *(f"product-{seed}" for seed in range(6))])
+def test_split_stage_table_is_each_stage_alone_bit_for_bit(monkeypatch, name):
+    """At 65536 nodes every second distinct-mask stage runs on a second
+    thread; the table is, field by field and bit for bit (the repr of a float
+    is its bits), each stage computed alone on the calling thread. A thread
+    starts exactly when there are two distinct masks to split."""
+    n = 65536
+    f = random_product(int(name[8:]), n)[1] if name.startswith("product-") else (
+        example_boundary(name, CircleGrid(n)))
+    spec = ideal([f], [name])
+    monkeypatch.setattr(threading, "Thread", _CountedThread)
+    _CountedThread.started = 0
+    table = approx_unit_sublevel(spec)
+    assert _CountedThread.started == (_distinct_masks(table) >= 2)
+    for m, s in zip(DEFAULT_MAIN_STAGES, table, strict=True):
+        (alone,) = approx_unit_sublevel(spec, (m,))
+        assert repr(dataclasses.astuple(s)) == repr(dataclasses.astuple(alone)), m
+    assert _CountedThread.started <= 1
+
+
+@pytest.mark.parametrize("n", [4096, 16384])
+def test_no_thread_starts_below_the_split_floor(monkeypatch, n):
+    def refused(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    spec = ideal([example_boundary("one-minus-z", CircleGrid(n))])
+    monkeypatch.setattr(threading, "Thread", refused)
+    assert _distinct_masks(approx_unit_sublevel(spec)) >= 2  # enough stages to split
+
+
+@pytest.mark.parametrize("failing", ["second thread", "calling thread"])
+def test_an_error_in_either_half_reaches_the_caller_and_leaves_no_thread(monkeypatch, failing):
+    """A MemoryError in a stage of either half leaves ``approx_unit_sublevel``
+    with that error, after the second thread has ended."""
+    caller = threading.current_thread()
+    orig = hardylab.ideals._conjugate_rfft
+
+    def transform(k):
+        if (threading.current_thread() is caller) == (failing == "calling thread"):
+            raise MemoryError(failing)
+        return orig(k)
+
+    spec = ideal([example_boundary("one-minus-z", CircleGrid(65536))])
+    assert _distinct_masks(approx_unit_sublevel(spec)) >= 2
+    before = threading.active_count()
+    monkeypatch.setattr(hardylab.ideals, "_conjugate_rfft", transform)
+    with pytest.raises(MemoryError, match=failing):
+        approx_unit_sublevel(spec)
+    assert threading.active_count() == before
 
 
 #: (a, b) of outer generators with log-modulus a + b cos(t), which reaches
@@ -826,15 +892,16 @@ def test_a_combined_certificate_keeps_no_unit_of_its_sub_certificates(names):
 def test_a_certificate_builds_its_unit_once_and_only_when_read(monkeypatch):
     """A sublevel certificate takes one conjugate per distinct stage mask and
     builds no unit; the first read of ``final_unit`` takes one conjugate
-    more, and a second read and ``membership`` take none."""
+    more, and a second read and ``membership`` take none. Each conjugate is
+    one call of ``_conjugate_rfft``, the transform and its multiplier."""
     calls = []
-    orig = hardylab.ideals.conjugate
+    orig = hardylab.ideals._conjugate_rfft
 
     def counted(k):
         calls.append(k.size)
         return orig(k)
 
-    monkeypatch.setattr(hardylab.ideals, "conjugate", counted)
+    monkeypatch.setattr(hardylab.ideals, "_conjugate_rfft", counted)
     grid = CircleGrid(4096)
     cert = certify_mideal(ideal([example_boundary("one-minus-z", grid)]), strategy="sublevel")
     masks = len({_support(cert.ideal, s.index).tobytes() for s in cert.stages})
