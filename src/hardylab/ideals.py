@@ -216,12 +216,10 @@ def approx_unit_sublevel(
     them. From ``_SPLIT_FLOOR`` = 2^15 nodes they run in two interleaved
     halves: the odd ones on a second thread, the even ones on the calling
     thread, so the table is bit for bit the one-thread table. A stage in
-    flight holds at most two N-length float arrays (the cofactor log-modulus
-    and its transform, then the phase and the modulus), so two stages in
-    flight hold no more than one stage held before the split. ``certify`` on
-    1 - z takes about 21, 110 and 460 ms at 2^16, 2^18 and 2^20 nodes on a
-    2-core box, against 32, 195 and 980 ms on one thread with the older,
-    wider stages.
+    flight holds at most two N-length float arrays: the cofactor log-modulus
+    and its transform, then the phase and the modulus. ``certify`` on 1 - z
+    takes about 21, 110 and 460 ms at 2^16, 2^18 and 2^20 nodes on a 2-core
+    box.
     """
     stages = _read_stages(stages)
     n = spec.grid.size
@@ -273,7 +271,8 @@ def approx_unit_sublevel(
     # before it has the same mask, and only its index and eps differ.
     distinct = [i for i, c in enumerate(counts) if c and (i == 0 or counts[i - 1] != c)]
     work = [stages[i] for i in distinct]
-    done = dict(zip(distinct, _in_two_halves(stage, work) if n >= _SPLIT_FLOOR else map(stage, work)))
+    split = n >= _SPLIT_FLOOR
+    done = dict(zip(distinct, _in_two_halves(stage, work) if split else map(stage, work)))
     # a degenerate stage's cofactor is exp(-k) itself
     degenerate_sup = float(np.exp(np.max(neg_k)))
     out: list[UnitStage] = []

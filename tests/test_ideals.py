@@ -12,6 +12,7 @@ import functools
 import itertools
 import math
 import re
+import sys
 import threading
 import tracemalloc
 from collections import Counter
@@ -400,6 +401,30 @@ def test_an_error_in_either_half_reaches_the_caller_and_leaves_no_thread(monkeyp
     with pytest.raises(MemoryError, match=failing):
         approx_unit_sublevel(spec)
     assert threading.active_count() == before
+
+
+def test_concurrent_callers_each_get_the_one_thread_table(monkeypatch):
+    """Four callers at once, each with its own second thread, so eight
+    threads share the stage work of one ideal on two cores, with a 10 us
+    switch interval: every table is the table computed on one thread."""
+    spec = ideal([example_boundary("one-minus-z", CircleGrid(65536))])
+    with monkeypatch.context() as patch:
+        patch.setattr(hardylab.ideals, "_SPLIT_FLOOR", 1 << 40)
+        want = repr(approx_unit_sublevel(spec))
+    tables = []
+    callers = [threading.Thread(target=lambda: tables.append(repr(approx_unit_sublevel(spec))))
+               for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert tables == [want] * 4
 
 
 #: (a, b) of outer generators with log-modulus a + b cos(t), which reaches
