@@ -1,4 +1,4 @@
-"""Essential zero sets on the boundary, oscillation profiles, and continuous
+"""Essential zero sets on the boundary, window oscillation, and continuous
 extendability.
 
 A boundary point belongs to the essential zero set when every neighborhood
@@ -11,12 +11,13 @@ angular resolution (eight grid cells) at which they are meaningful; the
 windows below serve only the continuity verdicts.
 
 Continuous extendability is judged by window oscillation: the value-set
-diameter over shrinking windows must both fall below an absolute tolerance
-and actually decay (final oscillation at most half the peak); plateauing
-oscillation profiles are the signature of an essential discontinuity. The
-radius r of a window's values about the value at its nearest node bounds its
-diameter to [r, 2r]. The verdict is True only when the rule holds for every
-diameter in those bounds; radii that cannot prove it read False.
+diameter over the widest and the finest window must both fall below an
+absolute tolerance and actually decay (finest oscillation at most half the
+widest); a plateauing oscillation is the signature of an essential
+discontinuity. The radius r of a window's values about the value at the
+node nearest its centre bounds its diameter to [r, 2r]. The verdict is True
+only when the rule holds for every diameter in those bounds; radii that
+cannot prove it read False.
 """
 
 from __future__ import annotations
@@ -40,13 +41,14 @@ from .grid import (
 #: Sublevel thresholds e^{-m}, m = 1 .. 8, finest last.
 EPS_SCHEDULE = tuple(float(np.exp(-m)) for m in range(1, 9))
 
-#: Window full widths (radians) 2^{-1} .. 2^{-8}, finest last.
-WIDTH_SCHEDULE = tuple(2.0 ** (-j) for j in range(1, 9))
+#: Window full widths (radians) of the continuity verdicts: the widest, then
+#: the finest.
+WIDTH_SCHEDULE = (2.0**-1, 2.0**-8)
 
 #: Windows and cluster gaps never shrink below this many grid cells.
 MIN_WINDOW_CELLS = 8
 
-#: An extension needs its finest oscillation at most this times the largest.
+#: An extension needs its finest oscillation at most this times the widest.
 DECAY_RATIO = 0.5
 
 #: A continuity verdict is True only when each of its inequalities holds on
@@ -54,52 +56,43 @@ DECAY_RATIO = 0.5
 BOUND_MARGIN = 1e-12
 
 
-def _half_width(grid: CircleGrid, full_width: float) -> float:
-    """Half the width of a window, floored at ``MIN_WINDOW_CELLS`` cells."""
-    return max(full_width / 2.0, MIN_WINDOW_CELLS * grid.spacing / 2.0)
+def _window(grid: CircleGrid, center: float, full_width: float) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes within ``full_width / 2`` of ``center`` (floored at
+    ``MIN_WINDOW_CELLS / 2`` cells), in ascending index order, and their
+    distances to it.
 
-
-def _windows(grid: CircleGrid, center: float) -> tuple[np.ndarray, np.ndarray]:
-    """The nodes of the widest ``WIDTH_SCHEDULE`` window at ``center``,
-    nearest first with ties by index, and the node count of each width's
-    window, finest last.
-
-    The windows are nested and centred alike, so each is a prefix of that
-    order. Only the index range ``round(center/h) +- (half/h + 2)`` (mod N, at
-    most N indices) is tested, with node j at ``TWO_PI * j / N`` (bitwise
-    ``grid.nodes[j]``), so the windows cost O(their width), not O(N).
+    Only the index range ``round(center/h) +- (half/h + 2)`` (mod N, at most N
+    indices) is tested, with node j at ``TWO_PI * j / N`` (bitwise
+    ``grid.nodes[j]``), so a window costs O(its width), not O(N).
     """
     n, h = grid.size, grid.spacing
-    reach = int(_half_width(grid, WIDTH_SCHEDULE[0]) / h) + 2
+    half = max(full_width / 2.0, MIN_WINDOW_CELLS * h / 2.0)
+    reach = int(half / h) + 2
     start = int(round(center / h)) - reach
-    idx = np.arange(start, start + min(2 * reach + 1, n)) % n
+    idx = np.sort(np.arange(start, start + min(2 * reach + 1, n)) % n)
     dist = circular_distance(TWO_PI * idx / n, center)
-    order = np.lexsort((idx, dist))
-    halves = [_half_width(grid, w) for w in WIDTH_SCHEDULE]
-    counts = np.searchsorted(dist[order], halves, side="right")
-    return idx[order[: counts[0]]], counts
+    keep = dist <= half
+    return idx[keep], dist[keep]
 
 
-def _verdict(radii: np.ndarray, tol: float, flat: float) -> bool:
-    """The continuity rule on window radii ``radii``, finest last: True only
-    when it holds for every diameter in [r (1 - m), 2 r (1 + m)], with
-    m = ``BOUND_MARGIN``.
+def _verdict(wide: float, fine: float, tol: float, flat: float) -> bool:
+    """The continuity rule on the radii of the widest and the finest window,
+    ``fine <= wide``: True only when it holds for every diameter in
+    [r (1 - m), 2 r (1 + m)], with m = ``BOUND_MARGIN``.
 
-    The finest diameter must be within ``tol``, and the profile flat (every
-    diameter at most ``flat``) or decaying to at most ``DECAY_RATIO`` times
-    the largest: a small final window alone is not enough. Radii that cannot
-    prove it read False. ``continuous_extension``'s radii never increase
-    from widest to finest, so there the largest is the widest and only the
-    widest and finest radii decide.
+    The finest diameter must be within ``tol``, and the widest at most
+    ``flat`` or the finest at most ``DECAY_RATIO`` times the widest: a small
+    final window alone is not enough. Radii that cannot prove it read False.
     """
-    lo, hi = radii * (1.0 - BOUND_MARGIN), 2.0 * radii * (1.0 + BOUND_MARGIN)
-    return bool(hi[-1] <= tol and (hi.max() <= flat or hi[-1] <= DECAY_RATIO * lo.max()))
+    hi = 2.0 * fine * (1.0 + BOUND_MARGIN)
+    return hi <= tol and (2.0 * wide * (1.0 + BOUND_MARGIN) <= flat
+                          or hi <= DECAY_RATIO * (wide * (1.0 - BOUND_MARGIN)))
 
 
 @dataclass(frozen=True)
 class ExtensionResult:
-    """A continuity verdict at ``center``, with its window radii, widest
-    first: they never increase, and only the first and last decide."""
+    """A continuity verdict at ``center``, with the radii of its widest and
+    its finest window, which decide it."""
 
     ok: bool
     value: complex
@@ -112,26 +105,25 @@ class ExtensionResult:
 def continuous_extension(f: BoundarySignal, center: float) -> ExtensionResult:
     """Attempt a continuous extension of ``f`` at the angle ``center`` mod 2 pi.
 
-    Succeeds when the finest-window oscillation over ``WIDTH_SCHEDULE`` is
-    below the tolerance 10 sup|f| N^{-1/4} *and* either below
-    ``DECAY_RATIO`` times the largest oscillation seen or every oscillation
-    is at the roundoff level 1e-12 max(1, sup|f|) of constant data. The
-    extension value is the mean over the finest window.
+    Succeeds when the finest ``WIDTH_SCHEDULE`` window's oscillation is
+    below the tolerance 10 sup|f| N^{-1/4} *and* either at most
+    ``DECAY_RATIO`` times the widest window's or the widest is at the
+    roundoff level 1e-12 max(1, sup|f|) of constant data. The extension value
+    is the mean over the finest window, in ascending index order.
 
-    The windows are nested, so each is a prefix of the widest one's nodes
-    taken nearest first. A window's radius r, the largest distance of its
-    values from the value at the node nearest ``center`` (the first node of
-    every window), bounds its oscillation to [r, 2r]; the verdict is True
-    only when the rule holds across those bounds (``_verdict``). The mean
-    runs over the finest window in ascending index order.
+    A window's radius r, the largest distance of its values from the value
+    ``v0`` at the node nearest ``center`` (ties by index; it lies in both
+    windows), bounds its oscillation to [r, 2r]; the verdict is True only
+    when the rule holds across those bounds (``_verdict``).
     """
     center = _as_real(center, "center") % TWO_PI
     tol, flat = 10.0 * f.sup_abs * f.grid.size ** (-0.25), 1e-12 * max(1.0, f.sup_abs)
-    idx, counts = _windows(f.grid, center)
-    values = f.values[idx]
-    r = np.maximum.accumulate(np.abs(values - values[0]))[counts - 1]
-    value = _scaled_mean(f.values[np.sort(idx[: counts[-1]])])
-    return ExtensionResult(_verdict(r, tol, flat), value, tol, DECAY_RATIO, tuple(r.tolist()), center)
+    wide, _ = _window(f.grid, center, WIDTH_SCHEDULE[0])
+    fine, dist = _window(f.grid, center, WIDTH_SCHEDULE[-1])
+    v0 = f.values[fine[np.argmin(dist)]]
+    radii = tuple(float(np.abs(f.values[w] - v0).max()) for w in (wide, fine))
+    value = _scaled_mean(f.values[fine])
+    return ExtensionResult(_verdict(*radii, tol, flat), value, tol, DECAY_RATIO, radii, center)
 
 
 # ---------------------------------------------------------------------------
@@ -187,11 +179,15 @@ def in_zinfty(f: BoundarySignal) -> bool:
     return zinfty_report(f).in_class
 
 
-def in_disc_algebra(f: BoundarySignal) -> bool:
-    """Continuity of the boundary data, probed at 64 equispaced angles and at the
-    midpoints of the 64 largest local maxima of |f_{j+1} - f_j| (circularly)."""
+def _probe_angles(f: BoundarySignal) -> list[float]:
+    """64 equispaced angles, then the midpoints of the 64 largest local maxima
+    of |f_{j+1} - f_j| (circularly)."""
     rise = np.abs(np.roll(f.values, -1) - f.values)
     peaks = np.flatnonzero((rise > np.roll(rise, 1)) & (rise >= np.roll(rise, -1)))
     jumps = peaks[np.argsort(-rise[peaks], kind="stable")[:64]]
-    probes = np.concatenate((np.arange(64) * (TWO_PI / 64), (jumps + 0.5) * f.grid.spacing))
-    return all(continuous_extension(f, a).ok for a in probes.tolist())
+    return np.concatenate((np.arange(64) * (TWO_PI / 64), (jumps + 0.5) * f.grid.spacing)).tolist()
+
+
+def in_disc_algebra(f: BoundarySignal) -> bool:
+    """Continuity of the boundary data, probed at ``_probe_angles``."""
+    return all(continuous_extension(f, a).ok for a in _probe_angles(f))

@@ -325,6 +325,18 @@ def distance_window(grid, center: float, full_width: float) -> np.ndarray:
     return np.flatnonzero(circular_distance(grid.nodes, center) <= half)
 
 
+def reference_radii(f, center: float) -> tuple:
+    """For each ``WIDTH_SCHEDULE`` width, the largest distance of the values
+    in its distance window from the value at the node nearest ``center``."""
+    out = []
+    for w in WIDTH_SCHEDULE:
+        idx = distance_window(f.grid, center, w)
+        v = f.values[idx]
+        near = np.argmin(circular_distance(f.grid.nodes[idx], center))
+        out.append(float(np.abs(v - v[near]).max()))
+    return tuple(out)
+
+
 def continuous_extension_hull(f: BoundarySignal, center: float) -> tuple:
     """(ok, value, oscillations, tolerance) of a continuity test that takes
     the exact diameter of every window. The widest window's nodes, ordered by

@@ -24,17 +24,16 @@ from hardylab import (
 )
 from hardylab.factorization import singular_inner_boundary
 from hardylab.grid import _level_cut, circular_distance, circular_runs
-import hardylab.zerosets
 from hardylab.zerosets import (
     BOUND_MARGIN,
     MIN_WINDOW_CELLS,
     WIDTH_SCHEDULE,
     _log_zero_set,
     _verdict,
-    _windows,
+    _window,
     in_zinfty,
 )
-from oracles import continuity_rule, continuous_extension_hull, distance_window, random_product
+from oracles import continuity_rule, continuous_extension_hull, random_product, reference_radii
 
 
 def circ_gap(a: float, b: float) -> float:
@@ -44,18 +43,6 @@ def circ_gap(a: float, b: float) -> float:
 
 #: The grid sizes at which the catalog's continuity verdicts are pinned.
 ALL_SIZES = (512, 1024, 2048, 4096, 8192, 16384, 65536)
-
-
-def reference_radii(f, center: float) -> tuple:
-    """Reference: for each width, the largest distance of the values in its
-    distance window from the value at the node nearest ``center``."""
-    out = []
-    for w in WIDTH_SCHEDULE:
-        idx = distance_window(f.grid, center, w)
-        v = f.values[idx]
-        near = np.argmin(circular_distance(f.grid.nodes[idx], center))
-        out.append(float(np.abs(v - v[near]).max()))
-    return tuple(out)
 
 
 #: 16 equispaced window centres plus the catalog's zero angles 0 and 3*pi/2.
@@ -91,29 +78,26 @@ EDGE_CENTRES = {
 @given(st.floats(min_value=-1.0, max_value=1.0))
 @example(0.0)
 @settings(max_examples=4, deadline=None)
-def test_windows_are_nearest_first_prefixes_of_the_distance_masks(size, a, b, shift):
-    """Each width's window, from below the cell floor up to the schedule's,
-    is the prefix of ``_windows``'s nodes that its full distance mask
-    selects, nearest first with ties by index."""
+def test_windows_are_their_full_distance_masks(size, a, b, shift):
+    """Each window, from below the cell floor up to the schedule's widths,
+    holds exactly the nodes that its full distance mask selects, in
+    ascending index order, with their distances."""
     g = CircleGrid(size)
     h, floor = g.spacing, MIN_WINDOW_CELLS * g.spacing
     center = a + b * h + shift
-    widths = sorted((0.0, floor / 2, np.nextafter(floor, 0.0), floor, np.nextafter(floor, 1.0),
-                     floor + h / 2, *WIDTH_SCHEDULE), reverse=True)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(hardylab.zerosets, "WIDTH_SCHEDULE", tuple(widths))
-        idx, counts = _windows(g, center)
-    assert len(counts) == len(widths) and counts[0] == idx.size
     dist = circular_distance(g.nodes, center)
-    for w, s in zip(widths, counts):
+    for w in (0.0, floor / 2, np.nextafter(floor, 0.0), floor, np.nextafter(floor, 1.0),
+              floor + h / 2, *WIDTH_SCHEDULE):
+        idx, d = _window(g, center, w)
         want = np.flatnonzero(dist <= max(w / 2, floor / 2))
-        assert np.array_equal(idx[:s], want[np.lexsort((want, dist[want]))]), w
+        assert np.array_equal(idx, want), w
+        assert np.array_equal(d, dist[want]), w
     if size == 8:  # the widest window covers the whole circle
-        assert np.array_equal(np.sort(idx), np.arange(8))
+        assert np.array_equal(_window(g, center, WIDTH_SCHEDULE[0])[0], np.arange(8))
 
 
 @pytest.mark.parametrize("radii, want", [
-    ((1.0, 1.5), False),        # finest diameter may exceed tol
+    ((8.0, 1.5), False),        # decays, but the finest diameter may exceed tol
     ((4.0, 0.9), True),         # decays: 2 r = 1.8 <= 0.5 * 4
     ((4.0, 1.0), False),        # 2 r sits on the ratio: the margin keeps it open
     ((1e-15, 1e-15), True),     # flat
@@ -121,19 +105,20 @@ def test_windows_are_nearest_first_prefixes_of_the_distance_masks(size, a, b, sh
     ((1.0, 0.9), False),        # within tol, but neither flat nor decaying
 ])
 def test_verdict_outcomes(radii, want):
-    assert _verdict(np.array(radii), 2.5, 1e-12) is want
+    assert _verdict(*radii, 2.5, 1e-12) is want
 
 
 @given(st.lists(st.tuples(st.floats(min_value=0.0, max_value=1e300), st.floats(min_value=0.0, max_value=1.0)),
-                min_size=1, max_size=len(WIDTH_SCHEDULE)),
+                min_size=2, max_size=2),
        st.floats(min_value=1e-300, max_value=1e300), st.floats(min_value=1e-300, max_value=1e300))
 @settings(max_examples=300, deadline=None)
 def test_radius_verdict_implies_the_exact_rule(windows, tol, flat):
-    """Radii that read True read True for every diameter profile they bound:
-    the oracle's rule holds on any diameters d with r <= d <= 2r."""
-    radii = np.array([r for r, _ in windows])
+    """Radii of a widest and a finest window (the finest at most the widest)
+    that read True read True for every pair of diameters they bound: the
+    oracle's rule holds on any diameters d with r <= d <= 2r."""
+    windows = sorted(windows, reverse=True)
     diameters = [r * (1.0 + t) for r, t in windows]
-    assert not _verdict(radii, tol, flat) or continuity_rule(diameters, tol, flat)
+    assert not _verdict(windows[0][0], windows[1][0], tol, flat) or continuity_rule(diameters, tol, flat)
 
 
 def test_undecided_exact_diameters_read_as_discontinuous():
