@@ -527,10 +527,10 @@ def _canonical_table(data: bytes) -> np.ndarray | None:
     The parse pass reads each chunk as a JSON array by orjson, whose number
     reader is correctly rounded, as is ``np.loadtxt``'s, so both routes give
     the same bits. orjson yields only floats and ints within 64 bits, and
-    ``struct`` packs a chunk of both into doubles in one C loop, each int
-    correctly rounded. JSON reads an integer token ``-0`` as 0, so a chunk whose
-    values hold a zero and whose text holds such a token is read again with
-    each one spelled ``-0.0``. A chunk that orjson refuses (``+1``, ``.5``,
+    ``struct.pack_into`` packs a chunk of both straight into the table in one
+    C loop, each int correctly rounded. JSON reads an integer token ``-0`` as
+    0, so a chunk whose values hold a zero and whose text holds such a token
+    is read again, into the same block, with each one spelled ``-0.0``. A chunk that orjson refuses (``+1``, ``.5``,
     ``5.``, ``007``, ...) sends the whole text to the ``np.loadtxt`` route,
     which decides its values or error.
     """
@@ -555,17 +555,18 @@ def _canonical_table(data: bytes) -> np.ndarray | None:
     import orjson
 
     table, filled = np.empty(3 * rows), 0
+    raw = memoryview(table).cast("B")
     for start, stop in cuts:
         body = b"[" + data[start:stop].replace(b"\n", b",") + b"]"
         try:
             vals = orjson.loads(body)
-            block = np.frombuffer(struct.pack(f"{len(vals)}d", *vals), float)
-            if not block.all() and _INTEGER_MINUS_ZERO.search(body):
-                block = np.fromiter(orjson.loads(_INTEGER_MINUS_ZERO.sub(b"-0.0", body)), float)
+            struct.pack_into(f"{len(vals)}d", raw, 8 * filled, *vals)
+            if not table[filled:filled + len(vals)].all() and _INTEGER_MINUS_ZERO.search(body):
+                struct.pack_into(f"{len(vals)}d", raw, 8 * filled,
+                                 *orjson.loads(_INTEGER_MINUS_ZERO.sub(b"-0.0", body)))
         except orjson.JSONDecodeError:
             return None
-        table[filled:filled + block.size] = block
-        filled += block.size
+        filled += len(vals)
     return table.reshape(rows, 3)
 
 
