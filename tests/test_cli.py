@@ -142,21 +142,19 @@ def test_out_commands_keep_their_memory_budget_at_65536_nodes(capsys, tmp_path, 
 
 # The same peaks, without --out, for commands that read 65536-node CSV
 # files (one-minus-z as f, one-minus-z-squared as h, two-plus-z as a), each
-# budget a peak plus 5 %: certify 100.3, certify on the pair f, h 116.6 (it
-# folds two sub-certificates' units), member 124.4, prime-check 140.5,
-# approx-unit sublevel 100.2, zeroset and approx-unit peak 100.2 each. The
-# budgets of certify, approx-unit sublevel and prime-check were set at 106.2,
-# 106.2 and 146.2, when the sublevel cofactor log-modulus was still clipped.
+# budget a peak plus 5 %, rounded up: certify 100.3, certify on the pair f, h
+# 116.4 (it folds two sub-certificates' units), member 124.4, prime-check
+# 140.5, approx-unit sublevel 100.2, zeroset and approx-unit peak 100.2 each.
 # No stage keeps arrays for a unit, and the peak powers hold neither the
 # rebased generator nor the averaged function.
 @pytest.mark.parametrize("argv, budget", [
-    (["certify", "--generators", "{f}"], 112),
+    (["certify", "--generators", "{f}"], 106),
     (["certify", "--generators", "{f},{h}"], 123),
     (["member", "--h", "{h}", "--generators", "{f}"], 131),
     (["zeroset", "--f", "{f}"], 106),
-    (["approx-unit", "--generators", "{f}", "--strategy", "sublevel"], 112),
+    (["approx-unit", "--generators", "{f}", "--strategy", "sublevel"], 106),
     (["approx-unit", "--generators", "{f}", "--strategy", "peak"], 106),
-    (["prime-check", "--a", "{a}", "--b", "{h}", "--generators", "{f}"], 154),
+    (["prime-check", "--a", "{a}", "--b", "{h}", "--generators", "{f}"], 148),
 ], ids=["certify", "certify-pair", "member", "zeroset", "approx-unit-sublevel", "approx-unit-peak",
         "prime-check"])
 def test_csv_commands_keep_their_memory_budget_at_65536_nodes(capsys, tmp_path, argv, budget):

@@ -287,7 +287,8 @@ def test_memory_a_certificate_keeps_at_65536_nodes(name, strategy, limit_mib):
 
 def test_memory_peak_of_a_sublevel_certificate_at_65536_nodes():
     # stages build no unit: their statistics come from plain arrays, and
-    # they keep none
+    # they keep none; the certificate peaks at 4.19-4.21 MiB, and the limit
+    # is the higher plus 5 %
     certify_mideal(ideal([example_boundary("one-minus-z", CircleGrid(4096))]))
     f = example_boundary("one-minus-z", CircleGrid(65536))
     tracemalloc.start()
@@ -298,7 +299,7 @@ def test_memory_peak_of_a_sublevel_certificate_at_65536_nodes():
         tracemalloc.stop()
     assert cert.passed
     assert cert.strategy == "sublevel"
-    assert peak <= 12 << 20
+    assert peak <= 4.42 * 2**20
 
 
 # The fold holds one sub-unit, the running fold and their combination at a
