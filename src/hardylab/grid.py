@@ -530,9 +530,10 @@ def _canonical_table(data: bytes) -> np.ndarray | None:
     ``struct.pack_into`` packs a chunk of both straight into the table in one
     C loop, each int correctly rounded. JSON reads an integer token ``-0`` as
     0, so a chunk whose values hold a zero and whose text holds such a token
-    is read again, into the same block, with each one spelled ``-0.0``. A chunk that orjson refuses (``+1``, ``.5``,
-    ``5.``, ``007``, ...) sends the whole text to the ``np.loadtxt`` route,
-    which decides its values or error.
+    is read again, into the same block, with each one spelled ``-0.0``. A
+    chunk that orjson refuses (``+1``, ``.5``, ``5.``, ``007``, ...) sends
+    the whole text to the ``np.loadtxt`` route, which decides its values or
+    error.
     """
     header = b"theta,re,im\n"
     if not data.startswith(header):

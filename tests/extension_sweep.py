@@ -41,8 +41,9 @@ def faults_at(f, center: float) -> list[str]:
         faults.append("True where the exact diameters read False")
     if repr(ext.value) != repr(value):
         faults.append(f"value {ext.value!r} against {value!r}")
-    if repr(ext.radii) != repr(reference_radii(f, center)):
-        faults.append(f"radii {ext.radii!r} against {reference_radii(f, center)!r}")
+    radii = reference_radii(f, center)
+    if repr(ext.radii) != repr(radii):
+        faults.append(f"radii {ext.radii!r} against {radii!r}")
     return [f"at {center!r}: {line}" for line in faults]
 
 
