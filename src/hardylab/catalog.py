@@ -297,7 +297,9 @@ _ENTRIES: dict[str, CatalogEntry] = {
         CatalogEntry(
             name="one-minus-singular-i",
             kind="outer",
-            summary="1 - exp((z+i)/(z-i)); outer since its real part is positive",
+            summary="1 - exp((z+i)/(z-i)); outer since its real part is positive; "
+                    "zeros at z_k = i(1 + 2 pi i k)/(2 pi i k - 1), k in Z: z_0 = -i, "
+                    "and the z_k accumulate at i",
             boundary_fn=lambda grid: signal_from_values(
                 grid, 1.0 - singular_inner_boundary(1j, grid).values
             ),
@@ -306,7 +308,8 @@ _ENTRIES: dict[str, CatalogEntry] = {
         CatalogEntry(
             name="two-point-product",
             kind="outer",
-            summary="(1 - z)(1 - exp((z+i)/(z-i))); essential zeros at 1 and -i",
+            summary="(1 - z)(1 - exp((z+i)/(z-i))); zeros at 1 and at the z_k of "
+                    "one-minus-singular-i: -i, and a sequence accumulating at i",
             boundary_fn=_two_point_boundary,
             taylor_fn=lambda: _conv(_poly(1.0, -1.0), _one_minus_singular_i_taylor()),
         ),

@@ -25,7 +25,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import threading
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -42,7 +41,7 @@ from .factorization import _reject_zero, is_outer, outer_boundary, outer_values
 from .grid import (
     BoundarySignal, CircleGrid, _as_indices, _as_real, _clip_log, _level_cut, common_grid,
 )
-from .hardy import _conjugate_rfft
+from .hardy import _conjugate_rfft, conjugate
 from .zerosets import _log_zero_set, continuous_extension, essential_zero_set, zinfty_report
 
 STRATEGIES = ("auto", "sublevel", "peak", "combined")
@@ -118,8 +117,9 @@ class UnitStage:
     unit's modulus is |g| e^{-log|g|}, and on it |g| < e^-m. The verdict-only
     commands, ``member`` and ``prime-check``, rely on it to build only the
     last stage, whose record is bit for bit the one in the full table: each
-    stage is computed whole on one thread, whether it ran alone, on the
-    calling thread or on the second thread of ``approx_unit_sublevel``."""
+    mask is computed whole on one thread, whether its stage ran alone, on the
+    calling thread or on the second thread of ``approx_unit_sublevel``, and
+    only index and eps tell apart the stages that share a mask."""
 
     index: int
     eps: float
@@ -183,8 +183,8 @@ def _largest_log(spec: IdealSpec) -> np.ndarray:
     return np.maximum.reduce([g.log_abs for g in spec.generators])
 
 
-#: The grid size from which ``approx_unit_sublevel`` runs its distinct-mask
-#: stages in two halves, the odd half on a second thread. The 12 default
+#: The grid size from which ``approx_unit_sublevel`` computes its distinct
+#: masks in two halves, the odd half on a second thread. The 12 default
 #: stages of 1 - z on a 2-core box (median of 3 medians) took 2.2 ms split
 #: against 1.3 ms on one thread at 4096 nodes, 3.9 against 4.4 ms at 16384,
 #: and 17.7 against 23.2 ms at 65536: below 2^15 the thread costs about what
@@ -210,16 +210,17 @@ def approx_unit_sublevel(
     |g| |unit - 1|: the statistics need one conjugate and one sine per stage,
     and no complex unit.
 
-    A stage with an empty A_m is degenerate, and one with the mask of the
-    stage before it copies that stage's record. The others, the distinct-mask
-    stages, are computed whole, each from read-only arrays shared by all of
-    them. From ``_SPLIT_FLOOR`` = 2^15 nodes they run in two interleaved
-    halves: the odd ones on a second thread, the even ones on the calling
-    thread, so the table is bit for bit the one-thread table. A stage in
-    flight holds at most two N-length float arrays: the cofactor log-modulus
-    and its transform, then the phase and the modulus. ``certify`` on 1 - z
-    takes about 21, 110 and 460 ms at 2^16, 2^18 and 2^20 nodes on a 2-core
-    box.
+    A stage with an empty A_m is degenerate. The masks nest, so stages with
+    equal support counts have one mask, wherever they stand in ``stages``:
+    each nonempty mask is computed once, whole, from read-only arrays shared
+    by all of them, and every stage with its count takes that record with
+    its own index and eps. From ``_SPLIT_FLOOR`` = 2^15 nodes the masks run
+    in two interleaved halves: the odd ones on a second thread, the even ones
+    on the calling thread, so the table is bit for bit the one-thread table.
+    A mask in flight holds at most two N-length float arrays: the cofactor
+    log-modulus and its transform, then the phase and the modulus.
+    ``certify`` on 1 - z takes about 21, 110 and 460 ms at 2^16, 2^18 and
+    2^20 nodes on a 2-core box.
     """
     stages = _read_stages(stages)
     n = spec.grid.size
@@ -267,27 +268,18 @@ def approx_unit_sublevel(
         )
 
     counts = [int(np.count_nonzero(neg_k > -_level_cut(m))) for m in stages]
-    # Sublevel masks are nested, so a stage with as many nodes as the one
-    # before it has the same mask, and only its index and eps differ.
-    distinct = [i for i, c in enumerate(counts) if c and (i == 0 or counts[i - 1] != c)]
-    work = [stages[i] for i in distinct]
-    split = n >= _SPLIT_FLOOR
-    done = dict(zip(distinct, _in_two_halves(stage, work) if split else map(stage, work)))
+    # Sublevel masks are nested, so stages with equal counts share one mask,
+    # in any order: each nonempty mask is computed once, for any of its stages.
+    work = {c: m for c, m in zip(counts, stages) if c}
+    ms = list(work.values())
+    records = dict(zip(work, _in_two_halves(stage, ms) if n >= _SPLIT_FLOOR else map(stage, ms)))
     # a degenerate stage's cofactor is exp(-k) itself
-    degenerate_sup = float(np.exp(np.max(neg_k)))
-    out: list[UnitStage] = []
-    for i, m in enumerate(stages):
-        if i in done:
-            out.append(done[i])
-        elif counts[i]:
-            out.append(replace(out[-1], index=m, eps=float(np.exp(-m))))
-        else:
-            out.append(UnitStage(
-                index=m, eps=float(np.exp(-m)), support_measure=0.0, degenerate=True,
-                off_support_deviation=0.0, on_support_max=0.0, value_at_zero=1.0 + 0.0j,
-                cofactor_sup=degenerate_sup, error=0.0, sup_norm=1.0,
-            ))
-    return tuple(out)
+    records[0] = UnitStage(
+        index=0, eps=1.0, support_measure=0.0, degenerate=True,
+        off_support_deviation=0.0, on_support_max=0.0, value_at_zero=1.0 + 0.0j,
+        cofactor_sup=float(np.exp(np.max(neg_k))), error=0.0, sup_norm=1.0,
+    )
+    return tuple(replace(records[c], index=m, eps=float(np.exp(-m))) for c, m in zip(counts, stages))
 
 
 def _cofactor_rfft(neg_k: np.ndarray, on: np.ndarray) -> np.ndarray:
@@ -302,29 +294,20 @@ def _cofactor_rfft(neg_k: np.ndarray, on: np.ndarray) -> np.ndarray:
 
 def _in_two_halves(fn, items: list) -> list:
     """``[fn(x) for x in items]``, the odd positions computed on a second
-    thread while this one computes the even ones. The other thread is joined
-    before this returns or raises; an exception of its half is raised here."""
+    thread while this one computes the even ones. The executor's ``with``
+    joins that thread before this returns or raises, and ``result()`` raises
+    an exception of its half here."""
     if len(items) < 2:
         return list(map(fn, items))
-    odd: list = []
-    failed: list[BaseException] = []
+    # imported here, as _canonical_table imports orjson: at the top it would
+    # add about 8 ms to every import of the CLI
+    from concurrent.futures import ThreadPoolExecutor
 
-    def run_odd():
-        try:
-            odd.extend(map(fn, items[1::2]))
-        except BaseException as exc:  # raised again in the calling thread
-            failed.append(exc)
-
-    worker = threading.Thread(target=run_odd, name="sublevel-stages")
-    worker.start()
-    try:
-        even = list(map(fn, items[0::2]))
-    finally:
-        worker.join()
-    if failed:
-        raise failed[0]
     out = [None] * len(items)
-    out[0::2], out[1::2] = even, odd
+    with ThreadPoolExecutor(1, thread_name_prefix="sublevel-stages") as pool:
+        odd = pool.submit(list, map(fn, items[1::2]))
+        out[0::2] = map(fn, items[0::2])
+        out[1::2] = odd.result()
     return out
 
 
@@ -539,7 +522,7 @@ def stage_unit(spec: IdealSpec, stage) -> BoundarySignal:
         log_cof = _largest_log(spec)
         np.negative(log_cof, out=log_cof)
         log_cof[log_cof > -_level_cut(stage.index)] = 0.0  # the support
-        values = outer_values(log_cof, np.fft.irfft(_conjugate_rfft(log_cof), log_cof.size))
+        values = outer_values(log_cof, conjugate(log_cof))
         np.multiply(spec._base, values, out=values)
     return BoundarySignal(spec.grid, values)
 

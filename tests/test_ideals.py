@@ -43,6 +43,7 @@ from hardylab import (
     signal_from_values,
     synth_outer,
 )
+import hardylab.hardy
 import hardylab.ideals
 import hardylab.zerosets
 from hardylab.grid import _level_cut, circular_distance
@@ -326,7 +327,7 @@ def test_memory_peak_of_a_combined_certificate_at_65536_nodes(names, limit_mib):
 
 @pytest.mark.parametrize("name", ["one-minus-z", "two-point-product"])
 def test_repeated_masks_reuse_their_stage_exactly(name):
-    """A stage whose mask repeats the one before it is the stage built on its
+    """A stage that shares its mask with another is the stage built on its
     own, field by field; only index and eps move."""
     spec = ideal([example_boundary(name, CircleGrid(65536))], [name])
     run = approx_unit_sublevel(spec, (9, 10, 11, 12))
@@ -345,6 +346,29 @@ def _distinct_masks(table) -> int:
     return len({s.support_measure for s in table if not s.degenerate})
 
 
+@pytest.mark.parametrize("names", [("one-minus-z",), ("one-minus-z", "two-point-product")])
+def test_a_repeated_mask_is_computed_once_in_any_order(monkeypatch, names):
+    """Stages with equal support counts share one mask wherever they stand:
+    (12, 3, 11, 3) at 65536 nodes has two masks, so it takes two transforms
+    where a stage-by-stage table takes four, and each record is its stage run
+    alone, field by field and bit for bit (the repr of a float is its bits)."""
+    spec = ideal([example_boundary(name, CircleGrid(65536)) for name in names], names)
+    stages = (12, 3, 11, 3)
+    calls = []
+    orig = hardylab.ideals._conjugate_rfft
+
+    def counted(k):
+        calls.append(k.size)
+        return orig(k)
+
+    monkeypatch.setattr(hardylab.ideals, "_conjugate_rfft", counted)
+    table = approx_unit_sublevel(spec, stages)
+    assert len(calls) == _distinct_masks(table) == 2
+    for m, s in zip(stages, table, strict=True):
+        (alone,) = approx_unit_sublevel(spec, (m,))
+        assert repr(dataclasses.astuple(s)) == repr(dataclasses.astuple(alone)), m
+
+
 class _CountedThread(threading.Thread):
     started = 0
 
@@ -355,7 +379,7 @@ class _CountedThread(threading.Thread):
 
 @pytest.mark.parametrize("name", [*catalog_names(), *(f"product-{seed}" for seed in range(6))])
 def test_split_stage_table_is_each_stage_alone_bit_for_bit(monkeypatch, name):
-    """At 65536 nodes every second distinct-mask stage runs on a second
+    """At 65536 nodes every second distinct mask is computed on a second
     thread; the table is, field by field and bit for bit (the repr of a float
     is its bits), each stage computed alone on the calling thread. A thread
     starts exactly when there are two distinct masks to split."""
@@ -919,7 +943,8 @@ def test_a_certificate_builds_its_unit_once_and_only_when_read(monkeypatch):
     """A sublevel certificate takes one conjugate per distinct stage mask and
     builds no unit; the first read of ``final_unit`` takes one conjugate
     more, and a second read and ``membership`` take none. Each conjugate is
-    one call of ``_conjugate_rfft``, the transform and its multiplier."""
+    one call of ``_conjugate_rfft``, the transform and its multiplier: the
+    table calls it, and ``stage_unit`` calls it through ``hardy.conjugate``."""
     calls = []
     orig = hardylab.ideals._conjugate_rfft
 
@@ -928,6 +953,7 @@ def test_a_certificate_builds_its_unit_once_and_only_when_read(monkeypatch):
         return orig(k)
 
     monkeypatch.setattr(hardylab.ideals, "_conjugate_rfft", counted)
+    monkeypatch.setattr(hardylab.hardy, "_conjugate_rfft", counted)
     grid = CircleGrid(4096)
     cert = certify_mideal(ideal([example_boundary("one-minus-z", grid)]), strategy="sublevel")
     masks = len({_support(cert.ideal, s.index).tobytes() for s in cert.stages})
