@@ -25,6 +25,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import threading
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -294,20 +295,29 @@ def _cofactor_rfft(neg_k: np.ndarray, on: np.ndarray) -> np.ndarray:
 
 def _in_two_halves(fn, items: list) -> list:
     """``[fn(x) for x in items]``, the odd positions computed on a second
-    thread while this one computes the even ones. The executor's ``with``
-    joins that thread before this returns or raises, and ``result()`` raises
-    an exception of its half here."""
+    thread while this one computes the even ones. The other thread is joined
+    before this returns or raises; an exception of its half is raised here."""
     if len(items) < 2:
         return list(map(fn, items))
-    # imported here, as _canonical_table imports orjson: at the top it would
-    # add about 8 ms to every import of the CLI
-    from concurrent.futures import ThreadPoolExecutor
+    odd: list = []
+    failed: list[BaseException] = []
 
+    def run_odd():
+        try:
+            odd.extend(map(fn, items[1::2]))
+        except BaseException as exc:  # raised again in the calling thread
+            failed.append(exc)
+
+    worker = threading.Thread(target=run_odd, name="sublevel-stages")
+    worker.start()
+    try:
+        even = list(map(fn, items[0::2]))
+    finally:
+        worker.join()
+    if failed:
+        raise failed[0]
     out = [None] * len(items)
-    with ThreadPoolExecutor(1, thread_name_prefix="sublevel-stages") as pool:
-        odd = pool.submit(list, map(fn, items[1::2]))
-        out[0::2] = map(fn, items[0::2])
-        out[1::2] = odd.result()
+    out[0::2], out[1::2] = even, odd
     return out
 
 

@@ -325,35 +325,23 @@ def test_memory_peak_of_a_combined_certificate_at_65536_nodes(names, limit_mib):
     assert peak <= limit_mib * 2**20
 
 
-@pytest.mark.parametrize("name", ["one-minus-z", "two-point-product"])
-def test_repeated_masks_reuse_their_stage_exactly(name):
-    """A stage that shares its mask with another is the stage built on its
-    own, field by field; only index and eps move."""
-    spec = ideal([example_boundary(name, CircleGrid(65536))], [name])
-    run = approx_unit_sublevel(spec, (9, 10, 11, 12))
-    masks = [_support(spec, s.index) for s in run]
-    assert any(np.array_equal(a, b) for a, b in zip(masks, masks[1:]))  # the reuse is exercised
-    for s in run:
-        (alone,) = approx_unit_sublevel(spec, (s.index,))
-        for field in dataclasses.fields(s):
-            assert getattr(s, field.name) == getattr(alone, field.name), field.name
-        assert np.array_equal(stage_unit(spec, s).values, stage_unit(spec, alone).values)
-
-
 def _distinct_masks(table) -> int:
     """The number of stages of ``table`` that computed their statistics: one
     per distinct nonempty mask."""
     return len({s.support_measure for s in table if not s.degenerate})
 
 
-@pytest.mark.parametrize("names", [("one-minus-z",), ("one-minus-z", "two-point-product")])
-def test_a_repeated_mask_is_computed_once_in_any_order(monkeypatch, names):
-    """Stages with equal support counts share one mask wherever they stand:
-    (12, 3, 11, 3) at 65536 nodes has two masks, so it takes two transforms
-    where a stage-by-stage table takes four, and each record is its stage run
-    alone, field by field and bit for bit (the repr of a float is its bits)."""
+@pytest.mark.parametrize("stages", [(9, 10, 11, 12), (12, 3, 11, 3)])
+@pytest.mark.parametrize("names", [
+    ("one-minus-z",), ("two-point-product",), ("one-minus-z", "two-point-product"),
+])
+def test_repeated_masks_reuse_their_stage_exactly(monkeypatch, names, stages):
+    """Stages with equal support counts share one mask wherever they stand in
+    the list, and the mask takes one transform: (12, 3, 11, 3) on 1 - z at
+    65536 nodes takes two, where a stage-by-stage table takes four. Each
+    record is its stage run alone, field by field and bit for bit (the repr
+    of a float is its bits), and so is its unit; only index and eps move."""
     spec = ideal([example_boundary(name, CircleGrid(65536)) for name in names], names)
-    stages = (12, 3, 11, 3)
     calls = []
     orig = hardylab.ideals._conjugate_rfft
 
@@ -363,10 +351,14 @@ def test_a_repeated_mask_is_computed_once_in_any_order(monkeypatch, names):
 
     monkeypatch.setattr(hardylab.ideals, "_conjugate_rfft", counted)
     table = approx_unit_sublevel(spec, stages)
-    assert len(calls) == _distinct_masks(table) == 2
+    # the reuse is exercised: fewer transforms than stages with a mask
+    assert len(calls) == _distinct_masks(table) < sum(not s.degenerate for s in table)
+    if names == ("one-minus-z",) and stages == (12, 3, 11, 3):
+        assert len(calls) == 2
     for m, s in zip(stages, table, strict=True):
         (alone,) = approx_unit_sublevel(spec, (m,))
         assert repr(dataclasses.astuple(s)) == repr(dataclasses.astuple(alone)), m
+        assert np.array_equal(stage_unit(spec, s).values, stage_unit(spec, alone).values)
 
 
 class _CountedThread(threading.Thread):
